@@ -8,6 +8,7 @@
 //! lives in [`crate::bndry`] and must agree with this one exactly.
 
 use cubesphere::{CubedSphere, NPTS};
+use std::ops::{Add, Mul};
 use sw26010::V4F64;
 
 /// Serial DSS engine for a grid.
@@ -22,10 +23,6 @@ pub struct Dss {
     accum: Vec<f64>,
     /// Four-lane scratch accumulator for the fused four-field walks.
     accum4: Vec<f64>,
-    /// Member-lane scratch accumulator: one `V4F64` per global point per
-    /// field of the fused four-tile walks (the single-tile walks use the
-    /// first `nglobal` slots).
-    accum_lanes: Vec<V4F64>,
 }
 
 impl Dss {
@@ -44,7 +41,6 @@ impl Dss {
             spheremp,
             accum: vec![0.0; grid.nglobal],
             accum4: vec![0.0; 4 * grid.nglobal],
-            accum_lanes: vec![V4F64::zero(); 4 * grid.nglobal],
         }
     }
 
@@ -120,55 +116,6 @@ impl Dss {
         }
     }
 
-    /// Fused DSS + scaled forward-Euler apply: assemble `field` (layout
-    /// `[nelem][levels][NPTS]`, *left unchanged* — it is dead scratch
-    /// afterwards) and add `coefs[k]` times the assembled value into
-    /// `target`, whose per-element stride is `tstride` (`target` may hold
-    /// more levels than `field`, e.g. a full-depth state arena receiving a
-    /// sponge-depth Laplacian).
-    ///
-    /// Per point this computes `target += coefs[k] * (accum * inv_mass)` —
-    /// the assembled value is bitwise the one [`Dss::apply_flat`] would
-    /// have written (same accumulation order), and the scaled add matches
-    /// the drivers' separate apply loops when `coefs[k]` carries the
-    /// hoisted (possibly negated) coefficient product. Fusing removes a
-    /// full write-back + reread sweep of the Laplacian arena per field per
-    /// subcycle. Allocation-free.
-    pub fn apply_flat_scaled_add(
-        &mut self,
-        field: &[f64],
-        levels: usize,
-        coefs: &[f64],
-        target: &mut [f64],
-        tstride: usize,
-    ) {
-        let nelem = self.gids.len() / NPTS;
-        debug_assert_eq!(field.len(), nelem * levels * NPTS);
-        debug_assert_eq!(target.len(), nelem * tstride);
-        debug_assert!(coefs.len() >= levels);
-        let estride = levels * NPTS;
-        for (k, &c) in coefs[..levels].iter().enumerate() {
-            for a in &mut self.accum {
-                *a = 0.0;
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    self.accum[self.gids[base + p]] += self.spheremp[base + p] * field[off + p];
-                }
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * tstride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    target[off + p] += c * (self.accum[g] * self.inv_mass[g]);
-                }
-            }
-        }
-    }
-
     /// [`Dss::apply_flat`] on four equal-shape arenas in ONE walk of the
     /// assembly map per level: the `gids`/`spheremp` loads and index
     /// arithmetic are shared across the four fields instead of re-walked
@@ -216,241 +163,6 @@ impl Dss {
         }
     }
 
-    /// [`Dss::apply_flat_scaled_add`] on four fields in ONE walk of the
-    /// assembly map per level, one coefficient table per field. Bitwise
-    /// identical to four single-field calls (per-field accumulation order
-    /// unchanged). Allocation-free.
-    pub fn apply_flat_scaled_add4(
-        &mut self,
-        fields: [&[f64]; 4],
-        levels: usize,
-        coefs: [&[f64]; 4],
-        targets: [&mut [f64]; 4],
-        tstride: usize,
-    ) {
-        let nelem = self.gids.len() / NPTS;
-        let estride = levels * NPTS;
-        let n = self.nglobal;
-        let [f0, f1, f2, f3] = fields;
-        let [t0, t1, t2, t3] = targets;
-        debug_assert!([f0, f1, f2, f3].iter().all(|f| f.len() == nelem * estride));
-        debug_assert!([&t0, &t1, &t2, &t3].iter().all(|t| t.len() == nelem * tstride));
-        debug_assert!(coefs.iter().all(|c| c.len() >= levels));
-        for k in 0..levels {
-            let (c0, c1, c2, c3) = (coefs[0][k], coefs[1][k], coefs[2][k], coefs[3][k]);
-            for a in &mut self.accum4 {
-                *a = 0.0;
-            }
-            let (a01, a23) = self.accum4.split_at_mut(2 * n);
-            let (a0, a1) = a01.split_at_mut(n);
-            let (a2, a3) = a23.split_at_mut(n);
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    let w = self.spheremp[base + p];
-                    a0[g] += w * f0[off + p];
-                    a1[g] += w * f1[off + p];
-                    a2[g] += w * f2[off + p];
-                    a3[g] += w * f3[off + p];
-                }
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * tstride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    let m = self.inv_mass[g];
-                    t0[off + p] += c0 * (a0[g] * m);
-                    t1[off + p] += c1 * (a1[g] * m);
-                    t2[off + p] += c2 * (a2[g] * m);
-                    t3[off + p] += c3 * (a3[g] * m);
-                }
-            }
-        }
-    }
-
-    /// [`Dss::apply_flat`] on a member-lane tile (`[nelem][levels][NPTS]`
-    /// of `V4F64`, lanes are members): one walk of the assembly map
-    /// assembles four members at once. Lane `m` accumulates in the exact
-    /// element-ascending, point-ascending order of the single-member flat
-    /// walk, with the shared `spheremp`/`inv_mass` scalars splat across
-    /// lanes — so lane `m` is bitwise identical to `apply_flat` on member
-    /// `m`'s own arena. Allocation-free.
-    pub fn apply_lanes(&mut self, tile: &mut [V4F64], levels: usize) {
-        let nelem = self.gids.len() / NPTS;
-        debug_assert_eq!(tile.len(), nelem * levels * NPTS);
-        let estride = levels * NPTS;
-        let acc = &mut self.accum_lanes[..self.nglobal];
-        for k in 0..levels {
-            for a in acc.iter_mut() {
-                *a = V4F64::zero();
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    acc[g] = acc[g] + V4F64::splat(self.spheremp[base + p]) * tile[off + p];
-                }
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    tile[off + p] = acc[g] * V4F64::splat(self.inv_mass[g]);
-                }
-            }
-        }
-    }
-
-    /// [`Dss::apply_flat_scaled_add`] on member-lane tiles: assemble `tile`
-    /// (left unchanged) and add `coefs[k]` times the assembled value into
-    /// `target` (per-element stride `tstride` in `V4F64` units). Lane `m`
-    /// is bitwise `apply_flat_scaled_add` on member `m`. Allocation-free.
-    pub fn apply_lanes_scaled_add(
-        &mut self,
-        tile: &[V4F64],
-        levels: usize,
-        coefs: &[f64],
-        target: &mut [V4F64],
-        tstride: usize,
-    ) {
-        let nelem = self.gids.len() / NPTS;
-        debug_assert_eq!(tile.len(), nelem * levels * NPTS);
-        debug_assert_eq!(target.len(), nelem * tstride);
-        debug_assert!(coefs.len() >= levels);
-        let estride = levels * NPTS;
-        let acc = &mut self.accum_lanes[..self.nglobal];
-        for (k, &c) in coefs[..levels].iter().enumerate() {
-            for a in acc.iter_mut() {
-                *a = V4F64::zero();
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    acc[g] = acc[g] + V4F64::splat(self.spheremp[base + p]) * tile[off + p];
-                }
-            }
-            let cs = V4F64::splat(c);
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * tstride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    target[off + p] =
-                        target[off + p] + cs * (acc[g] * V4F64::splat(self.inv_mass[g]));
-                }
-            }
-        }
-    }
-
-    /// [`Dss::apply_lanes`] on four equal-shape member-lane tiles in ONE
-    /// walk of the assembly map per level (the hypervis `u, v, t, dp3d`
-    /// quartet). Bitwise four `apply_lanes` calls. Allocation-free.
-    pub fn apply_lanes4(&mut self, tiles: [&mut [V4F64]; 4], levels: usize) {
-        let nelem = self.gids.len() / NPTS;
-        let estride = levels * NPTS;
-        let n = self.nglobal;
-        let [f0, f1, f2, f3] = tiles;
-        debug_assert!([&f0, &f1, &f2, &f3].iter().all(|f| f.len() == nelem * estride));
-        for k in 0..levels {
-            for a in &mut self.accum_lanes {
-                *a = V4F64::zero();
-            }
-            let (a01, a23) = self.accum_lanes.split_at_mut(2 * n);
-            let (a0, a1) = a01.split_at_mut(n);
-            let (a2, a3) = a23.split_at_mut(n);
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    let w = V4F64::splat(self.spheremp[base + p]);
-                    a0[g] = a0[g] + w * f0[off + p];
-                    a1[g] = a1[g] + w * f1[off + p];
-                    a2[g] = a2[g] + w * f2[off + p];
-                    a3[g] = a3[g] + w * f3[off + p];
-                }
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    let m = V4F64::splat(self.inv_mass[g]);
-                    f0[off + p] = a0[g] * m;
-                    f1[off + p] = a1[g] * m;
-                    f2[off + p] = a2[g] * m;
-                    f3[off + p] = a3[g] * m;
-                }
-            }
-        }
-    }
-
-    /// [`Dss::apply_lanes_scaled_add`] on four member-lane tiles in ONE
-    /// walk of the assembly map per level, one coefficient table per tile.
-    /// Bitwise four single-tile calls. Allocation-free.
-    pub fn apply_lanes_scaled_add4(
-        &mut self,
-        tiles: [&[V4F64]; 4],
-        levels: usize,
-        coefs: [&[f64]; 4],
-        targets: [&mut [V4F64]; 4],
-        tstride: usize,
-    ) {
-        let nelem = self.gids.len() / NPTS;
-        let estride = levels * NPTS;
-        let n = self.nglobal;
-        let [f0, f1, f2, f3] = tiles;
-        let [t0, t1, t2, t3] = targets;
-        debug_assert!([f0, f1, f2, f3].iter().all(|f| f.len() == nelem * estride));
-        debug_assert!([&t0, &t1, &t2, &t3].iter().all(|t| t.len() == nelem * tstride));
-        debug_assert!(coefs.iter().all(|c| c.len() >= levels));
-        for k in 0..levels {
-            let (c0, c1, c2, c3) = (
-                V4F64::splat(coefs[0][k]),
-                V4F64::splat(coefs[1][k]),
-                V4F64::splat(coefs[2][k]),
-                V4F64::splat(coefs[3][k]),
-            );
-            for a in &mut self.accum_lanes {
-                *a = V4F64::zero();
-            }
-            let (a01, a23) = self.accum_lanes.split_at_mut(2 * n);
-            let (a0, a1) = a01.split_at_mut(n);
-            let (a2, a3) = a23.split_at_mut(n);
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * estride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    let w = V4F64::splat(self.spheremp[base + p]);
-                    a0[g] = a0[g] + w * f0[off + p];
-                    a1[g] = a1[g] + w * f1[off + p];
-                    a2[g] = a2[g] + w * f2[off + p];
-                    a3[g] = a3[g] + w * f3[off + p];
-                }
-            }
-            for e in 0..nelem {
-                let base = e * NPTS;
-                let off = e * tstride + k * NPTS;
-                for p in 0..NPTS {
-                    let g = self.gids[base + p];
-                    let m = V4F64::splat(self.inv_mass[g]);
-                    t0[off + p] = t0[off + p] + c0 * (a0[g] * m);
-                    t1[off + p] = t1[off + p] + c1 * (a1[g] * m);
-                    t2[off + p] = t2[off + p] + c2 * (a2[g] * m);
-                    t3[off + p] = t3[off + p] + c3 * (a3[g] * m);
-                }
-            }
-        }
-    }
-
     /// Number of assembled (unique) points.
     pub fn nglobal(&self) -> usize {
         self.nglobal
@@ -462,13 +174,42 @@ impl Dss {
     }
 }
 
-/// Per-element DSS accumulation plan for the task-graph step: for every
-/// (element, point) it lists all sharing (element, point) pairs — itself
-/// included — in the *canonical* order [`Dss::apply_flat`] accumulates
-/// them (element-ascending, point-ascending), with their spheremp weights.
-/// Summing a point's sharers in this fixed order and scaling by the
-/// point's inverse mass reproduces the barrier DSS bitwise, no matter
-/// which task performs the gather or when its inputs arrived.
+/// Most elements that can share one GLL point: four quadrilaterals meet at
+/// a regular mesh vertex (three at a cube corner).
+const MAX_SHARERS: usize = 4;
+
+/// What a DSS gather runs on: one scalar per grid value (`f64`), or one
+/// member-lane vector per grid value ([`V4F64`], lanes are ensemble
+/// members). The shared `spheremp` / inverse-mass / coefficient scalars are
+/// splat across lanes, so lane `m` replays member `m`'s scalar sequence.
+pub trait Lane: Copy + Add<Output = Self> + Mul<Output = Self> {
+    /// All lanes set to `x`.
+    fn splat(x: f64) -> Self;
+}
+
+impl Lane for f64 {
+    #[inline]
+    fn splat(x: f64) -> Self {
+        x
+    }
+}
+
+impl Lane for V4F64 {
+    #[inline]
+    fn splat(x: f64) -> Self {
+        V4F64::splat(x)
+    }
+}
+
+/// Per-element DSS accumulation plan: for every (element, point) it lists
+/// all sharing (element, point) pairs — itself included — in the
+/// *canonical* order [`Dss::apply_flat`] accumulates them
+/// (element-ascending, point-ascending), with their spheremp weights.
+/// Summing a point's sharers in this fixed order and scaling by the point's
+/// inverse mass reproduces the scatter walk bitwise, no matter which worker
+/// or task performs the gather — which is what lets the bulk step assemble
+/// element-parallel on the scheduler ([`DssGather::gather_elem`]) and the
+/// task graph assemble per task.
 #[derive(Debug, Clone)]
 pub struct DssGather {
     /// CSR offsets, one slot per (element, point): `nelem * NPTS + 1`.
@@ -482,15 +223,32 @@ pub struct DssGather {
 }
 
 impl DssGather {
-    /// Build the plan from the serial DSS assembly map.
+    /// Build the plan from the serial DSS assembly map: a counting sort of
+    /// the (element, point) codes by global id, then one CSR row per point.
+    ///
+    /// # Panics
+    /// Panics if the grid has more (element, point) slots or sharer entries
+    /// than a `u32` can index, or a point shared by more than
+    /// [`MAX_SHARERS`] elements (the gather kernel sizes its per-element
+    /// offset table by that bound).
     pub fn new(dss: &Dss) -> Self {
         let npoints = dss.gids.len();
-        // gid -> sharer codes; insertion order (e asc, p asc) is already
-        // canonical because we scan points in that order.
-        let mut by_gid: std::collections::HashMap<usize, Vec<u32>> =
-            std::collections::HashMap::new();
+        u32::try_from(npoints).expect("DssGather: (element, point) codes overflow u32");
+        // Pass 1: sharer count per gid, prefix-summed into bucket starts.
+        let mut start = vec![0usize; dss.nglobal + 1];
+        for &g in &dss.gids {
+            start[g + 1] += 1;
+        }
+        for g in 0..dss.nglobal {
+            start[g + 1] += start[g];
+        }
+        // Pass 2: drop each code into its gid's bucket. Scanning in
+        // (e asc, p asc) order fills every bucket in canonical order.
+        let mut fill = start.clone();
+        let mut sharers = vec![0u32; npoints];
         for (code, &g) in dss.gids.iter().enumerate() {
-            by_gid.entry(g).or_default().push(code as u32);
+            sharers[fill[g]] = code as u32;
+            fill[g] += 1;
         }
         let mut off = Vec::with_capacity(npoints + 1);
         let mut codes = Vec::new();
@@ -498,11 +256,15 @@ impl DssGather {
         let mut inv = Vec::with_capacity(npoints);
         off.push(0u32);
         for &g in &dss.gids {
-            for &c in &by_gid[&g] {
+            assert!(
+                start[g + 1] - start[g] <= MAX_SHARERS,
+                "DssGather: point {g} is shared by more than {MAX_SHARERS} elements"
+            );
+            for &c in &sharers[start[g]..start[g + 1]] {
                 codes.push(c);
                 w.push(dss.spheremp[c as usize]);
             }
-            off.push(codes.len() as u32);
+            off.push(u32::try_from(codes.len()).expect("DssGather: sharer entries overflow u32"));
             inv.push(dss.inv_mass[g]);
         }
         DssGather { off, codes, w, inv }
@@ -513,18 +275,102 @@ impl DssGather {
         self.inv.len() / NPTS
     }
 
-    /// Sharer codes + weights of flat point `pi = e * NPTS + p`, and the
-    /// point's inverse mass. `read(code)` must yield the raw (pre-DSS)
-    /// value of the sharer at `elem = code / NPTS`, `point = code % NPTS`.
+    /// Assemble element `e`'s `[levels][NPTS]` window of `F` fields at once
+    /// (one walk of the element's CSR rows per level serves every field).
+    ///
+    /// `read(f, i)` yields the raw (pre-DSS) value of field `f` at flat
+    /// source index `i = elem * sstride + k * NPTS + point` — sharers live
+    /// in *other* elements' windows, so the source must not be written
+    /// during the sweep. `out[f]` is element `e`'s own window of the
+    /// destination (at least `levels * NPTS` long; it may be deeper, e.g. a
+    /// full-depth state window receiving a sponge-depth Laplacian). With
+    /// `coefs = None` the assembled value is stored; with `Some(c)` the
+    /// window receives `out += c[f][k] * assembled` (the fused
+    /// forward-Euler damping apply).
+    ///
+    /// Per point this is `acc = 0; acc += w_i * raw_i` over the sharers in
+    /// canonical order, then `acc * inv_mass`, then the optional
+    /// `out + c * (..)` — the exact operation sequence of
+    /// [`Dss::apply_flat`] (plus the drivers' separate apply loop), so the
+    /// result is bitwise the scatter walk's for every lane. Allocation-free.
     #[inline]
-    pub fn gather_point(&self, pi: usize, read: impl Fn(usize) -> f64) -> f64 {
-        let lo = self.off[pi] as usize;
-        let hi = self.off[pi + 1] as usize;
-        let mut acc = 0.0;
-        for i in lo..hi {
-            acc += self.w[i] * read(self.codes[i] as usize);
+    pub fn gather_elem<L: Lane, const F: usize>(
+        &self,
+        e: usize,
+        levels: usize,
+        sstride: usize,
+        read: impl Fn(usize, usize) -> L,
+        coefs: Option<[&[f64]; F]>,
+        out: &mut [&mut [L]; F],
+    ) {
+        match coefs {
+            None => self.assemble_elem(e, levels, sstride, read, |k, lvl: &[[L; NPTS]; F]| {
+                for f in 0..F {
+                    out[f][k * NPTS..(k + 1) * NPTS].copy_from_slice(&lvl[f]);
+                }
+            }),
+            Some(c) => self.assemble_elem(e, levels, sstride, read, |k, lvl: &[[L; NPTS]; F]| {
+                for f in 0..F {
+                    let cf = L::splat(c[f][k]);
+                    for (o, &v) in out[f][k * NPTS..(k + 1) * NPTS].iter_mut().zip(&lvl[f]) {
+                        *o = *o + cf * v;
+                    }
+                }
+            }),
         }
-        acc * self.inv[pi]
+    }
+
+    /// The gather walk of [`DssGather::gather_elem`]: hands `emit` the
+    /// assembled `F`-field values of element `e` one level at a time.
+    ///
+    /// A level is assembled into a fixed-size stack tile first and only then
+    /// handed on, so the walk's loads (plan tables, source values) are never
+    /// interleaved with stores the compiler must assume could alias them —
+    /// the destination windows reach the sweeps through raw-pointer arena
+    /// views.
+    #[inline]
+    fn assemble_elem<L: Lane, const F: usize>(
+        &self,
+        e: usize,
+        levels: usize,
+        sstride: usize,
+        read: impl Fn(usize, usize) -> L,
+        mut emit: impl FnMut(usize, &[[L; NPTS]; F]),
+    ) {
+        // Element-local views of the plan, rebound once so the level loop
+        // indexes plain slices.
+        let p0 = e * NPTS;
+        let off = &self.off[p0..=p0 + NPTS];
+        let inv = &self.inv[p0..p0 + NPTS];
+        let (lo, hi) = (off[0] as usize, off[NPTS] as usize);
+        let codes = &self.codes[lo..hi];
+        let w = &self.w[lo..hi];
+        // Level-0 source index of every sharer entry, hoisted out of the
+        // level loop (rows hold at most MAX_SHARERS entries per point).
+        let mut base = [0usize; MAX_SHARERS * NPTS];
+        for (b, &code) in base.iter_mut().zip(codes) {
+            *b = (code as usize / NPTS) * sstride + code as usize % NPTS;
+        }
+        let base = &base[..hi - lo];
+        for k in 0..levels {
+            let ko = k * NPTS;
+            let mut lvl = [[L::splat(0.0); NPTS]; F];
+            for p in 0..NPTS {
+                let mut acc = [L::splat(0.0); F];
+                for i in off[p] as usize - lo..off[p + 1] as usize - lo {
+                    let si = base[i] + ko;
+                    let wi = L::splat(w[i]);
+                    for f in 0..F {
+                        acc[f] = acc[f] + wi * read(f, si);
+                    }
+                }
+                let m = L::splat(inv[p]);
+                for f in 0..F {
+                    lvl[f][p] = acc[f] * m;
+                }
+            }
+            emit(k, &lvl);
+        }
     }
 }
 
@@ -669,44 +515,6 @@ mod tests {
         }
     }
 
-    /// The fused DSS + scaled apply matches `apply_flat` followed by a
-    /// manual `target += coef * assembled` loop, bit for bit — including a
-    /// target arena deeper than the assembled field (the sponge shape).
-    #[test]
-    fn scaled_add_matches_apply_flat_plus_manual_apply_bitwise() {
-        let grid = CubedSphere::new(2);
-        let mut dss = Dss::new(&grid);
-        let nelem = grid.nelem();
-        let (nlev, ks) = (4usize, 2usize);
-        let estride = nlev * NPTS;
-        let raw: Vec<f64> = (0..nelem * ks * NPTS)
-            .map(|i| ((i * 193) % 101) as f64 / 9.0 - 5.0)
-            .collect();
-        let target0: Vec<f64> = (0..nelem * estride)
-            .map(|i| ((i * 37) % 53) as f64 / 3.0 - 8.0)
-            .collect();
-        let coefs = [-1.75e-3, 0.5e-3];
-
-        // Reference: assemble a copy, then the drivers' separate apply loop.
-        let mut assembled = raw.clone();
-        dss.apply_flat(&mut assembled, ks);
-        let mut expect = target0.clone();
-        for e in 0..nelem {
-            for k in 0..ks {
-                for p in 0..NPTS {
-                    expect[e * estride + k * NPTS + p] +=
-                        coefs[k] * assembled[e * ks * NPTS + k * NPTS + p];
-                }
-            }
-        }
-
-        let mut got = target0.clone();
-        dss.apply_flat_scaled_add(&raw, ks, &coefs, &mut got, estride);
-        for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "slot {i}: {a:e} vs {b:e}");
-        }
-    }
-
     /// The fused four-field walk is bitwise four single-field walks.
     #[test]
     fn four_field_apply_matches_four_single_applies_bitwise() {
@@ -733,151 +541,8 @@ mod tests {
         }
     }
 
-    /// Same for the fused DSS + scaled apply: four coefficient tables,
-    /// four targets, one map walk — bitwise four single-field calls.
-    #[test]
-    fn four_field_scaled_add_matches_four_single_calls_bitwise() {
-        let grid = CubedSphere::new(2);
-        let mut dss = Dss::new(&grid);
-        let nelem = grid.nelem();
-        let (nlev, ks) = (4usize, 2usize);
-        let estride = nlev * NPTS;
-        let mk = |seed: usize, len: usize| -> Vec<f64> {
-            (0..len).map(|i| ((i * 193 + seed * 29) % 101) as f64 / 9.0 - 5.0).collect()
-        };
-        let raw: [Vec<f64>; 4] = std::array::from_fn(|f| mk(f, nelem * ks * NPTS));
-        let mut single: [Vec<f64>; 4] = std::array::from_fn(|f| mk(f + 4, nelem * estride));
-        let mut fused = single.clone();
-        let coefs =
-            [[-1.75e-3, 0.5e-3], [2.5e-4, -9.0e-4], [1.0e-3, 1.0e-3], [-3.0e-5, 7.0e-4]];
-        for f in 0..4 {
-            dss.apply_flat_scaled_add(&raw[f], ks, &coefs[f], &mut single[f], estride);
-        }
-        let [t0, t1, t2, t3] = &mut fused;
-        dss.apply_flat_scaled_add4(
-            [&raw[0], &raw[1], &raw[2], &raw[3]],
-            ks,
-            [&coefs[0], &coefs[1], &coefs[2], &coefs[3]],
-            [t0, t1, t2, t3],
-            estride,
-        );
-        for (f, (a, b)) in single.iter().zip(&fused).enumerate() {
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "field {f} slot {i}: {x:e} vs {y:e}");
-            }
-        }
-    }
-
-    /// Every lane of the member-lane DSS walks is bitwise the single-member
-    /// flat walk on that member's own arena — for the single-tile apply,
-    /// the fused four-tile apply, and both scaled-add forms.
-    #[test]
-    fn lane_dss_walks_match_per_member_flat_walks_bitwise() {
-        use crate::kernels::member_lanes::{gather_member_tile, scatter_member_tile};
-        let grid = CubedSphere::new(2);
-        let mut dss = Dss::new(&grid);
-        let nelem = grid.nelem();
-        let (nlev, ks) = (3usize, 2usize);
-        let estride = nlev * NPTS;
-        let mk = |seed: usize, len: usize| -> Vec<f64> {
-            (0..len).map(|i| ((i * 131 + seed * 17) % 97) as f64 / 7.0 - 6.5).collect()
-        };
-        let members: Vec<Vec<f64>> = (0..4).map(|m| mk(m, nelem * estride)).collect();
-        let gather = |fields: &[Vec<f64>], n: usize| -> Vec<sw26010::V4F64> {
-            let mut tile = vec![sw26010::V4F64::zero(); n];
-            let srcs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
-            gather_member_tile(&srcs, &mut tile);
-            tile
-        };
-        let scatter = |tile: &[sw26010::V4F64]| -> Vec<Vec<f64>> {
-            let mut outs = vec![vec![0.0f64; tile.len()]; 4];
-            let mut views: Vec<&mut [f64]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            scatter_member_tile(tile, &mut views);
-            outs
-        };
-        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-
-        // Single-tile apply.
-        let mut tile = gather(&members, nelem * estride);
-        dss.apply_lanes(&mut tile, nlev);
-        let mut expect = members.clone();
-        for e in &mut expect {
-            dss.apply_flat(e, nlev);
-        }
-        for (m, got) in scatter(&tile).iter().enumerate() {
-            assert_eq!(bits(&expect[m]), bits(got), "apply_lanes member {m}");
-        }
-
-        // Fused four-tile apply: four field quartets per member.
-        let quartets: Vec<Vec<Vec<f64>>> =
-            (0..4).map(|f| (0..4).map(|m| mk(f * 4 + m + 9, nelem * estride)).collect()).collect();
-        let mut tiles: Vec<Vec<sw26010::V4F64>> =
-            quartets.iter().map(|q| gather(q, nelem * estride)).collect();
-        {
-            let (t0, rest) = tiles.split_at_mut(1);
-            let (t1, rest) = rest.split_at_mut(1);
-            let (t2, t3) = rest.split_at_mut(1);
-            dss.apply_lanes4([&mut t0[0], &mut t1[0], &mut t2[0], &mut t3[0]], nlev);
-        }
-        for (f, q) in quartets.iter().enumerate() {
-            let mut expect = q.clone();
-            for e in &mut expect {
-                dss.apply_flat(e, nlev);
-            }
-            for (m, got) in scatter(&tiles[f]).iter().enumerate() {
-                assert_eq!(bits(&expect[m]), bits(got), "apply_lanes4 field {f} member {m}");
-            }
-        }
-
-        // Scaled-add forms (sponge/damp shape: shallow field, deep target).
-        let raws: Vec<Vec<f64>> = (0..4).map(|m| mk(m + 31, nelem * ks * NPTS)).collect();
-        let targets: Vec<Vec<f64>> = (0..4).map(|m| mk(m + 41, nelem * estride)).collect();
-        let coefs = [-1.75e-3, 0.5e-3];
-        let rtile = gather(&raws, nelem * ks * NPTS);
-        let mut ttile = gather(&targets, nelem * estride);
-        dss.apply_lanes_scaled_add(&rtile, ks, &coefs, &mut ttile, estride);
-        let mut expect = targets.clone();
-        for (r, t) in raws.iter().zip(&mut expect) {
-            dss.apply_flat_scaled_add(r, ks, &coefs, t, estride);
-        }
-        for (m, got) in scatter(&ttile).iter().enumerate() {
-            assert_eq!(bits(&expect[m]), bits(got), "apply_lanes_scaled_add member {m}");
-        }
-
-        let coefs4 =
-            [[-1.75e-3, 0.5e-3], [2.5e-4, -9.0e-4], [1.0e-3, 1.0e-3], [-3.0e-5, 7.0e-4]];
-        let rq: Vec<Vec<Vec<f64>>> =
-            (0..4).map(|f| (0..4).map(|m| mk(f * 4 + m + 51, nelem * ks * NPTS)).collect()).collect();
-        let tq: Vec<Vec<Vec<f64>>> =
-            (0..4).map(|f| (0..4).map(|m| mk(f * 4 + m + 71, nelem * estride)).collect()).collect();
-        let rtiles: Vec<Vec<sw26010::V4F64>> = rq.iter().map(|q| gather(q, nelem * ks * NPTS)).collect();
-        let mut ttiles: Vec<Vec<sw26010::V4F64>> =
-            tq.iter().map(|q| gather(q, nelem * estride)).collect();
-        {
-            let (t0, rest) = ttiles.split_at_mut(1);
-            let (t1, rest) = rest.split_at_mut(1);
-            let (t2, t3) = rest.split_at_mut(1);
-            dss.apply_lanes_scaled_add4(
-                [&rtiles[0], &rtiles[1], &rtiles[2], &rtiles[3]],
-                ks,
-                [&coefs4[0], &coefs4[1], &coefs4[2], &coefs4[3]],
-                [&mut t0[0], &mut t1[0], &mut t2[0], &mut t3[0]],
-                estride,
-            );
-        }
-        for f in 0..4 {
-            let mut expect = tq[f].clone();
-            for (r, t) in rq[f].iter().zip(&mut expect) {
-                dss.apply_flat_scaled_add(r, ks, &coefs4[f], t, estride);
-            }
-            for (m, got) in scatter(&ttiles[f]).iter().enumerate() {
-                assert_eq!(bits(&expect[m]), bits(got), "scaled_add4 field {f} member {m}");
-            }
-        }
-    }
-
-    /// The per-point gather plan reproduces `apply_flat` bitwise: same
-    /// additions in the same canonical order, just grouped per point.
+    /// The gather plan reproduces `apply_flat` bitwise: same additions in
+    /// the same canonical order, just grouped per point.
     #[test]
     fn gather_plan_is_bitwise_identical_to_apply_flat() {
         let grid = CubedSphere::new(3);
@@ -892,19 +557,182 @@ mod tests {
             .collect();
         let mut flat = raw.clone();
         dss.apply_flat(&mut flat, nlev);
-        for e in 0..nelem {
-            for k in 0..nlev {
-                for p in 0..NPTS {
-                    let got = plan.gather_point(e * NPTS + p, |code| {
-                        raw[(code / NPTS) * estride + k * NPTS + (code % NPTS)]
-                    });
-                    let want = flat[e * estride + k * NPTS + p];
-                    assert!(
-                        got.to_bits() == want.to_bits(),
-                        "elem {e} lev {k} pt {p}: {got:e} vs {want:e}"
-                    );
+        let mut got = vec![0.0; raw.len()];
+        for (e, win) in got.chunks_mut(estride).enumerate() {
+            plan.gather_elem(e, nlev, estride, |_, i| raw[i], None, &mut [win]);
+        }
+        for (i, (g, w)) in got.iter().zip(&flat).enumerate() {
+            assert!(g.to_bits() == w.to_bits(), "slot {i}: {g:e} vs {w:e}");
+        }
+    }
+
+    /// Deterministic test field: `len` values keyed by `seed`.
+    fn synth(seed: usize, len: usize) -> Vec<f64> {
+        (0..len).map(|i| ((i * 193 + seed * 29) % 101) as f64 / 9.0 - 5.0).collect()
+    }
+
+    /// Oracle for the gather kernel on one member: the `F` raw fields
+    /// assembled by the in-place scatter walk ([`Dss::apply_flat4`], the
+    /// quartet padded by repeating fields), and `target + c[f][k] *
+    /// assembled` formed by a manual loop into a `tlevels`-deep target.
+    fn scatter_oracle<const F: usize>(
+        dss: &mut Dss,
+        raw: &[Vec<f64>; F],
+        levels: usize,
+        coefs: &[Vec<f64>; F],
+        target: &[Vec<f64>; F],
+        tlevels: usize,
+    ) -> ([Vec<f64>; F], [Vec<f64>; F]) {
+        let nelem = raw[0].len() / (levels * NPTS);
+        let mut quad: [Vec<f64>; 4] = std::array::from_fn(|i| raw[i % F].clone());
+        let [q0, q1, q2, q3] = &mut quad;
+        dss.apply_flat4([q0, q1, q2, q3], levels);
+        let assembled: [Vec<f64>; F] = std::array::from_fn(|f| quad[f].clone());
+        let mut added = target.clone();
+        for f in 0..F {
+            for e in 0..nelem {
+                for k in 0..levels {
+                    for p in 0..NPTS {
+                        added[f][(e * tlevels + k) * NPTS + p] +=
+                            coefs[f][k] * assembled[f][(e * levels + k) * NPTS + p];
+                    }
                 }
             }
+        }
+        (assembled, added)
+    }
+
+    /// Run the gather kernel over every element: `src` assembled into a
+    /// fresh arena set (store form) and accumulated into a copy of
+    /// `target` (scaled-add form).
+    fn gather_both<L: Lane, const F: usize>(
+        plan: &DssGather,
+        src: &[Vec<L>; F],
+        levels: usize,
+        coefs: &[Vec<f64>; F],
+        target: &[Vec<L>; F],
+        tlevels: usize,
+    ) -> ([Vec<L>; F], [Vec<L>; F]) {
+        let (sstride, tstride) = (levels * NPTS, tlevels * NPTS);
+        let mut stored: [Vec<L>; F] = std::array::from_fn(|_| vec![L::splat(f64::NAN); src[0].len()]);
+        let mut added = target.clone();
+        let c: [&[f64]; F] = std::array::from_fn(|f| &coefs[f][..]);
+        for e in 0..plan.nelem() {
+            let mut it = stored.iter_mut();
+            let mut win: [&mut [L]; F] =
+                std::array::from_fn(|_| &mut it.next().unwrap()[e * sstride..(e + 1) * sstride]);
+            plan.gather_elem(e, levels, sstride, |f, i| src[f][i], None, &mut win);
+            let mut it = added.iter_mut();
+            let mut win: [&mut [L]; F] =
+                std::array::from_fn(|_| &mut it.next().unwrap()[e * tstride..(e + 1) * tstride]);
+            plan.gather_elem(e, levels, sstride, |f, i| src[f][i], Some(c), &mut win);
+        }
+        (stored, added)
+    }
+
+    /// The generic gather kernel, store and scaled-add forms, is bitwise
+    /// the scatter walk plus a manual `target += c * assembled` loop — for
+    /// `F` fields on `f64` arenas and, lane by lane, on `V4F64` member
+    /// tiles — at every level count, into a target as deep as the field
+    /// and one deeper than it (the sponge shape).
+    fn gather_kernel_matches_scatter_walk<const F: usize>() {
+        use sw26010::{deinterleave4, interleave4};
+        let grid = CubedSphere::new(2);
+        let mut dss = Dss::new(&grid);
+        let plan = DssGather::new(&dss);
+        let nelem = grid.nelem();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for levels in [1usize, 2, 3, 26] {
+            for tlevels in [levels, levels + 2] {
+                let (slen, tlen) = (nelem * levels * NPTS, nelem * tlevels * NPTS);
+                let coefs: [Vec<f64>; F] = std::array::from_fn(|f| {
+                    (0..levels).map(|k| (f as f64 - 1.5) * 1.0e-3 / (1 << (k % 5)) as f64).collect()
+                });
+                // Four members; the f64 form runs on member 0 alone.
+                let raw: [[Vec<f64>; F]; 4] =
+                    std::array::from_fn(|m| std::array::from_fn(|f| synth(7 * m + f, slen)));
+                let target: [[Vec<f64>; F]; 4] =
+                    std::array::from_fn(|m| std::array::from_fn(|f| synth(31 + 5 * m + f, tlen)));
+                let want: [_; 4] = std::array::from_fn(|m| {
+                    scatter_oracle(&mut dss, &raw[m], levels, &coefs, &target[m], tlevels)
+                });
+
+                let (stored, added) =
+                    gather_both(&plan, &raw[0], levels, &coefs, &target[0], tlevels);
+                for f in 0..F {
+                    let tag = format!("f64 F={F} levels={levels} tlevels={tlevels} field {f}");
+                    assert_eq!(bits(&want[0].0[f]), bits(&stored[f]), "store {tag}");
+                    assert_eq!(bits(&want[0].1[f]), bits(&added[f]), "scaled add {tag}");
+                }
+
+                let tile = |x: &[[Vec<f64>; F]; 4], len: usize| -> [Vec<V4F64>; F] {
+                    std::array::from_fn(|f| {
+                        let mut t = vec![V4F64::zero(); len];
+                        interleave4([&x[0][f], &x[1][f], &x[2][f], &x[3][f]], &mut t);
+                        t
+                    })
+                };
+                let (stored, added) = gather_both(
+                    &plan,
+                    &tile(&raw, slen),
+                    levels,
+                    &coefs,
+                    &tile(&target, tlen),
+                    tlevels,
+                );
+                let untile = |t: &[V4F64]| -> Vec<Vec<f64>> {
+                    let mut outs = vec![vec![0.0f64; t.len()]; 4];
+                    let mut views: Vec<&mut [f64]> =
+                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+                    deinterleave4(t, &mut views);
+                    outs
+                };
+                for f in 0..F {
+                    let (st, ad) = (untile(&stored[f]), untile(&added[f]));
+                    for m in 0..4 {
+                        let tag = format!(
+                            "lanes F={F} levels={levels} tlevels={tlevels} field {f} member {m}"
+                        );
+                        assert_eq!(bits(&want[m].0[f]), bits(&st[m]), "store {tag}");
+                        assert_eq!(bits(&want[m].1[f]), bits(&ad[m]), "scaled add {tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_kernel_one_field_matches_scatter_walk_bitwise() {
+        gather_kernel_matches_scatter_walk::<1>();
+    }
+
+    #[test]
+    fn gather_kernel_three_fields_match_scatter_walk_bitwise() {
+        gather_kernel_matches_scatter_walk::<3>();
+    }
+
+    #[test]
+    fn gather_kernel_four_fields_match_scatter_walk_bitwise() {
+        gather_kernel_matches_scatter_walk::<4>();
+    }
+
+    /// The counting-sort plan gives every point exactly the codes sharing
+    /// its global id, ascending (the canonical accumulation order), with
+    /// their weights and the point's inverse mass.
+    #[test]
+    fn gather_plan_rows_are_canonical() {
+        let grid = CubedSphere::new(3);
+        let dss = Dss::new(&grid);
+        let plan = DssGather::new(&dss);
+        for (pi, &g) in dss.gids.iter().enumerate() {
+            let (lo, hi) = (plan.off[pi] as usize, plan.off[pi + 1] as usize);
+            let want: Vec<u32> =
+                (0..dss.gids.len() as u32).filter(|&c| dss.gids[c as usize] == g).collect();
+            assert_eq!(&plan.codes[lo..hi], &want[..], "row {pi}");
+            for i in lo..hi {
+                assert_eq!(plan.w[i], dss.spheremp[plan.codes[i] as usize], "row {pi} weight");
+            }
+            assert_eq!(plan.inv[pi], dss.inv_mass[g]);
         }
     }
 

@@ -125,8 +125,8 @@ impl std::error::Error for HypervisError {}
 /// in [`BlockedOps`]; what the plan adds is
 ///
 /// * the forward-Euler damping coefficients per level, **negated** so the
-///   fused DSS-and-apply sweep ([`Dss::apply_flat_scaled_add`]) is a single
-///   `+=` for both the subcycle applies (`x -= c*l  ==  x += (-c)*l`
+///   fused DSS-and-apply sweep ([`crate::dss::DssGather::gather_elem`]) is a
+///   single `+=` for both the subcycle applies (`x -= c*l  ==  x += (-c)*l`
 ///   bitwise — IEEE negation of the exact product) and the sponge,
 /// * the per-layer sponge coefficients `(dt*nu_top) * 2^-k`, and
 /// * a fail-fast validation pass over the step coefficients and every
@@ -218,6 +218,12 @@ impl ElemHypervisPlan {
         }
         Ok(())
     }
+
+    /// Per-level negated damping tables for the `[u, v, t, dp3d]` quartet
+    /// of the fused DSS-and-apply sweep.
+    pub fn damp(&self) -> [&[f64]; 4] {
+        [&self.damp_u, &self.damp_u, &self.damp_u, &self.damp_dp]
+    }
 }
 
 /// In-place `lap(f)` per element level with DSS, using the weak-form
@@ -267,7 +273,8 @@ pub fn vlaplace_fields(
 
 /// Flat-arena `lap(f)` with DSS: `field` is one `[nelem][nlev][NPTS]`
 /// buffer (the state-arena layout). Element Laplacians run across the
-/// scheduler's workers; the DSS is the serial synchronization point.
+/// scheduler's workers, then the serial scatter DSS (this is the scalar
+/// oracle's form; the blocked step assembles element-parallel instead).
 /// Identical arithmetic to [`laplace_fields`], allocation-free.
 pub fn laplace_flat(
     ops: &[ElemOps],

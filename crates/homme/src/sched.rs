@@ -12,16 +12,53 @@
 //! worker has finished, which is what makes the raw-pointer publication
 //! sound.
 //!
+//! Waiting is spin-then-park: a worker out of work, and the caller waiting
+//! for the last worker, poll an atomic for up to [`SPIN`] before they
+//! sleep on a condvar. The bulk step issues its sweeps back to back (three
+//! a hyperviscosity subcycle, nothing serial between them), so the next
+//! epoch is normally microseconds away; parking for it costs two futex
+//! round trips a sweep, and how long a sleeping vCPU takes to come back is
+//! the host's to decide (measured: `hv_ne8` steps 3% shorter on a quiet
+//! 2-vCPU VM, DESIGN.md §5.7). Longer gaps (tracer stages, physics) still
+//! park after `SPIN`.
+//!
 //! Determinism: every item is executed exactly once and jobs write only
 //! item-indexed (disjoint) outputs, so results are bitwise independent of
-//! thread count and chunk interleaving. DSS stays serial and is the
-//! synchronization point between parallel phases.
+//! thread count and chunk interleaving. The bulk step's DSS runs here too:
+//! each element *gathers* its points' sharers from a read-only arena in the
+//! plan's canonical order ([`crate::dss::DssGather`]), so the sum a point
+//! receives does not depend on which worker forms it. The end of each
+//! `run` is the only synchronization point between phases; the serial
+//! scatter walks of [`crate::dss::Dss`] remain for the scalar oracle path
+//! and the tracer stages.
 
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long a waiter polls before it parks. Covers the gap between two
+/// back-to-back sweeps and the tail of a sweep (one chunk); short enough
+/// that an oversubscribed pool gives the core back promptly.
+const SPIN: Duration = Duration::from_micros(100);
+
+/// Poll `ready` for at most [`SPIN`]; the clock is read once per 64 polls.
+fn spin_until(ready: impl Fn() -> bool) {
+    let t0 = Instant::now();
+    loop {
+        for _ in 0..64 {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        if t0.elapsed() >= SPIN {
+            return;
+        }
+    }
+}
 
 /// Type-erased job: `(worker_id, item_index)`.
 type Job = *const (dyn Fn(usize, usize) + Sync);
@@ -32,8 +69,6 @@ struct JobSlot {
     chunk: usize,
     /// Bumped once per `run`; workers use it to detect new work.
     epoch: u64,
-    /// Helper workers that have not yet finished the current epoch.
-    remaining: usize,
     shutdown: bool,
 }
 
@@ -46,6 +81,10 @@ struct Shared {
     start: Condvar,
     done: Condvar,
     cursor: AtomicUsize,
+    /// Copy of `slot.epoch` for spinning workers; the slot stays the truth.
+    epoch: AtomicU64,
+    /// Helper workers that have not yet finished the current epoch.
+    remaining: AtomicUsize,
 }
 
 /// Persistent worker pool for per-element loops. The calling thread
@@ -82,12 +121,13 @@ impl ElemScheduler {
                 nitems: 0,
                 chunk: 1,
                 epoch: 0,
-                remaining: 0,
                 shutdown: false,
             }),
             start: Condvar::new(),
             done: Condvar::new(),
             cursor: AtomicUsize::new(0),
+            epoch: AtomicU64::new(0),
+            remaining: AtomicUsize::new(0),
         });
         let workers = (1..nthreads)
             .map(|w| {
@@ -121,6 +161,7 @@ impl ElemScheduler {
         let mut seen_epoch = 0u64;
         loop {
             let (job, nitems, chunk);
+            spin_until(|| shared.epoch.load(Ordering::Acquire) != seen_epoch);
             {
                 let mut slot = shared.slot.lock().unwrap_or_else(|p| p.into_inner());
                 while !slot.shutdown && slot.epoch == seen_epoch {
@@ -136,9 +177,11 @@ impl ElemScheduler {
             }
             // Sound: `run` blocks until this worker reports done below.
             work_loop(unsafe { &*job }, nitems, chunk, &shared.cursor, worker);
-            let mut slot = shared.slot.lock().unwrap_or_else(|p| p.into_inner());
-            slot.remaining -= 1;
-            if slot.remaining == 0 {
+            // The release half publishes this worker's item writes to `run`.
+            if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Taking the lock orders this notify after a `run` that has
+                // checked `remaining` and is about to wait: no lost wake-up.
+                let _slot = shared.slot.lock().unwrap_or_else(|p| p.into_inner());
                 shared.done.notify_one();
             }
         }
@@ -160,10 +203,11 @@ impl ElemScheduler {
         // without hammering the cursor.
         let chunk = (nitems / (self.nthreads * 4)).max(1);
         self.shared.cursor.store(0, Ordering::SeqCst);
+        self.shared.remaining.store(self.workers.len(), Ordering::Relaxed);
         {
             let mut slot = self.shared.slot.lock().unwrap_or_else(|p| p.into_inner());
             // Erase the borrow lifetime for the published pointer. Sound:
-            // `run` does not return until `remaining` hits zero, i.e. every
+            // `run` does not return until `remaining` reads zero, i.e. every
             // worker has finished dereferencing it for this epoch, and the
             // pointer is cleared before return.
             slot.job = Some(unsafe {
@@ -174,12 +218,14 @@ impl ElemScheduler {
             slot.nitems = nitems;
             slot.chunk = chunk;
             slot.epoch += 1;
-            slot.remaining = self.workers.len();
-            self.shared.start.notify_all();
+            self.shared.epoch.store(slot.epoch, Ordering::Release);
         }
+        self.shared.start.notify_all();
         work_loop(job, nitems, chunk, &self.shared.cursor, 0);
+        let finished = || self.shared.remaining.load(Ordering::Acquire) == 0;
+        spin_until(finished);
         let mut slot = self.shared.slot.lock().unwrap_or_else(|p| p.into_inner());
-        while slot.remaining > 0 {
+        while !finished() {
             slot = self.shared.done.wait(slot).unwrap_or_else(|p| p.into_inner());
         }
         slot.job = None;
@@ -315,7 +361,6 @@ impl<'a, T> ArenaMut<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn covers_every_item_exactly_once() {
@@ -339,6 +384,24 @@ mod tests {
                 s[0] = (round * 64 + i) as f64;
             });
             assert_eq!(out[63], (round * 64 + 63) as f64);
+        }
+    }
+
+    #[test]
+    fn spinning_and_parked_workers_both_pick_up_the_next_run() {
+        // More workers than this host has cores, so some are descheduled
+        // mid-spin; every other gap outlasts `SPIN`, so they are parked.
+        let sched = ElemScheduler::new(5);
+        let n = 64;
+        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        for round in 1..=200u64 {
+            if round % 2 == 0 {
+                std::thread::sleep(4 * SPIN);
+            }
+            sched.run(n, &|_w, i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == round), "round {round}");
         }
     }
 

@@ -230,6 +230,12 @@ impl State {
         }
     }
 
+    /// The dynamics prognostics as mutable arenas `[u, v, t, dp3d]` (the
+    /// DSS sweeps' field order).
+    pub fn dyn_fields_mut(&mut self) -> [&mut [f64]; 4] {
+        [&mut self.u, &mut self.v, &mut self.t, &mut self.dp3d]
+    }
+
     /// Copy every field from `other` (same dims/nelem required).
     pub fn copy_from(&mut self, other: &State) {
         assert_eq!(self.dims, other.dims);

@@ -64,6 +64,16 @@ impl DynFields {
         self.t.copy_from_slice(&st.t);
         self.dp3d.copy_from_slice(&st.dp3d);
     }
+
+    /// The four arenas as `[u, v, t, dp3d]` (the DSS sweeps' field order).
+    pub fn fields(&self) -> [&[f64]; 4] {
+        [&self.u, &self.v, &self.t, &self.dp3d]
+    }
+
+    /// Mutable [`DynFields::fields`].
+    pub fn fields_mut(&mut self) -> [&mut [f64]; 4] {
+        [&mut self.u, &mut self.v, &mut self.t, &mut self.dp3d]
+    }
 }
 
 /// Private scratch of one scheduler worker: tendency buffers, RHS column
@@ -218,6 +228,16 @@ impl LaneFields {
             t: vec![V4F64::zero(); len],
             dp3d: vec![V4F64::zero(); len],
         }
+    }
+
+    /// The four tiles as `[u, v, t, dp3d]` (the DSS sweeps' field order).
+    pub fn fields(&self) -> [&[V4F64]; 4] {
+        [&self.u, &self.v, &self.t, &self.dp3d]
+    }
+
+    /// Mutable [`LaneFields::fields`].
+    pub fn fields_mut(&mut self) -> [&mut [V4F64]; 4] {
+        [&mut self.u, &mut self.v, &mut self.t, &mut self.dp3d]
     }
 }
 

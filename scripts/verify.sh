@@ -45,6 +45,19 @@ cargo test -q -p homme --test taskgraph_determinism
 cargo test -q -p homme --test alloc_regression
 cargo test -q -p swcam-bench --test fault_injection taskgraph
 
+# Gather-DSS group: every DSS of the blocked step is an element-parallel
+# gather sweep on the scheduler pool, so the bitwise pins against the
+# scalar scatter oracle and the standalone member runs are repeated at
+# worker counts 1 (serial inline), 2, and 3 (does not divide the element
+# counts) — the same matrix CI's taskgraph-parity job runs.
+echo "== gather-DSS test group (SWCAM_THREADS 1, 2, 3)"
+for threads in 1 2 3; do
+    SWCAM_THREADS=$threads cargo test -q -p homme --test taskgraph_determinism
+    SWCAM_THREADS=$threads cargo test -q -p homme --test blocked_parity
+    SWCAM_THREADS=$threads cargo test -q -p swcam-core --test ensemble_lane_parity
+done
+cargo test -q -p swcam-core --test ensemble_thread_parity
+
 # Kernel-parity group: the blocked (default) kernel path must stay bitwise
 # identical to the scalar oracle, per operator and over whole serial and
 # distributed trajectories.
