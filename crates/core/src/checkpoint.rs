@@ -17,7 +17,7 @@
 use homme::State;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::OnceLock;
+use swmpi::wire::{crc32, put_f64s_le};
 
 /// Magic + version prefix of every checkpoint record.
 pub const MAGIC: &[u8; 8] = b"SWCKPT01";
@@ -82,38 +82,6 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    })
-}
-
-/// CRC32 (IEEE 802.3) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-fn push_arena(out: &mut Vec<u8>, arena: &[f64]) {
-    out.reserve(arena.len() * 8);
-    for &x in arena {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
 /// Serialize `state` + `meta` into `out` (cleared first). Reuses `out`'s
 /// capacity, so the resilient driver's periodic in-memory snapshots are
 /// allocation-free at steady state.
@@ -128,12 +96,12 @@ pub fn encode_into(state: &State, meta: &CheckpointMeta, out: &mut Vec<u8>) {
     out.extend_from_slice(&meta.rank.to_le_bytes());
     out.extend_from_slice(&meta.epoch.to_le_bytes());
     out.extend_from_slice(&meta.time.to_le_bytes());
-    push_arena(out, &state.u);
-    push_arena(out, &state.v);
-    push_arena(out, &state.t);
-    push_arena(out, &state.dp3d);
-    push_arena(out, &state.qdp);
-    push_arena(out, &state.phis);
+    put_f64s_le(out, &state.u);
+    put_f64s_le(out, &state.v);
+    put_f64s_le(out, &state.t);
+    put_f64s_le(out, &state.dp3d);
+    put_f64s_le(out, &state.qdp);
+    put_f64s_le(out, &state.phis);
     let crc = crc32(out);
     out.extend_from_slice(&crc.to_le_bytes());
 }

@@ -323,11 +323,19 @@ impl ExchangePlan {
 /// Persistent scratch for the aggregated exchange. Grow-only: after the
 /// first (largest) exchange all later calls reuse the storage, so the hot
 /// path performs zero heap allocations.
+///
+/// Both accumulators are **point-major**: the `nval = arenas * nlev`
+/// values of one point are contiguous (`[point * nval + a * nlev + k]`),
+/// because the assembly loops walk (element, node) outermost and levels
+/// innermost. The wire layout is the transpose and does not change; the
+/// pack and the peer add convert between the two. One buffer serves calls
+/// of different `nval` (the stride), so every call zeroes and indexes
+/// exactly its own `[..nval * npoints]` prefix.
 #[derive(Debug, Default)]
 pub struct ExchangeBuffers {
-    /// Shared-point partial sums, `nval * nshared`.
+    /// Shared-point partial sums, `[slot * nval + v]`.
     shared_accum: Vec<f64>,
-    /// Full local assembly, `nval * nlocal`.
+    /// Full local assembly, `[lidx * nval + v]`.
     accum: Vec<f64>,
     /// Receive requests posted by `start_aggregated`, one per peer.
     reqs: Vec<(usize, swmpi::RecvRequest)>,
@@ -385,20 +393,20 @@ impl ExchangePlan {
         if bufs.shared_accum.len() < need {
             bufs.shared_accum.resize(need, 0.0);
         }
-        bufs.shared_accum[..need].fill(0.0);
+        let shared = &mut bufs.shared_accum[..need];
+        shared.fill(0.0);
         for &li in &self.boundary {
             for p in 0..NPTS {
                 let slot = self.point_slot[li * NPTS + p];
                 if slot < 0 {
                     continue;
                 }
-                let slot = slot as usize;
                 let w = self.spheremp[li][p];
+                let row = &mut shared[slot as usize * nval..][..nval];
+                let base = li * fl + p;
                 for a in 0..narenas {
-                    let base = li * fl + p;
-                    for k in 0..nlev {
-                        bufs.shared_accum[(a * nlev + k) * self.nshared + slot] +=
-                            w * read(a, base + k * NPTS);
+                    for (k, acc) in row[a * nlev..][..nlev].iter_mut().enumerate() {
+                        *acc += w * read(a, base + k * NPTS);
                     }
                 }
             }
@@ -410,10 +418,10 @@ impl ExchangePlan {
         for ((peer, _), slots) in self.links.iter().zip(&self.peer_slots) {
             let npts_peer = slots.len();
             let mut msg = ctx.comm.take_buffer(nval * npts_peer);
-            for v in 0..nval {
-                let row = v * self.nshared;
-                for (j, &slot) in slots.iter().enumerate() {
-                    msg[v * npts_peer + j] = bufs.shared_accum[row + slot as usize];
+            for (j, &slot) in slots.iter().enumerate() {
+                let row = &shared[slot as usize * nval..][..nval];
+                for (v, &x) in row.iter().enumerate() {
+                    msg[v * npts_peer + j] = x;
                 }
             }
             stats.sent_bytes += (msg.len() * 8) as u64;
@@ -442,15 +450,17 @@ impl ExchangePlan {
         if accum.len() < need {
             accum.resize(need, 0.0);
         }
-        accum[..need].fill(0.0);
+        let accum = &mut accum[..need];
+        accum.fill(0.0);
         for li in 0..self.owned.len() {
             for p in 0..NPTS {
                 let d = self.point_lidx[li * NPTS + p] as usize;
                 let w = self.spheremp[li][p];
+                let row = &mut accum[d * nval..][..nval];
+                let base = li * fl + p;
                 for (a, arena) in arenas.iter().enumerate() {
-                    let base = li * fl + p;
-                    for k in 0..nlev {
-                        accum[(a * nlev + k) * self.nlocal + d] += w * arena[base + k * NPTS];
+                    for (k, acc) in row[a * nlev..][..nlev].iter_mut().enumerate() {
+                        *acc += w * arena[base + k * NPTS];
                     }
                 }
             }
@@ -460,11 +470,10 @@ impl ExchangePlan {
             let m = ctx.comm.wait(req)?;
             let npts_peer = slots.len();
             debug_assert_eq!(m.data.len(), nval * npts_peer);
-            for v in 0..nval {
-                let row = v * self.nlocal;
-                for (j, &slot) in slots.iter().enumerate() {
-                    accum[row + self.slot_lidx[slot as usize] as usize] +=
-                        m.data[v * npts_peer + j];
+            for (j, &slot) in slots.iter().enumerate() {
+                let d = self.slot_lidx[slot as usize] as usize;
+                for (v, acc) in accum[d * nval..][..nval].iter_mut().enumerate() {
+                    *acc += m.data[v * npts_peer + j];
                 }
             }
             ctx.comm.recycle(m.data);
@@ -473,11 +482,11 @@ impl ExchangePlan {
             for p in 0..NPTS {
                 let d = self.point_lidx[li * NPTS + p] as usize;
                 let scale = self.lidx_inv_mass[d];
+                let row = &accum[d * nval..][..nval];
+                let base = li * fl + p;
                 for (a, arena) in arenas.iter_mut().enumerate() {
-                    let base = li * fl + p;
-                    for k in 0..nlev {
-                        arena[base + k * NPTS] =
-                            accum[(a * nlev + k) * self.nlocal + d] * scale;
+                    for (k, &sum) in row[a * nlev..][..nlev].iter().enumerate() {
+                        arena[base + k * NPTS] = sum * scale;
                     }
                 }
             }
@@ -912,6 +921,88 @@ mod tests {
                                     (got - want).abs() < 1e-11,
                                     "nranks={nranks} arena {a} elem {e} lev {k} pt {p}: \
                                      {got} vs {want}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_buffer_set_serves_interleaved_shapes() {
+        // A step drives one `ExchangeBuffers` through exchanges of
+        // different `nval` — and `nval` is the stride of the point-major
+        // accumulators. Walk the shapes of a real step, widest first and
+        // widest again last, through one buffer set: every result must be
+        // bitwise what a fresh buffer set gives (nothing left over from the
+        // previous stride is read) and within the usual bound of the
+        // serial DSS.
+        let shapes = [(4usize, 26usize), (3, 3), (1, 104), (4, 26)];
+        let grid = CubedSphere::new(4);
+        let nelem = grid.nelem();
+        let mut dss = Dss::new(&grid);
+        let fill = |owned: &[usize], a: usize, nlev: usize| {
+            let mut arena = vec![0.0; owned.len() * nlev * NPTS];
+            for (li, &e) in owned.iter().enumerate() {
+                for k in 0..nlev {
+                    for p in 0..NPTS {
+                        arena[(li * nlev + k) * NPTS + p] = test_arena_value(a, e, k, p);
+                    }
+                }
+            }
+            arena
+        };
+        let all: Vec<usize> = (0..nelem).collect();
+
+        for nranks in [2usize, 3] {
+            let part = Partition::new(&grid, nranks);
+            let plans: Vec<ExchangePlan> =
+                (0..nranks).map(|r| ExchangePlan::new(&grid, &part, r)).collect();
+            let results = run_ranks(nranks, |ctx| {
+                let plan = &plans[ctx.rank()];
+                let mut reused = ExchangeBuffers::new();
+                let mut stats = CopyStats::default();
+                let mut out = Vec::new();
+                for (i, &(narenas, nlev)) in shapes.iter().enumerate() {
+                    let raw: Vec<Vec<f64>> =
+                        (0..narenas).map(|a| fill(&plan.owned, a, nlev)).collect();
+                    let mut run = |bufs: &mut ExchangeBuffers, tag: u64| {
+                        let mut arenas = raw.clone();
+                        let mut views: Vec<&mut [f64]> =
+                            arenas.iter_mut().map(|a| &mut a[..]).collect();
+                        plan.dss_aggregated(ctx, &mut views, nlev, tag, bufs, &mut stats)
+                            .expect("dss");
+                        arenas
+                    };
+                    let got = run(&mut reused, 2 * i as u64);
+                    let fresh = run(&mut ExchangeBuffers::new(), 2 * i as u64 + 1);
+                    for (g, f) in got.iter().flatten().zip(fresh.iter().flatten()) {
+                        assert_eq!(g.to_bits(), f.to_bits(), "shape {i} on rank {}", ctx.rank());
+                    }
+                    out.push(got);
+                }
+                assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
+                (plan.owned.clone(), out)
+            });
+            for (i, &(narenas, nlev)) in shapes.iter().enumerate() {
+                let reference: Vec<Vec<f64>> = (0..narenas)
+                    .map(|a| {
+                        let mut arena = fill(&all, a, nlev);
+                        dss.apply_flat(&mut arena, nlev);
+                        arena
+                    })
+                    .collect();
+                for (owned, out) in &results {
+                    for (li, &e) in owned.iter().enumerate() {
+                        for a in 0..narenas {
+                            let got = &out[i][a][li * nlev * NPTS..][..nlev * NPTS];
+                            let want = &reference[a][e * nlev * NPTS..][..nlev * NPTS];
+                            for (g, w) in got.iter().zip(want) {
+                                assert!(
+                                    (g - w).abs() < 1e-11,
+                                    "nranks={nranks} shape {i} arena {a} elem {e}: {g} vs {w}"
                                 );
                             }
                         }

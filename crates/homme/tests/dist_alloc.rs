@@ -4,7 +4,10 @@
 //! remap — must touch the heap exactly zero times on every rank. All
 //! temporaries live in the persistent `DistWorkspace`, receive queues and
 //! send buffers are pooled by the communicator, and the exchange packs
-//! straight into pooled buffers.
+//! straight into pooled buffers. The gate runs twice: over the in-process
+//! mailbox, and over loopback TCP, where the frame scratch, the readers'
+//! receive buffers and the decoded payloads (pooled by the transport) are
+//! inside the armed window too.
 //!
 //! The counting `#[global_allocator]` is per-binary state (and counts all
 //! rank threads while armed), so this file holds exactly one `#[test]` and
@@ -17,7 +20,7 @@ use cubesphere::consts::P0;
 use cubesphere::{CubedSphere, Partition, NPTS};
 use homme::hypervis::HypervisConfig;
 use homme::{Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode, HealthConfig, StepPath};
-use swmpi::run_ranks;
+use swmpi::{run_ranks, run_ranks_tcp, RankCtx, WorldOptions};
 
 /// Counts every allocation (from any thread, all ranks included) while
 /// armed; forwards everything to the system allocator.
@@ -90,7 +93,7 @@ fn distributed_step_allocates_nothing_after_warmup() {
     let nranks = 4;
     let grid = CubedSphere::new(ne);
     let part = Partition::new(&grid, nranks);
-    let counts = run_ranks(nranks, |ctx| {
+    let body = |ctx: &mut RankCtx| {
         let mut dist =
             DistDycore::new(&grid, &part, ctx.rank(), dims, 2000.0, cfg, ExchangeMode::Redesigned);
         // Health guards on: the per-stage scans and the per-step global
@@ -151,13 +154,22 @@ fn distributed_step_allocates_nothing_after_warmup() {
         ctx.coll.barrier();
         assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
         (bulk_allocs, ALLOCS.load(Ordering::SeqCst))
-    });
-    let (bulk_max, graph_max) = counts
-        .into_iter()
-        .fold((0, 0), |(b, g), (nb, ng)| (b.max(nb), g.max(ng)));
-    assert_eq!(bulk_max, 0, "DistDycore::step heap-allocated {bulk_max} times after warm-up");
-    assert_eq!(
-        graph_max, 0,
-        "task-graph DistDycore::step heap-allocated {graph_max} times after warm-up"
-    );
+    };
+    let worlds = [
+        ("mailbox", run_ranks(nranks, body)),
+        ("tcp", run_ranks_tcp(nranks, WorldOptions::default(), body)),
+    ];
+    for (transport, counts) in worlds {
+        let (bulk_max, graph_max) = counts
+            .into_iter()
+            .fold((0, 0), |(b, g), (nb, ng)| (b.max(nb), g.max(ng)));
+        assert_eq!(
+            bulk_max, 0,
+            "{transport}: DistDycore::step heap-allocated {bulk_max} times after warm-up"
+        );
+        assert_eq!(
+            graph_max, 0,
+            "{transport}: task-graph DistDycore::step heap-allocated {graph_max} times after warm-up"
+        );
+    }
 }

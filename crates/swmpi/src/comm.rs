@@ -218,8 +218,10 @@ pub struct CommStats {
     /// Stale (duplicated or superseded-epoch) messages discarded by the
     /// sequence watermark (reliable mode).
     pub stale_dropped: u64,
-    /// Reliable-mode retry polls performed by blocked receives (each poll
-    /// re-checks the retransmit log after one backoff pause).
+    /// Reliable-mode retries of blocked receives: backoff pauses that ended
+    /// with still no matching message, each followed by a re-check of the
+    /// retransmit log. A receive satisfied by the time its first pause ends
+    /// counts none.
     pub retry_attempts: u64,
 }
 
@@ -436,10 +438,27 @@ impl Comm {
         }
     }
 
-    /// Return a received payload buffer to this rank's pool.
+    /// Hand back the payload buffer of a consumed message. It goes to
+    /// whichever side produced it: a transport that allocates payloads on
+    /// receive (TCP) keeps it for its readers; one whose payloads arrive by
+    /// move (the mailbox) leaves it to this rank's send pool.
     pub fn recycle(&mut self, buf: Vec<f64>) {
+        if let Some(buf) = self.link.recycle(buf) {
+            self.pool_put(buf);
+        }
+    }
+
+    fn pool_put(&mut self, buf: Vec<f64>) {
         if self.pool.len() < self.pool.capacity() {
             self.pool.push(buf);
+        }
+    }
+
+    /// Put `m` on the transport; a payload the transport copied onto a
+    /// wire instead of moving comes straight back to the send pool.
+    fn transmit(&mut self, dest: usize, m: Message) {
+        if let Some(spent) = self.link.send(dest, m) {
+            self.pool_put(spent);
         }
     }
 
@@ -472,7 +491,7 @@ impl Comm {
         if self.faults.is_some() {
             self.send_through_faults(dest, tag, data);
         } else {
-            self.link.send(dest, Message { source: self.rank, tag, data });
+            self.transmit(dest, Message { source: self.rank, tag, data });
         }
     }
 
@@ -499,19 +518,19 @@ impl Comm {
             layer.plan.message_action(self.rank, idx)
         };
         for (d, m) in due {
-            self.link.send(d, m);
+            self.transmit(d, m);
         }
         let msg = Message { source: self.rank, tag, data };
         match action {
-            FaultAction::Deliver => self.link.send(dest, msg),
+            FaultAction::Deliver => self.transmit(dest, msg),
             FaultAction::Drop => {
                 // Lost on the wire: park in the retransmit log for the
                 // receiver's retry path.
                 self.lock_relay(dest, "retransmit-log push").push(msg);
             }
             FaultAction::Duplicate => {
-                self.link.send(dest, msg.clone());
-                self.link.send(dest, msg);
+                self.transmit(dest, msg.clone());
+                self.transmit(dest, msg);
             }
             FaultAction::Delay(k) => {
                 let layer = self.faults.as_mut().expect("fault layer present");
@@ -531,7 +550,7 @@ impl Comm {
         let due: Vec<(usize, Message)> =
             layer.delayed.drain(..).map(|(_, d, m)| (d, m)).collect();
         for (d, m) in due {
-            self.link.send(d, m);
+            self.transmit(d, m);
         }
     }
 
@@ -606,6 +625,9 @@ impl Comm {
                 return Ok(m);
             }
             if self.reliable {
+                // Every pause so far ended without a match: this poll of
+                // the retransmit log is a retry (the first one is not).
+                self.stats.retry_attempts += u64::from(attempts > 0);
                 if let Some(m) = self.take_from_relay(&req) {
                     self.stats.recovered += 1;
                     self.consume(&m);
@@ -620,7 +642,6 @@ impl Comm {
                 return Err(self.timeout_error(&req, start));
             }
             let slice = if self.reliable {
-                self.stats.retry_attempts += 1;
                 backoff_slice(&self.cfg, self.rank, attempts).min(deadline - now)
             } else {
                 deadline - now
@@ -1041,6 +1062,32 @@ mod tests {
         // 1+2+4+8+8+... ms covers 60 ms in well under 15 polls; a fixed
         // 1 ms cadence would need ~60. The backoff must show in the count.
         assert!((3..20).contains(&polls), "retry polls: {polls}");
+    }
+
+    #[test]
+    fn receive_satisfied_during_its_first_pause_counts_no_retry() {
+        // Reliable mode, first pause far longer than the test: the message
+        // lands while the receiver sleeps in it (or, on a slow host, before
+        // the wait even starts). Either way nothing was retried.
+        let plan = Arc::new(FaultPlan::seeded(0));
+        let cfg = CommConfig {
+            retry_interval: Duration::from_secs(5),
+            retry_max_interval: Duration::from_secs(5),
+            ..CommConfig::default()
+        };
+        let (mut world, _alarm) = Comm::world_with(2, cfg, Some(plan));
+        let mut c1 = world.pop().unwrap();
+        let mut c0 = world.pop().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                c0.send(1, 7, &[1.0]);
+            });
+            let started = Instant::now();
+            assert_eq!(c1.recv(0, 7).unwrap().data, vec![1.0]);
+            assert!(started.elapsed() < Duration::from_secs(4), "woken by the arrival");
+        });
+        assert_eq!(c1.stats().retry_attempts, 0);
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod runner;
 pub mod tcp;
 pub mod topology;
 mod transport;
+pub mod wire;
 
 pub use collective::{Collectives, ReduceLink, ReduceOp};
 pub use comm::{Comm, CommConfig, CommError, CommStats, Message, RecvRequest, ANY_SOURCE};

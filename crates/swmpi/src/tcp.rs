@@ -37,6 +37,16 @@
 //! Dialing retries with the same exponential-backoff-plus-jitter schedule
 //! the receive path uses ([`crate::comm::backoff_slice`]).
 //!
+//! ## Buffers
+//!
+//! Nothing on the steady-state path allocates. A send encodes into one
+//! reused scratch frame and hands the payload buffer straight back to the
+//! communicator ([`Transport::send`]); a reader decodes in place out of its
+//! own receive buffer into a payload buffer from the rank's free-list,
+//! which the communicator refills as messages are consumed
+//! ([`Transport::recycle`]). Send buffers and receive buffers therefore
+//! never trade places, and neither population depends on arrival timing.
+//!
 //! Peer death is detected at the reader (EOF / reset ⇒ slot marked dead,
 //! blocked receivers woken); sends to a dead slot drop the payload —
 //! failures always surface on the receive side as
@@ -53,6 +63,7 @@ use std::time::{Duration, Instant};
 
 use crate::comm::{backoff_slice, CommConfig, CommError, Message};
 use crate::transport::Transport;
+use crate::wire::{crc32, get_f64s_le, put_f64s_le};
 
 /// Frame magic: "SWFR".
 pub const FRAME_MAGIC: [u8; 4] = *b"SWFR";
@@ -95,33 +106,6 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// CRC-32 (IEEE, reflected). Local copy: `swcam-core` has one for the
-/// checkpoint codec, but that crate depends on this one, so the frame
-/// codec keeps its own 30 lines instead of inverting the dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    }
-    const TABLE: [u32; 256] = table();
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
 /// Append the wire encoding of `m` to `out`.
 ///
 /// # Panics
@@ -134,9 +118,7 @@ pub fn encode_frame(m: &Message, out: &mut Vec<u8>) {
     out.extend_from_slice(&(m.source as u32).to_le_bytes());
     out.extend_from_slice(&m.tag.to_le_bytes());
     out.extend_from_slice(&(m.data.len() as u32).to_le_bytes());
-    for &x in &m.data {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    put_f64s_le(out, &m.data);
     let crc = crc32(&out[start + 4..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
@@ -145,6 +127,16 @@ pub fn encode_frame(m: &Message, out: &mut Vec<u8>) {
 /// message and the number of bytes consumed; [`FrameError::Incomplete`]
 /// means "valid so far, read more bytes and retry".
 pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), FrameError> {
+    decode_frame_with(buf, Vec::with_capacity)
+}
+
+/// [`decode_frame`] with the payload storage supplied by the caller:
+/// `take(len)` is asked for a buffer only once the frame is complete,
+/// within the cap and checksummed, so a hostile length never allocates.
+fn decode_frame_with(
+    buf: &[u8],
+    take: impl FnOnce(usize) -> Vec<f64>,
+) -> Result<(Message, usize), FrameError> {
     let probe = buf.len().min(4);
     if buf[..probe] != FRAME_MAGIC[..probe] {
         return Err(FrameError::BadMagic);
@@ -166,10 +158,8 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), FrameError> {
     if crc32(&buf[4..total - 4]) != stored {
         return Err(FrameError::BadCrc);
     }
-    let data = buf[HEADER_LEN..total - 4]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect();
+    let mut data = take(len);
+    get_f64s_le(&buf[HEADER_LEN..total - 4], &mut data);
     Ok((Message { source, tag, data }, total))
 }
 
@@ -200,18 +190,55 @@ impl PeerSlot {
     }
 }
 
+/// Payload buffers parked in [`Shared::free`] at most; a spent payload
+/// that finds the list full is dropped.
+const FREE_RESERVE: usize = 256;
+
 /// State shared between the transport handle, the acceptor thread, and
 /// every reader thread.
 struct Shared {
     rank: usize,
     inbox: Mutex<VecDeque<Message>>,
     arrived: Condvar,
+    /// Receive payload buffers: a reader takes one per frame, the rank
+    /// hands it back through [`Transport::recycle`] once the message is
+    /// consumed, so steady-state traffic allocates nothing.
+    free: Mutex<Vec<Vec<f64>>>,
     slots: Vec<PeerSlot>,
     readers: Mutex<Vec<JoinHandle<()>>>,
     shutdown: AtomicBool,
 }
 
 impl Shared {
+    fn lock_free(&self) -> std::sync::MutexGuard<'_, Vec<Vec<f64>>> {
+        self.free
+            .lock()
+            .unwrap_or_else(|_| panic!("rank {}: tcp payload free-list poisoned", self.rank))
+    }
+
+    /// Park a payload buffer for the readers (dropped when the list is full).
+    fn give_payload(&self, buf: Vec<f64>) {
+        let mut free = self.lock_free();
+        if free.len() < FREE_RESERVE {
+            free.push(buf);
+        }
+    }
+
+    /// A buffer for a `len`-value payload: one of exactly that capacity
+    /// from the free-list, else a fresh one. Never a larger one — a reader
+    /// that borrowed from another message size would leave *that* size
+    /// short at a moment only arrival timing decides.
+    fn take_payload(&self, len: usize) -> Vec<f64> {
+        let mut free = self.lock_free();
+        match free.iter().position(|b| b.capacity() == len) {
+            Some(pos) => free.swap_remove(pos),
+            None => {
+                drop(free);
+                Vec::with_capacity(len)
+            }
+        }
+    }
+
     fn deliver(&self, m: Message) {
         let mut q = self.inbox.lock().unwrap_or_else(|_| {
             panic!("rank {}: tcp inbox mutex poisoned", self.rank)
@@ -224,7 +251,18 @@ impl Shared {
     /// Install `stream` as the live connection to `peer` and spawn its
     /// reader. Caller already validated the handshake. Returns false if a
     /// newer incarnation is already installed (stale dial).
-    fn install(self: &Arc<Self>, peer: usize, stream: TcpStream, remote_inc: u32) -> bool {
+    ///
+    /// On the accepting side (`ack`) the handshake ACK goes out here, as
+    /// the first bytes on the connection and under the writer lock: the
+    /// slot already reads alive, and a frame from this rank that raced the
+    /// ACK onto the wire would reach the dialer in the ACK's place.
+    fn install(
+        self: &Arc<Self>,
+        peer: usize,
+        stream: TcpStream,
+        remote_inc: u32,
+        ack: bool,
+    ) -> bool {
         let slot = &self.slots[peer];
         let mut writer = slot.writer.lock().unwrap_or_else(|_| {
             panic!("rank {}: peer {peer} writer mutex poisoned", self.rank)
@@ -248,8 +286,12 @@ impl Shared {
         };
         slot.remote_inc.store(remote_inc, Ordering::Release);
         let gen = slot.conn_gen.fetch_add(1, Ordering::AcqRel) + 1;
-        *writer = Some(stream);
+        let stream = writer.insert(stream);
         slot.alive.store(true, Ordering::Release);
+        if ack && stream.write_all(&ACK).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+            slot.alive.store(false, Ordering::Release);
+        }
         drop(writer);
         let shared = Arc::clone(self);
         let handle = std::thread::spawn(move || reader_loop(shared, read_half, peer, gen));
@@ -273,33 +315,59 @@ impl Shared {
 }
 
 /// Read frames off one connection until EOF/corruption, delivering into
-/// the shared inbox.
+/// the shared inbox. Socket bytes land in `buf[..end]` and are decoded in
+/// place; whatever partial frame is left moves to the front.
+///
+/// The exchange protocols let a peer run one exchange ahead of this rank,
+/// so at most two of its messages of one size are unconsumed here at a
+/// time. The first frame of each size therefore stocks the free-list with
+/// two buffers of that size, and none is allocated afterwards — the count
+/// never depends on when, relative to the rank's own progress, a frame
+/// happens to arrive.
 fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, peer: usize, gen: u32) {
-    let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
-    let mut chunk = [0u8; 64 * 1024];
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut end = 0usize;
+    let mut sizes_seen: Vec<usize> = Vec::new();
+    let mut take = |len: usize| {
+        if !sizes_seen.contains(&len) {
+            sizes_seen.push(len);
+            for _ in 0..2 {
+                shared.give_payload(Vec::with_capacity(len));
+            }
+        }
+        shared.take_payload(len)
+    };
     loop {
-        match stream.read(&mut chunk) {
+        if end == buf.len() {
+            // A partial frame fills the buffer: grow until the connection's
+            // largest frame fits, then never again.
+            buf.resize(buf.len() * 2, 0);
+        }
+        match stream.read(&mut buf[end..]) {
             Ok(0) | Err(_) => break,
-            Ok(k) => {
-                buf.extend_from_slice(&chunk[..k]);
-                loop {
-                    match decode_frame(&buf) {
-                        Ok((m, used)) => {
-                            buf.drain(..used);
-                            shared.deliver(m);
-                        }
-                        Err(FrameError::Incomplete) => break,
-                        Err(_) => {
-                            // Corrupt stream: no reliable resync point on
-                            // a byte stream — drop the connection, the
-                            // watermarks upstream make reconnect safe.
-                            let _ = stream.shutdown(Shutdown::Both);
-                            shared.mark_dead(peer, gen);
-                            return;
-                        }
-                    }
+            Ok(k) => end += k,
+        }
+        let mut start = 0usize;
+        loop {
+            match decode_frame_with(&buf[start..end], &mut take) {
+                Ok((m, used)) => {
+                    start += used;
+                    shared.deliver(m);
+                }
+                Err(FrameError::Incomplete) => break,
+                Err(_) => {
+                    // Corrupt stream: no reliable resync point on a byte
+                    // stream — drop the connection, the watermarks
+                    // upstream make reconnect safe.
+                    let _ = stream.shutdown(Shutdown::Both);
+                    shared.mark_dead(peer, gen);
+                    return;
                 }
             }
+        }
+        if start > 0 {
+            buf.copy_within(start..end, 0);
+            end -= start;
         }
     }
     shared.mark_dead(peer, gen);
@@ -331,6 +399,7 @@ impl TcpTransport {
             rank,
             inbox: Mutex::new(VecDeque::with_capacity(256)),
             arrived: Condvar::new(),
+            free: Mutex::new(Vec::with_capacity(FREE_RESERVE)),
             slots: (0..size).map(|_| PeerSlot::new()).collect(),
             readers: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
@@ -404,7 +473,7 @@ impl TcpTransport {
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad handshake ack"));
         }
         stream.set_read_timeout(None)?;
-        if !self.shared.install(peer, stream, self.remote_inc_guess(peer)) {
+        if !self.shared.install(peer, stream, self.remote_inc_guess(peer), false) {
             return Err(std::io::Error::other("stale incarnation"));
         }
         Ok(())
@@ -490,40 +559,34 @@ fn handle_inbound(shared: &Arc<Shared>, mut stream: TcpStream) {
         return;
     }
     let _ = stream.set_read_timeout(None);
-    let mut ack_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
-    // Install BEFORE acking: the dialer treats the ACK as proof that our
-    // writer now points at this connection (elastic re-admission keys on
-    // this ordering).
-    if !shared.install(peer, stream, inc) {
-        return;
-    }
-    if ack_half.write_all(&ACK).is_err() {
-        let _ = ack_half.shutdown(Shutdown::Both);
-        let slot = &shared.slots[peer];
-        slot.alive.store(false, Ordering::Release);
-    }
+    // The ACK is written by `install`, after the slot swap: the dialer
+    // treats it as proof that our writer now points at this connection
+    // (elastic re-admission keys on this ordering).
+    shared.install(peer, stream, inc, true);
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, dest: usize, m: Message) {
+    fn send(&mut self, dest: usize, m: Message) -> Option<Vec<f64>> {
         let slot = &self.shared.slots[dest];
         let mut writer = slot.writer.lock().unwrap_or_else(|_| {
             panic!("rank {}: peer {dest} writer mutex poisoned", self.rank)
         });
-        let Some(w) = writer.as_mut() else { return }; // peer down: drop
-        self.scratch.clear();
-        encode_frame(&m, &mut self.scratch);
-        if w.write_all(&self.scratch).is_err() {
-            let _ = w.shutdown(Shutdown::Both);
-            *writer = None;
-            slot.alive.store(false, Ordering::Release);
+        // Peer down: the message is dropped, the buffer still comes back.
+        if let Some(w) = writer.as_mut() {
+            self.scratch.clear();
+            encode_frame(&m, &mut self.scratch);
+            if w.write_all(&self.scratch).is_err() {
+                let _ = w.shutdown(Shutdown::Both);
+                *writer = None;
+                slot.alive.store(false, Ordering::Release);
+            }
         }
+        Some(m.data)
+    }
+
+    fn recycle(&mut self, buf: Vec<f64>) -> Option<Vec<f64>> {
+        self.shared.give_payload(buf);
+        None
     }
 
     fn drain(&mut self, sink: &mut VecDeque<Message>) {
@@ -697,6 +760,30 @@ mod tests {
         assert_eq!(got.tag, 7);
         assert_eq!(got.data, vec![1.0, 2.0, 3.0]);
         assert!(t1.peer_alive(0));
+        // Payload buffers stay on their own side of the wire: the sender
+        // gets its buffer back, and the receiver's readers decode into the
+        // buffers the rank recycles — same-size traffic settles on the two
+        // stocked at first sight.
+        let mut seen = vec![got.data.as_ptr()];
+        assert!(t1.recycle(got.data).is_none());
+        for round in 0..4u64 {
+            let payload = vec![round as f64; 3];
+            let ptr = payload.as_ptr();
+            let spent = t0.send(1, msg(0, 8 + round, payload)).expect("tcp returns the payload");
+            assert_eq!(spent.as_ptr(), ptr);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while sink.is_empty() {
+                assert!(Instant::now() < deadline, "message never arrived");
+                t1.drain_wait(Duration::from_millis(10), &mut sink);
+            }
+            let m = sink.pop_front().expect("one message");
+            assert_eq!(m.data, vec![round as f64; 3]);
+            if round >= 1 {
+                assert!(seen.contains(&m.data.as_ptr()), "round {round} allocated a payload");
+            }
+            seen.push(m.data.as_ptr());
+            assert!(t1.recycle(m.data).is_none());
+        }
         // Tear down rank 0; rank 1 must observe the loss.
         drop(t0);
         let lost = Instant::now() + Duration::from_secs(5);

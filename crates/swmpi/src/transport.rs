@@ -35,7 +35,17 @@ pub(crate) trait Transport: Send {
     /// ready; a transport that cannot currently reach `dest` (e.g. a dead
     /// TCP peer) drops the message and flags the peer lost — the receive
     /// side surfaces the failure as a typed error.
-    fn send(&mut self, dest: usize, m: Message);
+    ///
+    /// Returns the payload buffer when the transport is done with it (the
+    /// values were copied onto a wire, not moved to the receiver), so the
+    /// sender can reuse it.
+    fn send(&mut self, dest: usize, m: Message) -> Option<Vec<f64>>;
+
+    /// Take back the payload buffer of a message the rank has consumed.
+    /// A transport that allocates payloads on receive keeps it for that
+    /// and returns `None`; one whose payloads arrive by move returns it to
+    /// the caller.
+    fn recycle(&mut self, buf: Vec<f64>) -> Option<Vec<f64>>;
 
     /// Move every already-arrived message into `sink` (FIFO). Nonblocking.
     fn drain(&mut self, sink: &mut VecDeque<Message>);
@@ -165,12 +175,17 @@ impl MailboxTransport {
 }
 
 impl Transport for MailboxTransport {
-    fn send(&mut self, dest: usize, m: Message) {
+    fn send(&mut self, dest: usize, m: Message) -> Option<Vec<f64>> {
         let mailbox = &self.peers[dest];
         let mut queue = lock_queue(mailbox, self.rank, "send");
         queue.push_back(m);
         drop(queue);
         mailbox.arrived.notify_one();
+        None
+    }
+
+    fn recycle(&mut self, buf: Vec<f64>) -> Option<Vec<f64>> {
+        Some(buf)
     }
 
     fn drain(&mut self, sink: &mut VecDeque<Message>) {

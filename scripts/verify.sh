@@ -66,16 +66,22 @@ cargo test -q -p homme --lib kernels
 cargo test -q -p homme --test blocked_parity
 cargo test -q -p swcam-bench --test distributed_step
 
-# Process-backend group: the transport seam (DESIGN.md §5.8) — the TCP
+# Process-backend group: the transport seam (DESIGN.md §5.8) — the shared
+# CRC (known answer + differential against a bit-wise reference), the TCP
 # frame codec property suite, the socket transport and elastic-process
-# units in swmpi, the loopback TCP↔mailbox bitwise parity run, the
-# multi-process supervisor world, and the kill-and-respawn recovery
-# scenario (real SIGKILL, checkpoint respawn, epoch re-admission).
+# units in swmpi, the exchange-buffer shape-interleaving guard, the
+# zero-allocation gate over loopback TCP (reader threads included), the
+# loopback TCP↔mailbox bitwise parity run, the multi-process supervisor
+# world, and the kill-and-respawn recovery scenario (real SIGKILL,
+# checkpoint respawn, epoch re-admission).
 echo "== process-backend test group"
+cargo test -q -p swmpi --lib wire
 cargo test -q -p swmpi --lib tcp
 cargo test -q -p swmpi --lib transport
 cargo test -q -p swmpi --lib process
 cargo test -q -p swmpi --test tcp_frame
+cargo test -q -p homme --lib bndry::tests::one_buffer_set_serves_interleaved_shapes
+cargo test -q -p homme --test dist_alloc
 cargo test -q -p swcam-bench --test process_backend
 
 # Hypervis group: the per-element hyperviscosity plan (DESIGN.md §5.7) —
