@@ -98,6 +98,7 @@ fn main() {
     }
 
     let mut dy = build();
+    println!("  {}", dy.hypervis_stability());
     let init = initial_state(&dy);
 
     let mut seed_state = init.clone();
@@ -138,8 +139,8 @@ fn main() {
     }
     let phase_total = rk_ms + hv_ms + tr_ms + rm_ms;
     // Per-subcycle view of the hypervis wall: the subcycle count is fixed
-    // by the stability bound, so ms/subcycle is the unit the fused-sweep
-    // optimisation actually moves.
+    // by the measured operator (the line printed at start-up), so
+    // ms/subcycle is the unit the fused-sweep optimisation actually moves.
     let hv_subcycles = dy.hypervis_subcycles();
     let hv_ms_sub = hv_ms / hv_subcycles as f64;
     println!("  phases (serial)  : rk {rk_ms:.2}  hypervis {hv_ms:.2}  tracer {tr_ms:.2}  remap {rm_ms:.2} ms/step");

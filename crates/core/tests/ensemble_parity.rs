@@ -55,6 +55,23 @@ fn pin_batch(spec: &ScenarioSpec, n: usize, steps: usize) {
     }
 }
 
+/// The engine's shared dycore measures the same `lambda_max` — to the bit —
+/// as a standalone model and as the bare grid function, so a member runs
+/// the subcycle count its standalone twin runs.
+#[test]
+fn ensemble_dycore_measures_the_standalone_lambda_max() {
+    let spec = shrunk("aquaplanet");
+    let ens = Ensemble::new(spec.clone(), EnsembleConfig::default());
+    let alone = spec.build_model(1);
+    let got = ens.dycore().hypervis_stability();
+    assert_eq!(got, alone.dycore.hypervis_stability());
+    assert_eq!(
+        got.lambda_max.to_bits(),
+        swcam_core::homme::laplacian_lambda_max(&alone.dycore.grid).to_bits()
+    );
+    assert_eq!(got.subcycles, ens.dycore().hypervis_subcycles());
+}
+
 #[test]
 fn ensemble_members_match_standalone_bitwise_dry() {
     // Adiabatic dycore-only scenario: every batch width the chunk

@@ -35,7 +35,7 @@ use crate::euler::{limit_nonnegative, limit_tracer_arena, tracer_flux_divergence
 use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
-use crate::hypervis::{ElemHypervisPlan, MIN_GLL_GAP_METERS};
+use crate::hypervis::{laplacian_lambda_max, min_gll_gap, ElemHypervisPlan, HypervisStability};
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, euler_stage_element_blocked,
     hypervis_pass_element_blocked, hypervis_pass_levels_blocked, laplace_levels_blocked,
@@ -125,11 +125,9 @@ pub struct DistDycore {
     nbr: Neighbors,
     /// Local elements touching each link (inverse of `gplan.elem_link`).
     link_elems: Vec<Vec<u32>>,
-    /// Stability-derived hyperviscosity subcycles (identical on every rank
-    /// and to the serial driver: computed from global element 0).
-    subcycles: usize,
-    /// Same, for the halved `dt` the degradation policy runs under.
-    subcycles_half: usize,
+    /// Largest eigenvalue of the **global** grid's assembled Laplacian
+    /// (identical bits on every rank and in the serial driver).
+    lambda_max: f64,
     ws: DistWorkspace,
     steps_since_remap: usize,
     degrade_pending: usize,
@@ -161,16 +159,12 @@ impl DistDycore {
             .collect();
         let bops = build_blocked_ops(&ops);
         let vert = VertCoord::standard(dims.nlev, ptop);
-        let el0 = &grid.elements[0];
-        let subcycles = cfg.hypervis.stable_subcycles(el0.dab, el0.metric[0].metdet, cfg.dt);
-        let subcycles_half =
-            cfg.hypervis.stable_subcycles(el0.dab, el0.metric[0].metdet, cfg.dt / 2.0);
-        // Same CFL length scale as the serial driver: smallest GLL gap on
-        // global element 0, floored at [`MIN_GLL_GAP_METERS`], so every
-        // rank judges CFL identically.
-        let ref_gap = 1.0 - 1.0 / 5.0_f64.sqrt();
-        let char_dx =
-            (ref_gap * 0.5 * el0.dab * el0.metric[0].metdet.sqrt()).max(MIN_GLL_GAP_METERS);
+        // Both from the **global** grid, exactly as the serial driver
+        // computes them: every rank judges CFL identically and runs the
+        // same subcycle count (it is the exchange schedule) with no
+        // message exchanged to agree on it.
+        let char_dx = min_gll_gap(&grid.elements[0]);
+        let lambda_max = laplacian_lambda_max(grid);
         let ws = DistWorkspace::new(dims, plan.owned.len(), cfg.hypervis.sponge_layers);
         let gplan = GatherPlan::new(&plan);
         let nbr = Neighbors::from_gids(plan.owned.len(), |li| &plan.gids[li][..]);
@@ -196,8 +190,7 @@ impl DistDycore {
             gplan,
             nbr,
             link_elems,
-            subcycles,
-            subcycles_half,
+            lambda_max,
             ws,
             steps_since_remap: 0,
             degrade_pending: 0,
@@ -207,10 +200,17 @@ impl DistDycore {
         }
     }
 
-    /// Hyperviscosity subcycles this driver will run (same formula as
-    /// [`Dycore::hypervis_subcycles`](crate::prim::Dycore::hypervis_subcycles)).
+    /// Hyperviscosity subcycles a step of the current `cfg.dt` runs — the
+    /// same function of the same `lambda_max` as
+    /// [`Dycore::hypervis_subcycles`](crate::prim::Dycore::hypervis_subcycles).
     pub fn hypervis_subcycles(&self) -> usize {
-        self.subcycles
+        self.cfg.hypervis.subcycles_for(self.lambda_max, self.cfg.dt)
+    }
+
+    /// The distributed twin of
+    /// [`Dycore::hypervis_stability`](crate::prim::Dycore::hypervis_stability).
+    pub fn hypervis_stability(&self) -> HypervisStability {
+        self.cfg.hypervis.stability(self.lambda_max, self.cfg.dt)
     }
 
     /// Extract this rank's elements from a global state arena into a local
@@ -322,16 +322,17 @@ impl DistDycore {
     /// application DSSes all participating fields in one aggregated
     /// exchange.
     pub fn apply_hypervis(&mut self, ctx: &mut RankCtx, state: &mut State) -> Result<(), DistError> {
-        let subcycles = self.subcycles;
+        let subcycles = self.hypervis_subcycles();
         self.apply_hypervis_n(ctx, state, subcycles)
     }
 
     /// [`DistDycore::apply_hypervis`] with an explicit subcycle count (the
-    /// degradation policy adds extra subcycles on top of the stable count).
+    /// degradation policy adds extra subcycles on top of the derived count).
     ///
     /// Like the serial driver, both kernel paths build the per-step
-    /// [`ElemHypervisPlan`] first — a corrupt element metric or non-finite
-    /// coefficient surfaces as [`DistError::Health`] before any field or
+    /// [`ElemHypervisPlan`] first — a corrupt element metric, a non-finite
+    /// coefficient or a count past the forward-Euler limit of the measured
+    /// operator surfaces as [`DistError::Health`] before any field or
     /// message is touched. The blocked path runs the fused per-element
     /// sweeps with the plan's hoisted coefficients; the exchange schedule
     /// (one aggregated DSS per Laplacian application) is unchanged.
@@ -346,12 +347,13 @@ impl DistDycore {
             return Ok(());
         }
         let dt = self.cfg.dt;
+        let lambda_max = self.lambda_max;
         let DistDycore { plan, ops, dims, mode, stats, ws, tag, kernels, bops, .. } = self;
         let kernels = *kernels;
         let nlev = dims.nlev;
         let fl = dims.field_len();
         let nelem = ops.len();
-        ws.hv_plan.build(&hv, dt, subcycles, nlev, ops).map_err(HealthError::from)?;
+        ws.hv_plan.build(&hv, dt, subcycles, lambda_max, nlev, ops).map_err(HealthError::from)?;
         if let KernelPath::Blocked = kernels {
             let hvp = &ws.hv_plan;
             if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
@@ -619,7 +621,7 @@ impl DistDycore {
                 self.euler_step_tracers(ctx, state)?;
             }
             StepPath::TaskGraph => {
-                let subcycles = self.subcycles;
+                let subcycles = self.hypervis_subcycles();
                 self.taskgraph_step(ctx, state, subcycles, None)?;
             }
         }
@@ -660,7 +662,7 @@ impl DistDycore {
         let mut health = StepHealth::begin();
         health.degraded = splits > 1;
         self.cfg.dt = full_dt / splits as f64;
-        let base_subcycles = if splits > 1 { self.subcycles_half } else { self.subcycles };
+        let subcycles = self.hypervis_subcycles() + extra;
         for _ in 0..splits {
             match self.step_path {
                 StepPath::Bulk => {
@@ -668,7 +670,7 @@ impl DistDycore {
                         self.cfg.dt = full_dt;
                         return Err(e);
                     }
-                    if let Err(e) = self.apply_hypervis_n(ctx, state, base_subcycles + extra) {
+                    if let Err(e) = self.apply_hypervis_n(ctx, state, subcycles) {
                         self.cfg.dt = full_dt;
                         return Err(e);
                     }
@@ -686,9 +688,7 @@ impl DistDycore {
                     }
                 }
                 StepPath::TaskGraph => {
-                    if let Err(e) =
-                        self.taskgraph_step(ctx, state, base_subcycles + extra, Some(&mut health))
-                    {
+                    if let Err(e) = self.taskgraph_step(ctx, state, subcycles, Some(&mut health)) {
                         self.cfg.dt = full_dt;
                         return Err(e);
                     }
@@ -739,6 +739,7 @@ impl DistDycore {
         let hyp_on = !(hv.nu == 0.0 && hv.nu_p == 0.0);
         let checked = health.is_some();
         let hcfg = self.health;
+        let lambda_max = self.lambda_max;
         let DistDycore {
             plan, gplan, nbr, link_elems, ops, bops, rhs, dims, cfg, ws, kernels, stats, tag, ..
         } = self;
@@ -761,7 +762,7 @@ impl DistDycore {
         // Same hoisted plan as the bulk drivers; a corrupt element aborts
         // before any stage computes or any message is posted.
         if hyp_on {
-            hv_plan.build(&hv, dt, subcycles, nlev, ops).map_err(HealthError::from)?;
+            hv_plan.build(&hv, dt, subcycles, lambda_max, nlev, ops).map_err(HealthError::from)?;
         }
         let hv_plan: &ElemHypervisPlan = hv_plan;
 

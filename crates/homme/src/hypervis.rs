@@ -9,28 +9,131 @@
 //! Laplacian viscosity (`hypervis_dp1` in the paper's kernel table) is also
 //! provided.
 
-use crate::deriv::ElemOps;
+use crate::deriv::{build_ops, ElemOps};
 use crate::dss::Dss;
 use crate::kernels::blocked::{
     laplace_levels_blocked, vlaplace_levels_blocked, BlockedOps, KernelPath,
 };
 use crate::sched::{ArenaMut, ElemScheduler};
-use cubesphere::NPTS;
+use cubesphere::{CubedSphere, Element, NPTS};
 
-/// Floor on the smallest GLL gap used in the subcycle stability estimate,
-/// in **meters**.
+/// Floor on the smallest GLL gap, in **meters**.
 ///
-/// [`HypervisConfig::stable_subcycles`] divides by the gap to form the grid
-/// Nyquist wavenumber; a degenerate metric (zero or NaN `metdet`, a
-/// collapsed element of a synthetic test grid) would otherwise drive
-/// `k_max -> inf` and saturate the subcycle count. One meter is ~5 orders
-/// of magnitude below any physical GLL spacing this model resolves (ne120
-/// is ~25 km), so the floor is inert on real grids and only guards the
-/// degenerate ones. Serial ([`crate::prim::Dycore`]) and distributed
-/// ([`crate::dist::DistDycore`]) drivers both route their characteristic
-/// grid spacing through this same constant so their subcycle counts always
-/// agree.
+/// [`min_gll_gap`] is the denominator of the drivers' advective CFL
+/// estimate; a degenerate metric (zero or NaN `metdet`, a collapsed element
+/// of a synthetic test grid) would otherwise zero it. One meter is ~5
+/// orders of magnitude below any physical GLL spacing this model resolves
+/// (ne120 is ~25 km), so the floor is inert on real grids and only guards
+/// the degenerate ones.
 pub const MIN_GLL_GAP_METERS: f64 = 1.0;
+
+/// Smallest GLL gap of an element, in meters: `|x1 - x0| = 1 - 1/sqrt(5)`
+/// on `[-1, 1]`, scaled by the element's half-width `dab/2` and the length
+/// per unit angle `sqrt(metdet)` at its first node, floored at
+/// [`MIN_GLL_GAP_METERS`]. The serial and distributed drivers both take
+/// their CFL length scale from this on global element 0, so every rank
+/// judges CFL identically.
+pub fn min_gll_gap(el: &Element) -> f64 {
+    let ref_gap = 1.0 - 1.0 / 5.0_f64.sqrt();
+    (ref_gap * 0.5 * el.dab * el.metric[0].metdet.sqrt()).max(MIN_GLL_GAP_METERS)
+}
+
+/// Forward-Euler stability limit of one damping subcycle: a mode with
+/// `nu * lambda^2 * dt_sub` above this has a per-subcycle factor
+/// `1 - nu lambda^2 dt_sub` below `-1` and grows without bound.
+pub const EULER_LIMIT: f64 = 2.0;
+
+/// Target `nu * lambda_max^2 * dt_sub` the derived subcycle count aims at:
+/// every mode's per-subcycle factor stays in `[0, 1]` (monotone decay, no
+/// sign-flipping of the grid-scale modes), a factor 2 inside
+/// [`EULER_LIMIT`]. The one safety constant of the count.
+pub const SUBCYCLE_TARGET: f64 = 1.0;
+
+/// Successive-estimate relative change at which the power iteration of
+/// [`laplacian_lambda_max`] stops.
+const LAMBDA_TOL: f64 = 1.0e-4;
+
+/// Margin on the stopped estimate. Power iteration approaches `lambda_max`
+/// from below; at the [`LAMBDA_TOL`] stop it measured 0.03% short of the
+/// 3000-iteration value at ne 4 / 8 / 16 / 30, and the rigorous
+/// element-local ceiling sits 0.5-1.2% above that (DESIGN.md §5.7), so
+/// 0.2% covers the approach without leaving the bracket.
+const LAMBDA_MARGIN: f64 = 1.002;
+
+/// Iteration cap: a NaN metric never satisfies the stop criterion.
+const LAMBDA_MAX_ITERS: usize = 200;
+
+/// Largest eigenvalue magnitude, in m^-2, of the assembled one-level
+/// Laplacian the hyperviscosity step applies to `(T, u, v)`: the scalar
+/// weak Laplacian ([`ElemOps::laplace_sphere_wk`] + DSS, on T and dp3d)
+/// beside the vector Laplacian ([`ElemOps::vlaplace_sphere`] + DSS, on the
+/// wind). The biharmonic operator is that applied twice, so its stiffest
+/// mode decays at `nu * lambda_max^2`.
+///
+/// One power iteration on the three-component field — it converges to
+/// whichever block holds the larger eigenvalue (the scalar one on every
+/// cubed sphere measured; the vector block's is ~0.33 of it) — over the
+/// **global** grid in the mass (`spheremp`) norm, from a fixed
+/// pseudo-random start: serial, deterministic and free of communication,
+/// so the serial driver and every rank of every partition compute the
+/// identical bits. The estimate `|A x| / |x|` approaches `lambda_max` from
+/// below; the iteration stops when it moves by less than 1e-4 relative
+/// (`LAMBDA_TOL`; 20-35 iterations at ne4..ne30) and the result carries a
+/// 0.2% margin (`LAMBDA_MARGIN`) for the remaining approach.
+pub fn laplacian_lambda_max(grid: &CubedSphere) -> f64 {
+    /// Components of the iterate: T, u, v.
+    const F: usize = 3;
+    let ops = build_ops(grid);
+    let mut dss = Dss::new(grid);
+    // xorshift noise has a component along every mode; the DSS makes it
+    // continuous. Layout `[nelem][F][NPTS]`: the components ride the DSS
+    // as levels.
+    let mut seed = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut x: Vec<f64> = (0..ops.len() * F * NPTS)
+        .map(|_| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        })
+        .collect();
+    dss.apply_flat(&mut x, F);
+    let norm = |x: &[f64]| -> f64 {
+        let mut sum = 0.0;
+        for (op, xe) in ops.iter().zip(x.chunks_exact(F * NPTS)) {
+            for xf in xe.chunks_exact(NPTS) {
+                for (w, v) in op.spheremp.iter().zip(xf) {
+                    sum += w * v * v;
+                }
+            }
+        }
+        sum.sqrt()
+    };
+    // `size` is |x|; each pass stores A x / |x|, whose norm is both the
+    // estimate and the next pass's |x|.
+    let mut size = norm(&x);
+    let mut lambda = 0.0;
+    for _ in 0..LAMBDA_MAX_ITERS {
+        let scale = 1.0 / size;
+        for (op, xe) in ops.iter().zip(x.chunks_exact_mut(F * NPTS)) {
+            let mut out = [[0.0; NPTS]; F];
+            let [lt, lu, lv] = &mut out;
+            op.laplace_sphere_wk(&xe[..NPTS], lt);
+            op.vlaplace_sphere(&xe[NPTS..2 * NPTS], &xe[2 * NPTS..], lu, lv);
+            for (v, o) in xe.iter_mut().zip(out.as_flattened()) {
+                *v = o * scale;
+            }
+        }
+        dss.apply_flat(&mut x, F);
+        size = norm(&x);
+        let converged = (size - lambda).abs() <= LAMBDA_TOL * size;
+        lambda = size;
+        if converged {
+            break;
+        }
+    }
+    lambda * LAMBDA_MARGIN
+}
 
 /// Hyperviscosity configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +142,9 @@ pub struct HypervisConfig {
     pub nu: f64,
     /// Biharmonic coefficient for `dp3d`, m^4/s.
     pub nu_p: f64,
-    /// Subcycles per dynamics step.
+    /// **Floor** on the subcycles per dynamics step: the drivers run
+    /// [`HypervisConfig::subcycles_for`], which never goes below this.
+    /// HOMME's production `hypervis_subcycle = 3`.
     pub subcycles: usize,
     /// Sponge-layer Laplacian coefficient applied to the top layers,
     /// m^2/s (HOMME's `nu_top`; damps vertically-propagating waves that
@@ -50,7 +155,11 @@ pub struct HypervisConfig {
 }
 
 impl HypervisConfig {
-    /// CAM's resolution scaling: `nu = 1e15 (30/ne)^3.2` m^4/s.
+    /// CAM's resolution scaling: `nu = 1e15 (30/ne)^3.2` m^4/s, with
+    /// HOMME's production floor of 3 subcycles — which is also what the
+    /// measured operator asks for at `DycoreConfig::for_ne`'s time step at
+    /// every resolution (`nu lambda_max^2 dt` is 2.3 / 1.9 / 1.7 / 1.4 at
+    /// ne 4 / 8 / 16 / 30).
     pub fn for_ne(ne: usize) -> Self {
         let nu = 1.0e15 * (30.0 / ne as f64).powf(3.2);
         HypervisConfig { nu, nu_p: nu, subcycles: 3, nu_top: 2.5e5, sponge_layers: 3 }
@@ -61,29 +170,60 @@ impl HypervisConfig {
         HypervisConfig { nu: 0.0, nu_p: 0.0, subcycles: 1, nu_top: 0.0, sponge_layers: 0 }
     }
 
-    /// Stability-limited subcycle count: the explicit forward-Euler
-    /// biharmonic update needs `nu k_max^4 dt_sub < ~0.4`, with `k_max`
-    /// the spectral-element grid Nyquist (smallest GLL gap, with a
-    /// factor-2 margin for the spectral operator's eigenvalue excess).
-    /// `dab` is the element's angular width and `metdet0` the metric
-    /// determinant at its first GLL node (any representative element of a
-    /// quasi-uniform grid works). Production HOMME computes
-    /// `hypervis_subcycle` the same way; the serial and distributed
-    /// drivers share this so they always agree.
-    pub fn stable_subcycles(&self, dab: f64, metdet0: f64, dt: f64) -> usize {
-        let nu = self.nu.max(self.nu_p);
-        if nu == 0.0 {
-            return self.subcycles.max(1);
-        }
-        // Smallest GLL gap: |x1 - x0| = 1 - 1/sqrt(5) on [-1, 1].
-        let ref_gap = 1.0 - 1.0 / 5.0_f64.sqrt();
-        // metdet ~ (physical area)/(dalpha dbeta): sqrt gives the length
-        // scale per unit angle.
-        let scale = metdet0.sqrt();
-        let gap = (ref_gap * 0.5 * dab * scale).max(MIN_GLL_GAP_METERS);
-        let k_max = 2.0 * std::f64::consts::PI / gap;
-        let needed = (nu * k_max.powi(4) * dt / 0.4).ceil() as usize;
+    /// `nu * lambda_max^2 * dt` of the stiffest mode of the stiffest field:
+    /// the forward-Euler damping number of an un-subcycled step.
+    fn damping_number(&self, lambda_max: f64, dt: f64) -> f64 {
+        self.nu.max(self.nu_p) * lambda_max * lambda_max * dt
+    }
+
+    /// The subcycle count of a `dt` step on a grid whose assembled
+    /// Laplacian has largest eigenvalue `lambda_max`
+    /// ([`laplacian_lambda_max`]): enough that
+    /// `nu lambda_max^2 dt / n <= `[`SUBCYCLE_TARGET`], and never below the
+    /// configured floor. The one place a count is derived — both drivers,
+    /// the degradation path, the task-graph pipelines and the ensemble
+    /// engine read it.
+    pub fn subcycles_for(&self, lambda_max: f64, dt: f64) -> usize {
+        // A NaN damping number (corrupt dt or metric) casts to 0 and falls
+        // to the floor; the plan build then rejects the step by type.
+        let needed = (self.damping_number(lambda_max, dt) / SUBCYCLE_TARGET).ceil() as usize;
         needed.max(self.subcycles).max(1)
+    }
+
+    /// The numbers behind [`HypervisConfig::subcycles_for`], for a run to
+    /// print once at start-up.
+    pub fn stability(&self, lambda_max: f64, dt: f64) -> HypervisStability {
+        HypervisStability {
+            lambda_max,
+            nu_lambda2_dt: self.damping_number(lambda_max, dt),
+            subcycles: self.subcycles_for(lambda_max, dt),
+        }
+    }
+}
+
+/// Why a driver runs the subcycle count it runs
+/// ([`crate::prim::Dycore::hypervis_stability`] and the distributed twin).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HypervisStability {
+    /// Largest eigenvalue of the grid's assembled Laplacian, m^-2
+    /// ([`laplacian_lambda_max`]).
+    pub lambda_max: f64,
+    /// `max(nu, nu_p) * lambda_max^2 * dt`: the forward-Euler damping
+    /// number of the stiffest mode over one un-subcycled step.
+    pub nu_lambda2_dt: f64,
+    /// Subcycles the driver runs: `ceil(nu_lambda2_dt / `[`SUBCYCLE_TARGET`]`)`,
+    /// floored at [`HypervisConfig::subcycles`].
+    pub subcycles: usize,
+}
+
+impl std::fmt::Display for HypervisStability {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "hypervis: lambda_max {:.4e} m^-2, nu*lambda_max^2*dt {:.3} (forward-Euler limit \
+             {EULER_LIMIT}, target {SUBCYCLE_TARGET} a subcycle) -> {} subcycles",
+            self.lambda_max, self.nu_lambda2_dt, self.subcycles
+        )
     }
 }
 
@@ -97,6 +237,10 @@ pub enum HypervisError {
     /// A step coefficient (`dt_sub * nu`, `dt * nu_top`, ...) came out
     /// non-finite, e.g. from a NaN timestep after a corrupted rollback.
     NonFiniteCoef { coef: f64 },
+    /// The explicit subcycle count puts `nu lambda_max^2 dt / requested`
+    /// past [`EULER_LIMIT`]: the stiffest mode would grow every subcycle.
+    /// `needed` is what [`HypervisConfig::subcycles_for`] asks for.
+    UnstableSubcycles { requested: usize, needed: usize },
 }
 
 impl std::fmt::Display for HypervisError {
@@ -109,6 +253,11 @@ impl std::fmt::Display for HypervisError {
             HypervisError::NonFiniteCoef { coef } => {
                 write!(f, "hyperviscosity plan rejected non-finite step coefficient {coef}")
             }
+            HypervisError::UnstableSubcycles { requested, needed } => write!(
+                f,
+                "hyperviscosity plan rejected {requested} subcycles: past the forward-Euler \
+                 limit of the measured operator, which needs {needed}"
+            ),
         }
     }
 }
@@ -167,13 +316,16 @@ impl ElemHypervisPlan {
         }
     }
 
-    /// Build the step coefficients and validate the geometry. Grow-only on
-    /// the presized buffers; steady-state rebuilds are allocation-free.
+    /// Build the step coefficients and validate the subcycle count against
+    /// the grid's `lambda_max` ([`laplacian_lambda_max`]) and the geometry.
+    /// Grow-only on the presized buffers; steady-state rebuilds are
+    /// allocation-free.
     pub fn build(
         &mut self,
         hv: &HypervisConfig,
         dt: f64,
         subcycles: usize,
+        lambda_max: f64,
         nlev: usize,
         ops: &[ElemOps],
     ) -> Result<(), HypervisError> {
@@ -185,6 +337,12 @@ impl ElemHypervisPlan {
             if !coef.is_finite() {
                 return Err(HypervisError::NonFiniteCoef { coef });
             }
+        }
+        if hv.damping_number(lambda_max, dt) / subcycles as f64 > EULER_LIMIT {
+            return Err(HypervisError::UnstableSubcycles {
+                requested: subcycles,
+                needed: hv.subcycles_for(lambda_max, dt),
+            });
         }
         // The fused sweeps divide by spheremp and multiply by
         // metdet/rmetdet in every walk; reject any element whose metric
@@ -453,8 +611,6 @@ pub fn vlaplace_flat_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deriv::build_ops;
-    use cubesphere::CubedSphere;
 
     fn field_of(grid: &CubedSphere, f: impl Fn(f64, f64) -> f64) -> Vec<Vec<f64>> {
         grid.elements
@@ -571,6 +727,39 @@ mod tests {
         assert!(ne120.nu < ne30.nu);
         let off = HypervisConfig::off();
         assert_eq!(off.nu, 0.0);
+    }
+
+    #[test]
+    fn subcycle_count_is_the_damping_number_rounded_up_over_the_floor() {
+        let hv = HypervisConfig { nu: 1.0e15, nu_p: 2.0e15, ..HypervisConfig::for_ne(30) };
+        let dt = 300.0;
+        // The stiffer of the two coefficients decides: nu_p lambda^2 dt = 6.5.
+        let lambda = (6.5 / (hv.nu_p * dt)).sqrt();
+        assert_eq!(hv.subcycles_for(lambda, dt), 7);
+        assert_eq!(hv.subcycles_for(lambda, dt / 2.0), 4);
+        assert_eq!(hv.subcycles_for(0.1 * lambda, dt), 3, "the floor");
+        assert_eq!(HypervisConfig::off().subcycles_for(lambda, dt), 1);
+        assert_eq!(hv.subcycles_for(f64::NAN, dt), 3, "a NaN measurement falls to the floor");
+        let s = hv.stability(lambda, dt);
+        assert!((s.nu_lambda2_dt - 6.5).abs() < 1e-12 && s.subcycles == 7, "{s}");
+    }
+
+    #[test]
+    fn plan_rejects_a_count_past_the_forward_euler_limit() {
+        let grid = CubedSphere::new(2);
+        let ops = build_ops(&grid);
+        let hv = HypervisConfig::for_ne(30);
+        let dt = 300.0;
+        let lambda = (6.5 / (hv.nu * dt)).sqrt();
+        let mut plan = ElemHypervisPlan::new(4, hv.sponge_layers);
+        // 6.5 / 3 > 2: the top mode would grow; 6.5 / 4 < 2 is accepted
+        // (oscillating decay — the caller asked for it explicitly).
+        assert_eq!(
+            plan.build(&hv, dt, 3, lambda, 4, &ops),
+            Err(HypervisError::UnstableSubcycles { requested: 3, needed: 7 })
+        );
+        assert_eq!(plan.build(&hv, dt, 4, lambda, 4, &ops), Ok(()));
+        assert_eq!(plan.subcycles, 4);
     }
 
     #[test]

@@ -49,7 +49,10 @@ pub use diagnostics::{budgets, Budgets};
 pub use dist::{DistDycore, DistError, EPOCH_SHIFT};
 pub use dss::Dss;
 pub use health::{DegradePolicy, HealthConfig, HealthError, PhysicsFault, StepHealth, TRACER_STAGE};
-pub use hypervis::{ElemHypervisPlan, HypervisConfig, HypervisError, MIN_GLL_GAP_METERS};
+pub use hypervis::{
+    laplacian_lambda_max, ElemHypervisPlan, HypervisConfig, HypervisError, HypervisStability,
+    MIN_GLL_GAP_METERS,
+};
 pub use kernels::blocked::{BlockedOps, KernelPath, StageCombine};
 pub use kernels::member_lanes::MemberKernelPath;
 pub use prim::{Dycore, DycoreConfig, KG5_COEFFS};

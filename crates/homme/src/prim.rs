@@ -27,8 +27,8 @@ use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
 use crate::hypervis::{
-    biharmonic_flat_path, laplace_flat_path, vlaplace_flat_path, ElemHypervisPlan,
-    HypervisConfig, MIN_GLL_GAP_METERS,
+    biharmonic_flat_path, laplace_flat_path, laplacian_lambda_max, min_gll_gap,
+    vlaplace_flat_path, ElemHypervisPlan, HypervisConfig, HypervisStability,
 };
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, euler_stage_element_blocked,
@@ -127,6 +127,9 @@ pub struct Dycore {
     steps_since_remap: usize,
     degrade_pending: usize,
     char_dx: f64,
+    /// Largest eigenvalue of the grid's assembled Laplacian, measured once
+    /// at construction ([`laplacian_lambda_max`]).
+    lambda_max: f64,
 }
 
 /// Default worker count: `SWCAM_THREADS` if set, else available
@@ -162,14 +165,9 @@ impl Dycore {
         let sched = ElemScheduler::new(default_threads());
         let ws = StepWorkspace::new(dims, grid.nelem(), cfg.hypervis.sponge_layers, sched.nthreads());
         // Characteristic grid spacing for the advective CFL estimate: the
-        // smallest GLL gap on a representative element (same geometry as
-        // [`HypervisConfig::stable_subcycles`], identical on every rank),
-        // floored at [`MIN_GLL_GAP_METERS`] so a degenerate metric cannot
-        // zero the CFL denominator.
-        let el = &grid.elements[0];
-        let ref_gap = 1.0 - 1.0 / 5.0_f64.sqrt();
-        let char_dx =
-            (ref_gap * 0.5 * el.dab * el.metric[0].metdet.sqrt()).max(MIN_GLL_GAP_METERS);
+        // smallest GLL gap on a representative element.
+        let char_dx = min_gll_gap(&grid.elements[0]);
+        let lambda_max = laplacian_lambda_max(&grid);
         Dycore {
             grid,
             ops,
@@ -191,6 +189,7 @@ impl Dycore {
             steps_since_remap: 0,
             degrade_pending: 0,
             char_dx,
+            lambda_max,
         }
     }
 
@@ -243,11 +242,16 @@ impl Dycore {
         state.dp3d.copy_from_slice(&ws.stage.dp3d);
     }
 
-    /// Stability-limited hyperviscosity subcycle count
-    /// ([`HypervisConfig::stable_subcycles`] on a representative element).
+    /// Hyperviscosity subcycles a step of the current `cfg.dt` runs:
+    /// [`HypervisConfig::subcycles_for`] the grid's measured `lambda_max`.
     pub fn hypervis_subcycles(&self) -> usize {
-        let el = &self.grid.elements[0];
-        self.cfg.hypervis.stable_subcycles(el.dab, el.metric[0].metdet, self.cfg.dt)
+        self.cfg.hypervis.subcycles_for(self.lambda_max, self.cfg.dt)
+    }
+
+    /// The measured `lambda_max`, the damping number and the count they
+    /// give — what a run prints once so the count explains itself.
+    pub fn hypervis_stability(&self) -> HypervisStability {
+        self.cfg.hypervis.stability(self.lambda_max, self.cfg.dt)
     }
 
     /// Apply subcycled biharmonic hyperviscosity to u, v, T, dp3d.
@@ -262,7 +266,11 @@ impl Dycore {
     }
 
     /// [`Dycore::apply_hypervis`] with an explicit subcycle count (the
-    /// degradation policy adds extra subcycles on top of the stable count).
+    /// degradation policy adds extra subcycles on top of the derived count).
+    /// A count that leaves the grid's stiffest mode past the forward-Euler
+    /// limit is rejected as `HypervisError::UnstableSubcycles` (inside
+    /// [`HealthError::Hypervis`]) with the state untouched, like a corrupt
+    /// element.
     ///
     /// Both kernel paths vet the grid and hoist the subcycle/sponge
     /// coefficient products through [`ElemHypervisPlan`] once per step, so
@@ -284,11 +292,12 @@ impl Dycore {
         if hv.nu == 0.0 && hv.nu_p == 0.0 {
             return Ok(());
         }
+        let lambda_max = self.lambda_max;
         let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
         let kernels = *kernels;
         let nlev = dims.nlev;
         let fl = dims.field_len();
-        ws.hv_plan.build(&hv, cfg.dt, subcycles, nlev, ops)?;
+        ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops)?;
         if let KernelPath::Blocked = kernels {
             let StepWorkspace { hv_plan: plan, hyp, next, sponge_u, sponge_v, sponge_t, .. } = ws;
             let nelem = ops.len();
@@ -501,10 +510,11 @@ impl Dycore {
         }
         let use_lanes =
             matches!(self.member_kernels, MemberKernelPath::Lanes) && members.len() >= 4;
+        let lambda_max = self.lambda_max;
         let Dycore { ops, dims, cfg, sched, ws, bops, gather, .. } = self;
         let nlev = dims.nlev;
         let fl = dims.field_len();
-        ws.hv_plan.build(&hv, cfg.dt, subcycles, nlev, ops)?;
+        ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops)?;
         let nelem = ops.len();
         // Disjointness: `members` is strictly increasing (asserted above),
         // so the raw-pointer reborrows below hand out non-aliasing `&mut`s.
@@ -914,6 +924,7 @@ impl Dycore {
         let hv = self.cfg.hypervis;
         let hyp_on = !(hv.nu == 0.0 && hv.nu_p == 0.0);
         let checked = health.is_some();
+        let lambda_max = self.lambda_max;
         let Dycore { ops, rhs, dims, cfg, sched, ws, kernels, bops, gather, neighbors, .. } = self;
         let kernels = *kernels;
         let dims = *dims;
@@ -948,7 +959,7 @@ impl Dycore {
         // The pipeline reads the same hoisted plan as the bulk drivers; a
         // corrupt element aborts before any stage runs.
         if hyp_on {
-            hv_plan.build(&hv, dt, subcycles, nlev, ops)?;
+            hv_plan.build(&hv, dt, subcycles, lambda_max, nlev, ops)?;
         }
         let hv_plan: &ElemHypervisPlan = hv_plan;
         let rawcap = *rawcap;

@@ -1,16 +1,19 @@
 //! Driver-level contracts of the per-element hyperviscosity plan
 //! (DESIGN.md §5.7): the fused Blocked path is a bitwise re-expression of
 //! the scalar oracle across level counts and sponge depths, the subcycled
-//! del^4 damping conserves dp3d mass, the stability-derived subcycle
-//! counts are pinned and rank-invariant, and a corrupt element is
-//! rejected by the plan build as a typed error before any state is
-//! touched.
+//! del^4 damping conserves dp3d mass, the subcycle count is derived from
+//! the assembled Laplacian's measured `lambda_max` (tight against the true
+//! stability edge from both sides, bracketed by the element-local ceiling,
+//! bit-identical on every rank), and a corrupt element or an unstable
+//! explicit count is rejected by the plan build as a typed error before
+//! any state is touched.
 
-use cubesphere::consts::P0;
+use cubesphere::consts::{EARTH_RADIUS, OMEGA, P0, RD};
 use cubesphere::{CubedSphere, Partition, NPTS};
+use homme::hypervis::{biharmonic_flat, laplace_flat};
 use homme::{
-    Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode, HealthConfig, HealthError,
-    HypervisConfig, HypervisError, KernelPath, State,
+    build_ops, laplacian_lambda_max, Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode,
+    HealthConfig, HealthError, HypervisConfig, HypervisError, KernelPath, State,
 };
 use swmpi::run_ranks;
 
@@ -173,37 +176,198 @@ fn shallow_level_sponge_clamps_serial_and_distributed() {
     }
 }
 
-/// Stability-derived subcycle counts, pinned at the paper's resolutions.
-/// Both drivers evaluate `HypervisConfig::stable_subcycles` on global
-/// element 0, so the counts are resolution functions only — the pins
-/// catch any drift in the CFL formula or the `MIN_GLL_GAP_METERS` floor.
+/// The subcycle count, derived. One forward-Euler subcycle multiplies the
+/// mode with Laplacian eigenvalue `lambda` by `1 - nu lambda^2 dt / n`;
+/// it grows past `nu lambda^2 dt / n = 2` and decays monotonically below 1.
+/// `laplacian_lambda_max` measures the stiffest `lambda` of the assembled
+/// operator (3.995e-11 / 1.575e-10 / 6.258e-10 / 2.194e-9 m^-2 at ne 4 /
+/// 8 / 16 / 30, i.e. `lambda_max (R dab/2)^2 ~ 61.7` at every resolution),
+/// and `DycoreConfig::for_ne` couples `nu ~ ne^-3.2`, `dt ~ ne^-1` against
+/// `lambda_max^2 ~ ne^4`, so `nu lambda_max^2 dt` = 2.27 / 1.92 / 1.65 /
+/// 1.44 shrinks slowly with refinement. `subcycles_for` targets 1 per
+/// subcycle: the operator alone asks for ceil of those — 3 / 2 / 2 / 2 —
+/// and HOMME's production floor of 3 decides every default configuration.
 #[test]
-fn stable_subcycle_counts_pinned_across_resolutions() {
-    // `for_ne` couples nu ~ ne^-3.2 and dt ~ ne^-1 against a GLL gap
-    // ~ ne^-1, so the count shrinks slowly with refinement.
-    for &(ne, want) in &[(4usize, 41usize), (8, 36), (30, 28), (120, 21)] {
+fn subcycle_counts_derived_from_the_measured_operator() {
+    for &(ne, unfloored) in &[(4usize, 3usize), (8, 2), (16, 2), (30, 2)] {
         let cfg = DycoreConfig::for_ne(ne);
-        let grid = CubedSphere::new(ne);
-        let el = &grid.elements[0];
-        let got = cfg.hypervis.stable_subcycles(el.dab, el.metric[0].metdet, cfg.dt);
-        assert_eq!(got, want, "ne{ne} subcycle count drifted");
+        let lambda_max = laplacian_lambda_max(&CubedSphere::new(ne));
+        let bare = HypervisConfig { subcycles: 1, ..cfg.hypervis };
+        assert_eq!(bare.subcycles_for(lambda_max, cfg.dt), unfloored, "ne{ne} un-floored");
+        assert_eq!(cfg.hypervis.subcycles_for(lambda_max, cfg.dt), 3, "ne{ne} production floor");
     }
 }
 
-/// Serial and distributed drivers agree on the subcycle count on every
-/// rank of every partition — the count is part of the exchange schedule,
-/// so a disagreement would deadlock the fused hyperviscosity exchanges.
+/// The measured `lambda_max` is bracketed. Power iteration converges from
+/// below, so it needs an independent ceiling: an assembled operator's
+/// largest generalized eigenvalue cannot exceed the largest element one
+/// (Irons-Treharne), and `laplace_sphere_wk` on one element alone *is*
+/// `M_e^-1 K_e`. The global value must sit under that ceiling and within
+/// 2% of it, and `lambda_max (R dab/2)^2` must be the same number at every
+/// resolution.
+#[test]
+fn lambda_max_sits_just_under_the_element_local_ceiling() {
+    for ne in [4usize, 8, 16] {
+        let grid = CubedSphere::new(ne);
+        let global = laplacian_lambda_max(&grid);
+        let mut ceiling: f64 = 0.0;
+        for op in &build_ops(&grid) {
+            let norm = |y: &[f64; NPTS]| -> f64 {
+                y.iter().zip(&op.spheremp).map(|(v, w)| w * v * v).sum::<f64>().sqrt()
+            };
+            let mut y: [f64; NPTS] = core::array::from_fn(|p| ((p * 37 % 11) as f64) - 5.0);
+            let mut lambda = 0.0;
+            for _ in 0..400 {
+                let size = norm(&y);
+                let mut out = [0.0; NPTS];
+                op.laplace_sphere_wk(&y, &mut out);
+                y = out.map(|v| v / size);
+                lambda = norm(&y);
+            }
+            ceiling = ceiling.max(lambda);
+        }
+        assert!(
+            global <= ceiling && ceiling <= 1.02 * global,
+            "ne{ne}: global {global:e} vs element-local ceiling {ceiling:e}"
+        );
+        let half_width = EARTH_RADIUS * grid.elements[0].dab / 2.0;
+        let scaled = global * half_width * half_width;
+        assert!((scaled / 61.7 - 1.0).abs() < 0.03, "ne{ne}: lambda_max (R dab/2)^2 = {scaled}");
+    }
+}
+
+/// The bound is tight, not merely safe. Seed the `lambda_max` eigenvector
+/// as T and scale nu so `nu lambda_max^2 dt / n` sits 5% either side of the
+/// forward-Euler limit 2: just inside, 20 applications shrink the mode;
+/// just outside, `apply_hypervis_n` rejects the count with the state
+/// bitwise untouched *and* 20 raw forward-Euler applications of the weak
+/// biharmonic at the same coefficient grow it. So the measured value is
+/// within 5% of the true stability edge from both sides.
+#[test]
+fn measured_lambda_max_is_within_5_percent_of_the_stability_edge() {
+    let dims = Dims { nlev: 1, qsize: 0 };
+    let dt = 300.0;
+    for ne in [4usize, 8] {
+        let cfg = DycoreConfig {
+            dt,
+            hypervis: HypervisConfig { subcycles: 1, ..HypervisConfig::off() },
+            limiter: false,
+            rsplit: 1,
+        };
+        let mut dy = Dycore::new(ne, dims, 2000.0, cfg);
+        let lambda_max = dy.hypervis_stability().lambda_max;
+        // Converged top eigenvector of DSS . laplace_sphere_wk.
+        let mut mode: Vec<f64> =
+            (0..dy.grid.nelem() * NPTS).map(|i| ((i * 7919 % 1013) as f64) / 1013.0 - 0.5).collect();
+        let amplitude = |x: &[f64]| x.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        for _ in 0..300 {
+            laplace_flat(&dy.ops, &mut dy.dss, &dy.sched, 1, &mut mode);
+            let a = amplitude(&mode);
+            mode.iter_mut().for_each(|v| *v /= a);
+        }
+        let mut seeded = dy.zero_state();
+        seeded.t.copy_from_slice(&mode);
+        seeded.dp3d.fill(1.0);
+
+        for n in [1usize, 3] {
+            let nu_at = |edge: f64| 2.0 * edge * n as f64 / (lambda_max * lambda_max * dt);
+
+            let nu = nu_at(0.95);
+            dy.cfg.hypervis.nu = nu;
+            dy.cfg.hypervis.nu_p = nu;
+            let mut st = seeded.clone();
+            for _ in 0..20 {
+                dy.apply_hypervis_n(&mut st, n).expect("inside the limit");
+            }
+            assert!(amplitude(&st.t) < 0.5, "ne{ne} n={n}: 0.95 of the limit did not decay");
+
+            let nu = nu_at(1.05);
+            dy.cfg.hypervis.nu = nu;
+            dy.cfg.hypervis.nu_p = nu;
+            let mut st = seeded.clone();
+            let err = dy.apply_hypervis_n(&mut st, n).unwrap_err();
+            let needed = (2.1 * n as f64).ceil() as usize;
+            assert!(
+                matches!(
+                    err,
+                    HealthError::Hypervis(HypervisError::UnstableSubcycles { requested, needed: k })
+                        if requested == n && k == needed
+                ),
+                "ne{ne} n={n}: got {err:?}"
+            );
+            assert_fields_bitwise(&seeded, &st, "state after rejected subcycle count");
+            let mut t = mode.clone();
+            let mut lap2 = vec![0.0; t.len()];
+            for _ in 0..20 {
+                lap2.copy_from_slice(&t);
+                biharmonic_flat(&dy.ops, &mut dy.dss, &dy.sched, 1, &mut lap2);
+                for (x, l) in t.iter_mut().zip(&lap2) {
+                    *x -= nu * dt / n as f64 * l;
+                }
+            }
+            assert!(amplitude(&t) > 2.0, "ne{ne} n={n}: 1.05 of the limit did not grow");
+        }
+    }
+}
+
+/// Three subcycles forecast what thirty-six did: the old heuristic count
+/// and the derived one are two time-discretisations of the same damping
+/// (nu untouched), so 40 steps of a perturbed balanced jet at ne4 keep the
+/// same maximum wind to 0.1 m/s and the same dry mass to round-off.
+#[test]
+fn three_subcycles_track_thirty_six() {
+    let dims = Dims { nlev: 4, qsize: 0 };
+    let run = |subcycles: usize| {
+        let mut dy = Dycore::new(4, dims, 2000.0, DycoreConfig::for_ne(4));
+        let vert = dy.rhs.vert.clone();
+        let elems = dy.grid.elements.clone();
+        let mut st = dy.zero_state();
+        let (t0, u0) = (300.0, 30.0);
+        let c = (EARTH_RADIUS * OMEGA * u0 + 0.5 * u0 * u0) / (RD * t0);
+        for (es, el) in st.elems_mut().zip(&elems) {
+            for p in 0..NPTS {
+                let (lat, lon) = (el.metric[p].lat, el.metric[p].lon);
+                let ps = P0 * (-c * lat.sin() * lat.sin()).exp();
+                for k in 0..dims.nlev {
+                    let i = k * NPTS + p;
+                    es.u[i] = u0 * lat.cos();
+                    es.t[i] = t0 + 2.0 * lat.cos().powi(2) * (2.0 * lon).sin();
+                    es.dp3d[i] = vert.dp_ref(k, ps);
+                }
+            }
+        }
+        let mass0 = dy.total_mass(&st);
+        for _ in 0..40 {
+            dy.dynamics_step(&mut st);
+            dy.apply_hypervis_n(&mut st, subcycles).expect("plan accepted");
+            dy.vertical_remap(&mut st).expect("remap");
+        }
+        (dy.max_wind(&st), (dy.total_mass(&st) - mass0) / mass0)
+    };
+    let (wind3, drift3) = run(3);
+    let (wind36, drift36) = run(36);
+    assert!((wind3 - wind36).abs() < 0.1, "max wind {wind3} at 3 subcycles vs {wind36} at 36");
+    assert!(wind3 > 25.0 && wind3 < 40.0, "jet lost: {wind3} m/s");
+    assert!(drift3.abs() < 1e-12 && drift36.abs() < 1e-12, "dry mass drift {drift3:e} / {drift36:e}");
+}
+
+/// Serial and distributed drivers agree on the measured `lambda_max` to
+/// the bit, and so on the subcycle count, on every rank of every partition
+/// — the count is part of the exchange schedule, so a disagreement would
+/// deadlock the fused hyperviscosity exchanges, and no message is spent
+/// agreeing on it.
 #[test]
 fn subcycle_count_agrees_between_serial_and_distributed() {
     for &ne in &[4usize, 8] {
         let dims = Dims { nlev: 3, qsize: 0 };
         let cfg = DycoreConfig::for_ne(ne);
         let serial = Dycore::new(ne, dims, 2000.0, cfg);
-        let want = serial.hypervis_subcycles();
+        let want = serial.hypervis_stability();
+        assert_eq!(want.subcycles, serial.hypervis_subcycles());
         let grid = CubedSphere::new(ne);
         for nranks in [2usize, 5] {
             let part = Partition::new(&grid, nranks);
-            let counts = run_ranks(nranks, |ctx| {
+            let got = run_ranks(nranks, |ctx| {
                 let dist = DistDycore::new(
                     &grid,
                     &part,
@@ -213,9 +377,15 @@ fn subcycle_count_agrees_between_serial_and_distributed() {
                     cfg,
                     ExchangeMode::Redesigned,
                 );
-                dist.hypervis_subcycles()
+                assert_eq!(dist.hypervis_stability().subcycles, dist.hypervis_subcycles());
+                dist.hypervis_stability()
             });
-            for (rank, got) in counts.into_iter().enumerate() {
+            for (rank, got) in got.into_iter().enumerate() {
+                assert_eq!(
+                    got.lambda_max.to_bits(),
+                    want.lambda_max.to_bits(),
+                    "ne{ne} rank {rank}/{nranks}: lambda_max differs from serial"
+                );
                 assert_eq!(got, want, "ne{ne} rank {rank}/{nranks} disagrees with serial");
             }
         }

@@ -42,9 +42,9 @@ fn initial_state(dy: &Dycore, amp: f64, modulus: usize) -> State {
 }
 
 /// Hyperviscosity strong enough to exercise the sponge and the subcycle
-/// loop but weak enough that the stability heuristic keeps the configured
-/// subcycle count (the `for_ne` coefficients need ~40 subcycles at these
-/// resolutions, which is too slow for a debug-mode equivalence run).
+/// loop but weak enough that the derived count stays at the configured
+/// two-subcycle floor (`nu lambda_max^2 dt` is ~1e-3 here), which keeps a
+/// debug-mode equivalence run against the seed reference quick.
 fn test_hypervis() -> HypervisConfig {
     HypervisConfig { nu: 1.0e15, nu_p: 1.0e15, subcycles: 2, nu_top: 2.5e5, sponge_layers: 3 }
 }

@@ -27,6 +27,7 @@ fn main() {
     );
 
     println!("stepping 6 simulated hours (dt = {} s)...", model.dycore.cfg.dt);
+    println!("  {}", model.dycore.hypervis_stability());
     let steps = (6.0 * 3600.0 / model.dycore.cfg.dt) as usize;
     for s in 0..steps {
         model.step();

@@ -87,11 +87,16 @@ cargo test -q -p swcam-bench --test process_backend
 # Hypervis group: the per-element hyperviscosity plan (DESIGN.md §5.7) —
 # plan build/validation units, the fused-sweep bitwise parity across
 # level/sponge shapes, mass conservation, shallow-column sponge clamps
-# (serial + distributed), pinned rank-invariant subcycle counts, and the
-# typed-rejection rollback routing.
+# (serial + distributed), the typed-rejection rollback routing, and the
+# subcycle count derived from the measured lambda_max: the count rule and
+# the unstable-count rejection (units), lambda_max bracketed by the
+# element-local ceiling, tight against the stability edge from both
+# sides, its bits equal on every rank and in the ensemble's dycore, and
+# the 3-vs-36-subcycle agreement run.
 echo "== hypervis test group"
 cargo test -q -p homme --lib hypervis
 cargo test -q -p homme --test hypervis_parity
+cargo test -q -p swcam-core --test ensemble_parity ensemble_dycore_measures_the_standalone_lambda_max
 
 # Ensemble group: the member-batched batch driver (DESIGN.md §5.9) — the
 # scenario registry units, the checked physics coupling, the driver's own
