@@ -1,94 +1,76 @@
-//! Physics–dynamics coupling: extract columns from the spectral-element
-//! state, run the column physics, write the updated fields back.
+//! Physics–dynamics coupling: one element-parallel sweep that loads each
+//! GLL column of the spectral-element state into a worker-owned [`Column`],
+//! runs the column physics, and stores the updated fields back.
 //!
 //! Tracer convention: tracer 0 = water vapour `qv`, 1 = cloud water `qc`,
 //! 2 = rain water `qr` (all stored as mass `q * dp3d`).
 
-use homme::{Dycore, HealthError, PhysicsFault, State};
-use swphysics::{Column, PhysicsDiag, PhysicsError, PhysicsSuite};
 use cubesphere::NPTS;
+use homme::sched::ArenaMut;
+use homme::{Dims, Dycore, ElemMut, ElemRef, HealthError, PhysicsFault, State};
+use std::sync::Mutex;
+use swphysics::{Column, PhysicsDiag, PhysicsError, PhysicsSuite};
 
-/// Extract the column at `(element, point)` from the state.
-pub fn extract_column(dy: &Dycore, state: &State, e: usize, p: usize, sst: f64) -> Column {
-    let nlev = dy.dims.nlev;
-    let qsize = dy.dims.qsize;
-    let es = state.elem(e);
-    let ptop = dy.rhs.vert.ptop();
-    let mut p_int = vec![0.0; nlev + 1];
-    let mut p_mid = vec![0.0; nlev];
-    let mut dp = vec![0.0; nlev];
-    p_int[0] = ptop;
+/// Load GLL column `p` of element `es` into `col` with `clear` + `push`, so
+/// a column built by [`Column::with_capacity`] for `dims.nlev` layers never
+/// allocates. Moisture tracers beyond `dims.qsize` load as zero.
+fn load_column(
+    col: &mut Column,
+    es: ElemRef<'_>,
+    dims: Dims,
+    ptop: f64,
+    p: usize,
+    lat: f64,
+    sst: f64,
+) {
+    let Dims { nlev, qsize } = dims;
+    let Column { p_mid, p_int, dp, t, u, v, qv, qc, qr, .. } = col;
+    for f in [&mut *p_mid, &mut *p_int, &mut *dp, &mut *t, &mut *u, &mut *v] {
+        f.clear();
+    }
+    let mut pi = ptop;
+    p_int.push(pi);
     for k in 0..nlev {
-        dp[k] = es.dp3d[k * NPTS + p];
-        p_int[k + 1] = p_int[k] + dp[k];
-        p_mid[k] = p_int[k] + 0.5 * dp[k];
+        let i = k * NPTS + p;
+        let d = es.dp3d[i];
+        dp.push(d);
+        p_mid.push(pi + 0.5 * d);
+        pi += d;
+        p_int.push(pi);
+        t.push(es.t[i]);
+        u.push(es.u[i]);
+        v.push(es.v[i]);
     }
-    let get = |f: &[f64]| (0..nlev).map(|k| f[k * NPTS + p]).collect::<Vec<f64>>();
-    let getq = |q: usize| -> Vec<f64> {
-        if q < qsize {
-            (0..nlev).map(|k| es.qdp[(q * nlev + k) * NPTS + p] / dp[k]).collect()
-        } else {
-            vec![0.0; nlev]
-        }
-    };
-    let (qv, qc, qr) = (getq(0), getq(1), getq(2));
-    Column {
-        p_mid,
-        p_int,
-        dp,
-        t: get(es.t),
-        u: get(es.u),
-        v: get(es.v),
-        qv,
-        qc,
-        qr,
-        lat: dy.grid.elements[e].metric[p].lat,
-        ts: sst,
+    for (q, field) in [qv, qc, qr].into_iter().enumerate() {
+        field.clear();
+        field.extend((0..nlev).map(|k| {
+            if q < qsize {
+                es.qdp[(q * nlev + k) * NPTS + p] / es.dp3d[k * NPTS + p]
+            } else {
+                0.0
+            }
+        }));
     }
+    col.lat = lat;
+    col.ts = sst;
 }
 
-/// Write a physics-updated column back into the state.
-pub fn insert_column(dy: &Dycore, state: &mut State, e: usize, p: usize, col: &Column) {
-    let nlev = dy.dims.nlev;
-    let qsize = dy.dims.qsize;
-    let es = state.elem_mut(e);
+/// Store a physics-updated column back into GLL column `p` of element `es`
+/// (`t`, `u`, `v`, and the moisture tracers the state carries, as mass).
+fn store_column(col: &Column, es: &mut ElemMut<'_>, dims: Dims, p: usize) {
+    let Dims { nlev, qsize } = dims;
     for k in 0..nlev {
-        es.t[k * NPTS + p] = col.t[k];
-        es.u[k * NPTS + p] = col.u[k];
-        es.v[k * NPTS + p] = col.v[k];
-        let dp = es.dp3d[k * NPTS + p];
+        let i = k * NPTS + p;
+        es.t[i] = col.t[k];
+        es.u[i] = col.u[k];
+        es.v[i] = col.v[k];
+        let dp = es.dp3d[i];
         for (q, field) in [&col.qv, &col.qc, &col.qr].into_iter().enumerate() {
             if q < qsize {
                 es.qdp[(q * nlev + k) * NPTS + p] = field[k] * dp;
             }
         }
     }
-}
-
-/// Run the physics suite over every column; returns per-(element, point)
-/// diagnostics. [`PhysicsSuite::None`] short-circuits: no columns are
-/// extracted, so the state is untouched bitwise (the extract/insert
-/// round-trip would otherwise re-quantize `qdp` through `(q/dp)*dp`).
-pub fn apply_physics(
-    dy: &Dycore,
-    state: &mut State,
-    suite: &PhysicsSuite,
-    dt: f64,
-    sst: f64,
-) -> Vec<PhysicsDiag> {
-    let nelem = state.nelem();
-    if matches!(suite, PhysicsSuite::None) {
-        return vec![PhysicsDiag::default(); nelem * NPTS];
-    }
-    let mut diags = Vec::with_capacity(nelem * NPTS);
-    for e in 0..nelem {
-        for p in 0..NPTS {
-            let mut col = extract_column(dy, state, e, p, sst);
-            diags.push(suite.step(&mut col, dt));
-            insert_column(dy, state, e, p, &col);
-        }
-    }
-    diags
 }
 
 /// Translate a physics column rejection into the dycore's rollback-capable
@@ -102,21 +84,30 @@ pub fn physics_health_error(e: usize, p: usize, err: &PhysicsError) -> HealthErr
     HealthError::Physics { elem: e, point: p, fault }
 }
 
-/// Checked [`apply_physics`]: every column is vetted before and after its
-/// physics step ([`PhysicsSuite::step_checked`]), and a rejected column is
-/// **not** inserted — the bad values never reach the state, so neighboring
-/// columns stay uncorrupted. Diagnostics are written into the caller's
-/// `diags` slice (`nelem * NPTS` long) instead of a fresh `Vec`, so the
-/// suite-`None` fast path performs no heap allocation (the ensemble step
-/// gate rides on this).
+/// Run the physics suite over every column, vetting each before and after
+/// its step ([`PhysicsSuite::step_checked`]). Diagnostics are written into
+/// the caller's `diags` slice (`nelem * NPTS` long, indexed `e * NPTS + p`).
 ///
-/// On `Err` the columns processed *before* the rejected one have already
-/// been updated; the caller must treat the state as partially stepped and
-/// roll back (exactly what the ensemble driver and the resilient runner
-/// do — the same contract as [`Dycore::vertical_remap`]).
+/// Elements run in parallel on the dycore's scheduler, one job per element:
+/// the job loads each of the element's 16 columns into a [`Column`] owned by
+/// its worker ([`homme::ElemScheduler::run_with_scratch`]), steps it, and
+/// stores it back. Every column sees exactly the arithmetic of a serial
+/// column loop, so the state is bitwise independent of the worker count, and
+/// after the pool's first call nothing here allocates.
+/// [`PhysicsSuite::None`] short-circuits: no column is loaded, so the state
+/// is untouched bitwise (a load/store round trip would re-quantize `qdp`
+/// through `(q/dp)*dp`).
+///
+/// A rejected column is **never** stored: its bad values do not reach the
+/// state. An element stops at its first rejected column; the other elements
+/// finish. On `Err` the state therefore holds a partially stepped mix and
+/// the caller must roll back (exactly what the ensemble driver and the
+/// resilient runner do — the same contract as [`Dycore::vertical_remap`]).
 ///
 /// # Errors
-/// The first rejected column as [`HealthError::Physics`].
+/// The rejected column with the lowest `e * NPTS + p`, as
+/// [`HealthError::Physics`] — the column a serial loop would have stopped
+/// at, whatever the worker count.
 ///
 /// # Panics
 /// Panics if `diags` is shorter than `nelem * NPTS`.
@@ -134,24 +125,57 @@ pub fn apply_physics_checked(
         diags[..nelem * NPTS].fill(PhysicsDiag::default());
         return Ok(());
     }
-    for e in 0..nelem {
+    let dims = dy.dims;
+    let (fl, tl) = (dims.field_len(), dims.tracer_len());
+    let ptop = dy.rhs.vert.ptop();
+    let elements = &dy.grid.elements;
+    // Lowest rejected `e * NPTS + p` so far, with its error.
+    let first: Mutex<Option<(usize, HealthError)>> = Mutex::new(None);
+    let [u, v, t, dp3d, qdp, phis] =
+        [&mut state.u, &mut state.v, &mut state.t, &mut state.dp3d, &mut state.qdp, &mut state.phis]
+            .map(|f| ArenaMut::new(f));
+    let out = ArenaMut::new(diags);
+    dy.sched.run_with_scratch(nelem, || Column::with_capacity(dims.nlev), &|col, e| {
+        // SAFETY: job `e` slices only element `e`'s windows, and the
+        // scheduler runs every `e` exactly once.
+        let (mut es, diag) = unsafe {
+            let es = ElemMut {
+                u: u.slice(e * fl, fl),
+                v: v.slice(e * fl, fl),
+                t: t.slice(e * fl, fl),
+                dp3d: dp3d.slice(e * fl, fl),
+                qdp: qdp.slice(e * tl, tl),
+                phis: phis.slice(e * NPTS, NPTS),
+            };
+            (es, out.slice(e * NPTS, NPTS))
+        };
         for p in 0..NPTS {
-            let mut col = extract_column(dy, state, e, p, sst);
-            match suite.step_checked(&mut col, dt) {
-                Ok(d) => diags[e * NPTS + p] = d,
-                Err(err) => return Err(physics_health_error(e, p, &err)),
+            load_column(col, es.as_ref(), dims, ptop, p, elements[e].metric[p].lat, sst);
+            match suite.step_checked(col, dt) {
+                Ok(d) => diag[p] = d,
+                Err(err) => {
+                    let at = e * NPTS + p;
+                    let mut first = first.lock().unwrap_or_else(|poison| poison.into_inner());
+                    if first.as_ref().is_none_or(|&(lowest, _)| at < lowest) {
+                        *first = Some((at, physics_health_error(e, p, &err)));
+                    }
+                    return;
+                }
             }
-            insert_column(dy, state, e, p, &col);
+            store_column(col, &mut es, dims, p);
         }
+    });
+    match first.into_inner().unwrap_or_else(|poison| poison.into_inner()) {
+        Some((_, err)) => Err(err),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use homme::{Dims, DycoreConfig, HypervisConfig};
     use cubesphere::consts::P0;
+    use homme::{DycoreConfig, HypervisConfig};
 
     fn test_dycore() -> (Dycore, State) {
         let dims = Dims { nlev: 8, qsize: 3 };
@@ -177,14 +201,20 @@ mod tests {
         (dy, st)
     }
 
+    fn load(dy: &Dycore, st: &State, e: usize, p: usize, col: &mut Column) {
+        let (ptop, lat) = (dy.rhs.vert.ptop(), dy.grid.elements[e].metric[p].lat);
+        load_column(col, st.elem(e), dy.dims, ptop, p, lat, 300.0);
+    }
+
     #[test]
     fn column_roundtrip_is_identity() {
         let (dy, mut st) = test_dycore();
         let before = st.clone();
+        let mut col = Column::with_capacity(dy.dims.nlev);
         for e in 0..st.nelem() {
             for p in 0..NPTS {
-                let col = extract_column(&dy, &st, e, p, 300.0);
-                insert_column(&dy, &mut st, e, p, &col);
+                load(&dy, &st, e, p, &mut col);
+                store_column(&col, &mut st.elem_mut(e), dy.dims, p);
             }
         }
         assert!(st.max_abs_diff(&before) < 1e-14);
@@ -193,7 +223,8 @@ mod tests {
     #[test]
     fn extracted_column_geometry_is_consistent() {
         let (dy, st) = test_dycore();
-        let col = extract_column(&dy, &st, 3, 5, 300.0);
+        let mut col = Column::with_capacity(dy.dims.nlev);
+        load(&dy, &st, 3, 5, &mut col);
         assert_eq!(col.nlev(), 8);
         assert!((col.ps() - P0).abs() < 1e-6);
         assert!((col.p_int[0] - 2000.0).abs() < 1e-9);
@@ -206,33 +237,49 @@ mod tests {
     fn physics_none_is_identity() {
         let (dy, mut st) = test_dycore();
         let before = st.clone();
-        apply_physics(&dy, &mut st, &PhysicsSuite::None, 600.0, 300.0);
+        let mut diags = vec![PhysicsDiag { precip: 1.0, ..Default::default() }; st.nelem() * NPTS];
+        apply_physics_checked(&dy, &mut st, &PhysicsSuite::None, 600.0, 300.0, &mut diags)
+            .expect("None suite never rejects");
         assert!(st.max_abs_diff(&before) < 1e-14);
+        assert!(diags.iter().all(|d| *d == PhysicsDiag::default()));
     }
 
     #[test]
     fn physics_none_is_bitwise_identity_and_checked_agrees() {
         let (dy, mut st) = test_dycore();
         let before = st.clone();
-        apply_physics(&dy, &mut st, &PhysicsSuite::None, 600.0, 300.0);
-        assert_eq!(st.max_abs_diff(&before), 0.0, "None suite must not touch bits");
         let mut diags = vec![PhysicsDiag::default(); st.nelem() * NPTS];
         apply_physics_checked(&dy, &mut st, &PhysicsSuite::None, 600.0, 300.0, &mut diags)
             .expect("None suite never rejects");
-        assert_eq!(st.max_abs_diff(&before), 0.0);
+        assert_eq!(st.max_abs_diff(&before), 0.0, "None suite must not touch bits");
     }
 
+    /// The sweep is bitwise the serial column loop with the unchecked
+    /// suite: load, `step`, store, element-major.
     #[test]
     fn checked_physics_matches_unchecked_on_healthy_state() {
-        let (dy, mut a) = test_dycore();
-        let mut b = a.clone();
+        let (mut dy, mut a) = test_dycore();
+        let b = a.clone();
         let suite = PhysicsSuite::Simple(swphysics::SimplePhysics::default());
-        let da = apply_physics(&dy, &mut a, &suite, 1800.0, 302.15);
-        let mut db = vec![PhysicsDiag::default(); b.nelem() * NPTS];
-        apply_physics_checked(&dy, &mut b, &suite, 1800.0, 302.15, &mut db)
-            .expect("healthy state must pass");
-        assert_eq!(a.max_abs_diff(&b), 0.0, "checked path must be bitwise identical");
-        assert_eq!(da, db);
+        let mut col = Column::with_capacity(dy.dims.nlev);
+        let mut da = Vec::new();
+        for e in 0..a.nelem() {
+            for p in 0..NPTS {
+                let (ptop, lat) = (dy.rhs.vert.ptop(), dy.grid.elements[e].metric[p].lat);
+                load_column(&mut col, a.elem(e), dy.dims, ptop, p, lat, 302.15);
+                da.push(suite.step(&mut col, 1800.0));
+                store_column(&col, &mut a.elem_mut(e), dy.dims, p);
+            }
+        }
+        for threads in [1, 3] {
+            dy.set_threads(threads);
+            let mut sb = b.clone();
+            let mut db = vec![PhysicsDiag::default(); b.nelem() * NPTS];
+            apply_physics_checked(&dy, &mut sb, &suite, 1800.0, 302.15, &mut db)
+                .expect("healthy state must pass");
+            assert_eq!(a.max_abs_diff(&sb), 0.0, "checked path must be bitwise identical");
+            assert_eq!(da, db);
+        }
     }
 
     #[test]
@@ -277,7 +324,9 @@ mod tests {
         let (dy, mut st) = test_dycore();
         let suite = PhysicsSuite::Simple(swphysics::SimplePhysics::default());
         let qv_before = dy.total_tracer_mass(&st, 0);
-        apply_physics(&dy, &mut st, &suite, 1800.0, 302.15);
+        let mut diags = vec![PhysicsDiag::default(); st.nelem() * NPTS];
+        apply_physics_checked(&dy, &mut st, &suite, 1800.0, 302.15, &mut diags)
+            .expect("healthy state must pass");
         let qv_after = dy.total_tracer_mass(&st, 0);
         assert!(qv_after > qv_before, "evaporation must add vapour mass");
     }

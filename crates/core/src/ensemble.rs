@@ -11,8 +11,10 @@
 //! * the hyperviscosity step plan ([`homme::Dycore::apply_hypervis_members`])
 //!   is built once per step and every coefficient walk is shared across up
 //!   to four members at a time — the kernel's inner loop gains a member
-//!   ("lane") dimension, which is where the batched-throughput win lives,
-//!   since hyperviscosity dominates the step;
+//!   ("lane") dimension, so a lane group pays for one coefficient walk
+//!   instead of four (the RK step batches the same way);
+//! * tracers, remap and the physics column sweep run per member, each an
+//!   element-parallel sweep on the shared dycore's scheduler;
 //! * members are admitted from a request queue into free lanes between
 //!   steps and retired as they reach their step targets, like a batch
 //!   inference server;

@@ -39,9 +39,7 @@ pub use checkpoint::{CheckpointError, CheckpointMeta};
 pub use config::{
     seeded_unit, InitFn, ModelConfig, Planet, ScenarioRegistry, ScenarioSpec, SuiteChoice,
 };
-pub use coupling::{
-    apply_physics, apply_physics_checked, extract_column, insert_column, physics_health_error,
-};
+pub use coupling::{apply_physics_checked, physics_health_error};
 pub use ensemble::{Ensemble, EnsembleConfig, MemberReport, MemberStatus};
 pub use homme::MemberKernelPath;
 pub use history::{surface_temperature_raster, History};

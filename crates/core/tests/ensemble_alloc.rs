@@ -93,4 +93,24 @@ fn ensemble_step_allocates_nothing_after_warmup() {
     assert_eq!(n, 0, "admission step heap-allocated {n} times");
     assert_eq!(ens.pending(), 0);
     assert_eq!(ens.active(), 2);
+
+    // Armed window 3: a moist scenario, so every step runs the physics
+    // column sweep on the engine's pool (simple physics on three water
+    // tracers). Its first step builds the pool's column buffers.
+    let mut spec = ScenarioRegistry::builtin().get("aquaplanet").expect("builtin").clone();
+    spec.config.ne = 2;
+    spec.config.nlev = 8;
+    let mut ens = Ensemble::new(spec, EnsembleConfig { lanes: 2, ..EnsembleConfig::default() });
+    ens.submit(0, 10);
+    ens.submit(1, 10);
+    ens.step().expect("moist warm-up step");
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for _ in 0..3 {
+        ens.step().expect("armed moist step");
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(n, 0, "moist Ensemble::step heap-allocated {n} times");
+    assert_eq!(ens.active(), 2, "no member may have rolled back");
 }

@@ -198,22 +198,24 @@ pub fn limit_nonnegative(spheremp: &[f64; NPTS], qdp: &mut [f64]) {
     }
 }
 
-/// Apply [`limit_nonnegative`] to every (tracer, level) of a flat tracer
-/// arena (`[nelem][qsize][nlev][NPTS]`). Shared by the serial and
-/// distributed drivers so their tracer stages stay bit-identical.
+/// Apply [`limit_nonnegative`] to every (tracer, level) of one element's
+/// tracer window `qe` (`[qsize][nlev][NPTS]`).
+pub fn limit_tracer_element(op: &ElemOps, dims: Dims, qe: &mut [f64]) {
+    let mut spheremp = [0.0; NPTS];
+    spheremp.copy_from_slice(&op.spheremp);
+    for level in qe[..dims.tracer_len()].chunks_exact_mut(NPTS) {
+        limit_nonnegative(&spheremp, level);
+    }
+}
+
+/// [`limit_tracer_element`] over every element of a flat tracer arena
+/// (`[nelem][qsize][nlev][NPTS]`). Shared by the scalar oracle and the
+/// distributed driver, so their tracer stages stay bit-identical with the
+/// blocked step's per-element epilogue.
 pub fn limit_tracer_arena(ops: &[ElemOps], dims: Dims, qdp: &mut [f64]) {
-    let nlev = dims.nlev;
     let tl = dims.tracer_len();
-    for (e, op) in ops.iter().enumerate() {
-        let mut spheremp = [0.0; NPTS];
-        spheremp.copy_from_slice(&op.spheremp);
-        let qe = &mut qdp[e * tl..(e + 1) * tl];
-        for q in 0..dims.qsize {
-            for k in 0..nlev {
-                let r = (q * nlev + k) * NPTS..(q * nlev + k + 1) * NPTS;
-                limit_nonnegative(&spheremp, &mut qe[r]);
-            }
-        }
+    for (op, qe) in ops.iter().zip(qdp.chunks_exact_mut(tl.max(1))) {
+        limit_tracer_element(op, dims, qe);
     }
 }
 

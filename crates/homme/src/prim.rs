@@ -7,12 +7,12 @@
 //! `vertical_remap` back to reference levels.
 //!
 //! The driver runs every per-element loop across the host cores through
-//! the persistent [`ElemScheduler`] — including the DSS of the RK stages
-//! and the hyperviscosity sweeps, which is a per-element canonical-order
-//! gather ([`DssGather`]) rather than a serial scatter, so the dynamics
-//! phases have no serial section and results stay bitwise independent of
-//! thread count. (The tracer stages and the scalar oracle path keep the
-//! serial [`Dss`] walks.) All temporaries live in the [`StepWorkspace`]
+//! the persistent [`ElemScheduler`] — including the DSS of the RK stages,
+//! the hyperviscosity sweeps and the tracer stages, which is a per-element
+//! canonical-order gather ([`DssGather`]) rather than a serial scatter, so
+//! no phase has a serial section and results stay bitwise independent of
+//! thread count. (The scalar oracle path keeps the serial [`Dss`] walks.)
+//! All temporaries live in the [`StepWorkspace`]
 //! owned by the dycore — `step` allocates nothing on the heap (see the
 //! `alloc_regression` test). The allocation-heavy seed implementation is
 //! preserved in [`crate::seedref`] as the equivalence oracle.
@@ -20,7 +20,7 @@
 use crate::deriv::{build_ops, ElemOps};
 use crate::dss::{Dss, DssGather};
 use crate::euler::{
-    euler_stage_flat_blocked, euler_substep_flat, limit_nonnegative, limit_tracer_arena,
+    euler_stage_flat_blocked, euler_substep_flat, limit_tracer_arena, limit_tracer_element,
     tracer_flux_divergence,
 };
 use crate::health::{
@@ -651,53 +651,67 @@ impl Dycore {
     }
 
     /// Advance tracers by one dt with 3-stage SSP-RK2 (`euler_step`).
+    ///
+    /// Both kernel paths read the step-input `q0` straight from
+    /// `state.qdp`: nothing writes it before the last stage's output lands
+    /// there, so no copy of it is taken.
+    ///
+    /// The blocked path runs each stage as two element-parallel sweeps: the
+    /// fused stage kernel writes its raw (pre-DSS) output into `q1`, and one
+    /// DSS gather sweep assembles it into the stage's destination with the
+    /// limiter as the sweep's epilogue on the freshly assembled element
+    /// window. Stage 1 goes `state.qdp → q1 ⇒ q2`, stage 2 `q2 → q1 ⇒ q2`,
+    /// stage 3 `q2 → q1 ⇒ state.qdp`: three tracer arenas touched, none of
+    /// them serially. The scalar path keeps the seed's serial scatter DSS +
+    /// arena-wide limiter as the bitwise oracle.
     pub fn euler_step_tracers(&mut self, state: &mut State) {
         if self.dims.qsize == 0 {
             return;
         }
         let dt = self.cfg.dt;
-        let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, .. } = self;
-        ws.qdp0.copy_from_slice(&state.qdp);
+        let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
+        let dims = *dims;
+        let limiter = cfg.limiter;
+        let StepWorkspace { q1, q2, qtmp, .. } = ws;
 
         match kernels {
             KernelPath::Blocked => {
-                // Fused stages: advect + SSP combine in one pass, with the
-                // mass fluxes hoisted across the tracer loop.
-                // Stage 1: q1 = q0 + dt L(q0)
-                euler_stage_flat_blocked(
-                    bops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.qdp0, &ws.qdp0, dt,
-                    StageCombine::Replace, &mut ws.q1,
-                );
-                finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut ws.q1);
-                // Stage 2: q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
-                euler_stage_flat_blocked(
-                    bops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.q1, &ws.qdp0, dt,
-                    StageCombine::Ssp2, &mut ws.q2,
-                );
-                finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut ws.q2);
-                // Stage 3: q^{n+1} = 1/3 q0 + 2/3 (q2 + dt L(q2))
-                euler_stage_flat_blocked(
-                    bops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.q2, &ws.qdp0, dt,
-                    StageCombine::Ssp3, &mut state.qdp,
-                );
-                finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut state.qdp);
+                let tl = dims.tracer_len();
+                let stages = [StageCombine::Replace, StageCombine::Ssp2, StageCombine::Ssp3];
+                for (s, combine) in stages.into_iter().enumerate() {
+                    // Stage 1: q0 + dt L(q0); stage 2: 3/4 q0 + 1/4 (q2 +
+                    // dt L(q2)); stage 3: 1/3 q0 + 2/3 (q2 + dt L(q2)).
+                    let qin: &[f64] = if s == 0 { &state.qdp } else { &q2[..] };
+                    euler_stage_flat_blocked(
+                        bops, dims, sched, &state.u, &state.v, &state.dp3d, qin, &state.qdp, dt,
+                        combine, q1,
+                    );
+                    let dst: &mut [f64] = if s == 2 { &mut state.qdp } else { &mut q2[..] };
+                    let levels = dims.qsize * dims.nlev;
+                    dss_sweep(sched, gather, levels, [&q1[..]], tl, None, [dst], tl, |e, [q]| {
+                        if limiter {
+                            limit_tracer_element(&ops[e], dims, q);
+                        }
+                    });
+                }
             }
             KernelPath::Scalar => {
+                let (u, v, dp3d) = (&state.u[..], &state.v[..], &state.dp3d[..]);
                 // Stage 1: q1 = q0 + dt L(q0)
-                euler_substep_flat(ops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.qdp0, dt, &mut ws.q1);
-                finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut ws.q1);
+                euler_substep_flat(ops, dims, sched, u, v, dp3d, &state.qdp, dt, q1);
+                finish_tracer_stage(ops, dss, dims, limiter, q1);
                 // Stage 2: q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
-                euler_substep_flat(ops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.q1, dt, &mut ws.qtmp);
-                for (q2, (q0, t)) in ws.q2.iter_mut().zip(ws.qdp0.iter().zip(&ws.qtmp)) {
+                euler_substep_flat(ops, dims, sched, u, v, dp3d, q1, dt, qtmp);
+                for (q2, (q0, t)) in q2.iter_mut().zip(state.qdp.iter().zip(qtmp.iter())) {
                     *q2 = 0.75 * q0 + 0.25 * t;
                 }
-                finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut ws.q2);
+                finish_tracer_stage(ops, dss, dims, limiter, q2);
                 // Stage 3: q^{n+1} = 1/3 q0 + 2/3 (q2 + dt L(q2))
-                euler_substep_flat(ops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.q2, dt, &mut ws.qtmp);
-                for (qf, (q0, t)) in state.qdp.iter_mut().zip(ws.qdp0.iter().zip(&ws.qtmp)) {
-                    *qf = q0 / 3.0 + 2.0 / 3.0 * t;
+                euler_substep_flat(ops, dims, sched, u, v, dp3d, q2, dt, qtmp);
+                for (qf, t) in state.qdp.iter_mut().zip(qtmp.iter()) {
+                    *qf = *qf / 3.0 + 2.0 / 3.0 * t;
                 }
-                finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut state.qdp);
+                finish_tracer_stage(ops, dss, dims, limiter, &mut state.qdp);
             }
         }
     }
@@ -943,7 +957,6 @@ impl Dycore {
             stage,
             next,
             hyp,
-            qdp0,
             q1,
             q2,
             workers,
@@ -1018,7 +1031,6 @@ impl Dycore {
             let hvv = ArenaMut::new(&mut hyp.v);
             let ht = ArenaMut::new(&mut hyp.t);
             let hdp = ArenaMut::new(&mut hyp.dp3d);
-            let aq0 = ArenaMut::new(qdp0);
             let aq1 = ArenaMut::new(q1);
             let aq2 = ArenaMut::new(q2);
             let raws = [ArenaMut::new(raw0), ArenaMut::new(raw1)];
@@ -1317,14 +1329,11 @@ impl Dycore {
                     }
                     PipelineStage::Tracer(s) => {
                         if !is_gather {
-                            let q0m = unsafe { aq0.slice(e * tl, tl) };
-                            if s == 0 {
-                                // First touch: snapshot the step-input
-                                // tracer mass (bulk copies the full arena
-                                // up front).
-                                q0m.copy_from_slice(unsafe { &*sq.slice(e * tl, tl) });
-                            }
-                            let q0: &[f64] = q0m;
+                            // The step-input tracer mass, read in place as
+                            // the bulk step does: element `e`'s window is
+                            // written only by its own last-stage gather,
+                            // which waits for this compute.
+                            let q0: &[f64] = unsafe { &*sq.slice(e * tl, tl) };
                             let qin: &[f64] = match s {
                                 0 => q0,
                                 1 => unsafe { &*aq1.slice(e * tl, tl) },
@@ -1394,15 +1403,7 @@ impl Dycore {
                                 &mut [&mut *dest],
                             );
                             if limiter {
-                                let mut spheremp = [0.0; NPTS];
-                                spheremp.copy_from_slice(&ops[e].spheremp);
-                                for q in 0..qsize {
-                                    for k in 0..nlev {
-                                        let r = (q * nlev + k) * NPTS
-                                            ..(q * nlev + k + 1) * NPTS;
-                                        limit_nonnegative(&spheremp, &mut dest[r]);
-                                    }
-                                }
+                                limit_tracer_element(&ops[e], dims, dest);
                             }
                         }
                     }
@@ -1636,7 +1637,8 @@ fn rk_substep(
     }
 }
 
-/// DSS + optional limiter for one tracer stage on a flat tracer arena.
+/// The scalar oracle's end of a tracer stage on a flat tracer arena: the
+/// serial scatter DSS, then the optional limiter.
 fn finish_tracer_stage(ops: &[ElemOps], dss: &mut Dss, dims: Dims, limiter: bool, qdp: &mut [f64]) {
     dss.apply_flat(qdp, dims.qsize * dims.nlev);
     if limiter {

@@ -19,19 +19,24 @@
 //! epoch is normally microseconds away; parking for it costs two futex
 //! round trips a sweep, and how long a sleeping vCPU takes to come back is
 //! the host's to decide (measured: `hv_ne8` steps 3% shorter on a quiet
-//! 2-vCPU VM, DESIGN.md §5.7). Longer gaps (tracer stages, physics) still
-//! park after `SPIN`.
+//! 2-vCPU VM, DESIGN.md §5.7). Longer gaps still park after `SPIN`.
 //!
 //! Determinism: every item is executed exactly once and jobs write only
 //! item-indexed (disjoint) outputs, so results are bitwise independent of
-//! thread count and chunk interleaving. The bulk step's DSS runs here too:
-//! each element *gathers* its points' sharers from a read-only arena in the
+//! thread count and chunk interleaving. Every DSS of the blocked step runs
+//! here too — RK stages, hyperviscosity and tracer stages alike: each
+//! element *gathers* its points' sharers from a read-only arena in the
 //! plan's canonical order ([`crate::dss::DssGather`]), so the sum a point
 //! receives does not depend on which worker forms it. The end of each
 //! `run` is the only synchronization point between phases; the serial
-//! scatter walks of [`crate::dss::Dss`] remain for the scalar oracle path
-//! and the tracer stages.
+//! scatter walks of [`crate::dss::Dss`] remain only for the scalar oracle
+//! path.
+//!
+//! Jobs that need typed per-worker state the dycore workspace does not
+//! carry (the physics coupling's column buffers) borrow it from the pool
+//! itself through [`ElemScheduler::run_with_scratch`].
 
+use std::any::Any;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -94,6 +99,9 @@ pub struct ElemScheduler {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     nthreads: usize,
+    /// One boxed `PerWorker<S>` per scratch type `S` a
+    /// [`ElemScheduler::run_with_scratch`] caller has used.
+    scratch: Mutex<Vec<Box<dyn Any + Send>>>,
 }
 
 fn work_loop(job: &(dyn Fn(usize, usize) + Sync), nitems: usize, chunk: usize, cursor: &AtomicUsize, worker: usize) {
@@ -138,7 +146,7 @@ impl ElemScheduler {
                     .expect("spawn element worker")
             })
             .collect();
-        ElemScheduler { shared, workers, nthreads }
+        ElemScheduler { shared, workers, nthreads, scratch: Mutex::new(Vec::new()) }
     }
 
     /// Thread count from `SWCAM_THREADS` if set, else the machine's
@@ -229,6 +237,39 @@ impl ElemScheduler {
             slot = self.shared.done.wait(slot).unwrap_or_else(|p| p.into_inner());
         }
         slot.job = None;
+    }
+
+    /// [`ElemScheduler::run`] with a worker-owned scratch value: `job(s, i)`
+    /// gets the `S` of whichever worker runs item `i`.
+    ///
+    /// The pool owns one `S` per worker. The first call for a type `S`
+    /// builds all `nthreads()` of them with `make`, serially on the calling
+    /// thread, before the job is published; every later call reuses them
+    /// and allocates nothing. So whether a slot exists never depends on
+    /// which workers happened to claim items, as it would with a
+    /// `thread_local!` that a worker idle during warm-up fills only later.
+    /// A scratch value carries state between items and calls, so `job` must
+    /// overwrite whatever it reads from it.
+    ///
+    /// Not re-entrant: `job` must not call back into this pool.
+    pub fn run_with_scratch<S: Send + 'static>(
+        &self,
+        nitems: usize,
+        make: impl FnMut() -> S,
+        job: &(dyn Fn(&mut S, usize) + Sync),
+    ) {
+        let mut owned = self.scratch.lock().unwrap_or_else(|p| p.into_inner());
+        let at = match owned.iter().position(|b| b.is::<PerWorker<S>>()) {
+            Some(at) => at,
+            None => {
+                owned.push(Box::new(PerWorker::new(self.nthreads, make)));
+                owned.len() - 1
+            }
+        };
+        let slots = owned[at].downcast_ref::<PerWorker<S>>().expect("slot type checked above");
+        // SAFETY: a worker id is live on one thread at a time, and each
+        // item touches only its own worker's slot.
+        self.run(nitems, &|w, i| job(unsafe { slots.get(w) }, i));
     }
 }
 
@@ -436,6 +477,30 @@ mod tests {
         let mut scratch = scratch;
         let total: u64 = (0..scratch.len()).map(|w| scratch.get_mut(w)[0]).sum();
         assert_eq!(total, n as u64);
+    }
+
+    #[test]
+    fn run_with_scratch_fills_every_slot_on_first_use_only() {
+        let sched = ElemScheduler::new(5);
+        let made = AtomicU64::new(0);
+        let make = || {
+            made.fetch_add(1, Ordering::Relaxed);
+            Vec::<u64>::with_capacity(8)
+        };
+        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+        for round in 1..=20u64 {
+            sched.run_with_scratch(hits.len(), make, &|s: &mut Vec<u64>, i| {
+                s.clear();
+                s.push(i as u64);
+                hits[s[0] as usize].fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(made.load(Ordering::Relaxed), 5, "round {round}: one slot per worker, once");
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == round), "round {round}");
+        }
+        // A second scratch type gets slots of its own; the first keeps its.
+        sched.run_with_scratch(3, || 0u8, &|s: &mut u8, _| *s = 1);
+        sched.run_with_scratch(3, make, &|_: &mut Vec<u64>, _| {});
+        assert_eq!(made.load(Ordering::Relaxed), 5);
     }
 
     #[test]

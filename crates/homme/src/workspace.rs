@@ -140,13 +140,14 @@ pub struct StepWorkspace {
     pub sponge_v: Vec<f64>,
     /// Sponge-layer `T` temporary.
     pub sponge_t: Vec<f64>,
-    /// Tracer stage `q_0` (step input), `[nelem][qsize][nlev][NPTS]`.
-    pub qdp0: Vec<f64>,
-    /// Tracer stage 1 buffer.
+    /// Tracer stage buffer, `[nelem][qsize][nlev][NPTS]`: the raw (pre-DSS)
+    /// stage output on the blocked path, stage 1's result on the scalar
+    /// path. Every path reads the stage input `q_0` from the state itself.
     pub q1: Vec<f64>,
-    /// Tracer stage 2 buffer.
+    /// Tracer stage 2 buffer (stage 1's assembled result as well, on the
+    /// blocked path).
     pub q2: Vec<f64>,
-    /// Tracer substep output buffer.
+    /// Scalar-path substep output buffer.
     pub qtmp: Vec<f64>,
     /// One private scratch per scheduler worker.
     pub workers: PerWorker<WorkerScratch>,
@@ -187,7 +188,6 @@ impl StepWorkspace {
             sponge_u: vec![0.0; sl],
             sponge_v: vec![0.0; sl],
             sponge_t: vec![0.0; sl],
-            qdp0: vec![0.0; tl],
             q1: vec![0.0; tl],
             q2: vec![0.0; tl],
             qtmp: vec![0.0; tl],
@@ -491,7 +491,7 @@ mod tests {
         assert_eq!(ws.base.u.len(), 6 * 4 * NPTS);
         assert_eq!(ws.hyp.dp3d.len(), 6 * 4 * NPTS);
         assert_eq!(ws.sponge_t.len(), 6 * 3 * NPTS);
-        assert_eq!(ws.qdp0.len(), 6 * 2 * 4 * NPTS);
+        assert_eq!(ws.q1.len(), 6 * 2 * 4 * NPTS);
         assert_eq!(ws.workers.len(), 5);
         // Sponge deeper than the column clamps to nlev.
         let ws2 = StepWorkspace::new(dims, 2, 9, 1);

@@ -4,9 +4,70 @@
 //! columns", which is why the paper's physics port was tool-driven rather
 //! than hand-rewritten). Every parameterization in this crate operates on a
 //! [`Column`]: one vertical profile of the model state plus its pressure
-//! geometry.
+//! geometry, and the scheme temporaries stepping it needs.
 
 use cubesphere::consts::{CP, GRAV, LATVAP, RD, RV};
+
+/// Every temporary a physics scheme needs, carried by the [`Column`] so that
+/// stepping a reused column never allocates (the Xeon-Phi convection port's
+/// "hoist per-column temporaries out of the column loop"). Each scheme
+/// overwrites the buffers it uses before reading them.
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnScratch {
+    /// PBL interface eddy diffusivity, `nlev + 1`.
+    pub ke: Vec<f64>,
+    /// PBL interface exchange coefficient, `nlev + 1`.
+    pub coeff: Vec<f64>,
+    /// Tridiagonal sub-diagonal, `nlev`.
+    pub a: Vec<f64>,
+    /// Tridiagonal diagonal, `nlev`.
+    pub b: Vec<f64>,
+    /// Tridiagonal super-diagonal, `nlev`.
+    pub c: Vec<f64>,
+    /// Thomas-algorithm modified super-diagonal, `nlev`.
+    pub cp: Vec<f64>,
+    /// Radiation interface optical depth, `nlev + 1`.
+    pub tau: Vec<f64>,
+    /// Downward longwave flux, `nlev + 1`.
+    pub dflux: Vec<f64>,
+    /// Upward longwave flux, `nlev + 1`.
+    pub uflux: Vec<f64>,
+    /// Betts–Miller reference temperature profile, `nlev`.
+    pub t_ref: Vec<f64>,
+}
+
+impl ColumnScratch {
+    fn with_capacity(nlev: usize) -> Self {
+        let v = || Vec::with_capacity(nlev + 1);
+        ColumnScratch {
+            ke: v(),
+            coeff: v(),
+            a: v(),
+            b: v(),
+            c: v(),
+            cp: v(),
+            tau: v(),
+            dflux: v(),
+            uflux: v(),
+            t_ref: v(),
+        }
+    }
+}
+
+/// Scratch is not column state: two columns whose fields agree are equal
+/// whatever their scheme temporaries last held.
+impl PartialEq for ColumnScratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// `buf` as `n` zeros, reusing its storage.
+pub(crate) fn zeroed(buf: &mut Vec<f64>, n: usize) -> &mut [f64] {
+    buf.clear();
+    buf.resize(n, 0.0);
+    buf
+}
 
 /// One atmospheric column (level 0 = model top).
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +94,7 @@ pub struct Column {
     pub lat: f64,
     /// Surface (skin / sea-surface) temperature, K.
     pub ts: f64,
+    pub(crate) scratch: ColumnScratch,
 }
 
 impl Column {
@@ -40,6 +102,27 @@ impl Column {
     #[inline]
     pub fn nlev(&self) -> usize {
         self.t.len()
+    }
+
+    /// An empty column with room for `nlev` layers: every field and every
+    /// scheme temporary is reserved up front, so refilling it with `clear`
+    /// + `push` and stepping it never allocates.
+    pub fn with_capacity(nlev: usize) -> Self {
+        let v = || Vec::with_capacity(nlev);
+        Column {
+            p_mid: v(),
+            p_int: Vec::with_capacity(nlev + 1),
+            dp: v(),
+            t: v(),
+            u: v(),
+            v: v(),
+            qv: v(),
+            qc: v(),
+            qr: v(),
+            lat: 0.0,
+            ts: 0.0,
+            scratch: ColumnScratch::with_capacity(nlev),
+        }
     }
 
     /// Construct an isothermal, resting, dry test column over `nlev` layers
@@ -60,6 +143,7 @@ impl Column {
             qr: vec![0.0; nlev],
             lat: 0.0,
             ts: t0,
+            scratch: ColumnScratch::with_capacity(nlev),
         }
     }
 

@@ -27,13 +27,14 @@ impl Default for BettsMiller {
 impl BettsMiller {
     /// Moist-adiabat reference temperature profile lifted from the lowest
     /// layer: conserves the parcel's moist static energy `cp T + g z + L q`
-    /// with saturation at each level (a first-order pseudo-adiabat).
-    fn reference_profile(&self, col: &Column) -> Vec<f64> {
+    /// with saturation at each level (a first-order pseudo-adiabat),
+    /// written over `t_ref`.
+    fn reference_profile(&self, col: &Column, t_ref: &mut Vec<f64>) {
         let nlev = col.nlev();
         let ks = nlev - 1;
         // Parcel properties from the sub-cloud layer.
         let h_parcel = CP * col.t[ks] + LATVAP * col.qv[ks];
-        let mut t_ref = vec![0.0; nlev];
+        t_ref.clear();
         for k in 0..nlev {
             // Height of level k above the surface (hydrostatic, isothermal
             // approximation per layer).
@@ -49,15 +50,15 @@ impl BettsMiller {
                 let df = CP + LATVAP * dqs;
                 t -= f / df;
             }
-            t_ref[k] = t;
+            t_ref.push(t);
         }
-        t_ref
     }
 
     /// Convective available instability proxy: mass-weighted excess of the
     /// reference (parcel) profile over the environment, K.
     pub fn instability(&self, col: &Column) -> f64 {
-        let t_ref = self.reference_profile(col);
+        let mut t_ref = Vec::with_capacity(col.nlev());
+        self.reference_profile(col, &mut t_ref);
         let mut acc = 0.0;
         let mut mass = 0.0;
         for k in 0..col.nlev() {
@@ -72,7 +73,16 @@ impl BettsMiller {
     /// Columns with no positive instability are untouched (the scheme is
     /// trigger-based, like its CAM counterpart).
     pub fn step(&self, col: &mut Column, dt: f64) -> f64 {
-        let t_ref = self.reference_profile(col);
+        // Borrowed out of the column's scratch, then returned.
+        let mut t_ref = std::mem::take(&mut col.scratch.t_ref);
+        self.reference_profile(col, &mut t_ref);
+        let rain = self.relax(col, &t_ref, dt);
+        col.scratch.t_ref = t_ref;
+        rain
+    }
+
+    /// Relax `col` toward the reference profile `t_ref`; returns the rain.
+    fn relax(&self, col: &mut Column, t_ref: &[f64], dt: f64) -> f64 {
         // Trigger: the lifted parcel must be warmer than the environment
         // somewhere above the boundary layer.
         let unstable = (0..col.nlev().saturating_sub(1)).any(|k| t_ref[k] > col.t[k] + 0.1);
@@ -168,7 +178,8 @@ mod tests {
     fn reference_profile_is_a_cooling_adiabat() {
         let bm = BettsMiller::default();
         let c = unstable_column();
-        let t_ref = bm.reference_profile(&c);
+        let mut t_ref = Vec::new();
+        bm.reference_profile(&c, &mut t_ref);
         // Monotone decrease with height (pressure decreasing index order is
         // top-first, so t_ref increases with k).
         for k in 1..c.nlev() {

@@ -2,15 +2,15 @@
 //! tridiagonal solve for `u`, `v`, `T`, `qv` with a prescribed
 //! interface-level eddy diffusivity.
 
-use crate::column::Column;
+use crate::column::{zeroed, Column, ColumnScratch};
 use cubesphere::consts::{GRAV, RD};
 
 /// Solve a tridiagonal system `a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i]`
-/// in place (Thomas algorithm). `a[0]` and `c[n-1]` are ignored.
-pub fn tridiag_solve(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
+/// in place (Thomas algorithm). `a[0]` and `c[n-1]` are ignored. `cp` is
+/// caller scratch of at least `n` values (the modified super-diagonal).
+pub fn tridiag_solve(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64], cp: &mut [f64]) {
     let n = d.len();
-    debug_assert!(a.len() == n && b.len() == n && c.len() == n);
-    let mut cp = vec![0.0; n];
+    debug_assert!(a.len() == n && b.len() == n && c.len() == n && cp.len() >= n);
     cp[0] = c[0] / b[0];
     d[0] /= b[0];
     for i in 1..n {
@@ -29,29 +29,28 @@ pub fn tridiag_solve(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
 pub fn diffuse_column(col: &mut Column, ke: &[f64], dt: f64) {
     let nlev = col.nlev();
     debug_assert_eq!(ke.len(), nlev + 1);
+    let Column { p_mid, p_int, dp, t, u, v, qv, scratch, .. } = col;
+    let ColumnScratch { coeff, a, b, c, cp, .. } = scratch;
     // Convert to pressure coordinates: d/dt X = g d/dp (rho^2 g K dX/dp).
     // Coefficient at interface k (between layers k-1 and k):
     //   D_k = g^2 rho_int^2 K_k / (p_mid[k] - p_mid[k-1])
-    let mut coeff = vec![0.0; nlev + 1];
+    let coeff = zeroed(coeff, nlev + 1);
     for k in 1..nlev {
-        let t_int = 0.5 * (col.t[k - 1] + col.t[k]);
-        let rho = col.p_int[k] / (RD * t_int);
-        coeff[k] = GRAV * GRAV * rho * rho * ke[k] / (col.p_mid[k] - col.p_mid[k - 1]);
+        let t_int = 0.5 * (t[k - 1] + t[k]);
+        let rho = p_int[k] / (RD * t_int);
+        coeff[k] = GRAV * GRAV * rho * rho * ke[k] / (p_mid[k] - p_mid[k - 1]);
     }
-    let mut a = vec![0.0; nlev];
-    let mut b = vec![0.0; nlev];
-    let mut c = vec![0.0; nlev];
+    let (a, b, c) = (zeroed(a, nlev), zeroed(b, nlev), zeroed(c, nlev));
     for k in 0..nlev {
-        let up = coeff[k] * dt / col.dp[k];
-        let dn = coeff[k + 1] * dt / col.dp[k];
+        let up = coeff[k] * dt / dp[k];
+        let dn = coeff[k + 1] * dt / dp[k];
         a[k] = -up;
         c[k] = -dn;
         b[k] = 1.0 + up + dn;
     }
-    for field in [&mut col.u, &mut col.v, &mut col.t, &mut col.qv] {
-        let mut d = field.clone();
-        tridiag_solve(&a, &b, &c, &mut d);
-        field.copy_from_slice(&d);
+    let cp = zeroed(cp, nlev);
+    for field in [u, v, t, qv] {
+        tridiag_solve(a, b, c, field, cp);
     }
 }
 
@@ -66,7 +65,7 @@ mod tests {
         let b = [2.0, 2.0, 2.0];
         let c = [1.0, 1.0, 0.0];
         let mut d = [4.0, 8.0, 8.0];
-        tridiag_solve(&a, &b, &c, &mut d);
+        tridiag_solve(&a, &b, &c, &mut d, &mut [0.0; 3]);
         for (x, e) in d.iter().zip([1.0, 2.0, 3.0]) {
             assert!((x - e).abs() < 1e-12, "{x} vs {e}");
         }

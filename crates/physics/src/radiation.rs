@@ -6,7 +6,7 @@
 //! `tau(p) = tau0 (p/p0)^4` (water-vapour-like concentration near the
 //! surface) plus a linear stratospheric term.
 
-use crate::column::Column;
+use crate::column::{zeroed, Column, ColumnScratch};
 use cubesphere::consts::{CP, GRAV, P0};
 
 /// Stefan–Boltzmann constant, W/(m^2 K^4).
@@ -38,22 +38,25 @@ impl GrayRadiation {
     /// Returns the outgoing longwave radiation (OLR) at the top, W/m^2.
     pub fn step(&self, col: &mut Column, dt: f64) -> f64 {
         let nlev = col.nlev();
+        let Column { p_int, dp, t, ts, scratch, .. } = col;
+        let ColumnScratch { tau, dflux, uflux, .. } = scratch;
         // Interface optical depths (top -> surface).
-        let tau: Vec<f64> = col.p_int.iter().map(|&p| self.tau(p)).collect();
+        tau.clear();
+        tau.extend(p_int.iter().map(|&p| self.tau(p)));
 
         // Downward sweep: D(0) = 0; dD = (B - D) dtau.
-        let mut dflux = vec![0.0; nlev + 1];
+        let dflux = zeroed(dflux, nlev + 1);
         for k in 0..nlev {
-            let b = SIGMA * col.t[k].powi(4);
+            let b = SIGMA * t[k].powi(4);
             let dtau = tau[k + 1] - tau[k];
             let e = (-dtau).exp();
             dflux[k + 1] = dflux[k] * e + b * (1.0 - e);
         }
         // Upward sweep: U(surface) = sigma Ts^4.
-        let mut uflux = vec![0.0; nlev + 1];
-        uflux[nlev] = SIGMA * col.ts.powi(4);
+        let uflux = zeroed(uflux, nlev + 1);
+        uflux[nlev] = SIGMA * ts.powi(4);
         for k in (0..nlev).rev() {
-            let b = SIGMA * col.t[k].powi(4);
+            let b = SIGMA * t[k].powi(4);
             let dtau = tau[k + 1] - tau[k];
             let e = (-dtau).exp();
             uflux[k] = uflux[k + 1] * e + b * (1.0 - e);
@@ -63,8 +66,8 @@ impl GrayRadiation {
         for k in 0..nlev {
             let net_top = uflux[k] - dflux[k];
             let net_bot = uflux[k + 1] - dflux[k + 1];
-            let heat = GRAV / CP * (net_bot - net_top) / col.dp[k];
-            col.t[k] += dt * heat;
+            let heat = GRAV / CP * (net_bot - net_top) / dp[k];
+            t[k] += dt * heat;
         }
         uflux[0]
     }

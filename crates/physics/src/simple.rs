@@ -79,18 +79,19 @@ impl SimplePhysics {
 
         // ---- boundary-layer diffusion ------------------------------------
         // Eddy diffusivity: constant in the PBL, exponential decay above.
-        let ke: Vec<f64> = (0..=nlev)
-            .map(|k| {
-                let p = col.p_int[k];
-                let k0 = self.c_e * 20.0 * za; // ~ C_E |v| za scale
-                if p > self.p_pbl {
-                    k0
-                } else {
-                    k0 * (-((self.p_pbl - p) / self.p_strato).powi(2)).exp()
-                }
-            })
-            .collect();
+        // Borrowed out of the column's scratch for the solve, then returned.
+        let mut ke = std::mem::take(&mut col.scratch.ke);
+        ke.clear();
+        ke.extend(col.p_int.iter().map(|&p| {
+            let k0 = self.c_e * 20.0 * za; // ~ C_E |v| za scale
+            if p > self.p_pbl {
+                k0
+            } else {
+                k0 * (-((self.p_pbl - p) / self.p_strato).powi(2)).exp()
+            }
+        }));
         diffuse_column(col, &ke, dt);
+        col.scratch.ke = ke;
 
         // ---- large-scale condensation ------------------------------------
         for k in 0..nlev {

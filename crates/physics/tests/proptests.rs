@@ -38,7 +38,7 @@ proptest! {
             .collect();
         let rhs: Vec<f64> = (0..n).map(|i| 10.0 * seed[(i + 7) % seed.len()]).collect();
         let mut x = rhs.clone();
-        tridiag_solve(&a, &b, &c, &mut x);
+        tridiag_solve(&a, &b, &c, &mut x, &mut vec![0.0; n]);
         for i in 0..n {
             let mut r = b[i] * x[i] - rhs[i];
             if i > 0 {

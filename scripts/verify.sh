@@ -58,6 +58,25 @@ for threads in 1 2 3; do
 done
 cargo test -q -p swcam-core --test ensemble_thread_parity
 
+# Physics-sweep group: the coupled step has no serial section (DESIGN.md
+# §5.11). The physics column sweep is pinned bitwise to the serial column
+# loop it replaced for every registered scenario at 1/2/3/5 workers, with
+# the lowest rejected column named at every worker count; the blocked
+# tracer stage (raw arena → DSS gather sweep with the limiter as its
+# epilogue) is pinned to the scalar oracle across nlev × qsize × limiter ×
+# workers; and three gates hold allocations at exactly zero — the pool's
+# worker-owned scratch slots, `Swcam::step` for every column suite at 1
+# and 3 workers beside busy threads, and the moist ensemble window. Run
+# under each default worker count, as CI's matrix does.
+echo "== physics-sweep test group (SWCAM_THREADS 1, 2, 3)"
+for threads in 1 2 3; do
+    SWCAM_THREADS=$threads cargo test -q -p swcam-core --test physics_sweep
+    SWCAM_THREADS=$threads cargo test -q -p homme --test tracer_sweep
+    SWCAM_THREADS=$threads cargo test -q -p homme --test sched_scratch_alloc
+    SWCAM_THREADS=$threads cargo test -q -p swcam-core --test swcam_step_alloc
+    SWCAM_THREADS=$threads cargo test -q -p swcam-core --test ensemble_alloc
+done
+
 # Kernel-parity group: the blocked (default) kernel path must stay bitwise
 # identical to the scalar oracle, per operator and over whole serial and
 # distributed trajectories.
