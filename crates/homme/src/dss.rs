@@ -183,11 +183,20 @@ const MAX_SHARERS: usize = 4;
 /// members). The shared `spheremp` / inverse-mass / coefficient scalars are
 /// splat across lanes, so lane `m` replays member `m`'s scalar sequence.
 pub trait Lane: Copy + Add<Output = Self> + Mul<Output = Self> {
+    /// Whether the gather vectorizes across the 16 points of a level. For
+    /// scalar lanes it does, so it walks slot-major and pays for padded
+    /// slots with a few wide selects. A member-lane vector is already one
+    /// SIMD operation per point, so a padded slot would cost a full
+    /// operation: it walks point-major over the same slot tables instead.
+    const SLOT_MAJOR: bool;
+
     /// All lanes set to `x`.
     fn splat(x: f64) -> Self;
 }
 
 impl Lane for f64 {
+    const SLOT_MAJOR: bool = true;
+
     #[inline]
     fn splat(x: f64) -> Self {
         x
@@ -195,6 +204,8 @@ impl Lane for f64 {
 }
 
 impl Lane for V4F64 {
+    const SLOT_MAJOR: bool = false;
+
     #[inline]
     fn splat(x: f64) -> Self {
         V4F64::splat(x)
@@ -210,27 +221,42 @@ impl Lane for V4F64 {
 /// or task performs the gather — which is what lets the bulk step assemble
 /// element-parallel on the scheduler ([`DssGather::gather_elem`]) and the
 /// task graph assemble per task.
+///
+/// The plan is stored slot-major per element ([`ElemSlots`]): slot `s` of
+/// the 16 points sits in one row, so the gather walks slots outermost and
+/// the points innermost, a 16-wide loop the compiler can vectorize.
 #[derive(Debug, Clone)]
 pub struct DssGather {
-    /// CSR offsets, one slot per (element, point): `nelem * NPTS + 1`.
-    off: Vec<u32>,
-    /// Sharer codes `elem * NPTS + point`, canonical order.
-    codes: Vec<u32>,
-    /// spheremp weight of each sharer entry.
-    w: Vec<f64>,
-    /// Inverse global mass per (element, point).
-    inv: Vec<f64>,
+    /// One slot table per element.
+    elems: Vec<ElemSlots>,
+}
+
+/// One element's gather plan, `[MAX_SHARERS][NPTS]` slot-major.
+#[derive(Debug, Clone)]
+struct ElemSlots {
+    /// `code[s][p]`: sharer `s` of point `p` as `elem * NPTS + point`, in
+    /// canonical order. Slots at or past `n[p]` hold the point's own code,
+    /// so their (discarded) read stays inside the source.
+    code: [[u32; NPTS]; MAX_SHARERS],
+    /// spheremp weight of each slot's sharer (0 in padded slots).
+    w: [[f64; NPTS]; MAX_SHARERS],
+    /// Sharer count of each point (at least 1: the point itself).
+    n: [u32; NPTS],
+    /// Slots the walk visits: the largest sharer count of the element.
+    nslots: u32,
+    /// Inverse global mass of each point.
+    inv: [f64; NPTS],
 }
 
 impl DssGather {
     /// Build the plan from the serial DSS assembly map: a counting sort of
-    /// the (element, point) codes by global id, then one CSR row per point.
+    /// the (element, point) codes by global id, then each point's bucket
+    /// laid out down its column of the element's slot table.
     ///
     /// # Panics
-    /// Panics if the grid has more (element, point) slots or sharer entries
-    /// than a `u32` can index, or a point shared by more than
-    /// [`MAX_SHARERS`] elements (the gather kernel sizes its per-element
-    /// offset table by that bound).
+    /// Panics if the grid has more (element, point) slots than a `u32` can
+    /// index, or a point shared by more than [`MAX_SHARERS`] elements (the
+    /// slot tables are that deep).
     pub fn new(dss: &Dss) -> Self {
         let npoints = dss.gids.len();
         u32::try_from(npoints).expect("DssGather: (element, point) codes overflow u32");
@@ -250,33 +276,52 @@ impl DssGather {
             sharers[fill[g]] = code as u32;
             fill[g] += 1;
         }
-        let mut off = Vec::with_capacity(npoints + 1);
-        let mut codes = Vec::new();
-        let mut w = Vec::new();
-        let mut inv = Vec::with_capacity(npoints);
-        off.push(0u32);
-        for &g in &dss.gids {
-            assert!(
-                start[g + 1] - start[g] <= MAX_SHARERS,
-                "DssGather: point {g} is shared by more than {MAX_SHARERS} elements"
-            );
-            for &c in &sharers[start[g]..start[g + 1]] {
-                codes.push(c);
-                w.push(dss.spheremp[c as usize]);
-            }
-            off.push(u32::try_from(codes.len()).expect("DssGather: sharer entries overflow u32"));
-            inv.push(dss.inv_mass[g]);
-        }
-        DssGather { off, codes, w, inv }
+        let elems = (0..npoints / NPTS)
+            .map(|e| {
+                let mut el = ElemSlots {
+                    code: [[0; NPTS]; MAX_SHARERS],
+                    w: [[0.0; NPTS]; MAX_SHARERS],
+                    n: [0; NPTS],
+                    nslots: 0,
+                    inv: [0.0; NPTS],
+                };
+                for p in 0..NPTS {
+                    let own = e * NPTS + p;
+                    let g = dss.gids[own];
+                    let row = &sharers[start[g]..start[g + 1]];
+                    assert!(
+                        row.len() <= MAX_SHARERS,
+                        "DssGather: point {g} is shared by more than {MAX_SHARERS} elements"
+                    );
+                    for s in 0..MAX_SHARERS {
+                        el.code[s][p] = row.get(s).copied().unwrap_or(own as u32);
+                        el.w[s][p] = row.get(s).map_or(0.0, |&c| dss.spheremp[c as usize]);
+                    }
+                    el.n[p] = row.len() as u32;
+                    el.inv[p] = dss.inv_mass[g];
+                }
+                el.nslots = el.n.iter().copied().max().unwrap_or(0);
+                el
+            })
+            .collect();
+        DssGather { elems }
     }
 
     /// Number of elements covered.
     pub fn nelem(&self) -> usize {
-        self.inv.len() / NPTS
+        self.elems.len()
+    }
+
+    /// Length an arena must have for a `levels`-deep gather at per-element
+    /// stride `stride` to stay inside it: every slot names a point of an
+    /// element below [`DssGather::nelem`], so no read (or own-window write)
+    /// reaches past the last element's first `levels * NPTS` values.
+    pub fn span(&self, levels: usize, stride: usize) -> usize {
+        self.nelem().checked_sub(1).map_or(0, |last| last * stride + levels * NPTS)
     }
 
     /// Assemble element `e`'s `[levels][NPTS]` window of `F` fields at once
-    /// (one walk of the element's CSR rows per level serves every field).
+    /// (one walk of the element's slot table per level serves every field).
     ///
     /// `read(f, i)` yields the raw (pre-DSS) value of field `f` at flat
     /// source index `i = elem * sstride + k * NPTS + point` — sharers live
@@ -323,6 +368,12 @@ impl DssGather {
     /// The gather walk of [`DssGather::gather_elem`]: hands `emit` the
     /// assembled `F`-field values of element `e` one level at a time.
     ///
+    /// For scalar lanes ([`Lane::SLOT_MAJOR`]) a level is walked slot-major:
+    /// slots outermost, then the `F` fields (sharing the slot's source-index
+    /// row), then the 16 points innermost, a loop the compiler vectorizes.
+    /// Member lanes walk point-major, each point over its own sharers. Either
+    /// way each point adds its sharers in canonical order.
+    ///
     /// A level is assembled into a fixed-size stack tile first and only then
     /// handed on, so the walk's loads (plan tables, source values) are never
     /// interleaved with stores the compiler must assume could alias them —
@@ -337,39 +388,62 @@ impl DssGather {
         read: impl Fn(usize, usize) -> L,
         mut emit: impl FnMut(usize, &[[L; NPTS]; F]),
     ) {
-        // Element-local views of the plan, rebound once so the level loop
-        // indexes plain slices.
-        let p0 = e * NPTS;
-        let off = &self.off[p0..=p0 + NPTS];
-        let inv = &self.inv[p0..p0 + NPTS];
-        let (lo, hi) = (off[0] as usize, off[NPTS] as usize);
-        let codes = &self.codes[lo..hi];
-        let w = &self.w[lo..hi];
-        // Level-0 source index of every sharer entry, hoisted out of the
-        // level loop (rows hold at most MAX_SHARERS entries per point).
-        let mut base = [0usize; MAX_SHARERS * NPTS];
-        for (b, &code) in base.iter_mut().zip(codes) {
-            *b = (code as usize / NPTS) * sstride + code as usize % NPTS;
+        let el = &self.elems[e];
+        let nslots = el.nslots as usize;
+        // Level-0 source index of every slot, hoisted out of the level loop.
+        let mut base = [[0usize; NPTS]; MAX_SHARERS];
+        for (b, code) in base.iter_mut().zip(&el.code).take(nslots) {
+            for (b, &c) in b.iter_mut().zip(code) {
+                *b = (c as usize / NPTS) * sstride + c as usize % NPTS;
+            }
         }
-        let base = &base[..hi - lo];
         for k in 0..levels {
             let ko = k * NPTS;
-            let mut lvl = [[L::splat(0.0); NPTS]; F];
-            for p in 0..NPTS {
-                let mut acc = [L::splat(0.0); F];
-                for i in off[p] as usize - lo..off[p + 1] as usize - lo {
-                    let si = base[i] + ko;
-                    let wi = L::splat(w[i]);
-                    for f in 0..F {
-                        acc[f] = acc[f] + wi * read(f, si);
+            let mut acc = [[L::splat(0.0); NPTS]; F];
+            if L::SLOT_MAJOR {
+                for s in 0..nslots {
+                    let (b, w) = (&base[s], &el.w[s]);
+                    for (f, a) in acc.iter_mut().enumerate() {
+                        let mut x = [L::splat(0.0); NPTS];
+                        for p in 0..NPTS {
+                            x[p] = read(f, b[p] + ko);
+                        }
+                        for p in 0..NPTS {
+                            let term = a[p] + L::splat(w[p]) * x[p];
+                            // A point with fewer sharers keeps its
+                            // accumulator through this select, never by
+                            // adding a zero-weight term. For finite raw
+                            // values that add would be harmless: the
+                            // accumulator starts at +0.0 and x + (-x) rounds
+                            // to +0.0, so it is never -0.0, and adding ±0.0
+                            // to anything else returns it unchanged. But
+                            // 0·NaN and 0·inf are NaN, so a padded term would
+                            // change a non-finite state's bits.
+                            a[p] = if (s as u32) < el.n[p] { term } else { a[p] };
+                        }
                     }
                 }
-                let m = L::splat(inv[p]);
-                for f in 0..F {
-                    lvl[f][p] = acc[f] * m;
+                for a in &mut acc {
+                    for (v, &m) in a.iter_mut().zip(&el.inv) {
+                        *v = *v * L::splat(m);
+                    }
+                }
+            } else {
+                for p in 0..NPTS {
+                    let mut a = [L::splat(0.0); F];
+                    for s in 0..el.n[p] as usize {
+                        let (i, w) = (base[s][p] + ko, L::splat(el.w[s][p]));
+                        for (f, a) in a.iter_mut().enumerate() {
+                            *a = *a + w * read(f, i);
+                        }
+                    }
+                    let m = L::splat(el.inv[p]);
+                    for f in 0..F {
+                        acc[f][p] = a[f] * m;
+                    }
                 }
             }
-            emit(k, &lvl);
+            emit(k, &acc);
         }
     }
 }
@@ -602,25 +676,29 @@ mod tests {
         (assembled, added)
     }
 
-    /// Run the gather kernel over every element: `src` assembled into a
-    /// fresh arena set (store form) and accumulated into a copy of
-    /// `target` (scaled-add form).
+    /// Run the gather kernel over every element: `src` (`sdepth` levels per
+    /// element, of which the first `levels` are gathered) assembled into a
+    /// fresh `levels`-deep arena set (store form) and accumulated into a
+    /// copy of `target` (scaled-add form).
     fn gather_both<L: Lane, const F: usize>(
         plan: &DssGather,
         src: &[Vec<L>; F],
         levels: usize,
+        sdepth: usize,
         coefs: &[Vec<f64>; F],
         target: &[Vec<L>; F],
         tlevels: usize,
     ) -> ([Vec<L>; F], [Vec<L>; F]) {
-        let (sstride, tstride) = (levels * NPTS, tlevels * NPTS);
-        let mut stored: [Vec<L>; F] = std::array::from_fn(|_| vec![L::splat(f64::NAN); src[0].len()]);
+        let (sstride, wstride, tstride) = (sdepth * NPTS, levels * NPTS, tlevels * NPTS);
+        let nelem = plan.nelem();
+        let mut stored: [Vec<L>; F] =
+            std::array::from_fn(|_| vec![L::splat(f64::NAN); nelem * wstride]);
         let mut added = target.clone();
         let c: [&[f64]; F] = std::array::from_fn(|f| &coefs[f][..]);
-        for e in 0..plan.nelem() {
+        for e in 0..nelem {
             let mut it = stored.iter_mut();
             let mut win: [&mut [L]; F] =
-                std::array::from_fn(|_| &mut it.next().unwrap()[e * sstride..(e + 1) * sstride]);
+                std::array::from_fn(|_| &mut it.next().unwrap()[e * wstride..(e + 1) * wstride]);
             plan.gather_elem(e, levels, sstride, |f, i| src[f][i], None, &mut win);
             let mut it = added.iter_mut();
             let mut win: [&mut [L]; F] =
@@ -630,19 +708,52 @@ mod tests {
         (stored, added)
     }
 
+    /// `raw` (`levels` levels per element) re-strided to `sdepth >= levels`
+    /// levels per element, the extra levels NaN: a source deeper than the
+    /// gathered window, as the chunked tracer stage's chunk buffer is.
+    fn deepen(raw: &[f64], levels: usize, sdepth: usize) -> Vec<f64> {
+        let mut deep = Vec::with_capacity(raw.len() / levels * sdepth);
+        for win in raw.chunks_exact(levels * NPTS) {
+            deep.extend_from_slice(win);
+            deep.resize(deep.len() + (sdepth - levels) * NPTS, f64::NAN);
+        }
+        deep
+    }
+
+    /// Lane tiles of four members' `F` fields.
+    fn tile<const F: usize>(x: &[[Vec<f64>; F]; 4]) -> [Vec<V4F64>; F] {
+        std::array::from_fn(|f| {
+            let mut t = vec![V4F64::zero(); x[0][f].len()];
+            sw26010::interleave4([&x[0][f], &x[1][f], &x[2][f], &x[3][f]], &mut t);
+            t
+        })
+    }
+
+    /// The four members of a lane tile.
+    fn untile(t: &[V4F64]) -> Vec<Vec<f64>> {
+        let mut outs = vec![vec![0.0f64; t.len()]; 4];
+        let mut views: Vec<&mut [f64]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+        sw26010::deinterleave4(t, &mut views);
+        outs
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// The generic gather kernel, store and scaled-add forms, is bitwise
     /// the scatter walk plus a manual `target += c * assembled` loop — for
     /// `F` fields on `f64` arenas and, lane by lane, on `V4F64` member
-    /// tiles — at every level count, into a target as deep as the field
-    /// and one deeper than it (the sponge shape).
+    /// tiles — at every level count up to the tracer stage's 650, into a
+    /// target as deep as the field and one deeper than it (the sponge
+    /// shape), from a source as deep as the window and deeper than it (the
+    /// tracer chunk shape).
     fn gather_kernel_matches_scatter_walk<const F: usize>() {
-        use sw26010::{deinterleave4, interleave4};
         let grid = CubedSphere::new(2);
         let mut dss = Dss::new(&grid);
         let plan = DssGather::new(&dss);
         let nelem = grid.nelem();
-        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for levels in [1usize, 2, 3, 26] {
+        for levels in [1usize, 2, 3, 26, 650] {
             for tlevels in [levels, levels + 2] {
                 let (slen, tlen) = (nelem * levels * NPTS, nelem * tlevels * NPTS);
                 let coefs: [Vec<f64>; F] = std::array::from_fn(|f| {
@@ -656,45 +767,34 @@ mod tests {
                 let want: [_; 4] = std::array::from_fn(|m| {
                     scatter_oracle(&mut dss, &raw[m], levels, &coefs, &target[m], tlevels)
                 });
-
-                let (stored, added) =
-                    gather_both(&plan, &raw[0], levels, &coefs, &target[0], tlevels);
-                for f in 0..F {
-                    let tag = format!("f64 F={F} levels={levels} tlevels={tlevels} field {f}");
-                    assert_eq!(bits(&want[0].0[f]), bits(&stored[f]), "store {tag}");
-                    assert_eq!(bits(&want[0].1[f]), bits(&added[f]), "scaled add {tag}");
-                }
-
-                let tile = |x: &[[Vec<f64>; F]; 4], len: usize| -> [Vec<V4F64>; F] {
-                    std::array::from_fn(|f| {
-                        let mut t = vec![V4F64::zero(); len];
-                        interleave4([&x[0][f], &x[1][f], &x[2][f], &x[3][f]], &mut t);
-                        t
-                    })
-                };
-                let (stored, added) = gather_both(
-                    &plan,
-                    &tile(&raw, slen),
-                    levels,
-                    &coefs,
-                    &tile(&target, tlen),
-                    tlevels,
-                );
-                let untile = |t: &[V4F64]| -> Vec<Vec<f64>> {
-                    let mut outs = vec![vec![0.0f64; t.len()]; 4];
-                    let mut views: Vec<&mut [f64]> =
-                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-                    deinterleave4(t, &mut views);
-                    outs
-                };
-                for f in 0..F {
-                    let (st, ad) = (untile(&stored[f]), untile(&added[f]));
-                    for m in 0..4 {
-                        let tag = format!(
-                            "lanes F={F} levels={levels} tlevels={tlevels} field {f} member {m}"
-                        );
-                        assert_eq!(bits(&want[m].0[f]), bits(&st[m]), "store {tag}");
-                        assert_eq!(bits(&want[m].1[f]), bits(&ad[m]), "scaled add {tag}");
+                for sdepth in [levels, levels + 3] {
+                    let deep: [[Vec<f64>; F]; 4] = std::array::from_fn(|m| {
+                        std::array::from_fn(|f| deepen(&raw[m][f], levels, sdepth))
+                    });
+                    let shape = format!("F={F} levels={levels} sdepth={sdepth} tlevels={tlevels}");
+                    let (stored, added) =
+                        gather_both(&plan, &deep[0], levels, sdepth, &coefs, &target[0], tlevels);
+                    for f in 0..F {
+                        let tag = format!("f64 {shape} field {f}");
+                        assert_eq!(bits(&want[0].0[f]), bits(&stored[f]), "store {tag}");
+                        assert_eq!(bits(&want[0].1[f]), bits(&added[f]), "scaled add {tag}");
+                    }
+                    let (stored, added) = gather_both(
+                        &plan,
+                        &tile(&deep),
+                        levels,
+                        sdepth,
+                        &coefs,
+                        &tile(&target),
+                        tlevels,
+                    );
+                    for f in 0..F {
+                        let (st, ad) = (untile(&stored[f]), untile(&added[f]));
+                        for m in 0..4 {
+                            let tag = format!("lanes {shape} field {f} member {m}");
+                            assert_eq!(bits(&want[m].0[f]), bits(&st[m]), "store {tag}");
+                            assert_eq!(bits(&want[m].1[f]), bits(&ad[m]), "scaled add {tag}");
+                        }
                     }
                 }
             }
@@ -716,23 +816,111 @@ mod tests {
         gather_kernel_matches_scatter_walk::<4>();
     }
 
-    /// The counting-sort plan gives every point exactly the codes sharing
-    /// its global id, ascending (the canonical accumulation order), with
-    /// their weights and the point's inverse mass.
+    /// The counting-sort plan's slot tables give every point exactly the
+    /// codes sharing its global id, ascending (the canonical accumulation
+    /// order), down its column of slots, with their weights; padded slots
+    /// hold the point's own code; and each element walks as many slots as
+    /// its most-shared point needs.
     #[test]
-    fn gather_plan_rows_are_canonical() {
+    fn gather_slot_tables_are_canonical() {
         let grid = CubedSphere::new(3);
         let dss = Dss::new(&grid);
         let plan = DssGather::new(&dss);
-        for (pi, &g) in dss.gids.iter().enumerate() {
-            let (lo, hi) = (plan.off[pi] as usize, plan.off[pi + 1] as usize);
-            let want: Vec<u32> =
-                (0..dss.gids.len() as u32).filter(|&c| dss.gids[c as usize] == g).collect();
-            assert_eq!(&plan.codes[lo..hi], &want[..], "row {pi}");
-            for i in lo..hi {
-                assert_eq!(plan.w[i], dss.spheremp[plan.codes[i] as usize], "row {pi} weight");
+        assert_eq!(plan.nelem(), grid.nelem());
+        for (e, el) in plan.elems.iter().enumerate() {
+            for p in 0..NPTS {
+                let own = e * NPTS + p;
+                let g = dss.gids[own];
+                let want: Vec<u32> =
+                    (0..dss.gids.len() as u32).filter(|&c| dss.gids[c as usize] == g).collect();
+                let n = el.n[p] as usize;
+                assert_eq!(n, want.len(), "element {e} point {p} count");
+                for s in 0..MAX_SHARERS {
+                    let (code, w) = (el.code[s][p], el.w[s][p]);
+                    if s < n {
+                        assert_eq!(code, want[s], "element {e} point {p} slot {s}");
+                        assert_eq!(w, dss.spheremp[code as usize], "element {e} point {p} weight");
+                    } else {
+                        assert_eq!(code as usize, own, "element {e} point {p} padded slot {s}");
+                    }
+                }
+                assert_eq!(el.inv[p], dss.inv_mass[g]);
             }
-            assert_eq!(plan.inv[pi], dss.inv_mass[g]);
+            assert_eq!(el.nslots, *el.n.iter().max().unwrap(), "element {e} slots");
+        }
+    }
+
+    /// Non-finite raw values and signed zeros at interior, edge and corner
+    /// points assemble to the scatter walk's bits on both walks: a padded
+    /// slot never touches a point's accumulator (a zero-weight add would
+    /// turn an interior or edge `inf` into NaN), and an all-`-0.0` point
+    /// still assembles to `+0.0`.
+    #[test]
+    fn gather_keeps_non_finite_and_signed_zero_bits() {
+        let grid = CubedSphere::new(2);
+        let mut dss = Dss::new(&grid);
+        let plan = DssGather::new(&dss);
+        let nelem = grid.nelem();
+        let levels = 3;
+        let at = |e: usize, k: usize, p: usize| (e * levels + k) * NPTS + p;
+        // The other (element, point) sharing element `e`'s point `p`.
+        let partner = |e: usize, p: usize| {
+            let g = dss.gids[e * NPTS + p];
+            let c = (0..dss.gids.len()).find(|&c| c != e * NPTS + p && dss.gids[c] == g).unwrap();
+            (c / NPTS, c % NPTS)
+        };
+        let (interior, edge, corner) = (5, 1, 0);
+        let mut raw: [Vec<f64>; 4] = std::array::from_fn(|f| synth(f, nelem * levels * NPTS));
+        for (f, x) in raw.iter_mut().enumerate() {
+            let e = 3 * f;
+            x[at(e, 0, interior)] = f64::INFINITY;
+            x[at(e + 1, 1, interior)] = f64::NEG_INFINITY;
+            x[at(e + 2, 0, interior)] = f64::NAN;
+            x[at(e, 1, edge)] = f64::INFINITY;
+            x[at(e + 1, 0, corner)] = f64::NAN;
+            x[at(e + 2, 1, corner)] = f64::NEG_INFINITY;
+            // inf + (-inf) across an edge: the one NaN the sum creates.
+            let (pe, pp) = partner(e + 1, edge);
+            x[at(e + 1, 1, edge)] = f64::INFINITY;
+            x[at(pe, 1, pp)] = f64::NEG_INFINITY;
+            // Every copy of one interior, edge and corner point at -0.0.
+            for p in [interior, edge, corner] {
+                let g = dss.gids[(e + 3) * NPTS + p];
+                for c in (0..dss.gids.len()).filter(|&c| dss.gids[c] == g) {
+                    x[at(c / NPTS, 2, c % NPTS)] = -0.0;
+                }
+            }
+        }
+        let mut want = raw.clone();
+        let [w0, w1, w2, w3] = &mut want;
+        dss.apply_flat4([w0, w1, w2, w3], levels);
+        let coefs: [Vec<f64>; 4] = std::array::from_fn(|_| vec![1.0; levels]);
+        let zeros: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; raw[0].len()]);
+        let (stored, _) = gather_both(&plan, &raw, levels, levels, &coefs, &zeros, levels);
+        for f in 0..4 {
+            assert_eq!(bits(&want[f]), bits(&stored[f]), "f64 field {f}");
+            let (one, c1, z1) = ([raw[f].clone()], [vec![1.0; levels]], [zeros[f].clone()]);
+            let (single, _) = gather_both(&plan, &one, levels, levels, &c1, &z1, levels);
+            assert_eq!(bits(&want[f]), bits(&single[0]), "f64 single field {f}");
+        }
+        // Member m carries the fields rotated by m, so every lane sees every
+        // special value.
+        let members: [[Vec<f64>; 4]; 4] =
+            std::array::from_fn(|m| std::array::from_fn(|f| raw[(f + m) % 4].clone()));
+        let zeros4: [[Vec<f64>; 4]; 4] = std::array::from_fn(|_| zeros.clone());
+        let (src, zeros4) = (tile(&members), tile(&zeros4));
+        let (stored, _) = gather_both(&plan, &src, levels, levels, &coefs, &zeros4, levels);
+        for f in 0..4 {
+            let st = untile(&stored[f]);
+            for m in 0..4 {
+                assert_eq!(bits(&want[(f + m) % 4]), bits(&st[m]), "lanes field {f} member {m}");
+            }
+        }
+        // The fixture really holds what it claims, so the check above bites.
+        assert!(want[0][at(0, 0, interior)] == f64::INFINITY);
+        assert!(want[0][at(2, 0, interior)].is_nan());
+        for p in [interior, edge, corner] {
+            assert_eq!(want[0][at(3, 2, p)].to_bits(), 0.0f64.to_bits(), "point {p}");
         }
     }
 

@@ -12,6 +12,7 @@ use crate::kernels::blocked::{euler_stage_element_blocked, BlockedOps, StageComb
 use crate::sched::{ArenaMut, ElemScheduler};
 use crate::state::Dims;
 use cubesphere::NPTS;
+use std::ops::Range;
 
 /// Element-local tracer tendency: `out = -div(u q dp, v q dp)` for one
 /// level of one tracer. `q` is derived point-wise as `qdp / dp`.
@@ -121,12 +122,19 @@ pub fn euler_substep_flat(
     });
 }
 
-/// One full blocked Euler stage over a flat tracer arena: flux divergence,
-/// forward-Euler update and SSP stage combination fused per element, with
-/// mass fluxes hoisted across the tracer loop (see
-/// [`euler_stage_element_blocked`]). Elements run across the scheduler's
-/// workers; the call is allocation-free and bitwise identical to
-/// [`euler_substep_flat`] followed by the driver's combination loop.
+/// One blocked Euler stage of the tracer chunk `qs` over every element:
+/// flux divergence, forward-Euler update and SSP stage combination fused
+/// per element, with mass fluxes hoisted across the tracer loop (see
+/// [`euler_stage_element_blocked`]). `qdp_in` and `q0` are full tracer
+/// arenas (`[nelem][qsize][nlev][NPTS]`); element `e`'s raw output for the
+/// chunk lands at the start of its `ostride`-wide window of `qdp_out`.
+/// Elements run across the scheduler's workers; the call is
+/// allocation-free and bitwise identical to [`euler_substep_flat`] followed
+/// by the driver's combination loop, restricted to the chunk.
+///
+/// # Panics
+/// If the chunk does not fit in an `ostride`-wide window or past the
+/// arenas' tracers.
 #[allow(clippy::too_many_arguments)]
 pub fn euler_stage_flat_blocked(
     bops: &[BlockedOps],
@@ -139,23 +147,31 @@ pub fn euler_stage_flat_blocked(
     q0: &[f64],
     dt: f64,
     combine: StageCombine,
+    qs: Range<usize>,
     qdp_out: &mut [f64],
+    ostride: usize,
 ) {
     let fl = dims.field_len();
     let tl = dims.tracer_len();
+    let lw = dims.nlev * NPTS;
+    let (off, len) = (qs.start * lw, qs.len() * lw);
+    assert!(qs.end <= dims.qsize && len <= ostride, "euler_stage_flat_blocked: chunk {qs:?}");
+    assert!(qdp_out.len() >= bops.len() * ostride, "euler_stage_flat_blocked: short output");
     let arena_out = ArenaMut::new(qdp_out);
     sched.run(bops.len(), &|_w, e| {
-        // Disjoint per-element window of the output arena.
-        let qout = unsafe { arena_out.slice(e * tl, tl) };
+        // SAFETY: job `e` slices only its own `ostride`-wide window, inside
+        // the arena by the length check; the scheduler runs every `e` once.
+        let qout = unsafe { arena_out.slice(e * ostride, len) };
+        let chunk = e * tl + off..e * tl + off + len;
         euler_stage_element_blocked(
             &bops[e],
             dims.nlev,
-            dims.qsize,
+            qs.len(),
             &u[e * fl..(e + 1) * fl],
             &v[e * fl..(e + 1) * fl],
             &dp[e * fl..(e + 1) * fl],
-            &qdp_in[e * tl..(e + 1) * tl],
-            &q0[e * tl..(e + 1) * tl],
+            &qdp_in[chunk.clone()],
+            &q0[chunk],
             dt,
             combine,
             qout,
@@ -198,12 +214,14 @@ pub fn limit_nonnegative(spheremp: &[f64; NPTS], qdp: &mut [f64]) {
     }
 }
 
-/// Apply [`limit_nonnegative`] to every (tracer, level) of one element's
-/// tracer window `qe` (`[qsize][nlev][NPTS]`).
-pub fn limit_tracer_element(op: &ElemOps, dims: Dims, qe: &mut [f64]) {
+/// Apply [`limit_nonnegative`] to every whole level of one element's tracer
+/// window `qe`: its full `[qsize][nlev][NPTS]` window, or any run of
+/// (tracer, level) slabs of it, such as one tracer chunk.
+pub fn limit_tracer_element(op: &ElemOps, qe: &mut [f64]) {
+    debug_assert_eq!(qe.len() % NPTS, 0, "limit_tracer_element: partial level");
     let mut spheremp = [0.0; NPTS];
     spheremp.copy_from_slice(&op.spheremp);
-    for level in qe[..dims.tracer_len()].chunks_exact_mut(NPTS) {
+    for level in qe.chunks_exact_mut(NPTS) {
         limit_nonnegative(&spheremp, level);
     }
 }
@@ -215,7 +233,7 @@ pub fn limit_tracer_element(op: &ElemOps, dims: Dims, qe: &mut [f64]) {
 pub fn limit_tracer_arena(ops: &[ElemOps], dims: Dims, qdp: &mut [f64]) {
     let tl = dims.tracer_len();
     for (op, qe) in ops.iter().zip(qdp.chunks_exact_mut(tl.max(1))) {
-        limit_tracer_element(op, dims, qe);
+        limit_tracer_element(op, &mut qe[..tl]);
     }
 }
 

@@ -421,6 +421,11 @@ pub fn element_rhs_apply_blocked(
     }
 }
 
+/// Tracers per flux-divergence batch of [`euler_stage_element_blocked`],
+/// and per chunk of the driver's cache-resident tracer stage
+/// ([`crate::prim::Dycore::euler_step_tracers`]).
+pub(crate) const QCHUNK: usize = 4;
+
 /// One blocked Euler tracer stage over one element: flux divergence,
 /// forward-Euler update, and SSP stage combination fused into a single
 /// pass, with the `u*dp`/`v*dp` mass fluxes hoisted out of the tracer loop.
@@ -454,13 +459,12 @@ pub fn euler_stage_element_blocked(
             udp[r] = ur[r] * dpr[r];
             vdp[r] = vr[r] * dpr[r];
         }
-        // Tracers go through the divergence QCHUNK at a time so one
-        // (i, k) coefficient walk contracts several flux fields at once.
-        // Each tracer keeps its own interleaved accumulator updated in the
-        // one-tracer kernel's exact order — the committed bits don't move —
-        // while the batch amortizes the coefficient broadcasts and overlaps
-        // the chunk's dependency chains.
-        const QCHUNK: usize = 4;
+        // Tracers go through the divergence QCHUNK at a time, one (i, k)
+        // coefficient walk per chunk. Each tracer keeps its own interleaved
+        // accumulator updated in the one-tracer kernel's exact order, so
+        // the committed bits don't move. The width buys little speed:
+        // widths 1 and 2 time within noise of 4, and 8 is slower
+        // (DESIGN.md §5.12); 4 is kept as the driver's chunk width.
         let mut q = 0;
         while q < qsize {
             let m = (qsize - q).min(QCHUNK);

@@ -36,7 +36,7 @@ use crate::kernels::blocked::{
     hypervis_pass_levels_blocked, hypervis_pass_levels_members_blocked,
     sponge_pass_element_blocked, BlockedOps, KernelPath, StageCombine,
 };
-use crate::kernels::blocked::remap_element_planned;
+use crate::kernels::blocked::{remap_element_planned, QCHUNK};
 use crate::kernels::member_lanes::{
     element_rhs_apply_member_lanes, gather_member_tile, hypervis_pass_levels_member_lanes,
     hypervis_pass_member_lanes, scatter_member_tile, sponge_pass_member_lanes, MemberKernelPath,
@@ -47,7 +47,9 @@ use crate::sched::{ArenaMut, ElemScheduler};
 use crate::state::{Dims, State};
 use crate::taskgraph::{Neighbors, PipelineStage, StepPath};
 use crate::vert::VertCoord;
-use crate::workspace::{DynFields, MemberLanes, StepWorkspace, WorkerScratch, EMPTY_SCAN};
+use crate::workspace::{
+    qchunk_width, DynFields, MemberLanes, StepWorkspace, WorkerScratch, EMPTY_SCAN,
+};
 use cubesphere::{CubedSphere, NPTS};
 use std::sync::Mutex;
 use sw26010::V4F64;
@@ -656,14 +658,20 @@ impl Dycore {
     /// `state.qdp`: nothing writes it before the last stage's output lands
     /// there, so no copy of it is taken.
     ///
-    /// The blocked path runs each stage as two element-parallel sweeps: the
-    /// fused stage kernel writes its raw (pre-DSS) output into `q1`, and one
-    /// DSS gather sweep assembles it into the stage's destination with the
-    /// limiter as the sweep's epilogue on the freshly assembled element
-    /// window. Stage 1 goes `state.qdp → q1 ⇒ q2`, stage 2 `q2 → q1 ⇒ q2`,
-    /// stage 3 `q2 → q1 ⇒ state.qdp`: three tracer arenas touched, none of
-    /// them serially. The scalar path keeps the seed's serial scatter DSS +
-    /// arena-wide limiter as the bitwise oracle.
+    /// The blocked path runs each stage in chunks of [`QCHUNK`] tracers, two
+    /// element-parallel sweeps per chunk: the fused stage kernel writes the
+    /// chunk's raw (pre-DSS) output into the one-chunk-wide `qchunk`, and
+    /// one DSS gather sweep assembles it into the chunk's window of the
+    /// stage's destination, with the limiter as the sweep's epilogue on the
+    /// freshly assembled element window. Stage 1 goes `state.qdp → qchunk ⇒
+    /// q2`, stage 2 `q2 → qchunk ⇒ q2` in place, stage 3 `q2 → qchunk ⇒
+    /// state.qdp`. In place is safe because a chunk's gather writes only
+    /// tracers whose kernel sweep has finished, and later chunks read only
+    /// their own tracers. Two full tracer arenas and one chunk are touched,
+    /// none of them serially, and a chunk's raw output is still in cache
+    /// when its gather reads it. The scalar path keeps the seed's serial
+    /// scatter DSS + arena-wide limiter as the bitwise oracle; it writes
+    /// stage 1 straight into `q2` and substeps through `qtmp`.
     pub fn euler_step_tracers(&mut self, state: &mut State) {
         if self.dims.qsize == 0 {
             return;
@@ -672,36 +680,43 @@ impl Dycore {
         let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
         let dims = *dims;
         let limiter = cfg.limiter;
-        let StepWorkspace { q1, q2, qtmp, .. } = ws;
+        let StepWorkspace { qchunk, q2, qtmp, .. } = ws;
 
         match kernels {
             KernelPath::Blocked => {
                 let tl = dims.tracer_len();
+                let lw = dims.nlev * NPTS;
+                let cw = qchunk_width(dims) * lw;
                 let stages = [StageCombine::Replace, StageCombine::Ssp2, StageCombine::Ssp3];
                 for (s, combine) in stages.into_iter().enumerate() {
                     // Stage 1: q0 + dt L(q0); stage 2: 3/4 q0 + 1/4 (q2 +
                     // dt L(q2)); stage 3: 1/3 q0 + 2/3 (q2 + dt L(q2)).
-                    let qin: &[f64] = if s == 0 { &state.qdp } else { &q2[..] };
-                    euler_stage_flat_blocked(
-                        bops, dims, sched, &state.u, &state.v, &state.dp3d, qin, &state.qdp, dt,
-                        combine, q1,
-                    );
-                    let dst: &mut [f64] = if s == 2 { &mut state.qdp } else { &mut q2[..] };
-                    let levels = dims.qsize * dims.nlev;
-                    dss_sweep(sched, gather, levels, [&q1[..]], tl, None, [dst], tl, |e, [q]| {
-                        if limiter {
-                            limit_tracer_element(&ops[e], dims, q);
-                        }
-                    });
+                    for q in (0..dims.qsize).step_by(QCHUNK) {
+                        let qs = q..(q + QCHUNK).min(dims.qsize);
+                        let levels = qs.len() * dims.nlev;
+                        let qin: &[f64] = if s == 0 { &state.qdp } else { &q2[..] };
+                        euler_stage_flat_blocked(
+                            bops, dims, sched, &state.u, &state.v, &state.dp3d, qin, &state.qdp,
+                            dt, combine, qs, qchunk, cw,
+                        );
+                        let dst: &mut [f64] = if s == 2 { &mut state.qdp } else { &mut q2[..] };
+                        let dst = &mut dst[q * lw..];
+                        let src = [&qchunk[..]];
+                        dss_sweep(sched, gather, levels, src, cw, None, [dst], tl, |e, [w]| {
+                            if limiter {
+                                limit_tracer_element(&ops[e], w);
+                            }
+                        });
+                    }
                 }
             }
             KernelPath::Scalar => {
                 let (u, v, dp3d) = (&state.u[..], &state.v[..], &state.dp3d[..]);
-                // Stage 1: q1 = q0 + dt L(q0)
-                euler_substep_flat(ops, dims, sched, u, v, dp3d, &state.qdp, dt, q1);
-                finish_tracer_stage(ops, dss, dims, limiter, q1);
-                // Stage 2: q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
-                euler_substep_flat(ops, dims, sched, u, v, dp3d, q1, dt, qtmp);
+                // Stage 1: q2 = q0 + dt L(q0)
+                euler_substep_flat(ops, dims, sched, u, v, dp3d, &state.qdp, dt, q2);
+                finish_tracer_stage(ops, dss, dims, limiter, q2);
+                // Stage 2: q2 = 3/4 q0 + 1/4 (q2 + dt L(q2))
+                euler_substep_flat(ops, dims, sched, u, v, dp3d, q2, dt, qtmp);
                 for (q2, (q0, t)) in q2.iter_mut().zip(state.qdp.iter().zip(qtmp.iter())) {
                     *q2 = 0.75 * q0 + 0.25 * t;
                 }
@@ -732,9 +747,11 @@ impl Dycore {
         let tl = dims.tracer_len();
         let vert = &rhs.vert;
         let workers = &ws.workers;
-        // First remap failure observed by any worker (workers cannot
-        // propagate `?` through the scheduler closure).
-        let failure: Mutex<Option<RemapError>> = Mutex::new(None);
+        // The failing element with the lowest index, with its error: the
+        // one a serial loop would have stopped at, whatever the worker
+        // count (workers cannot propagate `?` through the scheduler
+        // closure).
+        let failure: Mutex<Option<(usize, RemapError)>> = Mutex::new(None);
         let au = ArenaMut::new(&mut state.u);
         let av = ArenaMut::new(&mut state.v);
         let at = ArenaMut::new(&mut state.t);
@@ -765,12 +782,15 @@ impl Dycore {
                     )
                 }
             };
-            if let Err(e) = res {
-                *failure.lock().unwrap() = Some(e);
+            if let Err(err) = res {
+                let mut first = failure.lock().unwrap_or_else(|poison| poison.into_inner());
+                if first.as_ref().is_none_or(|&(lowest, _)| e < lowest) {
+                    *first = Some((e, err));
+                }
             }
         });
-        match failure.into_inner().unwrap() {
-            Some(e) => Err(HealthError::from(e)),
+        match failure.into_inner().unwrap_or_else(|poison| poison.into_inner()) {
+            Some((_, err)) => Err(HealthError::from(err)),
             None => Ok(()),
         }
     }
@@ -957,8 +977,8 @@ impl Dycore {
             stage,
             next,
             hyp,
-            q1,
             q2,
+            qtmp,
             workers,
             graph,
             raw0,
@@ -1031,7 +1051,8 @@ impl Dycore {
             let hvv = ArenaMut::new(&mut hyp.v);
             let ht = ArenaMut::new(&mut hyp.t);
             let hdp = ArenaMut::new(&mut hyp.dp3d);
-            let aq1 = ArenaMut::new(q1);
+            // Tracer stage 1's assembled result (stage 2's lands in `q2`).
+            let aq1 = ArenaMut::new(qtmp);
             let aq2 = ArenaMut::new(q2);
             let raws = [ArenaMut::new(raw0), ArenaMut::new(raw1)];
 
@@ -1403,7 +1424,7 @@ impl Dycore {
                                 &mut [&mut *dest],
                             );
                             if limiter {
-                                limit_tracer_element(&ops[e], dims, dest);
+                                limit_tracer_element(&ops[e], dest);
                             }
                         }
                     }
@@ -1493,16 +1514,21 @@ impl Dycore {
 /// One element-parallel DSS sweep on the scheduler: every element gathers
 /// its own `[levels][NPTS]` window of the `F` fields of `src` (per-element
 /// stride `sstride`) in canonical order ([`DssGather::gather_elem`]) into
-/// its window of `dst` (stride `dstride`) — stored, or with `coefs`
-/// accumulated as `dst += coefs[f][k] * assembled` — and then runs `then`
-/// on the freshly written windows (work that only needs the element's own
-/// assembled values, e.g. the second hyperviscosity Laplacian).
+/// its `[levels][NPTS]` window of `dst` (stride `dstride`) — stored, or with
+/// `coefs` accumulated as `dst += coefs[f][k] * assembled` — and then runs
+/// `then` on the freshly written windows (work that only needs the
+/// element's own assembled values, e.g. the second hyperviscosity
+/// Laplacian, or the tracer limiter).
 ///
 /// This is the bulk step's DSS: no accumulator, no serial section, and
 /// bitwise the scatter walk of [`Dss::apply_flat`] at any worker count,
 /// because each point's sum runs in the plan's fixed order whichever worker
 /// computes it. `src` and `dst` are distinct borrows, so a sweep can never
 /// read an arena it writes.
+///
+/// # Panics
+/// If a source or destination arena is shorter than the sweep reaches
+/// ([`DssGather::span`]), or a window is wider than its element's stride.
 fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
     sched: &ElemScheduler,
     gather: &DssGather,
@@ -1514,6 +1540,10 @@ fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
     dstride: usize,
     then: impl Fn(usize, [&mut [L]; F]) + Sync,
 ) {
+    let wlen = levels * NPTS;
+    assert!(wlen <= dstride, "dss_sweep: {levels}-level window overlaps the next element");
+    assert!(src.iter().all(|s| s.len() >= gather.span(levels, sstride)), "dss_sweep: short source");
+    assert!(dst.iter().all(|d| d.len() >= gather.span(levels, dstride)), "dss_sweep: short dest");
     let dst = dst.map(ArenaMut::new);
     sched.run(gather.nelem(), &|_w, e| {
         // Rebind the captured tables to locals, so the gather loop does not
@@ -1522,11 +1552,27 @@ fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
         let (src, coefs) = (src, coefs);
         // SAFETY: `src` is shared-borrowed for the whole sweep and therefore
         // read-only; `dst` is written element-disjointly — job `e` slices
-        // only `[e * dstride, (e + 1) * dstride)` of each destination arena
-        // and the scheduler runs every `e` exactly once.
+        // only `[e * dstride, e * dstride + wlen)` of each destination arena
+        // (inside it by the span check, disjoint from `e + 1`'s by
+        // `wlen <= dstride`) and the scheduler runs every `e` exactly once.
         let mut win: [&mut [L]; F] =
-            core::array::from_fn(|f| unsafe { dst[f].slice(e * dstride, dstride) });
-        gather.gather_elem(e, levels, sstride, |f, i| src[f][i], coefs, &mut win);
+            core::array::from_fn(|f| unsafe { dst[f].slice(e * dstride, wlen) });
+        // A single-field sweep keeps the checked read: its scalar loads beat
+        // the hardware gather the compiler emits for an unchecked indexed
+        // load. A multi-field sweep needs the unchecked read, or the bounds
+        // checks keep the field loop rolled and its accumulator tile spills
+        // (DESIGN.md §5.12).
+        let read = |f: usize, i: usize| {
+            if F == 1 {
+                src[f][i]
+            } else {
+                // SAFETY: the plan only yields indices below
+                // `gather.span(levels, sstride)`, which every source covers
+                // (checked once above).
+                unsafe { *src[f].get_unchecked(i) }
+            }
+        };
+        gather.gather_elem(e, levels, sstride, read, coefs, &mut win);
         then(e, win);
     });
 }
@@ -2421,6 +2467,43 @@ mod tests {
         }
         let err = dy.step_checked(&mut st).unwrap_err();
         assert!(matches!(err, HealthError::Remap(_)), "got {err:?}");
+    }
+
+    /// With several collapsed columns, the remap reports the one in the
+    /// lowest-indexed element — what a serial loop would report — at every
+    /// worker count, on both kernel paths.
+    #[test]
+    fn vertical_remap_reports_lowest_failing_element() {
+        let dims = Dims { nlev: 4, qsize: 1 };
+        let mut dy = Dycore::new(2, dims, 200.0, DycoreConfig::for_ne(2));
+        let fl = dims.field_len();
+        let good = resting_state(&dy);
+        // Element 3 collapses layer 1, element 17 layer 2: distinct errors.
+        let collapse = |st: &mut State, e: usize, k: usize| {
+            for p in 0..NPTS {
+                st.dp3d[e * fl + k * NPTS + p] = -5000.0;
+            }
+        };
+        let remap_err = |dy: &mut Dycore, bad: &[(usize, usize)]| {
+            let mut st = good.clone();
+            for &(e, k) in bad {
+                collapse(&mut st, e, k);
+            }
+            dy.vertical_remap(&mut st).unwrap_err()
+        };
+        for kernels in [KernelPath::Blocked, KernelPath::Scalar] {
+            dy.kernels = kernels;
+            dy.set_threads(1);
+            let first = remap_err(&mut dy, &[(3, 1)]);
+            assert_ne!(first, remap_err(&mut dy, &[(17, 2)]), "the two errors must differ");
+            for threads in [1usize, 2, 3, 5] {
+                dy.set_threads(threads);
+                for _ in 0..4 {
+                    let got = remap_err(&mut dy, &[(3, 1), (17, 2)]);
+                    assert_eq!(got, first, "{kernels:?} threads={threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::bndry::ExchangeBuffers;
 use crate::health::StageScan;
 use crate::hypervis::ElemHypervisPlan;
+use crate::kernels::blocked::QCHUNK;
 use crate::kernels::member_lanes::MemberRhsScratch;
 use crate::remap::{ElemRemapPlan, RemapApplyScratch, RemapScratch};
 use crate::rhs::{ElemTend, RhsScratch};
@@ -35,6 +36,12 @@ pub const EMPTY_SCAN: StageScan =
 /// arena, or three sponge fields (always ≤ four full fields).
 pub fn raw_capacity(dims: Dims) -> usize {
     dims.nlev * NPTS * dims.qsize.max(4)
+}
+
+/// Tracers per chunk of the blocked tracer stage: [`QCHUNK`], or all of
+/// them when there are fewer.
+pub(crate) fn qchunk_width(dims: Dims) -> usize {
+    dims.qsize.min(QCHUNK)
 }
 
 /// The four dynamics prognostics as flat arenas (`[nelem][nlev][NPTS]`
@@ -140,14 +147,18 @@ pub struct StepWorkspace {
     pub sponge_v: Vec<f64>,
     /// Sponge-layer `T` temporary.
     pub sponge_t: Vec<f64>,
-    /// Tracer stage buffer, `[nelem][qsize][nlev][NPTS]`: the raw (pre-DSS)
-    /// stage output on the blocked path, stage 1's result on the scalar
-    /// path. Every path reads the stage input `q_0` from the state itself.
-    pub q1: Vec<f64>,
-    /// Tracer stage 2 buffer (stage 1's assembled result as well, on the
-    /// blocked path).
+    /// Raw (pre-DSS) tracer stage output of one tracer chunk on the blocked
+    /// path, `[nelem][qchunk_width(dims)][nlev][NPTS]`: a chunk is gathered
+    /// and limited before the next one is computed, so the stage never
+    /// streams a full raw tracer arena.
+    pub qchunk: Vec<f64>,
+    /// Tracer stage buffer, `[nelem][qsize][nlev][NPTS]`: stage 2 lands
+    /// here on every path, stage 1 too on the bulk paths. Every path reads
+    /// the stage input `q_0` from the state itself.
     pub q2: Vec<f64>,
-    /// Scalar-path substep output buffer.
+    /// Full-arena substep output of the scalar path, and the raw stage-1
+    /// result of the task graph. The default blocked step never touches it,
+    /// so its pages never become resident there.
     pub qtmp: Vec<f64>,
     /// One private scratch per scheduler worker.
     pub workers: PerWorker<WorkerScratch>,
@@ -188,7 +199,7 @@ impl StepWorkspace {
             sponge_u: vec![0.0; sl],
             sponge_v: vec![0.0; sl],
             sponge_t: vec![0.0; sl],
-            q1: vec![0.0; tl],
+            qchunk: vec![0.0; nelem * qchunk_width(dims) * dims.nlev * NPTS],
             q2: vec![0.0; tl],
             qtmp: vec![0.0; tl],
             workers: PerWorker::new(nworkers, || WorkerScratch::new(dims)),
@@ -491,8 +502,15 @@ mod tests {
         assert_eq!(ws.base.u.len(), 6 * 4 * NPTS);
         assert_eq!(ws.hyp.dp3d.len(), 6 * 4 * NPTS);
         assert_eq!(ws.sponge_t.len(), 6 * 3 * NPTS);
-        assert_eq!(ws.q1.len(), 6 * 2 * 4 * NPTS);
         assert_eq!(ws.workers.len(), 5);
+        // Fewer tracers than a chunk: the chunk buffer is one tracer arena.
+        assert_eq!(ws.qchunk.len(), 6 * 2 * 4 * NPTS);
+        // More tracers than a chunk: the raw buffer stays one chunk wide.
+        let dims = Dims { nlev: 4, qsize: 9 };
+        let ws = StepWorkspace::new(dims, 6, 3, 1);
+        assert_eq!(ws.qchunk.len(), 6 * QCHUNK * 4 * NPTS);
+        assert_eq!(ws.q2.len(), 6 * 9 * 4 * NPTS);
+        assert_eq!(ws.qtmp.len(), 6 * 9 * 4 * NPTS);
         // Sponge deeper than the column clamps to nlev.
         let ws2 = StepWorkspace::new(dims, 2, 9, 1);
         assert_eq!(ws2.sponge_u.len(), 2 * 4 * NPTS);

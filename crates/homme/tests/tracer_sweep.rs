@@ -1,7 +1,8 @@
-//! The blocked tracer stage — fused stage kernel into a raw arena, then one
-//! DSS gather sweep with the limiter as its epilogue — is bitwise the
-//! scalar oracle's kernel + serial scatter DSS + arena-wide limiter, for
-//! every column depth and tracer count the stage loops specialize over,
+//! The blocked tracer stage — per tracer chunk, the fused stage kernel into
+//! a one-chunk raw buffer, then one DSS gather sweep with the limiter as its
+//! epilogue — is bitwise the scalar oracle's kernel + serial scatter DSS +
+//! arena-wide limiter, for every column depth and tracer count the stage
+//! loops specialize over (one chunk, whole chunks, ragged last chunks),
 //! with the limiter on and off, at any worker count.
 
 use cubesphere::consts::P0;
@@ -50,7 +51,7 @@ fn advect(dy: &mut Dycore, path: KernelPath, threads: usize, start: &State) -> V
 #[test]
 fn blocked_tracer_sweep_matches_scalar_oracle_bitwise() {
     for nlev in [1usize, 2, 26] {
-        for qsize in [1usize, 4, 25] {
+        for qsize in [1usize, 4, 5, 9, 25] {
             let mut unlimited = None;
             for limiter in [false, true] {
                 let cfg = DycoreConfig {

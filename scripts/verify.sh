@@ -62,12 +62,13 @@ cargo test -q -p swcam-core --test ensemble_thread_parity
 # §5.11). The physics column sweep is pinned bitwise to the serial column
 # loop it replaced for every registered scenario at 1/2/3/5 workers, with
 # the lowest rejected column named at every worker count; the blocked
-# tracer stage (raw arena → DSS gather sweep with the limiter as its
-# epilogue) is pinned to the scalar oracle across nlev × qsize × limiter ×
-# workers; and three gates hold allocations at exactly zero — the pool's
-# worker-owned scratch slots, `Swcam::step` for every column suite at 1
-# and 3 workers beside busy threads, and the moist ensemble window. Run
-# under each default worker count, as CI's matrix does.
+# tracer stage (per tracer chunk, a one-chunk raw buffer → DSS gather sweep
+# with the limiter as its epilogue) is pinned to the scalar oracle across
+# nlev × qsize × limiter × workers; and three gates hold allocations at
+# exactly zero — the pool's worker-owned scratch slots, `Swcam::step` for
+# every column suite at 1 and 3 workers beside busy threads, and the moist
+# ensemble window. Run under each default worker count, as CI's matrix
+# does.
 echo "== physics-sweep test group (SWCAM_THREADS 1, 2, 3)"
 for threads in 1 2 3; do
     SWCAM_THREADS=$threads cargo test -q -p swcam-core --test physics_sweep
@@ -75,6 +76,20 @@ for threads in 1 2 3; do
     SWCAM_THREADS=$threads cargo test -q -p homme --test sched_scratch_alloc
     SWCAM_THREADS=$threads cargo test -q -p swcam-core --test swcam_step_alloc
     SWCAM_THREADS=$threads cargo test -q -p swcam-core --test ensemble_alloc
+done
+
+# Tracer-chunk group: the cache-resident tracer stage (DESIGN.md §5.12).
+# The slot-major DSS gather is pinned bitwise to the scatter walk for 1, 3
+# and 4 fields, f64 and member lanes, 1 to 650 levels and a source stride
+# deeper than the window, and keeps NaN / ±inf / -0.0 bits; the chunked
+# blocked tracer stage (ragged last chunks included) is pinned to the
+# scalar oracle at every default worker count; and the remap verdict names
+# the lowest failing element whatever the worker count.
+echo "== tracer-chunk test group (SWCAM_THREADS 1, 2, 3)"
+cargo test -q -p homme --lib dss::tests::gather
+cargo test -q -p homme --lib prim::tests::vertical_remap_reports_lowest_failing_element
+for threads in 1 2 3; do
+    SWCAM_THREADS=$threads cargo test -q -p homme --test tracer_sweep
 done
 
 # Kernel-parity group: the blocked (default) kernel path must stay bitwise
