@@ -125,16 +125,20 @@ pub fn euler_substep_flat(
 /// One blocked Euler stage of the tracer chunk `qs` over every element:
 /// flux divergence, forward-Euler update and SSP stage combination fused
 /// per element, with mass fluxes hoisted across the tracer loop (see
-/// [`euler_stage_element_blocked`]). `qdp_in` and `q0` are full tracer
-/// arenas (`[nelem][qsize][nlev][NPTS]`); element `e`'s raw output for the
-/// chunk lands at the start of its `ostride`-wide window of `qdp_out`.
-/// Elements run across the scheduler's workers; the call is
-/// allocation-free and bitwise identical to [`euler_substep_flat`] followed
-/// by the driver's combination loop, restricted to the chunk.
+/// [`euler_stage_element_blocked`]). Element `e`'s stage input for the
+/// chunk starts at `e * istride` of `qdp_in` (so a full tracer arena is
+/// passed from the chunk's first tracer on, with stride `tracer_len`, and
+/// a one-chunk buffer whole, with its own stride); `q0` is a full tracer
+/// arena (`[nelem][qsize][nlev][NPTS]`) read at the chunk's tracers.
+/// Element `e`'s raw output for the chunk lands at the start of its
+/// `ostride`-wide window of `qdp_out`. Elements run across the
+/// scheduler's workers; the call is allocation-free and bitwise identical
+/// to [`euler_substep_flat`] followed by the driver's combination loop,
+/// restricted to the chunk.
 ///
 /// # Panics
-/// If the chunk does not fit in an `ostride`-wide window or past the
-/// arenas' tracers.
+/// If the chunk does not fit in an `istride`- or `ostride`-wide window or
+/// past the arenas' tracers.
 #[allow(clippy::too_many_arguments)]
 pub fn euler_stage_flat_blocked(
     bops: &[BlockedOps],
@@ -144,6 +148,7 @@ pub fn euler_stage_flat_blocked(
     v: &[f64],
     dp: &[f64],
     qdp_in: &[f64],
+    istride: usize,
     q0: &[f64],
     dt: f64,
     combine: StageCombine,
@@ -155,7 +160,10 @@ pub fn euler_stage_flat_blocked(
     let tl = dims.tracer_len();
     let lw = dims.nlev * NPTS;
     let (off, len) = (qs.start * lw, qs.len() * lw);
-    assert!(qs.end <= dims.qsize && len <= ostride, "euler_stage_flat_blocked: chunk {qs:?}");
+    assert!(
+        qs.end <= dims.qsize && len <= istride && len <= ostride,
+        "euler_stage_flat_blocked: chunk {qs:?}"
+    );
     assert!(qdp_out.len() >= bops.len() * ostride, "euler_stage_flat_blocked: short output");
     let arena_out = ArenaMut::new(qdp_out);
     sched.run(bops.len(), &|_w, e| {
@@ -170,7 +178,7 @@ pub fn euler_stage_flat_blocked(
             &u[e * fl..(e + 1) * fl],
             &v[e * fl..(e + 1) * fl],
             &dp[e * fl..(e + 1) * fl],
-            &qdp_in[chunk.clone()],
+            &qdp_in[e * istride..e * istride + len],
             &q0[chunk],
             dt,
             combine,
@@ -186,13 +194,25 @@ pub fn euler_stage_flat_blocked(
 /// Negative values are clipped to zero and the created mass is removed
 /// proportionally from the positive values. If the level's total mass is
 /// negative nothing can be conserved positively; values clip to zero.
+///
+/// A level with no value `< 0.0` returns before the mass sums: on such a
+/// level the sums would only add to `positive_mass`, leave `deficit` at
+/// exactly `0.0` and return without writing, so skipping them keeps every
+/// bit. NaN and `−0.0` are not negative here either way. A negative value
+/// whose mass `spheremp · q` underflows to `−0.0` still counts: it is
+/// clipped to zero although the deficit stays `0.0`.
 pub fn limit_nonnegative(spheremp: &[f64; NPTS], qdp: &mut [f64]) {
     debug_assert_eq!(qdp.len(), NPTS);
+    // The one test of negativity, shared by the fast check and the sums.
+    let negative = |x: f64| x < 0.0;
+    if !qdp.iter().any(|&x| negative(x)) {
+        return;
+    }
     let mut deficit = 0.0;
     let mut positive_mass = 0.0;
     for p in 0..NPTS {
         let m = spheremp[p] * qdp[p];
-        if qdp[p] < 0.0 {
+        if negative(qdp[p]) {
             deficit += -m;
             qdp[p] = 0.0;
         } else {
@@ -348,6 +368,42 @@ mod tests {
         let mut qdp = [-1.0; NPTS];
         limit_nonnegative(&spheremp, &mut qdp);
         assert!(qdp.iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn limiter_keeps_bits_of_levels_without_negatives() {
+        let mut spheremp = [0.0; NPTS];
+        for (i, w) in spheremp.iter_mut().enumerate() {
+            *w = 0.5 + i as f64;
+        }
+        let specials = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY];
+        for (s, &x) in specials.iter().enumerate() {
+            // The special value alone, and mixed with positives.
+            let mut levels = vec![[x; NPTS]];
+            let mut mixed = [1.5; NPTS];
+            mixed[s] = x;
+            mixed[NPTS - 1 - s] = x;
+            levels.push(mixed);
+            for level in levels {
+                let mut qdp = level;
+                limit_nonnegative(&spheremp, &mut qdp);
+                let bits = |l: &[f64; NPTS]| l.map(f64::to_bits);
+                assert_eq!(bits(&qdp), bits(&level), "{x} level changed");
+            }
+        }
+    }
+
+    #[test]
+    fn limiter_zeroes_a_negative_whose_mass_underflows() {
+        // spheremp * q underflows to -0.0, so the deficit stays exactly 0.0;
+        // the value must still be clipped, and nothing else scaled.
+        let spheremp = [1e-300_f64; NPTS];
+        let mut qdp = [0.25_f64; NPTS];
+        qdp[5] = -1e-300;
+        assert_eq!((spheremp[5] * qdp[5]).to_bits(), (-0.0_f64).to_bits());
+        limit_nonnegative(&spheremp, &mut qdp);
+        assert_eq!(qdp[5].to_bits(), 0.0f64.to_bits());
+        assert!(qdp.iter().enumerate().all(|(p, &x)| p == 5 || x == 0.25));
     }
 
     #[test]

@@ -213,35 +213,18 @@ impl Dycore {
     }
 
     /// Advance the dynamics (u, v, T, dp3d) by one dt with the 5-stage RK.
+    ///
+    /// Stage `i` is `u_i = u_0 + c_i dt RHS(u_{i-1})`, then DSS. Both kernel
+    /// paths read `u_0` from the state, which no stage writes before the
+    /// last. The blocked path takes no copy of the state: each stage is an
+    /// RHS sweep from `u_{i-1}` (the state for `i = 1`, else
+    /// `StepWorkspace::stage`) into the raw arenas `hyp`, then a gather
+    /// sweep that reads only `hyp` and so can write `stage` in place — or,
+    /// for `i = 5`, the state's dynamics fields. Two dynamics arenas are
+    /// touched besides the state. The scalar oracle keeps its
+    /// `stage` / `next` ping-pong and copies `u_5` into the state.
     pub fn dynamics_step(&mut self, state: &mut State) {
-        let dt = self.cfg.dt;
-        let Dycore { ops, dss, rhs, dims, sched, ws, kernels, bops, gather, .. } = self;
-        ws.base.copy_from_state(state);
-        ws.stage.copy_from_state(state);
-        for &c in &KG5_COEFFS {
-            rk_substep(
-                *kernels,
-                ops,
-                bops,
-                dss,
-                gather,
-                rhs,
-                *dims,
-                sched,
-                &ws.workers,
-                &ws.base,
-                &ws.stage,
-                &state.phis,
-                c * dt,
-                &mut ws.hyp,
-                &mut ws.next,
-            );
-            std::mem::swap(&mut ws.stage, &mut ws.next);
-        }
-        state.u.copy_from_slice(&ws.stage.u);
-        state.v.copy_from_slice(&ws.stage.v);
-        state.t.copy_from_slice(&ws.stage.t);
-        state.dp3d.copy_from_slice(&ws.stage.dp3d);
+        self.dynamics_step_guarded(state, None).expect("an unguarded RK stage cannot fail");
     }
 
     /// Hyperviscosity subcycles a step of the current `cfg.dt` runs:
@@ -280,9 +263,10 @@ impl Dycore {
     /// path then runs each subcycle as three element-parallel sweeps with
     /// no serial code between them: the fused first Laplacian of all four
     /// fields (state → `hyp`), the DSS gather of `hyp` with the second
-    /// Laplacian on the assembled window (→ `next`), and the DSS gather of
-    /// `next` with the forward-Euler damping folded in (→ state) — see
-    /// [`DssGather::gather_elem`]. The scalar path keeps the seed's copy +
+    /// Laplacian on the assembled window (→ `stage`, idle outside RK), and
+    /// the DSS gather of `stage` with the forward-Euler damping folded in
+    /// (→ state) — see [`DssGather::gather_elem`]. The scalar path keeps
+    /// the seed's copy +
     /// per-field Laplacian + serial scatter DSS + separate apply structure
     /// as the bitwise oracle.
     pub fn apply_hypervis_n(
@@ -301,7 +285,7 @@ impl Dycore {
         let fl = dims.field_len();
         ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops)?;
         if let KernelPath::Blocked = kernels {
-            let StepWorkspace { hv_plan: plan, hyp, next, sponge_u, sponge_v, sponge_t, .. } = ws;
+            let StepWorkspace { hv_plan: plan, hyp, stage, sponge_u, sponge_v, sponge_t, .. } = ws;
             let nelem = ops.len();
             // Top-of-model sponge: ordinary Laplacian damping on the top
             // layers (sign +nu_top lap, i.e. diffusion). The fused element
@@ -380,7 +364,7 @@ impl Dycore {
                     });
                 }
                 // DSS of the first Laplacians, gathered per element into
-                // the (idle outside RK) `next` arenas, with the second
+                // the (idle outside RK) `stage` arenas, with the second
                 // Laplacian (del^4 = lap(lap)) run on the element's freshly
                 // assembled window in the same job.
                 dss_sweep(
@@ -390,7 +374,7 @@ impl Dycore {
                     hyp.fields(),
                     fl,
                     None,
-                    next.fields_mut(),
+                    stage.fields_mut(),
                     fl,
                     |e, [u, v, t, dp]| hypervis_pass_levels_blocked(&bops[e], nlev, u, v, t, dp),
                 );
@@ -402,7 +386,7 @@ impl Dycore {
                     sched,
                     gather,
                     nlev,
-                    next.fields(),
+                    stage.fields(),
                     fl,
                     Some(plan.damp()),
                     state.dyn_fields_mut(),
@@ -655,23 +639,27 @@ impl Dycore {
     /// Advance tracers by one dt with 3-stage SSP-RK2 (`euler_step`).
     ///
     /// Both kernel paths read the step-input `q0` straight from
-    /// `state.qdp`: nothing writes it before the last stage's output lands
-    /// there, so no copy of it is taken.
+    /// `state.qdp`: nothing writes a tracer's `q0` before its last stage's
+    /// output lands there, so no copy of it is taken.
     ///
-    /// The blocked path runs each stage in chunks of [`QCHUNK`] tracers, two
-    /// element-parallel sweeps per chunk: the fused stage kernel writes the
-    /// chunk's raw (pre-DSS) output into the one-chunk-wide `qchunk`, and
-    /// one DSS gather sweep assembles it into the chunk's window of the
-    /// stage's destination, with the limiter as the sweep's epilogue on the
-    /// freshly assembled element window. Stage 1 goes `state.qdp → qchunk ⇒
-    /// q2`, stage 2 `q2 → qchunk ⇒ q2` in place, stage 3 `q2 → qchunk ⇒
-    /// state.qdp`. In place is safe because a chunk's gather writes only
-    /// tracers whose kernel sweep has finished, and later chunks read only
-    /// their own tracers. Two full tracer arenas and one chunk are touched,
-    /// none of them serially, and a chunk's raw output is still in cache
-    /// when its gather reads it. The scalar path keeps the seed's serial
+    /// The blocked path runs all three stages of one [`QCHUNK`]-tracer chunk
+    /// before it starts the next chunk, two element-parallel sweeps per
+    /// stage: the fused stage kernel writes the chunk's raw (pre-DSS) output
+    /// into the one-chunk-wide `qchunk`, and one DSS gather sweep assembles
+    /// it into the stage's destination, with the limiter as the sweep's
+    /// epilogue on the freshly assembled element window. For chunk `qs`,
+    /// stage 1 goes `state.qdp[qs] → qchunk ⇒ qstage`, stage 2 `qstage →
+    /// qchunk ⇒ qstage` in place, stage 3 `qstage → qchunk ⇒ state.qdp[qs]`.
+    /// Stage 3's gather writes that window only after the chunk's kernel
+    /// sweep has finished, and later chunks read only their own tracers.
+    /// Since `u`, `v` and `dp3d` are fixed for the whole tracer step and
+    /// the kernel, gather and limiter each work per (tracer, level), every
+    /// value gets the same operations in the same order as stage-major
+    /// order would give it. One full tracer arena (the state's) and two
+    /// chunk-wide buffers are touched, none of them serially. The scalar
+    /// path keeps the seed's serial
     /// scatter DSS + arena-wide limiter as the bitwise oracle; it writes
-    /// stage 1 straight into `q2` and substeps through `qtmp`.
+    /// stages 1 and 2 into `q2` and substeps through `qtmp`.
     pub fn euler_step_tracers(&mut self, state: &mut State) {
         if self.dims.qsize == 0 {
             return;
@@ -680,33 +668,50 @@ impl Dycore {
         let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
         let dims = *dims;
         let limiter = cfg.limiter;
-        let StepWorkspace { qchunk, q2, qtmp, .. } = ws;
+        let StepWorkspace { qchunk, qstage, q2, qtmp, .. } = ws;
 
         match kernels {
             KernelPath::Blocked => {
+                let State { u, v, dp3d, qdp, .. } = state;
                 let tl = dims.tracer_len();
                 let lw = dims.nlev * NPTS;
                 let cw = qchunk_width(dims) * lw;
-                let stages = [StageCombine::Replace, StageCombine::Ssp2, StageCombine::Ssp3];
-                for (s, combine) in stages.into_iter().enumerate() {
-                    // Stage 1: q0 + dt L(q0); stage 2: 3/4 q0 + 1/4 (q2 +
-                    // dt L(q2)); stage 3: 1/3 q0 + 2/3 (q2 + dt L(q2)).
-                    for q in (0..dims.qsize).step_by(QCHUNK) {
-                        let qs = q..(q + QCHUNK).min(dims.qsize);
-                        let levels = qs.len() * dims.nlev;
-                        let qin: &[f64] = if s == 0 { &state.qdp } else { &q2[..] };
+                let limit = |e: usize, [w]: [&mut [f64]; 1]| {
+                    if limiter {
+                        limit_tracer_element(&ops[e], w);
+                    }
+                };
+                for q in (0..dims.qsize).step_by(QCHUNK) {
+                    let qs = q..(q + QCHUNK).min(dims.qsize);
+                    let levels = qs.len() * dims.nlev;
+                    // Stage 1: q0 + dt L(q0); stage 2: 3/4 q0 + 1/4 (q1 +
+                    // dt L(q1)); stage 3: 1/3 q0 + 2/3 (q2 + dt L(q2)).
+                    for combine in [StageCombine::Replace, StageCombine::Ssp2, StageCombine::Ssp3] {
+                        let (qin, istride) = match combine {
+                            StageCombine::Replace => (&qdp[q * lw..], tl),
+                            _ => (&qstage[..], cw),
+                        };
                         euler_stage_flat_blocked(
-                            bops, dims, sched, &state.u, &state.v, &state.dp3d, qin, &state.qdp,
-                            dt, combine, qs, qchunk, cw,
+                            bops,
+                            dims,
+                            sched,
+                            u,
+                            v,
+                            dp3d,
+                            qin,
+                            istride,
+                            qdp,
+                            dt,
+                            combine,
+                            qs.clone(),
+                            qchunk,
+                            cw,
                         );
-                        let dst: &mut [f64] = if s == 2 { &mut state.qdp } else { &mut q2[..] };
-                        let dst = &mut dst[q * lw..];
-                        let src = [&qchunk[..]];
-                        dss_sweep(sched, gather, levels, src, cw, None, [dst], tl, |e, [w]| {
-                            if limiter {
-                                limit_tracer_element(&ops[e], w);
-                            }
-                        });
+                        let (dst, ds) = match combine {
+                            StageCombine::Ssp3 => (&mut qdp[q * lw..], tl),
+                            _ => (&mut qstage[..], cw),
+                        };
+                        dss_sweep(sched, gather, levels, [qchunk], cw, None, [dst], ds, limit);
                     }
                 }
             }
@@ -831,7 +836,9 @@ impl Dycore {
     /// subcycles. With guards disabled this is exactly [`Dycore::step`].
     ///
     /// On `Err` the state may hold a partially advanced step and must be
-    /// restored from a checkpoint before continuing.
+    /// restored from a checkpoint before continuing. (An RK stage rejected
+    /// at stages 1–4 leaves the state as the step found it; one rejected
+    /// at stage 5 leaves the rejected `u_5` in it.)
     pub fn step_checked(&mut self, state: &mut State) -> Result<StepHealth, HealthError> {
         if !self.health.enabled {
             self.step(state);
@@ -850,7 +857,7 @@ impl Dycore {
         for _ in 0..splits {
             match self.step_path {
                 StepPath::Bulk => {
-                    if let Err(e) = self.dynamics_step_guarded(state, &mut health) {
+                    if let Err(e) = self.dynamics_step_guarded(state, Some(&mut health)) {
                         self.cfg.dt = full_dt;
                         return Err(e);
                     }
@@ -893,43 +900,70 @@ impl Dycore {
         Ok(health)
     }
 
-    /// [`Dycore::dynamics_step`] with a health scan after each RK stage.
+    /// The KG5 loop of [`Dycore::dynamics_step`]; with `health`, each stage
+    /// ends with a health scan of `u_i` (of `stage`, or of the state after
+    /// stage 5), committed under the stage's index 0..5.
+    ///
+    /// On `Err` at stages 1–4 the state is untouched (nothing writes it
+    /// before stage 5's gather). On `Err` at stage 5 the state holds the
+    /// rejected `u_5`.
     fn dynamics_step_guarded(
         &mut self,
         state: &mut State,
-        health: &mut StepHealth,
+        mut health: Option<&mut StepHealth>,
     ) -> Result<(), HealthError> {
         let dt = self.cfg.dt;
         let hcfg = self.health;
         let Dycore { ops, dss, rhs, dims, sched, ws, kernels, bops, gather, .. } = self;
-        ws.base.copy_from_state(state);
-        ws.stage.copy_from_state(state);
-        for (stage, &c) in KG5_COEFFS.iter().enumerate() {
-            rk_substep(
-                *kernels,
-                ops,
-                bops,
-                dss,
-                gather,
-                rhs,
-                *dims,
-                sched,
-                &ws.workers,
-                &ws.base,
-                &ws.stage,
-                &state.phis,
-                c * dt,
-                &mut ws.hyp,
-                &mut ws.next,
-            );
-            let scan = scan_stage(&ws.next.u, &ws.next.v, &ws.next.t, &ws.next.dp3d, &[]);
-            commit_scan(health, &hcfg, stage, scan)?;
-            std::mem::swap(&mut ws.stage, &mut ws.next);
+        let StepWorkspace { stage, next, hyp, workers, .. } = ws;
+        let (nlev, fl) = (dims.nlev, dims.field_len());
+        let last = KG5_COEFFS.len() - 1;
+        for (i, &c) in KG5_COEFFS.iter().enumerate() {
+            let eval = if i == 0 { state.dyn_fields() } else { stage.fields() };
+            match kernels {
+                KernelPath::Blocked => {
+                    rk_rhs_sweep(
+                        bops,
+                        rhs,
+                        nlev,
+                        sched,
+                        workers,
+                        state.dyn_fields(),
+                        eval,
+                        &state.phis,
+                        c * dt,
+                        hyp,
+                    );
+                    let dst = if i == last { state.dyn_fields_mut() } else { stage.fields_mut() };
+                    dss_sweep(sched, gather, nlev, hyp.fields(), fl, None, dst, fl, |_, _| {});
+                }
+                KernelPath::Scalar => {
+                    rk_substep_scalar(
+                        ops,
+                        dss,
+                        rhs,
+                        *dims,
+                        sched,
+                        workers,
+                        state.dyn_fields(),
+                        eval,
+                        &state.phis,
+                        c * dt,
+                        next,
+                    );
+                    std::mem::swap(stage, next);
+                    if i == last {
+                        for (to, from) in state.dyn_fields_mut().into_iter().zip(stage.fields()) {
+                            to.copy_from_slice(from);
+                        }
+                    }
+                }
+            }
+            if let Some(health) = health.as_deref_mut() {
+                let [u, v, t, dp3d] = if i == last { state.dyn_fields() } else { stage.fields() };
+                commit_scan(health, &hcfg, i, scan_stage(u, v, t, dp3d, &[]))?;
+            }
         }
-        state.u.copy_from_slice(&ws.stage.u);
-        state.v.copy_from_slice(&ws.stage.v);
-        state.t.copy_from_slice(&ws.stage.t);
-        state.dp3d.copy_from_slice(&ws.stage.dp3d);
         Ok(())
     }
 
@@ -1577,109 +1611,117 @@ fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
     });
 }
 
-/// One explicit sub-step across all elements: `out = base + c dt
-/// RHS(eval)`, then DSS. RHS evaluations run on the scheduler with
-/// per-worker scratch — the fused blocked kernel or the scalar
-/// raw-tendency + apply pair, bitwise identical either way. The blocked
-/// path writes the raw stage into `scratch` and assembles it into `out`
-/// with an element-parallel gather sweep; the scalar oracle keeps the
-/// in-place serial scatter walk. Same bits either way.
+/// The RHS sweep of one blocked RK stage: `raw = base + c dt RHS(eval)`
+/// per element, pre-DSS, with the fused blocked kernel on the scheduler
+/// and per-worker scratch. The caller assembles `raw` with a gather sweep.
 #[allow(clippy::too_many_arguments)]
-fn rk_substep(
-    kernels: KernelPath,
-    ops: &[ElemOps],
+fn rk_rhs_sweep(
     bops: &[BlockedOps],
+    rhs: &Rhs,
+    nlev: usize,
+    sched: &ElemScheduler,
+    workers: &crate::sched::PerWorker<WorkerScratch>,
+    base: [&[f64]; 4],
+    eval: [&[f64]; 4],
+    phis: &[f64],
+    c_dt: f64,
+    raw: &mut DynFields,
+) {
+    let fl = nlev * NPTS;
+    let ptop = rhs.vert.ptop();
+    let [bu, bv, bt, bdp] = base;
+    let [eu, ev, et, edp] = eval;
+    assert!(raw.fields().iter().all(|f| f.len() >= bops.len() * fl), "rk_rhs_sweep: short raw");
+    let [ou, ov, ot, odp] = raw.fields_mut().map(ArenaMut::new);
+    sched.run(bops.len(), &|w, e| {
+        // SAFETY: worker `w` owns its scratch slot; job `e` writes only its
+        // own element window of each raw arena (inside it by the length
+        // check), and the scheduler runs every `e` once.
+        let scratch = unsafe { workers.get(w) };
+        let r = e * fl..(e + 1) * fl;
+        element_rhs_apply_blocked(
+            &bops[e],
+            nlev,
+            ptop,
+            &eu[r.clone()],
+            &ev[r.clone()],
+            &et[r.clone()],
+            &edp[r.clone()],
+            &phis[e * NPTS..(e + 1) * NPTS],
+            &bu[r.clone()],
+            &bv[r.clone()],
+            &bt[r.clone()],
+            &bdp[r],
+            c_dt,
+            unsafe { ou.slice(e * fl, fl) },
+            unsafe { ov.slice(e * fl, fl) },
+            unsafe { ot.slice(e * fl, fl) },
+            unsafe { odp.slice(e * fl, fl) },
+            &mut scratch.rhs,
+        );
+    });
+}
+
+/// One explicit sub-step of the scalar oracle across all elements:
+/// `out = base + c dt RHS(eval)` from the raw tendency + apply pair on the
+/// scheduler, then the in-place serial scatter DSS of the four fields.
+/// Bitwise [`rk_rhs_sweep`] followed by its gather sweep.
+#[allow(clippy::too_many_arguments)]
+fn rk_substep_scalar(
+    ops: &[ElemOps],
     dss: &mut Dss,
-    gather: &DssGather,
     rhs: &Rhs,
     dims: Dims,
     sched: &ElemScheduler,
     workers: &crate::sched::PerWorker<WorkerScratch>,
-    base: &DynFields,
-    eval: &DynFields,
+    base: [&[f64]; 4],
+    eval: [&[f64]; 4],
     phis: &[f64],
     c_dt: f64,
-    scratch: &mut DynFields,
     out: &mut DynFields,
 ) {
     let nlev = dims.nlev;
     let fl = dims.field_len();
     let ptop = rhs.vert.ptop();
+    let [bu, bv, bt, bdp] = base;
+    let [eu, ev, et, edp] = eval;
+    assert!(out.fields().iter().all(|f| f.len() >= ops.len() * fl), "rk_substep_scalar: short out");
     {
-        let raw = match kernels {
-            KernelPath::Blocked => &mut *scratch,
-            KernelPath::Scalar => &mut *out,
-        };
-        let ou = ArenaMut::new(&mut raw.u);
-        let ov = ArenaMut::new(&mut raw.v);
-        let ot = ArenaMut::new(&mut raw.t);
-        let odp = ArenaMut::new(&mut raw.dp3d);
+        let [ou, ov, ot, odp] = out.fields_mut().map(ArenaMut::new);
         sched.run(ops.len(), &|w, e| {
-            let scratch = unsafe { workers.get(w) };
-            let WorkerScratch { tend, rhs: rhs_scratch, .. } = scratch;
+            // SAFETY: as in `rk_rhs_sweep`: a private scratch slot per
+            // worker, and element-disjoint windows inside the checked arenas.
+            let WorkerScratch { tend, rhs: rhs_scratch, .. } = unsafe { workers.get(w) };
             let r = e * fl..(e + 1) * fl;
             let ou = unsafe { ou.slice(e * fl, fl) };
             let ov = unsafe { ov.slice(e * fl, fl) };
             let ot = unsafe { ot.slice(e * fl, fl) };
             let odp = unsafe { odp.slice(e * fl, fl) };
-            match kernels {
-                KernelPath::Blocked => element_rhs_apply_blocked(
-                    &bops[e],
-                    nlev,
-                    ptop,
-                    &eval.u[r.clone()],
-                    &eval.v[r.clone()],
-                    &eval.t[r.clone()],
-                    &eval.dp3d[r.clone()],
-                    &phis[e * NPTS..(e + 1) * NPTS],
-                    &base.u[r.clone()],
-                    &base.v[r.clone()],
-                    &base.t[r.clone()],
-                    &base.dp3d[r.clone()],
-                    c_dt,
-                    ou,
-                    ov,
-                    ot,
-                    odp,
-                    rhs_scratch,
-                ),
-                KernelPath::Scalar => {
-                    element_rhs_raw(
-                        &ops[e],
-                        nlev,
-                        ptop,
-                        &eval.u[r.clone()],
-                        &eval.v[r.clone()],
-                        &eval.t[r.clone()],
-                        &eval.dp3d[r.clone()],
-                        &phis[e * NPTS..(e + 1) * NPTS],
-                        &mut tend.u,
-                        &mut tend.v,
-                        &mut tend.t,
-                        &mut tend.dp3d,
-                        rhs_scratch,
-                    );
-                    for i in 0..fl {
-                        ou[i] = base.u[r.start + i] + c_dt * tend.u[i];
-                        ov[i] = base.v[r.start + i] + c_dt * tend.v[i];
-                        ot[i] = base.t[r.start + i] + c_dt * tend.t[i];
-                        odp[i] = base.dp3d[r.start + i] + c_dt * tend.dp3d[i];
-                    }
-                }
+            element_rhs_raw(
+                &ops[e],
+                nlev,
+                ptop,
+                &eu[r.clone()],
+                &ev[r.clone()],
+                &et[r.clone()],
+                &edp[r.clone()],
+                &phis[e * NPTS..(e + 1) * NPTS],
+                &mut tend.u,
+                &mut tend.v,
+                &mut tend.t,
+                &mut tend.dp3d,
+                rhs_scratch,
+            );
+            for i in 0..fl {
+                ou[i] = bu[r.start + i] + c_dt * tend.u[i];
+                ov[i] = bv[r.start + i] + c_dt * tend.v[i];
+                ot[i] = bt[r.start + i] + c_dt * tend.t[i];
+                odp[i] = bdp[r.start + i] + c_dt * tend.dp3d[i];
             }
         });
     }
-    // DSS the four updated prognostics.
-    match kernels {
-        KernelPath::Blocked => {
-            dss_sweep(sched, gather, nlev, scratch.fields(), fl, None, out.fields_mut(), fl, |_, _| {})
-        }
-        KernelPath::Scalar => {
-            dss.apply_flat(&mut out.u, nlev);
-            dss.apply_flat(&mut out.v, nlev);
-            dss.apply_flat(&mut out.t, nlev);
-            dss.apply_flat(&mut out.dp3d, nlev);
-        }
+    for f in out.fields_mut() {
+        dss.apply_flat(f, nlev);
     }
 }
 

@@ -230,6 +230,12 @@ impl State {
         }
     }
 
+    /// The dynamics prognostics as arenas `[u, v, t, dp3d]` (the DSS
+    /// sweeps' field order).
+    pub fn dyn_fields(&self) -> [&[f64]; 4] {
+        [&self.u, &self.v, &self.t, &self.dp3d]
+    }
+
     /// The dynamics prognostics as mutable arenas `[u, v, t, dp3d]` (the
     /// DSS sweeps' field order).
     pub fn dyn_fields_mut(&mut self) -> [&mut [f64]; 4] {

@@ -131,15 +131,25 @@ impl WorkerScratch {
 }
 
 /// All step-persistent buffers of the dycore pipeline.
+///
+/// The default (blocked, bulk) step touches only `stage`, `hyp`, the sponge
+/// buffers, `qchunk` and `qstage` besides the state; `next`, `q2`, `qtmp`
+/// and `raw0` / `raw1` serve the scalar oracle and the task graph, so their
+/// pages never become resident on the default path.
 #[derive(Debug)]
 pub struct StepWorkspace {
-    /// RK base state `u_0`.
-    pub base: DynFields,
-    /// RK stage being evaluated `u_{i-1}`.
+    /// RK stage `u_i` (blocked: each stage's gather overwrites it in place;
+    /// stage 5 lands in the state). Also hyperviscosity's second-Laplacian
+    /// output, since it is idle outside RK. The RK base `u_0` is the state
+    /// itself on every path.
     pub stage: DynFields,
-    /// RK stage being produced `u_i`.
+    /// RK stage being produced by the scalar oracle (which ping-pongs it
+    /// with `stage`), and a parity arena of the task graph. Also the
+    /// second-Laplacian arena of the ensemble's chunked member
+    /// hyperviscosity.
     pub next: DynFields,
-    /// Hyperviscosity Laplacian input/output (full depth).
+    /// Raw (pre-DSS) RK stage of the blocked step, and the hyperviscosity
+    /// first-Laplacian output (full depth).
     pub hyp: DynFields,
     /// Sponge-layer `u` temporary, `[nelem][sponge_layers][NPTS]`.
     pub sponge_u: Vec<f64>,
@@ -152,13 +162,17 @@ pub struct StepWorkspace {
     /// and limited before the next one is computed, so the stage never
     /// streams a full raw tracer arena.
     pub qchunk: Vec<f64>,
-    /// Tracer stage buffer, `[nelem][qsize][nlev][NPTS]`: stage 2 lands
-    /// here on every path, stage 1 too on the bulk paths. Every path reads
+    /// Assembled SSP stages 1 and 2 of one tracer chunk on the blocked
+    /// path, same shape as `qchunk`: the blocked step runs all three stages
+    /// of a chunk before it starts the next one, so no stage result is
+    /// ever a full tracer arena.
+    pub qstage: Vec<f64>,
+    /// Tracer stage buffer, `[nelem][qsize][nlev][NPTS]`: stages 1 and 2 of
+    /// the scalar oracle and stage 2 of the task graph. Every path reads
     /// the stage input `q_0` from the state itself.
     pub q2: Vec<f64>,
-    /// Full-arena substep output of the scalar path, and the raw stage-1
-    /// result of the task graph. The default blocked step never touches it,
-    /// so its pages never become resident there.
+    /// Full-arena substep output of the scalar path, and the assembled
+    /// stage-1 result of the task graph.
     pub qtmp: Vec<f64>,
     /// One private scratch per scheduler worker.
     pub workers: PerWorker<WorkerScratch>,
@@ -188,18 +202,19 @@ impl StepWorkspace {
         let fl = nelem * dims.field_len();
         let tl = nelem * dims.tracer_len();
         let sl = nelem * sponge_layers.min(dims.nlev) * NPTS;
+        let cl = nelem * qchunk_width(dims) * dims.nlev * NPTS;
         let rawcap = raw_capacity(dims);
         let mut graph = TaskGraph::new();
         graph.ensure(nelem);
         StepWorkspace {
-            base: DynFields::zeros(fl),
             stage: DynFields::zeros(fl),
             next: DynFields::zeros(fl),
             hyp: DynFields::zeros(fl),
             sponge_u: vec![0.0; sl],
             sponge_v: vec![0.0; sl],
             sponge_t: vec![0.0; sl],
-            qchunk: vec![0.0; nelem * qchunk_width(dims) * dims.nlev * NPTS],
+            qchunk: vec![0.0; cl],
+            qstage: vec![0.0; cl],
             q2: vec![0.0; tl],
             qtmp: vec![0.0; tl],
             workers: PerWorker::new(nworkers, || WorkerScratch::new(dims)),
@@ -499,16 +514,19 @@ mod tests {
     fn workspace_buffers_are_sized_for_the_problem() {
         let dims = Dims { nlev: 4, qsize: 2 };
         let ws = StepWorkspace::new(dims, 6, 3, 5);
-        assert_eq!(ws.base.u.len(), 6 * 4 * NPTS);
+        assert_eq!(ws.stage.u.len(), 6 * 4 * NPTS);
         assert_eq!(ws.hyp.dp3d.len(), 6 * 4 * NPTS);
         assert_eq!(ws.sponge_t.len(), 6 * 3 * NPTS);
         assert_eq!(ws.workers.len(), 5);
-        // Fewer tracers than a chunk: the chunk buffer is one tracer arena.
+        // Fewer tracers than a chunk: both chunk buffers are one tracer arena.
         assert_eq!(ws.qchunk.len(), 6 * 2 * 4 * NPTS);
-        // More tracers than a chunk: the raw buffer stays one chunk wide.
+        assert_eq!(ws.qstage.len(), 6 * 2 * 4 * NPTS);
+        // More tracers than a chunk: the raw and stage buffers stay one
+        // chunk wide.
         let dims = Dims { nlev: 4, qsize: 9 };
         let ws = StepWorkspace::new(dims, 6, 3, 1);
         assert_eq!(ws.qchunk.len(), 6 * QCHUNK * 4 * NPTS);
+        assert_eq!(ws.qstage.len(), 6 * QCHUNK * 4 * NPTS);
         assert_eq!(ws.q2.len(), 6 * 9 * 4 * NPTS);
         assert_eq!(ws.qtmp.len(), 6 * 9 * 4 * NPTS);
         // Sponge deeper than the column clamps to nlev.

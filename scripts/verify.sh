@@ -92,6 +92,26 @@ for threads in 1 2 3; do
     SWCAM_THREADS=$threads cargo test -q -p homme --test tracer_sweep
 done
 
+# Step-arenas group: the lean default step (DESIGN.md §5.13). The tracer
+# step runs all three SSP stages of a chunk before the next chunk, and the
+# blocked KG5 loop reads u_0 from the state and overwrites one stage arena
+# in place, one loop for plain and guarded stepping. Guarded == plain
+# bitwise at the nggps shape with 25 tracers at 1/2/3 workers, a stage-1..4
+# rejection leaves the state untouched (stage 5 leaves u_5), the limiter's
+# fast path keeps NaN / ±0.0 / +inf bits and still clips an underflowing
+# negative, the chunk-major tracer step is pinned to the scalar oracle, and
+# the workspace sizes pin the one-chunk stage buffer. The zero-allocation
+# gates ride along under each default worker count.
+echo "== step-arenas test group (SWCAM_THREADS 1, 2, 3)"
+cargo test -q -p homme --test step_arenas
+cargo test -q -p homme --lib euler::tests::limiter
+cargo test -q -p homme --lib workspace
+for threads in 1 2 3; do
+    SWCAM_THREADS=$threads cargo test -q -p homme --test tracer_sweep
+    SWCAM_THREADS=$threads cargo test -q -p homme --test alloc_regression
+    SWCAM_THREADS=$threads cargo test -q -p swcam-core --test swcam_step_alloc
+done
+
 # Kernel-parity group: the blocked (default) kernel path must stay bitwise
 # identical to the scalar oracle, per operator and over whole serial and
 # distributed trajectories.
