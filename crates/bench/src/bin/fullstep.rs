@@ -12,9 +12,7 @@
 //! target is >= 2x speedup of (3) over (1); the JSON records whether this
 //! run met it, plus per-phase breakdowns of the flat step (RK dynamics /
 //! hyperviscosity / tracer advection / vertical remap) for BOTH the
-//! serial and the parallel bulk run, the message-driven task-graph step's
-//! time on the same worker pool, and which step path won (the
-//! `step_path_chosen` field), and a comparison against the committed
+//! serial and the parallel run, and a comparison against the committed
 //! pre-plan serial baseline. Run with
 //! `cargo run --release -p swcam-bench --bin fullstep`.
 
@@ -22,7 +20,7 @@ use std::time::Instant;
 
 use cubesphere::consts::P0;
 use cubesphere::NPTS;
-use homme::{Dims, Dycore, DycoreConfig, SeedStepper, State, StepPath};
+use homme::{Dims, Dycore, DycoreConfig, SeedStepper, State};
 
 const NE: usize = 8;
 const NLEV: usize = 26;
@@ -159,9 +157,8 @@ fn main() {
     let speedup = seed_ms / flatn_ms;
     println!("  flat, {threads} threads  : {flatn_ms:9.2} ms/step  ({speedup:.2}x vs seed)");
 
-    // Per-phase breakdown of the PARALLEL bulk step (same worker pool as
-    // the timed run above): where the barrier path spends its wall-clock,
-    // phase by phase, is the baseline the task graph pipelines against.
+    // Per-phase breakdown of the PARALLEL step (same worker pool as the
+    // timed run above): where it spends its wall-clock, phase by phase.
     let mut pphase_state = init.clone();
     let (mut prk_ms, mut phv_ms, mut ptr_ms, mut prm_ms) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for step in 0..WARMUP_STEPS + MEASURE_STEPS {
@@ -193,27 +190,11 @@ fn main() {
         "    hypervis     : {hv_subcycles} subcycles, {phv_ms_sub:.2} ms/subcycle (incl. sponge share)"
     );
 
-    // The message-driven task-graph step on the same worker pool: DSS as
-    // per-element accumulation instead of a sync point, hypervis subcycles
-    // pipelined across elements.
-    dy.step_path = StepPath::TaskGraph;
-    let mut graph_state = init.clone();
-    let graph_ms = time_per_step(|| dy.step(&mut graph_state));
-    let graph_vs_bulk = flatn_ms / graph_ms;
-    println!(
-        "  taskgraph, {threads} threads: {graph_ms:9.2} ms/step  ({graph_vs_bulk:.2}x vs bulk parallel)"
-    );
-    let chosen_path = if graph_ms < flatn_ms { "taskgraph" } else { "bulk" };
-    println!("  chosen step path : {chosen_path}");
-    dy.step_path = StepPath::Bulk;
-
     // Sanity: every driver walked the same trajectory, to the bit.
     let d1 = flat1_state.max_abs_diff(&seed_state);
     let dn = flatn_state.max_abs_diff(&seed_state);
-    let dg = graph_state.max_abs_diff(&seed_state);
     assert_eq!(d1, 0.0, "flat serial diverged from seed by {d1:e}");
     assert_eq!(dn, 0.0, "flat parallel diverged from seed by {dn:e}");
-    assert_eq!(dg, 0.0, "task-graph diverged from seed by {dg:e}");
 
     let meets = speedup >= TARGET_SPEEDUP;
     println!(
@@ -243,9 +224,6 @@ fn main() {
          \"hypervis_subcycles\": {hv_subcycles},\n  \
          \"hypervis_serial_ms_per_subcycle\": {hv_ms_sub:.3},\n  \
          \"hypervis_parallel_ms_per_subcycle\": {phv_ms_sub:.3},\n  \
-         \"taskgraph_parallel_ms_per_step\": {graph_ms:.3},\n  \
-         \"taskgraph_speedup_vs_bulk_parallel\": {graph_vs_bulk:.3},\n  \
-         \"step_path_chosen\": \"{chosen_path}\",\n  \
          \"baseline_flat_serial_ms_per_step\": {BASELINE_FLAT_SERIAL_MS},\n  \
          \"beats_baseline\": {beats_baseline},\n  \
          \"speedup_flat_serial_vs_seed\": {:.3},\n  \

@@ -512,222 +512,6 @@ impl ExchangePlan {
     }
 }
 
-/// Per-point gather schedule for the distributed task-graph step: the same
-/// DSS [`ExchangePlan::finish_aggregated`] computes in bulk, re-expressed
-/// so one element can assemble its own points the moment its local
-/// neighbours and the relevant peer payloads are in — no rank-wide barrier.
-///
-/// Bitwise equality with the bulk path is an ordering contract:
-///
-/// * local contributors to a point are summed in ascending
-///   (local element, node) order — exactly the loop order of
-///   `finish_aggregated`'s assembly pass;
-/// * peer payload contributions are added after all locals, in `links`
-///   order — exactly its receive-accumulation pass (receives are waited in
-///   link order there);
-/// * outgoing per-slot payload values are summed over contributing
-///   elements in that same ascending order — exactly the boundary
-///   accumulation of `start_aggregated`.
-///
-/// The contributors to any slot of link `l` are local elements containing
-/// one of the link's shared gids; since shared points lie only on boundary
-/// elements, these are exactly the elements `start_aggregated` visits.
-#[derive(Debug, Clone)]
-pub struct GatherPlan {
-    /// CSR offsets into `loc_code`/`loc_w`, one row per owned
-    /// (element, node): `owned.len() * NPTS + 1` entries.
-    pub loc_off: Vec<u32>,
-    /// Local contributor codes `li * NPTS + p`, canonical ascending order.
-    pub loc_code: Vec<u32>,
-    /// Matching spheremp weights.
-    pub loc_w: Vec<f64>,
-    /// CSR offsets into `rem_link`/`rem_j`, one row per owned point.
-    pub rem_off: Vec<u32>,
-    /// Link index (into `ExchangePlan::links`) of each remote contribution,
-    /// ascending within a row.
-    pub rem_link: Vec<u32>,
-    /// Shared-gid position `j` within that link's message layout.
-    pub rem_j: Vec<u32>,
-    /// Inverse mass per owned point (dense, no hashing).
-    pub inv: Vec<f64>,
-    /// CSR offsets into `elem_link`, one row per owned element. Row `li`
-    /// lists the links element `li` contributes to — which, by symmetry of
-    /// "contains a shared gid", are also exactly the links whose payloads
-    /// its gathers consume.
-    pub elem_link_off: Vec<u32>,
-    /// Link indices, ascending within a row.
-    pub elem_link: Vec<u32>,
-    /// Number of contributing local elements per link (`|B(l)|`) — the
-    /// countdown seed for deferred packing.
-    pub senders: Vec<u32>,
-    /// Per-link base into the per-slot send CSR (`links.len() + 1`
-    /// entries); slot `(l, j)` is row `link_base[l] + j`.
-    pub link_base: Vec<u32>,
-    /// CSR offsets into `send_code`/`send_w`, one row per (link, slot).
-    pub send_off: Vec<u32>,
-    /// Contributor codes `li * NPTS + p` per outgoing slot, ascending.
-    pub send_code: Vec<u32>,
-    /// Matching spheremp weights.
-    pub send_w: Vec<f64>,
-}
-
-impl GatherPlan {
-    /// Precompute the gather schedule for `plan`. Pure metadata — all
-    /// per-step work it enables is allocation-free.
-    pub fn new(plan: &ExchangePlan) -> Self {
-        let nelem = plan.owned.len();
-        let npts = nelem * NPTS;
-
-        // Contributors per dense local point, in canonical order.
-        let mut contrib: Vec<Vec<(u32, f64)>> = vec![Vec::new(); plan.nlocal];
-        for li in 0..nelem {
-            for p in 0..NPTS {
-                let d = plan.point_lidx[li * NPTS + p] as usize;
-                contrib[d].push(((li * NPTS + p) as u32, plan.spheremp[li][p]));
-            }
-        }
-        // Remote (link, j) entries per dense local point, link-ascending.
-        let mut remote: Vec<Vec<(u32, u32)>> = vec![Vec::new(); plan.nlocal];
-        for (l, (_, gids)) in plan.links.iter().enumerate() {
-            for (j, g) in gids.iter().enumerate() {
-                let slot = plan.gid_slot[g];
-                let d = plan.slot_lidx[slot] as usize;
-                remote[d].push((l as u32, j as u32));
-            }
-        }
-
-        let mut loc_off = Vec::with_capacity(npts + 1);
-        let mut loc_code = Vec::new();
-        let mut loc_w = Vec::new();
-        let mut rem_off = Vec::with_capacity(npts + 1);
-        let mut rem_link = Vec::new();
-        let mut rem_j = Vec::new();
-        let mut inv = Vec::with_capacity(npts);
-        loc_off.push(0);
-        rem_off.push(0);
-        for pi in 0..npts {
-            let d = plan.point_lidx[pi] as usize;
-            for &(code, w) in &contrib[d] {
-                loc_code.push(code);
-                loc_w.push(w);
-            }
-            loc_off.push(loc_code.len() as u32);
-            for &(l, j) in &remote[d] {
-                rem_link.push(l);
-                rem_j.push(j);
-            }
-            rem_off.push(rem_link.len() as u32);
-            inv.push(plan.lidx_inv_mass[d]);
-        }
-
-        // Which links each element touches (contributes to == receives
-        // from).
-        let mut elem_link_off = Vec::with_capacity(nelem + 1);
-        let mut elem_link = Vec::new();
-        let mut senders = vec![0u32; plan.links.len()];
-        elem_link_off.push(0);
-        let mut scratch: Vec<u32> = Vec::new();
-        for li in 0..nelem {
-            scratch.clear();
-            for p in 0..NPTS {
-                let d = plan.point_lidx[li * NPTS + p] as usize;
-                for &(l, _) in &remote[d] {
-                    scratch.push(l);
-                }
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            for &l in &scratch {
-                elem_link.push(l);
-                senders[l as usize] += 1;
-            }
-            elem_link_off.push(elem_link.len() as u32);
-        }
-
-        // Outgoing per-slot contributor CSR, canonical order.
-        let mut link_base = Vec::with_capacity(plan.links.len() + 1);
-        let mut send_off = Vec::new();
-        let mut send_code = Vec::new();
-        let mut send_w = Vec::new();
-        link_base.push(0);
-        send_off.push(0);
-        for (_, gids) in &plan.links {
-            for g in gids {
-                let d = plan.slot_lidx[plan.gid_slot[g]] as usize;
-                for &(code, w) in &contrib[d] {
-                    send_code.push(code);
-                    send_w.push(w);
-                }
-                send_off.push(send_code.len() as u32);
-            }
-            link_base.push((send_off.len() - 1) as u32);
-        }
-
-        GatherPlan {
-            loc_off,
-            loc_code,
-            loc_w,
-            rem_off,
-            rem_link,
-            rem_j,
-            inv,
-            elem_link_off,
-            elem_link,
-            senders,
-            link_base,
-            send_off,
-            send_code,
-            send_w,
-        }
-    }
-
-    /// Links element `li` contributes to / receives from.
-    #[inline]
-    pub fn links_of(&self, li: usize) -> &[u32] {
-        &self.elem_link[self.elem_link_off[li] as usize..self.elem_link_off[li + 1] as usize]
-    }
-
-    /// One outgoing payload value for slot `j` of link `l`: the canonical
-    /// weighted sum of local contributors, `read(code)` yielding the
-    /// pre-DSS value at a contributor point.
-    #[inline]
-    pub fn send_value(&self, l: usize, j: usize, read: impl Fn(u32) -> f64) -> f64 {
-        let row = (self.link_base[l] + j as u32) as usize;
-        let mut acc = 0.0;
-        for i in self.send_off[row] as usize..self.send_off[row + 1] as usize {
-            acc += self.send_w[i] * read(self.send_code[i]);
-        }
-        acc
-    }
-
-    /// Number of outgoing slots for link `l` (== its shared-gid count).
-    #[inline]
-    pub fn npts_of(&self, l: usize) -> usize {
-        (self.link_base[l + 1] - self.link_base[l]) as usize
-    }
-
-    /// Assemble one owned point: locals in canonical order, then remote
-    /// payload values (`recv(l, j)`) in link order, normalized. Bitwise
-    /// equal to what [`ExchangePlan::finish_aggregated`] leaves at that
-    /// point.
-    #[inline]
-    pub fn gather_point(
-        &self,
-        pi: usize,
-        read: impl Fn(u32) -> f64,
-        recv: impl Fn(u32, u32) -> f64,
-    ) -> f64 {
-        let mut acc = 0.0;
-        for i in self.loc_off[pi] as usize..self.loc_off[pi + 1] as usize {
-            acc += self.loc_w[i] * read(self.loc_code[i]);
-        }
-        for i in self.rem_off[pi] as usize..self.rem_off[pi + 1] as usize {
-            acc += recv(self.rem_link[i], self.rem_j[i]);
-        }
-        acc * self.inv[pi]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1067,117 +851,6 @@ mod tests {
                     let got = arena[li * nlev * NPTS + i];
                     let want = reference[e * nlev * NPTS + i];
                     assert!((got - want).abs() < 1e-11, "elem {e} idx {i}: {got} vs {want}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_plan_matches_aggregated_exchange_bitwise() {
-        // The per-point gather schedule must reproduce the bulk aggregated
-        // DSS *bitwise* — same contributors, same floating-point order.
-        let nlev = 3;
-        let narenas = 2;
-        let grid = CubedSphere::new(4);
-        for nranks in [2usize, 5] {
-            let part = Partition::new(&grid, nranks);
-            let plans: Vec<ExchangePlan> =
-                (0..nranks).map(|r| ExchangePlan::new(&grid, &part, r)).collect();
-            let gplans: Vec<GatherPlan> = plans.iter().map(GatherPlan::new).collect();
-
-            // Pre-DSS arenas per rank (the "raw" data).
-            let raw: Vec<Vec<Vec<f64>>> = plans
-                .iter()
-                .map(|plan| {
-                    (0..narenas)
-                        .map(|a| {
-                            let mut arena = vec![0.0; plan.owned.len() * nlev * NPTS];
-                            for (li, &e) in plan.owned.iter().enumerate() {
-                                for k in 0..nlev {
-                                    for p in 0..NPTS {
-                                        arena[(li * nlev + k) * NPTS + p] =
-                                            test_arena_value(a, e, k, p);
-                                    }
-                                }
-                            }
-                            arena
-                        })
-                        .collect()
-                })
-                .collect();
-
-            // Oracle: the bulk path over real message passing.
-            let raw_for_ranks = raw.clone();
-            let oracle = run_ranks(nranks, move |ctx| {
-                let plan = &plans[ctx.rank()];
-                let mut arenas = raw_for_ranks[ctx.rank()].clone();
-                let mut bufs = ExchangeBuffers::new();
-                let mut stats = CopyStats::default();
-                let mut views: Vec<&mut [f64]> =
-                    arenas.iter_mut().map(|a| &mut a[..]).collect();
-                plan.dss_aggregated(ctx, &mut views, nlev, 1, &mut bufs, &mut stats)
-                    .expect("dss");
-                drop(views);
-                arenas
-            });
-
-            // GatherPlan path, payloads computed straight from the peers'
-            // raw arenas through their send CSRs (what the event loop
-            // packs).
-            let plans: Vec<ExchangePlan> =
-                (0..nranks).map(|r| ExchangePlan::new(&grid, &part, r)).collect();
-            for r in 0..nranks {
-                let plan = &plans[r];
-                let gp = &gplans[r];
-                for a in 0..narenas {
-                    for k in 0..nlev {
-                        for pi in 0..plan.owned.len() * NPTS {
-                            let got = gp.gather_point(
-                                pi,
-                                |code| {
-                                    let (li, p) = (code as usize / NPTS, code as usize % NPTS);
-                                    raw[r][a][(li * nlev + k) * NPTS + p]
-                                },
-                                |l, j| {
-                                    let peer = plan.links[l as usize].0;
-                                    let back = plans[peer]
-                                        .links
-                                        .iter()
-                                        .position(|(p2, _)| *p2 == r)
-                                        .expect("symmetric link");
-                                    gplans[peer].send_value(back, j as usize, |code| {
-                                        let (li, p) =
-                                            (code as usize / NPTS, code as usize % NPTS);
-                                        raw[peer][a][(li * nlev + k) * NPTS + p]
-                                    })
-                                },
-                            );
-                            let (li, p) = (pi / NPTS, pi % NPTS);
-                            let want = oracle[r][a][(li * nlev + k) * NPTS + p];
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "nranks={nranks} rank {r} arena {a} lev {k} pt {pi}: \
-                                 {got} vs {want}"
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Sanity on the bookkeeping the event loop relies on.
-            for (r, gp) in gplans.iter().enumerate() {
-                let plan = ExchangePlan::new(&grid, &part, r);
-                for (l, _) in plan.links.iter().enumerate() {
-                    assert_eq!(gp.npts_of(l), plan.links[l].1.len());
-                    let members = (0..plan.owned.len())
-                        .filter(|&li| gp.links_of(li).contains(&(l as u32)))
-                        .count();
-                    assert_eq!(members as u32, gp.senders[l], "|B(l)| mismatch");
-                }
-                // Interior elements touch no links.
-                for &li in &plan.interior {
-                    assert!(gp.links_of(li).is_empty());
                 }
             }
         }

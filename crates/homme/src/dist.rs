@@ -29,13 +29,13 @@
 //! distributed step performs zero heap allocations (send buffers are
 //! pooled by the communicator; enforced by the `dist_alloc` test).
 
-use crate::bndry::{CopyStats, ExchangeBuffers, ExchangeMode, ExchangePlan, GatherPlan};
+use crate::bndry::{CopyStats, ExchangeBuffers, ExchangeMode, ExchangePlan};
 use crate::deriv::ElemOps;
-use crate::euler::{limit_nonnegative, limit_tracer_arena, tracer_flux_divergence};
+use crate::euler::{limit_tracer_arena, tracer_flux_divergence};
 use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
-use crate::hypervis::{laplacian_lambda_max, min_gll_gap, ElemHypervisPlan, HypervisStability};
+use crate::hypervis::{laplacian_lambda_max, min_gll_gap, HypervisStability};
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, euler_stage_element_blocked,
     hypervis_pass_element_blocked, hypervis_pass_levels_blocked, laplace_levels_blocked,
@@ -46,11 +46,10 @@ use crate::kernels::blocked::remap_element_planned;
 use crate::remap::remap_element_scalar;
 use crate::rhs::{element_rhs_raw, Rhs};
 use crate::state::{Dims, State};
-use crate::taskgraph::{Neighbors, PipelineStage, StepPath};
 use crate::vert::VertCoord;
-use crate::workspace::{DistGraphBufs, DistWorkspace, DynFields, WorkerScratch, EMPTY_SCAN};
+use crate::workspace::{DistWorkspace, DynFields, WorkerScratch};
 use cubesphere::{CubedSphere, Partition, NPTS};
-use swmpi::{CommError, Message, RankCtx};
+use swmpi::{CommError, RankCtx};
 
 /// Why a distributed step could not be committed. Both variants mean the
 /// local state may be partially advanced: the resilient driver restores
@@ -114,17 +113,7 @@ pub struct DistDycore {
     /// Which kernel implementation the step pipeline dispatches to
     /// (blocked by default; the scalar path is the parity oracle).
     pub kernels: KernelPath,
-    /// Which step schedule [`DistDycore::step`] runs: the bulk-synchronous
-    /// phase sequence, or the message-driven per-element task graph
-    /// (bitwise identical to `Bulk` under `Redesigned` exchanges).
-    pub step_path: StepPath,
     bops: Vec<BlockedOps>,
-    /// Per-point gather schedule of the task-graph step.
-    gplan: GatherPlan,
-    /// Rank-local element adjacency (shared-gid neighbours).
-    nbr: Neighbors,
-    /// Local elements touching each link (inverse of `gplan.elem_link`).
-    link_elems: Vec<Vec<u32>>,
     /// Largest eigenvalue of the **global** grid's assembled Laplacian
     /// (identical bits on every rank and in the serial driver).
     lambda_max: f64,
@@ -166,14 +155,6 @@ impl DistDycore {
         let char_dx = min_gll_gap(&grid.elements[0]);
         let lambda_max = laplacian_lambda_max(grid);
         let ws = DistWorkspace::new(dims, plan.owned.len(), cfg.hypervis.sponge_layers);
-        let gplan = GatherPlan::new(&plan);
-        let nbr = Neighbors::from_gids(plan.owned.len(), |li| &plan.gids[li][..]);
-        let mut link_elems = vec![Vec::new(); plan.links.len()];
-        for li in 0..plan.owned.len() {
-            for &l in gplan.links_of(li) {
-                link_elems[l as usize].push(li as u32);
-            }
-        }
         DistDycore {
             plan,
             ops,
@@ -185,11 +166,7 @@ impl DistDycore {
             health: HealthConfig::default(),
             degrade: DegradePolicy::default(),
             kernels: KernelPath::default(),
-            step_path: StepPath::default(),
             bops,
-            gplan,
-            nbr,
-            link_elems,
             lambda_max,
             ws,
             steps_since_remap: 0,
@@ -614,17 +591,9 @@ impl DistDycore {
     /// hyperviscosity + tracer advection + (every `rsplit` steps)
     /// vertical remap.
     pub fn step(&mut self, ctx: &mut RankCtx, state: &mut State) -> Result<(), DistError> {
-        match self.step_path {
-            StepPath::Bulk => {
-                self.dynamics_step(ctx, state)?;
-                self.apply_hypervis(ctx, state)?;
-                self.euler_step_tracers(ctx, state)?;
-            }
-            StepPath::TaskGraph => {
-                let subcycles = self.hypervis_subcycles();
-                self.taskgraph_step(ctx, state, subcycles, None)?;
-            }
-        }
+        self.dynamics_step(ctx, state)?;
+        self.apply_hypervis(ctx, state)?;
+        self.euler_step_tracers(ctx, state)?;
         self.steps_since_remap += 1;
         if self.steps_since_remap >= self.cfg.rsplit {
             self.vertical_remap(state)?;
@@ -664,35 +633,24 @@ impl DistDycore {
         self.cfg.dt = full_dt / splits as f64;
         let subcycles = self.hypervis_subcycles() + extra;
         for _ in 0..splits {
-            match self.step_path {
-                StepPath::Bulk => {
-                    if let Err(e) = self.dynamics_step_guarded(ctx, state, &mut health) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                    if let Err(e) = self.apply_hypervis_n(ctx, state, subcycles) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                    if let Err(e) = self.euler_step_tracers(ctx, state) {
-                        self.cfg.dt = full_dt;
-                        return Err(e.into());
-                    }
-                    // Post-advection scan covers the tracer arenas, which
-                    // the RK stage scans never see.
-                    let scan =
-                        scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
-                    if let Err(e) = commit_scan(&mut health, &self.health, TRACER_STAGE, scan) {
-                        self.cfg.dt = full_dt;
-                        return Err(e.into());
-                    }
-                }
-                StepPath::TaskGraph => {
-                    if let Err(e) = self.taskgraph_step(ctx, state, subcycles, Some(&mut health)) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                }
+            if let Err(e) = self.dynamics_step_guarded(ctx, state, &mut health) {
+                self.cfg.dt = full_dt;
+                return Err(e);
+            }
+            if let Err(e) = self.apply_hypervis_n(ctx, state, subcycles) {
+                self.cfg.dt = full_dt;
+                return Err(e);
+            }
+            if let Err(e) = self.euler_step_tracers(ctx, state) {
+                self.cfg.dt = full_dt;
+                return Err(e.into());
+            }
+            // Post-advection scan covers the tracer arenas, which the RK
+            // stage scans never see.
+            let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
+            if let Err(e) = commit_scan(&mut health, &self.health, TRACER_STAGE, scan) {
+                self.cfg.dt = full_dt;
+                return Err(e.into());
             }
         }
         self.cfg.dt = full_dt;
@@ -708,664 +666,6 @@ impl DistDycore {
         // [`DistDycore::arm_degradation`] on every rank in lockstep.
         health.cfl = health.max_wind * full_dt / self.char_dx;
         Ok(health)
-    }
-
-    /// One complete pipeline pass (RK dynamics, sponge, hyperviscosity,
-    /// tracers — the remap stays a separate phase) as a message-driven
-    /// per-element task graph: each element advances through
-    /// compute/gather substages the moment its local neighbours are ready
-    /// and the relevant peer payloads have landed, instead of the rank
-    /// marching through stage-wide exchanges. Per-link messages are packed
-    /// the instant the last contributing element finishes a stage's
-    /// compute, so early elements of stage `s+1` overlap late arrivals of
-    /// stage `s`.
-    ///
-    /// Bitwise identical to the `Bulk` path under `Redesigned` exchanges:
-    /// the [`GatherPlan`] reproduces `finish_aggregated`'s accumulation
-    /// order exactly (DESIGN.md §5.6). Message count is unchanged — one
-    /// message per peer per pipeline stage. Per-peer messages are consumed
-    /// strictly in stage order so the reliable-mode watermark (fault
-    /// recovery) keeps working; a lost peer surfaces as
-    /// [`CommError::Timeout`] and the resilient driver rolls back, which
-    /// fully re-seeds the graph on the next attempt.
-    fn taskgraph_step(
-        &mut self,
-        ctx: &mut RankCtx,
-        state: &mut State,
-        subcycles: usize,
-        health: Option<&mut StepHealth>,
-    ) -> Result<(), DistError> {
-        let hv = self.cfg.hypervis;
-        let hyp_on = !(hv.nu == 0.0 && hv.nu_p == 0.0);
-        let checked = health.is_some();
-        let hcfg = self.health;
-        let lambda_max = self.lambda_max;
-        let DistDycore {
-            plan, gplan, nbr, link_elems, ops, bops, rhs, dims, cfg, ws, kernels, stats, tag, ..
-        } = self;
-        let kernels = *kernels;
-        let dims = *dims;
-        let nlev = dims.nlev;
-        let qsize = dims.qsize;
-        let fl = dims.field_len();
-        let tl = dims.tracer_len();
-        let nelem = ops.len();
-        let ptop = rhs.vert.ptop();
-        let dt = cfg.dt;
-        let limiter = cfg.limiter;
-        let ks = hv.sponge_layers.min(nlev);
-        let sl = ks * NPTS;
-        let rawcap = crate::workspace::raw_capacity(dims);
-        let nlinks = plan.links.len();
-
-        let DistWorkspace { stage, next, hyp, qdp0, q1, q2, scratch, graph: g, hv_plan, .. } = ws;
-        // Same hoisted plan as the bulk drivers; a corrupt element aborts
-        // before any stage computes or any message is posted.
-        if hyp_on {
-            hv_plan.build(&hv, dt, subcycles, lambda_max, nlev, ops).map_err(HealthError::from)?;
-        }
-        let hv_plan: &ElemHypervisPlan = hv_plan;
-
-        // Stage schedule and per-point payload widths, mirroring the bulk
-        // exchange sequence exactly.
-        g.stages.clear();
-        g.stage_sz.clear();
-        for s in 0..KG5_COEFFS.len() {
-            g.stages.push(PipelineStage::Rk(s));
-            g.stage_sz.push(NFIELDS * nlev);
-        }
-        if hyp_on {
-            if hv.nu_top > 0.0 && ks > 0 {
-                g.stages.push(PipelineStage::Sponge);
-                g.stage_sz.push(3 * ks);
-            }
-            for _ in 0..subcycles {
-                for pass in 0..2 {
-                    g.stages.push(PipelineStage::HypLap { pass });
-                    g.stage_sz.push(NFIELDS * nlev);
-                }
-            }
-        }
-        if qsize > 0 {
-            for s in 0..3 {
-                g.stages.push(PipelineStage::Tracer(s));
-                g.stage_sz.push(qsize * nlev);
-            }
-        }
-        g.ensure(nelem, rawcap, nlinks, |l| plan.links[l].1.len());
-
-        let DistGraphBufs {
-            done,
-            claim,
-            ready,
-            raw0,
-            raw1,
-            stages,
-            stage_sz,
-            stage_off,
-            pending_send,
-            arrived,
-            recv_buf,
-            ..
-        } = g;
-        let stages: &[PipelineStage] = stages;
-        let nstages = stages.len();
-
-        // Reset the run (a rolled-back attempt leaves arbitrary state
-        // here) and seed every element's stage-0 compute.
-        ready.clear();
-        for e in 0..nelem {
-            done[e] = 0;
-            claim[e] = 1;
-            ready.push(e as u32);
-        }
-        for l in 0..nlinks {
-            for s in 0..nstages {
-                pending_send[l * nstages + s] = gplan.senders[l];
-                arrived[l * nstages + s] = false;
-            }
-        }
-        // Tags: stage `s` of this run is `tag_base + 1 + s`; claim the
-        // whole range up front so an aborted run never reuses a tag.
-        let tag_base = *tag;
-        *tag += nstages as u64;
-
-        // Stock the send-buffer pool with one buffer per (link, distinct
-        // payload width) size class. Unlike the bulk path's lockstep
-        // exchanges, graph sends fire whenever a stage's last boundary
-        // element completes, so the instantaneous take/recycle imbalance
-        // depends on thread timing — but the in-order link protocol bounds
-        // it at one buffer per class (send (l,s) is gated on having
-        // accepted, and therefore recycled, the peer's (l,s-1) payload).
-        // With exact-fit `take_buffer` the per-class pool level is then a
-        // step invariant, so this is a one-time allocation: on every later
-        // step the classes are already stocked and the loop is a no-op.
-        for l in 0..nlinks {
-            for s in 0..nstages {
-                let sz = stage_sz[s];
-                if stage_sz[..s].contains(&sz) {
-                    continue;
-                }
-                let len = sz * gplan.npts_of(l);
-                let mut first = true;
-                let mut count = 0usize;
-                for l2 in 0..nlinks {
-                    for s2 in 0..nstages {
-                        let sz2 = stage_sz[s2];
-                        if stage_sz[..s2].contains(&sz2) {
-                            continue;
-                        }
-                        if sz2 * gplan.npts_of(l2) == len {
-                            if (l2, s2) < (l, s) {
-                                first = false;
-                            }
-                            count += 1;
-                        }
-                    }
-                }
-                if first {
-                    ctx.comm.stock_buffers(len, count);
-                }
-            }
-        }
-
-        let mut remaining = nelem * 2 * nstages;
-        let mut scans = [EMPTY_SCAN; 5];
-
-        loop {
-            // Drain every eligible substage.
-            while let Some(e) = ready.pop() {
-                let e = e as usize;
-                let t = done[e] as usize;
-                let sidx = t >> 1;
-                let is_gather = t & 1 == 1;
-                let ro = e * rawcap;
-                let er = e * fl..(e + 1) * fl;
-                if !is_gather {
-                    // Element-local compute into this parity's raw window.
-                    let raw: &mut Vec<f64> = if sidx & 1 == 0 { raw0 } else { raw1 };
-                    match stages[sidx] {
-                        PipelineStage::Rk(s) => {
-                            let c_dt = KG5_COEFFS[s] * dt;
-                            let (ou, rest) = raw[ro..ro + 4 * fl].split_at_mut(fl);
-                            let (ov, rest) = rest.split_at_mut(fl);
-                            let (ot, odp) = rest.split_at_mut(fl);
-                            // The state is untouched during RK, so it
-                            // doubles as the base (bulk copies it).
-                            let (bu, bv, bt, bdp) = (
-                                &state.u[er.clone()],
-                                &state.v[er.clone()],
-                                &state.t[er.clone()],
-                                &state.dp3d[er.clone()],
-                            );
-                            let ev = if s == 0 {
-                                None
-                            } else if (s - 1) & 1 == 0 {
-                                Some(&*next)
-                            } else {
-                                Some(&*stage)
-                            };
-                            let (evu, evv, evt, evdp) = match ev {
-                                None => (bu, bv, bt, bdp),
-                                Some(d) => (
-                                    &d.u[er.clone()],
-                                    &d.v[er.clone()],
-                                    &d.t[er.clone()],
-                                    &d.dp3d[er.clone()],
-                                ),
-                            };
-                            let phis_e = &state.phis[e * NPTS..(e + 1) * NPTS];
-                            match kernels {
-                                KernelPath::Blocked => element_rhs_apply_blocked(
-                                    &bops[e], nlev, ptop, evu, evv, evt, evdp, phis_e, bu, bv,
-                                    bt, bdp, c_dt, ou, ov, ot, odp, &mut scratch.rhs,
-                                ),
-                                KernelPath::Scalar => {
-                                    let WorkerScratch { tend, rhs: rhs_scratch, .. } = scratch;
-                                    element_rhs_raw(
-                                        &ops[e],
-                                        nlev,
-                                        ptop,
-                                        evu,
-                                        evv,
-                                        evt,
-                                        evdp,
-                                        phis_e,
-                                        &mut tend.u,
-                                        &mut tend.v,
-                                        &mut tend.t,
-                                        &mut tend.dp3d,
-                                        rhs_scratch,
-                                    );
-                                    for i in 0..fl {
-                                        ou[i] = bu[i] + c_dt * tend.u[i];
-                                        ov[i] = bv[i] + c_dt * tend.v[i];
-                                        ot[i] = bt[i] + c_dt * tend.t[i];
-                                        odp[i] = bdp[i] + c_dt * tend.dp3d[i];
-                                    }
-                                }
-                            }
-                        }
-                        PipelineStage::Sponge => {
-                            let (ru, rest) = raw[ro..ro + 3 * sl].split_at_mut(sl);
-                            let (rv, rt) = rest.split_at_mut(sl);
-                            let bu = &state.u[er.clone()];
-                            let bv = &state.v[er.clone()];
-                            let bt = &state.t[er.clone()];
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    sponge_pass_element_blocked(
-                                        &bops[e], ks, &bu[..sl], &bv[..sl], &bt[..sl], ru, rv, rt,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for k in 0..ks {
-                                        let r = k * NPTS..(k + 1) * NPTS;
-                                        let mut lu = [0.0; NPTS];
-                                        let mut lv = [0.0; NPTS];
-                                        ops[e].vlaplace_sphere(
-                                            &bu[r.clone()],
-                                            &bv[r.clone()],
-                                            &mut lu,
-                                            &mut lv,
-                                        );
-                                        ru[r.clone()].copy_from_slice(&lu);
-                                        rv[r.clone()].copy_from_slice(&lv);
-                                        let mut lt = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&bt[r.clone()], &mut lt);
-                                        rt[r].copy_from_slice(&lt);
-                                    }
-                                }
-                            }
-                        }
-                        PipelineStage::HypLap { pass } => {
-                            let (ru, rest) = raw[ro..ro + 4 * fl].split_at_mut(fl);
-                            let (rv, rest) = rest.split_at_mut(fl);
-                            let (rt, rdp) = rest.split_at_mut(fl);
-                            let (iu, iv, it, idp) = if pass == 0 {
-                                (
-                                    &state.u[er.clone()],
-                                    &state.v[er.clone()],
-                                    &state.t[er.clone()],
-                                    &state.dp3d[er.clone()],
-                                )
-                            } else {
-                                (
-                                    &hyp.u[er.clone()],
-                                    &hyp.v[er.clone()],
-                                    &hyp.t[er.clone()],
-                                    &hyp.dp3d[er.clone()],
-                                )
-                            };
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    hypervis_pass_element_blocked(
-                                        &bops[e], nlev, iu, iv, it, idp, ru, rv, rt, rdp,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for k in 0..nlev {
-                                        let r = k * NPTS..(k + 1) * NPTS;
-                                        let mut lu = [0.0; NPTS];
-                                        let mut lv = [0.0; NPTS];
-                                        ops[e].vlaplace_sphere(
-                                            &iu[r.clone()],
-                                            &iv[r.clone()],
-                                            &mut lu,
-                                            &mut lv,
-                                        );
-                                        ru[r.clone()].copy_from_slice(&lu);
-                                        rv[r.clone()].copy_from_slice(&lv);
-                                        let mut lt = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&it[r.clone()], &mut lt);
-                                        rt[r.clone()].copy_from_slice(&lt);
-                                        let mut ldp = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&idp[r.clone()], &mut ldp);
-                                        rdp[r].copy_from_slice(&ldp);
-                                    }
-                                }
-                            }
-                        }
-                        PipelineStage::Tracer(s) => {
-                            let tr = e * tl..(e + 1) * tl;
-                            if s == 0 {
-                                qdp0[tr.clone()].copy_from_slice(&state.qdp[tr.clone()]);
-                            }
-                            let q0 = &qdp0[tr.clone()];
-                            let qin: &[f64] = match s {
-                                0 => q0,
-                                1 => &q1[tr.clone()],
-                                _ => &q2[tr.clone()],
-                            };
-                            let (uu, vv, dp) = (
-                                &state.u[er.clone()],
-                                &state.v[er.clone()],
-                                &state.dp3d[er.clone()],
-                            );
-                            let qout = &mut raw[ro..ro + tl];
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    let combine = match s {
-                                        0 => StageCombine::Replace,
-                                        1 => StageCombine::Ssp2,
-                                        _ => StageCombine::Ssp3,
-                                    };
-                                    euler_stage_element_blocked(
-                                        &bops[e], nlev, qsize, uu, vv, dp, qin, q0, dt, combine,
-                                        qout,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for q in 0..qsize {
-                                        for k in 0..nlev {
-                                            let r = k * NPTS..(k + 1) * NPTS;
-                                            let rq = (q * nlev + k) * NPTS
-                                                ..(q * nlev + k + 1) * NPTS;
-                                            let mut tend = [0.0; NPTS];
-                                            tracer_flux_divergence(
-                                                &ops[e],
-                                                &uu[r.clone()],
-                                                &vv[r.clone()],
-                                                &dp[r],
-                                                &qin[rq.clone()],
-                                                &mut tend,
-                                            );
-                                            for p in 0..NPTS {
-                                                let i = rq.start + p;
-                                                let t1 = qin[i] + dt * tend[p];
-                                                qout[i] = match s {
-                                                    0 => t1,
-                                                    1 => 0.75 * q0[i] + 0.25 * t1,
-                                                    _ => q0[i] / 3.0 + 2.0 / 3.0 * t1,
-                                                };
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Canonical-order gather of this element's points.
-                    let raw: &[f64] = if sidx & 1 == 0 { raw0 } else { raw1 };
-                    let soff = stage_off[sidx];
-                    let read_v = |v: usize, code: u32| {
-                        let c = code as usize;
-                        raw[(c / NPTS) * rawcap + v * NPTS + c % NPTS]
-                    };
-                    let recv_v = |v: usize, l: u32, j: u32| {
-                        let l = l as usize;
-                        recv_buf[l][(soff + v) * gplan.npts_of(l) + j as usize]
-                    };
-                    match stages[sidx] {
-                        PipelineStage::Rk(s) => {
-                            let (du, dv, dtt, ddp): (
-                                &mut [f64],
-                                &mut [f64],
-                                &mut [f64],
-                                &mut [f64],
-                            ) = if s == 4 {
-                                (&mut state.u, &mut state.v, &mut state.t, &mut state.dp3d)
-                            } else {
-                                let d: &mut DynFields =
-                                    if s & 1 == 0 { next } else { stage };
-                                (&mut d.u, &mut d.v, &mut d.t, &mut d.dp3d)
-                            };
-                            let mut part = EMPTY_SCAN;
-                            for k in 0..nlev {
-                                let ko = k * NPTS;
-                                for p in 0..NPTS {
-                                    let pi = e * NPTS + p;
-                                    let gu = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(k, c),
-                                        |l, j| recv_v(k, l, j),
-                                    );
-                                    let gv = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(nlev + k, c),
-                                        |l, j| recv_v(nlev + k, l, j),
-                                    );
-                                    let gt = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(2 * nlev + k, c),
-                                        |l, j| recv_v(2 * nlev + k, l, j),
-                                    );
-                                    let gdp = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(3 * nlev + k, c),
-                                        |l, j| recv_v(3 * nlev + k, l, j),
-                                    );
-                                    du[er.start + ko + p] = gu;
-                                    dv[er.start + ko + p] = gv;
-                                    dtt[er.start + ko + p] = gt;
-                                    ddp[er.start + ko + p] = gdp;
-                                    if checked {
-                                        // Same predicate as `scan_stage`.
-                                        if !(gu.is_finite()
-                                            && gv.is_finite()
-                                            && gt.is_finite()
-                                            && gdp.is_finite())
-                                        {
-                                            part.nonfinite += 1;
-                                        }
-                                        if gdp < part.min_dp3d {
-                                            part.min_dp3d = gdp;
-                                        }
-                                        let s2 = gu * gu + gv * gv;
-                                        if s2 > part.max_speed2 {
-                                            part.max_speed2 = s2;
-                                        }
-                                    }
-                                }
-                            }
-                            if checked {
-                                let acc = &mut scans[s];
-                                acc.nonfinite += part.nonfinite;
-                                if part.min_dp3d < acc.min_dp3d {
-                                    acc.min_dp3d = part.min_dp3d;
-                                }
-                                if part.max_speed2 > acc.max_speed2 {
-                                    acc.max_speed2 = part.max_speed2;
-                                }
-                            }
-                        }
-                        PipelineStage::Sponge => {
-                            for k in 0..ks {
-                                // Hoisted `dt * nu_top * 2^-k` (bitwise the
-                                // same product the bulk sponge forms).
-                                let cs = hv_plan.sponge[k];
-                                let ko = k * NPTS;
-                                for p in 0..NPTS {
-                                    let pi = e * NPTS + p;
-                                    let gu = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(k, c),
-                                        |l, j| recv_v(k, l, j),
-                                    );
-                                    let gv = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(ks + k, c),
-                                        |l, j| recv_v(ks + k, l, j),
-                                    );
-                                    let gt = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(2 * ks + k, c),
-                                        |l, j| recv_v(2 * ks + k, l, j),
-                                    );
-                                    state.u[er.start + ko + p] += cs * gu;
-                                    state.v[er.start + ko + p] += cs * gv;
-                                    state.t[er.start + ko + p] += cs * gt;
-                                }
-                            }
-                        }
-                        PipelineStage::HypLap { pass } => {
-                            // Hoisted `dt_sub * nu` / `dt_sub * nu_p`
-                            // (bitwise the same products the bulk apply
-                            // loops form).
-                            let cu = hv_plan.coef_u;
-                            let cdp = hv_plan.coef_dp;
-                            for k in 0..nlev {
-                                let ko = k * NPTS;
-                                for p in 0..NPTS {
-                                    let pi = e * NPTS + p;
-                                    let gu = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(k, c),
-                                        |l, j| recv_v(k, l, j),
-                                    );
-                                    let gv = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(nlev + k, c),
-                                        |l, j| recv_v(nlev + k, l, j),
-                                    );
-                                    let gt = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(2 * nlev + k, c),
-                                        |l, j| recv_v(2 * nlev + k, l, j),
-                                    );
-                                    let gdp = gplan.gather_point(
-                                        pi,
-                                        |c| read_v(3 * nlev + k, c),
-                                        |l, j| recv_v(3 * nlev + k, l, j),
-                                    );
-                                    let i = er.start + ko + p;
-                                    if pass == 0 {
-                                        hyp.u[i] = gu;
-                                        hyp.v[i] = gv;
-                                        hyp.t[i] = gt;
-                                        hyp.dp3d[i] = gdp;
-                                    } else {
-                                        state.u[i] -= cu * gu;
-                                        state.v[i] -= cu * gv;
-                                        state.t[i] -= cu * gt;
-                                        state.dp3d[i] -= cdp * gdp;
-                                    }
-                                }
-                            }
-                        }
-                        PipelineStage::Tracer(s) => {
-                            let tr = e * tl..(e + 1) * tl;
-                            let dest: &mut [f64] = match s {
-                                0 => &mut q1[tr],
-                                1 => &mut q2[tr],
-                                _ => &mut state.qdp[tr],
-                            };
-                            for q in 0..qsize {
-                                for k in 0..nlev {
-                                    let v = q * nlev + k;
-                                    let qo = v * NPTS;
-                                    for p in 0..NPTS {
-                                        let pi = e * NPTS + p;
-                                        dest[qo + p] = gplan.gather_point(
-                                            pi,
-                                            |c| read_v(v, c),
-                                            |l, j| recv_v(v, l, j),
-                                        );
-                                    }
-                                }
-                            }
-                            if limiter {
-                                let mut spheremp = [0.0; NPTS];
-                                spheremp.copy_from_slice(&ops[e].spheremp);
-                                for q in 0..qsize {
-                                    for k in 0..nlev {
-                                        let r = (q * nlev + k) * NPTS
-                                            ..(q * nlev + k + 1) * NPTS;
-                                        limit_nonnegative(&spheremp, &mut dest[r]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                done[e] = (t + 1) as u32;
-                remaining -= 1;
-                if !is_gather {
-                    // Deferred packing: the instant the last contributor
-                    // of link `l` finishes this stage's compute, the
-                    // message goes out (canonical per-slot sums straight
-                    // from the raw windows — no staging copy).
-                    for &l in gplan.links_of(e) {
-                        let l = l as usize;
-                        let idx = l * nstages + sidx;
-                        pending_send[idx] -= 1;
-                        if pending_send[idx] == 0 {
-                            let raw: &[f64] = if sidx & 1 == 0 { raw0 } else { raw1 };
-                            graph_pack_send(
-                                ctx,
-                                gplan,
-                                raw,
-                                rawcap,
-                                stage_sz[sidx],
-                                plan.links[l].0,
-                                l,
-                                tag_base + 1 + sidx as u64,
-                                stats,
-                            );
-                        }
-                    }
-                }
-                graph_try_claim(done, claim, ready, nbr, gplan, arrived, nstages, e);
-                for &n in nbr.of(e) {
-                    graph_try_claim(done, claim, ready, nbr, gplan, arrived, nstages, n as usize);
-                }
-            }
-            if remaining == 0 {
-                break;
-            }
-            // No eligible work: make message progress. Per-peer payloads
-            // are consumed strictly in stage order (the sender emits them
-            // in stage order) so the reliable-mode watermark never skips a
-            // still-in-flight tag.
-            let mut progressed = false;
-            for l in 0..nlinks {
-                let peer = plan.links[l].0;
-                while let Some(s) = (0..nstages).find(|&s| !arrived[l * nstages + s]) {
-                    let req = ctx.comm.irecv(peer, tag_base + 1 + s as u64);
-                    match ctx.comm.try_wait(req)? {
-                        Some(m) => {
-                            graph_accept(
-                                ctx, m, l, s, nstages, gplan, stage_off, stage_sz, recv_buf,
-                                arrived, link_elems, done, claim, ready, nbr,
-                            );
-                            progressed = true;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if progressed {
-                continue;
-            }
-            // Fully stalled: block on the earliest outstanding payload
-            // (smallest stage, then smallest link) — the global-minimum
-            // substage argument in DESIGN.md §5.6 guarantees some rank can
-            // always produce it, so this wait terminates or surfaces a
-            // genuine fault as a timeout.
-            let (l, s) = (0..nstages)
-                .flat_map(|s| (0..nlinks).map(move |l| (l, s)))
-                .find(|&(l, s)| !arrived[l * nstages + s])
-                .expect("task graph stalled with every payload already arrived");
-            let peer = plan.links[l].0;
-            let req = ctx.comm.irecv(peer, tag_base + 1 + s as u64);
-            let m = ctx.comm.wait(req).map_err(DistError::Comm)?;
-            graph_accept(
-                ctx, m, l, s, nstages, gplan, stage_off, stage_sz, recv_buf, arrived,
-                link_elems, done, claim, ready, nbr,
-            );
-        }
-
-        // Commit the health scans in bulk stage order, then the
-        // post-advection scan over the final state (covers tracers).
-        if let Some(health) = health {
-            for (s, scan) in scans.iter().enumerate() {
-                commit_scan(health, &hcfg, s, *scan).map_err(DistError::Health)?;
-            }
-            let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
-            commit_scan(health, &hcfg, TRACER_STAGE, scan).map_err(DistError::Health)?;
-        }
-        Ok(())
     }
 
     /// Arm the degradation policy directly — the resilient driver calls
@@ -1410,105 +710,6 @@ impl DistDycore {
     /// stale and safe to purge.
     pub fn tag_floor(&self) -> u64 {
         self.epoch << EPOCH_SHIFT
-    }
-}
-
-/// Try to queue element `e`'s next substage on the ready stack. Computes
-/// need only `claim == done` (WAR safety comes from the parity raw
-/// windows); gathers additionally need every local neighbour caught up
-/// and every incident link's payload for this stage landed.
-#[allow(clippy::too_many_arguments)]
-fn graph_try_claim(
-    done: &[u32],
-    claim: &mut [u32],
-    ready: &mut Vec<u32>,
-    nbr: &Neighbors,
-    gplan: &GatherPlan,
-    arrived: &[bool],
-    nstages: usize,
-    e: usize,
-) {
-    let d = done[e];
-    if d >= 2 * nstages as u32 || claim[e] != d {
-        return;
-    }
-    if d & 1 == 1 {
-        let s = (d >> 1) as usize;
-        for &n in nbr.of(e) {
-            if done[n as usize] < d {
-                return;
-            }
-        }
-        for &l in gplan.links_of(e) {
-            if !arrived[l as usize * nstages + s] {
-                return;
-            }
-        }
-    }
-    claim[e] = d + 1;
-    ready.push(e as u32);
-}
-
-/// Pack link `l`'s stage payload straight from the parity raw windows
-/// (canonical per-slot contributor order, bitwise-matching the bulk
-/// `start_aggregated` sums) and send it.
-#[allow(clippy::too_many_arguments)]
-fn graph_pack_send(
-    ctx: &mut RankCtx,
-    gplan: &GatherPlan,
-    raw: &[f64],
-    rawcap: usize,
-    nval: usize,
-    peer: usize,
-    l: usize,
-    tag: u64,
-    stats: &mut CopyStats,
-) {
-    let npts = gplan.npts_of(l);
-    let mut msg = ctx.comm.take_buffer(nval * npts);
-    for v in 0..nval {
-        for j in 0..npts {
-            msg[v * npts + j] = gplan.send_value(l, j, |code| {
-                let c = code as usize;
-                raw[(c / NPTS) * rawcap + v * NPTS + c % NPTS]
-            });
-        }
-    }
-    stats.sent_bytes += (msg.len() * 8) as u64;
-    stats.msgs_sent += 1;
-    ctx.comm.send_owned(peer, tag, msg);
-}
-
-/// Land link `l`'s stage-`s` payload in its receive slot, flag it
-/// arrived, and re-test every element touching that link — landing a
-/// payload is one of the two events (with substage completion) that can
-/// unlock new work.
-#[allow(clippy::too_many_arguments)]
-fn graph_accept(
-    ctx: &mut RankCtx,
-    m: Message,
-    l: usize,
-    s: usize,
-    nstages: usize,
-    gplan: &GatherPlan,
-    stage_off: &[usize],
-    stage_sz: &[usize],
-    recv_buf: &mut [Vec<f64>],
-    arrived: &mut [bool],
-    link_elems: &[Vec<u32>],
-    done: &[u32],
-    claim: &mut [u32],
-    ready: &mut Vec<u32>,
-    nbr: &Neighbors,
-) {
-    let npts = gplan.npts_of(l);
-    debug_assert_eq!(m.data.len(), stage_sz[s] * npts);
-    let off = stage_off[s] * npts;
-    recv_buf[l][off..off + stage_sz[s] * npts].copy_from_slice(&m.data);
-    ctx.comm.recycle(m.data);
-    arrived[l * nstages + s] = true;
-    for &e in &link_elems[l] {
-        graph_try_claim(done, claim, ready, nbr, gplan, arrived, nstages, e as usize);
     }
 }
 
@@ -2134,7 +1335,9 @@ mod tests {
         });
     }
 
-    fn taskgraph_cfg() -> (Dims, DycoreConfig) {
+    /// Limiter, sponge, `nu_p != nu`, tracers and a mid-run remap
+    /// (`rsplit` 2) all on.
+    fn full_cfg() -> (Dims, DycoreConfig) {
         let nu = 1.0e15;
         let hv = HypervisConfig {
             nu,
@@ -2149,9 +1352,11 @@ mod tests {
         )
     }
 
-    fn run_dist_path(path: StepPath, checked: bool) -> Vec<(Vec<usize>, State)> {
+    /// Three steps on 4 ranks of an ne3 grid through `step_checked` with
+    /// the health guards on (`checked`) or through the plain `step`.
+    fn run_dist(checked: bool) -> Vec<(Vec<usize>, State)> {
         let ne = 3;
-        let (dims, cfg) = taskgraph_cfg();
+        let (dims, cfg) = full_cfg();
         let serial = Dycore::new(ne, dims, 2000.0, cfg);
         let mut init = initial_state(&serial);
         seed_tracers(&serial, &mut init);
@@ -2168,7 +1373,6 @@ mod tests {
                 cfg,
                 ExchangeMode::Redesigned,
             );
-            dist.step_path = path;
             if checked {
                 dist.health = HealthConfig::on();
             }
@@ -2181,8 +1385,7 @@ mod tests {
                 }
             }
             assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
-            // Same traffic as the bulk redesigned schedule: one message
-            // per peer per pipeline stage, nothing staged.
+            // One message per peer per pipeline stage, nothing staged.
             let n_exchanges = (5 + 1 + 2 * dist.hypervis_subcycles() + 3) as u64;
             let npeers = dist.plan.links.len() as u64;
             assert_eq!(dist.stats.msgs_sent, 3 * n_exchanges * npeers);
@@ -2191,49 +1394,29 @@ mod tests {
         })
     }
 
-    fn assert_bitwise_match(
-        bulk: &[(Vec<usize>, State)],
-        graph: &[(Vec<usize>, State)],
-        dims: Dims,
-    ) {
-        for ((owned, b), (_, g)) in bulk.iter().zip(graph) {
+    /// The guarded distributed loop (`step_checked` with health on) runs
+    /// the same stages as the plain `step` and commits the same bits on
+    /// every rank, with the same traffic.
+    #[test]
+    fn distributed_checked_step_matches_plain_step_bitwise() {
+        let (dims, _) = full_cfg();
+        let plain = run_dist(false);
+        let checked = run_dist(true);
+        for ((owned, p), (_, c)) in plain.iter().zip(&checked) {
             for (li, &e) in owned.iter().enumerate() {
-                let bs = b.elem(li);
-                let gs = g.elem(li);
+                let ps = p.elem(li);
+                let cs = c.elem(li);
                 for i in 0..dims.field_len() {
-                    assert_eq!(bs.u[i].to_bits(), gs.u[i].to_bits(), "elem {e} u[{i}]");
-                    assert_eq!(bs.v[i].to_bits(), gs.v[i].to_bits(), "elem {e} v[{i}]");
-                    assert_eq!(bs.t[i].to_bits(), gs.t[i].to_bits(), "elem {e} t[{i}]");
-                    assert_eq!(bs.dp3d[i].to_bits(), gs.dp3d[i].to_bits(), "elem {e} dp3d[{i}]");
+                    assert_eq!(ps.u[i].to_bits(), cs.u[i].to_bits(), "elem {e} u[{i}]");
+                    assert_eq!(ps.v[i].to_bits(), cs.v[i].to_bits(), "elem {e} v[{i}]");
+                    assert_eq!(ps.t[i].to_bits(), cs.t[i].to_bits(), "elem {e} t[{i}]");
+                    assert_eq!(ps.dp3d[i].to_bits(), cs.dp3d[i].to_bits(), "elem {e} dp3d[{i}]");
                 }
                 for i in 0..dims.tracer_len() {
-                    assert_eq!(bs.qdp[i].to_bits(), gs.qdp[i].to_bits(), "elem {e} qdp[{i}]");
+                    assert_eq!(ps.qdp[i].to_bits(), cs.qdp[i].to_bits(), "elem {e} qdp[{i}]");
                 }
             }
         }
-    }
-
-    /// The distributed task-graph step — limiter, sponge, `nu_p != nu`,
-    /// rsplit remap all on — is bitwise identical to the bulk redesigned
-    /// step on every rank, and sends exactly the same number of messages
-    /// (one per peer per pipeline stage).
-    #[test]
-    fn taskgraph_distributed_step_matches_bulk_bitwise() {
-        let (dims, _) = taskgraph_cfg();
-        let bulk = run_dist_path(StepPath::Bulk, false);
-        let graph = run_dist_path(StepPath::TaskGraph, false);
-        assert_bitwise_match(&bulk, &graph, dims);
-    }
-
-    /// Same bitwise contract with the in-step health guards armed: the
-    /// per-gather scan partials the task graph accumulates commit the
-    /// same verdicts as the bulk path's stage-wide scans.
-    #[test]
-    fn taskgraph_distributed_checked_step_matches_bulk_bitwise() {
-        let (dims, _) = taskgraph_cfg();
-        let bulk = run_dist_path(StepPath::Bulk, true);
-        let graph = run_dist_path(StepPath::TaskGraph, true);
-        assert_bitwise_match(&bulk, &graph, dims);
     }
 
     /// The boundary-only partial sums of start_aggregated are complete: a

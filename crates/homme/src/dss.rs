@@ -167,11 +167,6 @@ impl Dss {
     pub fn nglobal(&self) -> usize {
         self.nglobal
     }
-
-    /// Global point ids of element `e` (the assembly map row).
-    pub fn element_gids(&self, e: usize) -> &[usize] {
-        &self.gids[e * NPTS..(e + 1) * NPTS]
-    }
 }
 
 /// Most elements that can share one GLL point: four quadrilaterals meet at
@@ -218,9 +213,8 @@ impl Lane for V4F64 {
 /// (element-ascending, point-ascending), with their spheremp weights.
 /// Summing a point's sharers in this fixed order and scaling by the point's
 /// inverse mass reproduces the scatter walk bitwise, no matter which worker
-/// or task performs the gather — which is what lets the bulk step assemble
-/// element-parallel on the scheduler ([`DssGather::gather_elem`]) and the
-/// task graph assemble per task.
+/// performs the gather — which is what lets the step assemble
+/// element-parallel on the scheduler ([`DssGather::gather_elem`]).
 ///
 /// The plan is stored slot-major per element ([`ElemSlots`]): slot `s` of
 /// the 16 points sits in one row, so the gather walks slots outermost and

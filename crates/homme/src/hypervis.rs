@@ -181,8 +181,7 @@ impl HypervisConfig {
     /// ([`laplacian_lambda_max`]): enough that
     /// `nu lambda_max^2 dt / n <= `[`SUBCYCLE_TARGET`], and never below the
     /// configured floor. The one place a count is derived — both drivers,
-    /// the degradation path, the task-graph pipelines and the ensemble
-    /// engine read it.
+    /// the degradation path and the ensemble engine read it.
     pub fn subcycles_for(&self, lambda_max: f64, dt: f64) -> usize {
         // A NaN damping number (corrupt dt or metric) casts to 0 and falls
         // to the floor; the plan build then rejects the step by type.
@@ -290,7 +289,7 @@ pub struct ElemHypervisPlan {
     pub subcycles: usize,
     /// Clamped sponge depth `sponge_layers.min(nlev)`.
     pub ks: usize,
-    /// `dt_sub * nu` (u, v, T applies — the bulk drivers' hoisted form).
+    /// `dt_sub * nu` (u, v, T applies — the drivers' hoisted form).
     pub coef_u: f64,
     /// `dt_sub * nu_p` (dp3d apply).
     pub coef_dp: f64,

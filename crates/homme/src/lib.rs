@@ -39,11 +39,10 @@ pub mod rhs;
 pub mod sched;
 pub mod seedref;
 pub mod state;
-pub mod taskgraph;
 pub mod vert;
 pub mod workspace;
 
-pub use bndry::{CopyStats, ExchangeBuffers, ExchangeMode, ExchangePlan, GatherPlan};
+pub use bndry::{CopyStats, ExchangeBuffers, ExchangeMode, ExchangePlan};
 pub use deriv::{build_ops, ElemOps};
 pub use diagnostics::{budgets, Budgets};
 pub use dist::{DistDycore, DistError, EPOCH_SHIFT};
@@ -61,6 +60,5 @@ pub use rhs::{ElemTend, Rhs, RhsScratch};
 pub use sched::ElemScheduler;
 pub use seedref::SeedStepper;
 pub use state::{Dims, ElemMut, ElemRef, State};
-pub use taskgraph::{Neighbors, PipelineStage, StepPath, TaskGraph};
 pub use vert::VertCoord;
 pub use workspace::{DistWorkspace, EnsembleWorkspace, StepWorkspace};

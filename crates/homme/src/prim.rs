@@ -21,7 +21,6 @@ use crate::deriv::{build_ops, ElemOps};
 use crate::dss::{Dss, DssGather};
 use crate::euler::{
     euler_stage_flat_blocked, euler_substep_flat, limit_tracer_arena, limit_tracer_element,
-    tracer_flux_divergence,
 };
 use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
@@ -31,8 +30,8 @@ use crate::hypervis::{
     vlaplace_flat_path, ElemHypervisPlan, HypervisConfig, HypervisStability,
 };
 use crate::kernels::blocked::{
-    build_blocked_ops, element_rhs_apply_blocked, euler_stage_element_blocked,
-    hypervis_pass_element_blocked, hypervis_pass_element_members_blocked,
+    build_blocked_ops, element_rhs_apply_blocked, hypervis_pass_element_blocked,
+    hypervis_pass_element_members_blocked,
     hypervis_pass_levels_blocked, hypervis_pass_levels_members_blocked,
     sponge_pass_element_blocked, BlockedOps, KernelPath, StageCombine,
 };
@@ -45,11 +44,8 @@ use crate::remap::{remap_element_scalar, RemapError};
 use crate::rhs::{element_rhs_raw, Rhs};
 use crate::sched::{ArenaMut, ElemScheduler};
 use crate::state::{Dims, State};
-use crate::taskgraph::{Neighbors, PipelineStage, StepPath};
 use crate::vert::VertCoord;
-use crate::workspace::{
-    qchunk_width, DynFields, MemberLanes, StepWorkspace, WorkerScratch, EMPTY_SCAN,
-};
+use crate::workspace::{qchunk_width, DynFields, MemberLanes, StepWorkspace, WorkerScratch};
 use cubesphere::{CubedSphere, NPTS};
 use std::sync::Mutex;
 use sw26010::V4F64;
@@ -114,16 +110,7 @@ pub struct Dycore {
     /// always take the standalone path; the scalar [`KernelPath`] ignores
     /// this knob entirely.
     pub member_kernels: MemberKernelPath,
-    /// Which step schedule drives the pipeline: bulk-synchronous stage
-    /// barriers, or the message-driven element task graph (bitwise
-    /// identical results; mirrors [`KernelPath`] for the kernel layer).
-    pub step_path: StepPath,
-    /// Seed keying the task graph's stage-0 injection order (0 = element
-    /// order). Shuffling it exercises arbitrary task arrival orders
-    /// without changing the answer.
-    pub taskgraph_seed: u64,
     gather: DssGather,
-    neighbors: Neighbors,
     bops: Vec<BlockedOps>,
     ws: StepWorkspace,
     steps_since_remap: usize,
@@ -161,7 +148,6 @@ impl Dycore {
         let bops = build_blocked_ops(&ops);
         let dss = Dss::new(&grid);
         let gather = DssGather::new(&dss);
-        let neighbors = Neighbors::from_gids(grid.nelem(), |e| dss.element_gids(e));
         let vert = VertCoord::standard(dims.nlev, ptop);
         let rhs = Rhs::new(vert, dims);
         let sched = ElemScheduler::new(default_threads());
@@ -182,10 +168,7 @@ impl Dycore {
             degrade: DegradePolicy::default(),
             kernels: KernelPath::default(),
             member_kernels: MemberKernelPath::default(),
-            step_path: StepPath::default(),
-            taskgraph_seed: 0,
             gather,
-            neighbors,
             bops,
             ws,
             steps_since_remap: 0,
@@ -295,12 +278,16 @@ impl Dycore {
                 let ks = plan.ks;
                 let sl = ks * NPTS;
                 {
-                    let ou = ArenaMut::new(sponge_u);
-                    let ov = ArenaMut::new(sponge_v);
-                    let ot = ArenaMut::new(sponge_t);
+                    let ou = ArenaMut::new(&mut sponge_u[..nelem * sl]);
+                    let ov = ArenaMut::new(&mut sponge_v[..nelem * sl]);
+                    let ot = ArenaMut::new(&mut sponge_t[..nelem * sl]);
                     let (su, sv, st): (&[f64], &[f64], &[f64]) =
                         (&state.u, &state.v, &state.t);
                     sched.run(nelem, &|_w, e| {
+                        // SAFETY: job `e` takes only window `e` of each sponge
+                        // arena — inside it, since the arenas are cut to
+                        // `nelem` windows above — and the scheduler runs each
+                        // `e` once, so live windows never overlap.
                         let (ou, ov, ot) = unsafe {
                             (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
                         };
@@ -341,6 +328,10 @@ impl Dycore {
                         (&state.u, &state.v, &state.t, &state.dp3d);
                     sched.run(nelem, &|_w, e| {
                         let r = e * fl..(e + 1) * fl;
+                        // SAFETY: `hyp` holds `nelem` element windows
+                        // (`StepWorkspace::new`); job `e` takes only window `e`
+                        // of each arena, and the scheduler runs each `e` once,
+                        // so live windows never overlap.
                         let (ou, ov, ot, odp) = unsafe {
                             (
                                 ou.slice(e * fl, fl),
@@ -518,6 +509,9 @@ impl Dycore {
             // is cheaper than a chunk pass at any width.
             while members.len() - done >= 4 {
                 let idx = &members[done..done + 4];
+                // SAFETY: `members` is strictly increasing and inside `states`
+                // (asserted above), so the reborrows are in bounds and pairwise
+                // distinct.
                 let chunk: [&mut State; 4] =
                     core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
                 hypervis_members_lanes::<4>(
@@ -544,6 +538,9 @@ impl Dycore {
             let lanes = &mut lanes_head[done..];
             match take {
                 2 => {
+                    // SAFETY: `members` is strictly increasing and inside
+                    // `states` (asserted above), so the reborrows are in bounds
+                    // and pairwise distinct.
                     let chunk: [&mut State; 2] =
                         core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
                     let mut it = lanes.iter_mut();
@@ -555,6 +552,9 @@ impl Dycore {
                     );
                 }
                 _ => {
+                    // SAFETY: `members` is strictly increasing and inside
+                    // `states` (asserted above), so the reborrows are in bounds
+                    // and pairwise distinct.
                     let chunk: [&mut State; 1] = [unsafe { &mut *base.add(idx[0]) }];
                     let mut it = lanes.iter_mut();
                     let hyps: [&mut DynFields; 1] = core::array::from_fn(|_| it.next().unwrap());
@@ -613,6 +613,9 @@ impl Dycore {
             let base = states.as_mut_ptr();
             while members.len() - done >= 4 {
                 let idx = &members[done..done + 4];
+                // SAFETY: `members` is strictly increasing and inside `states`
+                // (asserted above), so the reborrows are in bounds and pairwise
+                // distinct.
                 let chunk: [&mut State; 4] =
                     core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
                 dynamics_members_lanes::<4>(
@@ -757,13 +760,16 @@ impl Dycore {
         // count (workers cannot propagate `?` through the scheduler
         // closure).
         let failure: Mutex<Option<(usize, RemapError)>> = Mutex::new(None);
-        let au = ArenaMut::new(&mut state.u);
-        let av = ArenaMut::new(&mut state.v);
-        let at = ArenaMut::new(&mut state.t);
-        let adp = ArenaMut::new(&mut state.dp3d);
-        let aq = ArenaMut::new(&mut state.qdp);
+        let au = ArenaMut::new(&mut state.u[..ops.len() * fl]);
+        let av = ArenaMut::new(&mut state.v[..ops.len() * fl]);
+        let at = ArenaMut::new(&mut state.t[..ops.len() * fl]);
+        let adp = ArenaMut::new(&mut state.dp3d[..ops.len() * fl]);
+        let aq = ArenaMut::new(&mut state.qdp[..ops.len() * tl]);
         sched.run(ops.len(), &|w, e| {
-            // One scratch slot per worker; windows are element-disjoint.
+            // SAFETY: the scheduler runs one job at a time per worker id, so
+            // slot `w` has no other live reference; job `e` takes only element
+            // `e`'s window of each state arena — inside it, since the arenas
+            // are cut to `ops.len()` elements above — and each `e` runs once.
             let scratch = unsafe { workers.get(w) };
             let u = unsafe { au.slice(e * fl, fl) };
             let v = unsafe { av.slice(e * fl, fl) };
@@ -803,22 +809,11 @@ impl Dycore {
     /// One full model step: dynamics RK + hyperviscosity + tracer advection
     /// + (every `rsplit` steps) vertical remap. Heap-allocation-free.
     pub fn step(&mut self, state: &mut State) {
-        match self.step_path {
-            StepPath::Bulk => {
-                self.dynamics_step(state);
-                // The unguarded driver has no rollback path; a grid the
-                // hyperviscosity plan rejects is fatal here.
-                self.apply_hypervis(state).expect("hyperviscosity plan rejected");
-                self.euler_step_tracers(state);
-            }
-            StepPath::TaskGraph => {
-                let subcycles = self.hypervis_subcycles();
-                // Without health guards the only pipeline error left is a
-                // hyperviscosity plan rejection, fatal like the bulk arm.
-                self.taskgraph_pipeline(state, subcycles, None)
-                    .expect("hyperviscosity plan rejected");
-            }
-        }
+        self.dynamics_step(state);
+        // The unguarded driver has no rollback path; a grid the
+        // hyperviscosity plan rejects is fatal here.
+        self.apply_hypervis(state).expect("hyperviscosity plan rejected");
+        self.euler_step_tracers(state);
         self.steps_since_remap += 1;
         if self.steps_since_remap >= self.cfg.rsplit {
             // The unguarded driver has no rollback path to route the
@@ -855,34 +850,22 @@ impl Dycore {
         health.degraded = splits > 1;
         self.cfg.dt = full_dt / splits as f64;
         for _ in 0..splits {
-            match self.step_path {
-                StepPath::Bulk => {
-                    if let Err(e) = self.dynamics_step_guarded(state, Some(&mut health)) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                    let subcycles = self.hypervis_subcycles() + extra;
-                    if let Err(e) = self.apply_hypervis_n(state, subcycles) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                    self.euler_step_tracers(state);
-                    // Post-advection scan covers the tracer arenas, which
-                    // the RK stage scans never see.
-                    let scan =
-                        scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
-                    if let Err(e) = commit_scan(&mut health, &self.health, TRACER_STAGE, scan) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                }
-                StepPath::TaskGraph => {
-                    let subcycles = self.hypervis_subcycles() + extra;
-                    if let Err(e) = self.taskgraph_pipeline(state, subcycles, Some(&mut health)) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                }
+            if let Err(e) = self.dynamics_step_guarded(state, Some(&mut health)) {
+                self.cfg.dt = full_dt;
+                return Err(e);
+            }
+            let subcycles = self.hypervis_subcycles() + extra;
+            if let Err(e) = self.apply_hypervis_n(state, subcycles) {
+                self.cfg.dt = full_dt;
+                return Err(e);
+            }
+            self.euler_step_tracers(state);
+            // Post-advection scan covers the tracer arenas, which the RK
+            // stage scans never see.
+            let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
+            if let Err(e) = commit_scan(&mut health, &self.health, TRACER_STAGE, scan) {
+                self.cfg.dt = full_dt;
+                return Err(e);
             }
         }
         self.cfg.dt = full_dt;
@@ -967,530 +950,6 @@ impl Dycore {
         Ok(())
     }
 
-    /// One complete pipeline pass — RK dynamics, sponge, hyperviscosity
-    /// subcycles and tracer advection (the vertical remap stays a separate
-    /// phase) — executed as a single task-graph run: per-element compute
-    /// and canonical-order gather substages advance the moment their
-    /// neighbor contributions land, instead of marching through stage
-    /// barriers. Bitwise identical to the bulk pipeline for any worker
-    /// count and any seed order (DESIGN.md §5.6).
-    ///
-    /// With `health`, RK stage scans accumulate per worker inside the
-    /// gathers and commit in bulk stage order afterwards, so the first
-    /// error (stage and value) matches the bulk path's. On `Err` the
-    /// state may hold a fully advanced unvetted pipeline result where the
-    /// bulk path would have stopped mid-step; either way the contract is
-    /// "restore from a checkpoint before continuing".
-    fn taskgraph_pipeline(
-        &mut self,
-        state: &mut State,
-        subcycles: usize,
-        health: Option<&mut StepHealth>,
-    ) -> Result<(), HealthError> {
-        let seed = self.taskgraph_seed;
-        let hcfg = self.health;
-        let hv = self.cfg.hypervis;
-        let hyp_on = !(hv.nu == 0.0 && hv.nu_p == 0.0);
-        let checked = health.is_some();
-        let lambda_max = self.lambda_max;
-        let Dycore { ops, rhs, dims, cfg, sched, ws, kernels, bops, gather, neighbors, .. } = self;
-        let kernels = *kernels;
-        let dims = *dims;
-        let nlev = dims.nlev;
-        let qsize = dims.qsize;
-        let fl = dims.field_len();
-        let tl = dims.tracer_len();
-        let nelem = ops.len();
-        let ptop = rhs.vert.ptop();
-        let dt = cfg.dt;
-        let limiter = cfg.limiter;
-        let ks = hv.sponge_layers.min(nlev);
-        let sl = ks * NPTS;
-
-        let StepWorkspace {
-            stage,
-            next,
-            hyp,
-            q2,
-            qtmp,
-            workers,
-            graph,
-            raw0,
-            raw1,
-            rawcap,
-            stages,
-            scans,
-            hv_plan,
-            ..
-        } = ws;
-        // The pipeline reads the same hoisted plan as the bulk drivers; a
-        // corrupt element aborts before any stage runs.
-        if hyp_on {
-            hv_plan.build(&hv, dt, subcycles, lambda_max, nlev, ops)?;
-        }
-        let hv_plan: &ElemHypervisPlan = hv_plan;
-        let rawcap = *rawcap;
-        let workers: &crate::sched::PerWorker<WorkerScratch> = workers;
-        let scans: &crate::sched::PerWorker<[crate::health::StageScan; 5]> = scans;
-
-        // Stage list mirroring the bulk phase order exactly.
-        stages.clear();
-        for s in 0..KG5_COEFFS.len() {
-            stages.push(PipelineStage::Rk(s));
-        }
-        if hyp_on {
-            if hv.nu_top > 0.0 && ks > 0 {
-                stages.push(PipelineStage::Sponge);
-            }
-            for _ in 0..subcycles {
-                stages.push(PipelineStage::HypLap { pass: 0 });
-                stages.push(PipelineStage::HypLap { pass: 1 });
-            }
-        }
-        if qsize > 0 {
-            for s in 0..3 {
-                stages.push(PipelineStage::Tracer(s));
-            }
-        }
-        let stages: &[PipelineStage] = stages;
-        let nstages = stages.len();
-
-        if checked {
-            for w in 0..sched.nthreads() {
-                *unsafe { scans.get(w) } = [EMPTY_SCAN; 5];
-            }
-        }
-        graph.ensure(nelem);
-        graph.shuffle_seed(nelem, seed);
-
-        {
-            // Arenas. Safety of the unchecked windows: every substage
-            // writes only element-`e` windows; cross-element *reads* in
-            // gathers are ordered after the writes they need by the
-            // graph's eligibility rules, and the write-after-read hazard
-            // on raw windows is excluded by the alternating stage parity
-            // (DESIGN.md §5.6).
-            let su = ArenaMut::new(&mut state.u);
-            let sv = ArenaMut::new(&mut state.v);
-            let st = ArenaMut::new(&mut state.t);
-            let sdp = ArenaMut::new(&mut state.dp3d);
-            let sq = ArenaMut::new(&mut state.qdp);
-            let phis: &[f64] = &state.phis;
-            // DSS'd RK stage `s` lands in parity arena `s % 2`.
-            let du = [ArenaMut::new(&mut next.u), ArenaMut::new(&mut stage.u)];
-            let dv = [ArenaMut::new(&mut next.v), ArenaMut::new(&mut stage.v)];
-            let dtt = [ArenaMut::new(&mut next.t), ArenaMut::new(&mut stage.t)];
-            let ddp = [ArenaMut::new(&mut next.dp3d), ArenaMut::new(&mut stage.dp3d)];
-            let hu = ArenaMut::new(&mut hyp.u);
-            let hvv = ArenaMut::new(&mut hyp.v);
-            let ht = ArenaMut::new(&mut hyp.t);
-            let hdp = ArenaMut::new(&mut hyp.dp3d);
-            // Tracer stage 1's assembled result (stage 2's lands in `q2`).
-            let aq1 = ArenaMut::new(qtmp);
-            let aq2 = ArenaMut::new(q2);
-            let raws = [ArenaMut::new(raw0), ArenaMut::new(raw1)];
-
-            let exec = |w: usize, e: usize, sub: usize| {
-                let sidx = sub >> 1;
-                let is_gather = sub & 1 == 1;
-                // Raw (pre-DSS) windows alternate by stage parity.
-                let raw = raws[sidx & 1];
-                let ro = e * rawcap;
-                // Raw value of full-depth prognostic `f` at flat source
-                // index `i` (`elem * rawcap + k * NPTS + point`).
-                // SAFETY (this and the sponge/tracer gather reads below):
-                // `raw` is read-only while a stage's gathers run — a gather
-                // is eligible only once every neighbor finished this
-                // stage's compute, and no element rewrites this parity's
-                // window before all its neighbors gathered the stage; the
-                // gathers write element-disjoint windows of other arenas.
-                let read_raw = |f: usize, i: usize| unsafe { raw.read(f * fl + i) };
-                match stages[sidx] {
-                    PipelineStage::Rk(s) => {
-                        if !is_gather {
-                            // out = state + c dt RHS(eval), pre-DSS.
-                            let c_dt = KG5_COEFFS[s] * dt;
-                            let (ou, ov, ot, odp) = unsafe {
-                                (
-                                    raw.slice(ro, fl),
-                                    raw.slice(ro + fl, fl),
-                                    raw.slice(ro + 2 * fl, fl),
-                                    raw.slice(ro + 3 * fl, fl),
-                                )
-                            };
-                            // The state is untouched during dynamics, so it
-                            // doubles as the RK base (bulk copies it).
-                            let (bu, bv, bt, bdp) = unsafe {
-                                (
-                                    &*su.slice(e * fl, fl),
-                                    &*sv.slice(e * fl, fl),
-                                    &*st.slice(e * fl, fl),
-                                    &*sdp.slice(e * fl, fl),
-                                )
-                            };
-                            let (evu, evv, evt, evdp): (&[f64], &[f64], &[f64], &[f64]) =
-                                if s == 0 {
-                                    (bu, bv, bt, bdp)
-                                } else {
-                                    let pr = (s - 1) & 1;
-                                    unsafe {
-                                        (
-                                            &*du[pr].slice(e * fl, fl),
-                                            &*dv[pr].slice(e * fl, fl),
-                                            &*dtt[pr].slice(e * fl, fl),
-                                            &*ddp[pr].slice(e * fl, fl),
-                                        )
-                                    }
-                                };
-                            let phis_e = &phis[e * NPTS..(e + 1) * NPTS];
-                            let scratch = unsafe { workers.get(w) };
-                            match kernels {
-                                KernelPath::Blocked => element_rhs_apply_blocked(
-                                    &bops[e], nlev, ptop, evu, evv, evt, evdp, phis_e, bu, bv,
-                                    bt, bdp, c_dt, ou, ov, ot, odp, &mut scratch.rhs,
-                                ),
-                                KernelPath::Scalar => {
-                                    let WorkerScratch { tend, rhs: rhs_scratch, .. } = scratch;
-                                    element_rhs_raw(
-                                        &ops[e],
-                                        nlev,
-                                        ptop,
-                                        evu,
-                                        evv,
-                                        evt,
-                                        evdp,
-                                        phis_e,
-                                        &mut tend.u,
-                                        &mut tend.v,
-                                        &mut tend.t,
-                                        &mut tend.dp3d,
-                                        rhs_scratch,
-                                    );
-                                    for i in 0..fl {
-                                        ou[i] = bu[i] + c_dt * tend.u[i];
-                                        ov[i] = bv[i] + c_dt * tend.v[i];
-                                        ot[i] = bt[i] + c_dt * tend.t[i];
-                                        odp[i] = bdp[i] + c_dt * tend.dp3d[i];
-                                    }
-                                }
-                            }
-                        } else {
-                            // Canonical-order DSS of the four prognostics;
-                            // the final stage lands directly in the state.
-                            let (ou, ov, ot, odp) = if s == 4 {
-                                unsafe {
-                                    (
-                                        su.slice(e * fl, fl),
-                                        sv.slice(e * fl, fl),
-                                        st.slice(e * fl, fl),
-                                        sdp.slice(e * fl, fl),
-                                    )
-                                }
-                            } else {
-                                let pr = s & 1;
-                                unsafe {
-                                    (
-                                        du[pr].slice(e * fl, fl),
-                                        dv[pr].slice(e * fl, fl),
-                                        dtt[pr].slice(e * fl, fl),
-                                        ddp[pr].slice(e * fl, fl),
-                                    )
-                                }
-                            };
-                            gather.gather_elem(
-                                e,
-                                nlev,
-                                rawcap,
-                                read_raw,
-                                None,
-                                &mut [&mut *ou, &mut *ov, &mut *ot, &mut *odp],
-                            );
-                            if checked {
-                                let part = scan_stage(ou, ov, ot, odp, &[]);
-                                let acc = &mut unsafe { scans.get(w) }[s];
-                                acc.nonfinite += part.nonfinite;
-                                if part.min_dp3d < acc.min_dp3d {
-                                    acc.min_dp3d = part.min_dp3d;
-                                }
-                                if part.max_speed2 > acc.max_speed2 {
-                                    acc.max_speed2 = part.max_speed2;
-                                }
-                            }
-                        }
-                    }
-                    PipelineStage::Sponge => {
-                        if !is_gather {
-                            // vlaplace(u, v) and lap(T) of the state's top
-                            // `ks` levels into the raw window.
-                            let (ru, rv, rt) = unsafe {
-                                (
-                                    raw.slice(ro, sl),
-                                    raw.slice(ro + sl, sl),
-                                    raw.slice(ro + 2 * sl, sl),
-                                )
-                            };
-                            let (bu, bv, bt) = unsafe {
-                                (
-                                    &*su.slice(e * fl, fl),
-                                    &*sv.slice(e * fl, fl),
-                                    &*st.slice(e * fl, fl),
-                                )
-                            };
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    sponge_pass_element_blocked(
-                                        &bops[e], ks, &bu[..sl], &bv[..sl], &bt[..sl], ru, rv, rt,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for k in 0..ks {
-                                        let r = k * NPTS..(k + 1) * NPTS;
-                                        let mut lu = [0.0; NPTS];
-                                        let mut lv = [0.0; NPTS];
-                                        ops[e].vlaplace_sphere(
-                                            &bu[r.clone()],
-                                            &bv[r.clone()],
-                                            &mut lu,
-                                            &mut lv,
-                                        );
-                                        ru[r.clone()].copy_from_slice(&lu);
-                                        rv[r.clone()].copy_from_slice(&lv);
-                                        let mut lt = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&bt[r.clone()], &mut lt);
-                                        rt[r].copy_from_slice(&lt);
-                                    }
-                                }
-                            }
-                        } else {
-                            // Gather + fused sponge damping increment.
-                            let (ou, ov, ot) = unsafe {
-                                (
-                                    su.slice(e * fl, fl),
-                                    sv.slice(e * fl, fl),
-                                    st.slice(e * fl, fl),
-                                )
-                            };
-                            // Hoisted `dt * nu_top * 2^-k` (bitwise the same
-                            // product the bulk sponge forms).
-                            gather.gather_elem(
-                                e,
-                                ks,
-                                rawcap,
-                                // SAFETY: as `read_raw` (sponge-depth fields).
-                                |f, i| unsafe { raw.read(f * sl + i) },
-                                Some([&hv_plan.sponge[..]; 3]),
-                                &mut [ou, ov, ot],
-                            );
-                        }
-                    }
-                    PipelineStage::HypLap { pass } => {
-                        if !is_gather {
-                            // One Laplacian of (u, v, T, dp3d): of the
-                            // state on pass 0, of the first-pass result on
-                            // pass 1 (del^4 = lap(lap)).
-                            let (ru, rv, rt, rdp) = unsafe {
-                                (
-                                    raw.slice(ro, fl),
-                                    raw.slice(ro + fl, fl),
-                                    raw.slice(ro + 2 * fl, fl),
-                                    raw.slice(ro + 3 * fl, fl),
-                                )
-                            };
-                            let (iu, iv, it, idp) = if pass == 0 {
-                                unsafe {
-                                    (
-                                        &*su.slice(e * fl, fl),
-                                        &*sv.slice(e * fl, fl),
-                                        &*st.slice(e * fl, fl),
-                                        &*sdp.slice(e * fl, fl),
-                                    )
-                                }
-                            } else {
-                                unsafe {
-                                    (
-                                        &*hu.slice(e * fl, fl),
-                                        &*hvv.slice(e * fl, fl),
-                                        &*ht.slice(e * fl, fl),
-                                        &*hdp.slice(e * fl, fl),
-                                    )
-                                }
-                            };
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    hypervis_pass_element_blocked(
-                                        &bops[e], nlev, iu, iv, it, idp, ru, rv, rt, rdp,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for k in 0..nlev {
-                                        let r = k * NPTS..(k + 1) * NPTS;
-                                        let mut lu = [0.0; NPTS];
-                                        let mut lv = [0.0; NPTS];
-                                        ops[e].vlaplace_sphere(
-                                            &iu[r.clone()],
-                                            &iv[r.clone()],
-                                            &mut lu,
-                                            &mut lv,
-                                        );
-                                        ru[r.clone()].copy_from_slice(&lu);
-                                        rv[r.clone()].copy_from_slice(&lv);
-                                        let mut lt = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&it[r.clone()], &mut lt);
-                                        rt[r.clone()].copy_from_slice(&lt);
-                                        let mut ldp = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&idp[r.clone()], &mut ldp);
-                                        rdp[r].copy_from_slice(&ldp);
-                                    }
-                                }
-                            }
-                        } else if pass == 0 {
-                            let (ou, ov, ot, odp) = unsafe {
-                                (
-                                    hu.slice(e * fl, fl),
-                                    hvv.slice(e * fl, fl),
-                                    ht.slice(e * fl, fl),
-                                    hdp.slice(e * fl, fl),
-                                )
-                            };
-                            gather.gather_elem(
-                                e,
-                                nlev,
-                                rawcap,
-                                read_raw,
-                                None,
-                                &mut [ou, ov, ot, odp],
-                            );
-                        } else {
-                            // Gather + fused damping subtraction.
-                            let (ou, ov, ot, odp) = unsafe {
-                                (
-                                    su.slice(e * fl, fl),
-                                    sv.slice(e * fl, fl),
-                                    st.slice(e * fl, fl),
-                                    sdp.slice(e * fl, fl),
-                                )
-                            };
-                            // Negated hoisted `dt_sub * nu` / `dt_sub * nu_p`:
-                            // `x += (-c) * lap`, as the bulk sweep applies it.
-                            gather.gather_elem(
-                                e,
-                                nlev,
-                                rawcap,
-                                read_raw,
-                                Some(hv_plan.damp()),
-                                &mut [ou, ov, ot, odp],
-                            );
-                        }
-                    }
-                    PipelineStage::Tracer(s) => {
-                        if !is_gather {
-                            // The step-input tracer mass, read in place as
-                            // the bulk step does: element `e`'s window is
-                            // written only by its own last-stage gather,
-                            // which waits for this compute.
-                            let q0: &[f64] = unsafe { &*sq.slice(e * tl, tl) };
-                            let qin: &[f64] = match s {
-                                0 => q0,
-                                1 => unsafe { &*aq1.slice(e * tl, tl) },
-                                _ => unsafe { &*aq2.slice(e * tl, tl) },
-                            };
-                            let (uu, vv, dp) = unsafe {
-                                (
-                                    &*su.slice(e * fl, fl),
-                                    &*sv.slice(e * fl, fl),
-                                    &*sdp.slice(e * fl, fl),
-                                )
-                            };
-                            let qout = unsafe { raw.slice(ro, tl) };
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    let combine = match s {
-                                        0 => StageCombine::Replace,
-                                        1 => StageCombine::Ssp2,
-                                        _ => StageCombine::Ssp3,
-                                    };
-                                    euler_stage_element_blocked(
-                                        &bops[e], nlev, qsize, uu, vv, dp, qin, q0, dt, combine,
-                                        qout,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for q in 0..qsize {
-                                        for k in 0..nlev {
-                                            let r = k * NPTS..(k + 1) * NPTS;
-                                            let rq = (q * nlev + k) * NPTS
-                                                ..(q * nlev + k + 1) * NPTS;
-                                            let mut tend = [0.0; NPTS];
-                                            tracer_flux_divergence(
-                                                &ops[e],
-                                                &uu[r.clone()],
-                                                &vv[r.clone()],
-                                                &dp[r],
-                                                &qin[rq.clone()],
-                                                &mut tend,
-                                            );
-                                            for p in 0..NPTS {
-                                                let i = rq.start + p;
-                                                let t1 = qin[i] + dt * tend[p];
-                                                qout[i] = match s {
-                                                    0 => t1,
-                                                    1 => 0.75 * q0[i] + 0.25 * t1,
-                                                    _ => q0[i] / 3.0 + 2.0 / 3.0 * t1,
-                                                };
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        } else {
-                            let dest = match s {
-                                0 => unsafe { aq1.slice(e * tl, tl) },
-                                1 => unsafe { aq2.slice(e * tl, tl) },
-                                _ => unsafe { sq.slice(e * tl, tl) },
-                            };
-                            gather.gather_elem(
-                                e,
-                                qsize * nlev,
-                                rawcap,
-                                // SAFETY: as `read_raw` (one tracer-arena field).
-                                |_, i| unsafe { raw.read(i) },
-                                None,
-                                &mut [&mut *dest],
-                            );
-                            if limiter {
-                                limit_tracer_element(&ops[e], dest);
-                            }
-                        }
-                    }
-                }
-            };
-            graph.run(sched, neighbors, nstages, &exec);
-        }
-
-        // Commit the scans in bulk order: RK stages 0..5, then the
-        // post-advection tracer scan over the final state.
-        if let Some(health) = health {
-            for s in 0..KG5_COEFFS.len() {
-                let mut merged = EMPTY_SCAN;
-                for w in 0..sched.nthreads() {
-                    let part = unsafe { scans.get(w) }[s];
-                    merged.nonfinite += part.nonfinite;
-                    merged.tracer_nonfinite += part.tracer_nonfinite;
-                    if part.min_dp3d < merged.min_dp3d {
-                        merged.min_dp3d = part.min_dp3d;
-                    }
-                    if part.max_speed2 > merged.max_speed2 {
-                        merged.max_speed2 = part.max_speed2;
-                    }
-                }
-                commit_scan(health, &hcfg, s, merged)?;
-            }
-            let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
-            commit_scan(health, &hcfg, TRACER_STAGE, scan)?;
-        }
-        Ok(())
-    }
-
     /// How many dynamics steps have run since the last vertical remap.
     /// Checkpoints record this so a restart resumes the remap cadence
     /// bitwise-identically.
@@ -1554,7 +1013,7 @@ impl Dycore {
 /// element's own assembled values, e.g. the second hyperviscosity
 /// Laplacian, or the tracer limiter).
 ///
-/// This is the bulk step's DSS: no accumulator, no serial section, and
+/// This is the blocked step's DSS: no accumulator, no serial section, and
 /// bitwise the scatter walk of [`Dss::apply_flat`] at any worker count,
 /// because each point's sum runs in the plan's fixed order whichever worker
 /// computes it. `src` and `dst` are distinct borrows, so a sweep can never
@@ -1653,6 +1112,7 @@ fn rk_rhs_sweep(
             &bt[r.clone()],
             &bdp[r],
             c_dt,
+            // SAFETY: element `e`'s window of each raw arena, as above.
             unsafe { ou.slice(e * fl, fl) },
             unsafe { ov.slice(e * fl, fl) },
             unsafe { ot.slice(e * fl, fl) },
@@ -1693,6 +1153,7 @@ fn rk_substep_scalar(
             // worker, and element-disjoint windows inside the checked arenas.
             let WorkerScratch { tend, rhs: rhs_scratch, .. } = unsafe { workers.get(w) };
             let r = e * fl..(e + 1) * fl;
+            // SAFETY: element `e`'s window of each `out` arena, as above.
             let ou = unsafe { ou.slice(e * fl, fl) };
             let ov = unsafe { ov.slice(e * fl, fl) };
             let ot = unsafe { ot.slice(e * fl, fl) };
@@ -1776,11 +1237,15 @@ fn hypervis_members_chunk<const M: usize>(
         let (sp_u, sp_v, sp_t) = sponge;
         for st_m in states.iter_mut() {
             {
-                let ou = ArenaMut::new(sp_u);
-                let ov = ArenaMut::new(sp_v);
-                let ot = ArenaMut::new(sp_t);
+                let ou = ArenaMut::new(&mut sp_u[..nelem * sl]);
+                let ov = ArenaMut::new(&mut sp_v[..nelem * sl]);
+                let ot = ArenaMut::new(&mut sp_t[..nelem * sl]);
                 let (su, sv, st): (&[f64], &[f64], &[f64]) = (&st_m.u, &st_m.v, &st_m.t);
                 sched.run(nelem, &|_w, e| {
+                    // SAFETY: job `e` takes only window `e` of each sponge
+                    // arena — inside it, since the arenas are cut to `nelem`
+                    // windows above — and the scheduler runs each `e` once, so
+                    // live windows never overlap.
                     let (ou, ov, ot) = unsafe {
                         (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
                     };
@@ -1844,6 +1309,10 @@ fn hypervis_members_chunk<const M: usize>(
                 let sv: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].1[r.clone()]);
                 let st: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].2[r.clone()]);
                 let sdp: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].3[r.clone()]);
+                // SAFETY: each member's `hyp` lane holds `nelem` element
+                // windows (`EnsembleWorkspace::new`); job `e` takes only window
+                // `e` of each, the `M` lanes are distinct `&mut` borrows, and
+                // each `e` runs once, so live windows never overlap.
                 let (mut ou, mut ov, mut ot, mut odp): UvtdpMut<M> = unsafe {
                     (
                         core::array::from_fn(|m| lanes[m].u.slice(e * fl, fl)),
@@ -1881,6 +1350,10 @@ fn hypervis_members_chunk<const M: usize>(
                 })
             };
             sched.run(nelem, &|_w, e| {
+                // SAFETY: each `seconds` arena set holds `nelem` element
+                // windows (`StepWorkspace::new`); job `e` takes only window `e`
+                // of each, the `M` sets are distinct `&mut` borrows, and each
+                // `e` runs once, so live windows never overlap.
                 let (mut u, mut v, mut t, mut dp): UvtdpMut<M> = unsafe {
                     (
                         core::array::from_fn(|m| lanes[m].u.slice(e * fl, fl)),
@@ -1989,6 +1462,10 @@ fn hypervis_lanes_core(
             let (su, sv, st): (&[V4F64], &[V4F64], &[V4F64]) =
                 (&tiles.stage.u, &tiles.stage.v, &tiles.stage.t);
             sched.run(nelem, &|_w, e| {
+                // SAFETY: job `e` takes only window `e` of each sponge arena —
+                // inside it, since the arenas are cut to `nelem` windows above
+                // — and the scheduler runs each `e` once, so live windows never
+                // overlap.
                 let (ou, ov, ot) = unsafe {
                     (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
                 };
@@ -2032,6 +1509,10 @@ fn hypervis_lanes_core(
                 (&tiles.stage.u, &tiles.stage.v, &tiles.stage.t, &tiles.stage.dp3d);
             sched.run(nelem, &|_w, e| {
                 let r = e * fl..(e + 1) * fl;
+                // SAFETY: the `hyp` tile holds `nelem` element windows
+                // (`MemberLanes::new`); job `e` takes only window `e` of each
+                // arena, and the scheduler runs each `e` once, so live windows
+                // never overlap.
                 let (ou, ov, ot, odp) = unsafe {
                     (
                         ou.slice(e * fl, fl),
@@ -2132,8 +1613,14 @@ fn dynamics_members_lanes<const M: usize>(
             let rk_base = &tiles.base;
             let ph: &[V4F64] = &tiles.phis;
             sched.run(nelem, &|w, e| {
+                // SAFETY: the scheduler runs one job at a time per worker id,
+                // so slot `w` has no other live reference.
                 let scratch = unsafe { workers.get(w) };
                 let r = e * fl..(e + 1) * fl;
+                // SAFETY: the `hyp` tile holds `nelem` element windows
+                // (`MemberLanes::new`); job `e` takes only window `e` of each
+                // arena, and the scheduler runs each `e` once, so live windows
+                // never overlap.
                 let (ou, ov, ot, odp) = unsafe {
                     (
                         ou.slice(e * fl, fl),
@@ -2605,126 +2092,5 @@ mod tests {
                 "threads={threads} diverged from serial"
             );
         }
-    }
-
-    /// Full physics config for the task-graph parity tests: hypervis +
-    /// sponge + limiter + tracers + mid-run vertical remap all on.
-    fn taskgraph_cfg() -> DycoreConfig {
-        DycoreConfig {
-            dt: 100.0,
-            hypervis: HypervisConfig {
-                nu: 1.0e15,
-                nu_p: 1.0e15,
-                subcycles: 2,
-                nu_top: 2.5e5,
-                sponge_layers: 2,
-            },
-            limiter: true,
-            rsplit: 2,
-        }
-    }
-
-    fn taskgraph_run(path: StepPath, threads: usize, seed: u64, checked: bool) -> State {
-        let dims = Dims { nlev: 4, qsize: 2 };
-        let mut dy = Dycore::new(3, dims, 200.0, taskgraph_cfg());
-        dy.step_path = path;
-        dy.taskgraph_seed = seed;
-        dy.set_threads(threads);
-        if checked {
-            dy.health = HealthConfig::on();
-        }
-        let mut st = resting_state(&dy);
-        for es in st.elems_mut() {
-            for (i, t) in es.t.iter_mut().enumerate() {
-                *t += ((i % 7) as f64 - 3.0) * 0.5;
-            }
-            for (i, u) in es.u.iter_mut().enumerate() {
-                *u += ((i % 5) as f64 - 2.0) * 0.1;
-            }
-        }
-        for _ in 0..4 {
-            if checked {
-                dy.step_checked(&mut st).expect("healthy step");
-            } else {
-                dy.step(&mut st);
-            }
-        }
-        st
-    }
-
-    #[test]
-    fn taskgraph_step_matches_bulk_bitwise() {
-        let oracle = taskgraph_run(StepPath::Bulk, 1, 0, false);
-        assert!(oracle.u.iter().any(|x| *x != 0.0), "oracle run did nothing");
-        for threads in [1, 2, 4] {
-            for seed in [0u64, 1, 0xBEEF] {
-                let tg = taskgraph_run(StepPath::TaskGraph, threads, seed, false);
-                assert_eq!(
-                    oracle.max_abs_diff(&tg),
-                    0.0,
-                    "task graph diverged from bulk (threads={threads}, seed={seed:#x})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn taskgraph_checked_step_matches_bulk_bitwise() {
-        let oracle = taskgraph_run(StepPath::Bulk, 1, 0, true);
-        for threads in [1, 4] {
-            let tg = taskgraph_run(StepPath::TaskGraph, threads, 0x5EED, true);
-            assert_eq!(
-                oracle.max_abs_diff(&tg),
-                0.0,
-                "checked task graph diverged from bulk (threads={threads})"
-            );
-        }
-    }
-
-    #[test]
-    fn taskgraph_checked_step_reports_same_error_as_bulk() {
-        let dims = Dims { nlev: 4, qsize: 2 };
-        let run = |path: StepPath| -> HealthError {
-            let mut dy = Dycore::new(2, dims, 200.0, taskgraph_cfg());
-            dy.step_path = path;
-            dy.health = HealthConfig::on();
-            let mut st = resting_state(&dy);
-            st.u[5] = f64::NAN;
-            dy.step_checked(&mut st).unwrap_err()
-        };
-        let bulk = run(StepPath::Bulk);
-        let tg = run(StepPath::TaskGraph);
-        assert_eq!(format!("{bulk:?}"), format!("{tg:?}"), "error mismatch");
-    }
-
-    #[test]
-    fn taskgraph_step_without_hypervis_or_tracers() {
-        // Degenerate stage lists (no sponge/hyp/tracer stages) must still
-        // agree with the bulk path.
-        let dims = Dims { nlev: 4, qsize: 0 };
-        let cfg = DycoreConfig {
-            dt: 150.0,
-            hypervis: HypervisConfig::off(),
-            limiter: false,
-            rsplit: 1,
-        };
-        let run = |path: StepPath| -> State {
-            let mut dy = Dycore::new(2, dims, 200.0, cfg);
-            dy.step_path = path;
-            dy.set_threads(2);
-            let mut st = resting_state(&dy);
-            for es in st.elems_mut() {
-                for (i, t) in es.t.iter_mut().enumerate() {
-                    *t += ((i % 7) as f64 - 3.0) * 0.5;
-                }
-            }
-            for _ in 0..3 {
-                dy.step(&mut st);
-            }
-            st
-        };
-        let bulk = run(StepPath::Bulk);
-        let tg = run(StepPath::TaskGraph);
-        assert_eq!(bulk.max_abs_diff(&tg), 0.0);
     }
 }

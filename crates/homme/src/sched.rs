@@ -14,7 +14,7 @@
 //!
 //! Waiting is spin-then-park: a worker out of work, and the caller waiting
 //! for the last worker, poll an atomic for up to [`SPIN`] before they
-//! sleep on a condvar. The bulk step issues its sweeps back to back (three
+//! sleep on a condvar. The step issues its sweeps back to back (three
 //! a hyperviscosity subcycle, nothing serial between them), so the next
 //! epoch is normally microseconds away; parking for it costs two futex
 //! round trips a sweep, and how long a sleeping vCPU takes to come back is
@@ -373,29 +373,14 @@ impl<'a, T> ArenaMut<'a, T> {
     /// Window `[start, start + len)` of the arena.
     ///
     /// # Safety
-    /// Windows sliced concurrently must be pairwise disjoint (the
-    /// per-element ranges of the dycore loops are).
+    /// The window must lie inside the arena (checked in debug builds
+    /// only), and windows sliced concurrently must be pairwise disjoint
+    /// (the per-element ranges of the dycore loops are).
     #[inline]
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice(&self, start: usize, len: usize) -> &'a mut [T] {
         debug_assert!(start + len <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(start), len)
-    }
-
-    /// Read one value without materializing a reference — for gather-style
-    /// jobs that read windows owned by *other* elements.
-    ///
-    /// # Safety
-    /// The caller must guarantee the slot is not being written
-    /// concurrently (the task graph's eligibility rules order every
-    /// neighbor write before the gather that reads it).
-    #[inline]
-    pub unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len);
-        std::ptr::read(self.ptr.add(i))
     }
 }
 

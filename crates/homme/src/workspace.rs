@@ -14,7 +14,6 @@
 //! that a dirtied workspace reproduces a fresh one bitwise.
 
 use crate::bndry::ExchangeBuffers;
-use crate::health::StageScan;
 use crate::hypervis::ElemHypervisPlan;
 use crate::kernels::blocked::QCHUNK;
 use crate::kernels::member_lanes::MemberRhsScratch;
@@ -22,21 +21,8 @@ use crate::remap::{ElemRemapPlan, RemapApplyScratch, RemapScratch};
 use crate::rhs::{ElemTend, RhsScratch};
 use crate::sched::PerWorker;
 use crate::state::{Dims, State};
-use crate::taskgraph::{PipelineStage, TaskGraph};
 use cubesphere::NPTS;
 use sw26010::V4F64;
-
-/// A stage scan accumulator in its identity state (what
-/// [`crate::health::scan_stage`] returns for empty arenas).
-pub const EMPTY_SCAN: StageScan =
-    StageScan { nonfinite: 0, min_dp3d: f64::INFINITY, max_speed2: 0.0, tracer_nonfinite: 0 };
-
-/// Per-element raw-window capacity (in values) for the task-graph step:
-/// enough for the widest stage — four prognostic fields, the whole tracer
-/// arena, or three sponge fields (always ≤ four full fields).
-pub fn raw_capacity(dims: Dims) -> usize {
-    dims.nlev * NPTS * dims.qsize.max(4)
-}
 
 /// Tracers per chunk of the blocked tracer stage: [`QCHUNK`], or all of
 /// them when there are fewer.
@@ -132,10 +118,11 @@ impl WorkerScratch {
 
 /// All step-persistent buffers of the dycore pipeline.
 ///
-/// The default (blocked, bulk) step touches only `stage`, `hyp`, the sponge
-/// buffers, `qchunk` and `qstage` besides the state; `next`, `q2`, `qtmp`
-/// and `raw0` / `raw1` serve the scalar oracle and the task graph, so their
-/// pages never become resident on the default path.
+/// The default (blocked) step touches only `stage`, `hyp`, the sponge
+/// buffers, `qchunk` and `qstage` besides the state; `next`, `q2` and
+/// `qtmp` serve the scalar oracle (and `next` the ensemble's chunked member
+/// hyperviscosity), so their pages never become resident on the default
+/// path.
 #[derive(Debug)]
 pub struct StepWorkspace {
     /// RK stage `u_i` (blocked: each stage's gather overwrites it in place;
@@ -144,9 +131,8 @@ pub struct StepWorkspace {
     /// itself on every path.
     pub stage: DynFields,
     /// RK stage being produced by the scalar oracle (which ping-pongs it
-    /// with `stage`), and a parity arena of the task graph. Also the
-    /// second-Laplacian arena of the ensemble's chunked member
-    /// hyperviscosity.
+    /// with `stage`). Also the second-Laplacian arena of the ensemble's
+    /// chunked member hyperviscosity.
     pub next: DynFields,
     /// Raw (pre-DSS) RK stage of the blocked step, and the hyperviscosity
     /// first-Laplacian output (full depth).
@@ -168,28 +154,13 @@ pub struct StepWorkspace {
     /// ever a full tracer arena.
     pub qstage: Vec<f64>,
     /// Tracer stage buffer, `[nelem][qsize][nlev][NPTS]`: stages 1 and 2 of
-    /// the scalar oracle and stage 2 of the task graph. Every path reads
-    /// the stage input `q_0` from the state itself.
+    /// the scalar oracle. Every path reads the stage input `q_0` from the
+    /// state itself.
     pub q2: Vec<f64>,
-    /// Full-arena substep output of the scalar path, and the assembled
-    /// stage-1 result of the task graph.
+    /// Full-arena substep output of the scalar oracle.
     pub qtmp: Vec<f64>,
     /// One private scratch per scheduler worker.
     pub workers: PerWorker<WorkerScratch>,
-    /// Task-graph engine state (counters, claim words, ready queue).
-    pub graph: TaskGraph,
-    /// Raw (pre-DSS) per-element windows, one arena per stage parity —
-    /// `[nelem][raw_capacity]` each.
-    pub raw0: Vec<f64>,
-    /// Second raw parity arena.
-    pub raw1: Vec<f64>,
-    /// Per-element raw window width.
-    pub rawcap: usize,
-    /// Stage list of the current task-graph step (rebuilt per step; the
-    /// reserve keeps steady-state pushes allocation-free).
-    pub stages: Vec<PipelineStage>,
-    /// Per-worker RK stage-scan partials for the checked task-graph step.
-    pub scans: PerWorker<[StageScan; 5]>,
     /// Hyperviscosity step plan (hoisted subcycle/sponge coefficients),
     /// rebuilt per step without allocating.
     pub hv_plan: ElemHypervisPlan,
@@ -203,9 +174,6 @@ impl StepWorkspace {
         let tl = nelem * dims.tracer_len();
         let sl = nelem * sponge_layers.min(dims.nlev) * NPTS;
         let cl = nelem * qchunk_width(dims) * dims.nlev * NPTS;
-        let rawcap = raw_capacity(dims);
-        let mut graph = TaskGraph::new();
-        graph.ensure(nelem);
         StepWorkspace {
             stage: DynFields::zeros(fl),
             next: DynFields::zeros(fl),
@@ -218,12 +186,6 @@ impl StepWorkspace {
             q2: vec![0.0; tl],
             qtmp: vec![0.0; tl],
             workers: PerWorker::new(nworkers, || WorkerScratch::new(dims)),
-            graph,
-            raw0: vec![0.0; nelem * rawcap],
-            raw1: vec![0.0; nelem * rawcap],
-            rawcap,
-            stages: Vec::with_capacity(64),
-            scans: PerWorker::new(nworkers, || [EMPTY_SCAN; 5]),
             hv_plan: ElemHypervisPlan::new(dims.nlev, sponge_layers),
         }
     }
@@ -380,93 +342,9 @@ pub struct DistWorkspace {
     pub scratch: WorkerScratch,
     /// Aggregated boundary-exchange pack/accumulate buffers.
     pub ex: ExchangeBuffers,
-    /// Event-loop state of the distributed task-graph step.
-    pub graph: DistGraphBufs,
     /// Hyperviscosity step plan (hoisted subcycle/sponge coefficients),
     /// rebuilt per step without allocating.
     pub hv_plan: ElemHypervisPlan,
-}
-
-/// Buffers of the distributed task-graph event loop. The loop is
-/// single-threaded within a rank (the exchange plan is), so plain vectors
-/// suffice; everything is grow-only and reset per run, keeping the armed
-/// step allocation-free.
-#[derive(Debug, Default)]
-pub struct DistGraphBufs {
-    /// Substages completed per element this run.
-    pub done: Vec<u32>,
-    /// Substages claimed (queued or executed) per element.
-    pub claim: Vec<u32>,
-    /// Ready stack (each element appears at most once).
-    pub ready: Vec<u32>,
-    /// Raw (pre-DSS) windows, even-stage parity.
-    pub raw0: Vec<f64>,
-    /// Raw windows, odd-stage parity.
-    pub raw1: Vec<f64>,
-    /// Per-element raw window width.
-    pub rawcap: usize,
-    /// Stage list of the current step.
-    pub stages: Vec<PipelineStage>,
-    /// Payload values per shared point, per stage.
-    pub stage_sz: Vec<usize>,
-    /// Prefix sums of `stage_sz` (`nstages + 1` entries).
-    pub stage_off: Vec<usize>,
-    /// Boundary elements of each link still owing this stage's compute,
-    /// `[nlinks][nstages]` flattened link-major.
-    pub pending_send: Vec<u32>,
-    /// Whether the `(link, stage)` message has been received, same layout.
-    pub arrived: Vec<bool>,
-    /// Received payloads per link, stage-concatenated via `stage_off`.
-    pub recv_buf: Vec<Vec<f64>>,
-}
-
-impl DistGraphBufs {
-    /// Grow storage for `nelem` elements, `nlinks` peers with
-    /// `npts_of(l)` shared points each, and `rawcap`-wide raw windows.
-    /// The caller fills `self.stages` and `self.stage_sz` (payload values
-    /// per shared point per stage) first; this call derives `stage_off`
-    /// and sizes everything else. Idempotent; only grows.
-    pub fn ensure(
-        &mut self,
-        nelem: usize,
-        rawcap: usize,
-        nlinks: usize,
-        npts_of: impl Fn(usize) -> usize,
-    ) {
-        let nstages = self.stage_sz.len();
-        if self.done.len() < nelem {
-            self.done.resize(nelem, 0);
-            self.claim.resize(nelem, 0);
-        }
-        self.ready.clear();
-        self.ready.reserve(nelem);
-        self.rawcap = rawcap;
-        if self.raw0.len() < nelem * rawcap {
-            self.raw0.resize(nelem * rawcap, 0.0);
-            self.raw1.resize(nelem * rawcap, 0.0);
-        }
-        self.stage_off.clear();
-        self.stage_off.push(0);
-        for &sz in &self.stage_sz {
-            let last = *self.stage_off.last().expect("non-empty prefix");
-            self.stage_off.push(last + sz);
-        }
-        let slots = nlinks * nstages;
-        if self.pending_send.len() < slots {
-            self.pending_send.resize(slots, 0);
-            self.arrived.resize(slots, false);
-        }
-        if self.recv_buf.len() < nlinks {
-            self.recv_buf.resize(nlinks, Vec::new());
-        }
-        let total = self.stage_off[nstages];
-        for (l, buf) in self.recv_buf.iter_mut().enumerate().take(nlinks) {
-            let need = total * npts_of(l);
-            if buf.len() < need {
-                buf.resize(need, 0.0);
-            }
-        }
-    }
 }
 
 impl DistWorkspace {
@@ -490,7 +368,6 @@ impl DistWorkspace {
             qtmp: vec![0.0; tl],
             scratch: WorkerScratch::new(dims),
             ex: ExchangeBuffers::new(),
-            graph: DistGraphBufs::default(),
             hv_plan: ElemHypervisPlan::new(dims.nlev, sponge_layers),
         }
     }

@@ -417,27 +417,6 @@ impl Comm {
         }
     }
 
-    /// Ensure the pool holds at least `count` buffers of capacity exactly
-    /// `len`, allocating the shortfall up front (bounded by
-    /// [`Comm::pool_capacity`]). Drivers whose send timing is
-    /// thread-schedule-dependent (the task-graph step) call this at setup
-    /// with one buffer per (link, distinct payload width) class: the
-    /// in-order link protocol bounds each class's transient take/recycle
-    /// deficit at one, so a stocked class never goes dry mid-step and
-    /// steady-state sends stay allocation-free regardless of timing.
-    pub fn stock_buffers(&mut self, len: usize, count: usize) {
-        if len == 0 {
-            return;
-        }
-        let have = self.pool.iter().filter(|b| b.capacity() == len).count();
-        for _ in have..count {
-            if self.pool.len() >= self.pool.capacity() {
-                break;
-            }
-            self.pool.push(vec![0.0; len]);
-        }
-    }
-
     /// Hand back the payload buffer of a consumed message. It goes to
     /// whichever side produced it: a transport that allocates payloads on
     /// receive (TCP) keeps it for its readers; one whose payloads arrive by
@@ -655,9 +634,9 @@ impl Comm {
 
     /// Nonblocking completion probe for a posted receive: returns
     /// `Ok(Some(..))` if a matching message is already here, `Ok(None)`
-    /// otherwise — never blocks and never times out. The event-driven step
-    /// drivers poll with this while useful work remains and fall back to
-    /// [`Comm::wait`] only when the task graph runs dry.
+    /// otherwise — never blocks and never times out (`MPI_Test`): a caller
+    /// can poll while it has useful work left and fall back to
+    /// [`Comm::wait`] when it runs dry.
     ///
     /// In reliable mode the probe also sweeps stale arrivals and checks
     /// the retransmit log, so dropped messages can be recovered without a
@@ -924,12 +903,12 @@ mod tests {
     }
 
     #[test]
-    fn take_buffer_prefers_exact_fit_and_stock_prevents_class_drift() {
+    fn take_buffer_prefers_exact_fit() {
         let mut world = Comm::world(1);
         let mut c = world.pop().unwrap();
-        // Stock two size classes; the pool records the shortfall exactly.
-        c.stock_buffers(8, 1);
-        c.stock_buffers(32, 1);
+        // Pool one buffer of each of two size classes.
+        c.recycle(Vec::with_capacity(8));
+        c.recycle(Vec::with_capacity(32));
         assert_eq!(c.pool_len(), 2);
         // A request for the small class must take the 8-capacity buffer,
         // not walk off with the 32-capacity one (first-fit used to).
@@ -945,13 +924,6 @@ mod tests {
         let mid = c.take_buffer(16);
         assert_eq!(mid.capacity(), 32);
         c.recycle(mid);
-        // Re-stocking an already-stocked class allocates nothing new.
-        c.stock_buffers(8, 1);
-        c.stock_buffers(32, 1);
-        assert_eq!(c.pool_len(), 2);
-        // Zero-length classes are ignored.
-        c.stock_buffers(0, 4);
-        assert_eq!(c.pool_len(), 2);
     }
 
     #[test]

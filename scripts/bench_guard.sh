@@ -23,11 +23,9 @@
 # itself has to stay within LANE_RESIDENT_FLOOR of member-serial compute,
 # or the lane path is losing the arithmetic, not just the transposition.
 #
-# Section 2 reads BENCH_fullstep.json and enforces the task-graph parallel
-# floor (see below). Section 3 reads BENCH_ensemble.json and enforces the
-# ensemble-engine floors. Each section skips independently when its
-# artifact is absent. awk-only: CI and the offline dev container both
-# lack jq.
+# Section 2 reads BENCH_ensemble.json and enforces the ensemble-engine
+# floors. Each section skips independently when its artifact is absent.
+# awk-only: CI and the offline dev container both lack jq.
 #
 # Number extraction uses match() on a full float pattern (sign, decimals,
 # exponent) rather than stripping trailing non-digits: `sub(/[^0-9.].*/,
@@ -117,54 +115,6 @@ else
          "run 'cargo run --release -p swcam-bench --bin kernels' to enforce the speedup floors"
 fi
 
-# Parallel-floor guard over the full-step artifact: the message-driven
-# task-graph step must beat the bulk-synchronous parallel step by >= 1.2x
-# once real cores are available (the graph's whole point is erasing the
-# DSS barriers). On hosts without >= 4 cores the comparison is noise —
-# worker threads just time-slice one core — so the floor is structurally
-# skipped with the reason logged, never silently. The same goes for an
-# artifact that records "oversubscribed": true (SWCAM_BENCH_THREADS
-# forced more workers than cores): its parallel timings measure
-# time-slicing, not parallelism.
-FULLSTEP="${2:-BENCH_fullstep.json}"
-TASKGRAPH_FLOOR=1.2
-
-if [[ -f "$FULLSTEP" ]]; then
-    awk -v floor="$TASKGRAPH_FLOOR" "$NUM_FN"'
-      /"cores":/ { c = $0; sub(/.*"cores": /, "", c); cores = num(c) }
-      /"oversubscribed": true/ { oversub = 1 }
-      /"taskgraph_speedup_vs_bulk_parallel":/ {
-        s = $0
-        sub(/.*"taskgraph_speedup_vs_bulk_parallel": /, "", s)
-        ratio = num(s)
-        seen = 1
-      }
-      END {
-        if (!seen) {
-          print "bench guard: fullstep artifact predates the task-graph fields; re-run the fullstep bench"
-          exit 1
-        }
-        if (num_bad) { print "bench guard: unparseable fullstep value"; exit 1 }
-        if (cores < 4) {
-          printf "bench guard: SKIP task-graph parallel floor — only %d core(s); the floor needs >= 4 real cores\n", cores
-          exit 0
-        }
-        if (oversub) {
-          print "bench guard: SKIP task-graph parallel floor — artifact marked oversubscribed (threads forced past cores)"
-          exit 0
-        }
-        if (ratio < floor) {
-          printf "bench guard: task-graph parallel step %.3fx vs bulk < %.1fx floor\n", ratio, floor
-          exit 1
-        }
-        printf "bench guard: OK task-graph parallel step %.3fx >= %.1fx floor (%d cores)\n", ratio, floor, cores
-      }
-    ' "$FULLSTEP"
-else
-    echo "bench guard: $FULLSTEP not present;" \
-         "run 'cargo run --release -p swcam-bench --bin fullstep' to enforce the task-graph parallel floor"
-fi
-
 # Ensemble-engine guard: BENCH_ensemble.json comes from `--bin ensemble`.
 # Hard requirements on any artifact (smoke included): the bitwise pin held
 # (every batched member identical to its standalone run) and the speedup
@@ -184,13 +134,12 @@ fi
 # target-cpu=native x86), the lane path's win is limited to shared
 # plans/DSS walks, and a 1.8x arithmetic floor would only institutionalise
 # a permanently red check — so the floor is skipped with the reason
-# logged, never silently (same discipline as the task-graph core-count
-# skip above). On targets where the resident row shows a real edge (the
-# scalar-baseline regime the lane family was built for), the 1.8x floor
-# binds. The ROADMAP-4 3x end-to-end aspiration is recorded in the
+# logged, never silently. On targets where the resident row shows a real
+# edge (the scalar-baseline regime the lane family was built for), the
+# 1.8x floor binds. The ROADMAP-4 3x end-to-end aspiration is recorded in the
 # artifact (target_speedup/target_met) and reported here, but not
 # enforced (see DESIGN.md sections 5.9-5.10).
-ENSEMBLE="${3:-BENCH_ensemble.json}"
+ENSEMBLE="${2:-BENCH_ensemble.json}"
 ENSEMBLE_FLOOR="${ENSEMBLE_FLOOR:-0.9}"
 LANE_EDGE_MIN="${LANE_EDGE_MIN:-1.5}"
 

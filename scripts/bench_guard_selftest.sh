@@ -19,10 +19,10 @@ ABSENT="$T/absent.json"
 fails=0
 case_no=0
 
-check() { # check <expected_exit> <label> <kernels> <fullstep> <ensemble>
+check() { # check <expected_exit> <label> <kernels> <ensemble>
     local expect="$1" label="$2" out rc
     case_no=$((case_no + 1))
-    out="$("$GUARD" "$3" "$4" "$5" 2>&1)"
+    out="$("$GUARD" "$3" "$4" 2>&1)"
     rc=$?
     if [[ "$rc" -ne "$expect" ]]; then
         echo "FAIL case $case_no ($label): exit $rc, expected $expect"
@@ -56,18 +56,6 @@ kernels_artifact() { # kernels_artifact <file> <laplace_speedup> <smoke> [lane_r
 EOF
 }
 
-fullstep_artifact() { # fullstep_artifact <file> <cores> <oversubscribed> <ratio>
-    cat > "$1" <<EOF
-{
-  "bench": "fullstep",
-  "cores": $2,
-  "threads": 4,
-  "oversubscribed": $3,
-  "taskgraph_speedup_vs_bulk_parallel": $4
-}
-EOF
-}
-
 ensemble_artifact() { # ensemble_artifact <file> <mode> <bitwise> <e2e> <steady> [path] [members] [steady_target]
     # The batch rows repeat a "members": key — present here so a case
     # catches the guard ever reading a batch row's count as the top-level
@@ -96,70 +84,54 @@ EOF
 
 # --- Section 1: kernels ---------------------------------------------------
 kernels_artifact "$T/k_good.json" 1.226 false
-check 0 "kernels: healthy full artifact passes" "$T/k_good.json" "$ABSENT" "$ABSENT"
+check 0 "kernels: healthy full artifact passes" "$T/k_good.json" "$ABSENT"
 
 kernels_artifact "$T/k_lost.json" 0.83 false
-check 1 "kernels: blocked kernel losing to scalar fails" "$T/k_lost.json" "$ABSENT" "$ABSENT"
+check 1 "kernels: blocked kernel losing to scalar fails" "$T/k_lost.json" "$ABSENT"
 
 # The motivating bug: 9.5e-1 = 0.95 < 1.0. The broken parser read 9.5.
 kernels_artifact "$T/k_exp.json" 9.5e-1 false
 check 1 "kernels: exponent-form losing speedup fails (old parser read 9.5e-1 as 9.5)" \
-    "$T/k_exp.json" "$ABSENT" "$ABSENT"
+    "$T/k_exp.json" "$ABSENT"
 
 kernels_artifact "$T/k_smoke.json" 0.83 true
-check 0 "kernels: smoke artifact skips floors" "$T/k_smoke.json" "$ABSENT" "$ABSENT"
+check 0 "kernels: smoke artifact skips floors" "$T/k_smoke.json" "$ABSENT"
 
 printf '{\n  "bench": "kernels",\n  "kernels": [\n    {"name": "laplace", "speedup": 1.2}\n  ]\n}\n' > "$T/k_missing.json"
-check 1 "kernels: required row missing fails structurally" "$T/k_missing.json" "$ABSENT" "$ABSENT"
+check 1 "kernels: required row missing fails structurally" "$T/k_missing.json" "$ABSENT"
 
-check 0 "kernels: absent artifact skips" "$ABSENT" "$ABSENT" "$ABSENT"
+check 0 "kernels: absent artifact skips" "$ABSENT" "$ABSENT"
 
 # Member-lane rows. Every healthy case above already pins the end-to-end
 # exemption (hypervis_member_lanes hardcoded at 0.75 passes); what must
 # fail is the tiles-resident row losing member-serial compute.
 kernels_artifact "$T/k_lane_res.json" 1.226 false 0.7
-check 1 "kernels: lane resident row under its 0.9 floor fails" "$T/k_lane_res.json" "$ABSENT" "$ABSENT"
+check 1 "kernels: lane resident row under its 0.9 floor fails" "$T/k_lane_res.json" "$ABSENT"
 
 kernels_artifact "$T/k_lane_exp.json" 1.226 false 8.5e-1
 check 1 "kernels: exponent-form losing lane resident fails (8.5e-1 = 0.85)" \
-    "$T/k_lane_exp.json" "$ABSENT" "$ABSENT"
+    "$T/k_lane_exp.json" "$ABSENT"
 
-# --- Section 2: fullstep --------------------------------------------------
-fullstep_artifact "$T/f_good.json" 8 false 1.45
-check 0 "fullstep: parallel floor met on real cores" "$ABSENT" "$T/f_good.json" "$ABSENT"
-
-fullstep_artifact "$T/f_slow.json" 8 false 0.97
-check 1 "fullstep: parallel floor missed fails" "$ABSENT" "$T/f_slow.json" "$ABSENT"
-
-fullstep_artifact "$T/f_exp.json" 8 false 9.7e-1
-check 1 "fullstep: exponent-form losing ratio fails" "$ABSENT" "$T/f_exp.json" "$ABSENT"
-
-fullstep_artifact "$T/f_1core.json" 1 false 0.64
-check 0 "fullstep: single core skips the floor" "$ABSENT" "$T/f_1core.json" "$ABSENT"
-
-fullstep_artifact "$T/f_oversub.json" 8 true 0.52
-check 0 "fullstep: oversubscribed artifact skips the floor" "$ABSENT" "$T/f_oversub.json" "$ABSENT"
-
-# --- Section 3: ensemble --------------------------------------------------
+# --- Section 2: ensemble --------------------------------------------------
 ensemble_artifact "$T/e_good.json" full true 1.02 1.06
-check 0 "ensemble: full artifact above floors passes" "$ABSENT" "$ABSENT" "$T/e_good.json"
+check 0 "ensemble: full artifact above floors passes" "$ABSENT" "$T/e_good.json"
 
 ensemble_artifact "$T/e_slow.json" full true 0.55 0.55
-check 1 "ensemble: regressed speedup fails the floor" "$ABSENT" "$ABSENT" "$T/e_slow.json"
+check 1 "ensemble: regressed speedup fails the floor" "$ABSENT" "$T/e_slow.json"
 
 ensemble_artifact "$T/e_exp.json" full true 5.5e-1 5.5e-1
-check 1 "ensemble: exponent-form regressed speedup fails" "$ABSENT" "$ABSENT" "$T/e_exp.json"
+check 1 "ensemble: exponent-form regressed speedup fails" "$ABSENT" "$T/e_exp.json"
 
 ensemble_artifact "$T/e_smoke.json" smoke true 0.55 0.55
-check 0 "ensemble: smoke artifact skips floors" "$ABSENT" "$ABSENT" "$T/e_smoke.json"
+check 0 "ensemble: smoke artifact skips floors" "$ABSENT" "$T/e_smoke.json"
 
 ensemble_artifact "$T/e_bitwise.json" smoke false 1.02 1.06
-check 1 "ensemble: bitwise pin failure fails even in smoke mode" "$ABSENT" "$ABSENT" "$T/e_bitwise.json"
+check 1 "ensemble: bitwise pin failure fails even in smoke mode" "$ABSENT" "$T/e_bitwise.json"
 
 printf '{\n  "bench": "ensemble",\n  "mode": "full"\n}\n' > "$T/e_fields.json"
-check 1 "ensemble: missing fields fail structurally" "$ABSENT" "$ABSENT" "$T/e_fields.json"
+check 1 "ensemble: missing fields fail structurally" "$ABSENT" "$T/e_fields.json"
 
-# --- Section 3b: lane steady floor ----------------------------------------
+# --- Section 2b: lane steady floor ----------------------------------------
 # The 1.8x lane floor binds only when the kernels artifact shows the lane
 # arithmetic beating member-serial compute (resident >= LANE_EDGE_MIN);
 # otherwise it skips with the reason logged (exit 0). Both branches and
@@ -169,31 +141,31 @@ kernels_artifact "$T/k_noedge.json" 1.226 false 1.02
 
 ensemble_artifact "$T/e_lane_good.json" full true 1.9 2.1 lanes 4
 check 0 "lane floor: steady above 1.8x with a lane compute edge passes" \
-    "$T/k_edge.json" "$ABSENT" "$T/e_lane_good.json"
+    "$T/k_edge.json" "$T/e_lane_good.json"
 
 ensemble_artifact "$T/e_lane_slow.json" full true 1.1 1.3 lanes 4
 check 1 "lane floor: steady under 1.8x with a lane compute edge fails" \
-    "$T/k_edge.json" "$ABSENT" "$T/e_lane_slow.json"
+    "$T/k_edge.json" "$T/e_lane_slow.json"
 
 check 0 "lane floor: same artifact skips when the host shows no lane edge" \
-    "$T/k_noedge.json" "$ABSENT" "$T/e_lane_slow.json"
+    "$T/k_noedge.json" "$T/e_lane_slow.json"
 
 check 0 "lane floor: skips without a kernels artifact to establish the edge" \
-    "$ABSENT" "$ABSENT" "$T/e_lane_slow.json"
+    "$ABSENT" "$T/e_lane_slow.json"
 
 # 9.5e-1 = 0.95 clears the generic 0.9 floor but not the 1.8x lane floor;
 # the broken parser would read 9.5 and pass it.
 ensemble_artifact "$T/e_lane_exp.json" full true 1.0 9.5e-1 lanes 4
 check 1 "lane floor: exponent-form steady fails (9.5e-1 = 0.95 < 1.8)" \
-    "$T/k_edge.json" "$ABSENT" "$T/e_lane_exp.json"
+    "$T/k_edge.json" "$T/e_lane_exp.json"
 
 ensemble_artifact "$T/e_lane_part.json" full true 1.0 1.0 lanes 2
 check 0 "lane floor: not armed under a full 4-lane batch" \
-    "$T/k_edge.json" "$ABSENT" "$T/e_lane_part.json"
+    "$T/k_edge.json" "$T/e_lane_part.json"
 
 ensemble_artifact "$T/e_lane_chunk.json" full true 1.0 1.0 chunked 4
 check 0 "lane floor: not armed on the chunked path" \
-    "$T/k_edge.json" "$ABSENT" "$T/e_lane_chunk.json"
+    "$T/k_edge.json" "$T/e_lane_chunk.json"
 
 # --------------------------------------------------------------------------
 if [[ "$fails" -ne 0 ]]; then

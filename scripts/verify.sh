@@ -32,27 +32,14 @@ cargo test -q -p swcam-core --lib checkpoint
 cargo test -q -p homme --lib health
 cargo test -q -p swcam-bench --test fault_injection
 
-# Task-graph group: the message-driven element task graph must stay
-# bitwise identical to the bulk-synchronous step — engine unit tests, the
-# serial pipeline parity suite, the canonical-order DSS gather, the
-# distributed event loop parity suite, the schedule-independence sweep,
-# and the task-graph halves of both allocation gates and the fault suite.
-echo "== taskgraph test group"
-cargo test -q -p homme --lib taskgraph
-cargo test -q -p homme --lib dss
-cargo test -q -p homme --lib bndry::tests::gather_plan
-cargo test -q -p homme --test taskgraph_determinism
-cargo test -q -p homme --test alloc_regression
-cargo test -q -p swcam-bench --test fault_injection taskgraph
-
 # Gather-DSS group: every DSS of the blocked step is an element-parallel
 # gather sweep on the scheduler pool, so the bitwise pins against the
 # scalar scatter oracle and the standalone member runs are repeated at
 # worker counts 1 (serial inline), 2, and 3 (does not divide the element
-# counts) — the same matrix CI's taskgraph-parity job runs.
+# counts) — the same matrix CI's thread-parity job runs.
 echo "== gather-DSS test group (SWCAM_THREADS 1, 2, 3)"
+cargo test -q -p homme --lib dss
 for threads in 1 2 3; do
-    SWCAM_THREADS=$threads cargo test -q -p homme --test taskgraph_determinism
     SWCAM_THREADS=$threads cargo test -q -p homme --test blocked_parity
     SWCAM_THREADS=$threads cargo test -q -p swcam-core --test ensemble_lane_parity
 done

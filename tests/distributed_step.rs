@@ -166,101 +166,6 @@ fn distributed_blocked_path_matches_scalar_bitwise() {
     }
 }
 
-/// The message-driven task-graph step tracks the bulk-synchronous step
-/// bit for bit over a long run, on both kernel paths: ten full steps
-/// (limiter, sponge, subcycled hyperviscosity, rsplit remap) across four
-/// ranks, every prognostic field compared to the last bit.
-#[test]
-fn distributed_taskgraph_matches_bulk_bitwise() {
-    use cubesphere::consts::P0;
-    use cubesphere::Partition;
-    use homme::hypervis::HypervisConfig;
-    use homme::{Dims, DistDycore, Dycore, DycoreConfig, KernelPath, State, StepPath};
-
-    const NE: usize = 3;
-    const NRANKS: usize = 4;
-    const NSTEPS: usize = 10;
-    let dims = Dims { nlev: 5, qsize: 2 };
-    let nu = HypervisConfig::for_ne(NE).nu;
-    let cfg = DycoreConfig {
-        dt: 300.0 * 30.0 / NE as f64,
-        hypervis: HypervisConfig { nu, nu_p: nu, subcycles: 3, nu_top: 2.5e5, sponge_layers: 2 },
-        limiter: true,
-        rsplit: 2,
-    };
-
-    let grid = CubedSphere::new(NE);
-    let part = Partition::new(&grid, NRANKS);
-    let serial = Dycore::new(NE, dims, 2000.0, cfg);
-    let init = {
-        let vert = serial.rhs.vert.clone();
-        let mut st = serial.zero_state();
-        for (es, el) in st.elems_mut().zip(&serial.grid.elements) {
-            for p in 0..NPTS {
-                let lat = el.metric[p].lat;
-                let lon = el.metric[p].lon;
-                let ps = P0 * (1.0 - 0.001 * (2.0 * lat).sin());
-                for k in 0..dims.nlev {
-                    let i = k * NPTS + p;
-                    es.u[i] = 20.0 * lat.cos();
-                    es.v[i] = 2.0 * lon.sin();
-                    es.t[i] = 300.0 + 2.0 * (3.0 * lon).sin() * lat.cos();
-                    es.dp3d[i] = vert.dp_ref(k, ps);
-                    for q in 0..dims.qsize {
-                        es.qdp[(q * dims.nlev + k) * NPTS + p] = 0.01 * es.dp3d[i];
-                    }
-                }
-            }
-        }
-        st
-    };
-
-    let run = |step_path: StepPath, kernels: KernelPath| -> Vec<(Vec<usize>, State)> {
-        run_ranks(NRANKS, |ctx| {
-            let mut dist = DistDycore::new(
-                &grid,
-                &part,
-                ctx.rank(),
-                dims,
-                2000.0,
-                cfg,
-                ExchangeMode::Redesigned,
-            );
-            dist.step_path = step_path;
-            dist.kernels = kernels;
-            let mut local = dist.local_state(&init);
-            for step in 0..NSTEPS {
-                ctx.set_step(step as u64);
-                dist.step(ctx, &mut local).expect("step");
-            }
-            assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
-            (dist.plan.owned.clone(), local)
-        })
-    };
-
-    for kernels in [KernelPath::Scalar, KernelPath::Blocked] {
-        let bulk = run(StepPath::Bulk, kernels);
-        let graph = run(StepPath::TaskGraph, kernels);
-        for (rank, ((owned_b, sb), (owned_g, sg))) in bulk.iter().zip(&graph).enumerate() {
-            assert_eq!(owned_b, owned_g, "rank {rank} owns different elements");
-            for (name, fa, fb) in [
-                ("u", &sb.u, &sg.u),
-                ("v", &sb.v, &sg.v),
-                ("t", &sb.t, &sg.t),
-                ("dp3d", &sb.dp3d, &sg.dp3d),
-                ("qdp", &sb.qdp, &sg.qdp),
-            ] {
-                for (i, (x, y)) in fa.iter().zip(fb.iter()).enumerate() {
-                    assert!(
-                        x.to_bits() == y.to_bits(),
-                        "{kernels:?} rank {rank} {name}[{i}] differs: {x:e} vs {y:e}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn redesigned_mode_overlaps_useful_interior_work() {
     // The interior closure's work must actually contribute: use it to
