@@ -1,39 +1,47 @@
 //! `bndry_exchangev`: the distributed boundary exchange behind DSS.
 //!
-//! Two implementations, matching the paper's Section 7.6:
+//! A rank assembles its owned elements with the same canonical-order gather
+//! one rank uses for the whole grid ([`DssGather`]): every point sums its
+//! sharers in global element order. A sharer that another rank owns is a
+//! *ghost* — an offset into that peer's receive buffer, which the gather
+//! reads in place ("fetch the data directly from receive buffer to the
+//! corresponding elements", Section 7.6). What crosses the wire is therefore
+//! the sender's **raw, unweighted** values, one per (boundary element,
+//! point) the receiver shares, never a partial sum: a partial sum would fix
+//! the order of the sender's terms inside the receiver's sum, and the result
+//! would depend on the partition.
 //!
-//! * [`ExchangeMode::Original`] — HOMME's abstraction: element edge values
-//!   are copied into a unified *pack buffer*, per-peer send buffers are cut
-//!   from it, received bytes land in a *unpack buffer*, and a final copy
-//!   scatters them to elements. Clean layering, redundant memcpys, no
-//!   overlap, and one message per peer per (field, level): sends happen
-//!   only after all packing, waits before any compute.
-//! * [`ExchangeMode::Redesigned`] — the paper's rewrite, exposed as the
-//!   *aggregated* exchange ([`ExchangePlan::start_aggregated`] /
-//!   [`ExchangePlan::finish_aggregated`]): receives are posted first, the
-//!   boundary partial sums for **all fields and all levels** are packed
-//!   into a single per-peer message, *interior work runs while messages
-//!   fly*, and received data is accumulated directly from the receive
-//!   buffer into the flat SoA arenas ("fetch the data directly from
-//!   receive buffer to the corresponding elements") — no staging copies,
-//!   one message per peer per exchange.
+//! Payload layout (version 2). For the link from rank `A` to rank `B`, `S`
+//! is the list of `A`'s owned (element, point) pairs whose global point `B`
+//! also touches, ordered by (global element id, point) ascending; both sides
+//! derive it from the grid and the partition ([`ExchangePlan::sends`] on
+//! `A`, the ghost table of `B`'s gather). An exchange of `A` arenas of `L`
+//! levels sends `A * L * |S|` doubles with value index `(a * L + k) * |S| +
+//! j`: arena-major, then level, then the `j`-th pair of `S`.
 //!
-//! The aggregated message layout is fixed by data both sides already
-//! share: for a peer with `G` shared global points (the sorted gid list in
-//! [`ExchangePlan::links`], identical on both ranks) and `A` arenas of
-//! `L` levels each, the payload is `A * L * G` doubles with value index
-//! `(a * L + k) * G + j` — arena-major, then level, then shared gid in
-//! sorted order. Each value is the sender's spheremp-weighted partial sum
-//! for that point; because shared points live only on boundary elements
-//! (an invariant the tests pin down), boundary-only packing is complete.
+//! Two schedules:
 //!
-//! Both modes produce bit-identical DSS results; they differ in memcpy
-//! volume and message count (both counted) and overlap capability
-//! (exercised by tests and the `ablation_overlap` bench binary).
+//! * [`ExchangeMode::Original`] — HOMME's abstraction. All compute first;
+//!   then, per (arena, level), the values every peer needs are copied into a
+//!   unified *pack buffer*, per-peer send buffers are cut from it, and each
+//!   received message is copied into that peer's *unpack buffer*. Redundant
+//!   memcpys, no overlap, one message per peer per (arena, level).
+//! * [`ExchangeMode::Redesigned`] — the paper's rewrite. As soon as the
+//!   boundary elements are computed, receives are posted and the raw values
+//!   of **all arenas and all levels** go out in one message per peer; the
+//!   interior elements are computed and gathered while the messages fly
+//!   (they have no ghost sharers), and the boundary gather reads each
+//!   receive buffer in place. No staging copies.
+//!
+//! Both schedules land the same values in the same layout and gather them
+//! with the same code, so both produce bit-identical DSS results — the bits
+//! of the one-rank [`crate::dss::Dss::apply_flat`], at any rank count.
 
+use crate::dss::DssGather;
 use cubesphere::{CubedSphere, Partition, NPTS};
-use std::collections::HashMap;
-use swmpi::{CommError, RankCtx};
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
+use swmpi::{CommError, RankCtx, RecvRequest};
 
 /// Which exchange implementation to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,156 +70,238 @@ pub struct CopyStats {
 pub struct ExchangePlan {
     /// This rank.
     pub rank: usize,
-    /// Global element ids owned by this rank (grid indexing).
+    /// Global element ids owned by this rank, in local order: the boundary
+    /// elements first, then the interior ones (each in curve order).
     pub owned: Vec<usize>,
-    /// Local indices (into `owned`) of elements with an off-rank neighbour.
+    /// Local indices (into `owned`) of elements with an off-rank neighbour:
+    /// `0..boundary.len()`.
     pub boundary: Vec<usize>,
-    /// Local indices of fully interior elements.
+    /// Local indices of fully interior elements, after the boundary ones.
     pub interior: Vec<usize>,
-    /// Peers and the global-point ids shared with each (sorted; both sides
-    /// derive the identical list, which fixes the message layout).
+    /// Peers, ascending, and the global-point ids shared with each (sorted;
+    /// both sides derive the identical list).
     pub links: Vec<(usize, Vec<usize>)>,
-    /// Slot of each shared gid in the partial-sum scratch (gid -> slot).
-    pub gid_slot: HashMap<usize, usize>,
-    /// Number of shared gids (scratch length).
-    pub nshared: usize,
-    /// Per-owned-element copies of gids and weights.
-    pub gids: Vec<[usize; NPTS]>,
-    /// DSS weights per owned element.
-    pub spheremp: Vec<[f64; NPTS]>,
-    /// Global inverse mass (replicated — the mesh is static metadata).
-    pub inv_mass: Vec<f64>,
-    /// Number of distinct global points this rank touches.
-    pub nlocal: usize,
-    /// Dense local point index of each owned (element, node), `owned.len() * NPTS`.
-    pub point_lidx: Vec<u32>,
-    /// Shared-gid slot of each owned (element, node), or -1 if not shared.
-    pub point_slot: Vec<i32>,
-    /// Shared slot -> dense local point index.
-    pub slot_lidx: Vec<u32>,
-    /// Per-peer shared slots, parallel to `links` (message order).
-    pub peer_slots: Vec<Vec<u32>>,
-    /// Inverse mass indexed by dense local point index.
-    pub lidx_inv_mass: Vec<f64>,
+    /// Per link, the local points (`li * NPTS + p`) whose raw values go into
+    /// that peer's message, in message order (global element id, then
+    /// point, ascending).
+    pub sends: Vec<Vec<u32>>,
+    /// Per link, how many values per (arena, level) that peer's message
+    /// carries.
+    pub recv_len: Vec<usize>,
+    /// Canonical-order gather over the owned elements; a sharer owned by
+    /// peer `links[q]` is a ghost into that peer's message.
+    pub gather: DssGather,
 }
 
 impl ExchangePlan {
-    /// Build the plan of `rank` under `part`.
+    /// Build the plan of `rank` under `part` from the owned elements and
+    /// their neighbours only.
     pub fn new(grid: &CubedSphere, part: &Partition, rank: usize) -> Self {
-        let owned = part.elems_of[rank].clone();
-        let owned_set: std::collections::HashSet<usize> = owned.iter().copied().collect();
+        let off_rank = |e: usize| grid.all_neighbors[e].iter().any(|&n| part.owner[n] != rank);
+        let (bnd, int): (Vec<usize>, Vec<usize>) =
+            part.elems_of[rank].iter().partition(|&&e| off_rank(e));
+        let owned: Vec<usize> = bnd.iter().chain(&int).copied().collect();
+        let local: HashMap<usize, usize> = owned.iter().enumerate().map(|(li, &e)| (e, li)).collect();
+        let touched: BTreeSet<usize> =
+            owned.iter().flat_map(|&e| grid.elements[e].gids.iter().copied()).collect();
+        // Every element sharing a point with this rank, in canonical
+        // (global id) order: the owned ones and their neighbours.
+        let near: BTreeSet<usize> =
+            owned.iter().flat_map(|&e| grid.all_neighbors[e].iter().copied().chain([e])).collect();
+        let peers: Vec<usize> = near
+            .iter()
+            .map(|&e| part.owner[e])
+            .filter(|&q| q != rank)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let link_of: HashMap<usize, usize> = peers.iter().enumerate().map(|(i, &q)| (q, i)).collect();
 
-        // gid -> owning ranks (only needed for gids this rank touches).
-        let mut links_map: HashMap<usize, Vec<usize>> = HashMap::new(); // peer -> gids
-        let mut boundary = Vec::new();
-        let mut interior = Vec::new();
-        for (li, &e) in owned.iter().enumerate() {
-            let mut is_boundary = false;
-            for &n in &grid.all_neighbors[e] {
-                if !owned_set.contains(&n) {
-                    is_boundary = true;
-                    let peer = part.owner[n];
-                    // Shared gids between element e and neighbour n.
-                    let ngids: std::collections::HashSet<usize> =
-                        grid.elements[n].gids.iter().copied().collect();
-                    for &g in &grid.elements[e].gids {
-                        if ngids.contains(&g) {
-                            links_map.entry(peer).or_default().push(g);
-                        }
+        // One walk in canonical order lists every touched point's sharers:
+        // local windows, or the next value of the owning peer's message —
+        // which the peer packs in this same (element, point) order.
+        let mut rows: HashMap<usize, Vec<(u32, f64)>> = HashMap::new();
+        let mut ghosts: Vec<[u32; 3]> = Vec::new();
+        let mut recv_len = vec![0usize; peers.len()];
+        let mut shared: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); peers.len()];
+        for &e in &near {
+            let el = &grid.elements[e];
+            for p in 0..NPTS {
+                let g = el.gids[p];
+                if !touched.contains(&g) {
+                    continue;
+                }
+                let code = match local.get(&e) {
+                    Some(&li) => (li * NPTS + p) as u32,
+                    None => {
+                        let q = link_of[&part.owner[e]];
+                        shared[q].insert(g);
+                        ghosts.push([q as u32, recv_len[q] as u32, 0]);
+                        recv_len[q] += 1;
+                        DssGather::ghost_code(ghosts.len() - 1)
+                    }
+                };
+                rows.entry(g).or_default().push((code, el.spheremp[p]));
+            }
+        }
+        for gh in &mut ghosts {
+            gh[2] = recv_len[gh[0] as usize] as u32;
+        }
+        // What each peer reads from this rank: every owned point whose
+        // global point the peer touches, in the same canonical order.
+        let mut sends = vec![Vec::new(); peers.len()];
+        for &e in owned.iter().collect::<BTreeSet<_>>() {
+            let li = local[&e];
+            for (p, g) in grid.elements[e].gids.iter().enumerate() {
+                for (q, gids) in shared.iter().enumerate() {
+                    if gids.contains(g) {
+                        sends[q].push((li * NPTS + p) as u32);
                     }
                 }
             }
-            if is_boundary {
-                boundary.push(li);
-            } else {
-                interior.push(li);
-            }
         }
-        let mut links: Vec<(usize, Vec<usize>)> = links_map
-            .into_iter()
-            .map(|(peer, mut gids)| {
-                gids.sort_unstable();
-                gids.dedup();
-                (peer, gids)
-            })
-            .collect();
-        links.sort_by_key(|(p, _)| *p);
-
-        let mut gid_slot = HashMap::new();
-        for (_, gids) in &links {
-            for &g in gids {
-                let next = gid_slot.len();
-                gid_slot.entry(g).or_insert(next);
-            }
-        }
-        let nshared = gid_slot.len();
-
-        let gids = owned
-            .iter()
-            .map(|&e| {
-                let mut a = [0usize; NPTS];
-                a.copy_from_slice(&grid.elements[e].gids);
-                a
-            })
-            .collect();
-        let spheremp = owned
-            .iter()
-            .map(|&e| {
-                let mut a = [0f64; NPTS];
-                a.copy_from_slice(&grid.elements[e].spheremp);
-                a
-            })
-            .collect();
-
-        // Dense indexing for the aggregated exchange: every distinct gid
-        // this rank touches gets a local point index, and every owned
-        // (element, node) resolves to that index (and its shared slot, if
-        // any) without hashing on the hot path.
-        let mut lidx_of: HashMap<usize, u32> = HashMap::new();
-        let mut lidx_inv_mass: Vec<f64> = Vec::new();
-        let mut point_lidx = vec![0u32; owned.len() * NPTS];
-        let mut point_slot = vec![-1i32; owned.len() * NPTS];
-        for (li, &e) in owned.iter().enumerate() {
-            for p in 0..NPTS {
-                let g = grid.elements[e].gids[p];
-                let next = lidx_of.len() as u32;
-                let d = *lidx_of.entry(g).or_insert(next);
-                if d == next {
-                    lidx_inv_mass.push(grid.inv_mass[g]);
-                }
-                point_lidx[li * NPTS + p] = d;
-                if let Some(&slot) = gid_slot.get(&g) {
-                    point_slot[li * NPTS + p] = slot as i32;
-                }
-            }
-        }
-        let nlocal = lidx_of.len();
-        let mut slot_lidx = vec![0u32; nshared];
-        for (&g, &slot) in &gid_slot {
-            slot_lidx[slot] = lidx_of[&g];
-        }
-        let peer_slots: Vec<Vec<u32>> = links
-            .iter()
-            .map(|(_, gids)| gids.iter().map(|g| gid_slot[g] as u32).collect())
-            .collect();
-
+        let gather = DssGather::from_rows(owned.len(), ghosts, |own, row| {
+            let g = grid.elements[owned[own / NPTS]].gids[own % NPTS];
+            row.extend_from_slice(&rows[&g]);
+            grid.inv_mass[g]
+        });
+        let links = peers.into_iter().zip(shared).map(|(q, g)| (q, g.into_iter().collect())).collect();
         ExchangePlan {
             rank,
+            boundary: (0..bnd.len()).collect(),
+            interior: (bnd.len()..owned.len()).collect(),
             owned,
-            boundary,
-            interior,
             links,
-            gid_slot,
-            nshared,
-            gids,
-            spheremp,
-            inv_mass: grid.inv_mass.clone(),
-            nlocal,
-            point_lidx,
-            point_slot,
-            slot_lidx,
-            peer_slots,
-            lidx_inv_mass,
+            sends,
+            recv_len,
+            gather,
+        }
+    }
+
+    /// Redesigned, first half: post one receive per peer, then send each
+    /// peer ONE message with the raw values it shares of every arena at
+    /// every level (layout in the module docs). `read(a, i)` yields arena
+    /// `a` at flat index `li * sstride + k * NPTS + p`; only boundary
+    /// elements are read, so the interior may still be in the works.
+    /// Allocation-free (send buffers come from the communicator pool).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn post(
+        &self,
+        ctx: &mut RankCtx,
+        narenas: usize,
+        read: impl Fn(usize, usize) -> f64,
+        levels: usize,
+        sstride: usize,
+        tag: u64,
+        bufs: &mut ExchangeBuffers,
+        stats: &mut CopyStats,
+    ) {
+        bufs.release(ctx);
+        bufs.reqs.clear();
+        for (peer, _) in &self.links {
+            bufs.reqs.push(ctx.comm.irecv(*peer, tag));
+        }
+        for ((peer, _), pts) in self.links.iter().zip(&self.sends) {
+            let s = pts.len();
+            let mut msg = ctx.comm.take_buffer(narenas * levels * s);
+            for (r, row) in msg.chunks_exact_mut(s).enumerate() {
+                let (a, ko) = (r / levels, r % levels * NPTS);
+                for (x, &c) in row.iter_mut().zip(pts) {
+                    let c = c as usize;
+                    *x = read(a, c / NPTS * sstride + ko + c % NPTS);
+                }
+            }
+            stats.sent_bytes += (msg.len() * 8) as u64;
+            stats.msgs_sent += 1;
+            ctx.comm.send_owned(*peer, tag, msg);
+        }
+    }
+
+    /// Redesigned, second half: wait for the receives `ExchangePlan::post`
+    /// posted. The messages land in `bufs`, where the gather reads them in
+    /// place; `ExchangeBuffers::release` hands them back afterwards.
+    pub(crate) fn wait(&self, ctx: &mut RankCtx, bufs: &mut ExchangeBuffers) -> Result<(), CommError> {
+        debug_assert_eq!(bufs.reqs.len(), self.links.len());
+        let ExchangeBuffers { reqs, landed, .. } = bufs;
+        for req in reqs.drain(..) {
+            landed.push(ctx.comm.wait(req)?.data);
+        }
+        Ok(())
+    }
+
+    /// The legacy exchange, once every element is computed: per (arena,
+    /// level), copy what each peer needs into the unified pack buffer, cut
+    /// one send buffer per peer from it, and copy each received message into
+    /// that peer's unpack buffer. Round `(a, k)` uses tag
+    /// `tag + a * levels + k`. The unpack buffers land in `bufs` in the
+    /// layout of `ExchangePlan::post`'s messages, so the gather that
+    /// follows is the same code.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn exchange_staged(
+        &self,
+        ctx: &mut RankCtx,
+        narenas: usize,
+        read: impl Fn(usize, usize) -> f64,
+        levels: usize,
+        sstride: usize,
+        tag: u64,
+        bufs: &mut ExchangeBuffers,
+        stats: &mut CopyStats,
+    ) -> Result<(), CommError> {
+        bufs.release(ctx);
+        let ExchangeBuffers { reqs, landed, pack, .. } = bufs;
+        for &s in &self.recv_len {
+            landed.push(ctx.comm.take_buffer(narenas * levels * s));
+        }
+        for r in 0..narenas * levels {
+            let (a, ko) = (r / levels, r % levels * NPTS);
+            let tag = tag + r as u64;
+            reqs.clear();
+            for (peer, _) in &self.links {
+                reqs.push(ctx.comm.irecv(*peer, tag));
+            }
+            // Copy 1: every value any peer needs, into the pack buffer.
+            pack.clear();
+            for pts in &self.sends {
+                pack.extend(pts.iter().map(|&c| {
+                    let c = c as usize;
+                    read(a, c / NPTS * sstride + ko + c % NPTS)
+                }));
+            }
+            stats.staged_bytes += (pack.len() * 8) as u64;
+            // Copy 2: each peer's send buffer, cut from the pack buffer.
+            let mut off = 0;
+            for ((peer, _), pts) in self.links.iter().zip(&self.sends) {
+                let mut msg = ctx.comm.take_buffer(pts.len());
+                msg.copy_from_slice(&pack[off..off + pts.len()]);
+                off += pts.len();
+                stats.staged_bytes += (msg.len() * 8) as u64;
+                stats.sent_bytes += (msg.len() * 8) as u64;
+                stats.msgs_sent += 1;
+                ctx.comm.send_owned(*peer, tag, msg);
+            }
+            // Copy 3: each received message, into its unpack buffer.
+            for (req, unpack) in reqs.drain(..).zip(landed.iter_mut()) {
+                let m = ctx.comm.wait(req)?;
+                let s = m.data.len();
+                unpack[r * s..(r + 1) * s].copy_from_slice(&m.data);
+                stats.staged_bytes += (s * 8) as u64;
+                ctx.comm.recycle(m.data);
+            }
+        }
+        Ok(())
+    }
+
+    /// Gather every owned element's `levels`-deep window of `arena` in place,
+    /// its ghosts read from arena `a` of the landed messages.
+    fn gather_in_place(&self, bufs: &mut ExchangeBuffers, arena: &mut [f64], a: usize, levels: usize) {
+        let fl = levels * NPTS;
+        let ExchangeBuffers { landed, raw, .. } = bufs;
+        raw.clear();
+        raw.extend_from_slice(arena);
+        let ghost = |_: usize, k: usize, g: usize| self.gather.ghost_value(landed, levels, a, k, g);
+        for (e, win) in arena.chunks_exact_mut(fl).enumerate() {
+            self.gather.gather_elem(e, levels, fl, |_, i| raw[i], ghost, None, &mut [win]);
         }
     }
 
@@ -229,275 +319,32 @@ impl ExchangePlan {
         stats: &mut CopyStats,
     ) -> Result<(), CommError> {
         assert_eq!(fields.len(), self.owned.len());
-
-        // Local weighted accumulation over *all* local gids.
-        let mut accum: HashMap<usize, f64> = HashMap::with_capacity(self.owned.len() * NPTS);
-        for (li, f) in fields.iter().enumerate() {
-            for p in 0..NPTS {
-                *accum.entry(self.gids[li][p]).or_insert(0.0) += self.spheremp[li][p] * f[p];
-            }
-        }
-
+        let mut bufs = ExchangeBuffers::new();
+        let mut flat: Vec<f64> = fields.iter().flatten().copied().collect();
+        let read = |_: usize, i: usize| flat[i];
         match mode {
-            ExchangeMode::Original => {
-                // No overlap: interior work happens strictly before the
-                // exchange (the legacy schedule).
-                interior_work();
-
-                // Stage 1: pack ALL shared partial sums into one unified
-                // pack buffer (extra copy #1).
-                let mut pack = vec![0.0; self.nshared];
-                for (&g, &slot) in &self.gid_slot {
-                    pack[slot] = accum[&g];
-                }
-                stats.staged_bytes += (self.nshared * 8) as u64;
-
-                // Stage 2: cut per-peer send buffers from the pack buffer
-                // (extra copy #2) and send.
-                let reqs: Vec<_> = self
-                    .links
-                    .iter()
-                    .map(|(peer, _)| ctx.comm.irecv(*peer, tag))
-                    .collect();
-                for (peer, gids) in &self.links {
-                    let msg: Vec<f64> =
-                        gids.iter().map(|g| pack[self.gid_slot[g]]).collect();
-                    stats.staged_bytes += (msg.len() * 8) as u64;
-                    stats.sent_bytes += (msg.len() * 8) as u64;
-                    stats.msgs_sent += 1;
-                    ctx.comm.send(*peer, tag, &msg);
-                }
-
-                // Stage 3: receive into a unified unpack buffer (extra copy
-                // #3), then apply.
-                let mut unpack = vec![0.0; self.nshared];
-                for (req, (_, gids)) in reqs.into_iter().zip(&self.links) {
-                    let m = ctx.comm.wait(req)?;
-                    for (g, &val) in gids.iter().zip(&m.data) {
-                        unpack[self.gid_slot[g]] += val;
-                    }
-                    stats.staged_bytes += (m.data.len() * 8) as u64;
-                }
-                for (&g, &slot) in &self.gid_slot {
-                    *accum.get_mut(&g).expect("shared gid is local") += unpack[slot];
-                }
-            }
             ExchangeMode::Redesigned => {
-                // Post receives first, pack straight into the messages,
-                // send, then overlap interior work with the flight time.
-                let reqs: Vec<_> = self
-                    .links
-                    .iter()
-                    .map(|(peer, _)| ctx.comm.irecv(*peer, tag))
-                    .collect();
-                for (peer, gids) in &self.links {
-                    let msg: Vec<f64> = gids.iter().map(|g| accum[g]).collect();
-                    stats.sent_bytes += (msg.len() * 8) as u64;
-                    stats.msgs_sent += 1;
-                    ctx.comm.send(*peer, tag, &msg);
-                }
-
+                self.post(ctx, 1, read, 1, NPTS, tag, &mut bufs, stats);
                 interior_work();
-
-                // Accumulate directly from each receive buffer.
-                for (req, (_, gids)) in reqs.into_iter().zip(&self.links) {
-                    let m = ctx.comm.wait(req)?;
-                    for (g, &val) in gids.iter().zip(&m.data) {
-                        *accum.get_mut(g).expect("shared gid is local") += val;
-                    }
-                }
+                self.wait(ctx, &mut bufs)?;
+            }
+            ExchangeMode::Original => {
+                interior_work();
+                self.exchange_staged(ctx, 1, read, 1, NPTS, tag, &mut bufs, stats)?;
             }
         }
-
-        // Normalize and scatter back.
-        for (li, f) in fields.iter_mut().enumerate() {
-            for p in 0..NPTS {
-                let g = self.gids[li][p];
-                f[p] = accum[&g] * self.inv_mass[g];
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Persistent scratch for the aggregated exchange. Grow-only: after the
-/// first (largest) exchange all later calls reuse the storage, so the hot
-/// path performs zero heap allocations.
-///
-/// Both accumulators are **point-major**: the `nval = arenas * nlev`
-/// values of one point are contiguous (`[point * nval + a * nlev + k]`),
-/// because the assembly loops walk (element, node) outermost and levels
-/// innermost. The wire layout is the transpose and does not change; the
-/// pack and the peer add convert between the two. One buffer serves calls
-/// of different `nval` (the stride), so every call zeroes and indexes
-/// exactly its own `[..nval * npoints]` prefix.
-#[derive(Debug, Default)]
-pub struct ExchangeBuffers {
-    /// Shared-point partial sums, `[slot * nval + v]`.
-    shared_accum: Vec<f64>,
-    /// Full local assembly, `[lidx * nval + v]`.
-    accum: Vec<f64>,
-    /// Receive requests posted by `start_aggregated`, one per peer.
-    reqs: Vec<(usize, swmpi::RecvRequest)>,
-}
-
-impl ExchangeBuffers {
-    /// Empty buffers; storage grows on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ExchangePlan {
-    /// Start an aggregated halo exchange over several flat SoA arenas at
-    /// once: post one receive per peer, then pack the boundary partial
-    /// sums of **every arena and every level** into a single per-peer
-    /// message and send it. See the module docs for the payload layout.
-    ///
-    /// Each `arenas[a]` holds `owned.len() * nlev * NPTS` values indexed
-    /// `(li * nlev + k) * NPTS + p`. Only **boundary** elements contribute
-    /// to shared points (a point shared with a peer lies on the patch
-    /// perimeter, and every element containing it has an off-rank
-    /// neighbour), so the arenas only need valid boundary data at this
-    /// moment — the foundation of the paper's compute/communication
-    /// overlap. Interior elements may be updated while the messages fly;
-    /// call [`ExchangePlan::finish_aggregated`] once they are.
-    pub fn start_aggregated(
-        &self,
-        ctx: &mut RankCtx,
-        arenas: &[&[f64]],
-        nlev: usize,
-        tag: u64,
-        bufs: &mut ExchangeBuffers,
-        stats: &mut CopyStats,
-    ) {
-        self.start_with(ctx, arenas.len(), |a, i| arenas[a][i], nlev, tag, bufs, stats);
-    }
-
-    /// Generic core of [`ExchangePlan::start_aggregated`]: `read(a, i)`
-    /// yields arena `a` at flat index `i`. Allocation-free (send buffers
-    /// come from the communicator pool).
-    fn start_with(
-        &self,
-        ctx: &mut RankCtx,
-        narenas: usize,
-        read: impl Fn(usize, usize) -> f64,
-        nlev: usize,
-        tag: u64,
-        bufs: &mut ExchangeBuffers,
-        stats: &mut CopyStats,
-    ) {
-        let nval = narenas * nlev;
-        let fl = nlev * NPTS;
-        let need = nval * self.nshared;
-        if bufs.shared_accum.len() < need {
-            bufs.shared_accum.resize(need, 0.0);
-        }
-        let shared = &mut bufs.shared_accum[..need];
-        shared.fill(0.0);
-        for &li in &self.boundary {
-            for p in 0..NPTS {
-                let slot = self.point_slot[li * NPTS + p];
-                if slot < 0 {
-                    continue;
-                }
-                let w = self.spheremp[li][p];
-                let row = &mut shared[slot as usize * nval..][..nval];
-                let base = li * fl + p;
-                for a in 0..narenas {
-                    for (k, acc) in row[a * nlev..][..nlev].iter_mut().enumerate() {
-                        *acc += w * read(a, base + k * NPTS);
-                    }
-                }
-            }
-        }
-        bufs.reqs.clear();
-        for (peer, _) in &self.links {
-            bufs.reqs.push((*peer, ctx.comm.irecv(*peer, tag)));
-        }
-        for ((peer, _), slots) in self.links.iter().zip(&self.peer_slots) {
-            let npts_peer = slots.len();
-            let mut msg = ctx.comm.take_buffer(nval * npts_peer);
-            for (j, &slot) in slots.iter().enumerate() {
-                let row = &shared[slot as usize * nval..][..nval];
-                for (v, &x) in row.iter().enumerate() {
-                    msg[v * npts_peer + j] = x;
-                }
-            }
-            stats.sent_bytes += (msg.len() * 8) as u64;
-            stats.msgs_sent += 1;
-            ctx.comm.send_owned(*peer, tag, msg);
-        }
-    }
-
-    /// Complete an aggregated exchange: accumulate all local contributions
-    /// into the dense assembly array, add each peer's payload **directly
-    /// from the receive buffer** (no unpack staging), normalize by the
-    /// global inverse mass and scatter back. The arenas must now hold
-    /// valid data for every owned element.
-    pub fn finish_aggregated(
-        &self,
-        ctx: &mut RankCtx,
-        arenas: &mut [&mut [f64]],
-        nlev: usize,
-        bufs: &mut ExchangeBuffers,
-    ) -> Result<(), CommError> {
-        let narenas = arenas.len();
-        let nval = narenas * nlev;
-        let fl = nlev * NPTS;
-        let ExchangeBuffers { accum, reqs, .. } = bufs;
-        let need = nval * self.nlocal;
-        if accum.len() < need {
-            accum.resize(need, 0.0);
-        }
-        let accum = &mut accum[..need];
-        accum.fill(0.0);
-        for li in 0..self.owned.len() {
-            for p in 0..NPTS {
-                let d = self.point_lidx[li * NPTS + p] as usize;
-                let w = self.spheremp[li][p];
-                let row = &mut accum[d * nval..][..nval];
-                let base = li * fl + p;
-                for (a, arena) in arenas.iter().enumerate() {
-                    for (k, acc) in row[a * nlev..][..nlev].iter_mut().enumerate() {
-                        *acc += w * arena[base + k * NPTS];
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(reqs.len(), self.links.len());
-        for ((_, req), slots) in reqs.drain(..).zip(&self.peer_slots) {
-            let m = ctx.comm.wait(req)?;
-            let npts_peer = slots.len();
-            debug_assert_eq!(m.data.len(), nval * npts_peer);
-            for (j, &slot) in slots.iter().enumerate() {
-                let d = self.slot_lidx[slot as usize] as usize;
-                for (v, acc) in accum[d * nval..][..nval].iter_mut().enumerate() {
-                    *acc += m.data[v * npts_peer + j];
-                }
-            }
-            ctx.comm.recycle(m.data);
-        }
-        for li in 0..self.owned.len() {
-            for p in 0..NPTS {
-                let d = self.point_lidx[li * NPTS + p] as usize;
-                let scale = self.lidx_inv_mass[d];
-                let row = &accum[d * nval..][..nval];
-                let base = li * fl + p;
-                for (a, arena) in arenas.iter_mut().enumerate() {
-                    for (k, &sum) in row[a * nlev..][..nlev].iter().enumerate() {
-                        arena[base + k * NPTS] = sum * scale;
-                    }
-                }
-            }
+        self.gather_in_place(&mut bufs, &mut flat, 0, 1);
+        bufs.release(ctx);
+        for (f, x) in fields.iter_mut().zip(flat.chunks_exact(NPTS)) {
+            f.copy_from_slice(x);
         }
         Ok(())
     }
 
-    /// One-shot aggregated DSS over several arenas (start + finish with no
-    /// interior work in between) — the distributed analog of
-    /// [`crate::dss::Dss::apply_flat`] for callers that have nothing to
-    /// overlap, e.g. hyperviscosity and tracer stages.
+    /// One-shot aggregated DSS over several arenas, in place: one message
+    /// per peer for all arenas and levels (`ExchangePlan::post`), then the
+    /// gather of each arena. For callers with nothing to overlap; the step
+    /// itself exchanges through the stage loop's `Halo`.
     pub fn dss_aggregated(
         &self,
         ctx: &mut RankCtx,
@@ -507,8 +354,143 @@ impl ExchangePlan {
         bufs: &mut ExchangeBuffers,
         stats: &mut CopyStats,
     ) -> Result<(), CommError> {
-        self.start_with(ctx, arenas.len(), |a, i| arenas[a][i], nlev, tag, bufs, stats);
-        self.finish_aggregated(ctx, arenas, nlev, bufs)
+        let fl = nlev * NPTS;
+        self.post(ctx, arenas.len(), |a, i| arenas[a][i], nlev, fl, tag, bufs, stats);
+        self.wait(ctx, bufs)?;
+        for (a, arena) in arenas.iter_mut().enumerate() {
+            self.gather_in_place(bufs, arena, a, nlev);
+        }
+        bufs.release(ctx);
+        Ok(())
+    }
+}
+
+/// Persistent buffers of one rank's exchanges. Grow-only: after the first
+/// (largest) exchange every later one reuses the storage, so the hot path
+/// performs zero heap allocations. The landed messages are the
+/// communicator's pooled payload buffers, handed back after each gather.
+#[derive(Debug, Default)]
+pub struct ExchangeBuffers {
+    /// Receives posted by `ExchangePlan::post`, one per peer.
+    reqs: Vec<RecvRequest>,
+    /// The messages (Redesigned) or unpack buffers (Original) of the
+    /// current exchange, one per peer in link order.
+    landed: Vec<Vec<f64>>,
+    /// Original: the unified pack buffer of one (arena, level).
+    pack: Vec<f64>,
+    /// One-shot DSS: the raw copy of the arena being gathered in place.
+    raw: Vec<f64>,
+}
+
+impl ExchangeBuffers {
+    /// Empty buffers; storage grows on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The landed messages, one per peer in link order.
+    pub(crate) fn landed(&self) -> &[Vec<f64>] {
+        &self.landed
+    }
+
+    /// Hand the landed messages back to the communicator's pool.
+    pub(crate) fn release(&mut self, ctx: &mut RankCtx) {
+        for m in self.landed.drain(..) {
+            ctx.comm.recycle(m);
+        }
+    }
+}
+
+/// Where a step's DSS gathers find the sharers other ranks own — the one
+/// seam between the serial and the distributed step
+/// ([`crate::prim::Dycore`]'s stage loop runs on either).
+pub(crate) enum Halo<'a> {
+    /// One rank owns every element: nothing to exchange.
+    Serial,
+    /// One rank of a distributed run.
+    Rank(RankHalo<'a>),
+}
+
+/// The exchange state a rank's stage loop borrows from its driver.
+pub(crate) struct RankHalo<'a> {
+    pub ctx: &'a mut RankCtx,
+    pub plan: &'a ExchangePlan,
+    pub mode: ExchangeMode,
+    pub bufs: &'a mut ExchangeBuffers,
+    pub stats: &'a mut CopyStats,
+    /// The last message tag used (each exchange takes the next ones).
+    pub tag: &'a mut u64,
+}
+
+impl Halo<'_> {
+    /// The local elements to compute before and after [`Halo::send`]:
+    /// (boundary, interior). One rank has no boundary.
+    pub fn split(&self, nelem: usize) -> (Range<usize>, Range<usize>) {
+        match self {
+            Halo::Serial => (0..0, 0..nelem),
+            Halo::Rank(h) => (0..h.plan.boundary.len(), h.plan.boundary.len()..nelem),
+        }
+    }
+
+    /// The boundary elements of `src` are computed: the redesigned schedule
+    /// sends them now, one message per peer. (The original schedule sends
+    /// once everything is computed, in [`Halo::land`].)
+    pub fn send<const F: usize>(&mut self, src: [&[f64]; F], levels: usize, sstride: usize) {
+        if let Halo::Rank(h) = self {
+            if h.mode == ExchangeMode::Redesigned {
+                *h.tag += 1;
+                let read = |a: usize, i: usize| src[a][i];
+                h.plan.post(h.ctx, F, read, levels, sstride, *h.tag, h.bufs, h.stats);
+            }
+        }
+    }
+
+    /// Every element of `src` is computed: the original schedule runs its
+    /// staged exchange now.
+    pub fn land<const F: usize>(
+        &mut self,
+        src: [&[f64]; F],
+        levels: usize,
+        sstride: usize,
+    ) -> Result<(), CommError> {
+        match self {
+            Halo::Rank(h) if h.mode == ExchangeMode::Original => {
+                let first = *h.tag + 1;
+                *h.tag += (F * levels) as u64;
+                let read = |a: usize, i: usize| src[a][i];
+                h.plan.exchange_staged(h.ctx, F, read, levels, sstride, first, h.bufs, h.stats)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The interior is gathered: wait for the redesigned schedule's
+    /// messages.
+    pub fn wait(&mut self) -> Result<(), CommError> {
+        match self {
+            Halo::Rank(h) if h.mode == ExchangeMode::Redesigned => h.plan.wait(h.ctx, h.bufs),
+            _ => Ok(()),
+        }
+    }
+
+    /// The landed messages the boundary gather reads its ghosts from.
+    pub fn landed(&self) -> &[Vec<f64>] {
+        match self {
+            Halo::Serial => &[],
+            Halo::Rank(h) => h.bufs.landed(),
+        }
+    }
+
+    /// The boundary is gathered: hand the messages back to the pool.
+    pub fn release(&mut self) {
+        if let Halo::Rank(h) = self {
+            h.bufs.release(h.ctx);
+        }
+    }
+
+    /// Whether this is the one-rank halo.
+    pub fn is_serial(&self) -> bool {
+        matches!(self, Halo::Serial)
     }
 }
 
@@ -572,8 +554,9 @@ mod tests {
                 let (got, _) = run_distributed(mode, nranks);
                 for (e, (g, r)) in got.iter().zip(&reference).enumerate() {
                     for p in 0..NPTS {
-                        assert!(
-                            (g[p] - r[p]).abs() < 1e-11,
+                        assert_eq!(
+                            g[p].to_bits(),
+                            r[p].to_bits(),
                             "{mode:?} nranks={nranks} elem {e} pt {p}: {} vs {}",
                             g[p],
                             r[p]
@@ -717,12 +700,14 @@ mod tests {
     #[test]
     fn one_buffer_set_serves_interleaved_shapes() {
         // A step drives one `ExchangeBuffers` through exchanges of
-        // different `nval` — and `nval` is the stride of the point-major
-        // accumulators. Walk the shapes of a real step, widest first and
-        // widest again last, through one buffer set: every result must be
+        // different (arenas, levels) shapes — and the shape sets the length
+        // of every landed message, of the original schedule's pack and
+        // unpack buffers and of the in-place gather's raw copy. Walk the
+        // shapes of a real step, widest first and widest again last,
+        // through one buffer set, both schedules: every result must be
         // bitwise what a fresh buffer set gives (nothing left over from the
-        // previous stride is read) and within the usual bound of the
-        // serial DSS.
+        // previous shape is read) and within the usual bound of the serial
+        // DSS.
         let shapes = [(4usize, 26usize), (3, 3), (1, 104), (4, 26)];
         let grid = CubedSphere::new(4);
         let nelem = grid.nelem();
@@ -765,6 +750,21 @@ mod tests {
                     for (g, f) in got.iter().flatten().zip(fresh.iter().flatten()) {
                         assert_eq!(g.to_bits(), f.to_bits(), "shape {i} on rank {}", ctx.rank());
                     }
+                    // The original schedule's unpack buffers land the same
+                    // values through the reused pack buffer.
+                    let fl = nlev * NPTS;
+                    let mut staged = |bufs: &mut ExchangeBuffers, tag: u64| {
+                        let read = |a: usize, i: usize| raw[a][i];
+                        plan.exchange_staged(ctx, narenas, read, nlev, fl, tag, bufs, &mut stats)
+                            .expect("staged");
+                        let landed = bufs.landed().to_vec();
+                        bufs.release(ctx);
+                        landed
+                    };
+                    let tags = 1000 * (i as u64 + 1);
+                    let got_staged = staged(&mut reused, tags);
+                    let fresh_staged = staged(&mut ExchangeBuffers::new(), tags + 500);
+                    assert_eq!(got_staged, fresh_staged, "staged shape {i} on rank {}", ctx.rank());
                     out.push(got);
                 }
                 assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
@@ -798,10 +798,9 @@ mod tests {
 
     #[test]
     fn aggregated_overlap_interior_between_start_and_finish() {
-        // start_aggregated sees only boundary data; interior values are
-        // filled in while messages are in flight. The DSS result must be
-        // identical to the no-overlap path because shared points live only
-        // on boundary elements.
+        // `post` sees only boundary data; interior values are filled in
+        // while messages are in flight. The DSS result must be the serial
+        // one because peers read boundary elements only.
         let nlev = 2;
         let grid = CubedSphere::new(4);
         let nranks = 4;
@@ -822,13 +821,15 @@ mod tests {
             };
             let mut bufs = ExchangeBuffers::new();
             let mut stats = CopyStats::default();
-            let mut arena = vec![0.0; plan.owned.len() * nlev * NPTS];
+            let mut arena = vec![f64::NAN; plan.owned.len() * nlev * NPTS];
             fill(&mut arena, &plan.boundary);
-            plan.start_aggregated(ctx, &[&arena], nlev, 3, &mut bufs, &mut stats);
+            let read = |_: usize, i: usize| arena[i];
+            plan.post(ctx, 1, read, nlev, nlev * NPTS, 3, &mut bufs, &mut stats);
             // "Interior compute" while messages fly.
             fill(&mut arena, &plan.interior);
-            let mut views = [&mut arena[..]];
-            plan.finish_aggregated(ctx, &mut views, nlev, &mut bufs).expect("finish");
+            plan.wait(ctx, &mut bufs).expect("wait");
+            plan.gather_in_place(&mut bufs, &mut arena, 0, nlev);
+            bufs.release(ctx);
             assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
             (plan.owned.clone(), arena)
         });
@@ -873,6 +874,10 @@ mod tests {
                     .find(|(p, _)| *p == r)
                     .expect("peer link missing");
                 assert_eq!(&back.1, gids, "gid lists must agree for message layout");
+                // What one side sends is what the other side's ghosts read.
+                let q = plan.links.iter().position(|(p, _)| p == peer).unwrap();
+                let back_q = peer_plan.links.iter().position(|(p, _)| *p == r).unwrap();
+                assert_eq!(plan.sends[q].len(), peer_plan.recv_len[back_q], "payload width");
             }
         }
     }

@@ -3,9 +3,10 @@
 //! Spectral elements duplicate the GLL points on shared edges and corners;
 //! after computing element-local operators, the duplicated values must be
 //! made continuous by mass-weighted averaging over every element sharing
-//! the point. This serial implementation is the single-rank reference; the
-//! distributed version (with the paper's redesigned boundary exchange)
-//! lives in [`crate::bndry`] and must agree with this one exactly.
+//! the point. The serial scatter walk ([`Dss`]) is the scalar oracle's;
+//! every other DSS — serial, threaded or on a rank of a distributed run,
+//! whose off-rank sharers come from [`crate::bndry`]'s messages — is the
+//! canonical-order gather ([`DssGather`]), bitwise equal to it.
 
 use cubesphere::{CubedSphere, NPTS};
 use std::ops::{Add, Mul};
@@ -207,30 +208,45 @@ impl Lane for V4F64 {
     }
 }
 
+/// Top bit of a slot code: the sharer lives on another rank, and the low
+/// bits index [`DssGather`]'s ghost table.
+const GHOST: u32 = 1 << 31;
+
 /// Per-element DSS accumulation plan: for every (element, point) it lists
 /// all sharing (element, point) pairs — itself included — in the
 /// *canonical* order [`Dss::apply_flat`] accumulates them
-/// (element-ascending, point-ascending), with their spheremp weights.
-/// Summing a point's sharers in this fixed order and scaling by the point's
-/// inverse mass reproduces the scatter walk bitwise, no matter which worker
-/// performs the gather — which is what lets the step assemble
+/// (element-ascending by global id, point-ascending), with their spheremp
+/// weights. Summing a point's sharers in this fixed order and scaling by
+/// the point's inverse mass reproduces the scatter walk bitwise, no matter
+/// which worker performs the gather — which is what lets the step assemble
 /// element-parallel on the scheduler ([`DssGather::gather_elem`]).
+///
+/// On one rank every sharer is a local element window. A rank of a
+/// distributed run ([`crate::bndry::ExchangePlan`]) builds the plan over its
+/// owned elements only: a sharer owned by another rank is a *ghost*, an
+/// offset into that peer's receive buffer, read in place by the gather. The
+/// canonical order does not depend on who owns a sharer, so every rank
+/// count assembles the same bits.
 ///
 /// The plan is stored slot-major per element ([`ElemSlots`]): slot `s` of
 /// the 16 points sits in one row, so the gather walks slots outermost and
 /// the points innermost, a 16-wide loop the compiler can vectorize.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DssGather {
     /// One slot table per element.
     elems: Vec<ElemSlots>,
+    /// Ghost `g` (slot code `GHOST | g`): value `j` of the message from
+    /// peer `q`, which carries `s` values per (field, level), as `[q, j, s]`.
+    ghosts: Vec<[u32; 3]>,
 }
 
 /// One element's gather plan, `[MAX_SHARERS][NPTS]` slot-major.
 #[derive(Debug, Clone)]
 struct ElemSlots {
-    /// `code[s][p]`: sharer `s` of point `p` as `elem * NPTS + point`, in
-    /// canonical order. Slots at or past `n[p]` hold the point's own code,
-    /// so their (discarded) read stays inside the source.
+    /// `code[s][p]`: sharer `s` of point `p` in canonical order, as
+    /// `elem * NPTS + point` for a local window or `GHOST | g` for ghost
+    /// `g`. Slots at or past `n[p]` hold the point's own code, so their
+    /// (discarded) read stays inside the source.
     code: [[u32; NPTS]; MAX_SHARERS],
     /// spheremp weight of each slot's sharer (0 in padded slots).
     w: [[f64; NPTS]; MAX_SHARERS],
@@ -240,12 +256,14 @@ struct ElemSlots {
     nslots: u32,
     /// Inverse global mass of each point.
     inv: [f64; NPTS],
+    /// Whether any sharer is a ghost.
+    ghosted: bool,
 }
 
 impl DssGather {
-    /// Build the plan from the serial DSS assembly map: a counting sort of
-    /// the (element, point) codes by global id, then each point's bucket
-    /// laid out down its column of the element's slot table.
+    /// Build the one-rank plan from the serial DSS assembly map: a counting
+    /// sort of the (element, point) codes by global id, then each point's
+    /// bucket laid out down its column of the element's slot table.
     ///
     /// # Panics
     /// Panics if the grid has more (element, point) slots than a `u32` can
@@ -253,7 +271,7 @@ impl DssGather {
     /// slot tables are that deep).
     pub fn new(dss: &Dss) -> Self {
         let npoints = dss.gids.len();
-        u32::try_from(npoints).expect("DssGather: (element, point) codes overflow u32");
+        assert!(npoints < GHOST as usize, "DssGather: (element, point) codes overflow");
         // Pass 1: sharer count per gid, prefix-summed into bucket starts.
         let mut start = vec![0usize; dss.nglobal + 1];
         for &g in &dss.gids {
@@ -270,7 +288,29 @@ impl DssGather {
             sharers[fill[g]] = code as u32;
             fill[g] += 1;
         }
-        let elems = (0..npoints / NPTS)
+        Self::from_rows(npoints / NPTS, Vec::new(), |own, row| {
+            let g = dss.gids[own];
+            row.extend(sharers[start[g]..start[g + 1]].iter().map(|&c| (c, dss.spheremp[c as usize])));
+            dss.inv_mass[g]
+        })
+    }
+
+    /// Build a plan over `nelem` local elements from each point's sharers:
+    /// `row(own, sharers)` appends the `(code, spheremp)` pairs of local
+    /// point `own = elem * NPTS + point` in canonical order — a local code
+    /// below [`DssGather::ghost_code`]'s range, or `ghost_code(g)` for entry
+    /// `g` of `ghosts` (`[peer, j, s]`) — and returns the point's inverse
+    /// mass.
+    ///
+    /// # Panics
+    /// Panics on a point with no sharer or more than [`MAX_SHARERS`].
+    pub(crate) fn from_rows(
+        nelem: usize,
+        ghosts: Vec<[u32; 3]>,
+        mut row: impl FnMut(usize, &mut Vec<(u32, f64)>) -> f64,
+    ) -> Self {
+        let mut sharers = Vec::with_capacity(MAX_SHARERS);
+        let elems = (0..nelem)
             .map(|e| {
                 let mut el = ElemSlots {
                     code: [[0; NPTS]; MAX_SHARERS],
@@ -278,32 +318,56 @@ impl DssGather {
                     n: [0; NPTS],
                     nslots: 0,
                     inv: [0.0; NPTS],
+                    ghosted: false,
                 };
                 for p in 0..NPTS {
                     let own = e * NPTS + p;
-                    let g = dss.gids[own];
-                    let row = &sharers[start[g]..start[g + 1]];
+                    sharers.clear();
+                    el.inv[p] = row(own, &mut sharers);
                     assert!(
-                        row.len() <= MAX_SHARERS,
-                        "DssGather: point {g} is shared by more than {MAX_SHARERS} elements"
+                        (1..=MAX_SHARERS).contains(&sharers.len()),
+                        "DssGather: element {e} point {p} has {} sharers (1..={MAX_SHARERS})",
+                        sharers.len()
                     );
                     for s in 0..MAX_SHARERS {
-                        el.code[s][p] = row.get(s).copied().unwrap_or(own as u32);
-                        el.w[s][p] = row.get(s).map_or(0.0, |&c| dss.spheremp[c as usize]);
+                        let (c, w) = sharers.get(s).copied().unwrap_or((own as u32, 0.0));
+                        el.code[s][p] = c;
+                        el.w[s][p] = w;
+                        el.ghosted |= c & GHOST != 0;
                     }
-                    el.n[p] = row.len() as u32;
-                    el.inv[p] = dss.inv_mass[g];
+                    el.n[p] = sharers.len() as u32;
                 }
                 el.nslots = el.n.iter().copied().max().unwrap_or(0);
                 el
             })
             .collect();
-        DssGather { elems }
+        DssGather { elems, ghosts }
+    }
+
+    /// The slot code of ghost table entry `g`.
+    pub(crate) fn ghost_code(g: usize) -> u32 {
+        assert!(g < GHOST as usize, "DssGather: ghost index {g} overflows");
+        GHOST | g as u32
     }
 
     /// Number of elements covered.
     pub fn nelem(&self) -> usize {
         self.elems.len()
+    }
+
+    /// Whether element `e` has a sharer on another rank (and so can only
+    /// be gathered once the peers' messages have landed).
+    pub fn is_ghosted(&self, e: usize) -> bool {
+        self.elems[e].ghosted
+    }
+
+    /// Ghost `g`'s value of field `f` at level `k` of a `levels`-deep
+    /// exchange, read in place from the landed peer messages `msgs` (one
+    /// per peer, laid out `(f * levels + k) * s + j`).
+    #[inline]
+    pub fn ghost_value(&self, msgs: &[Vec<f64>], levels: usize, f: usize, k: usize, g: usize) -> f64 {
+        let [q, j, s] = self.ghosts[g].map(|x| x as usize);
+        msgs[q][(f * levels + k) * s + j]
     }
 
     /// Length an arena must have for a `levels`-deep gather at per-element
@@ -320,7 +384,10 @@ impl DssGather {
     /// `read(f, i)` yields the raw (pre-DSS) value of field `f` at flat
     /// source index `i = elem * sstride + k * NPTS + point` — sharers live
     /// in *other* elements' windows, so the source must not be written
-    /// during the sweep. `out[f]` is element `e`'s own window of the
+    /// during the sweep. `ghost(f, k, g)` yields ghost `g`'s raw value of
+    /// field `f` at level `k` (see [`DssGather::ghost_value`]); it is only
+    /// called for a ghosted element, so a one-rank caller passes
+    /// [`no_ghosts`]. `out[f]` is element `e`'s own window of the
     /// destination (at least `levels * NPTS` long; it may be deeper, e.g. a
     /// full-depth state window receiving a sponge-depth Laplacian). With
     /// `coefs = None` the assembled value is stored; with `Some(c)` the
@@ -333,22 +400,24 @@ impl DssGather {
     /// [`Dss::apply_flat`] (plus the drivers' separate apply loop), so the
     /// result is bitwise the scatter walk's for every lane. Allocation-free.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     pub fn gather_elem<L: Lane, const F: usize>(
         &self,
         e: usize,
         levels: usize,
         sstride: usize,
         read: impl Fn(usize, usize) -> L,
+        ghost: impl Fn(usize, usize, usize) -> L,
         coefs: Option<[&[f64]; F]>,
         out: &mut [&mut [L]; F],
     ) {
         match coefs {
-            None => self.assemble_elem(e, levels, sstride, read, |k, lvl: &[[L; NPTS]; F]| {
+            None => self.assemble_elem(e, levels, sstride, read, ghost, |k, lvl: &[[L; NPTS]; F]| {
                 for f in 0..F {
                     out[f][k * NPTS..(k + 1) * NPTS].copy_from_slice(&lvl[f]);
                 }
             }),
-            Some(c) => self.assemble_elem(e, levels, sstride, read, |k, lvl: &[[L; NPTS]; F]| {
+            Some(c) => self.assemble_elem(e, levels, sstride, read, ghost, |k, lvl: &[[L; NPTS]; F]| {
                 for f in 0..F {
                     let cf = L::splat(c[f][k]);
                     for (o, &v) in out[f][k * NPTS..(k + 1) * NPTS].iter_mut().zip(&lvl[f]) {
@@ -365,8 +434,9 @@ impl DssGather {
     /// For scalar lanes ([`Lane::SLOT_MAJOR`]) a level is walked slot-major:
     /// slots outermost, then the `F` fields (sharing the slot's source-index
     /// row), then the 16 points innermost, a loop the compiler vectorizes.
-    /// Member lanes walk point-major, each point over its own sharers. Either
-    /// way each point adds its sharers in canonical order.
+    /// Member lanes and ghosted elements walk point-major, each point over
+    /// its own sharers. Either way each point adds its sharers in canonical
+    /// order.
     ///
     /// A level is assembled into a fixed-size stack tile first and only then
     /// handed on, so the walk's loads (plan tables, source values) are never
@@ -380,21 +450,24 @@ impl DssGather {
         levels: usize,
         sstride: usize,
         read: impl Fn(usize, usize) -> L,
+        ghost: impl Fn(usize, usize, usize) -> L,
         mut emit: impl FnMut(usize, &[[L; NPTS]; F]),
     ) {
         let el = &self.elems[e];
         let nslots = el.nslots as usize;
-        // Level-0 source index of every slot, hoisted out of the level loop.
+        // Level-0 source index of every local slot, hoisted out of the level
+        // loop (a ghost slot's entry is its ghost index instead).
         let mut base = [[0usize; NPTS]; MAX_SHARERS];
         for (b, code) in base.iter_mut().zip(&el.code).take(nslots) {
             for (b, &c) in b.iter_mut().zip(code) {
-                *b = (c as usize / NPTS) * sstride + c as usize % NPTS;
+                let c = c as usize;
+                *b = if c & GHOST as usize != 0 { c ^ GHOST as usize } else { (c / NPTS) * sstride + c % NPTS };
             }
         }
         for k in 0..levels {
             let ko = k * NPTS;
             let mut acc = [[L::splat(0.0); NPTS]; F];
-            if L::SLOT_MAJOR {
+            if L::SLOT_MAJOR && !el.ghosted {
                 for s in 0..nslots {
                     let (b, w) = (&base[s], &el.w[s]);
                     for (f, a) in acc.iter_mut().enumerate() {
@@ -426,9 +499,11 @@ impl DssGather {
                 for p in 0..NPTS {
                     let mut a = [L::splat(0.0); F];
                     for s in 0..el.n[p] as usize {
-                        let (i, w) = (base[s][p] + ko, L::splat(el.w[s][p]));
+                        let (b, w) = (base[s][p], L::splat(el.w[s][p]));
+                        let is_ghost = el.code[s][p] & GHOST != 0;
                         for (f, a) in a.iter_mut().enumerate() {
-                            *a = *a + w * read(f, i);
+                            let x = if is_ghost { ghost(f, k, b) } else { read(f, b + ko) };
+                            *a = *a + w * x;
                         }
                     }
                     let m = L::splat(el.inv[p]);
@@ -440,6 +515,12 @@ impl DssGather {
             emit(k, &acc);
         }
     }
+}
+
+/// The `ghost` reader of a gather with no off-rank sharers (one rank):
+/// never called, since no element of a one-rank plan is ghosted.
+pub fn no_ghosts<L>(_f: usize, _k: usize, _g: usize) -> L {
+    unreachable!("a one-rank DSS gather has no ghost sharers")
 }
 
 #[cfg(test)]
@@ -627,7 +708,7 @@ mod tests {
         dss.apply_flat(&mut flat, nlev);
         let mut got = vec![0.0; raw.len()];
         for (e, win) in got.chunks_mut(estride).enumerate() {
-            plan.gather_elem(e, nlev, estride, |_, i| raw[i], None, &mut [win]);
+            plan.gather_elem(e, nlev, estride, |_, i| raw[i], no_ghosts, None, &mut [win]);
         }
         for (i, (g, w)) in got.iter().zip(&flat).enumerate() {
             assert!(g.to_bits() == w.to_bits(), "slot {i}: {g:e} vs {w:e}");
@@ -693,11 +774,11 @@ mod tests {
             let mut it = stored.iter_mut();
             let mut win: [&mut [L]; F] =
                 std::array::from_fn(|_| &mut it.next().unwrap()[e * wstride..(e + 1) * wstride]);
-            plan.gather_elem(e, levels, sstride, |f, i| src[f][i], None, &mut win);
+            plan.gather_elem(e, levels, sstride, |f, i| src[f][i], no_ghosts, None, &mut win);
             let mut it = added.iter_mut();
             let mut win: [&mut [L]; F] =
                 std::array::from_fn(|_| &mut it.next().unwrap()[e * tstride..(e + 1) * tstride]);
-            plan.gather_elem(e, levels, sstride, |f, i| src[f][i], Some(c), &mut win);
+            plan.gather_elem(e, levels, sstride, |f, i| src[f][i], no_ghosts, Some(c), &mut win);
         }
         (stored, added)
     }

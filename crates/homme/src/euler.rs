@@ -122,7 +122,8 @@ pub fn euler_substep_flat(
     });
 }
 
-/// One blocked Euler stage of the tracer chunk `qs` over every element:
+/// One blocked Euler stage of the tracer chunk `qs` over the elements
+/// `elems`:
 /// flux divergence, forward-Euler update and SSP stage combination fused
 /// per element, with mass fluxes hoisted across the tracer loop (see
 /// [`euler_stage_element_blocked`]). Element `e`'s stage input for the
@@ -155,6 +156,7 @@ pub fn euler_stage_flat_blocked(
     qs: Range<usize>,
     qdp_out: &mut [f64],
     ostride: usize,
+    elems: Range<usize>,
 ) {
     let fl = dims.field_len();
     let tl = dims.tracer_len();
@@ -165,8 +167,10 @@ pub fn euler_stage_flat_blocked(
         "euler_stage_flat_blocked: chunk {qs:?}"
     );
     assert!(qdp_out.len() >= bops.len() * ostride, "euler_stage_flat_blocked: short output");
+    assert!(elems.end <= bops.len(), "euler_stage_flat_blocked: elements {elems:?}");
     let arena_out = ArenaMut::new(qdp_out);
-    sched.run(bops.len(), &|_w, e| {
+    sched.run(elems.len(), &|_w, i| {
+        let e = elems.start + i;
         // SAFETY: job `e` slices only its own `ostride`-wide window, inside
         // the arena by the length check; the scheduler runs every `e` once.
         let qout = unsafe { arena_out.slice(e * ostride, len) };
@@ -247,9 +251,8 @@ pub fn limit_tracer_element(op: &ElemOps, qe: &mut [f64]) {
 }
 
 /// [`limit_tracer_element`] over every element of a flat tracer arena
-/// (`[nelem][qsize][nlev][NPTS]`). Shared by the scalar oracle and the
-/// distributed driver, so their tracer stages stay bit-identical with the
-/// blocked step's per-element epilogue.
+/// (`[nelem][qsize][nlev][NPTS]`): the scalar oracle's limiter, bitwise
+/// the blocked step's per-element epilogue.
 pub fn limit_tracer_arena(ops: &[ElemOps], dims: Dims, qdp: &mut [f64]) {
     let tl = dims.tracer_len();
     for (op, qe) in ops.iter().zip(qdp.chunks_exact_mut(tl.max(1))) {

@@ -61,4 +61,4 @@ pub use sched::ElemScheduler;
 pub use seedref::SeedStepper;
 pub use state::{Dims, ElemMut, ElemRef, State};
 pub use vert::VertCoord;
-pub use workspace::{DistWorkspace, EnsembleWorkspace, StepWorkspace};
+pub use workspace::{EnsembleWorkspace, StepWorkspace};

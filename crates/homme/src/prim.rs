@@ -17,8 +17,10 @@
 //! `alloc_regression` test). The allocation-heavy seed implementation is
 //! preserved in [`crate::seedref`] as the equivalence oracle.
 
+use crate::bndry::Halo;
 use crate::deriv::{build_ops, ElemOps};
-use crate::dss::{Dss, DssGather};
+use crate::dist::DistError;
+use crate::dss::{no_ghosts, Dss, DssGather};
 use crate::euler::{
     euler_stage_flat_blocked, euler_substep_flat, limit_tracer_arena, limit_tracer_element,
 };
@@ -42,13 +44,15 @@ use crate::kernels::member_lanes::{
 };
 use crate::remap::{remap_element_scalar, RemapError};
 use crate::rhs::{element_rhs_raw, Rhs};
-use crate::sched::{ArenaMut, ElemScheduler};
+use crate::sched::{ArenaMut, ElemScheduler, PerWorker};
 use crate::state::{Dims, State};
 use crate::vert::VertCoord;
 use crate::workspace::{qchunk_width, DynFields, MemberLanes, StepWorkspace, WorkerScratch};
 use cubesphere::{CubedSphere, NPTS};
+use std::ops::Range;
 use std::sync::Mutex;
 use sw26010::V4F64;
+use swmpi::CommError;
 
 /// Kinnmark–Gray 5-stage RK coefficients: stage `i` computes
 /// `u_i = u_0 + c_i dt RHS(u_{i-1})`.
@@ -80,13 +84,18 @@ impl DycoreConfig {
     }
 }
 
-/// The assembled single-rank dynamical core.
+/// The assembled dynamical core: the whole grid on one rank, or — as the
+/// core of a [`crate::dist::DistDycore`] — one rank's patch of it. Both run
+/// the same stage loop; only where a DSS finds off-rank sharers differs
+/// (the stage loop's `Halo`).
 pub struct Dycore {
-    /// The horizontal grid.
+    /// The horizontal grid. A rank's core holds its patch: the owned
+    /// elements in local order (neighbour lists keep global ids).
     pub grid: CubedSphere,
     /// Per-element operator tables.
     pub ops: Vec<ElemOps>,
-    /// DSS engine.
+    /// The scalar oracle's serial scatter DSS (of the patch alone on a
+    /// rank's core, which never runs the scalar oracle).
     pub dss: Dss,
     /// RHS evaluator (owns the vertical coordinate).
     pub rhs: Rhs,
@@ -144,18 +153,65 @@ impl Dycore {
     /// Build a dycore on an arbitrary (e.g. reduced-radius "small planet")
     /// grid.
     pub fn from_grid(grid: CubedSphere, dims: Dims, ptop: f64, cfg: DycoreConfig) -> Self {
-        let ops = build_ops(&grid);
-        let bops = build_blocked_ops(&ops);
         let dss = Dss::new(&grid);
         let gather = DssGather::new(&dss);
+        let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max(&grid));
+        Self::assemble(grid, dss, gather, dims, ptop, cfg, default_threads(), global)
+    }
+
+    /// The core of one rank's distributed driver: a dycore over the patch
+    /// of `grid` made of the `owned` elements (in that local order), whose
+    /// DSS is `gather` (with ghost sharers into the peers' messages). It
+    /// runs one worker unless [`Dycore::set_threads`] says otherwise. The
+    /// CFL spacing and `lambda_max` come from the whole grid, exactly as
+    /// the serial driver computes them, so every rank judges stability and
+    /// runs the subcycle count (it is the exchange schedule) identically
+    /// with no message exchanged to agree on it.
+    pub(crate) fn for_patch(
+        grid: &CubedSphere,
+        owned: &[usize],
+        gather: DssGather,
+        dims: Dims,
+        ptop: f64,
+        cfg: DycoreConfig,
+    ) -> Self {
+        let patch = CubedSphere {
+            ne: grid.ne,
+            basis: grid.basis.clone(),
+            elements: owned.iter().map(|&e| grid.elements[e].clone()).collect(),
+            nglobal: grid.nglobal,
+            inv_mass: grid.inv_mass.clone(),
+            multiplicity: grid.multiplicity.clone(),
+            edge_neighbors: owned.iter().map(|&e| grid.edge_neighbors[e]).collect(),
+            all_neighbors: owned.iter().map(|&e| grid.all_neighbors[e].clone()).collect(),
+        };
+        let dss = Dss::new(&patch);
+        let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max(grid));
+        let mut core = Self::assemble(patch, dss, gather, dims, ptop, cfg, 1, global);
+        core.ws.drop_oracle_buffers();
+        core
+    }
+
+    /// `(char_dx, lambda_max)` are the whole grid's CFL spacing (the
+    /// smallest GLL gap on a representative element) and assembled
+    /// Laplacian eigenvalue bound.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        grid: CubedSphere,
+        dss: Dss,
+        gather: DssGather,
+        dims: Dims,
+        ptop: f64,
+        cfg: DycoreConfig,
+        threads: usize,
+        (char_dx, lambda_max): (f64, f64),
+    ) -> Self {
+        let ops = build_ops(&grid);
+        let bops = build_blocked_ops(&ops);
         let vert = VertCoord::standard(dims.nlev, ptop);
         let rhs = Rhs::new(vert, dims);
-        let sched = ElemScheduler::new(default_threads());
+        let sched = ElemScheduler::new(threads);
         let ws = StepWorkspace::new(dims, grid.nelem(), cfg.hypervis.sponge_layers, sched.nthreads());
-        // Characteristic grid spacing for the advective CFL estimate: the
-        // smallest GLL gap on a representative element.
-        let char_dx = min_gll_gap(&grid.elements[0]);
-        let lambda_max = laplacian_lambda_max(&grid);
         Dycore {
             grid,
             ops,
@@ -182,12 +238,8 @@ impl Dycore {
     /// scratch to match). `n = 1` forces serial execution.
     pub fn set_threads(&mut self, n: usize) {
         self.sched = ElemScheduler::new(n.max(1));
-        self.ws = StepWorkspace::new(
-            self.dims,
-            self.grid.nelem(),
-            self.cfg.hypervis.sponge_layers,
-            self.sched.nthreads(),
-        );
+        let dims = self.dims;
+        self.ws.workers = PerWorker::new(self.sched.nthreads(), || WorkerScratch::new(dims));
     }
 
     /// Fresh zero state sized for this dycore.
@@ -207,7 +259,8 @@ impl Dycore {
     /// touched besides the state. The scalar oracle keeps its
     /// `stage` / `next` ping-pong and copies `u_5` into the state.
     pub fn dynamics_step(&mut self, state: &mut State) {
-        self.dynamics_step_guarded(state, None).expect("an unguarded RK stage cannot fail");
+        serial(self.dynamics_step_guarded(&mut Halo::Serial, state, None))
+            .expect("an unguarded RK stage cannot fail");
     }
 
     /// Hyperviscosity subcycles a step of the current `cfg.dt` runs:
@@ -257,6 +310,18 @@ impl Dycore {
         state: &mut State,
         subcycles: usize,
     ) -> Result<(), HealthError> {
+        serial(self.apply_hypervis_on(&mut Halo::Serial, state, subcycles))
+    }
+
+    /// [`Dycore::apply_hypervis_n`] with its DSS gathers' off-rank sharers
+    /// behind `halo`. Each gather sweep is one exchange: the arena it reads
+    /// is sent once its boundary elements are computed.
+    pub(crate) fn apply_hypervis_on(
+        &mut self,
+        halo: &mut Halo,
+        state: &mut State,
+        subcycles: usize,
+    ) -> Result<(), DistError> {
         let hv = self.cfg.hypervis;
         if hv.nu == 0.0 && hv.nu_p == 0.0 {
             return Ok(());
@@ -266,7 +331,7 @@ impl Dycore {
         let kernels = *kernels;
         let nlev = dims.nlev;
         let fl = dims.field_len();
-        ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops)?;
+        ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops).map_err(HealthError::from)?;
         if let KernelPath::Blocked = kernels {
             let StepWorkspace { hv_plan: plan, hyp, stage, sponge_u, sponge_v, sponge_t, .. } = ws;
             let nelem = ops.len();
@@ -274,16 +339,15 @@ impl Dycore {
             // layers (sign +nu_top lap, i.e. diffusion). The fused element
             // pass reads the state directly (no staging copy) and the
             // damping increment rides the DSS gather of all three fields.
+            let (bnd, int) = halo.split(nelem);
             if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
                 let ks = plan.ks;
                 let sl = ks * NPTS;
-                {
-                    let ou = ArenaMut::new(&mut sponge_u[..nelem * sl]);
-                    let ov = ArenaMut::new(&mut sponge_v[..nelem * sl]);
-                    let ot = ArenaMut::new(&mut sponge_t[..nelem * sl]);
-                    let (su, sv, st): (&[f64], &[f64], &[f64]) =
-                        (&state.u, &state.v, &state.t);
-                    sched.run(nelem, &|_w, e| {
+                let (su, sv, st): (&[f64], &[f64], &[f64]) = (&state.u, &state.v, &state.t);
+                let pass = |out: [&mut [f64]; 3], elems: Range<usize>| {
+                    let [ou, ov, ot] = out.map(|o| ArenaMut::new(&mut o[..nelem * sl]));
+                    sched.run(elems.len(), &|_w, i| {
+                        let e = elems.start + i;
                         // SAFETY: job `e` takes only window `e` of each sponge
                         // arena — inside it, since the arenas are cut to
                         // `nelem` windows above — and the scheduler runs each
@@ -302,8 +366,12 @@ impl Dycore {
                             ot,
                         );
                     });
-                }
-                dss_sweep(
+                };
+                pass([sponge_u, sponge_v, sponge_t], bnd.clone());
+                halo.send([&sponge_u[..], &sponge_v[..], &sponge_t[..]], ks, sl);
+                pass([sponge_u, sponge_v, sponge_t], int.clone());
+                halo_sweep(
+                    halo,
                     sched,
                     gather,
                     ks,
@@ -313,20 +381,17 @@ impl Dycore {
                     [&mut state.u[..], &mut state.v[..], &mut state.t[..]],
                     fl,
                     |_, _| {},
-                );
+                )?;
             }
             for _ in 0..subcycles {
                 // First Laplacian of (u, v, T, dp3d): one fused coefficient
                 // walk per element, straight from the state into the hyp
                 // arenas (the per-subcycle state copy is gone).
-                {
-                    let ou = ArenaMut::new(&mut hyp.u);
-                    let ov = ArenaMut::new(&mut hyp.v);
-                    let ot = ArenaMut::new(&mut hyp.t);
-                    let odp = ArenaMut::new(&mut hyp.dp3d);
-                    let (su, sv, st, sdp): (&[f64], &[f64], &[f64], &[f64]) =
-                        (&state.u, &state.v, &state.t, &state.dp3d);
-                    sched.run(nelem, &|_w, e| {
+                let [su, sv, st, sdp] = state.dyn_fields();
+                let pass = |hyp: &mut DynFields, elems: Range<usize>| {
+                    let [ou, ov, ot, odp] = hyp.fields_mut().map(ArenaMut::new);
+                    sched.run(elems.len(), &|_w, i| {
+                        let e = elems.start + i;
                         let r = e * fl..(e + 1) * fl;
                         // SAFETY: `hyp` holds `nelem` element windows
                         // (`StepWorkspace::new`); job `e` takes only window `e`
@@ -353,12 +418,16 @@ impl Dycore {
                             odp,
                         );
                     });
-                }
+                };
+                pass(hyp, bnd.clone());
+                halo.send(hyp.fields(), nlev, fl);
+                pass(hyp, int.clone());
                 // DSS of the first Laplacians, gathered per element into
                 // the (idle outside RK) `stage` arenas, with the second
                 // Laplacian (del^4 = lap(lap)) run on the element's freshly
                 // assembled window in the same job.
-                dss_sweep(
+                halo_sweep(
+                    halo,
                     sched,
                     gather,
                     nlev,
@@ -368,12 +437,14 @@ impl Dycore {
                     stage.fields_mut(),
                     fl,
                     |e, [u, v, t, dp]| hypervis_pass_levels_blocked(&bops[e], nlev, u, v, t, dp),
-                );
+                )?;
                 // Final DSS fused with the forward-Euler apply: the plan's
                 // negated `dt_sub * nu` coefficients turn `x -= c * lap`
                 // into the gather's `x += (-c) * lap` bitwise-identically,
                 // and all four fields ride one walk of the gather plan.
-                dss_sweep(
+                halo.send(stage.fields(), nlev, fl);
+                halo_sweep(
+                    halo,
                     sched,
                     gather,
                     nlev,
@@ -383,10 +454,11 @@ impl Dycore {
                     state.dyn_fields_mut(),
                     fl,
                     |_, _| {},
-                );
+                )?;
             }
             return Ok(());
         }
+        assert!(halo.is_serial(), "the scalar oracle runs on one rank only");
         // Top-of-model sponge: ordinary Laplacian damping on the top
         // layers (sign +nu_top lap, i.e. diffusion).
         if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
@@ -664,8 +736,19 @@ impl Dycore {
     /// scatter DSS + arena-wide limiter as the bitwise oracle; it writes
     /// stages 1 and 2 into `q2` and substeps through `qtmp`.
     pub fn euler_step_tracers(&mut self, state: &mut State) {
+        serial(self.euler_step_tracers_on(&mut Halo::Serial, state))
+            .expect("a one-rank tracer step cannot fail");
+    }
+
+    /// [`Dycore::euler_step_tracers`] with its DSS gathers' off-rank sharers
+    /// behind `halo`: one exchange per (tracer chunk, stage).
+    pub(crate) fn euler_step_tracers_on(
+        &mut self,
+        halo: &mut Halo,
+        state: &mut State,
+    ) -> Result<(), DistError> {
         if self.dims.qsize == 0 {
-            return;
+            return Ok(());
         }
         let dt = self.cfg.dt;
         let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
@@ -684,6 +767,7 @@ impl Dycore {
                         limit_tracer_element(&ops[e], w);
                     }
                 };
+                let (bnd, int) = halo.split(ops.len());
                 for q in (0..dims.qsize).step_by(QCHUNK) {
                     let qs = q..(q + QCHUNK).min(dims.qsize);
                     let levels = qs.len() * dims.nlev;
@@ -694,31 +778,38 @@ impl Dycore {
                             StageCombine::Replace => (&qdp[q * lw..], tl),
                             _ => (&qstage[..], cw),
                         };
-                        euler_stage_flat_blocked(
-                            bops,
-                            dims,
-                            sched,
-                            u,
-                            v,
-                            dp3d,
-                            qin,
-                            istride,
-                            qdp,
-                            dt,
-                            combine,
-                            qs.clone(),
-                            qchunk,
-                            cw,
-                        );
+                        let stage = |qchunk: &mut [f64], elems: Range<usize>| {
+                            euler_stage_flat_blocked(
+                                bops,
+                                dims,
+                                sched,
+                                u,
+                                v,
+                                dp3d,
+                                qin,
+                                istride,
+                                qdp,
+                                dt,
+                                combine,
+                                qs.clone(),
+                                qchunk,
+                                cw,
+                                elems,
+                            )
+                        };
+                        stage(qchunk, bnd.clone());
+                        halo.send([&qchunk[..]], levels, cw);
+                        stage(qchunk, int.clone());
                         let (dst, ds) = match combine {
                             StageCombine::Ssp3 => (&mut qdp[q * lw..], tl),
                             _ => (&mut qstage[..], cw),
                         };
-                        dss_sweep(sched, gather, levels, [qchunk], cw, None, [dst], ds, limit);
+                        halo_sweep(halo, sched, gather, levels, [qchunk], cw, None, [dst], ds, limit)?;
                     }
                 }
             }
             KernelPath::Scalar => {
+                assert!(halo.is_serial(), "the scalar oracle runs on one rank only");
                 let (u, v, dp3d) = (&state.u[..], &state.v[..], &state.dp3d[..]);
                 // Stage 1: q2 = q0 + dt L(q0)
                 euler_substep_flat(ops, dims, sched, u, v, dp3d, &state.qdp, dt, q2);
@@ -737,6 +828,7 @@ impl Dycore {
                 finish_tracer_stage(ops, dss, dims, limiter, &mut state.qdp);
             }
         }
+        Ok(())
     }
 
     /// Remap the column back to reference hybrid levels (`vertical_remap`).
@@ -809,18 +901,27 @@ impl Dycore {
     /// One full model step: dynamics RK + hyperviscosity + tracer advection
     /// + (every `rsplit` steps) vertical remap. Heap-allocation-free.
     pub fn step(&mut self, state: &mut State) {
-        self.dynamics_step(state);
-        // The unguarded driver has no rollback path; a grid the
-        // hyperviscosity plan rejects is fatal here.
-        self.apply_hypervis(state).expect("hyperviscosity plan rejected");
-        self.euler_step_tracers(state);
+        // The unguarded driver has no rollback path to route a verdict
+        // into: a grid the hyperviscosity plan rejects or a broken column
+        // is fatal here.
+        if let Err(e) = serial(self.step_on(&mut Halo::Serial, state)) {
+            panic!("serial step failed: {e}");
+        }
+    }
+
+    /// [`Dycore::step`] with its DSS gathers' off-rank sharers behind
+    /// `halo`, errors returned instead of fatal.
+    pub(crate) fn step_on(&mut self, halo: &mut Halo, state: &mut State) -> Result<(), DistError> {
+        self.dynamics_step_guarded(halo, state, None)?;
+        let subcycles = self.hypervis_subcycles();
+        self.apply_hypervis_on(halo, state, subcycles)?;
+        self.euler_step_tracers_on(halo, state)?;
         self.steps_since_remap += 1;
         if self.steps_since_remap >= self.cfg.rsplit {
-            // The unguarded driver has no rollback path to route the
-            // verdict into; a broken column is fatal here.
-            self.vertical_remap(state).expect("vertical remap failed");
+            self.vertical_remap(state)?;
             self.steps_since_remap = 0;
         }
+        Ok(())
     }
 
     /// [`Dycore::step`] with in-step health guards: every RK stage is
@@ -835,8 +936,21 @@ impl Dycore {
     /// at stages 1–4 leaves the state as the step found it; one rejected
     /// at stage 5 leaves the rejected `u_5` in it.)
     pub fn step_checked(&mut self, state: &mut State) -> Result<StepHealth, HealthError> {
+        serial(self.step_checked_on(&mut Halo::Serial, state))
+    }
+
+    /// [`Dycore::step_checked`] with its DSS gathers' off-rank sharers
+    /// behind `halo`. On a rank the report is rank-local, so a CFL breach
+    /// does not arm the degradation policy here: ranks would diverge (each
+    /// sees its own winds). The distributed driver reduces the verdict and
+    /// calls [`Dycore::arm_degradation`] on every rank in lockstep.
+    pub(crate) fn step_checked_on(
+        &mut self,
+        halo: &mut Halo,
+        state: &mut State,
+    ) -> Result<StepHealth, DistError> {
         if !self.health.enabled {
-            self.step(state);
+            self.step_on(halo, state)?;
             return Ok(StepHealth::unchecked());
         }
         let full_dt = self.cfg.dt;
@@ -850,20 +964,18 @@ impl Dycore {
         health.degraded = splits > 1;
         self.cfg.dt = full_dt / splits as f64;
         for _ in 0..splits {
-            if let Err(e) = self.dynamics_step_guarded(state, Some(&mut health)) {
-                self.cfg.dt = full_dt;
-                return Err(e);
-            }
             let subcycles = self.hypervis_subcycles() + extra;
-            if let Err(e) = self.apply_hypervis_n(state, subcycles) {
-                self.cfg.dt = full_dt;
-                return Err(e);
-            }
-            self.euler_step_tracers(state);
-            // Post-advection scan covers the tracer arenas, which the RK
-            // stage scans never see.
-            let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
-            if let Err(e) = commit_scan(&mut health, &self.health, TRACER_STAGE, scan) {
+            let split = self
+                .dynamics_step_guarded(halo, state, Some(&mut health))
+                .and_then(|()| self.apply_hypervis_on(halo, state, subcycles))
+                .and_then(|()| self.euler_step_tracers_on(halo, state))
+                .and_then(|()| {
+                    // Post-advection scan covers the tracer arenas, which
+                    // the RK stage scans never see.
+                    let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
+                    Ok(commit_scan(&mut health, &self.health, TRACER_STAGE, scan)?)
+                });
+            if let Err(e) = split {
                 self.cfg.dt = full_dt;
                 return Err(e);
             }
@@ -877,24 +989,37 @@ impl Dycore {
         // CFL is judged against the nominal dt: while winds stay too fast
         // for the full step, degraded (halved-dt) stepping keeps re-arming.
         health.cfl = health.max_wind * full_dt / self.char_dx;
-        if health.cfl > self.health.cfl_limit {
-            self.degrade_pending = self.degrade_pending.max(self.degrade.halve_dt_steps);
+        if halo.is_serial() && health.cfl > self.health.cfl_limit {
+            self.arm_degradation();
         }
         Ok(health)
+    }
+
+    /// Arm the degradation policy: the next
+    /// [`DegradePolicy::halve_dt_steps`] checked steps run degraded. The
+    /// distributed driver calls this after the *global* verdict breaches
+    /// the CFL limit, so every rank degrades in lockstep even when only one
+    /// rank saw the breach.
+    pub fn arm_degradation(&mut self) {
+        self.degrade_pending = self.degrade_pending.max(self.degrade.halve_dt_steps);
     }
 
     /// The KG5 loop of [`Dycore::dynamics_step`]; with `health`, each stage
     /// ends with a health scan of `u_i` (of `stage`, or of the state after
     /// stage 5), committed under the stage's index 0..5.
     ///
+    /// Each stage is one exchange behind `halo`: the RHS of the boundary
+    /// elements, the send, the RHS of the interior ones, then the gather.
+    ///
     /// On `Err` at stages 1–4 the state is untouched (nothing writes it
     /// before stage 5's gather). On `Err` at stage 5 the state holds the
     /// rejected `u_5`.
-    fn dynamics_step_guarded(
+    pub(crate) fn dynamics_step_guarded(
         &mut self,
+        halo: &mut Halo,
         state: &mut State,
         mut health: Option<&mut StepHealth>,
-    ) -> Result<(), HealthError> {
+    ) -> Result<(), DistError> {
         let dt = self.cfg.dt;
         let hcfg = self.health;
         let Dycore { ops, dss, rhs, dims, sched, ws, kernels, bops, gather, .. } = self;
@@ -905,22 +1030,19 @@ impl Dycore {
             let eval = if i == 0 { state.dyn_fields() } else { stage.fields() };
             match kernels {
                 KernelPath::Blocked => {
-                    rk_rhs_sweep(
-                        bops,
-                        rhs,
-                        nlev,
-                        sched,
-                        workers,
-                        state.dyn_fields(),
-                        eval,
-                        &state.phis,
-                        c * dt,
-                        hyp,
-                    );
+                    let (bnd, int) = halo.split(bops.len());
+                    let base = state.dyn_fields();
+                    let rk = |hyp: &mut DynFields, elems: Range<usize>| {
+                        rk_rhs_sweep(bops, rhs, nlev, sched, workers, base, eval, &state.phis, c * dt, hyp, elems)
+                    };
+                    rk(hyp, bnd);
+                    halo.send(hyp.fields(), nlev, fl);
+                    rk(hyp, int);
                     let dst = if i == last { state.dyn_fields_mut() } else { stage.fields_mut() };
-                    dss_sweep(sched, gather, nlev, hyp.fields(), fl, None, dst, fl, |_, _| {});
+                    halo_sweep(halo, sched, gather, nlev, hyp.fields(), fl, None, dst, fl, |_, _| {})?;
                 }
                 KernelPath::Scalar => {
+                    assert!(halo.is_serial(), "the scalar oracle runs on one rank only");
                     rk_substep_scalar(
                         ops,
                         dss,
@@ -1017,11 +1139,12 @@ impl Dycore {
 /// bitwise the scatter walk of [`Dss::apply_flat`] at any worker count,
 /// because each point's sum runs in the plan's fixed order whichever worker
 /// computes it. `src` and `dst` are distinct borrows, so a sweep can never
-/// read an arena it writes.
+/// read an arena it writes. One rank only: the member-batched paths.
 ///
 /// # Panics
 /// If a source or destination arena is shorter than the sweep reaches
 /// ([`DssGather::span`]), or a window is wider than its element's stride.
+#[allow(clippy::too_many_arguments)]
 fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
     sched: &ElemScheduler,
     gather: &DssGather,
@@ -1033,12 +1156,76 @@ fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
     dstride: usize,
     then: impl Fn(usize, [&mut [L]; F]) + Sync,
 ) {
-    let wlen = levels * NPTS;
-    assert!(wlen <= dstride, "dss_sweep: {levels}-level window overlaps the next element");
+    let dst = sweep_arenas(gather, levels, &src, sstride, dst, dstride);
+    let all = 0..gather.nelem();
+    sweep_elems(sched, gather, all, levels, src, sstride, coefs, dst, dstride, no_ghosts, &then);
+}
+
+/// [`dss_sweep`] on a rank: the one exchange of `src` behind `halo`
+/// completes around it. The original schedule exchanges now (every element
+/// is computed); then the interior elements, which have no ghost sharers,
+/// are gathered while the redesigned schedule's messages fly; then the
+/// boundary elements, reading their ghosts in place from the landed
+/// messages. On one rank this is one sweep over every element.
+#[allow(clippy::too_many_arguments)]
+fn halo_sweep<const F: usize>(
+    halo: &mut Halo,
+    sched: &ElemScheduler,
+    gather: &DssGather,
+    levels: usize,
+    src: [&[f64]; F],
+    sstride: usize,
+    coefs: Option<[&[f64]; F]>,
+    dst: [&mut [f64]; F],
+    dstride: usize,
+    then: impl Fn(usize, [&mut [f64]; F]) + Sync,
+) -> Result<(), CommError> {
+    let dst = sweep_arenas(gather, levels, &src, sstride, dst, dstride);
+    let (bnd, int) = halo.split(gather.nelem());
+    halo.land(src, levels, sstride)?;
+    sweep_elems(sched, gather, int, levels, src, sstride, coefs, dst, dstride, no_ghosts, &then);
+    halo.wait()?;
+    let msgs = halo.landed();
+    let ghost = |f: usize, k: usize, g: usize| gather.ghost_value(msgs, levels, f, k, g);
+    sweep_elems(sched, gather, bnd, levels, src, sstride, coefs, dst, dstride, ghost, &then);
+    halo.release();
+    Ok(())
+}
+
+/// The checked destination views of a gather sweep.
+fn sweep_arenas<'a, L, const F: usize>(
+    gather: &DssGather,
+    levels: usize,
+    src: &[&[L]; F],
+    sstride: usize,
+    dst: [&'a mut [L]; F],
+    dstride: usize,
+) -> [ArenaMut<'a, L>; F] {
+    assert!(levels * NPTS <= dstride, "dss_sweep: {levels}-level window overlaps the next element");
     assert!(src.iter().all(|s| s.len() >= gather.span(levels, sstride)), "dss_sweep: short source");
     assert!(dst.iter().all(|d| d.len() >= gather.span(levels, dstride)), "dss_sweep: short dest");
-    let dst = dst.map(ArenaMut::new);
-    sched.run(gather.nelem(), &|_w, e| {
+    dst.map(ArenaMut::new)
+}
+
+/// The gather sweep over the elements `elems`, into destination views
+/// [`sweep_arenas`] checked.
+#[allow(clippy::too_many_arguments)]
+fn sweep_elems<L: crate::dss::Lane + Send + Sync, const F: usize>(
+    sched: &ElemScheduler,
+    gather: &DssGather,
+    elems: Range<usize>,
+    levels: usize,
+    src: [&[L]; F],
+    sstride: usize,
+    coefs: Option<[&[f64]; F]>,
+    dst: [ArenaMut<L>; F],
+    dstride: usize,
+    ghost: impl Fn(usize, usize, usize) -> L + Sync,
+    then: &(impl Fn(usize, [&mut [L]; F]) + Sync),
+) {
+    let wlen = levels * NPTS;
+    sched.run(elems.len(), &|_w, i| {
+        let e = elems.start + i;
         // Rebind the captured tables to locals, so the gather loop does not
         // reload them from the closure after every store through the
         // raw-pointer window.
@@ -1046,8 +1233,8 @@ fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
         // SAFETY: `src` is shared-borrowed for the whole sweep and therefore
         // read-only; `dst` is written element-disjointly — job `e` slices
         // only `[e * dstride, e * dstride + wlen)` of each destination arena
-        // (inside it by the span check, disjoint from `e + 1`'s by
-        // `wlen <= dstride`) and the scheduler runs every `e` exactly once.
+        // (inside it by `sweep_arenas`' span check, disjoint from `e + 1`'s
+        // by `wlen <= dstride`) and the scheduler runs every `e` exactly once.
         let mut win: [&mut [L]; F] =
             core::array::from_fn(|f| unsafe { dst[f].slice(e * dstride, wlen) });
         // A single-field sweep keeps the checked read: its scalar loads beat
@@ -1061,38 +1248,42 @@ fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
             } else {
                 // SAFETY: the plan only yields indices below
                 // `gather.span(levels, sstride)`, which every source covers
-                // (checked once above).
+                // (checked once in `sweep_arenas`).
                 unsafe { *src[f].get_unchecked(i) }
             }
         };
-        gather.gather_elem(e, levels, sstride, read, coefs, &mut win);
+        gather.gather_elem(e, levels, sstride, read, &ghost, coefs, &mut win);
         then(e, win);
     });
 }
 
-/// The RHS sweep of one blocked RK stage: `raw = base + c dt RHS(eval)`
-/// per element, pre-DSS, with the fused blocked kernel on the scheduler
-/// and per-worker scratch. The caller assembles `raw` with a gather sweep.
+/// The RHS sweep of one blocked RK stage over the elements `elems`:
+/// `raw = base + c dt RHS(eval)` per element, pre-DSS, with the fused
+/// blocked kernel on the scheduler and per-worker scratch. The caller
+/// assembles `raw` with a gather sweep.
 #[allow(clippy::too_many_arguments)]
 fn rk_rhs_sweep(
     bops: &[BlockedOps],
     rhs: &Rhs,
     nlev: usize,
     sched: &ElemScheduler,
-    workers: &crate::sched::PerWorker<WorkerScratch>,
+    workers: &PerWorker<WorkerScratch>,
     base: [&[f64]; 4],
     eval: [&[f64]; 4],
     phis: &[f64],
     c_dt: f64,
     raw: &mut DynFields,
+    elems: Range<usize>,
 ) {
     let fl = nlev * NPTS;
     let ptop = rhs.vert.ptop();
     let [bu, bv, bt, bdp] = base;
     let [eu, ev, et, edp] = eval;
     assert!(raw.fields().iter().all(|f| f.len() >= bops.len() * fl), "rk_rhs_sweep: short raw");
+    assert!(elems.end <= bops.len(), "rk_rhs_sweep: elements {elems:?}");
     let [ou, ov, ot, odp] = raw.fields_mut().map(ArenaMut::new);
-    sched.run(bops.len(), &|w, e| {
+    sched.run(elems.len(), &|w, i| {
+        let e = elems.start + i;
         // SAFETY: worker `w` owns its scratch slot; job `e` writes only its
         // own element window of each raw arena (inside it by the length
         // check), and the scheduler runs every `e` once.
@@ -1133,7 +1324,7 @@ fn rk_substep_scalar(
     rhs: &Rhs,
     dims: Dims,
     sched: &ElemScheduler,
-    workers: &crate::sched::PerWorker<WorkerScratch>,
+    workers: &PerWorker<WorkerScratch>,
     base: [&[f64]; 4],
     eval: [&[f64]; 4],
     phis: &[f64],
@@ -1193,6 +1384,15 @@ fn finish_tracer_stage(ops: &[ElemOps], dss: &mut Dss, dims: Dims, limiter: bool
     if limiter {
         limit_tracer_arena(ops, dims, qdp);
     }
+}
+
+/// The one-rank result of a stage-loop call: a one-rank halo never
+/// exchanges, so only a health verdict can fail it.
+fn serial<T>(r: Result<T, DistError>) -> Result<T, HealthError> {
+    r.map_err(|e| match e {
+        DistError::Health(h) => h,
+        DistError::Comm(c) => unreachable!("a one-rank step exchanged a message: {c}"),
+    })
 }
 
 /// One member's borrowed `(u, v, t, dp3d)` element slices.
@@ -1578,7 +1778,7 @@ fn dynamics_members_lanes<const M: usize>(
     sched: &ElemScheduler,
     gather: &DssGather,
     bops: &[BlockedOps],
-    workers: &crate::sched::PerWorker<WorkerScratch>,
+    workers: &PerWorker<WorkerScratch>,
     nlev: usize,
     fl: usize,
     nelem: usize,

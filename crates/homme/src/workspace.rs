@@ -1,5 +1,6 @@
-//! Persistent per-step scratch owned by [`crate::prim::Dycore`] (and, as
-//! [`DistWorkspace`], by the per-rank [`crate::dist::DistDycore`]).
+//! Persistent per-step scratch owned by [`crate::prim::Dycore`] — the whole
+//! grid's, or one rank's patch's as the core of a
+//! [`crate::dist::DistDycore`].
 //!
 //! Every buffer the step pipeline needs — RK stage fields, RHS column
 //! temporaries, hyperviscosity and sponge temporaries, tracer stage
@@ -13,7 +14,6 @@
 //! written before use. The `state_arena` proptest drives this by checking
 //! that a dirtied workspace reproduces a fresh one bitwise.
 
-use crate::bndry::ExchangeBuffers;
 use crate::hypervis::ElemHypervisPlan;
 use crate::kernels::blocked::QCHUNK;
 use crate::kernels::member_lanes::MemberRhsScratch;
@@ -121,8 +121,8 @@ impl WorkerScratch {
 /// The default (blocked) step touches only `stage`, `hyp`, the sponge
 /// buffers, `qchunk` and `qstage` besides the state; `next`, `q2` and
 /// `qtmp` serve the scalar oracle (and `next` the ensemble's chunked member
-/// hyperviscosity), so their pages never become resident on the default
-/// path.
+/// hyperviscosity), so the default path never writes them (a rank's core
+/// drops them: [`StepWorkspace::drop_oracle_buffers`]).
 #[derive(Debug)]
 pub struct StepWorkspace {
     /// RK stage `u_i` (blocked: each stage's gather overwrites it in place;
@@ -167,6 +167,16 @@ pub struct StepWorkspace {
 }
 
 impl StepWorkspace {
+    /// Drop the buffers only the scalar oracle and the ensemble's chunked
+    /// member path read (`next`, `q2`, `qtmp`). A rank's core runs neither;
+    /// without this their zero-filled pages can still become resident, when
+    /// the allocator serves them from recycled heap memory it must clear.
+    pub(crate) fn drop_oracle_buffers(&mut self) {
+        self.next = DynFields::zeros(0);
+        self.q2 = Vec::new();
+        self.qtmp = Vec::new();
+    }
+
     /// Buffers sized for `nelem` elements, `dims`, a sponge of
     /// `sponge_layers` levels and `nworkers` scheduler workers.
     pub fn new(dims: Dims, nelem: usize, sponge_layers: usize, nworkers: usize) -> Self {
@@ -306,86 +316,9 @@ impl EnsembleWorkspace {
     }
 }
 
-/// Persistent per-rank scratch owned by [`crate::dist::DistDycore`] — the
-/// distributed analog of [`StepWorkspace`]. Holds the RK stage arenas
-/// (sized for the rank's owned elements), hyperviscosity/sponge/tracer
-/// temporaries, the per-element compute scratch (the distributed driver
-/// runs its element loop serially within the rank, so one slot suffices),
-/// and the aggregated-exchange buffers. Allocated once at construction;
-/// a distributed step performs zero heap allocations after warm-up
-/// (enforced by the `dist_alloc` integration test).
-#[derive(Debug)]
-pub struct DistWorkspace {
-    /// RK base state `u_0`.
-    pub base: DynFields,
-    /// RK stage being evaluated `u_{i-1}`.
-    pub stage: DynFields,
-    /// RK stage being produced `u_i`.
-    pub next: DynFields,
-    /// Hyperviscosity Laplacian input/output (full depth).
-    pub hyp: DynFields,
-    /// Sponge-layer `u` temporary, `[nelem][sponge_layers][NPTS]`.
-    pub sponge_u: Vec<f64>,
-    /// Sponge-layer `v` temporary.
-    pub sponge_v: Vec<f64>,
-    /// Sponge-layer `T` temporary.
-    pub sponge_t: Vec<f64>,
-    /// Tracer stage `q_0` (step input), `[nelem][qsize][nlev][NPTS]`.
-    pub qdp0: Vec<f64>,
-    /// Tracer stage 1 buffer.
-    pub q1: Vec<f64>,
-    /// Tracer stage 2 buffer.
-    pub q2: Vec<f64>,
-    /// Tracer substep output buffer.
-    pub qtmp: Vec<f64>,
-    /// Per-element compute scratch.
-    pub scratch: WorkerScratch,
-    /// Aggregated boundary-exchange pack/accumulate buffers.
-    pub ex: ExchangeBuffers,
-    /// Hyperviscosity step plan (hoisted subcycle/sponge coefficients),
-    /// rebuilt per step without allocating.
-    pub hv_plan: ElemHypervisPlan,
-}
-
-impl DistWorkspace {
-    /// Buffers sized for this rank's `nelem` owned elements, `dims`, and a
-    /// sponge of `sponge_layers` levels.
-    pub fn new(dims: Dims, nelem: usize, sponge_layers: usize) -> Self {
-        let fl = nelem * dims.field_len();
-        let tl = nelem * dims.tracer_len();
-        let sl = nelem * sponge_layers.min(dims.nlev) * NPTS;
-        DistWorkspace {
-            base: DynFields::zeros(fl),
-            stage: DynFields::zeros(fl),
-            next: DynFields::zeros(fl),
-            hyp: DynFields::zeros(fl),
-            sponge_u: vec![0.0; sl],
-            sponge_v: vec![0.0; sl],
-            sponge_t: vec![0.0; sl],
-            qdp0: vec![0.0; tl],
-            q1: vec![0.0; tl],
-            q2: vec![0.0; tl],
-            qtmp: vec![0.0; tl],
-            scratch: WorkerScratch::new(dims),
-            ex: ExchangeBuffers::new(),
-            hv_plan: ElemHypervisPlan::new(dims.nlev, sponge_layers),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dist_workspace_buffers_are_sized_for_the_rank() {
-        let dims = Dims { nlev: 4, qsize: 2 };
-        let ws = DistWorkspace::new(dims, 5, 3);
-        assert_eq!(ws.stage.v.len(), 5 * 4 * NPTS);
-        assert_eq!(ws.sponge_u.len(), 5 * 3 * NPTS);
-        assert_eq!(ws.q2.len(), 5 * 2 * 4 * NPTS);
-        assert_eq!(ws.scratch.col_src.len(), 4);
-    }
 
     #[test]
     fn workspace_buffers_are_sized_for_the_problem() {

@@ -2,12 +2,13 @@
 //! `DistDycore::step` — RK dynamics with the aggregated boundary exchange,
 //! hyperviscosity (sponge + subcycles), limited tracer advection, vertical
 //! remap — must touch the heap exactly zero times on every rank. All
-//! temporaries live in the persistent `DistWorkspace`, receive queues and
-//! send buffers are pooled by the communicator, and the exchange packs
-//! straight into pooled buffers. The gate runs twice: over the in-process
-//! mailbox, and over loopback TCP, where the frame scratch, the readers'
+//! temporaries live in the rank core's persistent `StepWorkspace`, receive
+//! queues and send buffers are pooled by the communicator, and the exchange
+//! packs straight into pooled buffers. The gate runs over the in-process
+//! mailbox and over loopback TCP, where the frame scratch, the readers'
 //! receive buffers and the decoded payloads (pooled by the transport) are
-//! inside the armed window too.
+//! inside the armed window too, with two tracers (one chunk) and six (two
+//! chunks, so the tracer exchanges differ in width).
 //!
 //! The counting `#[global_allocator]` is per-binary state (and counts all
 //! rank threads while armed), so this file holds exactly one `#[test]` and
@@ -61,8 +62,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn distributed_step_allocates_nothing_after_warmup() {
+    for qsize in [2, 6] {
+        distributed_step_allocates_nothing(Dims { nlev: 4, qsize });
+    }
+}
+
+fn distributed_step_allocates_nothing(dims: Dims) {
     let ne = 3;
-    let dims = Dims { nlev: 4, qsize: 2 };
     // Every phase on: sponge + subcycled hypervis, limiter, remap each step.
     let hypervis =
         HypervisConfig { nu: 1.0e15, nu_p: 1.0e15, subcycles: 2, nu_top: 2.5e5, sponge_layers: 2 };
@@ -135,7 +141,8 @@ fn distributed_step_allocates_nothing_after_warmup() {
         let bulk_max = counts.into_iter().max().unwrap_or(0);
         assert_eq!(
             bulk_max, 0,
-            "{transport}: DistDycore::step heap-allocated {bulk_max} times after warm-up"
+            "{transport}, qsize {}: DistDycore::step heap-allocated {bulk_max} times after warm-up",
+            dims.qsize
         );
     }
 }

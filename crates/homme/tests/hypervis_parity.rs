@@ -131,7 +131,7 @@ fn subcycled_hypervis_conserves_dp3d_mass() {
 /// Shallow-column regression (serial + distributed): a sponge deeper than
 /// the column (`sponge_layers = 3`, `nlev` in {1, 2}) clamps to the
 /// available levels instead of indexing past them, actually damps, and
-/// the distributed driver tracks the serial one.
+/// the distributed driver commits the serial one's bits.
 #[test]
 fn shallow_level_sponge_clamps_serial_and_distributed() {
     let ne = 3;
@@ -164,10 +164,10 @@ fn shallow_level_sponge_clamps_serial_and_distributed() {
                 let rs = st.elem(e);
                 for i in 0..dims.field_len() {
                     assert!(
-                        (es.u[i] - rs.u[i]).abs() < 1e-9
-                            && (es.v[i] - rs.v[i]).abs() < 1e-9
-                            && (es.t[i] - rs.t[i]).abs() < 1e-9
-                            && (es.dp3d[i] - rs.dp3d[i]).abs() < 1e-9,
+                        es.u[i].to_bits() == rs.u[i].to_bits()
+                            && es.v[i].to_bits() == rs.v[i].to_bits()
+                            && es.t[i].to_bits() == rs.t[i].to_bits()
+                            && es.dp3d[i].to_bits() == rs.dp3d[i].to_bits(),
                         "nlev={nlev} elem {e}[{i}] diverged from serial"
                     );
                 }

@@ -632,40 +632,6 @@ impl Comm {
         }
     }
 
-    /// Nonblocking completion probe for a posted receive: returns
-    /// `Ok(Some(..))` if a matching message is already here, `Ok(None)`
-    /// otherwise — never blocks and never times out (`MPI_Test`): a caller
-    /// can poll while it has useful work left and fall back to
-    /// [`Comm::wait`] when it runs dry.
-    ///
-    /// In reliable mode the probe also sweeps stale arrivals and checks
-    /// the retransmit log, so dropped messages can be recovered without a
-    /// blocking wait. A known-dead source surfaces as an error, exactly as
-    /// in [`Comm::wait`].
-    pub fn try_wait(&mut self, req: RecvRequest) -> Result<Option<Message>, CommError> {
-        self.flush_delayed();
-        if let Some(m) = self.match_pending(&req) {
-            return Ok(Some(m));
-        }
-        let mut sink = std::mem::take(&mut self.pending);
-        self.link.drain(&mut sink);
-        self.pending = sink;
-        if let Some(m) = self.match_pending(&req) {
-            return Ok(Some(m));
-        }
-        if self.reliable {
-            if let Some(m) = self.take_from_relay(&req) {
-                self.stats.recovered += 1;
-                self.consume(&m);
-                return Ok(Some(m));
-            }
-        }
-        if let Some(err) = self.dead_peer_error(&req) {
-            return Err(err);
-        }
-        Ok(None)
-    }
-
     /// Blocking receive (`irecv` + `wait`).
     pub fn recv(&mut self, source: usize, tag: u64) -> Result<Message, CommError> {
         let req = self.irecv(source, tag);
@@ -958,44 +924,6 @@ mod tests {
         assert_eq!(c1.recv(0, 3).unwrap().data, vec![3.0]);
         assert_eq!(c1.stats().stale_dropped, 2);
         assert_eq!(c1.unmatched(), 0);
-    }
-
-    #[test]
-    fn try_wait_is_nonblocking_and_matches_when_ready() {
-        let mut world = Comm::world(2);
-        let mut c1 = world.pop().unwrap();
-        let mut c0 = world.pop().unwrap();
-        let req = c1.irecv(0, 4);
-        // Nothing there yet: immediate None, no timeout.
-        assert!(c1.try_wait(req).unwrap().is_none());
-        c0.send(1, 4, &[8.0]);
-        assert_eq!(c1.try_wait(req).unwrap().unwrap().data, vec![8.0]);
-        // Non-matching arrivals are parked, not lost.
-        c0.send(1, 77, &[9.0]);
-        assert!(c1.try_wait(c1.irecv(0, 5)).unwrap().is_none());
-        assert_eq!(c1.unmatched(), 1);
-        assert_eq!(c1.recv(0, 77).unwrap().data, vec![9.0]);
-    }
-
-    #[test]
-    fn try_wait_recovers_dropped_message_from_relay() {
-        let plan = Arc::new(FaultPlan::seeded(3).drop_per_mille(1000));
-        let (mut world, _alarm) = Comm::world_with(2, CommConfig::default(), Some(plan));
-        let mut c1 = world.pop().unwrap();
-        let mut c0 = world.pop().unwrap();
-        c0.send(1, 11, &[5.0]);
-        let m = c1.try_wait(c1.irecv(0, 11)).unwrap().expect("relayed");
-        assert_eq!(m.data, vec![5.0]);
-        assert_eq!(c1.stats().recovered, 1);
-        // A duplicate of a consumed tag is swept as stale by the probe.
-        let plan = Arc::new(FaultPlan::seeded(3).duplicate_per_mille(1000));
-        let (mut world, _alarm) = Comm::world_with(2, CommConfig::default(), Some(plan));
-        let mut c1 = world.pop().unwrap();
-        let mut c0 = world.pop().unwrap();
-        c0.send(1, 1, &[1.0]);
-        assert_eq!(c1.recv(0, 1).unwrap().data, vec![1.0]);
-        assert!(c1.try_wait(c1.irecv(0, 2)).unwrap().is_none());
-        assert_eq!(c1.stats().stale_dropped, 1);
     }
 
     #[test]

@@ -12,13 +12,16 @@ cargo build --release --workspace
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
-# Distributed group: the aggregated boundary exchange, the distributed
-# driver's serial-equivalence suite, and the zero-allocation gate for the
-# distributed step. Redundant with the workspace run above but named
-# explicitly so a failure localizes immediately.
+# Distributed group: the ghost-source boundary exchange, the distributed
+# driver's bitwise serial-equivalence suite, the rank-count invariance run
+# (1/2/4/5 ranks x mailbox/TCP x both schedules, plus a 2-worker hybrid
+# world, all hashing equal to the serial Dycore), and the zero-allocation
+# gate for the distributed step. Redundant with the workspace run above but
+# named explicitly so a failure localizes immediately.
 echo "== distributed test group"
 cargo test -q -p homme --lib bndry
 cargo test -q -p homme --lib dist
+cargo test -q -p homme --test rank_invariance
 cargo test -q -p homme --test dist_alloc
 cargo test -q -p swcam-bench --test distributed_step
 

@@ -63,8 +63,9 @@ fn multilevel_distributed_dss_matches_serial() {
             for (owned, fields) in results {
                 for (e, f) in owned.into_iter().zip(fields) {
                     for i in 0..nlev * NPTS {
-                        assert!(
-                            (f[i] - reference[e][i]).abs() < 1e-10,
+                        assert_eq!(
+                            f[i].to_bits(),
+                            reference[e][i].to_bits(),
                             "{mode:?} nranks={nranks} elem {e} idx {i}: {} vs {}",
                             f[i],
                             reference[e][i]
@@ -76,15 +77,16 @@ fn multilevel_distributed_dss_matches_serial() {
     }
 }
 
-/// The blocked kernel path commits the same bits as the scalar oracle in
-/// the distributed driver too: ten full steps across ranks, every
-/// prognostic field compared to the last bit.
+/// The distributed driver (blocked kernels, the only path a rank runs)
+/// commits the bits of the single oracle, the serial scalar `Dycore`: ten
+/// full steps across ranks, every prognostic field compared to the last
+/// bit.
 #[test]
 fn distributed_blocked_path_matches_scalar_bitwise() {
     use cubesphere::consts::P0;
     use cubesphere::Partition;
     use homme::hypervis::HypervisConfig;
-    use homme::{Dims, DistDycore, Dycore, DycoreConfig, KernelPath, State};
+    use homme::{Dims, DistDycore, Dycore, DycoreConfig, KernelPath};
 
     const NE: usize = 3;
     const NRANKS: usize = 4;
@@ -124,43 +126,40 @@ fn distributed_blocked_path_matches_scalar_bitwise() {
         st
     };
 
-    let run = |path: KernelPath| -> Vec<(Vec<usize>, State)> {
-        run_ranks(NRANKS, |ctx| {
-            let mut dist = DistDycore::new(
-                &grid,
-                &part,
-                ctx.rank(),
-                dims,
-                2000.0,
-                cfg,
-                ExchangeMode::Redesigned,
-            );
-            dist.kernels = path;
-            let mut local = dist.local_state(&init);
-            for step in 0..NSTEPS {
-                ctx.set_step(step as u64);
-                dist.step(ctx, &mut local).expect("step");
-            }
-            (dist.plan.owned.clone(), local)
-        })
-    };
+    let blocked = run_ranks(NRANKS, |ctx| {
+        let mut dist =
+            DistDycore::new(&grid, &part, ctx.rank(), dims, 2000.0, cfg, ExchangeMode::Redesigned);
+        assert_eq!(dist.kernels, KernelPath::Blocked);
+        let mut local = dist.local_state(&init);
+        for step in 0..NSTEPS {
+            ctx.set_step(step as u64);
+            dist.step(ctx, &mut local).expect("step");
+        }
+        (dist.plan.owned.clone(), local)
+    });
 
-    let scalar = run(KernelPath::Scalar);
-    let blocked = run(KernelPath::Blocked);
-    for (rank, ((owned_s, ss), (owned_b, sb))) in scalar.iter().zip(&blocked).enumerate() {
-        assert_eq!(owned_s, owned_b, "rank {rank} owns different elements");
-        for (name, fa, fb) in [
-            ("u", &ss.u, &sb.u),
-            ("v", &ss.v, &sb.v),
-            ("t", &ss.t, &sb.t),
-            ("dp3d", &ss.dp3d, &sb.dp3d),
-            ("qdp", &ss.qdp, &sb.qdp),
-        ] {
-            for (i, (x, y)) in fa.iter().zip(fb.iter()).enumerate() {
-                assert!(
-                    x.to_bits() == y.to_bits(),
-                    "rank {rank} {name}[{i}] differs: {x:e} vs {y:e}"
-                );
+    let mut oracle = serial;
+    oracle.kernels = KernelPath::Scalar;
+    let mut scalar = init.clone();
+    for _ in 0..NSTEPS {
+        oracle.step(&mut scalar);
+    }
+    for (rank, (owned, sb)) in blocked.iter().enumerate() {
+        for (li, &e) in owned.iter().enumerate() {
+            let (ss, sb) = (scalar.elem(e), sb.elem(li));
+            for (name, fa, fb) in [
+                ("u", ss.u, sb.u),
+                ("v", ss.v, sb.v),
+                ("t", ss.t, sb.t),
+                ("dp3d", ss.dp3d, sb.dp3d),
+                ("qdp", ss.qdp, sb.qdp),
+            ] {
+                for (i, (x, y)) in fa.iter().zip(fb.iter()).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits(),
+                        "rank {rank} elem {e} {name}[{i}] differs: {x:e} vs {y:e}"
+                    );
+                }
             }
         }
     }

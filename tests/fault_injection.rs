@@ -157,7 +157,7 @@ fn message_faults_do_not_change_the_answer() {
     let faulted = run_dist_steps(&grid, &part, &init, opts);
     assert_bitwise(&clean, &faulted, "faulted vs clean");
 
-    // And the clean distributed run tracks the serial engine to round-off.
+    // And the clean distributed run commits the serial engine's bits.
     let mut sdy = Dycore::new(NE, dims(), 2000.0, config());
     let mut st = init.clone();
     for _ in 0..NSTEPS {
@@ -169,9 +169,9 @@ fn message_faults_do_not_change_the_answer() {
             let rf = st.elem(e);
             for i in 0..dims().field_len() {
                 assert!(
-                    (es.u[i] - rf.u[i]).abs() < 1e-9
-                        && (es.t[i] - rf.t[i]).abs() < 1e-9
-                        && (es.dp3d[i] - rf.dp3d[i]).abs() < 1e-9,
+                    es.u[i].to_bits() == rf.u[i].to_bits()
+                        && es.t[i].to_bits() == rf.t[i].to_bits()
+                        && es.dp3d[i].to_bits() == rf.dp3d[i].to_bits(),
                     "clean dist vs serial: elem {e} idx {i}"
                 );
             }
