@@ -6,7 +6,7 @@
 //! 2 = rain water `qr` (all stored as mass `q * dp3d`).
 
 use cubesphere::NPTS;
-use homme::sched::ArenaMut;
+use homme::sched::Arena;
 use homme::{Dims, Dycore, ElemMut, ElemRef, HealthError, PhysicsFault, State};
 use std::sync::Mutex;
 use swphysics::{Column, PhysicsDiag, PhysicsError, PhysicsSuite};
@@ -90,7 +90,7 @@ pub fn physics_health_error(e: usize, p: usize, err: &PhysicsError) -> HealthErr
 ///
 /// Elements run in parallel on the dycore's scheduler, one job per element:
 /// the job loads each of the element's 16 columns into a [`Column`] owned by
-/// its worker ([`homme::ElemScheduler::run_with_scratch`]), steps it, and
+/// its worker ([`homme::ElemScheduler::with_scratch`]), steps it, and
 /// stores it back. Every column sees exactly the arithmetic of a serial
 /// column loop, so the state is bitwise independent of the worker count, and
 /// after the pool's first call nothing here allocates.
@@ -131,39 +131,33 @@ pub fn apply_physics_checked(
     let elements = &dy.grid.elements;
     // Lowest rejected `e * NPTS + p` so far, with its error.
     let first: Mutex<Option<(usize, HealthError)>> = Mutex::new(None);
-    let [u, v, t, dp3d, qdp, phis] =
-        [&mut state.u, &mut state.v, &mut state.t, &mut state.dp3d, &mut state.qdp, &mut state.phis]
-            .map(|f| ArenaMut::new(f));
-    let out = ArenaMut::new(diags);
-    dy.sched.run_with_scratch(nelem, || Column::with_capacity(dims.nlev), &|col, e| {
-        // SAFETY: job `e` slices only element `e`'s windows, and the
-        // scheduler runs every `e` exactly once.
-        let (mut es, diag) = unsafe {
-            let es = ElemMut {
-                u: u.slice(e * fl, fl),
-                v: v.slice(e * fl, fl),
-                t: t.slice(e * fl, fl),
-                dp3d: dp3d.slice(e * fl, fl),
-                qdp: qdp.slice(e * tl, tl),
-                phis: phis.slice(e * NPTS, NPTS),
-            };
-            (es, out.slice(e * NPTS, NPTS))
-        };
-        for p in 0..NPTS {
-            load_column(col, es.as_ref(), dims, ptop, p, elements[e].metric[p].lat, sst);
-            match suite.step_checked(col, dt) {
-                Ok(d) => diag[p] = d,
-                Err(err) => {
-                    let at = e * NPTS + p;
-                    let mut first = first.lock().unwrap_or_else(|poison| poison.into_inner());
-                    if first.as_ref().is_none_or(|&(lowest, _)| at < lowest) {
-                        *first = Some((at, physics_health_error(e, p, &err)));
+    let State { u, v, t, dp3d, qdp, phis, .. } = state;
+    let arenas = (
+        [u, v, t, dp3d].map(|f| Arena::new(f, fl, fl)),
+        (Arena::new(qdp, tl, tl), Arena::new(phis, NPTS, NPTS)),
+        Arena::new(diags, NPTS, NPTS),
+    );
+    let make = || Column::with_capacity(dims.nlev);
+    dy.sched.with_scratch(make, |cols| {
+        dy.sched.run_windows(0..nelem, (cols, arenas), |e, (col, windows)| {
+            let ([u, v, t, dp3d], (qdp, phis), diag) = windows;
+            let mut es = ElemMut { u, v, t, dp3d, qdp, phis };
+            for p in 0..NPTS {
+                load_column(col, es.as_ref(), dims, ptop, p, elements[e].metric[p].lat, sst);
+                match suite.step_checked(col, dt) {
+                    Ok(d) => diag[p] = d,
+                    Err(err) => {
+                        let at = e * NPTS + p;
+                        let mut first = first.lock().unwrap_or_else(|poison| poison.into_inner());
+                        if first.as_ref().is_none_or(|&(lowest, _)| at < lowest) {
+                            *first = Some((at, physics_health_error(e, p, &err)));
+                        }
+                        return;
                     }
-                    return;
                 }
+                store_column(col, &mut es, dims, p);
             }
-            store_column(col, &mut es, dims, p);
-        }
+        })
     });
     match first.into_inner().unwrap_or_else(|poison| poison.into_inner()) {
         Some((_, err)) => Err(err),

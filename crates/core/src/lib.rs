@@ -27,6 +27,8 @@
 //! assert!(model.sim_days() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod coupling;

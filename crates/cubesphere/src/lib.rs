@@ -14,6 +14,8 @@
 //!   statistics that feed the scaling performance model.
 //! * [`consts`] — physical constants (CESM `shr_const` values).
 
+#![forbid(unsafe_code)]
+
 pub mod consts;
 pub mod face;
 pub mod geom;

@@ -9,7 +9,7 @@
 
 use crate::deriv::ElemOps;
 use crate::kernels::blocked::{euler_stage_element_blocked, BlockedOps, StageCombine};
-use crate::sched::{ArenaMut, ElemScheduler};
+use crate::sched::{Arena, ElemScheduler};
 use crate::state::Dims;
 use cubesphere::NPTS;
 use std::ops::Range;
@@ -92,15 +92,12 @@ pub fn euler_substep_flat(
 ) {
     let fl = dims.field_len();
     let tl = dims.tracer_len();
-    let arena_out = ArenaMut::new(qdp_out);
-    sched.run(ops.len(), &|_w, e| {
+    sched.run_windows(0..ops.len(), Arena::new(qdp_out, tl, tl), |e, qout| {
         let op = &ops[e];
         let ue = &u[e * fl..(e + 1) * fl];
         let ve = &v[e * fl..(e + 1) * fl];
         let dpe = &dp[e * fl..(e + 1) * fl];
         let qin = &qdp_in[e * tl..(e + 1) * tl];
-        // Disjoint per-element window of the output arena.
-        let qout = unsafe { arena_out.slice(e * tl, tl) };
         for q in 0..dims.qsize {
             for k in 0..dims.nlev {
                 let r = dims.at(k, 0)..dims.at(k, 0) + NPTS;
@@ -139,7 +136,7 @@ pub fn euler_substep_flat(
 ///
 /// # Panics
 /// If the chunk does not fit in an `istride`- or `ostride`-wide window or
-/// past the arenas' tracers.
+/// past the arenas' tracers, or `qdp_out` ends inside `elems`' windows.
 #[allow(clippy::too_many_arguments)]
 pub fn euler_stage_flat_blocked(
     bops: &[BlockedOps],
@@ -166,14 +163,7 @@ pub fn euler_stage_flat_blocked(
         qs.end <= dims.qsize && len <= istride && len <= ostride,
         "euler_stage_flat_blocked: chunk {qs:?}"
     );
-    assert!(qdp_out.len() >= bops.len() * ostride, "euler_stage_flat_blocked: short output");
-    assert!(elems.end <= bops.len(), "euler_stage_flat_blocked: elements {elems:?}");
-    let arena_out = ArenaMut::new(qdp_out);
-    sched.run(elems.len(), &|_w, i| {
-        let e = elems.start + i;
-        // SAFETY: job `e` slices only its own `ostride`-wide window, inside
-        // the arena by the length check; the scheduler runs every `e` once.
-        let qout = unsafe { arena_out.slice(e * ostride, len) };
+    sched.run_windows(elems, Arena::new(qdp_out, ostride, len), |e, qout| {
         let chunk = e * tl + off..e * tl + off + len;
         euler_stage_element_blocked(
             &bops[e],

@@ -14,7 +14,7 @@ use crate::dss::Dss;
 use crate::kernels::blocked::{
     laplace_levels_blocked, vlaplace_levels_blocked, BlockedOps, KernelPath,
 };
-use crate::sched::{ArenaMut, ElemScheduler};
+use crate::sched::{Arena, ElemScheduler};
 use cubesphere::{CubedSphere, Element, NPTS};
 
 /// Floor on the smallest GLL gap, in **meters**.
@@ -441,19 +441,14 @@ pub fn laplace_flat(
     field: &mut [f64],
 ) {
     let fl = nlev * NPTS;
-    {
-        let arena = ArenaMut::new(field);
-        sched.run(ops.len(), &|_w, e| {
-            // Disjoint per-element window of the arena.
-            let f = unsafe { arena.slice(e * fl, fl) };
-            for k in 0..nlev {
-                let r = k * NPTS..(k + 1) * NPTS;
-                let mut lap = [0.0; NPTS];
-                ops[e].laplace_sphere_wk(&f[r.clone()], &mut lap);
-                f[r].copy_from_slice(&lap);
-            }
-        });
-    }
+    sched.run_windows(0..ops.len(), Arena::new(field, fl, fl), |e, f| {
+        for k in 0..nlev {
+            let r = k * NPTS..(k + 1) * NPTS;
+            let mut lap = [0.0; NPTS];
+            ops[e].laplace_sphere_wk(&f[r.clone()], &mut lap);
+            f[r].copy_from_slice(&lap);
+        }
+    });
     dss.apply_flat(field, nlev);
 }
 
@@ -479,22 +474,17 @@ pub fn vlaplace_flat(
     v: &mut [f64],
 ) {
     let fl = nlev * NPTS;
-    {
-        let au = ArenaMut::new(u);
-        let av = ArenaMut::new(v);
-        sched.run(ops.len(), &|_w, e| {
-            let ue = unsafe { au.slice(e * fl, fl) };
-            let ve = unsafe { av.slice(e * fl, fl) };
-            for k in 0..nlev {
-                let r = k * NPTS..(k + 1) * NPTS;
-                let mut lu = [0.0; NPTS];
-                let mut lv = [0.0; NPTS];
-                ops[e].vlaplace_sphere(&ue[r.clone()], &ve[r.clone()], &mut lu, &mut lv);
-                ue[r.clone()].copy_from_slice(&lu);
-                ve[r].copy_from_slice(&lv);
-            }
-        });
-    }
+    let uv = [Arena::new(&mut *u, fl, fl), Arena::new(&mut *v, fl, fl)];
+    sched.run_windows(0..ops.len(), uv, |e, [ue, ve]| {
+        for k in 0..nlev {
+            let r = k * NPTS..(k + 1) * NPTS;
+            let mut lu = [0.0; NPTS];
+            let mut lv = [0.0; NPTS];
+            ops[e].vlaplace_sphere(&ue[r.clone()], &ve[r.clone()], &mut lu, &mut lv);
+            ue[r.clone()].copy_from_slice(&lu);
+            ve[r].copy_from_slice(&lv);
+        }
+    });
     dss.apply_flat(u, nlev);
     dss.apply_flat(v, nlev);
 }
@@ -509,14 +499,9 @@ pub fn laplace_flat_blocked(
     field: &mut [f64],
 ) {
     let fl = nlev * NPTS;
-    {
-        let arena = ArenaMut::new(field);
-        sched.run(bops.len(), &|_w, e| {
-            // Disjoint per-element window of the arena.
-            let f = unsafe { arena.slice(e * fl, fl) };
-            laplace_levels_blocked(&bops[e], nlev, f);
-        });
-    }
+    sched.run_windows(0..bops.len(), Arena::new(field, fl, fl), |e, f| {
+        laplace_levels_blocked(&bops[e], nlev, f)
+    });
     dss.apply_flat(field, nlev);
 }
 
@@ -542,15 +527,10 @@ pub fn vlaplace_flat_blocked(
     v: &mut [f64],
 ) {
     let fl = nlev * NPTS;
-    {
-        let au = ArenaMut::new(u);
-        let av = ArenaMut::new(v);
-        sched.run(bops.len(), &|_w, e| {
-            let ue = unsafe { au.slice(e * fl, fl) };
-            let ve = unsafe { av.slice(e * fl, fl) };
-            vlaplace_levels_blocked(&bops[e], nlev, ue, ve);
-        });
-    }
+    let uv = [Arena::new(&mut *u, fl, fl), Arena::new(&mut *v, fl, fl)];
+    sched.run_windows(0..bops.len(), uv, |e, [ue, ve]| {
+        vlaplace_levels_blocked(&bops[e], nlev, ue, ve)
+    });
     dss.apply_flat(u, nlev);
     dss.apply_flat(v, nlev);
 }

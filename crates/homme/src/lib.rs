@@ -23,6 +23,13 @@
 //!   kernel: Reference ("Intel"), MPE, OpenACC, and the Athread redesign
 //!   with register-communication scans and shuffle transposition
 //!   (Sections 7.3–7.5), all verified to produce identical answers.
+//!
+//! Raw-pointer code lives in [`sched`] alone: the pool's job publication
+//! and the one function that cuts a sweep's element windows (its module
+//! doc carries the argument), plus the gather sweep's unchecked source
+//! read in [`prim`].
+
+#![deny(unsafe_code)]
 
 pub mod bndry;
 pub mod deriv;
@@ -36,6 +43,7 @@ pub mod kernels;
 pub mod prim;
 pub mod remap;
 pub mod rhs;
+#[allow(unsafe_code)]
 pub mod sched;
 pub mod seedref;
 pub mod state;

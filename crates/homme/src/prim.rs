@@ -44,10 +44,10 @@ use crate::kernels::member_lanes::{
 };
 use crate::remap::{remap_element_scalar, RemapError};
 use crate::rhs::{element_rhs_raw, Rhs};
-use crate::sched::{ArenaMut, ElemScheduler, PerWorker};
+use crate::sched::{Arena, ElemScheduler, PerWorker};
 use crate::state::{Dims, State};
 use crate::vert::VertCoord;
-use crate::workspace::{qchunk_width, DynFields, MemberLanes, StepWorkspace, WorkerScratch};
+use crate::workspace::{qchunk_width, DynFields, LaneFields, MemberLanes, StepWorkspace, WorkerScratch};
 use cubesphere::{CubedSphere, NPTS};
 use std::ops::Range;
 use std::sync::Mutex;
@@ -345,16 +345,8 @@ impl Dycore {
                 let sl = ks * NPTS;
                 let (su, sv, st): (&[f64], &[f64], &[f64]) = (&state.u, &state.v, &state.t);
                 let pass = |out: [&mut [f64]; 3], elems: Range<usize>| {
-                    let [ou, ov, ot] = out.map(|o| ArenaMut::new(&mut o[..nelem * sl]));
-                    sched.run(elems.len(), &|_w, i| {
-                        let e = elems.start + i;
-                        // SAFETY: job `e` takes only window `e` of each sponge
-                        // arena — inside it, since the arenas are cut to
-                        // `nelem` windows above — and the scheduler runs each
-                        // `e` once, so live windows never overlap.
-                        let (ou, ov, ot) = unsafe {
-                            (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
-                        };
+                    let out = out.map(|o| Arena::new(o, sl, sl));
+                    sched.run_windows(elems, out, |e, [ou, ov, ot]| {
                         sponge_pass_element_blocked(
                             &bops[e],
                             ks,
@@ -389,22 +381,9 @@ impl Dycore {
                 // arenas (the per-subcycle state copy is gone).
                 let [su, sv, st, sdp] = state.dyn_fields();
                 let pass = |hyp: &mut DynFields, elems: Range<usize>| {
-                    let [ou, ov, ot, odp] = hyp.fields_mut().map(ArenaMut::new);
-                    sched.run(elems.len(), &|_w, i| {
-                        let e = elems.start + i;
+                    let out = hyp.fields_mut().map(|o| Arena::new(o, fl, fl));
+                    sched.run_windows(elems, out, |e, [ou, ov, ot, odp]| {
                         let r = e * fl..(e + 1) * fl;
-                        // SAFETY: `hyp` holds `nelem` element windows
-                        // (`StepWorkspace::new`); job `e` takes only window `e`
-                        // of each arena, and the scheduler runs each `e` once,
-                        // so live windows never overlap.
-                        let (ou, ov, ot, odp) = unsafe {
-                            (
-                                ou.slice(e * fl, fl),
-                                ov.slice(e * fl, fl),
-                                ot.slice(e * fl, fl),
-                                odp.slice(e * fl, fl),
-                            )
-                        };
                         hypervis_pass_element_blocked(
                             &bops[e],
                             nlev,
@@ -565,9 +544,6 @@ impl Dycore {
         let fl = dims.field_len();
         ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops)?;
         let nelem = ops.len();
-        // Disjointness: `members` is strictly increasing (asserted above),
-        // so the raw-pointer reborrows below hand out non-aliasing `&mut`s.
-        let base = states.as_mut_ptr();
         let mut done = 0;
         if use_lanes {
             // Lane-transposed path: sweep members in *full* groups of four,
@@ -580,12 +556,7 @@ impl Dycore {
             // pinned by the kernel tests) for targets where a lane sweep
             // is cheaper than a chunk pass at any width.
             while members.len() - done >= 4 {
-                let idx = &members[done..done + 4];
-                // SAFETY: `members` is strictly increasing and inside `states`
-                // (asserted above), so the reborrows are in bounds and pairwise
-                // distinct.
-                let chunk: [&mut State; 4] =
-                    core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
+                let chunk = pick(states, &members[done..done + 4]);
                 hypervis_members_lanes::<4>(
                     sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem, &mut ens.tiles, chunk,
                     subcycles,
@@ -606,36 +577,17 @@ impl Dycore {
             // serial). M=2 shares the coefficient walk without spilling.
             let take = if left >= 2 { 2 } else { 1 };
             let idx = &members[done..done + take];
-            let (lanes_head, _) = ens.lanes.split_at_mut(done + take);
-            let lanes = &mut lanes_head[done..];
+            let lanes = &mut ens.lanes[done..];
+            let sponge = (&mut ws.sponge_u[..], &mut ws.sponge_v[..], &mut ws.sponge_t[..]);
             match take {
-                2 => {
-                    // SAFETY: `members` is strictly increasing and inside
-                    // `states` (asserted above), so the reborrows are in bounds
-                    // and pairwise distinct.
-                    let chunk: [&mut State; 2] =
-                        core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
-                    let mut it = lanes.iter_mut();
-                    let hyps: [&mut DynFields; 2] = core::array::from_fn(|_| it.next().unwrap());
-                    hypervis_members_chunk::<2>(
-                        sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem,
-                        (&mut ws.sponge_u, &mut ws.sponge_v, &mut ws.sponge_t),
-                        chunk, hyps, [&mut ws.next, &mut ws.stage], subcycles,
-                    );
-                }
-                _ => {
-                    // SAFETY: `members` is strictly increasing and inside
-                    // `states` (asserted above), so the reborrows are in bounds
-                    // and pairwise distinct.
-                    let chunk: [&mut State; 1] = [unsafe { &mut *base.add(idx[0]) }];
-                    let mut it = lanes.iter_mut();
-                    let hyps: [&mut DynFields; 1] = core::array::from_fn(|_| it.next().unwrap());
-                    hypervis_members_chunk::<1>(
-                        sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem,
-                        (&mut ws.sponge_u, &mut ws.sponge_v, &mut ws.sponge_t),
-                        chunk, hyps, [&mut ws.next], subcycles,
-                    );
-                }
+                2 => hypervis_members_chunk::<2>(
+                    sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem, sponge, pick(states, idx),
+                    lanes.first_chunk_mut().unwrap().each_mut(), [&mut ws.next, &mut ws.stage], subcycles,
+                ),
+                _ => hypervis_members_chunk::<1>(
+                    sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem, sponge, pick(states, idx),
+                    [&mut lanes[0]], [&mut ws.next], subcycles,
+                ),
             }
             done += take;
         }
@@ -677,24 +629,16 @@ impl Dycore {
             let fl = dims.field_len();
             let ptop = rhs.vert.ptop();
             let nelem = bops.len();
-            // Disjointness: `members` is strictly increasing (asserted
-            // above), so the raw-pointer reborrows below hand out
-            // non-aliasing `&mut`s. Full groups of four only — a partial
-            // lane group pays the whole 4-wide arithmetic, so the ragged
-            // tail steps member-serially below instead.
-            let base = states.as_mut_ptr();
+            // Full groups of four only — a partial lane group pays the whole
+            // 4-wide arithmetic, so the ragged tail steps member-serially
+            // below instead.
             while members.len() - done >= 4 {
-                let idx = &members[done..done + 4];
-                // SAFETY: `members` is strictly increasing and inside `states`
-                // (asserted above), so the reborrows are in bounds and pairwise
-                // distinct.
-                let chunk: [&mut State; 4] =
-                    core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
+                let chunk = pick(states, &members[done..done + 4]);
                 dynamics_members_lanes::<4>(
                     sched,
                     gather,
                     bops,
-                    &ws.workers,
+                    &mut ws.workers,
                     nlev,
                     fl,
                     nelem,
@@ -846,28 +790,18 @@ impl Dycore {
         let fl = dims.field_len();
         let tl = dims.tracer_len();
         let vert = &rhs.vert;
-        let workers = &ws.workers;
         // The failing element with the lowest index, with its error: the
         // one a serial loop would have stopped at, whatever the worker
         // count (workers cannot propagate `?` through the scheduler
         // closure).
         let failure: Mutex<Option<(usize, RemapError)>> = Mutex::new(None);
-        let au = ArenaMut::new(&mut state.u[..ops.len() * fl]);
-        let av = ArenaMut::new(&mut state.v[..ops.len() * fl]);
-        let at = ArenaMut::new(&mut state.t[..ops.len() * fl]);
-        let adp = ArenaMut::new(&mut state.dp3d[..ops.len() * fl]);
-        let aq = ArenaMut::new(&mut state.qdp[..ops.len() * tl]);
-        sched.run(ops.len(), &|w, e| {
-            // SAFETY: the scheduler runs one job at a time per worker id, so
-            // slot `w` has no other live reference; job `e` takes only element
-            // `e`'s window of each state arena — inside it, since the arenas
-            // are cut to `ops.len()` elements above — and each `e` runs once.
-            let scratch = unsafe { workers.get(w) };
-            let u = unsafe { au.slice(e * fl, fl) };
-            let v = unsafe { av.slice(e * fl, fl) };
-            let t = unsafe { at.slice(e * fl, fl) };
-            let dp3d = unsafe { adp.slice(e * fl, fl) };
-            let qdp = unsafe { aq.slice(e * tl, tl) };
+        let State { u, v, t, dp3d, qdp, .. } = state;
+        let arenas = (
+            &mut ws.workers,
+            [u, v, t, dp3d].map(|f| Arena::new(f, fl, fl)),
+            Arena::new(qdp, tl, tl),
+        );
+        sched.run_windows(0..ops.len(), arenas, |e, (scratch, [u, v, t, dp3d], qdp)| {
             let res = match kernels {
                 KernelPath::Blocked => {
                     // Build the dp3d-only plan once, then stream u/v/t and
@@ -1032,7 +966,7 @@ impl Dycore {
                 KernelPath::Blocked => {
                     let (bnd, int) = halo.split(bops.len());
                     let base = state.dyn_fields();
-                    let rk = |hyp: &mut DynFields, elems: Range<usize>| {
+                    let mut rk = |hyp: &mut DynFields, elems: Range<usize>| {
                         rk_rhs_sweep(bops, rhs, nlev, sched, workers, base, eval, &state.phis, c * dt, hyp, elems)
                     };
                     rk(hyp, bnd);
@@ -1145,20 +1079,19 @@ impl Dycore {
 /// If a source or destination arena is shorter than the sweep reaches
 /// ([`DssGather::span`]), or a window is wider than its element's stride.
 #[allow(clippy::too_many_arguments)]
-fn dss_sweep<L: crate::dss::Lane + Send + Sync, const F: usize>(
+fn dss_sweep<L: crate::dss::Lane + Send + Sync + 'static, const F: usize>(
     sched: &ElemScheduler,
     gather: &DssGather,
     levels: usize,
     src: [&[L]; F],
     sstride: usize,
     coefs: Option<[&[f64]; F]>,
-    dst: [&mut [L]; F],
+    mut dst: [&mut [L]; F],
     dstride: usize,
     then: impl Fn(usize, [&mut [L]; F]) + Sync,
 ) {
-    let dst = sweep_arenas(gather, levels, &src, sstride, dst, dstride);
     let all = 0..gather.nelem();
-    sweep_elems(sched, gather, all, levels, src, sstride, coefs, dst, dstride, no_ghosts, &then);
+    sweep_elems(sched, gather, all, levels, src, sstride, coefs, &mut dst, dstride, no_ghosts, &then);
 }
 
 /// [`dss_sweep`] on a rank: the one exchange of `src` behind `halo`
@@ -1176,41 +1109,25 @@ fn halo_sweep<const F: usize>(
     src: [&[f64]; F],
     sstride: usize,
     coefs: Option<[&[f64]; F]>,
-    dst: [&mut [f64]; F],
+    mut dst: [&mut [f64]; F],
     dstride: usize,
     then: impl Fn(usize, [&mut [f64]; F]) + Sync,
 ) -> Result<(), CommError> {
-    let dst = sweep_arenas(gather, levels, &src, sstride, dst, dstride);
     let (bnd, int) = halo.split(gather.nelem());
     halo.land(src, levels, sstride)?;
-    sweep_elems(sched, gather, int, levels, src, sstride, coefs, dst, dstride, no_ghosts, &then);
+    sweep_elems(sched, gather, int, levels, src, sstride, coefs, &mut dst, dstride, no_ghosts, &then);
     halo.wait()?;
     let msgs = halo.landed();
     let ghost = |f: usize, k: usize, g: usize| gather.ghost_value(msgs, levels, f, k, g);
-    sweep_elems(sched, gather, bnd, levels, src, sstride, coefs, dst, dstride, ghost, &then);
+    sweep_elems(sched, gather, bnd, levels, src, sstride, coefs, &mut dst, dstride, ghost, &then);
     halo.release();
     Ok(())
 }
 
-/// The checked destination views of a gather sweep.
-fn sweep_arenas<'a, L, const F: usize>(
-    gather: &DssGather,
-    levels: usize,
-    src: &[&[L]; F],
-    sstride: usize,
-    dst: [&'a mut [L]; F],
-    dstride: usize,
-) -> [ArenaMut<'a, L>; F] {
-    assert!(levels * NPTS <= dstride, "dss_sweep: {levels}-level window overlaps the next element");
-    assert!(src.iter().all(|s| s.len() >= gather.span(levels, sstride)), "dss_sweep: short source");
-    assert!(dst.iter().all(|d| d.len() >= gather.span(levels, dstride)), "dss_sweep: short dest");
-    dst.map(ArenaMut::new)
-}
-
-/// The gather sweep over the elements `elems`, into destination views
-/// [`sweep_arenas`] checked.
+/// The gather sweep of [`dss_sweep`] over the elements `elems`.
 #[allow(clippy::too_many_arguments)]
-fn sweep_elems<L: crate::dss::Lane + Send + Sync, const F: usize>(
+#[allow(unsafe_code)]
+fn sweep_elems<L: crate::dss::Lane + Send + Sync + 'static, const F: usize>(
     sched: &ElemScheduler,
     gather: &DssGather,
     elems: Range<usize>,
@@ -1218,25 +1135,17 @@ fn sweep_elems<L: crate::dss::Lane + Send + Sync, const F: usize>(
     src: [&[L]; F],
     sstride: usize,
     coefs: Option<[&[f64]; F]>,
-    dst: [ArenaMut<L>; F],
+    dst: &mut [&mut [L]; F],
     dstride: usize,
     ghost: impl Fn(usize, usize, usize) -> L + Sync,
     then: &(impl Fn(usize, [&mut [L]; F]) + Sync),
 ) {
-    let wlen = levels * NPTS;
-    sched.run(elems.len(), &|_w, i| {
-        let e = elems.start + i;
+    assert!(src.iter().all(|s| s.len() >= gather.span(levels, sstride)), "dss_sweep: short source");
+    let dst = dst.each_mut().map(|d| Arena::new(d, dstride, levels * NPTS));
+    sched.run_windows(elems, dst, |e, mut win| {
         // Rebind the captured tables to locals, so the gather loop does not
-        // reload them from the closure after every store through the
-        // raw-pointer window.
+        // reload them from the closure after every store to the window.
         let (src, coefs) = (src, coefs);
-        // SAFETY: `src` is shared-borrowed for the whole sweep and therefore
-        // read-only; `dst` is written element-disjointly — job `e` slices
-        // only `[e * dstride, e * dstride + wlen)` of each destination arena
-        // (inside it by `sweep_arenas`' span check, disjoint from `e + 1`'s
-        // by `wlen <= dstride`) and the scheduler runs every `e` exactly once.
-        let mut win: [&mut [L]; F] =
-            core::array::from_fn(|f| unsafe { dst[f].slice(e * dstride, wlen) });
         // A single-field sweep keeps the checked read: its scalar loads beat
         // the hardware gather the compiler emits for an unchecked indexed
         // load. A multi-field sweep needs the unchecked read, or the bounds
@@ -1248,7 +1157,7 @@ fn sweep_elems<L: crate::dss::Lane + Send + Sync, const F: usize>(
             } else {
                 // SAFETY: the plan only yields indices below
                 // `gather.span(levels, sstride)`, which every source covers
-                // (checked once in `sweep_arenas`).
+                // (asserted above).
                 unsafe { *src[f].get_unchecked(i) }
             }
         };
@@ -1267,7 +1176,7 @@ fn rk_rhs_sweep(
     rhs: &Rhs,
     nlev: usize,
     sched: &ElemScheduler,
-    workers: &PerWorker<WorkerScratch>,
+    workers: &mut PerWorker<WorkerScratch>,
     base: [&[f64]; 4],
     eval: [&[f64]; 4],
     phis: &[f64],
@@ -1279,15 +1188,8 @@ fn rk_rhs_sweep(
     let ptop = rhs.vert.ptop();
     let [bu, bv, bt, bdp] = base;
     let [eu, ev, et, edp] = eval;
-    assert!(raw.fields().iter().all(|f| f.len() >= bops.len() * fl), "rk_rhs_sweep: short raw");
-    assert!(elems.end <= bops.len(), "rk_rhs_sweep: elements {elems:?}");
-    let [ou, ov, ot, odp] = raw.fields_mut().map(ArenaMut::new);
-    sched.run(elems.len(), &|w, i| {
-        let e = elems.start + i;
-        // SAFETY: worker `w` owns its scratch slot; job `e` writes only its
-        // own element window of each raw arena (inside it by the length
-        // check), and the scheduler runs every `e` once.
-        let scratch = unsafe { workers.get(w) };
+    let out = raw.fields_mut().map(|o| Arena::new(o, fl, fl));
+    sched.run_windows(elems, (workers, out), |e, (scratch, [ou, ov, ot, odp])| {
         let r = e * fl..(e + 1) * fl;
         element_rhs_apply_blocked(
             &bops[e],
@@ -1303,11 +1205,10 @@ fn rk_rhs_sweep(
             &bt[r.clone()],
             &bdp[r],
             c_dt,
-            // SAFETY: element `e`'s window of each raw arena, as above.
-            unsafe { ou.slice(e * fl, fl) },
-            unsafe { ov.slice(e * fl, fl) },
-            unsafe { ot.slice(e * fl, fl) },
-            unsafe { odp.slice(e * fl, fl) },
+            ou,
+            ov,
+            ot,
+            odp,
             &mut scratch.rhs,
         );
     });
@@ -1324,7 +1225,7 @@ fn rk_substep_scalar(
     rhs: &Rhs,
     dims: Dims,
     sched: &ElemScheduler,
-    workers: &PerWorker<WorkerScratch>,
+    workers: &mut PerWorker<WorkerScratch>,
     base: [&[f64]; 4],
     eval: [&[f64]; 4],
     phis: &[f64],
@@ -1336,42 +1237,32 @@ fn rk_substep_scalar(
     let ptop = rhs.vert.ptop();
     let [bu, bv, bt, bdp] = base;
     let [eu, ev, et, edp] = eval;
-    assert!(out.fields().iter().all(|f| f.len() >= ops.len() * fl), "rk_substep_scalar: short out");
-    {
-        let [ou, ov, ot, odp] = out.fields_mut().map(ArenaMut::new);
-        sched.run(ops.len(), &|w, e| {
-            // SAFETY: as in `rk_rhs_sweep`: a private scratch slot per
-            // worker, and element-disjoint windows inside the checked arenas.
-            let WorkerScratch { tend, rhs: rhs_scratch, .. } = unsafe { workers.get(w) };
-            let r = e * fl..(e + 1) * fl;
-            // SAFETY: element `e`'s window of each `out` arena, as above.
-            let ou = unsafe { ou.slice(e * fl, fl) };
-            let ov = unsafe { ov.slice(e * fl, fl) };
-            let ot = unsafe { ot.slice(e * fl, fl) };
-            let odp = unsafe { odp.slice(e * fl, fl) };
-            element_rhs_raw(
-                &ops[e],
-                nlev,
-                ptop,
-                &eu[r.clone()],
-                &ev[r.clone()],
-                &et[r.clone()],
-                &edp[r.clone()],
-                &phis[e * NPTS..(e + 1) * NPTS],
-                &mut tend.u,
-                &mut tend.v,
-                &mut tend.t,
-                &mut tend.dp3d,
-                rhs_scratch,
-            );
-            for i in 0..fl {
-                ou[i] = bu[r.start + i] + c_dt * tend.u[i];
-                ov[i] = bv[r.start + i] + c_dt * tend.v[i];
-                ot[i] = bt[r.start + i] + c_dt * tend.t[i];
-                odp[i] = bdp[r.start + i] + c_dt * tend.dp3d[i];
-            }
-        });
-    }
+    let arenas = (workers, out.fields_mut().map(|o| Arena::new(o, fl, fl)));
+    sched.run_windows(0..ops.len(), arenas, |e, (scratch, [ou, ov, ot, odp])| {
+        let WorkerScratch { tend, rhs: rhs_scratch, .. } = scratch;
+        let r = e * fl..(e + 1) * fl;
+        element_rhs_raw(
+            &ops[e],
+            nlev,
+            ptop,
+            &eu[r.clone()],
+            &ev[r.clone()],
+            &et[r.clone()],
+            &edp[r.clone()],
+            &phis[e * NPTS..(e + 1) * NPTS],
+            &mut tend.u,
+            &mut tend.v,
+            &mut tend.t,
+            &mut tend.dp3d,
+            rhs_scratch,
+        );
+        for i in 0..fl {
+            ou[i] = bu[r.start + i] + c_dt * tend.u[i];
+            ov[i] = bv[r.start + i] + c_dt * tend.v[i];
+            ot[i] = bt[r.start + i] + c_dt * tend.t[i];
+            odp[i] = bdp[r.start + i] + c_dt * tend.dp3d[i];
+        }
+    });
     for f in out.fields_mut() {
         dss.apply_flat(f, nlev);
     }
@@ -1386,6 +1277,15 @@ fn finish_tracer_stage(ops: &[ElemOps], dss: &mut Dss, dims: Dims, limiter: bool
     }
 }
 
+/// The members `idx` of `states`, as `N` distinct `&mut`s.
+///
+/// # Panics
+/// If `idx` is not `N` distinct indices into `states`.
+fn pick<'a, const N: usize>(states: &'a mut [State], idx: &[usize]) -> [&'a mut State; N] {
+    let idx: [usize; N] = idx.try_into().expect("member chunk width");
+    states.get_disjoint_mut(idx).expect("members are distinct indices into states")
+}
+
 /// The one-rank result of a stage-loop call: a one-rank halo never
 /// exchanges, so only a health verdict can fail it.
 fn serial<T>(r: Result<T, DistError>) -> Result<T, HealthError> {
@@ -1395,12 +1295,13 @@ fn serial<T>(r: Result<T, DistError>) -> Result<T, HealthError> {
     })
 }
 
-/// One member's borrowed `(u, v, t, dp3d)` element slices.
-type UvtdpRef<'a> = (&'a [f64], &'a [f64], &'a [f64], &'a [f64]);
-
-/// Per-member mutable `(u, v, t, dp3d)` element slices for an `M`-chunk.
-type UvtdpMut<'a, const M: usize> =
-    ([&'a mut [f64]; M], [&'a mut [f64]; M], [&'a mut [f64]; M], [&'a mut [f64]; M]);
+/// The `(u, v, t, dp3d)` arenas of `M` members as element windows of
+/// width `fl`, grouped by field: a job gets `[u, v, t, dp3d]`, each one
+/// window per member.
+fn by_field<'a, const M: usize>(sets: &'a mut [&mut DynFields; M], fl: usize) -> [[Arena<'a, f64>; M]; 4] {
+    let mut fields = sets.each_mut().map(|d| d.fields_mut().map(Some));
+    core::array::from_fn(|f| core::array::from_fn(|m| Arena::new(fields[m][f].take().unwrap(), fl, fl)))
+}
 
 /// Subcycled biharmonic hyperviscosity for one chunk of `M` ensemble
 /// members, mirroring the blocked arm of [`Dycore::apply_hypervis_n`]
@@ -1436,31 +1337,20 @@ fn hypervis_members_chunk<const M: usize>(
         let sl = ks * NPTS;
         let (sp_u, sp_v, sp_t) = sponge;
         for st_m in states.iter_mut() {
-            {
-                let ou = ArenaMut::new(&mut sp_u[..nelem * sl]);
-                let ov = ArenaMut::new(&mut sp_v[..nelem * sl]);
-                let ot = ArenaMut::new(&mut sp_t[..nelem * sl]);
-                let (su, sv, st): (&[f64], &[f64], &[f64]) = (&st_m.u, &st_m.v, &st_m.t);
-                sched.run(nelem, &|_w, e| {
-                    // SAFETY: job `e` takes only window `e` of each sponge
-                    // arena — inside it, since the arenas are cut to `nelem`
-                    // windows above — and the scheduler runs each `e` once, so
-                    // live windows never overlap.
-                    let (ou, ov, ot) = unsafe {
-                        (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
-                    };
-                    sponge_pass_element_blocked(
-                        &bops[e],
-                        ks,
-                        &su[e * fl..e * fl + sl],
-                        &sv[e * fl..e * fl + sl],
-                        &st[e * fl..e * fl + sl],
-                        ou,
-                        ov,
-                        ot,
-                    );
-                });
-            }
+            let out = [&mut *sp_u, &mut *sp_v, &mut *sp_t].map(|o| Arena::new(o, sl, sl));
+            let (su, sv, st): (&[f64], &[f64], &[f64]) = (&st_m.u, &st_m.v, &st_m.t);
+            sched.run_windows(0..nelem, out, |e, [ou, ov, ot]| {
+                sponge_pass_element_blocked(
+                    &bops[e],
+                    ks,
+                    &su[e * fl..e * fl + sl],
+                    &sv[e * fl..e * fl + sl],
+                    &st[e * fl..e * fl + sl],
+                    ou,
+                    ov,
+                    ot,
+                );
+            });
             dss_sweep(
                 sched,
                 gather,
@@ -1478,49 +1368,11 @@ fn hypervis_members_chunk<const M: usize>(
         // First Laplacian of every member's (u, v, T, dp3d): the fused
         // member-batched coefficient walk, state -> hyp lanes.
         {
-            struct Lane<'a> {
-                u: ArenaMut<'a>,
-                v: ArenaMut<'a>,
-                t: ArenaMut<'a>,
-                dp: ArenaMut<'a>,
-            }
-            let lanes: [Lane; M] = {
-                let mut it = hyps.iter_mut();
-                core::array::from_fn(|_| {
-                    let h = it.next().unwrap();
-                    Lane {
-                        u: ArenaMut::new(&mut h.u),
-                        v: ArenaMut::new(&mut h.v),
-                        t: ArenaMut::new(&mut h.t),
-                        dp: ArenaMut::new(&mut h.dp3d),
-                    }
-                })
-            };
-            let srcs: [UvtdpRef; M] = {
-                let mut it = states.iter();
-                core::array::from_fn(|_| {
-                    let s = it.next().unwrap();
-                    (&s.u[..], &s.v[..], &s.t[..], &s.dp3d[..])
-                })
-            };
-            sched.run(nelem, &|_w, e| {
+            let srcs = states.each_ref().map(|s| s.dyn_fields());
+            sched.run_windows(0..nelem, by_field(&mut hyps, fl), |e, [mut ou, mut ov, mut ot, mut odp]| {
                 let r = e * fl..(e + 1) * fl;
-                let su: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].0[r.clone()]);
-                let sv: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].1[r.clone()]);
-                let st: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].2[r.clone()]);
-                let sdp: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].3[r.clone()]);
-                // SAFETY: each member's `hyp` lane holds `nelem` element
-                // windows (`EnsembleWorkspace::new`); job `e` takes only window
-                // `e` of each, the `M` lanes are distinct `&mut` borrows, and
-                // each `e` runs once, so live windows never overlap.
-                let (mut ou, mut ov, mut ot, mut odp): UvtdpMut<M> = unsafe {
-                    (
-                        core::array::from_fn(|m| lanes[m].u.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].v.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].t.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].dp.slice(e * fl, fl)),
-                    )
-                };
+                let [su, sv, st, sdp]: [[&[f64]; M]; 4] =
+                    core::array::from_fn(|f| core::array::from_fn(|m| &srcs[m][f][r.clone()]));
                 hypervis_pass_element_members_blocked::<M>(
                     &bops[e], nlev, &su, &sv, &st, &sdp, &mut ou, &mut ov, &mut ot, &mut odp,
                 );
@@ -1530,41 +1382,9 @@ fn hypervis_members_chunk<const M: usize>(
             dss_sweep(sched, gather, nlev, h.fields(), fl, None, s2.fields_mut(), fl, |_, _| {});
         }
         // Second Laplacian in place (del^4 = lap(lap)), again batched.
-        {
-            struct Lane<'a> {
-                u: ArenaMut<'a>,
-                v: ArenaMut<'a>,
-                t: ArenaMut<'a>,
-                dp: ArenaMut<'a>,
-            }
-            let lanes: [Lane; M] = {
-                let mut it = seconds.iter_mut();
-                core::array::from_fn(|_| {
-                    let h = it.next().unwrap();
-                    Lane {
-                        u: ArenaMut::new(&mut h.u),
-                        v: ArenaMut::new(&mut h.v),
-                        t: ArenaMut::new(&mut h.t),
-                        dp: ArenaMut::new(&mut h.dp3d),
-                    }
-                })
-            };
-            sched.run(nelem, &|_w, e| {
-                // SAFETY: each `seconds` arena set holds `nelem` element
-                // windows (`StepWorkspace::new`); job `e` takes only window `e`
-                // of each, the `M` sets are distinct `&mut` borrows, and each
-                // `e` runs once, so live windows never overlap.
-                let (mut u, mut v, mut t, mut dp): UvtdpMut<M> = unsafe {
-                    (
-                        core::array::from_fn(|m| lanes[m].u.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].v.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].t.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].dp.slice(e * fl, fl)),
-                    )
-                };
-                hypervis_pass_levels_members_blocked::<M>(&bops[e], nlev, &mut u, &mut v, &mut t, &mut dp);
-            });
-        }
+        sched.run_windows(0..nelem, by_field(&mut seconds, fl), |e, [mut u, mut v, mut t, mut dp]| {
+            hypervis_pass_levels_members_blocked::<M>(&bops[e], nlev, &mut u, &mut v, &mut t, &mut dp);
+        });
         // Damping folded into the final DSS gather, per member.
         for (s2, st_m) in seconds.iter().zip(states.iter_mut()) {
             dss_sweep(
@@ -1605,31 +1425,24 @@ fn hypervis_members_lanes<const M: usize>(
     mut states: [&mut State; M],
     subcycles: usize,
 ) {
-    {
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].u[..]);
-        gather_member_tile(&srcs, &mut tiles.stage.u);
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].v[..]);
-        gather_member_tile(&srcs, &mut tiles.stage.v);
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].t[..]);
-        gather_member_tile(&srcs, &mut tiles.stage.t);
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].dp3d[..]);
-        gather_member_tile(&srcs, &mut tiles.stage.dp3d);
-    }
+    gather_members(&states, &mut tiles.stage);
     hypervis_lanes_core(sched, gather, bops, plan, hv, nlev, fl, nelem, tiles, subcycles);
-    {
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] = core::array::from_fn(|_| &mut it.next().unwrap().u[..]);
-        scatter_member_tile(&tiles.stage.u, &mut dsts);
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] = core::array::from_fn(|_| &mut it.next().unwrap().v[..]);
-        scatter_member_tile(&tiles.stage.v, &mut dsts);
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] = core::array::from_fn(|_| &mut it.next().unwrap().t[..]);
-        scatter_member_tile(&tiles.stage.t, &mut dsts);
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] =
-            core::array::from_fn(|_| &mut it.next().unwrap().dp3d[..]);
-        scatter_member_tile(&tiles.stage.dp3d, &mut dsts);
+    scatter_members(&tiles.stage, &mut states);
+}
+
+/// Interleave the members' `(u, v, t, dp3d)` into the lane tiles `tiles`.
+fn gather_members<const M: usize>(states: &[&mut State; M], tiles: &mut LaneFields) {
+    for (f, tile) in tiles.fields_mut().into_iter().enumerate() {
+        let srcs: [&[f64]; M] = core::array::from_fn(|m| states[m].dyn_fields()[f]);
+        gather_member_tile(&srcs, tile);
+    }
+}
+
+/// Scatter the live lanes of `tiles` back to the members' `(u, v, t, dp3d)`.
+fn scatter_members<const M: usize>(tiles: &LaneFields, states: &mut [&mut State; M]) {
+    for (f, tile) in tiles.fields().into_iter().enumerate() {
+        let mut dsts = states.each_mut().map(|s| s.dyn_fields_mut().into_iter().nth(f).unwrap());
+        scatter_member_tile(tile, &mut dsts);
     }
 }
 
@@ -1656,19 +1469,10 @@ fn hypervis_lanes_core(
         let ks = plan.ks;
         let sl = ks * NPTS;
         {
-            let ou = ArenaMut::new(&mut tiles.sponge_u[..nelem * sl]);
-            let ov = ArenaMut::new(&mut tiles.sponge_v[..nelem * sl]);
-            let ot = ArenaMut::new(&mut tiles.sponge_t[..nelem * sl]);
-            let (su, sv, st): (&[V4F64], &[V4F64], &[V4F64]) =
-                (&tiles.stage.u, &tiles.stage.v, &tiles.stage.t);
-            sched.run(nelem, &|_w, e| {
-                // SAFETY: job `e` takes only window `e` of each sponge arena —
-                // inside it, since the arenas are cut to `nelem` windows above
-                // — and the scheduler runs each `e` once, so live windows never
-                // overlap.
-                let (ou, ov, ot) = unsafe {
-                    (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
-                };
+            let MemberLanes { sponge_u, sponge_v, sponge_t, stage, .. } = tiles;
+            let out = [sponge_u, sponge_v, sponge_t].map(|o| Arena::new(o, sl, sl));
+            let (su, sv, st): (&[V4F64], &[V4F64], &[V4F64]) = (&stage.u, &stage.v, &stage.t);
+            sched.run_windows(0..nelem, out, |e, [ou, ov, ot]| {
                 sponge_pass_member_lanes(
                     &bops[e],
                     ks,
@@ -1701,26 +1505,10 @@ fn hypervis_lanes_core(
         // First Laplacian of (u, v, T, dp3d): one fused coefficient walk
         // per element, straight from the stage tile into the hyp tile.
         {
-            let ou = ArenaMut::new(&mut tiles.hyp.u);
-            let ov = ArenaMut::new(&mut tiles.hyp.v);
-            let ot = ArenaMut::new(&mut tiles.hyp.t);
-            let odp = ArenaMut::new(&mut tiles.hyp.dp3d);
-            let (su, sv, st, sdp): (&[V4F64], &[V4F64], &[V4F64], &[V4F64]) =
-                (&tiles.stage.u, &tiles.stage.v, &tiles.stage.t, &tiles.stage.dp3d);
-            sched.run(nelem, &|_w, e| {
+            let out = tiles.hyp.fields_mut().map(|o| Arena::new(o, fl, fl));
+            let [su, sv, st, sdp] = tiles.stage.fields();
+            sched.run_windows(0..nelem, out, |e, [ou, ov, ot, odp]| {
                 let r = e * fl..(e + 1) * fl;
-                // SAFETY: the `hyp` tile holds `nelem` element windows
-                // (`MemberLanes::new`); job `e` takes only window `e` of each
-                // arena, and the scheduler runs each `e` once, so live windows
-                // never overlap.
-                let (ou, ov, ot, odp) = unsafe {
-                    (
-                        ou.slice(e * fl, fl),
-                        ov.slice(e * fl, fl),
-                        ot.slice(e * fl, fl),
-                        odp.slice(e * fl, fl),
-                    )
-                };
                 hypervis_pass_member_lanes(
                     &bops[e],
                     nlev,
@@ -1778,7 +1566,7 @@ fn dynamics_members_lanes<const M: usize>(
     sched: &ElemScheduler,
     gather: &DssGather,
     bops: &[BlockedOps],
-    workers: &PerWorker<WorkerScratch>,
+    workers: &mut PerWorker<WorkerScratch>,
     nlev: usize,
     fl: usize,
     nelem: usize,
@@ -1787,48 +1575,17 @@ fn dynamics_members_lanes<const M: usize>(
     tiles: &mut MemberLanes,
     mut states: [&mut State; M],
 ) {
-    {
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].u[..]);
-        gather_member_tile(&srcs, &mut tiles.base.u);
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].v[..]);
-        gather_member_tile(&srcs, &mut tiles.base.v);
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].t[..]);
-        gather_member_tile(&srcs, &mut tiles.base.t);
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].dp3d[..]);
-        gather_member_tile(&srcs, &mut tiles.base.dp3d);
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| &states[m].phis[..]);
-        gather_member_tile(&srcs, &mut tiles.phis);
+    gather_members(&states, &mut tiles.base);
+    gather_member_tile(&states.each_ref().map(|s| &s.phis[..]), &mut tiles.phis);
+    for (to, from) in tiles.stage.fields_mut().into_iter().zip(tiles.base.fields()) {
+        to.copy_from_slice(from);
     }
-    tiles.stage.u.copy_from_slice(&tiles.base.u);
-    tiles.stage.v.copy_from_slice(&tiles.base.v);
-    tiles.stage.t.copy_from_slice(&tiles.base.t);
-    tiles.stage.dp3d.copy_from_slice(&tiles.base.dp3d);
     for &c in &KG5_COEFFS {
         {
-            let ou = ArenaMut::new(&mut tiles.hyp.u);
-            let ov = ArenaMut::new(&mut tiles.hyp.v);
-            let ot = ArenaMut::new(&mut tiles.hyp.t);
-            let odp = ArenaMut::new(&mut tiles.hyp.dp3d);
-            let eval = &tiles.stage;
-            let rk_base = &tiles.base;
-            let ph: &[V4F64] = &tiles.phis;
-            sched.run(nelem, &|w, e| {
-                // SAFETY: the scheduler runs one job at a time per worker id,
-                // so slot `w` has no other live reference.
-                let scratch = unsafe { workers.get(w) };
+            let MemberLanes { hyp, stage: eval, base: rk_base, phis: ph, .. } = &mut *tiles;
+            let out = (&mut *workers, hyp.fields_mut().map(|o| Arena::new(o, fl, fl)));
+            sched.run_windows(0..nelem, out, |e, (scratch, [ou, ov, ot, odp])| {
                 let r = e * fl..(e + 1) * fl;
-                // SAFETY: the `hyp` tile holds `nelem` element windows
-                // (`MemberLanes::new`); job `e` takes only window `e` of each
-                // arena, and the scheduler runs each `e` once, so live windows
-                // never overlap.
-                let (ou, ov, ot, odp) = unsafe {
-                    (
-                        ou.slice(e * fl, fl),
-                        ov.slice(e * fl, fl),
-                        ot.slice(e * fl, fl),
-                        odp.slice(e * fl, fl),
-                    )
-                };
                 element_rhs_apply_member_lanes(
                     &bops[e],
                     nlev,
@@ -1864,21 +1621,7 @@ fn dynamics_members_lanes<const M: usize>(
         );
         std::mem::swap(&mut tiles.stage, &mut tiles.next);
     }
-    {
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] = core::array::from_fn(|_| &mut it.next().unwrap().u[..]);
-        scatter_member_tile(&tiles.stage.u, &mut dsts);
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] = core::array::from_fn(|_| &mut it.next().unwrap().v[..]);
-        scatter_member_tile(&tiles.stage.v, &mut dsts);
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] = core::array::from_fn(|_| &mut it.next().unwrap().t[..]);
-        scatter_member_tile(&tiles.stage.t, &mut dsts);
-        let mut it = states.iter_mut();
-        let mut dsts: [&mut [f64]; M] =
-            core::array::from_fn(|_| &mut it.next().unwrap().dp3d[..]);
-        scatter_member_tile(&tiles.stage.dp3d, &mut dsts);
-    }
+    scatter_members(&tiles.stage, &mut states);
 }
 
 #[cfg(test)]

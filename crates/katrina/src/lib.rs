@@ -12,6 +12,8 @@
 //! planet instead of a full ne120 Earth mesh, observed-motion steering
 //! instead of a real synoptic environment.
 
+#![forbid(unsafe_code)]
+
 pub mod besttrack;
 pub mod experiment;
 pub mod scenario;

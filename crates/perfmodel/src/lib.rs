@@ -10,6 +10,8 @@
 //! scales (the skeleton-to-full-CAM work factor and the per-round jitter
 //! coefficient); every *shape* claim is model-derived.
 
+#![forbid(unsafe_code)]
+
 pub mod machine;
 pub mod nggps;
 pub mod report;

@@ -18,6 +18,8 @@
 //! physics data layout (and the reason its OpenACC port parallelizes over
 //! columns).
 
+#![forbid(unsafe_code)]
+
 pub mod column;
 pub mod convection;
 pub mod driver;

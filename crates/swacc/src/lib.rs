@@ -19,6 +19,8 @@
 //!   Athread redesign of the `homme` crate then removes — reproducing the
 //!   paper's Table 1 / Figure 5 gaps.
 
+#![forbid(unsafe_code)]
+
 pub mod exec;
 pub mod footprint;
 pub mod ir;

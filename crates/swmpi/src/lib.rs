@@ -22,6 +22,8 @@
 //! supervisor that respawns killed ranks from their checkpoints — the
 //! elastic-rank failure model of the paper's resilience story.
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod comm;
 pub mod fault;

@@ -57,10 +57,13 @@ cargo test -q -p swcam-core --test ensemble_thread_parity
 # nlev × qsize × limiter × workers; and three gates hold allocations at
 # exactly zero — the pool's worker-owned scratch slots, `Swcam::step` for
 # every column suite at 1 and 3 workers beside busy threads, and the moist
-# ensemble window. Run under each default worker count, as CI's matrix
-# does.
+# ensemble window. The scheduler's own tests pin the element windows every
+# sweep writes through (each element once over an offset range, gaps left
+# untouched, nested arenas, short arenas and out-of-window writes
+# rejected). Run under each default worker count, as CI's matrix does.
 echo "== physics-sweep test group (SWCAM_THREADS 1, 2, 3)"
 for threads in 1 2 3; do
+    SWCAM_THREADS=$threads cargo test -q -p homme --lib sched
     SWCAM_THREADS=$threads cargo test -q -p swcam-core --test physics_sweep
     SWCAM_THREADS=$threads cargo test -q -p homme --test tracer_sweep
     SWCAM_THREADS=$threads cargo test -q -p homme --test sched_scratch_alloc
