@@ -505,14 +505,10 @@ mod tests {
     }
 
     fn serial_reference(grid: &CubedSphere) -> Vec<Vec<f64>> {
-        let mut dss = Dss::new(grid);
-        let mut fields: Vec<Vec<f64>> = (0..grid.nelem())
-            .map(|e| (0..NPTS).map(|p| test_field(e, p)).collect())
-            .collect();
-        let mut views: Vec<&mut [f64]> = fields.iter_mut().map(|f| &mut f[..]).collect();
-        dss.apply_level(&mut views);
-        drop(views);
-        fields
+        let mut field: Vec<f64> =
+            (0..grid.nelem() * NPTS).map(|i| test_field(i / NPTS, i % NPTS)).collect();
+        Dss::new(grid).apply_flat(&mut field, 1);
+        field.chunks(NPTS).map(<[f64]>::to_vec).collect()
     }
 
     fn run_distributed(mode: ExchangeMode, nranks: usize) -> (Vec<Vec<f64>>, CopyStats) {

@@ -3,10 +3,11 @@
 //! Spectral elements duplicate the GLL points on shared edges and corners;
 //! after computing element-local operators, the duplicated values must be
 //! made continuous by mass-weighted averaging over every element sharing
-//! the point. The serial scatter walk ([`Dss`]) is the scalar oracle's;
-//! every other DSS — serial, threaded or on a rank of a distributed run,
-//! whose off-rank sharers come from [`crate::bndry`]'s messages — is the
-//! canonical-order gather ([`DssGather`]), bitwise equal to it.
+//! the point. The serial scatter walk over a flat arena
+//! ([`Dss::apply_flat`]) is the scalar oracle's; every other DSS — serial,
+//! threaded or on a rank of a distributed run, whose off-rank sharers come
+//! from [`crate::bndry`]'s messages — is the canonical-order gather
+//! ([`DssGather`]), bitwise equal to it.
 
 use cubesphere::{CubedSphere, NPTS};
 use std::ops::{Add, Mul};
@@ -45,56 +46,25 @@ impl Dss {
         }
     }
 
-    /// Assemble one horizontal level stored as per-element 16-value chunks.
-    ///
-    /// `field` is a mutable per-element view: `field[e][p]`. After the call
-    /// every shared point holds the identical mass-weighted average.
-    pub fn apply_level(&mut self, field: &mut [&mut [f64]]) {
-        debug_assert_eq!(field.len() * NPTS, self.gids.len());
-        for a in &mut self.accum {
-            *a = 0.0;
-        }
-        for (e, chunk) in field.iter().enumerate() {
-            let base = e * NPTS;
-            for p in 0..NPTS {
-                self.accum[self.gids[base + p]] += self.spheremp[base + p] * chunk[p];
-            }
-        }
-        for (e, chunk) in field.iter_mut().enumerate() {
-            let base = e * NPTS;
-            for p in 0..NPTS {
-                let g = self.gids[base + p];
-                chunk[p] = self.accum[g] * self.inv_mass[g];
-            }
-        }
-    }
-
-    /// Assemble a full 3-D field: `fields[e]` holds `[nlev][NPTS]` values.
-    /// Levels are assembled independently.
-    pub fn apply(&mut self, fields: &mut [Vec<f64>], nlev: usize) {
-        let nelem = fields.len();
-        for k in 0..nlev {
-            // Reborrow each element's level-k chunk.
-            let mut views: Vec<&mut [f64]> = Vec::with_capacity(nelem);
-            // SAFETY-free approach: split progressively.
-            let mut rest: &mut [Vec<f64>] = fields;
-            while let Some((head, tail)) = rest.split_first_mut() {
-                views.push(&mut head[k * NPTS..(k + 1) * NPTS]);
-                rest = tail;
-            }
-            self.apply_level(&mut views);
-        }
-    }
-
     /// Assemble a field stored in one flat structure-of-arrays buffer of
     /// `[nelem][levels][NPTS]` (the [`crate::state::State`] arena layout;
-    /// pass `levels = qsize * nlev` for the tracer arena). Accumulation
-    /// order per level matches [`Dss::apply`] element-for-element, so the
-    /// two paths are bitwise identical. Allocation-free.
+    /// pass `levels = qsize * nlev` for the tracer arena). Each level
+    /// accumulates element-ascending, point-ascending into a global-point
+    /// accumulator, then every copy of a point reads back the same
+    /// mass-weighted average. This walk's order is the canonical one
+    /// [`DssGather`] reproduces bitwise. Allocation-free.
+    ///
+    /// # Panics
+    /// If `field` is not `nelem * levels * NPTS` long: a wrong `levels`
+    /// would walk the wrong stride and leave part of the field unassembled.
     pub fn apply_flat(&mut self, field: &mut [f64], levels: usize) {
         let nelem = self.gids.len() / NPTS;
-        debug_assert_eq!(field.len(), nelem * levels * NPTS);
         let estride = levels * NPTS;
+        assert_eq!(
+            field.len(),
+            nelem * estride,
+            "Dss::apply_flat: arena is not {nelem} elements x {levels} levels x {NPTS} points"
+        );
         for k in 0..levels {
             for a in &mut self.accum {
                 *a = 0.0;
@@ -124,12 +94,18 @@ impl Dss {
     /// element-ascending, point-ascending order of the single-field walk,
     /// so the result is bitwise identical to four `apply_flat` calls.
     /// Allocation-free.
+    ///
+    /// # Panics
+    /// If any field is not `nelem * levels * NPTS` long.
     pub fn apply_flat4(&mut self, fields: [&mut [f64]; 4], levels: usize) {
         let nelem = self.gids.len() / NPTS;
         let estride = levels * NPTS;
         let n = self.nglobal;
         let [f0, f1, f2, f3] = fields;
-        debug_assert!([&f0, &f1, &f2, &f3].iter().all(|f| f.len() == nelem * estride));
+        assert!(
+            [&f0, &f1, &f2, &f3].iter().all(|f| f.len() == nelem * estride),
+            "Dss::apply_flat4: an arena is not {nelem} elements x {levels} levels x {NPTS} points"
+        );
         for k in 0..levels {
             for a in &mut self.accum4 {
                 *a = 0.0;
@@ -528,30 +504,18 @@ mod tests {
     use super::*;
     use cubesphere::pidx;
 
-    fn level_views(fields: &mut [Vec<f64>]) -> Vec<&mut [f64]> {
-        fields.iter_mut().map(|f| &mut f[..]).collect()
-    }
-
     #[test]
     fn dss_is_idempotent() {
         let grid = CubedSphere::new(3);
         let mut dss = Dss::new(&grid);
-        let mut fields: Vec<Vec<f64>> = (0..grid.nelem())
-            .map(|e| (0..NPTS).map(|p| ((e * 31 + p * 7) % 17) as f64).collect())
+        let mut field: Vec<f64> = (0..grid.nelem() * NPTS)
+            .map(|i| ((i / NPTS * 31 + i % NPTS * 7) % 17) as f64)
             .collect();
-        {
-            let mut v = level_views(&mut fields);
-            dss.apply_level(&mut v);
-        }
-        let once = fields.clone();
-        {
-            let mut v = level_views(&mut fields);
-            dss.apply_level(&mut v);
-        }
-        for (a, b) in once.iter().zip(&fields) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-            }
+        dss.apply_flat(&mut field, 1);
+        let once = field.clone();
+        dss.apply_flat(&mut field, 1);
+        for (x, y) in once.iter().zip(&field) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
         }
     }
 
@@ -560,19 +524,15 @@ mod tests {
         // A field already continuous (sampled from lat/lon) is unchanged.
         let grid = CubedSphere::new(3);
         let mut dss = Dss::new(&grid);
-        let mut fields: Vec<Vec<f64>> = grid
+        let mut field: Vec<f64> = grid
             .elements
             .iter()
-            .map(|el| el.metric.iter().map(|m| m.lat.sin() * m.lon.cos()).collect())
+            .flat_map(|el| el.metric.iter().map(|m| m.lat.sin() * m.lon.cos()))
             .collect();
-        let before = fields.clone();
-        let mut v = level_views(&mut fields);
-        dss.apply_level(&mut v);
-        drop(v);
-        for (a, b) in before.iter().zip(&fields) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12);
-            }
+        let before = field.clone();
+        dss.apply_flat(&mut field, 1);
+        for (x, y) in before.iter().zip(&field) {
+            assert!((x - y).abs() < 1e-12);
         }
     }
 
@@ -580,14 +540,15 @@ mod tests {
     fn dss_conserves_the_global_integral() {
         let grid = CubedSphere::new(3);
         let mut dss = Dss::new(&grid);
-        let mut fields: Vec<Vec<f64>> = (0..grid.nelem())
-            .map(|e| (0..NPTS).map(|p| ((e + p) % 13) as f64 - 6.0).collect())
+        let mut field: Vec<f64> = (0..grid.nelem() * NPTS)
+            .map(|i| ((i / NPTS + i % NPTS) % 13) as f64 - 6.0)
             .collect();
-        let before = grid.global_integral(&fields);
-        let mut v = level_views(&mut fields);
-        dss.apply_level(&mut v);
-        drop(v);
-        let after = grid.global_integral(&fields);
+        let integral = |f: &[f64]| {
+            grid.global_integral(&f.chunks(NPTS).map(<[f64]>::to_vec).collect::<Vec<_>>())
+        };
+        let before = integral(&field);
+        dss.apply_flat(&mut field, 1);
+        let after = integral(&field);
         assert!(
             ((before - after) / before.abs().max(1.0)).abs() < 1e-12,
             "{before} vs {after}"
@@ -598,17 +559,14 @@ mod tests {
     fn shared_points_become_identical() {
         let grid = CubedSphere::new(2);
         let mut dss = Dss::new(&grid);
-        let mut fields: Vec<Vec<f64>> =
-            (0..grid.nelem()).map(|e| vec![e as f64; NPTS]).collect();
-        let mut v = level_views(&mut fields);
-        dss.apply_level(&mut v);
-        drop(v);
+        let mut field: Vec<f64> = (0..grid.nelem() * NPTS).map(|i| (i / NPTS) as f64).collect();
+        dss.apply_flat(&mut field, 1);
         // Group values by global id; all must agree.
         let mut by_gid: std::collections::HashMap<usize, f64> = Default::default();
         for (e, el) in grid.elements.iter().enumerate() {
             for p in 0..NPTS {
                 let g = el.gids[p];
-                let val = fields[e][p];
+                let val = field[e * NPTS + p];
                 if let Some(prev) = by_gid.insert(g, val) {
                     assert!((prev - val).abs() < 1e-12, "gid {g}: {prev} vs {val}");
                 }
@@ -616,52 +574,25 @@ mod tests {
         }
     }
 
+    /// A `levels` that does not match the arena's length panics, in
+    /// release builds too, instead of walking the wrong stride.
     #[test]
-    fn multi_level_apply_matches_per_level() {
+    #[should_panic(expected = "Dss::apply_flat: arena is not")]
+    fn apply_flat_rejects_a_mismatched_level_count() {
         let grid = CubedSphere::new(2);
         let mut dss = Dss::new(&grid);
-        let nlev = 3;
-        let mut full: Vec<Vec<f64>> = (0..grid.nelem())
-            .map(|e| {
-                (0..nlev * NPTS)
-                    .map(|i| ((e * 13 + i * 5) % 29) as f64)
-                    .collect()
-            })
-            .collect();
-        let mut by_level = full.clone();
-        dss.apply(&mut full, nlev);
-        for k in 0..nlev {
-            let mut views: Vec<&mut [f64]> = by_level
-                .iter_mut()
-                .map(|f| &mut f[k * NPTS..(k + 1) * NPTS])
-                .collect();
-            dss.apply_level(&mut views);
-        }
-        for (a, b) in full.iter().zip(&by_level) {
-            assert_eq!(a, b);
-        }
+        let mut field = vec![0.0; grid.nelem() * 3 * NPTS];
+        dss.apply_flat(&mut field, 2);
     }
 
     #[test]
-    fn flat_arena_apply_is_bitwise_identical_to_per_element_apply() {
+    #[should_panic(expected = "Dss::apply_flat4: an arena is not")]
+    fn apply_flat4_rejects_a_mismatched_level_count() {
         let grid = CubedSphere::new(2);
         let mut dss = Dss::new(&grid);
-        let nlev = 3;
-        let nelem = grid.nelem();
-        let mut per_elem: Vec<Vec<f64>> = (0..nelem)
-            .map(|e| {
-                (0..nlev * NPTS)
-                    .map(|i| ((e * 13 + i * 5) % 29) as f64 - 11.0)
-                    .collect()
-            })
-            .collect();
-        let mut flat: Vec<f64> = per_elem.iter().flatten().copied().collect();
-        dss.apply(&mut per_elem, nlev);
-        dss.apply_flat(&mut flat, nlev);
-        for (e, pe) in per_elem.iter().enumerate() {
-            let fl = &flat[e * nlev * NPTS..(e + 1) * nlev * NPTS];
-            assert_eq!(pe.as_slice(), fl, "element {e}");
-        }
+        let mut fields: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; grid.nelem() * 2 * NPTS]);
+        let [f0, f1, f2, f3] = &mut fields;
+        dss.apply_flat4([f0, f1, f2, f3], 3);
     }
 
     /// The fused four-field walk is bitwise four single-field walks.
@@ -1006,23 +937,22 @@ mod tests {
         let ops = build_ops(&grid);
         let mut dss = Dss::new(&grid);
         // Non-polynomial field -> discontinuous element-local derivative.
-        let mut gx_all: Vec<Vec<f64>> = Vec::new();
+        let mut gx_all: Vec<f64> = Vec::new();
         for (el, op) in grid.elements.iter().zip(&ops) {
             let s: Vec<f64> = el.metric.iter().map(|m| (3.0 * m.lat).sin()).collect();
             let mut gx = [0.0; NPTS];
             let mut gy = [0.0; NPTS];
             op.gradient_sphere(&s, &mut gx, &mut gy);
-            gx_all.push(gx.to_vec());
+            gx_all.extend_from_slice(&gx);
         }
-        let mut v: Vec<&mut [f64]> = gx_all.iter_mut().map(|f| &mut f[..]).collect();
-        dss.apply_level(&mut v);
-        drop(v);
+        dss.apply_flat(&mut gx_all, 1);
         // After DSS, every copy of a shared point agrees.
         let mut by_gid: std::collections::HashMap<usize, f64> = Default::default();
         for (e, el) in grid.elements.iter().enumerate() {
             for p in 0..NPTS {
-                if let Some(prev) = by_gid.insert(el.gids[p], gx_all[e][p]) {
-                    assert!((prev - gx_all[e][p]).abs() < 1e-18 * 1e6);
+                let g = gx_all[e * NPTS + p];
+                if let Some(prev) = by_gid.insert(el.gids[p], g) {
+                    assert!((prev - g).abs() < 1e-18 * 1e6);
                 }
             }
         }

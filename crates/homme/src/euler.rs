@@ -40,44 +40,9 @@ pub fn tracer_flux_divergence(
 
 /// One forward-Euler sub-step of all tracers of all elements:
 /// `qdp_out = qdp_in + dt * RHS(qdp_in)` (no DSS; the caller assembles).
-#[allow(clippy::too_many_arguments)]
-pub fn euler_substep(
-    ops: &[ElemOps],
-    dims: Dims,
-    u: &[Vec<f64>],
-    v: &[Vec<f64>],
-    dp: &[Vec<f64>],
-    qdp_in: &[Vec<f64>],
-    dt: f64,
-    qdp_out: &mut [Vec<f64>],
-) {
-    for (e, op) in ops.iter().enumerate() {
-        for q in 0..dims.qsize {
-            for k in 0..dims.nlev {
-                let r = dims.at(k, 0)..dims.at(k, 0) + NPTS;
-                let rq = dims.atq(q, k, 0)..dims.atq(q, k, 0) + NPTS;
-                let mut tend = [0.0; NPTS];
-                tracer_flux_divergence(
-                    op,
-                    &u[e][r.clone()],
-                    &v[e][r.clone()],
-                    &dp[e][r.clone()],
-                    &qdp_in[e][rq.clone()],
-                    &mut tend,
-                );
-                for p in 0..NPTS {
-                    qdp_out[e][rq.start + p] = qdp_in[e][rq.start + p] + dt * tend[p];
-                }
-            }
-        }
-    }
-}
-
-/// Flat-arena forward-Euler sub-step: `u`/`v`/`dp` are `[nelem][nlev]
-/// [NPTS]` arenas, `qdp_in`/`qdp_out` are `[nelem][qsize][nlev][NPTS]`
-/// arenas (the state-arena layout). Elements run across the scheduler's
-/// workers; arithmetic is identical to [`euler_substep`] and the call is
-/// allocation-free.
+/// `u`/`v`/`dp` are `[nelem][nlev][NPTS]` arenas, `qdp_in`/`qdp_out` are
+/// `[nelem][qsize][nlev][NPTS]` arenas (the state-arena layout). Elements
+/// run across the scheduler's workers; the call is allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub fn euler_substep_flat(
     ops: &[ElemOps],
@@ -296,34 +261,34 @@ mod tests {
         let nelem = grid.nelem();
         let fl = dims.field_len();
         let tl = dims.tracer_len();
-        let mk = |s: usize, len: usize| -> Vec<Vec<f64>> {
-            (0..nelem)
-                .map(|e| (0..len).map(|i| 800.0 + ((e * 31 + i * 7 + s) % 23) as f64).collect())
+        let mk = |s: usize, len: usize| -> Vec<f64> {
+            (0..nelem * len)
+                .map(|i| 800.0 + ((i / len * 31 + i % len * 7 + s) % 23) as f64)
                 .collect()
         };
         let u = mk(0, fl);
         let v = mk(1, fl);
         let dp = mk(2, fl);
         let qdp = mk(3, tl);
-        let mut out_pe = vec![vec![0.0; tl]; nelem];
-        euler_substep(&ops, dims, &u, &v, &dp, &qdp, 7.0, &mut out_pe);
-
-        let flat = |f: &[Vec<f64>]| -> Vec<f64> { f.iter().flatten().copied().collect() };
         let sched = ElemScheduler::new(3);
         let mut out_flat = vec![0.0; nelem * tl];
-        euler_substep_flat(
-            &ops,
-            dims,
-            &sched,
-            &flat(&u),
-            &flat(&v),
-            &flat(&dp),
-            &flat(&qdp),
-            7.0,
-            &mut out_flat,
-        );
-        for (e, pe) in out_pe.iter().enumerate() {
-            assert_eq!(pe.as_slice(), &out_flat[e * tl..(e + 1) * tl], "element {e}");
+        euler_substep_flat(&ops, dims, &sched, &u, &v, &dp, &qdp, 7.0, &mut out_flat);
+
+        for (e, op) in ops.iter().enumerate() {
+            for q in 0..dims.qsize {
+                for k in 0..dims.nlev {
+                    let r = e * fl + dims.at(k, 0)..e * fl + dims.at(k, 0) + NPTS;
+                    let rq = e * tl + dims.atq(q, k, 0);
+                    let mut tend = [0.0; NPTS];
+                    let (ue, ve, dpe) = (&u[r.clone()], &v[r.clone()], &dp[r]);
+                    tracer_flux_divergence(op, ue, ve, dpe, &qdp[rq..rq + NPTS], &mut tend);
+                    for p in 0..NPTS {
+                        let want = qdp[rq + p] + 7.0 * tend[p];
+                        let got = out_flat[rq + p];
+                        assert_eq!(got.to_bits(), want.to_bits(), "e {e} q {q} k {k} p {p}");
+                    }
+                }
+            }
         }
     }
 

@@ -11,9 +11,6 @@
 
 use crate::deriv::{build_ops, ElemOps};
 use crate::dss::Dss;
-use crate::kernels::blocked::{
-    laplace_levels_blocked, vlaplace_levels_blocked, BlockedOps, KernelPath,
-};
 use crate::sched::{Arena, ElemScheduler};
 use cubesphere::{CubedSphere, Element, NPTS};
 
@@ -270,7 +267,7 @@ impl std::error::Error for HypervisError {}
 /// across the two Laplacian passes and the coefficient applies; the host
 /// analogue is this plan plus the fused kernels in
 /// [`crate::kernels::blocked`]. The geometry itself already lives hoisted
-/// in [`BlockedOps`]; what the plan adds is
+/// in [`crate::kernels::blocked::BlockedOps`]; what the plan adds is
 ///
 /// * the forward-Euler damping coefficients per level, **negated** so the
 ///   fused DSS-and-apply sweep ([`crate::dss::DssGather::gather_elem`]) is a
@@ -386,53 +383,10 @@ impl ElemHypervisPlan {
 /// In-place `lap(f)` per element level with DSS, using the weak-form
 /// (Galerkin) Laplacian [`ElemOps::laplace_sphere_wk`]: conservative to
 /// round-off, which is what makes the subcycled `dp3d` dissipation
-/// mass-conserving. `fields[e]` is `[nlev][NPTS]`.
-pub fn laplace_fields(ops: &[ElemOps], dss: &mut Dss, nlev: usize, fields: &mut [Vec<f64>]) {
-    for (e, op) in ops.iter().enumerate() {
-        for k in 0..nlev {
-            let r = k * NPTS..(k + 1) * NPTS;
-            let mut lap = [0.0; NPTS];
-            op.laplace_sphere_wk(&fields[e][r.clone()], &mut lap);
-            fields[e][r].copy_from_slice(&lap);
-        }
-    }
-    dss.apply(fields, nlev);
-}
-
-/// In-place weak biharmonic `lap(lap(f))` with DSS after each Laplacian —
-/// the paper's `biharmonic_dp3d` kernel when applied to `dp3d`.
-pub fn biharmonic_fields(ops: &[ElemOps], dss: &mut Dss, nlev: usize, fields: &mut [Vec<f64>]) {
-    laplace_fields(ops, dss, nlev, fields);
-    laplace_fields(ops, dss, nlev, fields);
-}
-
-/// In-place vector Laplacian with DSS for `(u, v)` per level.
-pub fn vlaplace_fields(
-    ops: &[ElemOps],
-    dss: &mut Dss,
-    nlev: usize,
-    u: &mut [Vec<f64>],
-    v: &mut [Vec<f64>],
-) {
-    for (e, op) in ops.iter().enumerate() {
-        for k in 0..nlev {
-            let r = k * NPTS..(k + 1) * NPTS;
-            let mut lu = [0.0; NPTS];
-            let mut lv = [0.0; NPTS];
-            op.vlaplace_sphere(&u[e][r.clone()], &v[e][r.clone()], &mut lu, &mut lv);
-            u[e][r.clone()].copy_from_slice(&lu);
-            v[e][r].copy_from_slice(&lv);
-        }
-    }
-    dss.apply(u, nlev);
-    dss.apply(v, nlev);
-}
-
-/// Flat-arena `lap(f)` with DSS: `field` is one `[nelem][nlev][NPTS]`
-/// buffer (the state-arena layout). Element Laplacians run across the
-/// scheduler's workers, then the serial scatter DSS (this is the scalar
-/// oracle's form; the blocked step assembles element-parallel instead).
-/// Identical arithmetic to [`laplace_fields`], allocation-free.
+/// mass-conserving. `field` is one `[nelem][nlev][NPTS]` buffer (the
+/// state-arena layout). Element Laplacians run across the scheduler's
+/// workers, then the serial scatter DSS (this is the scalar oracle's form;
+/// the blocked step assembles element-parallel instead). Allocation-free.
 pub fn laplace_flat(
     ops: &[ElemOps],
     dss: &mut Dss,
@@ -452,7 +406,8 @@ pub fn laplace_flat(
     dss.apply_flat(field, nlev);
 }
 
-/// Flat-arena weak biharmonic `lap(lap(f))` with DSS after each Laplacian.
+/// In-place weak biharmonic `lap(lap(f))` with DSS after each Laplacian —
+/// the paper's `biharmonic_dp3d` kernel when applied to `dp3d`.
 pub fn biharmonic_flat(
     ops: &[ElemOps],
     dss: &mut Dss,
@@ -464,7 +419,7 @@ pub fn biharmonic_flat(
     laplace_flat(ops, dss, sched, nlev, field);
 }
 
-/// Flat-arena vector Laplacian with DSS for `(u, v)` per level.
+/// In-place vector Laplacian with DSS for `(u, v)` per level.
 pub fn vlaplace_flat(
     ops: &[ElemOps],
     dss: &mut Dss,
@@ -489,113 +444,13 @@ pub fn vlaplace_flat(
     dss.apply_flat(v, nlev);
 }
 
-/// Blocked flat-arena `lap(f)` with DSS — the 4-wide image of
-/// [`laplace_flat`], bitwise identical to it.
-pub fn laplace_flat_blocked(
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    let fl = nlev * NPTS;
-    sched.run_windows(0..bops.len(), Arena::new(field, fl, fl), |e, f| {
-        laplace_levels_blocked(&bops[e], nlev, f)
-    });
-    dss.apply_flat(field, nlev);
-}
-
-/// Blocked flat-arena weak biharmonic with DSS after each Laplacian.
-pub fn biharmonic_flat_blocked(
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    laplace_flat_blocked(bops, dss, sched, nlev, field);
-    laplace_flat_blocked(bops, dss, sched, nlev, field);
-}
-
-/// Blocked flat-arena vector Laplacian with DSS for `(u, v)` per level.
-pub fn vlaplace_flat_blocked(
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    u: &mut [f64],
-    v: &mut [f64],
-) {
-    let fl = nlev * NPTS;
-    let uv = [Arena::new(&mut *u, fl, fl), Arena::new(&mut *v, fl, fl)];
-    sched.run_windows(0..bops.len(), uv, |e, [ue, ve]| {
-        vlaplace_levels_blocked(&bops[e], nlev, ue, ve)
-    });
-    dss.apply_flat(u, nlev);
-    dss.apply_flat(v, nlev);
-}
-
-/// Dispatch `lap(f)` to the scalar or blocked flat path.
-#[allow(clippy::too_many_arguments)]
-pub fn laplace_flat_path(
-    path: KernelPath,
-    ops: &[ElemOps],
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    match path {
-        KernelPath::Scalar => laplace_flat(ops, dss, sched, nlev, field),
-        KernelPath::Blocked => laplace_flat_blocked(bops, dss, sched, nlev, field),
-    }
-}
-
-/// Dispatch the weak biharmonic to the scalar or blocked flat path.
-#[allow(clippy::too_many_arguments)]
-pub fn biharmonic_flat_path(
-    path: KernelPath,
-    ops: &[ElemOps],
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    match path {
-        KernelPath::Scalar => biharmonic_flat(ops, dss, sched, nlev, field),
-        KernelPath::Blocked => biharmonic_flat_blocked(bops, dss, sched, nlev, field),
-    }
-}
-
-/// Dispatch the vector Laplacian to the scalar or blocked flat path.
-#[allow(clippy::too_many_arguments)]
-pub fn vlaplace_flat_path(
-    path: KernelPath,
-    ops: &[ElemOps],
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    u: &mut [f64],
-    v: &mut [f64],
-) {
-    match path {
-        KernelPath::Scalar => vlaplace_flat(ops, dss, sched, nlev, u, v),
-        KernelPath::Blocked => vlaplace_flat_blocked(bops, dss, sched, nlev, u, v),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn field_of(grid: &CubedSphere, f: impl Fn(f64, f64) -> f64) -> Vec<Vec<f64>> {
-        grid.elements
-            .iter()
-            .map(|el| el.metric.iter().map(|m| f(m.lat, m.lon)).collect())
-            .collect()
+    /// One level of `f(lat, lon)` in the flat `[nelem][NPTS]` layout.
+    fn field_of(grid: &CubedSphere, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+        grid.elements.iter().flat_map(|el| el.metric.iter().map(|m| f(m.lat, m.lon))).collect()
     }
 
     #[test]
@@ -603,12 +458,10 @@ mod tests {
         let grid = CubedSphere::new(3);
         let ops = build_ops(&grid);
         let mut dss = Dss::new(&grid);
-        let mut fields = field_of(&grid, |_, _| 4.2);
-        laplace_fields(&ops, &mut dss, 1, &mut fields);
-        for f in &fields {
-            for &x in f {
-                assert!(x.abs() < 1e-15);
-            }
+        let mut field = field_of(&grid, |_, _| 4.2);
+        laplace_flat(&ops, &mut dss, &ElemScheduler::new(1), 1, &mut field);
+        for &x in &field {
+            assert!(x.abs() < 1e-15);
         }
     }
 
@@ -618,9 +471,10 @@ mod tests {
         let grid = CubedSphere::new(4);
         let ops = build_ops(&grid);
         let mut dss = Dss::new(&grid);
-        let mut fields = field_of(&grid, |lat, lon| lat.sin() * (2.0 * lon).cos() + 0.3);
-        laplace_fields(&ops, &mut dss, 1, &mut fields);
-        let integral = grid.global_integral(&fields);
+        let mut field = field_of(&grid, |lat, lon| lat.sin() * (2.0 * lon).cos() + 0.3);
+        laplace_flat(&ops, &mut dss, &ElemScheduler::new(1), 1, &mut field);
+        let per_elem: Vec<Vec<f64>> = field.chunks(NPTS).map(<[f64]>::to_vec).collect();
+        let integral = grid.global_integral(&per_elem);
         let area = grid.total_area();
         assert!(
             (integral / area).abs() < 1e-15,
@@ -636,64 +490,19 @@ mod tests {
         let grid = CubedSphere::new(6);
         let ops = build_ops(&grid);
         let mut dss = Dss::new(&grid);
+        let sched = ElemScheduler::new(1);
         let mut ratio = |l: i32| -> f64 {
             let f = |lat: f64, lon: f64| (l as f64 * lon).cos() * lat.cos().powi(l);
-            let mut fields = field_of(&grid, f);
-            let before: f64 =
-                fields.iter().flat_map(|v| v.iter()).map(|x| x * x).sum::<f64>().sqrt();
-            biharmonic_fields(&ops, &mut dss, 1, &mut fields);
-            let after: f64 =
-                fields.iter().flat_map(|v| v.iter()).map(|x| x * x).sum::<f64>().sqrt();
+            let mut field = field_of(&grid, f);
+            let before: f64 = field.iter().map(|x| x * x).sum::<f64>().sqrt();
+            biharmonic_flat(&ops, &mut dss, &sched, 1, &mut field);
+            let after: f64 = field.iter().map(|x| x * x).sum::<f64>().sqrt();
             after / before
         };
         let r1 = ratio(1);
         let r4 = ratio(4);
         // (4*5 / 1*2)^2 = 100; allow generous slack for the cos^l proxy.
         assert!(r4 > 20.0 * r1, "r1 = {r1}, r4 = {r4}");
-    }
-
-    #[test]
-    fn flat_operators_match_per_element_operators() {
-        let grid = CubedSphere::new(3);
-        let ops = build_ops(&grid);
-        let mut dss = Dss::new(&grid);
-        let sched = ElemScheduler::new(4);
-        let nlev = 2;
-        let per_elem: Vec<Vec<f64>> = grid
-            .elements
-            .iter()
-            .enumerate()
-            .map(|(e, el)| {
-                (0..nlev)
-                    .flat_map(|k| {
-                        el.metric
-                            .iter()
-                            .map(move |m| (m.lat * (k + 1) as f64).sin() * m.lon.cos() + e as f64 * 1e-3)
-                            .collect::<Vec<_>>()
-                    })
-                    .collect()
-            })
-            .collect();
-        let flat0: Vec<f64> = per_elem.iter().flatten().copied().collect();
-
-        let mut a = per_elem.clone();
-        let mut b = flat0.clone();
-        biharmonic_fields(&ops, &mut dss, nlev, &mut a);
-        biharmonic_flat(&ops, &mut dss, &sched, nlev, &mut b);
-        for (e, ae) in a.iter().enumerate() {
-            assert_eq!(ae.as_slice(), &b[e * nlev * NPTS..(e + 1) * nlev * NPTS], "biharm e={e}");
-        }
-
-        let mut u1 = per_elem.clone();
-        let mut v1: Vec<Vec<f64>> = per_elem.iter().map(|f| f.iter().map(|x| -x).collect()).collect();
-        let mut u2 = flat0.clone();
-        let mut v2: Vec<f64> = flat0.iter().map(|x| -x).collect();
-        vlaplace_fields(&ops, &mut dss, nlev, &mut u1, &mut v1);
-        vlaplace_flat(&ops, &mut dss, &sched, nlev, &mut u2, &mut v2);
-        for (e, (ue, ve)) in u1.iter().zip(&v1).enumerate() {
-            assert_eq!(ue.as_slice(), &u2[e * nlev * NPTS..(e + 1) * nlev * NPTS], "vlap u e={e}");
-            assert_eq!(ve.as_slice(), &v2[e * nlev * NPTS..(e + 1) * nlev * NPTS], "vlap v e={e}");
-        }
     }
 
     #[test]
@@ -752,9 +561,9 @@ mod tests {
         let uu = 10.0;
         let mut u = field_of(&grid, |lat, _| uu * lat.cos());
         let mut v = field_of(&grid, |_, _| 0.0);
-        vlaplace_fields(&ops, &mut dss, 1, &mut u, &mut v);
+        vlaplace_flat(&ops, &mut dss, &ElemScheduler::new(1), 1, &mut u, &mut v);
         let scale = 2.0 * uu / (EARTH_RADIUS * EARTH_RADIUS);
-        for (el, (ue, _ve)) in grid.elements.iter().zip(u.iter().zip(&v)) {
+        for (el, ue) in grid.elements.iter().zip(u.chunks(NPTS)) {
             for p in 0..NPTS {
                 let expect = -2.0 * uu * el.metric[p].lat.cos() / (EARTH_RADIUS * EARTH_RADIUS);
                 assert!(

@@ -17,8 +17,10 @@
 //!   subcycled hyperviscosity, tracer advection, vertical remap. All state
 //!   lives in the flat SoA arena of [`state`], all temporaries in the
 //!   persistent [`workspace`], and per-element loops run across host
-//!   cores on the [`sched`] worker pool; [`seedref`] preserves the
-//!   original serial driver as the equivalence oracle.
+//!   cores on the [`sched`] worker pool. Its scalar kernel set
+//!   ([`KernelPath::Scalar`]) is the step's one equivalence oracle: the
+//!   default blocked step must match it bitwise, and both must hit the
+//!   seed driver's trajectory hashes pinned in `tests/state_arena.rs`.
 //! * [`kernels`] — the four implementation variants of every Table-1
 //!   kernel: Reference ("Intel"), MPE, OpenACC, and the Athread redesign
 //!   with register-communication scans and shuffle transposition
@@ -45,7 +47,6 @@ pub mod remap;
 pub mod rhs;
 #[allow(unsafe_code)]
 pub mod sched;
-pub mod seedref;
 pub mod state;
 pub mod vert;
 pub mod workspace;
@@ -66,7 +67,6 @@ pub use prim::{Dycore, DycoreConfig, KG5_COEFFS};
 pub use remap::{ElemRemapPlan, RemapApplyScratch, RemapError};
 pub use rhs::{ElemTend, Rhs, RhsScratch};
 pub use sched::ElemScheduler;
-pub use seedref::SeedStepper;
 pub use state::{Dims, ElemMut, ElemRef, State};
 pub use vert::VertCoord;
 pub use workspace::{EnsembleWorkspace, StepWorkspace};

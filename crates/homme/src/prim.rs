@@ -11,11 +11,15 @@
 //! the hyperviscosity sweeps and the tracer stages, which is a per-element
 //! canonical-order gather ([`DssGather`]) rather than a serial scatter, so
 //! no phase has a serial section and results stay bitwise independent of
-//! thread count. (The scalar oracle path keeps the serial [`Dss`] walks.)
-//! All temporaries live in the [`StepWorkspace`]
-//! owned by the dycore — `step` allocates nothing on the heap (see the
-//! `alloc_regression` test). The allocation-heavy seed implementation is
-//! preserved in [`crate::seedref`] as the equivalence oracle.
+//! thread count. All temporaries live in the [`StepWorkspace`] owned by
+//! the dycore — `step` allocates nothing on the heap (see the
+//! `alloc_regression` test).
+//!
+//! [`KernelPath::Scalar`] is the step's one equivalence oracle: per-field
+//! scalar element kernels and the serial [`Dss`] scatter walks, which the
+//! default blocked step matches bitwise. Both hit the trajectory hashes
+//! recorded from the original per-element-`Vec` seed driver and pinned in
+//! `tests/state_arena.rs`.
 
 use crate::bndry::Halo;
 use crate::deriv::{build_ops, ElemOps};
@@ -28,8 +32,8 @@ use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
 use crate::hypervis::{
-    biharmonic_flat_path, laplace_flat_path, laplacian_lambda_max, min_gll_gap,
-    vlaplace_flat_path, ElemHypervisPlan, HypervisConfig, HypervisStability,
+    biharmonic_flat, laplace_flat, laplacian_lambda_max, min_gll_gap, vlaplace_flat,
+    ElemHypervisPlan, HypervisConfig, HypervisStability,
 };
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, hypervis_pass_element_blocked,
@@ -448,8 +452,8 @@ impl Dycore {
                 ws.sponge_v[e * sl..(e + 1) * sl].copy_from_slice(&state.v[e * fl..e * fl + sl]);
                 ws.sponge_t[e * sl..(e + 1) * sl].copy_from_slice(&state.t[e * fl..e * fl + sl]);
             }
-            vlaplace_flat_path(kernels, ops, bops, dss, sched, ks, &mut ws.sponge_u, &mut ws.sponge_v);
-            laplace_flat_path(kernels, ops, bops, dss, sched, ks, &mut ws.sponge_t);
+            vlaplace_flat(ops, dss, sched, ks, &mut ws.sponge_u, &mut ws.sponge_v);
+            laplace_flat(ops, dss, sched, ks, &mut ws.sponge_t);
             for e in 0..ops.len() {
                 for (k_rel, damp) in (0..ks).map(|k| (k, 1.0 / (1 << k) as f64)) {
                     for p in 0..NPTS {
@@ -467,10 +471,10 @@ impl Dycore {
         for _ in 0..subcycles {
             ws.hyp.copy_from_state(state);
             // del^4 via two Laplacians with DSS (vector Laplacian for wind).
-            vlaplace_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
-            vlaplace_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
-            biharmonic_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.t);
-            biharmonic_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.dp3d);
+            vlaplace_flat(ops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
+            vlaplace_flat(ops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
+            biharmonic_flat(ops, dss, sched, nlev, &mut ws.hyp.t);
+            biharmonic_flat(ops, dss, sched, nlev, &mut ws.hyp.dp3d);
             for (x, l) in state.u.iter_mut().zip(&ws.hyp.u) {
                 *x -= dt_sub * hv.nu * l;
             }

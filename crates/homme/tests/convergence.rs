@@ -47,14 +47,12 @@ fn laplacian_error(ne: usize) -> f64 {
     let ops = build_ops(&grid);
     let mut dss = homme::Dss::new(&grid);
     let a2 = EARTH_RADIUS * EARTH_RADIUS;
-    let mut fields: Vec<Vec<f64>> = grid
-        .elements
-        .iter()
-        .map(|el| el.metric.iter().map(|m| m.lat.sin()).collect())
-        .collect();
-    homme::hypervis::laplace_fields(&ops, &mut dss, 1, &mut fields);
+    let mut field: Vec<f64> =
+        grid.elements.iter().flat_map(|el| el.metric.iter().map(|m| m.lat.sin())).collect();
+    let sched = homme::ElemScheduler::new(1);
+    homme::hypervis::laplace_flat(&ops, &mut dss, &sched, 1, &mut field);
     let mut worst: f64 = 0.0;
-    for (el, f) in grid.elements.iter().zip(&fields) {
+    for (el, f) in grid.elements.iter().zip(field.chunks(NPTS)) {
         for p in 0..NPTS {
             let exact = -2.0 * el.metric[p].lat.sin() / a2;
             worst = worst.max((f[p] - exact).abs() * a2);

@@ -103,6 +103,12 @@ proptest! {
     }
 }
 
+/// [`CubedSphere::global_integral`] of one level in the flat
+/// `[nelem][NPTS]` layout.
+fn global_integral(grid: &CubedSphere, field: &[f64]) -> f64 {
+    grid.global_integral(&field.chunks(NPTS).map(<[f64]>::to_vec).collect::<Vec<_>>())
+}
+
 /// DSS is a projection (idempotent) and conserves the weighted integral
 /// for random fields — checked on a real grid outside proptest's loop
 /// (grid construction is the expensive part).
@@ -113,26 +119,19 @@ fn dss_projection_on_random_fields() {
     let mut dss = Dss::new(&grid);
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..5 {
-        let mut fields: Vec<Vec<f64>> = (0..grid.nelem())
-            .map(|_| (0..NPTS).map(|_| rng.gen_range(-100.0..100.0)).collect())
-            .collect();
-        let integral0 = grid.global_integral(&fields);
-        let mut views: Vec<&mut [f64]> = fields.iter_mut().map(|f| &mut f[..]).collect();
-        dss.apply_level(&mut views);
-        drop(views);
-        let once = fields.clone();
-        let integral1 = grid.global_integral(&fields);
+        let mut field: Vec<f64> =
+            (0..grid.nelem() * NPTS).map(|_| rng.gen_range(-100.0..100.0)).collect();
+        let integral0 = global_integral(&grid, &field);
+        dss.apply_flat(&mut field, 1);
+        let once = field.clone();
+        let integral1 = global_integral(&grid, &field);
         assert!(
             (integral0 - integral1).abs() < 1e-9 * integral0.abs().max(1.0),
             "integral {integral0} -> {integral1}"
         );
-        let mut views: Vec<&mut [f64]> = fields.iter_mut().map(|f| &mut f[..]).collect();
-        dss.apply_level(&mut views);
-        drop(views);
-        for (a, b) in once.iter().zip(&fields) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-10, "not idempotent: {x} vs {y}");
-            }
+        dss.apply_flat(&mut field, 1);
+        for (x, y) in once.iter().zip(&field) {
+            assert!((x - y).abs() < 1e-10, "not idempotent: {x} vs {y}");
         }
     }
 }
@@ -147,19 +146,14 @@ fn weak_laplacian_integral_vanishes_for_random_fields() {
     let ops = build_ops(&grid);
     let mut dss = Dss::new(&grid);
     let mut rng = StdRng::seed_from_u64(123);
+    let sched = homme::ElemScheduler::new(1);
     for _ in 0..5 {
-        let mut fields: Vec<Vec<f64>> = (0..grid.nelem())
-            .map(|_| (0..NPTS).map(|_| rng.gen_range(-1000.0..1000.0)).collect())
-            .collect();
+        let mut field: Vec<f64> =
+            (0..grid.nelem() * NPTS).map(|_| rng.gen_range(-1000.0..1000.0)).collect();
+        homme::hypervis::laplace_flat(&ops, &mut dss, &sched, 1, &mut field);
+        let integral = global_integral(&grid, &field);
         // Magnitude scale of the Laplacian for the tolerance.
-        homme::hypervis::laplace_fields(&ops, &mut dss, 1, &mut fields);
-        let integral = grid.global_integral(&fields);
-        let scale: f64 = fields
-            .iter()
-            .flat_map(|f| f.iter())
-            .map(|x| x.abs())
-            .fold(0.0, f64::max)
-            * grid.total_area();
+        let scale: f64 = field.iter().map(|x| x.abs()).fold(0.0, f64::max) * grid.total_area();
         assert!(
             integral.abs() < 1e-12 * scale.max(1.0),
             "integral {integral} vs scale {scale}"

@@ -107,11 +107,17 @@ done
 
 # Kernel-parity group: the blocked (default) kernel path must stay bitwise
 # identical to the scalar oracle, per operator and over whole serial and
-# distributed trajectories.
-echo "== kernel-parity test group"
+# distributed trajectories, and both must land on the seed driver's pinned
+# trajectory hashes (state_arena) under each default worker count. The
+# DSS walks' arena-length checks must fire in release builds too.
+echo "== kernel-parity test group (SWCAM_THREADS 1, 2, 3)"
 cargo test -q -p homme --lib kernels
 cargo test -q -p homme --test blocked_parity
 cargo test -q -p swcam-bench --test distributed_step
+for threads in 1 2 3; do
+    SWCAM_THREADS=$threads cargo test -q -p homme --test state_arena
+done
+cargo test -q --release -p homme --lib dss
 
 # Process-backend group: the transport seam (DESIGN.md §5.8) — the shared
 # CRC (known answer + differential against a bit-wise reference), the TCP

@@ -12,16 +12,11 @@ fn field_value(e: usize, k: usize, p: usize) -> f64 {
 }
 
 fn serial(grid: &CubedSphere, nlev: usize) -> Vec<Vec<f64>> {
-    let mut dss = Dss::new(grid);
-    let mut fields: Vec<Vec<f64>> = (0..grid.nelem())
-        .map(|e| {
-            (0..nlev)
-                .flat_map(|k| (0..NPTS).map(move |p| field_value(e, k, p)))
-                .collect()
-        })
+    let mut field: Vec<f64> = (0..grid.nelem())
+        .flat_map(|e| (0..nlev).flat_map(move |k| (0..NPTS).map(move |p| field_value(e, k, p))))
         .collect();
-    dss.apply(&mut fields, nlev);
-    fields
+    Dss::new(grid).apply_flat(&mut field, nlev);
+    field.chunks(nlev * NPTS).map(<[f64]>::to_vec).collect()
 }
 
 #[test]
