@@ -16,11 +16,6 @@
 //! * the full planned hyperviscosity application (`hypervis_fullpass`:
 //!   `Dycore::apply_hypervis` end to end — plan build, sponge, subcycled
 //!   del^4, DSS-fused applies — Blocked vs Scalar kernel path),
-//! * the member-lane biharmonic batch (`hypervis_member_lanes`: four
-//!   ensemble member states transposed into `V4F64` lanes and pushed
-//!   through the fused del^4 passes in one sweep — gather and scatter
-//!   included in the timing — against the same blocked element sweep run
-//!   member-serially four times),
 //! * the planned vertical remap (`vertical_remap` times the production
 //!   path — plan build + coefficient apply — while `vertical_remap_planned`
 //!   times the apply pass alone over prebuilt plans, isolating the
@@ -43,17 +38,12 @@ use homme::kernels::blocked::{
     hypervis_pass_element_blocked, hypervis_pass_levels_blocked, laplace_levels_blocked,
     remap_element_planned, vlaplace_levels_blocked,
 };
-use homme::kernels::member_lanes::{
-    gather_member_tile, hypervis_pass_levels_member_lanes, hypervis_pass_member_lanes,
-    scatter_member_tile,
-};
 use homme::remap::{remap_element_scalar, ElemRemapPlan, RemapApplyScratch, RemapScratch};
 use homme::rhs::{
     element_rhs_raw, geopotential_scan, geopotential_scan_blocked, pressure_scan,
     pressure_scan_blocked, RhsScratch,
 };
 use homme::{build_ops, Dims, Dycore, DycoreConfig, KernelPath, StageCombine, VertCoord};
-use sw26010::V4F64;
 
 const NE: usize = 8;
 const NLEV: usize = 26;
@@ -579,139 +569,6 @@ fn main() {
         assert_bitwise(&st_s.u, &st_b.u, "hypervis fullpass u (post-timing)");
         assert_bitwise(&st_s.dp3d, &st_b.dp3d, "hypervis fullpass dp3d (post-timing)");
         push(&mut rows, "hypervis_fullpass", s, b);
-    }
-
-    // --- member-lane biharmonic batch (V4F64 lanes are members) -------
-    //
-    // The lane-transposed ensemble kernel family: four member states ride
-    // one V4F64 per (elem, k, p) value, so the planned del^4 batch runs
-    // its coefficient walk once for all four members. Baseline
-    // ("scalar_ms") is the identical blocked element sweep run
-    // member-serially four times; the lane side ("blocked_ms") is timed
-    // end to end — gather from the four per-member arenas into lane
-    // tiles, both fused passes, scatter back — so the reported speedup
-    // already pays the transpose cost the ensemble engine pays.
-    {
-        const MEMBERS: usize = 4;
-        let a = &arenas;
-        // Four member trajectories: the shared base state plus a small
-        // deterministic per-member perturbation, as an ensemble batch
-        // sees them.
-        let perturb = |base: &[f64], m: usize| -> Vec<f64> {
-            base.iter()
-                .enumerate()
-                .map(|(i, &x)| x + 1e-3 * (m as f64 + 1.0) * ((i % 7) as f64 - 3.0))
-                .collect()
-        };
-        let mu: Vec<Vec<f64>> = (0..MEMBERS).map(|m| perturb(&a.u, m)).collect();
-        let mv: Vec<Vec<f64>> = (0..MEMBERS).map(|m| perturb(&a.v, m)).collect();
-        let mt: Vec<Vec<f64>> = (0..MEMBERS).map(|m| perturb(&a.t, m)).collect();
-        let mdp: Vec<Vec<f64>> = (0..MEMBERS).map(|m| perturb(&a.dp3d, m)).collect();
-        let zero4 = || vec![vec![0.0; nelem * fl]; MEMBERS];
-        let (mut su, mut sv, mut st, mut sdp) = (zero4(), zero4(), zero4(), zero4());
-        let serial = |ou: &mut Vec<Vec<f64>>,
-                          ov: &mut Vec<Vec<f64>>,
-                          ot: &mut Vec<Vec<f64>>,
-                          odp: &mut Vec<Vec<f64>>| {
-            for m in 0..MEMBERS {
-                for e in 0..nelem {
-                    let r = e * fl..(e + 1) * fl;
-                    hypervis_pass_element_blocked(
-                        &bops[e],
-                        NLEV,
-                        &mu[m][r.clone()],
-                        &mv[m][r.clone()],
-                        &mt[m][r.clone()],
-                        &mdp[m][r.clone()],
-                        &mut ou[m][r.clone()],
-                        &mut ov[m][r.clone()],
-                        &mut ot[m][r.clone()],
-                        &mut odp[m][r.clone()],
-                    );
-                    hypervis_pass_levels_blocked(
-                        &bops[e],
-                        NLEV,
-                        &mut ou[m][r.clone()],
-                        &mut ov[m][r.clone()],
-                        &mut ot[m][r.clone()],
-                        &mut odp[m][r],
-                    );
-                }
-            }
-        };
-        let (mut lu, mut lv, mut lt, mut ldp) = (zero4(), zero4(), zero4(), zero4());
-        let mut tiles_src = [(); 4].map(|_| vec![V4F64::zero(); nelem * fl]);
-        let mut tiles_out = [(); 4].map(|_| vec![V4F64::zero(); nelem * fl]);
-        let gather = |src: &mut [Vec<V4F64>; 4]| {
-            for (tile, field) in src.iter_mut().zip([&mu, &mv, &mt, &mdp]) {
-                let srcs: [&[f64]; MEMBERS] = core::array::from_fn(|m| &field[m][..]);
-                gather_member_tile(&srcs, tile);
-            }
-        };
-        let passes = |src: &[Vec<V4F64>; 4], out: &mut [Vec<V4F64>; 4]| {
-            let [tsu, tsv, tst, tsdp] = src;
-            let [tou, tov, tot, todp] = out;
-            for e in 0..nelem {
-                let r = e * fl..(e + 1) * fl;
-                hypervis_pass_member_lanes(
-                    &bops[e],
-                    NLEV,
-                    &tsu[r.clone()],
-                    &tsv[r.clone()],
-                    &tst[r.clone()],
-                    &tsdp[r.clone()],
-                    &mut tou[r.clone()],
-                    &mut tov[r.clone()],
-                    &mut tot[r.clone()],
-                    &mut todp[r.clone()],
-                );
-                hypervis_pass_levels_member_lanes(
-                    &bops[e],
-                    NLEV,
-                    &mut tou[r.clone()],
-                    &mut tov[r.clone()],
-                    &mut tot[r.clone()],
-                    &mut todp[r],
-                );
-            }
-        };
-        let scatter = |out: &[Vec<V4F64>; 4],
-                           ou: &mut Vec<Vec<f64>>,
-                           ov: &mut Vec<Vec<f64>>,
-                           ot: &mut Vec<Vec<f64>>,
-                           odp: &mut Vec<Vec<f64>>| {
-            let [tou, tov, tot, todp] = out;
-            for (tile, field) in [tou, tov, tot, todp].into_iter().zip([ou, ov, ot, odp]) {
-                let mut it = field.iter_mut();
-                let mut dsts: [&mut [f64]; MEMBERS] =
-                    core::array::from_fn(|_| it.next().unwrap().as_mut_slice());
-                scatter_member_tile(tile, &mut dsts);
-            }
-        };
-        serial(&mut su, &mut sv, &mut st, &mut sdp);
-        gather(&mut tiles_src);
-        passes(&tiles_src, &mut tiles_out);
-        scatter(&tiles_out, &mut lu, &mut lv, &mut lt, &mut ldp);
-        for m in 0..MEMBERS {
-            assert_bitwise(&su[m], &lu[m], &format!("member_lanes u (member {m})"));
-            assert_bitwise(&sv[m], &lv[m], &format!("member_lanes v (member {m})"));
-            assert_bitwise(&st[m], &lt[m], &format!("member_lanes t (member {m})"));
-            assert_bitwise(&sdp[m], &ldp[m], &format!("member_lanes dp3d (member {m})"));
-        }
-        let s = time_sweeps(warmup, measure, || serial(&mut su, &mut sv, &mut st, &mut sdp));
-        let b = time_sweeps(warmup, measure, || {
-            gather(&mut tiles_src);
-            passes(&tiles_src, &mut tiles_out);
-            scatter(&tiles_out, &mut lu, &mut lv, &mut lt, &mut ldp);
-        });
-        push(&mut rows, "hypervis_member_lanes", s, b);
-        // Tiles-resident variant: the del^4 sweeps alone, with the member
-        // tiles already gathered — what every subcycle after the first
-        // costs inside the engine, where one transpose pays for the whole
-        // subcycled application. The gap to the row above is the
-        // gather/scatter budget (see DESIGN.md section 5.10).
-        let bp = time_sweeps(warmup, measure, || passes(&tiles_src, &mut tiles_out));
-        push(&mut rows, "hypervis_member_lanes_resident", s, bp);
     }
 
     // --- vertical remap (geometry-reuse plan) -------------------------

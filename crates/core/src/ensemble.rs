@@ -1,20 +1,17 @@
-//! The ensemble engine: a member-vectorized batch driver (ROADMAP item 4).
+//! The ensemble engine: one shared dycore, many members (ROADMAP item 4).
 //!
 //! Climate forecasting runs *ensembles* — the same scenario integrated from
-//! N seeded perturbations of one initial condition. Run serially, N members
-//! repeat every piece of member-independent work N times: grid generation,
-//! DSS assembly-map construction, blocked-operator precompute, and (every
-//! step) the hyperviscosity coefficient plan. The ensemble driver holds
-//! **one** dycore and steps all members through it in lockstep:
+//! N seeded perturbations of one initial condition. Run as separate models,
+//! N members repeat every piece of member-independent setup N times: grid
+//! generation, DSS assembly-map construction, blocked-operator precompute
+//! and step workspaces. The ensemble driver holds **one** dycore and steps
+//! every running member through it, one after another:
 //!
-//! * geometry, DSS, blocked operators and scratch are built once and shared;
-//! * the hyperviscosity step plan ([`homme::Dycore::apply_hypervis_members`])
-//!   is built once per step and every coefficient walk is shared across up
-//!   to four members at a time — the kernel's inner loop gains a member
-//!   ("lane") dimension, so a lane group pays for one coefficient walk
-//!   instead of four (the RK step batches the same way);
-//! * tracers, remap and the physics column sweep run per member, each an
-//!   element-parallel sweep on the shared dycore's scheduler;
+//! * geometry, DSS plans, blocked operators and scratch are built once and
+//!   shared; each member's step is the standalone calls in turn
+//!   ([`homme::Dycore::dynamics_step`], [`homme::Dycore::apply_hypervis_n`],
+//!   tracers, remap and the physics column sweep), each an element-parallel
+//!   sweep on the shared dycore's scheduler;
 //! * members are admitted from a request queue into free lanes between
 //!   steps and retired as they reach their step targets, like a batch
 //!   inference server;
@@ -24,9 +21,11 @@
 //!
 //! Bitwise contract: member *m* of an N-member batch is bit-for-bit equal
 //! to a standalone [`Swcam`]-equivalent run of the same
-//! [`ScenarioSpec`] and seed. Each member keeps its own accumulation order
-//! through the batched kernels, and the shared per-step plan depends only
-//! on grid + configuration, never on member state.
+//! [`ScenarioSpec`] and seed. That holds by construction: a member runs the
+//! standalone calls, and no workspace buffer carries anything from one call
+//! to the next. Members are not batched through shared kernels: with SIMD
+//! lanes as members that measured 0.99–1.02× end to end on a host whose
+//! spatial kernels are already 4-wide SIMD (DESIGN.md §5.10).
 //!
 //! The steady-state step loop performs no heap allocation (admission
 //! included); only [`Ensemble::submit`] and [`Ensemble::collect`] allocate.
@@ -35,23 +34,22 @@ use crate::config::ScenarioSpec;
 use crate::coupling::apply_physics_checked;
 use crate::model::{build_dycore, build_suite};
 use cubesphere::NPTS;
-use homme::{Dycore, EnsembleWorkspace, HealthError, MemberKernelPath, State};
+use homme::{Dycore, HealthError, MemberKernelPath, State};
 use std::collections::VecDeque;
 use swphysics::{PhysicsDiag, PhysicsSuite};
 
 /// Batch-driver knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EnsembleConfig {
-    /// Concurrent member lanes (state + snapshot + hypervis scratch per
-    /// lane). Submissions beyond this wait in the queue.
+    /// Concurrent members ("lanes": a state and a snapshot each).
+    /// Submissions beyond this wait in the queue.
     pub lanes: usize,
     /// Consecutive failed steps a member may roll back before it is marked
     /// [`MemberStatus::Failed`] and retired.
     pub max_rollbacks: usize,
-    /// Which member-batched kernel family the shared dycore runs when two
-    /// or more members are resident: the lane-transposed tiles (default)
-    /// or the pair-wise chunked row kernels kept as the A/B baseline.
-    /// Bitwise-identical results either way.
+    /// The member path: [`MemberKernelPath::Lanes`], the only one, which
+    /// steps members one after another. It selects nothing and stays only
+    /// because the `benchmark/` crate names it (ROADMAP item 6).
     pub member_kernel_path: MemberKernelPath,
 }
 
@@ -145,7 +143,7 @@ struct Submission {
     steps: usize,
 }
 
-/// The member-vectorized batch driver. See the module docs for the model.
+/// The ensemble driver. See the module docs for the model.
 pub struct Ensemble {
     spec: ScenarioSpec,
     cfg: EnsembleConfig,
@@ -153,7 +151,6 @@ pub struct Ensemble {
     suite: PhysicsSuite,
     states: Vec<State>,
     snaps: Vec<State>,
-    ens_ws: EnsembleWorkspace,
     slots: Vec<Slot>,
     saved: Vec<SlotMeta>,
     precip: Vec<Vec<f64>>,
@@ -164,9 +161,9 @@ pub struct Ensemble {
 }
 
 impl Ensemble {
-    /// Build the engine for one scenario: the dycore, the per-lane state /
-    /// snapshot / hypervis arenas and all step scratch are allocated here,
-    /// once — everything after this is reused.
+    /// Build the engine for one scenario: the dycore, the per-lane state and
+    /// snapshot arenas and all step scratch are allocated here, once —
+    /// everything after this is reused.
     ///
     /// # Panics
     /// Panics on an invalid scenario configuration or `lanes == 0`.
@@ -180,7 +177,6 @@ impl Ensemble {
         let npts = nelem * NPTS;
         let states: Vec<State> = (0..cfg.lanes).map(|_| dycore.zero_state()).collect();
         let snaps: Vec<State> = (0..cfg.lanes).map(|_| dycore.zero_state()).collect();
-        let ens_ws = EnsembleWorkspace::new(dycore.dims, nelem, cfg.lanes);
         Ensemble {
             spec,
             cfg,
@@ -188,7 +184,6 @@ impl Ensemble {
             suite,
             states,
             snaps,
-            ens_ws,
             slots: (0..cfg.lanes).map(|_| Slot::empty()).collect(),
             saved: vec![SlotMeta::default(); cfg.lanes],
             precip: (0..cfg.lanes).map(|_| vec![0.0; npts]).collect(),
@@ -242,8 +237,11 @@ impl Ensemble {
     /// # Errors
     /// Only batch-wide failures surface here (the shared hyperviscosity
     /// plan rejecting the grid/configuration — member-independent, so it
-    /// would fail every member identically). Per-member failures roll back
-    /// that member alone and are reported through [`MemberReport`].
+    /// would fail every member identically). Every running member is then
+    /// restored to its pre-step state and bookkeeping before the error is
+    /// returned (a member this call admitted stays admitted, at its initial
+    /// state). Per-member failures roll back that member alone and are
+    /// reported through [`MemberReport`].
     pub fn step(&mut self) -> Result<(), HealthError> {
         self.step_with(&mut |_, _| {})
     }
@@ -265,7 +263,6 @@ impl Ensemble {
             suite,
             states,
             snaps,
-            ens_ws,
             slots,
             saved,
             precip,
@@ -306,23 +303,28 @@ impl Ensemble {
             return Ok(());
         }
 
-        // Snapshot and hook member by member, then batched dynamics: with
-        // the lane path armed and at least two members resident, every RK
-        // substep's coefficient walk and DSS assembly walk are shared
-        // across up to four members at once (falls back to the per-member
-        // step otherwise — bitwise identical either way).
+        // Snapshot every running member, then run the hook on it (so a
+        // rollback undoes whatever the hook writes).
         for &s in idx.iter() {
             snaps[s].copy_from(&states[s]);
             saved[s] = slots[s].meta;
             hook(slots[s].id, &mut states[s]);
         }
-        dycore.dynamics_step_members(states, idx, ens_ws);
 
-        // Batched hyperviscosity: one plan build, coefficient walks shared
-        // across members. An error here is member-independent
-        // (grid/configuration), hence batch-wide.
+        // Dynamics and hyperviscosity, member after member. A hypervis error
+        // is member-independent (grid/configuration), hence batch-wide: put
+        // every running member back as it was before the step, then report.
         let subcycles = dycore.hypervis_subcycles();
-        dycore.apply_hypervis_members(states, idx, ens_ws, subcycles)?;
+        for &s in idx.iter() {
+            dycore.dynamics_step(&mut states[s]);
+            if let Err(e) = dycore.apply_hypervis_n(&mut states[s], subcycles) {
+                for &s in idx.iter() {
+                    states[s].copy_from(&snaps[s]);
+                    slots[s].meta = saved[s];
+                }
+                return Err(e);
+            }
+        }
 
         // Per-member tail: tracers, remap cadence, physics cadence. Any
         // failure rolls this member back to its pre-step snapshot.
@@ -454,6 +456,40 @@ mod tests {
             assert_eq!(r.steps, 2);
         }
         assert!(ens.is_idle());
+    }
+
+    /// A batch-wide error leaves no member half-stepped: a hypervis plan
+    /// that rejects the step (non-finite `nu`) makes `step` fail, and every
+    /// running member keeps its pre-step state to the bit and its step
+    /// count.
+    #[test]
+    fn batch_wide_error_restores_every_member() {
+        let mut ens = Ensemble::new(resting_spec(), EnsembleConfig::default());
+        for m in 0..3 {
+            ens.submit(40 + m, 5);
+        }
+        ens.step().unwrap();
+        ens.step().unwrap();
+        let running: Vec<usize> = (0..ens.slots.len())
+            .filter(|&s| ens.slots[s].status == MemberStatus::Running)
+            .collect();
+        assert_eq!(running.len(), 3);
+        let before: Vec<(State, usize)> =
+            running.iter().map(|&s| (ens.states[s].clone(), ens.slots[s].meta.steps_done)).collect();
+
+        ens.dycore.cfg.hypervis.nu = f64::NAN;
+        assert!(matches!(ens.step(), Err(HealthError::Hypervis(_))), "poisoned plan must fail the step");
+
+        let bits = |st: &State| -> Vec<u64> {
+            [&st.u, &st.v, &st.t, &st.dp3d, &st.qdp, &st.phis]
+                .iter()
+                .flat_map(|f| f.iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        for (&s, (state, steps)) in running.iter().zip(&before) {
+            assert!(bits(&ens.states[s]) == bits(state), "member in lane {s} was left half-stepped");
+            assert_eq!(ens.slots[s].meta.steps_done, *steps, "member in lane {s} step count moved");
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Bitwise contract of the member-lane kernel path: with
-//! `member_kernel_path = Lanes` armed, member m of an N-member batch is
-//! bit-for-bit equal to a standalone run of the same scenario and seed —
-//! across every lane occupancy the sweep dispatcher sees (full 4-wide
-//! sweeps, ragged 1/2/3-lane tails, 4 + 1 splits), across column depths
-//! from a single level to a 128-level stratosphere-resolving stack, dry
-//! and moist, with members admitted and retired mid-run, and with a
-//! poisoned member's NaNs riding through the shared lane tiles without
-//! touching its neighbors.
+//! Bitwise contract of the ensemble engine with `member_kernel_path =
+//! Lanes` (the one member path: members step one after another through the
+//! shared dycore): member m of an N-member batch is bit-for-bit equal to a
+//! standalone run of the same scenario and seed — for every batch width
+//! from 1 to 5, across column depths from a single level to a 128-level
+//! stratosphere-resolving stack, dry and moist, with members admitted and
+//! retired mid-run, and with a poisoned member's NaNs never reaching the
+//! members stepped beside it. (The file is named for the member-lane
+//! kernels these pins were written against; they are deleted, and the pins
+//! hold unchanged.)
 
 use swcam_core::homme::HealthError;
 use swcam_core::{
@@ -23,7 +24,7 @@ fn shrunk(name: &str, nlev: usize) -> ScenarioSpec {
     spec
 }
 
-/// Engine config with the lane path explicitly armed.
+/// Engine config naming the member path explicitly.
 fn lane_cfg(lanes: usize) -> EnsembleConfig {
     EnsembleConfig { lanes, member_kernel_path: MemberKernelPath::Lanes, ..Default::default() }
 }
@@ -35,8 +36,7 @@ fn standalone(spec: &ScenarioSpec, seed: u64, steps: usize) -> Swcam {
     model
 }
 
-/// One batch of `n` members on the lane path against `n` standalone runs,
-/// bit for bit.
+/// One batch of `n` members against `n` standalone runs, bit for bit.
 fn pin_batch(spec: &ScenarioSpec, n: usize, steps: usize) {
     let mut ens = Ensemble::new(spec.clone(), lane_cfg(n));
     let seeds: Vec<u64> = (0..n as u64).map(|m| 1000 + 17 * m).collect();
@@ -66,8 +66,7 @@ fn pin_batch(spec: &ScenarioSpec, n: usize, steps: usize) {
 #[test]
 fn lane_members_match_standalone_bitwise_dry() {
     // Adiabatic dycore-only scenario: every batch width against every
-    // short-to-operational column depth. N = 3 is the masked ragged tail,
-    // N = 5 a full sweep plus a duplicated-lane single.
+    // short-to-operational column depth.
     for nlev in [1usize, 3, 26] {
         let spec = shrunk("resting", nlev);
         for n in [1usize, 2, 3, 4, 5] {
@@ -78,8 +77,8 @@ fn lane_members_match_standalone_bitwise_dry() {
 
 #[test]
 fn lane_members_match_standalone_bitwise_deep_column() {
-    // 128-level stack: the column scans carry lane state through a long
-    // sequential recurrence — kept to the ragged widths to bound runtime.
+    // 128-level stack: the column scans run a long sequential recurrence —
+    // kept to two widths to bound runtime.
     let spec = shrunk("resting", 128);
     for n in [3usize, 5] {
         pin_batch(&spec, n, 1);
@@ -89,7 +88,7 @@ fn lane_members_match_standalone_bitwise_deep_column() {
 #[test]
 fn lane_members_match_standalone_bitwise_moist() {
     // Moist aquaplanet: tracers + physics exercise the full coupled tail
-    // per member around the batched dynamics and hypervis.
+    // per member after dynamics and hypervis.
     for nlev in [3usize, 26] {
         let spec = shrunk("aquaplanet", nlev);
         for n in [1usize, 2, 3, 4, 5] {
@@ -101,8 +100,8 @@ fn lane_members_match_standalone_bitwise_moist() {
 #[test]
 fn lane_admit_and_retire_mid_run_is_deterministic() {
     // 5 members through 3 lanes with different step targets: lane
-    // occupancy shifts every few steps (3-wide ragged sweeps, then 2,
-    // then 1) as members retire and queued members are admitted. Every
+    // occupancy shifts every few steps (3 running, then 2, then 1) as
+    // members retire and queued members are admitted. Every
     // member must still match its standalone trajectory bitwise.
     let spec = shrunk("resting", 6);
     let jobs: [(u64, usize); 5] = [(11, 2), (22, 4), (33, 3), (44, 2), (55, 3)];
@@ -126,15 +125,15 @@ fn lane_admit_and_retire_mid_run_is_deterministic() {
 
 #[test]
 fn poisoned_lane_never_contaminates_its_sweep_neighbors() {
-    // Three members share one lane sweep; member 1's hook injects NaN into
-    // both its wind field (so the NaN rides the shared V4F64 tiles through
-    // the batched RK and hypervis kernels next to two healthy lanes) and
-    // its vapour tracer (so the step's checks deterministically reject the
-    // member — the NaN reaches dp3d through the RK tendencies and the
-    // vertical remap refuses the column). The lane kernels have no
-    // cross-lane operations, so the poison must stay in its lane: member 1
-    // rolls back alone to its clean pre-step snapshot and every member
-    // finishes bit-identical to a clean standalone run.
+    // Three members share one engine step; member 1's hook injects NaN into
+    // both its wind field (so the NaN runs through the RK and hypervis
+    // sweeps between two healthy members' calls on the shared workspace)
+    // and its vapour tracer (so the step's checks deterministically reject
+    // the member — the NaN reaches dp3d through the RK tendencies and the
+    // vertical remap refuses the column). No workspace buffer carries
+    // anything from one call to the next, so the poison must stay in its
+    // member: member 1 rolls back alone to its clean pre-step snapshot and
+    // every member finishes bit-identical to a clean standalone run.
     let spec = shrunk("aquaplanet", 6);
     let steps = 3usize;
     let mut ens = Ensemble::new(spec.clone(), lane_cfg(3));

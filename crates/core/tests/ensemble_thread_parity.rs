@@ -1,7 +1,6 @@
-//! A full lane group (four members on the `V4F64` member tiles) stepped
-//! through [`Ensemble`] is bitwise independent of the scheduler's worker
-//! count: every lane DSS is an element-parallel gather sweep, and the sum a
-//! point receives must not depend on which worker forms it.
+//! Four members stepped through [`Ensemble`] are bitwise independent of the
+//! scheduler's worker count: every DSS is an element-parallel gather sweep,
+//! and the sum a point receives must not depend on which worker forms it.
 //!
 //! The engine sizes its pool from `SWCAM_THREADS` at construction, so this
 //! file holds exactly one test — nothing else in the process reads the

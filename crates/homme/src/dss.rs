@@ -10,8 +10,6 @@
 //! ([`DssGather`]), bitwise equal to it.
 
 use cubesphere::{CubedSphere, NPTS};
-use std::ops::{Add, Mul};
-use sw26010::V4F64;
 
 /// Serial DSS engine for a grid.
 #[derive(Debug, Clone)]
@@ -149,40 +147,6 @@ impl Dss {
 /// Most elements that can share one GLL point: four quadrilaterals meet at
 /// a regular mesh vertex (three at a cube corner).
 const MAX_SHARERS: usize = 4;
-
-/// What a DSS gather runs on: one scalar per grid value (`f64`), or one
-/// member-lane vector per grid value ([`V4F64`], lanes are ensemble
-/// members). The shared `spheremp` / inverse-mass / coefficient scalars are
-/// splat across lanes, so lane `m` replays member `m`'s scalar sequence.
-pub trait Lane: Copy + Add<Output = Self> + Mul<Output = Self> {
-    /// Whether the gather vectorizes across the 16 points of a level. For
-    /// scalar lanes it does, so it walks slot-major and pays for padded
-    /// slots with a few wide selects. A member-lane vector is already one
-    /// SIMD operation per point, so a padded slot would cost a full
-    /// operation: it walks point-major over the same slot tables instead.
-    const SLOT_MAJOR: bool;
-
-    /// All lanes set to `x`.
-    fn splat(x: f64) -> Self;
-}
-
-impl Lane for f64 {
-    const SLOT_MAJOR: bool = true;
-
-    #[inline]
-    fn splat(x: f64) -> Self {
-        x
-    }
-}
-
-impl Lane for V4F64 {
-    const SLOT_MAJOR: bool = false;
-
-    #[inline]
-    fn splat(x: f64) -> Self {
-        V4F64::splat(x)
-    }
-}
 
 /// Top bit of a slot code: the sharer lives on another rank, and the low
 /// bits index [`DssGather`]'s ghost table.
@@ -374,30 +338,30 @@ impl DssGather {
     /// canonical order, then `acc * inv_mass`, then the optional
     /// `out + c * (..)` — the exact operation sequence of
     /// [`Dss::apply_flat`] (plus the drivers' separate apply loop), so the
-    /// result is bitwise the scatter walk's for every lane. Allocation-free.
+    /// result is bitwise the scatter walk's. Allocation-free.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn gather_elem<L: Lane, const F: usize>(
+    pub fn gather_elem<const F: usize>(
         &self,
         e: usize,
         levels: usize,
         sstride: usize,
-        read: impl Fn(usize, usize) -> L,
-        ghost: impl Fn(usize, usize, usize) -> L,
+        read: impl Fn(usize, usize) -> f64,
+        ghost: impl Fn(usize, usize, usize) -> f64,
         coefs: Option<[&[f64]; F]>,
-        out: &mut [&mut [L]; F],
+        out: &mut [&mut [f64]; F],
     ) {
         match coefs {
-            None => self.assemble_elem(e, levels, sstride, read, ghost, |k, lvl: &[[L; NPTS]; F]| {
+            None => self.assemble_elem(e, levels, sstride, read, ghost, |k, lvl: &[[f64; NPTS]; F]| {
                 for f in 0..F {
                     out[f][k * NPTS..(k + 1) * NPTS].copy_from_slice(&lvl[f]);
                 }
             }),
-            Some(c) => self.assemble_elem(e, levels, sstride, read, ghost, |k, lvl: &[[L; NPTS]; F]| {
+            Some(c) => self.assemble_elem(e, levels, sstride, read, ghost, |k, lvl: &[[f64; NPTS]; F]| {
                 for f in 0..F {
-                    let cf = L::splat(c[f][k]);
+                    let cf = c[f][k];
                     for (o, &v) in out[f][k * NPTS..(k + 1) * NPTS].iter_mut().zip(&lvl[f]) {
-                        *o = *o + cf * v;
+                        *o += cf * v;
                     }
                 }
             }),
@@ -407,12 +371,11 @@ impl DssGather {
     /// The gather walk of [`DssGather::gather_elem`]: hands `emit` the
     /// assembled `F`-field values of element `e` one level at a time.
     ///
-    /// For scalar lanes ([`Lane::SLOT_MAJOR`]) a level is walked slot-major:
-    /// slots outermost, then the `F` fields (sharing the slot's source-index
-    /// row), then the 16 points innermost, a loop the compiler vectorizes.
-    /// Member lanes and ghosted elements walk point-major, each point over
-    /// its own sharers. Either way each point adds its sharers in canonical
-    /// order.
+    /// An element with no ghost sharer walks a level slot-major: slots
+    /// outermost, then the `F` fields (sharing the slot's source-index row),
+    /// then the 16 points innermost, a loop the compiler vectorizes. A
+    /// ghosted element walks point-major, each point over its own sharers.
+    /// Either way each point adds its sharers in canonical order.
     ///
     /// A level is assembled into a fixed-size stack tile first and only then
     /// handed on, so the walk's loads (plan tables, source values) are never
@@ -420,14 +383,14 @@ impl DssGather {
     /// the destination windows reach the sweeps through raw-pointer arena
     /// views.
     #[inline]
-    fn assemble_elem<L: Lane, const F: usize>(
+    fn assemble_elem<const F: usize>(
         &self,
         e: usize,
         levels: usize,
         sstride: usize,
-        read: impl Fn(usize, usize) -> L,
-        ghost: impl Fn(usize, usize, usize) -> L,
-        mut emit: impl FnMut(usize, &[[L; NPTS]; F]),
+        read: impl Fn(usize, usize) -> f64,
+        ghost: impl Fn(usize, usize, usize) -> f64,
+        mut emit: impl FnMut(usize, &[[f64; NPTS]; F]),
     ) {
         let el = &self.elems[e];
         let nslots = el.nslots as usize;
@@ -442,17 +405,17 @@ impl DssGather {
         }
         for k in 0..levels {
             let ko = k * NPTS;
-            let mut acc = [[L::splat(0.0); NPTS]; F];
-            if L::SLOT_MAJOR && !el.ghosted {
+            let mut acc = [[0.0; NPTS]; F];
+            if !el.ghosted {
                 for s in 0..nslots {
                     let (b, w) = (&base[s], &el.w[s]);
                     for (f, a) in acc.iter_mut().enumerate() {
-                        let mut x = [L::splat(0.0); NPTS];
+                        let mut x = [0.0; NPTS];
                         for p in 0..NPTS {
                             x[p] = read(f, b[p] + ko);
                         }
                         for p in 0..NPTS {
-                            let term = a[p] + L::splat(w[p]) * x[p];
+                            let term = a[p] + w[p] * x[p];
                             // A point with fewer sharers keeps its
                             // accumulator through this select, never by
                             // adding a zero-weight term. For finite raw
@@ -468,23 +431,22 @@ impl DssGather {
                 }
                 for a in &mut acc {
                     for (v, &m) in a.iter_mut().zip(&el.inv) {
-                        *v = *v * L::splat(m);
+                        *v *= m;
                     }
                 }
             } else {
                 for p in 0..NPTS {
-                    let mut a = [L::splat(0.0); F];
+                    let mut a = [0.0; F];
                     for s in 0..el.n[p] as usize {
-                        let (b, w) = (base[s][p], L::splat(el.w[s][p]));
+                        let (b, w) = (base[s][p], el.w[s][p]);
                         let is_ghost = el.code[s][p] & GHOST != 0;
                         for (f, a) in a.iter_mut().enumerate() {
                             let x = if is_ghost { ghost(f, k, b) } else { read(f, b + ko) };
-                            *a = *a + w * x;
+                            *a += w * x;
                         }
                     }
-                    let m = L::splat(el.inv[p]);
                     for f in 0..F {
-                        acc[f][p] = a[f] * m;
+                        acc[f][p] = a[f] * el.inv[p];
                     }
                 }
             }
@@ -495,7 +457,7 @@ impl DssGather {
 
 /// The `ghost` reader of a gather with no off-rank sharers (one rank):
 /// never called, since no element of a one-rank plan is ghosted.
-pub fn no_ghosts<L>(_f: usize, _k: usize, _g: usize) -> L {
+pub fn no_ghosts(_f: usize, _k: usize, _g: usize) -> f64 {
     unreachable!("a one-rank DSS gather has no ghost sharers")
 }
 
@@ -651,7 +613,7 @@ mod tests {
         (0..len).map(|i| ((i * 193 + seed * 29) % 101) as f64 / 9.0 - 5.0).collect()
     }
 
-    /// Oracle for the gather kernel on one member: the `F` raw fields
+    /// Oracle for the gather kernel: the `F` raw fields
     /// assembled by the in-place scatter walk ([`Dss::apply_flat4`], the
     /// quartet padded by repeating fields), and `target + c[f][k] *
     /// assembled` formed by a manual loop into a `tlevels`-deep target.
@@ -686,28 +648,28 @@ mod tests {
     /// element, of which the first `levels` are gathered) assembled into a
     /// fresh `levels`-deep arena set (store form) and accumulated into a
     /// copy of `target` (scaled-add form).
-    fn gather_both<L: Lane, const F: usize>(
+    fn gather_both<const F: usize>(
         plan: &DssGather,
-        src: &[Vec<L>; F],
+        src: &[Vec<f64>; F],
         levels: usize,
         sdepth: usize,
         coefs: &[Vec<f64>; F],
-        target: &[Vec<L>; F],
+        target: &[Vec<f64>; F],
         tlevels: usize,
-    ) -> ([Vec<L>; F], [Vec<L>; F]) {
+    ) -> ([Vec<f64>; F], [Vec<f64>; F]) {
         let (sstride, wstride, tstride) = (sdepth * NPTS, levels * NPTS, tlevels * NPTS);
         let nelem = plan.nelem();
-        let mut stored: [Vec<L>; F] =
-            std::array::from_fn(|_| vec![L::splat(f64::NAN); nelem * wstride]);
+        let mut stored: [Vec<f64>; F] =
+            std::array::from_fn(|_| vec![f64::NAN; nelem * wstride]);
         let mut added = target.clone();
         let c: [&[f64]; F] = std::array::from_fn(|f| &coefs[f][..]);
         for e in 0..nelem {
             let mut it = stored.iter_mut();
-            let mut win: [&mut [L]; F] =
+            let mut win: [&mut [f64]; F] =
                 std::array::from_fn(|_| &mut it.next().unwrap()[e * wstride..(e + 1) * wstride]);
             plan.gather_elem(e, levels, sstride, |f, i| src[f][i], no_ghosts, None, &mut win);
             let mut it = added.iter_mut();
-            let mut win: [&mut [L]; F] =
+            let mut win: [&mut [f64]; F] =
                 std::array::from_fn(|_| &mut it.next().unwrap()[e * tstride..(e + 1) * tstride]);
             plan.gather_elem(e, levels, sstride, |f, i| src[f][i], no_ghosts, Some(c), &mut win);
         }
@@ -726,31 +688,13 @@ mod tests {
         deep
     }
 
-    /// Lane tiles of four members' `F` fields.
-    fn tile<const F: usize>(x: &[[Vec<f64>; F]; 4]) -> [Vec<V4F64>; F] {
-        std::array::from_fn(|f| {
-            let mut t = vec![V4F64::zero(); x[0][f].len()];
-            sw26010::interleave4([&x[0][f], &x[1][f], &x[2][f], &x[3][f]], &mut t);
-            t
-        })
-    }
-
-    /// The four members of a lane tile.
-    fn untile(t: &[V4F64]) -> Vec<Vec<f64>> {
-        let mut outs = vec![vec![0.0f64; t.len()]; 4];
-        let mut views: Vec<&mut [f64]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-        sw26010::deinterleave4(t, &mut views);
-        outs
-    }
-
     fn bits(x: &[f64]) -> Vec<u64> {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The generic gather kernel, store and scaled-add forms, is bitwise
-    /// the scatter walk plus a manual `target += c * assembled` loop — for
-    /// `F` fields on `f64` arenas and, lane by lane, on `V4F64` member
-    /// tiles — at every level count up to the tracer stage's 650, into a
+    /// The gather kernel, store and scaled-add forms, is bitwise the
+    /// scatter walk plus a manual `target += c * assembled` loop — for `F`
+    /// fields, at every level count up to the tracer stage's 650, into a
     /// target as deep as the field and one deeper than it (the sponge
     /// shape), from a source as deep as the window and deeper than it (the
     /// tracer chunk shape).
@@ -765,42 +709,19 @@ mod tests {
                 let coefs: [Vec<f64>; F] = std::array::from_fn(|f| {
                     (0..levels).map(|k| (f as f64 - 1.5) * 1.0e-3 / (1 << (k % 5)) as f64).collect()
                 });
-                // Four members; the f64 form runs on member 0 alone.
-                let raw: [[Vec<f64>; F]; 4] =
-                    std::array::from_fn(|m| std::array::from_fn(|f| synth(7 * m + f, slen)));
-                let target: [[Vec<f64>; F]; 4] =
-                    std::array::from_fn(|m| std::array::from_fn(|f| synth(31 + 5 * m + f, tlen)));
-                let want: [_; 4] = std::array::from_fn(|m| {
-                    scatter_oracle(&mut dss, &raw[m], levels, &coefs, &target[m], tlevels)
-                });
+                let raw: [Vec<f64>; F] = std::array::from_fn(|f| synth(f, slen));
+                let target: [Vec<f64>; F] = std::array::from_fn(|f| synth(31 + f, tlen));
+                let want = scatter_oracle(&mut dss, &raw, levels, &coefs, &target, tlevels);
                 for sdepth in [levels, levels + 3] {
-                    let deep: [[Vec<f64>; F]; 4] = std::array::from_fn(|m| {
-                        std::array::from_fn(|f| deepen(&raw[m][f], levels, sdepth))
-                    });
+                    let deep: [Vec<f64>; F] =
+                        std::array::from_fn(|f| deepen(&raw[f], levels, sdepth));
                     let shape = format!("F={F} levels={levels} sdepth={sdepth} tlevels={tlevels}");
                     let (stored, added) =
-                        gather_both(&plan, &deep[0], levels, sdepth, &coefs, &target[0], tlevels);
+                        gather_both(&plan, &deep, levels, sdepth, &coefs, &target, tlevels);
                     for f in 0..F {
                         let tag = format!("f64 {shape} field {f}");
-                        assert_eq!(bits(&want[0].0[f]), bits(&stored[f]), "store {tag}");
-                        assert_eq!(bits(&want[0].1[f]), bits(&added[f]), "scaled add {tag}");
-                    }
-                    let (stored, added) = gather_both(
-                        &plan,
-                        &tile(&deep),
-                        levels,
-                        sdepth,
-                        &coefs,
-                        &tile(&target),
-                        tlevels,
-                    );
-                    for f in 0..F {
-                        let (st, ad) = (untile(&stored[f]), untile(&added[f]));
-                        for m in 0..4 {
-                            let tag = format!("lanes {shape} field {f} member {m}");
-                            assert_eq!(bits(&want[m].0[f]), bits(&st[m]), "store {tag}");
-                            assert_eq!(bits(&want[m].1[f]), bits(&ad[m]), "scaled add {tag}");
-                        }
+                        assert_eq!(bits(&want.0[f]), bits(&stored[f]), "store {tag}");
+                        assert_eq!(bits(&want.1[f]), bits(&added[f]), "scaled add {tag}");
                     }
                 }
             }
@@ -857,10 +778,11 @@ mod tests {
     }
 
     /// Non-finite raw values and signed zeros at interior, edge and corner
-    /// points assemble to the scatter walk's bits on both walks: a padded
-    /// slot never touches a point's accumulator (a zero-weight add would
-    /// turn an interior or edge `inf` into NaN), and an all-`-0.0` point
-    /// still assembles to `+0.0`.
+    /// points assemble to the scatter walk's bits on both walks (slot-major,
+    /// and the point-major walk of a ghosted element): a padded slot never
+    /// touches a point's accumulator (a zero-weight add would turn an
+    /// interior or edge `inf` into NaN), and an all-`-0.0` point still
+    /// assembles to `+0.0`.
     #[test]
     fn gather_keeps_non_finite_and_signed_zero_bits() {
         let grid = CubedSphere::new(2);
@@ -909,20 +831,31 @@ mod tests {
             let (single, _) = gather_both(&plan, &one, levels, levels, &c1, &z1, levels);
             assert_eq!(bits(&want[f]), bits(&single[0]), "f64 single field {f}");
         }
-        // Member m carries the fields rotated by m, so every lane sees every
-        // special value.
-        let members: [[Vec<f64>; 4]; 4] =
-            std::array::from_fn(|m| std::array::from_fn(|f| raw[(f + m) % 4].clone()));
-        let zeros4: [[Vec<f64>; 4]; 4] = std::array::from_fn(|_| zeros.clone());
-        let (src, zeros4) = (tile(&members), tile(&zeros4));
-        let (stored, _) = gather_both(&plan, &src, levels, levels, &coefs, &zeros4, levels);
-        for f in 0..4 {
-            let st = untile(&stored[f]);
-            for m in 0..4 {
-                assert_eq!(bits(&want[(f + m) % 4]), bits(&st[m]), "lanes field {f} member {m}");
+        // The point-major walk a ghosted element takes keeps the same bits:
+        // a plan whose sharers in other elements are all ghosts, each read
+        // in place from `raw` (ghost index = the sharer's local code).
+        let ghosted = DssGather::from_rows(nelem, Vec::new(), |own, row| {
+            let g = dss.gids[own];
+            for c in (0..dss.gids.len()).filter(|&c| dss.gids[c] == g) {
+                let code = if c / NPTS == own / NPTS { c as u32 } else { DssGather::ghost_code(c) };
+                row.push((code, dss.spheremp[c]));
             }
+            dss.inv_mass[g]
+        });
+        let wstride = levels * NPTS;
+        let mut walked: [Vec<f64>; 4] = std::array::from_fn(|_| vec![f64::NAN; raw[0].len()]);
+        for e in 0..nelem {
+            assert!(ghosted.is_ghosted(e), "element {e} must take the point-major walk");
+            let mut it = walked.iter_mut();
+            let mut win: [&mut [f64]; 4] =
+                std::array::from_fn(|_| &mut it.next().unwrap()[e * wstride..(e + 1) * wstride]);
+            let ghost = |f: usize, k: usize, c: usize| raw[f][at(c / NPTS, k, c % NPTS)];
+            ghosted.gather_elem(e, levels, wstride, |f, i| raw[f][i], ghost, None, &mut win);
         }
-        // The fixture really holds what it claims, so the check above bites.
+        for f in 0..4 {
+            assert_eq!(bits(&want[f]), bits(&walked[f]), "point-major field {f}");
+        }
+        // The fixture really holds what it claims, so the checks above bite.
         assert!(want[0][at(0, 0, interior)] == f64::INFINITY);
         assert!(want[0][at(2, 0, interior)].is_nan());
         for p in [interior, edge, corner] {

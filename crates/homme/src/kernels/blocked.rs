@@ -749,201 +749,6 @@ pub fn sponge_pass_element_blocked(
     }
 }
 
-/// Member-batched variant of [`vlaplace_scalars_blocked`]: `M` independent
-/// ensemble members share every coefficient broadcast of the two walks.
-///
-/// This is ROADMAP item 4's "lane dimension = member" move applied at the
-/// coefficient-walk level: the `dvv`/`dvvt` splats and the metric rows are
-/// loaded once per `(i, kk)` / `(a, i)` pair and contracted against all `M`
-/// members' field rows, so the batched walk costs one coefficient stream for
-/// `M` simulations instead of `M` streams. Every accumulator stays private
-/// to one member's output and is updated in the standalone kernel's exact
-/// term order, so member `m` of the batched result is **bitwise identical**
-/// to calling [`vlaplace_scalars_blocked`] on member `m` alone — the pin the
-/// ensemble parity suite enforces.
-pub type MemberLaplacians<const M: usize, const NS: usize> =
-    ([[V4F64; NP]; M], [[V4F64; NP]; M], [[[V4F64; NP]; NS]; M]);
-
-#[inline]
-pub fn vlaplace_scalars_members_blocked<const M: usize, const NS: usize>(
-    bop: &BlockedOps,
-    u: &[[V4F64; NP]; M],
-    v: &[[V4F64; NP]; M],
-    s: &[[[V4F64; NP]; NS]; M],
-) -> MemberLaplacians<M, NS> {
-    // Walk-1 prologue: contravariant mass flux and covariant components per
-    // row, with the four metric vectors loaded once per row for all members.
-    let mut gv1 = [[V4F64::zero(); NP]; M];
-    let mut gv2 = [[V4F64::zero(); NP]; M];
-    let mut ucov = [[V4F64::zero(); NP]; M];
-    let mut vcov = [[V4F64::zero(); NP]; M];
-    for r in 0..NP {
-        let (di00, di01) = (bop.dinv[0][0][r], bop.dinv[0][1][r]);
-        let (di10, di11) = (bop.dinv[1][0][r], bop.dinv[1][1][r]);
-        let (d00, d01) = (bop.d[0][0][r], bop.d[0][1][r]);
-        let (d10, d11) = (bop.d[1][0][r], bop.d[1][1][r]);
-        let md = bop.metdet[r];
-        for m in 0..M {
-            let c1 = di00 * u[m][r] + di01 * v[m][r];
-            let c2 = di10 * u[m][r] + di11 * v[m][r];
-            gv1[m][r] = md * c1;
-            gv2[m][r] = md * c2;
-            ucov[m][r] = d00 * u[m][r] + d10 * v[m][r];
-            vcov[m][r] = d01 * u[m][r] + d11 * v[m][r];
-        }
-    }
-    // Walk 1: div + vort + every scalar's weak-gradient fluxes; one
-    // `(i, kk)` coefficient broadcast feeds all members.
-    let mut div = [[V4F64::zero(); NP]; M];
-    let mut vort = [[V4F64::zero(); NP]; M];
-    let mut c1s = [[[V4F64::zero(); NP]; NS]; M];
-    let mut c2s = [[[V4F64::zero(); NP]; NS]; M];
-    for i in 0..NP {
-        let mut acc_div = [V4F64::zero(); M];
-        let mut dv_da = [V4F64::zero(); M];
-        let mut du_db = [V4F64::zero(); M];
-        let mut s_a = [[V4F64::zero(); NS]; M];
-        let mut s_b = [[V4F64::zero(); NS]; M];
-        for kk in 0..NP {
-            let ca = V4F64::splat(bop.dvv[i][kk]);
-            let cb = bop.dvvt[kk];
-            for m in 0..M {
-                acc_div[m] = acc_div[m] + ca * gv1[m][kk];
-                acc_div[m] = acc_div[m] + cb * V4F64::splat(gv2[m][i][kk]);
-                dv_da[m] = dv_da[m] + ca * vcov[m][kk];
-                du_db[m] = du_db[m] + cb * V4F64::splat(ucov[m][i][kk]);
-                for t in 0..NS {
-                    s_a[m][t] = s_a[m][t] + ca * s[m][t][kk];
-                    s_b[m][t] = s_b[m][t] + cb * V4F64::splat(s[m][t][i][kk]);
-                }
-            }
-        }
-        for m in 0..M {
-            div[m][i] = acc_div[m] * bop.dscale * bop.rmetdet[i];
-            vort[m][i] = (dv_da[m] - du_db[m]) * bop.dscale * bop.rmetdet[i];
-            for t in 0..NS {
-                let (da, db) = (s_a[m][t] * bop.dscale, s_b[m][t] * bop.dscale);
-                let gx = bop.dinv[0][0][i] * da + bop.dinv[1][0][i] * db;
-                let gy = bop.dinv[0][1][i] * da + bop.dinv[1][1][i] * db;
-                c1s[m][t][i] = bop.spheremp[i] * (bop.dinv[0][0][i] * gx + bop.dinv[0][1][i] * gy);
-                c2s[m][t][i] = bop.spheremp[i] * (bop.dinv[1][0][i] * gx + bop.dinv[1][1][i] * gy);
-            }
-        }
-    }
-    // Walk 2: second weak-form contraction + grad(div) − curl(vort), again
-    // one `(a, i)` broadcast for all members, per-member term order exactly
-    // as in the single-member kernel.
-    let mut lu = [[V4F64::zero(); NP]; M];
-    let mut lv = [[V4F64::zero(); NP]; M];
-    let mut ls = [[[V4F64::zero(); NP]; NS]; M];
-    for a in 0..NP {
-        let mut acc = [[V4F64::zero(); NS]; M];
-        let mut d_a = [V4F64::zero(); M];
-        let mut d_b = [V4F64::zero(); M];
-        let mut v_a = [V4F64::zero(); M];
-        let mut v_b = [V4F64::zero(); M];
-        for i in 0..NP {
-            let ci = V4F64::splat(bop.dvv[i][a]);
-            let ca = V4F64::splat(bop.dvv[a][i]);
-            let cb = bop.dvvt[i];
-            for m in 0..M {
-                for t in 0..NS {
-                    acc[m][t] = acc[m][t] + ci * c1s[m][t][i];
-                }
-                d_a[m] = d_a[m] + ca * div[m][i];
-                d_b[m] = d_b[m] + cb * V4F64::splat(div[m][a][i]);
-                v_a[m] = v_a[m] + ca * vort[m][i];
-                v_b[m] = v_b[m] + cb * V4F64::splat(vort[m][a][i]);
-            }
-        }
-        for j in 0..NP {
-            let cj = bop.dvv[j];
-            for m in 0..M {
-                for t in 0..NS {
-                    acc[m][t] = acc[m][t] + cj * V4F64::splat(c2s[m][t][a][j]);
-                }
-            }
-        }
-        for m in 0..M {
-            for t in 0..NS {
-                ls[m][t][a] = acc[m][t] * (-bop.dscale) / bop.spheremp[a];
-            }
-            let (da, db) = (d_a[m] * bop.dscale, d_b[m] * bop.dscale);
-            let gdx = bop.dinv[0][0][a] * da + bop.dinv[1][0][a] * db;
-            let gdy = bop.dinv[0][1][a] * da + bop.dinv[1][1][a] * db;
-            let (da, db) = (v_a[m] * bop.dscale, v_b[m] * bop.dscale);
-            let cc1 = db * bop.rmetdet[a];
-            let cc2 = -da * bop.rmetdet[a];
-            let cx = bop.d[0][0][a] * cc1 + bop.d[0][1][a] * cc2;
-            let cy = bop.d[1][0][a] * cc1 + bop.d[1][1][a] * cc2;
-            lu[m][a] = gdx - cx;
-            lv[m][a] = gdy - cy;
-        }
-    }
-    (lu, lv, ls)
-}
-
-/// Member-batched first hyperviscosity pass over every level of one element,
-/// out of place: `M` members' `(u, v, t, dp3d)` fields go through the shared
-/// coefficient walks of [`vlaplace_scalars_members_blocked`]. Member `m` is
-/// bitwise identical to [`hypervis_pass_element_blocked`] on member `m`.
-#[allow(clippy::too_many_arguments)]
-pub fn hypervis_pass_element_members_blocked<const M: usize>(
-    bop: &BlockedOps,
-    nlev: usize,
-    su: &[&[f64]; M],
-    sv: &[&[f64]; M],
-    st: &[&[f64]; M],
-    sdp: &[&[f64]; M],
-    ou: &mut [&mut [f64]; M],
-    ov: &mut [&mut [f64]; M],
-    ot: &mut [&mut [f64]; M],
-    odp: &mut [&mut [f64]; M],
-) {
-    for k in 0..nlev {
-        let o = k * NPTS;
-        let u: [[V4F64; NP]; M] = core::array::from_fn(|m| load_rows(&su[m][o..]));
-        let v: [[V4F64; NP]; M] = core::array::from_fn(|m| load_rows(&sv[m][o..]));
-        let s: [[[V4F64; NP]; 2]; M] =
-            core::array::from_fn(|m| [load_rows(&st[m][o..]), load_rows(&sdp[m][o..])]);
-        let (lu, lv, ls) = vlaplace_scalars_members_blocked::<M, 2>(bop, &u, &v, &s);
-        for m in 0..M {
-            store_rows(&lu[m], &mut ou[m][o..]);
-            store_rows(&lv[m], &mut ov[m][o..]);
-            store_rows(&ls[m][0], &mut ot[m][o..]);
-            store_rows(&ls[m][1], &mut odp[m][o..]);
-        }
-    }
-}
-
-/// Member-batched in-place second (biharmonic) hyperviscosity pass: the
-/// DSS'd first-pass Laplacians of `M` members are overwritten with their own
-/// Laplacians through shared coefficient walks. Member `m` is bitwise
-/// identical to [`hypervis_pass_levels_blocked`] on member `m`.
-pub fn hypervis_pass_levels_members_blocked<const M: usize>(
-    bop: &BlockedOps,
-    nlev: usize,
-    u: &mut [&mut [f64]; M],
-    v: &mut [&mut [f64]; M],
-    t: &mut [&mut [f64]; M],
-    dp: &mut [&mut [f64]; M],
-) {
-    for k in 0..nlev {
-        let o = k * NPTS;
-        let ur: [[V4F64; NP]; M] = core::array::from_fn(|m| load_rows(&u[m][o..]));
-        let vr: [[V4F64; NP]; M] = core::array::from_fn(|m| load_rows(&v[m][o..]));
-        let s: [[[V4F64; NP]; 2]; M] =
-            core::array::from_fn(|m| [load_rows(&t[m][o..]), load_rows(&dp[m][o..])]);
-        let (lu, lv, ls) = vlaplace_scalars_members_blocked::<M, 2>(bop, &ur, &vr, &s);
-        for m in 0..M {
-            store_rows(&lu[m], &mut u[m][o..]);
-            store_rows(&lv[m], &mut v[m][o..]);
-            store_rows(&ls[m][0], &mut t[m][o..]);
-            store_rows(&ls[m][1], &mut dp[m][o..]);
-        }
-    }
-}
-
 /// PPM reconstruction coefficients of one field from a prebuilt
 /// [`ElemRemapPlan`], 4-wide over the GLL points: the interface values come
 /// from the plan's precomputed interpolation weights (the per-interface
@@ -1386,96 +1191,6 @@ mod tests {
                 assert_eq!(bits(&ev[..ks * NPTS]), bits(&sv), "sponge nlev={nlev} ks={ks} v");
                 assert_eq!(bits(&et[..ks * NPTS]), bits(&stf), "sponge nlev={nlev} ks={ks} t");
             }
-        }
-    }
-
-    /// Every member of the member-batched hypervis passes is bitwise
-    /// identical to the single-member fused pass run on that member alone —
-    /// the kernel-level half of the ensemble parity pin.
-    #[test]
-    fn member_batched_hypervis_passes_match_single_member_bitwise() {
-        fn check<const M: usize>(bop: &BlockedOps, nlev: usize, seed: &mut u64) {
-            let n = nlev * NPTS;
-            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            let u: Vec<Vec<f64>> = (0..M).map(|_| lcg_field(n, seed, -40.0, 40.0)).collect();
-            let v: Vec<Vec<f64>> = (0..M).map(|_| lcg_field(n, seed, -40.0, 40.0)).collect();
-            let t: Vec<Vec<f64>> = (0..M).map(|_| lcg_field(n, seed, 220.0, 310.0)).collect();
-            let dp: Vec<Vec<f64>> = (0..M).map(|_| lcg_field(n, seed, 200.0, 900.0)).collect();
-
-            // Single-member oracle, per member.
-            let mut eu = vec![vec![0.0; n]; M];
-            let mut ev = vec![vec![0.0; n]; M];
-            let mut et = vec![vec![0.0; n]; M];
-            let mut edp = vec![vec![0.0; n]; M];
-            for m in 0..M {
-                hypervis_pass_element_blocked(
-                    bop, nlev, &u[m], &v[m], &t[m], &dp[m], &mut eu[m], &mut ev[m], &mut et[m],
-                    &mut edp[m],
-                );
-            }
-
-            // Batched out-of-place pass.
-            let mut ou = vec![vec![0.0; n]; M];
-            let mut ov = vec![vec![0.0; n]; M];
-            let mut ot = vec![vec![0.0; n]; M];
-            let mut odp = vec![vec![0.0; n]; M];
-            {
-                let su: [&[f64]; M] = core::array::from_fn(|m| u[m].as_slice());
-                let sv: [&[f64]; M] = core::array::from_fn(|m| v[m].as_slice());
-                let st: [&[f64]; M] = core::array::from_fn(|m| t[m].as_slice());
-                let sdp: [&[f64]; M] = core::array::from_fn(|m| dp[m].as_slice());
-                let mut it_u = ou.iter_mut();
-                let mut tu: [&mut [f64]; M] = core::array::from_fn(|_| &mut it_u.next().unwrap()[..]);
-                let mut it_v = ov.iter_mut();
-                let mut tv: [&mut [f64]; M] = core::array::from_fn(|_| &mut it_v.next().unwrap()[..]);
-                let mut it_t = ot.iter_mut();
-                let mut tt: [&mut [f64]; M] = core::array::from_fn(|_| &mut it_t.next().unwrap()[..]);
-                let mut it_dp = odp.iter_mut();
-                let mut tdp: [&mut [f64]; M] =
-                    core::array::from_fn(|_| &mut it_dp.next().unwrap()[..]);
-                hypervis_pass_element_members_blocked::<M>(
-                    bop, nlev, &su, &sv, &st, &sdp, &mut tu, &mut tv, &mut tt, &mut tdp,
-                );
-            }
-            for m in 0..M {
-                assert_eq!(bits(&eu[m]), bits(&ou[m]), "M={M} nlev={nlev} member={m} u");
-                assert_eq!(bits(&ev[m]), bits(&ov[m]), "M={M} nlev={nlev} member={m} v");
-                assert_eq!(bits(&et[m]), bits(&ot[m]), "M={M} nlev={nlev} member={m} t");
-                assert_eq!(bits(&edp[m]), bits(&odp[m]), "M={M} nlev={nlev} member={m} dp3d");
-            }
-
-            // Batched in-place pass (second biharmonic application).
-            let mut iu = u.clone();
-            let mut iv = v.clone();
-            let mut it = t.clone();
-            let mut idp = dp.clone();
-            {
-                let mut a = iu.iter_mut();
-                let mut tu: [&mut [f64]; M] = core::array::from_fn(|_| &mut a.next().unwrap()[..]);
-                let mut b = iv.iter_mut();
-                let mut tv: [&mut [f64]; M] = core::array::from_fn(|_| &mut b.next().unwrap()[..]);
-                let mut c = it.iter_mut();
-                let mut tt: [&mut [f64]; M] = core::array::from_fn(|_| &mut c.next().unwrap()[..]);
-                let mut d = idp.iter_mut();
-                let mut tdp: [&mut [f64]; M] = core::array::from_fn(|_| &mut d.next().unwrap()[..]);
-                hypervis_pass_levels_members_blocked::<M>(bop, nlev, &mut tu, &mut tv, &mut tt, &mut tdp);
-            }
-            for m in 0..M {
-                assert_eq!(bits(&eu[m]), bits(&iu[m]), "in-place M={M} member={m} u");
-                assert_eq!(bits(&ev[m]), bits(&iv[m]), "in-place M={M} member={m} v");
-                assert_eq!(bits(&et[m]), bits(&it[m]), "in-place M={M} member={m} t");
-                assert_eq!(bits(&edp[m]), bits(&idp[m]), "in-place M={M} member={m} dp3d");
-            }
-        }
-
-        let ops = test_ops();
-        let mut seed = 0x5eed_0f4e_u64;
-        for nlev in [1usize, 3, 8] {
-            let op = &ops[seed as usize % ops.len()];
-            let bop = BlockedOps::new(op);
-            check::<1>(&bop, nlev, &mut seed);
-            check::<2>(&bop, nlev, &mut seed);
-            check::<4>(&bop, nlev, &mut seed);
         }
     }
 

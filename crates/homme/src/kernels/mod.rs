@@ -25,7 +25,6 @@
 
 pub mod athread;
 pub mod blocked;
-pub mod member_lanes;
 pub mod openacc;
 pub mod reference;
 pub mod verify;

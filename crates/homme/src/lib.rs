@@ -62,11 +62,10 @@ pub use hypervis::{
     MIN_GLL_GAP_METERS,
 };
 pub use kernels::blocked::{BlockedOps, KernelPath, StageCombine};
-pub use kernels::member_lanes::MemberKernelPath;
 pub use prim::{Dycore, DycoreConfig, KG5_COEFFS};
 pub use remap::{ElemRemapPlan, RemapApplyScratch, RemapError};
 pub use rhs::{ElemTend, Rhs, RhsScratch};
 pub use sched::ElemScheduler;
 pub use state::{Dims, ElemMut, ElemRef, State};
 pub use vert::VertCoord;
-pub use workspace::{EnsembleWorkspace, StepWorkspace};
+pub use workspace::{EnsembleWorkspace, MemberKernelPath, StepWorkspace};

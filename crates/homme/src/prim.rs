@@ -33,29 +33,25 @@ use crate::health::{
 };
 use crate::hypervis::{
     biharmonic_flat, laplace_flat, laplacian_lambda_max, min_gll_gap, vlaplace_flat,
-    ElemHypervisPlan, HypervisConfig, HypervisStability,
+    HypervisConfig, HypervisStability,
 };
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, hypervis_pass_element_blocked,
-    hypervis_pass_element_members_blocked,
-    hypervis_pass_levels_blocked, hypervis_pass_levels_members_blocked,
-    sponge_pass_element_blocked, BlockedOps, KernelPath, StageCombine,
+    hypervis_pass_levels_blocked, sponge_pass_element_blocked, BlockedOps, KernelPath,
+    StageCombine,
 };
 use crate::kernels::blocked::{remap_element_planned, QCHUNK};
-use crate::kernels::member_lanes::{
-    element_rhs_apply_member_lanes, gather_member_tile, hypervis_pass_levels_member_lanes,
-    hypervis_pass_member_lanes, scatter_member_tile, sponge_pass_member_lanes, MemberKernelPath,
-};
 use crate::remap::{remap_element_scalar, RemapError};
 use crate::rhs::{element_rhs_raw, Rhs};
 use crate::sched::{Arena, ElemScheduler, PerWorker};
 use crate::state::{Dims, State};
 use crate::vert::VertCoord;
-use crate::workspace::{qchunk_width, DynFields, LaneFields, MemberLanes, StepWorkspace, WorkerScratch};
+use crate::workspace::{
+    qchunk_width, DynFields, EnsembleWorkspace, MemberKernelPath, StepWorkspace, WorkerScratch,
+};
 use cubesphere::{CubedSphere, NPTS};
 use std::ops::Range;
 use std::sync::Mutex;
-use sw26010::V4F64;
 use swmpi::CommError;
 
 /// Kinnmark–Gray 5-stage RK coefficients: stage `i` computes
@@ -116,12 +112,9 @@ pub struct Dycore {
     /// Which kernel implementation the step pipeline dispatches to
     /// (blocked by default; the scalar path is the parity oracle).
     pub kernels: KernelPath,
-    /// Which member-batched kernel family the ensemble drivers use when
-    /// several members are resident: the lane-transposed tiles (default —
-    /// `V4F64` lanes are members, coefficients splat) or the pair-wise
-    /// chunked row kernels kept as the A/B baseline. Single-member calls
-    /// always take the standalone path; the scalar [`KernelPath`] ignores
-    /// this knob entirely.
+    /// The member path of [`Dycore::apply_hypervis_members`] and
+    /// [`Dycore::dynamics_step_members`]. It has one value and changes
+    /// nothing; it stays until the `benchmark/` crate stops setting it.
     pub member_kernels: MemberKernelPath,
     gather: DssGather,
     bops: Vec<BlockedOps>,
@@ -298,11 +291,12 @@ impl Dycore {
     /// element.
     ///
     /// Both kernel paths vet the grid and hoist the subcycle/sponge
-    /// coefficient products through [`ElemHypervisPlan`] once per step, so
-    /// a corrupt element is rejected identically either way. The blocked
-    /// path then runs each subcycle as three element-parallel sweeps with
-    /// no serial code between them: the fused first Laplacian of all four
-    /// fields (state → `hyp`), the DSS gather of `hyp` with the second
+    /// coefficient products through
+    /// [`ElemHypervisPlan`](crate::hypervis::ElemHypervisPlan) once per
+    /// step, so a corrupt element is rejected identically either way. The
+    /// blocked path then runs each subcycle as three element-parallel
+    /// sweeps with no serial code between them: the fused first Laplacian
+    /// of all four fields (state → `hyp`), the DSS gather of `hyp` with the second
     /// Laplacian on the assembled window (→ `stage`, idle outside RK), and
     /// the DSS gather of `stage` with the forward-Euler damping folded in
     /// (→ state) — see [`DssGather::gather_elem`]. The scalar path keeps
@@ -491,170 +485,44 @@ impl Dycore {
         Ok(())
     }
 
-    /// Member-batched hyperviscosity: apply the subcycled biharmonic
-    /// operator to the listed `members` of `states` with the step plan
-    /// built **once** and every coefficient walk shared across members
-    /// (ROADMAP item 4's "lane dimension = member"). With
-    /// [`MemberKernelPath::Lanes`] (the default), each *full* group of four
-    /// members runs on lane-transposed tiles — one `V4F64` per grid value
-    /// whose lanes are members, coefficients splat — so the per-output
-    /// working set never spills regardless of batch width; the ragged tail
-    /// (N mod 4 members) rides the width-proportional chunk kernels, since
-    /// a partial lane group pays the whole 4-wide arithmetic.
-    /// [`MemberKernelPath::Chunked`] keeps the pair-wise row kernels for
-    /// everything as the A/B baseline (wider row chunks spill registers —
-    /// see the chunk-width comment in the body).
+    /// [`Dycore::apply_hypervis_n`] on the listed `members` of `states`,
+    /// one after another. Each member's result is its standalone call's by
+    /// construction: the calls share the dycore's plans and workspace, and
+    /// no workspace buffer carries anything from one call to the next.
     ///
     /// `members` must be strictly increasing indices into `states`, at most
-    /// `ens.lanes()` of them. Member `m`'s result is bitwise identical to
-    /// [`Dycore::apply_hypervis_n`] on member `m` alone: the batched kernels
-    /// keep each member's accumulation order unchanged, the shared
-    /// [`ElemHypervisPlan`] depends only on the grid and step configuration
-    /// (never on member state), and every DSS is the standalone path's
-    /// gather kernel, per member or per lane. On the scalar kernel path
-    /// this falls back to the per-member oracle loop.
+    /// `ens.lanes()` of them.
     ///
     /// # Errors
-    /// [`HealthError::Hypervis`] when the shared plan rejects a corrupt
-    /// element metric or non-finite coefficient; no member is touched on
-    /// `Err` (the plan is built before any field is written).
+    /// [`HealthError::Hypervis`] when the plan rejects a corrupt element
+    /// metric or a non-finite coefficient. The plan depends only on the grid
+    /// and the step configuration, so the first member's call rejects it
+    /// before any member is touched.
     pub fn apply_hypervis_members(
         &mut self,
         states: &mut [State],
         members: &[usize],
-        ens: &mut crate::workspace::EnsembleWorkspace,
+        ens: &mut EnsembleWorkspace,
         subcycles: usize,
     ) -> Result<(), HealthError> {
-        let hv = self.cfg.hypervis;
-        if members.is_empty() || (hv.nu == 0.0 && hv.nu_p == 0.0) {
-            return Ok(());
-        }
-        assert!(members.len() <= ens.lanes(), "more members than ensemble lanes");
-        assert!(
-            members.windows(2).all(|w| w[0] < w[1]) && *members.last().unwrap() < states.len(),
-            "members must be strictly increasing indices into states"
-        );
-        if let KernelPath::Scalar = self.kernels {
-            for &m in members {
-                self.apply_hypervis_n(&mut states[m], subcycles)?;
-            }
-            return Ok(());
-        }
-        let use_lanes =
-            matches!(self.member_kernels, MemberKernelPath::Lanes) && members.len() >= 4;
-        let lambda_max = self.lambda_max;
-        let Dycore { ops, dims, cfg, sched, ws, bops, gather, .. } = self;
-        let nlev = dims.nlev;
-        let fl = dims.field_len();
-        ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops)?;
-        let nelem = ops.len();
-        let mut done = 0;
-        if use_lanes {
-            // Lane-transposed path: sweep members in *full* groups of four,
-            // each sweep gathering its members into the shared lane tiles.
-            // A partial group would still pay the full 4-wide vector
-            // arithmetic (the dead lanes compute too — a 2-member lane
-            // sweep costs as much as a 4-member one), so the ragged tail
-            // falls through to the width-proportional chunk kernels below;
-            // the duplicated-dead-lane tail path stays available (and
-            // pinned by the kernel tests) for targets where a lane sweep
-            // is cheaper than a chunk pass at any width.
-            while members.len() - done >= 4 {
-                let chunk = pick(states, &members[done..done + 4]);
-                hypervis_members_lanes::<4>(
-                    sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem, &mut ens.tiles, chunk,
-                    subcycles,
-                );
-                done += 4;
-            }
-            if done == members.len() {
-                return Ok(());
-            }
-        }
-        while done < members.len() {
-            let left = members.len() - done;
-            // Chunk width is capped at 2: the M=4 variant keeps four members'
-            // [[V4F64; NP]; M] working sets live through each fused Laplacian
-            // pass, which spills out of the 16 ymm registers and runs ~2x
-            // slower *per member* than M=2 on this target (measured on the
-            // ne4 aquaplanet: 118 ms/member at M=4 vs 55 ms at M=2 vs 60 ms
-            // serial). M=2 shares the coefficient walk without spilling.
-            let take = if left >= 2 { 2 } else { 1 };
-            let idx = &members[done..done + take];
-            let lanes = &mut ens.lanes[done..];
-            let sponge = (&mut ws.sponge_u[..], &mut ws.sponge_v[..], &mut ws.sponge_t[..]);
-            match take {
-                2 => hypervis_members_chunk::<2>(
-                    sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem, sponge, pick(states, idx),
-                    lanes.first_chunk_mut().unwrap().each_mut(), [&mut ws.next, &mut ws.stage], subcycles,
-                ),
-                _ => hypervis_members_chunk::<1>(
-                    sched, gather, bops, &ws.hv_plan, &hv, nlev, fl, nelem, sponge, pick(states, idx),
-                    [&mut lanes[0]], [&mut ws.next], subcycles,
-                ),
-            }
-            done += take;
+        check_members(states, members, ens);
+        for &m in members {
+            self.apply_hypervis_n(&mut states[m], subcycles)?;
         }
         Ok(())
     }
 
-    /// Member-batched dynamics: advance the listed `members` of `states`
-    /// by one dt of the 5-stage RK, batching up to four members per sweep
-    /// through the lane-transposed RHS kernel
-    /// ([`element_rhs_apply_member_lanes`]) so one coefficient walk and one
-    /// DSS gather walk serve the whole sweep. Member `m`'s result is
-    /// bitwise identical to [`Dycore::dynamics_step`] on member `m` alone:
-    /// lane `m` replays the blocked kernel's exact per-member scalar
-    /// sequence and the lane DSS keeps the canonical accumulation order
-    /// per lane. Falls back to the per-member step on the scalar kernel
-    /// path, under [`MemberKernelPath::Chunked`], or with fewer than two
-    /// members.
+    /// [`Dycore::dynamics_step`] on the listed `members` of `states`, one
+    /// after another; each member's result is its standalone step's. Same
+    /// contract on `members` as [`Dycore::apply_hypervis_members`].
     pub fn dynamics_step_members(
         &mut self,
         states: &mut [State],
         members: &[usize],
-        ens: &mut crate::workspace::EnsembleWorkspace,
+        ens: &mut EnsembleWorkspace,
     ) {
-        if members.is_empty() {
-            return;
-        }
-        assert!(
-            members.windows(2).all(|w| w[0] < w[1]) && *members.last().unwrap() < states.len(),
-            "members must be strictly increasing indices into states"
-        );
-        let use_lanes = matches!(self.kernels, KernelPath::Blocked)
-            && matches!(self.member_kernels, MemberKernelPath::Lanes)
-            && members.len() >= 4;
-        let mut done = 0;
-        if use_lanes {
-            let dt = self.cfg.dt;
-            let Dycore { rhs, dims, sched, ws, bops, gather, .. } = self;
-            let nlev = dims.nlev;
-            let fl = dims.field_len();
-            let ptop = rhs.vert.ptop();
-            let nelem = bops.len();
-            // Full groups of four only — a partial lane group pays the whole
-            // 4-wide arithmetic, so the ragged tail steps member-serially
-            // below instead.
-            while members.len() - done >= 4 {
-                let chunk = pick(states, &members[done..done + 4]);
-                dynamics_members_lanes::<4>(
-                    sched,
-                    gather,
-                    bops,
-                    &mut ws.workers,
-                    nlev,
-                    fl,
-                    nelem,
-                    ptop,
-                    dt,
-                    &mut ens.tiles,
-                    chunk,
-                );
-                done += 4;
-            }
-        }
-        for &m in &members[done..] {
+        check_members(states, members, ens);
+        for &m in members {
             self.dynamics_step(&mut states[m]);
         }
     }
@@ -1077,33 +945,18 @@ impl Dycore {
 /// bitwise the scatter walk of [`Dss::apply_flat`] at any worker count,
 /// because each point's sum runs in the plan's fixed order whichever worker
 /// computes it. `src` and `dst` are distinct borrows, so a sweep can never
-/// read an arena it writes. One rank only: the member-batched paths.
+/// read an arena it writes.
+///
+/// The one exchange of `src` behind `halo` completes around the sweep. The
+/// original schedule exchanges now (every element is computed); then the
+/// interior elements, which have no ghost sharers, are gathered while the
+/// redesigned schedule's messages fly; then the boundary elements, reading
+/// their ghosts in place from the landed messages. On one rank this is one
+/// sweep over every element.
 ///
 /// # Panics
 /// If a source or destination arena is shorter than the sweep reaches
 /// ([`DssGather::span`]), or a window is wider than its element's stride.
-#[allow(clippy::too_many_arguments)]
-fn dss_sweep<L: crate::dss::Lane + Send + Sync + 'static, const F: usize>(
-    sched: &ElemScheduler,
-    gather: &DssGather,
-    levels: usize,
-    src: [&[L]; F],
-    sstride: usize,
-    coefs: Option<[&[f64]; F]>,
-    mut dst: [&mut [L]; F],
-    dstride: usize,
-    then: impl Fn(usize, [&mut [L]; F]) + Sync,
-) {
-    let all = 0..gather.nelem();
-    sweep_elems(sched, gather, all, levels, src, sstride, coefs, &mut dst, dstride, no_ghosts, &then);
-}
-
-/// [`dss_sweep`] on a rank: the one exchange of `src` behind `halo`
-/// completes around it. The original schedule exchanges now (every element
-/// is computed); then the interior elements, which have no ghost sharers,
-/// are gathered while the redesigned schedule's messages fly; then the
-/// boundary elements, reading their ghosts in place from the landed
-/// messages. On one rank this is one sweep over every element.
 #[allow(clippy::too_many_arguments)]
 fn halo_sweep<const F: usize>(
     halo: &mut Halo,
@@ -1128,23 +981,23 @@ fn halo_sweep<const F: usize>(
     Ok(())
 }
 
-/// The gather sweep of [`dss_sweep`] over the elements `elems`.
+/// The gather sweep of [`halo_sweep`] over the elements `elems`.
 #[allow(clippy::too_many_arguments)]
 #[allow(unsafe_code)]
-fn sweep_elems<L: crate::dss::Lane + Send + Sync + 'static, const F: usize>(
+fn sweep_elems<const F: usize>(
     sched: &ElemScheduler,
     gather: &DssGather,
     elems: Range<usize>,
     levels: usize,
-    src: [&[L]; F],
+    src: [&[f64]; F],
     sstride: usize,
     coefs: Option<[&[f64]; F]>,
-    dst: &mut [&mut [L]; F],
+    dst: &mut [&mut [f64]; F],
     dstride: usize,
-    ghost: impl Fn(usize, usize, usize) -> L + Sync,
-    then: &(impl Fn(usize, [&mut [L]; F]) + Sync),
+    ghost: impl Fn(usize, usize, usize) -> f64 + Sync,
+    then: &(impl Fn(usize, [&mut [f64]; F]) + Sync),
 ) {
-    assert!(src.iter().all(|s| s.len() >= gather.span(levels, sstride)), "dss_sweep: short source");
+    assert!(src.iter().all(|s| s.len() >= gather.span(levels, sstride)), "halo_sweep: short source");
     let dst = dst.each_mut().map(|d| Arena::new(d, dstride, levels * NPTS));
     sched.run_windows(elems, dst, |e, mut win| {
         // Rebind the captured tables to locals, so the gather loop does not
@@ -1281,15 +1134,6 @@ fn finish_tracer_stage(ops: &[ElemOps], dss: &mut Dss, dims: Dims, limiter: bool
     }
 }
 
-/// The members `idx` of `states`, as `N` distinct `&mut`s.
-///
-/// # Panics
-/// If `idx` is not `N` distinct indices into `states`.
-fn pick<'a, const N: usize>(states: &'a mut [State], idx: &[usize]) -> [&'a mut State; N] {
-    let idx: [usize; N] = idx.try_into().expect("member chunk width");
-    states.get_disjoint_mut(idx).expect("members are distinct indices into states")
-}
-
 /// The one-rank result of a stage-loop call: a one-rank halo never
 /// exchanges, so only a health verdict can fail it.
 fn serial<T>(r: Result<T, DistError>) -> Result<T, HealthError> {
@@ -1299,333 +1143,17 @@ fn serial<T>(r: Result<T, DistError>) -> Result<T, HealthError> {
     })
 }
 
-/// The `(u, v, t, dp3d)` arenas of `M` members as element windows of
-/// width `fl`, grouped by field: a job gets `[u, v, t, dp3d]`, each one
-/// window per member.
-fn by_field<'a, const M: usize>(sets: &'a mut [&mut DynFields; M], fl: usize) -> [[Arena<'a, f64>; M]; 4] {
-    let mut fields = sets.each_mut().map(|d| d.fields_mut().map(Some));
-    core::array::from_fn(|f| core::array::from_fn(|m| Arena::new(fields[m][f].take().unwrap(), fl, fl)))
-}
-
-/// Subcycled biharmonic hyperviscosity for one chunk of `M` ensemble
-/// members, mirroring the blocked arm of [`Dycore::apply_hypervis_n`]
-/// phase for phase: sponge sweep, then per subcycle a fused first Laplacian
-/// straight from each member's state into its hyp lane, one DSS gather
-/// sweep per member into its `second` arena set, the in-place second
-/// Laplacian there, and the damping folded into the final DSS gather. The
-/// Laplacian sweeps batch all `M` members through shared coefficient walks
-/// ([`hypervis_pass_element_members_blocked`]); the DSS sweeps run per
-/// member with the standalone path's kernel, so member `m` stays bitwise
-/// identical to the single-member path.
-#[allow(clippy::too_many_arguments)]
-fn hypervis_members_chunk<const M: usize>(
-    sched: &ElemScheduler,
-    gather: &DssGather,
-    bops: &[BlockedOps],
-    plan: &ElemHypervisPlan,
-    hv: &HypervisConfig,
-    nlev: usize,
-    fl: usize,
-    nelem: usize,
-    sponge: (&mut [f64], &mut [f64], &mut [f64]),
-    mut states: [&mut State; M],
-    mut hyps: [&mut DynFields; M],
-    mut seconds: [&mut DynFields; M],
-    subcycles: usize,
-) {
-    // Top-of-model sponge, per member (the sponge is `ks * NPTS` of the
-    // column — too thin to amortize a batched walk — and shares the step
-    // workspace's single staging arena set).
-    if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
-        let ks = plan.ks;
-        let sl = ks * NPTS;
-        let (sp_u, sp_v, sp_t) = sponge;
-        for st_m in states.iter_mut() {
-            let out = [&mut *sp_u, &mut *sp_v, &mut *sp_t].map(|o| Arena::new(o, sl, sl));
-            let (su, sv, st): (&[f64], &[f64], &[f64]) = (&st_m.u, &st_m.v, &st_m.t);
-            sched.run_windows(0..nelem, out, |e, [ou, ov, ot]| {
-                sponge_pass_element_blocked(
-                    &bops[e],
-                    ks,
-                    &su[e * fl..e * fl + sl],
-                    &sv[e * fl..e * fl + sl],
-                    &st[e * fl..e * fl + sl],
-                    ou,
-                    ov,
-                    ot,
-                );
-            });
-            dss_sweep(
-                sched,
-                gather,
-                ks,
-                [&*sp_u, &*sp_v, &*sp_t],
-                sl,
-                Some([&plan.sponge[..]; 3]),
-                [&mut st_m.u[..], &mut st_m.v[..], &mut st_m.t[..]],
-                fl,
-                |_, _| {},
-            );
-        }
-    }
-    for _ in 0..subcycles {
-        // First Laplacian of every member's (u, v, T, dp3d): the fused
-        // member-batched coefficient walk, state -> hyp lanes.
-        {
-            let srcs = states.each_ref().map(|s| s.dyn_fields());
-            sched.run_windows(0..nelem, by_field(&mut hyps, fl), |e, [mut ou, mut ov, mut ot, mut odp]| {
-                let r = e * fl..(e + 1) * fl;
-                let [su, sv, st, sdp]: [[&[f64]; M]; 4] =
-                    core::array::from_fn(|f| core::array::from_fn(|m| &srcs[m][f][r.clone()]));
-                hypervis_pass_element_members_blocked::<M>(
-                    &bops[e], nlev, &su, &sv, &st, &sdp, &mut ou, &mut ov, &mut ot, &mut odp,
-                );
-            });
-        }
-        for (h, s2) in hyps.iter().zip(seconds.iter_mut()) {
-            dss_sweep(sched, gather, nlev, h.fields(), fl, None, s2.fields_mut(), fl, |_, _| {});
-        }
-        // Second Laplacian in place (del^4 = lap(lap)), again batched.
-        sched.run_windows(0..nelem, by_field(&mut seconds, fl), |e, [mut u, mut v, mut t, mut dp]| {
-            hypervis_pass_levels_members_blocked::<M>(&bops[e], nlev, &mut u, &mut v, &mut t, &mut dp);
-        });
-        // Damping folded into the final DSS gather, per member.
-        for (s2, st_m) in seconds.iter().zip(states.iter_mut()) {
-            dss_sweep(
-                sched,
-                gather,
-                nlev,
-                s2.fields(),
-                fl,
-                Some(plan.damp()),
-                st_m.dyn_fields_mut(),
-                fl,
-                |_, _| {},
-            );
-        }
-    }
-}
-
-/// Subcycled biharmonic hyperviscosity for one lane sweep of `M` ensemble
-/// members (`1..=4`) on the lane-transposed tiles: gather the members'
-/// prognostics into the shared `stage` tile (a short sweep duplicates the
-/// last member into the dead lanes), run the sponge and subcycle phases of
-/// [`Dycore::apply_hypervis_n`]'s blocked arm entirely on tiles — one
-/// coefficient walk and one DSS gather walk per phase serve every lane —
-/// and scatter the live lanes back. Lane `m` replays member `m`'s
-/// standalone scalar sequence at every point (kernels and DSS alike), so
-/// the committed bits match the single-member path per member.
-#[allow(clippy::too_many_arguments)]
-fn hypervis_members_lanes<const M: usize>(
-    sched: &ElemScheduler,
-    gather: &DssGather,
-    bops: &[BlockedOps],
-    plan: &ElemHypervisPlan,
-    hv: &HypervisConfig,
-    nlev: usize,
-    fl: usize,
-    nelem: usize,
-    tiles: &mut MemberLanes,
-    mut states: [&mut State; M],
-    subcycles: usize,
-) {
-    gather_members(&states, &mut tiles.stage);
-    hypervis_lanes_core(sched, gather, bops, plan, hv, nlev, fl, nelem, tiles, subcycles);
-    scatter_members(&tiles.stage, &mut states);
-}
-
-/// Interleave the members' `(u, v, t, dp3d)` into the lane tiles `tiles`.
-fn gather_members<const M: usize>(states: &[&mut State; M], tiles: &mut LaneFields) {
-    for (f, tile) in tiles.fields_mut().into_iter().enumerate() {
-        let srcs: [&[f64]; M] = core::array::from_fn(|m| states[m].dyn_fields()[f]);
-        gather_member_tile(&srcs, tile);
-    }
-}
-
-/// Scatter the live lanes of `tiles` back to the members' `(u, v, t, dp3d)`.
-fn scatter_members<const M: usize>(tiles: &LaneFields, states: &mut [&mut State; M]) {
-    for (f, tile) in tiles.fields().into_iter().enumerate() {
-        let mut dsts = states.each_mut().map(|s| s.dyn_fields_mut().into_iter().nth(f).unwrap());
-        scatter_member_tile(tile, &mut dsts);
-    }
-}
-
-/// The tile-resident phases of the lane hypervis sweep: top-of-model
-/// sponge, then per subcycle the fused first Laplacian (`stage` tile into
-/// the `hyp` tile), the lane DSS gather into the `next` tile with the
-/// second Laplacian in the same job, and the damping folded into the final
-/// lane DSS gather back onto `stage`. Mirrors the blocked arm of
-/// [`Dycore::apply_hypervis_n`] sweep for sweep.
-#[allow(clippy::too_many_arguments)]
-fn hypervis_lanes_core(
-    sched: &ElemScheduler,
-    gather: &DssGather,
-    bops: &[BlockedOps],
-    plan: &ElemHypervisPlan,
-    hv: &HypervisConfig,
-    nlev: usize,
-    fl: usize,
-    nelem: usize,
-    tiles: &mut MemberLanes,
-    subcycles: usize,
-) {
-    if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
-        let ks = plan.ks;
-        let sl = ks * NPTS;
-        {
-            let MemberLanes { sponge_u, sponge_v, sponge_t, stage, .. } = tiles;
-            let out = [sponge_u, sponge_v, sponge_t].map(|o| Arena::new(o, sl, sl));
-            let (su, sv, st): (&[V4F64], &[V4F64], &[V4F64]) = (&stage.u, &stage.v, &stage.t);
-            sched.run_windows(0..nelem, out, |e, [ou, ov, ot]| {
-                sponge_pass_member_lanes(
-                    &bops[e],
-                    ks,
-                    &su[e * fl..e * fl + sl],
-                    &sv[e * fl..e * fl + sl],
-                    &st[e * fl..e * fl + sl],
-                    ou,
-                    ov,
-                    ot,
-                );
-            });
-        }
-        dss_sweep(
-            sched,
-            gather,
-            ks,
-            [
-                &tiles.sponge_u[..nelem * sl],
-                &tiles.sponge_v[..nelem * sl],
-                &tiles.sponge_t[..nelem * sl],
-            ],
-            sl,
-            Some([&plan.sponge[..]; 3]),
-            [&mut tiles.stage.u[..], &mut tiles.stage.v[..], &mut tiles.stage.t[..]],
-            fl,
-            |_, _| {},
-        );
-    }
-    for _ in 0..subcycles {
-        // First Laplacian of (u, v, T, dp3d): one fused coefficient walk
-        // per element, straight from the stage tile into the hyp tile.
-        {
-            let out = tiles.hyp.fields_mut().map(|o| Arena::new(o, fl, fl));
-            let [su, sv, st, sdp] = tiles.stage.fields();
-            sched.run_windows(0..nelem, out, |e, [ou, ov, ot, odp]| {
-                let r = e * fl..(e + 1) * fl;
-                hypervis_pass_member_lanes(
-                    &bops[e],
-                    nlev,
-                    &su[r.clone()],
-                    &sv[r.clone()],
-                    &st[r.clone()],
-                    &sdp[r],
-                    ou,
-                    ov,
-                    ot,
-                    odp,
-                );
-            });
-        }
-        // Lane DSS of the first Laplacians into the (idle outside RK) `next`
-        // tile, second Laplacian (del^4 = lap(lap)) in the same job.
-        dss_sweep(
-            sched,
-            gather,
-            nlev,
-            tiles.hyp.fields(),
-            fl,
-            None,
-            tiles.next.fields_mut(),
-            fl,
-            |e, [u, v, t, dp]| hypervis_pass_levels_member_lanes(&bops[e], nlev, u, v, t, dp),
-        );
-        // Damping folded into the final lane DSS gather, all four fields
-        // and every lane in one walk of the gather plan.
-        dss_sweep(
-            sched,
-            gather,
-            nlev,
-            tiles.next.fields(),
-            fl,
-            Some(plan.damp()),
-            tiles.stage.fields_mut(),
-            fl,
-            |_, _| {},
-        );
-    }
-}
-
-/// One dt of the 5-stage RK for one lane sweep of `M` ensemble members
-/// (`1..=4`) on the lane-transposed tiles: gather the members into the
-/// `base` tile (plus the splatted surface geopotential), run every RK
-/// substep as one element sweep of [`element_rhs_apply_member_lanes`] into
-/// the (idle outside hypervis) `hyp` tile followed by one lane DSS gather
-/// sweep of all four prognostics into `next`, and scatter the
-/// final stage back to the live lanes. The per-lane sequence matches
-/// [`Dycore::dynamics_step`] exactly, so each member stays bitwise
-/// identical to its standalone step.
-#[allow(clippy::too_many_arguments)]
-fn dynamics_members_lanes<const M: usize>(
-    sched: &ElemScheduler,
-    gather: &DssGather,
-    bops: &[BlockedOps],
-    workers: &mut PerWorker<WorkerScratch>,
-    nlev: usize,
-    fl: usize,
-    nelem: usize,
-    ptop: f64,
-    dt: f64,
-    tiles: &mut MemberLanes,
-    mut states: [&mut State; M],
-) {
-    gather_members(&states, &mut tiles.base);
-    gather_member_tile(&states.each_ref().map(|s| &s.phis[..]), &mut tiles.phis);
-    for (to, from) in tiles.stage.fields_mut().into_iter().zip(tiles.base.fields()) {
-        to.copy_from_slice(from);
-    }
-    for &c in &KG5_COEFFS {
-        {
-            let MemberLanes { hyp, stage: eval, base: rk_base, phis: ph, .. } = &mut *tiles;
-            let out = (&mut *workers, hyp.fields_mut().map(|o| Arena::new(o, fl, fl)));
-            sched.run_windows(0..nelem, out, |e, (scratch, [ou, ov, ot, odp])| {
-                let r = e * fl..(e + 1) * fl;
-                element_rhs_apply_member_lanes(
-                    &bops[e],
-                    nlev,
-                    ptop,
-                    &eval.u[r.clone()],
-                    &eval.v[r.clone()],
-                    &eval.t[r.clone()],
-                    &eval.dp3d[r.clone()],
-                    &ph[e * NPTS..(e + 1) * NPTS],
-                    &rk_base.u[r.clone()],
-                    &rk_base.v[r.clone()],
-                    &rk_base.t[r.clone()],
-                    &rk_base.dp3d[r],
-                    c * dt,
-                    ou,
-                    ov,
-                    ot,
-                    odp,
-                    &mut scratch.rhs_lanes,
-                );
-            });
-        }
-        dss_sweep(
-            sched,
-            gather,
-            nlev,
-            tiles.hyp.fields(),
-            fl,
-            None,
-            tiles.next.fields_mut(),
-            fl,
-            |_, _| {},
-        );
-        std::mem::swap(&mut tiles.stage, &mut tiles.next);
-    }
-    scatter_members(&tiles.stage, &mut states);
+/// The contract of the member loops: strictly increasing indices into
+/// `states`, at most `ens.lanes()` of them.
+///
+/// # Panics
+/// If `members` breaks it.
+fn check_members(states: &[State], members: &[usize], ens: &EnsembleWorkspace) {
+    assert!(members.len() <= ens.lanes(), "more members than ensemble lanes");
+    assert!(
+        members.windows(2).all(|w| w[0] < w[1]) && members.last().is_none_or(|&m| m < states.len()),
+        "members must be strictly increasing indices into states"
+    );
 }
 
 #[cfg(test)]
@@ -1670,9 +1198,9 @@ mod tests {
         assert!(st.max_abs_diff(&ref_st) < 1e-8, "state drifted: {}", st.max_abs_diff(&ref_st));
     }
 
-    /// The member-batched hypervis driver is bitwise identical to the
-    /// single-member path run member by member, across chunk shapes
-    /// (1, 2, 3 = 2+1, 4, 5 = 4+1) and with the sponge active.
+    /// The member hypervis loop is bitwise identical to the single-member
+    /// path run member by member, across batch shapes (1 to 5 members) and
+    /// with the sponge active.
     #[test]
     fn hypervis_members_matches_per_member_bitwise() {
         let dims = Dims { nlev: 6, qsize: 0 };
@@ -1698,30 +1226,26 @@ mod tests {
                 .collect()
         };
 
-        for path in [MemberKernelPath::Chunked, MemberKernelPath::Lanes] {
-            dy.member_kernels = path;
-            for n in [1usize, 2, 3, 4, 5] {
-                let mut expect = make_members(&dy, n);
-                for st in expect.iter_mut() {
-                    dy.apply_hypervis_n(st, subcycles).unwrap();
-                }
+        for n in [1usize, 2, 3, 4, 5] {
+            let mut expect = make_members(&dy, n);
+            for st in expect.iter_mut() {
+                dy.apply_hypervis_n(st, subcycles).unwrap();
+            }
 
-                let mut got = make_members(&dy, n);
-                let members: Vec<usize> = (0..n).collect();
-                let mut ens = crate::workspace::EnsembleWorkspace::new(dims, dy.ops.len(), n);
-                dy.apply_hypervis_members(&mut got, &members, &mut ens, subcycles).unwrap();
+            let mut got = make_members(&dy, n);
+            let members: Vec<usize> = (0..n).collect();
+            let mut ens = EnsembleWorkspace::new(dims, dy.ops.len(), n);
+            dy.apply_hypervis_members(&mut got, &members, &mut ens, subcycles).unwrap();
 
-                for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
-                    assert_eq!(e.max_abs_diff(g), 0.0, "{path:?} n={n} member={m} diverged");
-                }
+            for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
+                assert_eq!(e.max_abs_diff(g), 0.0, "n={n} member={m} diverged");
             }
         }
     }
 
-    /// The member-batched RK driver is bitwise identical to the standalone
+    /// The member RK loop is bitwise identical to the standalone
     /// [`Dycore::dynamics_step`] run member by member, across batch shapes
-    /// (including the ragged 3 = 4-sweep-short and 5 = 4+1 tails) and on
-    /// both member kernel paths.
+    /// (1 to 5 members).
     #[test]
     fn dynamics_step_members_matches_per_member_bitwise() {
         let dims = Dims { nlev: 6, qsize: 0 };
@@ -1747,22 +1271,19 @@ mod tests {
                 .collect()
         };
 
-        for path in [MemberKernelPath::Chunked, MemberKernelPath::Lanes] {
-            dy.member_kernels = path;
-            for n in [1usize, 2, 3, 4, 5] {
-                let mut expect = make_members(&dy, n);
-                for st in expect.iter_mut() {
-                    dy.dynamics_step(st);
-                }
+        for n in [1usize, 2, 3, 4, 5] {
+            let mut expect = make_members(&dy, n);
+            for st in expect.iter_mut() {
+                dy.dynamics_step(st);
+            }
 
-                let mut got = make_members(&dy, n);
-                let members: Vec<usize> = (0..n).collect();
-                let mut ens = crate::workspace::EnsembleWorkspace::new(dims, dy.ops.len(), n);
-                dy.dynamics_step_members(&mut got, &members, &mut ens);
+            let mut got = make_members(&dy, n);
+            let members: Vec<usize> = (0..n).collect();
+            let mut ens = EnsembleWorkspace::new(dims, dy.ops.len(), n);
+            dy.dynamics_step_members(&mut got, &members, &mut ens);
 
-                for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
-                    assert_eq!(e.max_abs_diff(g), 0.0, "{path:?} n={n} member={m} diverged");
-                }
+            for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
+                assert_eq!(e.max_abs_diff(g), 0.0, "n={n} member={m} diverged");
             }
         }
     }

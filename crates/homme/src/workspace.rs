@@ -16,13 +16,11 @@
 
 use crate::hypervis::ElemHypervisPlan;
 use crate::kernels::blocked::QCHUNK;
-use crate::kernels::member_lanes::MemberRhsScratch;
 use crate::remap::{ElemRemapPlan, RemapApplyScratch, RemapScratch};
 use crate::rhs::{ElemTend, RhsScratch};
 use crate::sched::PerWorker;
 use crate::state::{Dims, State};
 use cubesphere::NPTS;
-use sw26010::V4F64;
 
 /// Tracers per chunk of the blocked tracer stage: [`QCHUNK`], or all of
 /// them when there are fewer.
@@ -93,9 +91,6 @@ pub struct WorkerScratch {
     pub plan: ElemRemapPlan,
     /// Coefficient arenas of the planned remap's apply pass.
     pub apply: RemapApplyScratch,
-    /// Column temporaries of the member-lane RHS kernel (pressure and
-    /// geopotential scan tiles, one `V4F64` lane set per point).
-    pub rhs_lanes: MemberRhsScratch,
 }
 
 impl WorkerScratch {
@@ -111,7 +106,6 @@ impl WorkerScratch {
             col_out: vec![0.0; dims.nlev],
             plan: ElemRemapPlan::new(dims.nlev),
             apply: RemapApplyScratch::new(dims.nlev),
-            rhs_lanes: MemberRhsScratch::new(dims.nlev),
         }
     }
 }
@@ -120,9 +114,8 @@ impl WorkerScratch {
 ///
 /// The default (blocked) step touches only `stage`, `hyp`, the sponge
 /// buffers, `qchunk` and `qstage` besides the state; `next`, `q2` and
-/// `qtmp` serve the scalar oracle (and `next` the ensemble's chunked member
-/// hyperviscosity), so the default path never writes them (a rank's core
-/// drops them: [`StepWorkspace::drop_oracle_buffers`]).
+/// `qtmp` serve the scalar oracle alone, so the default path never writes
+/// them (a rank's core drops them: [`StepWorkspace::drop_oracle_buffers`]).
 #[derive(Debug)]
 pub struct StepWorkspace {
     /// RK stage `u_i` (blocked: each stage's gather overwrites it in place;
@@ -131,8 +124,7 @@ pub struct StepWorkspace {
     /// itself on every path.
     pub stage: DynFields,
     /// RK stage being produced by the scalar oracle (which ping-pongs it
-    /// with `stage`). Also the second-Laplacian arena of the ensemble's
-    /// chunked member hyperviscosity.
+    /// with `stage`).
     pub next: DynFields,
     /// Raw (pre-DSS) RK stage of the blocked step, and the hyperviscosity
     /// first-Laplacian output (full depth).
@@ -167,10 +159,10 @@ pub struct StepWorkspace {
 }
 
 impl StepWorkspace {
-    /// Drop the buffers only the scalar oracle and the ensemble's chunked
-    /// member path read (`next`, `q2`, `qtmp`). A rank's core runs neither;
-    /// without this their zero-filled pages can still become resident, when
-    /// the allocator serves them from recycled heap memory it must clear.
+    /// Drop the buffers only the scalar oracle reads (`next`, `q2`,
+    /// `qtmp`). A rank's core never runs it; without this their zero-filled
+    /// pages can still become resident, when the allocator serves them from
+    /// recycled heap memory it must clear.
     pub(crate) fn drop_oracle_buffers(&mut self) {
         self.next = DynFields::zeros(0);
         self.q2 = Vec::new();
@@ -201,118 +193,39 @@ impl StepWorkspace {
     }
 }
 
-/// The four dynamics prognostics as lane-interleaved tile arenas: one
-/// [`V4F64`] per `(elem, level, point)` slot whose four lanes hold the same
-/// scalar for four different ensemble members. The member-lane kernel
-/// family ([`crate::kernels::member_lanes`]) runs over these tiles.
-#[derive(Debug, Clone)]
-pub struct LaneFields {
-    /// Eastward wind tile.
-    pub u: Vec<V4F64>,
-    /// Northward wind tile.
-    pub v: Vec<V4F64>,
-    /// Temperature tile.
-    pub t: Vec<V4F64>,
-    /// Layer thickness tile.
-    pub dp3d: Vec<V4F64>,
+/// The one member kernel path there is:
+/// [`crate::prim::Dycore::apply_hypervis_members`] and
+/// [`crate::prim::Dycore::dynamics_step_members`] step each member through
+/// the standalone call in turn. It has no choice left to make and stays
+/// only because the `benchmark/` crate still names it; ROADMAP item 6
+/// deletes it together with [`EnsembleWorkspace`] and the two `_members`
+/// loops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MemberKernelPath {
+    /// Members step one after another through the shared dycore.
+    #[default]
+    Lanes,
 }
 
-impl LaneFields {
-    /// Zeroed tiles of `len` lane-sets per field.
-    pub fn zeros(len: usize) -> Self {
-        LaneFields {
-            u: vec![V4F64::zero(); len],
-            v: vec![V4F64::zero(); len],
-            t: vec![V4F64::zero(); len],
-            dp3d: vec![V4F64::zero(); len],
-        }
-    }
-
-    /// The four tiles as `[u, v, t, dp3d]` (the DSS sweeps' field order).
-    pub fn fields(&self) -> [&[V4F64]; 4] {
-        [&self.u, &self.v, &self.t, &self.dp3d]
-    }
-
-    /// Mutable [`LaneFields::fields`].
-    pub fn fields_mut(&mut self) -> [&mut [V4F64]; 4] {
-        [&mut self.u, &mut self.v, &mut self.t, &mut self.dp3d]
-    }
-}
-
-/// Tile scratch of the member-lane kernel path: lane-interleaved stage
-/// arenas for the batched RK substeps (`base`, `stage`, `next`), the
-/// hyperviscosity Laplacian tile set (`hyp`; the hypervis driver reuses
-/// `stage` as its in-place current-state tile), sponge-depth temporaries
-/// and the splatted surface geopotential. Sponge tiles are sized at full
-/// depth (an upper bound on any sponge) so sizing needs only `dims`.
-#[derive(Debug)]
-pub struct MemberLanes {
-    /// RK base state tile `u_0`.
-    pub base: LaneFields,
-    /// RK stage tile `u_{i-1}`; also the hypervis current-state tile.
-    pub stage: LaneFields,
-    /// RK stage tile being produced `u_i`.
-    pub next: LaneFields,
-    /// Hyperviscosity Laplacian input/output tile (full depth).
-    pub hyp: LaneFields,
-    /// Sponge-layer `u` tile, `[nelem][<= nlev][NPTS]`.
-    pub sponge_u: Vec<V4F64>,
-    /// Sponge-layer `v` tile.
-    pub sponge_v: Vec<V4F64>,
-    /// Sponge-layer `T` tile.
-    pub sponge_t: Vec<V4F64>,
-    /// Surface geopotential tile, `[nelem][NPTS]`.
-    pub phis: Vec<V4F64>,
-}
-
-impl MemberLanes {
-    /// Tiles sized for `nelem` elements of `dims`.
-    pub fn new(dims: Dims, nelem: usize) -> Self {
-        let fl = nelem * dims.field_len();
-        MemberLanes {
-            base: LaneFields::zeros(fl),
-            stage: LaneFields::zeros(fl),
-            next: LaneFields::zeros(fl),
-            hyp: LaneFields::zeros(fl),
-            sponge_u: vec![V4F64::zero(); fl],
-            sponge_v: vec![V4F64::zero(); fl],
-            sponge_t: vec![V4F64::zero(); fl],
-            phis: vec![V4F64::zero(); nelem * NPTS],
-        }
-    }
-}
-
-/// Per-lane hyperviscosity scratch for the member-batched ensemble path:
-/// one full-depth Laplacian arena set per in-flight ensemble member (the
-/// chunked kernel path), plus the lane-interleaved tile scratch of the
-/// member-lane path, so [`crate::prim::Dycore::apply_hypervis_members`]
-/// can run the biharmonic passes of up to `lanes` members through shared
-/// coefficient walks without the members' scratch aliasing. Allocated once
-/// by the ensemble driver at construction and reused every step (the
-/// ensemble alloc gate rides on this), same reuse contract as
-/// [`StepWorkspace`]: every slot is written before it is read within a
-/// pass.
+/// The member count a [`crate::prim::Dycore::apply_hypervis_members`] /
+/// [`crate::prim::Dycore::dynamics_step_members`] call may pass. It holds no
+/// buffer: each member steps through the dycore's own [`StepWorkspace`].
+/// Kept for the `benchmark/` crate's phase probe until ROADMAP item 6.
 #[derive(Debug)]
 pub struct EnsembleWorkspace {
-    /// One hyp arena set (`u`, `v`, `t`, `dp3d`) per member lane.
-    pub lanes: Vec<DynFields>,
-    /// Lane-interleaved member tiles of the member-lane kernel path.
-    pub tiles: MemberLanes,
+    lanes: usize,
 }
 
 impl EnsembleWorkspace {
-    /// Lane buffers sized for `nelem` elements of `dims`, `lanes` members.
-    pub fn new(dims: Dims, nelem: usize, lanes: usize) -> Self {
-        let fl = nelem * dims.field_len();
-        EnsembleWorkspace {
-            lanes: (0..lanes).map(|_| DynFields::zeros(fl)).collect(),
-            tiles: MemberLanes::new(dims, nelem),
-        }
+    /// A workspace for at most `lanes` members (`dims` and `nelem` are no
+    /// longer needed and are ignored).
+    pub fn new(_dims: Dims, _nelem: usize, lanes: usize) -> Self {
+        EnsembleWorkspace { lanes }
     }
 
-    /// Number of member lanes this workspace can batch.
+    /// Most members one call may pass.
     pub fn lanes(&self) -> usize {
-        self.lanes.len()
+        self.lanes
     }
 }
 

@@ -70,4 +70,4 @@ pub use mpe::{CpuCoreModel, Mpe};
 pub use perfctr::Counters;
 pub use shared::{SharedSlice, SharedSliceMut, WriteTracker};
 pub use trace::{Event, EventKind, Trace};
-pub use vector::{deinterleave4, interleave4, transpose4x4, transpose_blocked, ShuffleMask, V4F64};
+pub use vector::{transpose4x4, transpose_blocked, ShuffleMask, V4F64};

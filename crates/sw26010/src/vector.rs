@@ -91,9 +91,7 @@ impl V4F64 {
         V4F64([self.0[0].ln(), self.0[1].ln(), self.0[2].ln(), self.0[3].ln()])
     }
 
-    /// Broadcast lane `lane` to all four lanes — the register form of the
-    /// duplicated-lane ragged tail in the member-lane kernels (a dead lane
-    /// carries a copy of a live member so no lane ever holds garbage).
+    /// Broadcast lane `lane` to all four lanes.
     ///
     /// # Panics
     /// Panics if `lane >= 4`.
@@ -291,55 +289,6 @@ pub fn transpose_blocked(src: &[f64], rows: usize, cols: usize, dst: &mut [f64])
     }
 }
 
-/// Gather four member streams into a lane-interleaved tile:
-/// `dst[i][m] = srcs[m][i]`. The bulk runs 4 values at a time through
-/// [`transpose4x4`] (pure shuffles, bitwise exact). A ragged member batch
-/// duplicates a live member's slice into the dead-lane slots of `srcs` —
-/// the mask is applied on the scatter side, never here.
-///
-/// # Panics
-/// Panics if `dst.len()` is not a multiple of 4 or any source is shorter
-/// than `dst`.
-pub fn interleave4(srcs: [&[f64]; 4], dst: &mut [V4F64]) {
-    let n = dst.len();
-    assert_eq!(n % 4, 0, "interleave4: tile length must be a multiple of 4");
-    for s in &srcs {
-        assert!(s.len() >= n, "interleave4: source shorter than tile");
-    }
-    for i in (0..n).step_by(4) {
-        let cols = transpose4x4([
-            V4F64::load(&srcs[0][i..]),
-            V4F64::load(&srcs[1][i..]),
-            V4F64::load(&srcs[2][i..]),
-            V4F64::load(&srcs[3][i..]),
-        ]);
-        dst[i..i + 4].copy_from_slice(&cols);
-    }
-}
-
-/// Scatter a lane-interleaved tile back to member streams:
-/// `dsts[m][i] = src[i][m]` for every live member `m < dsts.len()`. The
-/// slice length *is* the lane mask (1..=4 live lanes); duplicated dead
-/// lanes are simply never stored.
-///
-/// # Panics
-/// Panics if `dsts` holds more than 4 slices, `src.len()` is not a
-/// multiple of 4, or any destination is shorter than `src`.
-pub fn deinterleave4(src: &[V4F64], dsts: &mut [&mut [f64]]) {
-    let n = src.len();
-    assert!(dsts.len() <= 4, "deinterleave4: at most 4 lanes");
-    assert_eq!(n % 4, 0, "deinterleave4: tile length must be a multiple of 4");
-    for d in dsts.iter() {
-        assert!(d.len() >= n, "deinterleave4: destination shorter than tile");
-    }
-    for i in (0..n).step_by(4) {
-        let rows = transpose4x4([src[i], src[i + 1], src[i + 2], src[i + 3]]);
-        for (m, d) in dsts.iter_mut().enumerate() {
-            rows[m].store(&mut d[i..]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,48 +407,6 @@ mod tests {
         for lane in 0..4 {
             assert_eq!(a.splat_lane(lane).0, [a[lane]; 4]);
         }
-    }
-
-    #[test]
-    fn interleave_deinterleave_roundtrip_bitwise() {
-        let n = 32;
-        let srcs: Vec<Vec<f64>> =
-            (0..4).map(|m| (0..n).map(|i| ((m * n + i) as f64).sin()).collect()).collect();
-        let mut tile = vec![V4F64::zero(); n];
-        interleave4([&srcs[0], &srcs[1], &srcs[2], &srcs[3]], &mut tile);
-        for (i, t) in tile.iter().enumerate() {
-            for (m, s) in srcs.iter().enumerate() {
-                assert_eq!(t[m].to_bits(), s[i].to_bits());
-            }
-        }
-        let mut outs = vec![vec![0.0f64; n]; 4];
-        {
-            let mut views: Vec<&mut [f64]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            deinterleave4(&tile, &mut views);
-        }
-        for (o, s) in outs.iter().zip(&srcs) {
-            assert_eq!(o, s);
-        }
-    }
-
-    #[test]
-    fn deinterleave_masks_dead_lanes() {
-        // A ragged 3-member batch: lane 3 duplicates lane 2 on gather, and
-        // the scatter side must leave non-member storage untouched.
-        let n = 8;
-        let srcs: Vec<Vec<f64>> = (0..3).map(|m| vec![m as f64 + 0.5; n]).collect();
-        let mut tile = vec![V4F64::zero(); n];
-        interleave4([&srcs[0], &srcs[1], &srcs[2], &srcs[2]], &mut tile);
-        let mut outs = vec![vec![-9.0f64; n]; 4];
-        {
-            let mut views: Vec<&mut [f64]> =
-                outs.iter_mut().take(3).map(|o| o.as_mut_slice()).collect();
-            deinterleave4(&tile, &mut views);
-        }
-        for m in 0..3 {
-            assert_eq!(outs[m], srcs[m]);
-        }
-        assert_eq!(outs[3], vec![-9.0f64; n], "dead lane must not be stored");
     }
 
     #[test]

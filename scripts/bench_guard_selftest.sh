@@ -33,12 +33,7 @@ check() { # check <expected_exit> <label> <kernels> <ensemble>
     fi
 }
 
-kernels_artifact() { # kernels_artifact <file> <laplace_speedup> <smoke> [lane_resident]
-    # The hypervis_member_lanes row is pinned at 0.75 in every case: the
-    # end-to-end lane row pays gather + scatter against a baseline that
-    # pays neither and is exempt from the generic 1.0 floor — a case run
-    # on it failing would mean the exemption regressed.
-    local resident="${4:-1.02}"
+kernels_artifact() { # kernels_artifact <file> <laplace_speedup> <smoke>
     cat > "$1" <<EOF
 {
   "bench": "kernels",
@@ -47,8 +42,6 @@ kernels_artifact() { # kernels_artifact <file> <laplace_speedup> <smoke> [lane_r
     {"name": "laplace", "scalar_ms": 1.2, "blocked_ms": 0.9, "speedup": $2},
     {"name": "biharmonic_planned", "scalar_ms": 8.5, "blocked_ms": 4.2, "speedup": 1.997},
     {"name": "hypervis_fullpass", "scalar_ms": 468.9, "blocked_ms": 280.3, "speedup": 1.673},
-    {"name": "hypervis_member_lanes", "scalar_ms": 18.9, "blocked_ms": 25.2, "speedup": 0.75},
-    {"name": "hypervis_member_lanes_resident", "scalar_ms": 18.9, "blocked_ms": 18.5, "speedup": $resident},
     {"name": "vertical_remap", "scalar_ms": 23.5, "blocked_ms": 11.4, "speedup": 2.047},
     {"name": "vertical_remap_planned", "scalar_ms": 23.5, "blocked_ms": 9.2, "speedup": 2.533}
   ]
@@ -56,24 +49,17 @@ kernels_artifact() { # kernels_artifact <file> <laplace_speedup> <smoke> [lane_r
 EOF
 }
 
-ensemble_artifact() { # ensemble_artifact <file> <mode> <bitwise> <e2e> <steady> [path] [members] [steady_target]
-    # The batch rows repeat a "members": key — present here so a case
-    # catches the guard ever reading a batch row's count as the top-level
-    # member count.
-    local path="${6:-chunked}" members="${7:-4}" steady_target="${8:-1.8}"
+ensemble_artifact() { # ensemble_artifact <file> <mode> <bitwise> <e2e> <steady>
     cat > "$1" <<EOF
 {
   "bench": "ensemble",
   "mode": "$2",
-  "members": $members,
-  "member_kernel_path": "$path",
+  "members": 4,
   "batches": [
     {"members": 1, "speedup": 0.99},
     {"members": 2, "speedup": 1.05}
   ],
   "speedup_steady_state": $5,
-  "steady_target_speedup": $steady_target,
-  "steady_target_met": false,
   "speedup_end_to_end": $4,
   "bitwise_ok": $3,
   "target_speedup": 3.0,
@@ -102,16 +88,6 @@ check 1 "kernels: required row missing fails structurally" "$T/k_missing.json" "
 
 check 0 "kernels: absent artifact skips" "$ABSENT" "$ABSENT"
 
-# Member-lane rows. Every healthy case above already pins the end-to-end
-# exemption (hypervis_member_lanes hardcoded at 0.75 passes); what must
-# fail is the tiles-resident row losing member-serial compute.
-kernels_artifact "$T/k_lane_res.json" 1.226 false 0.7
-check 1 "kernels: lane resident row under its 0.9 floor fails" "$T/k_lane_res.json" "$ABSENT"
-
-kernels_artifact "$T/k_lane_exp.json" 1.226 false 8.5e-1
-check 1 "kernels: exponent-form losing lane resident fails (8.5e-1 = 0.85)" \
-    "$T/k_lane_exp.json" "$ABSENT"
-
 # --- Section 2: ensemble --------------------------------------------------
 ensemble_artifact "$T/e_good.json" full true 1.02 1.06
 check 0 "ensemble: full artifact above floors passes" "$ABSENT" "$T/e_good.json"
@@ -130,42 +106,6 @@ check 1 "ensemble: bitwise pin failure fails even in smoke mode" "$ABSENT" "$T/e
 
 printf '{\n  "bench": "ensemble",\n  "mode": "full"\n}\n' > "$T/e_fields.json"
 check 1 "ensemble: missing fields fail structurally" "$ABSENT" "$T/e_fields.json"
-
-# --- Section 2b: lane steady floor ----------------------------------------
-# The 1.8x lane floor binds only when the kernels artifact shows the lane
-# arithmetic beating member-serial compute (resident >= LANE_EDGE_MIN);
-# otherwise it skips with the reason logged (exit 0). Both branches and
-# the exponent parse are pinned.
-kernels_artifact "$T/k_edge.json" 1.226 false 1.7
-kernels_artifact "$T/k_noedge.json" 1.226 false 1.02
-
-ensemble_artifact "$T/e_lane_good.json" full true 1.9 2.1 lanes 4
-check 0 "lane floor: steady above 1.8x with a lane compute edge passes" \
-    "$T/k_edge.json" "$T/e_lane_good.json"
-
-ensemble_artifact "$T/e_lane_slow.json" full true 1.1 1.3 lanes 4
-check 1 "lane floor: steady under 1.8x with a lane compute edge fails" \
-    "$T/k_edge.json" "$T/e_lane_slow.json"
-
-check 0 "lane floor: same artifact skips when the host shows no lane edge" \
-    "$T/k_noedge.json" "$T/e_lane_slow.json"
-
-check 0 "lane floor: skips without a kernels artifact to establish the edge" \
-    "$ABSENT" "$T/e_lane_slow.json"
-
-# 9.5e-1 = 0.95 clears the generic 0.9 floor but not the 1.8x lane floor;
-# the broken parser would read 9.5 and pass it.
-ensemble_artifact "$T/e_lane_exp.json" full true 1.0 9.5e-1 lanes 4
-check 1 "lane floor: exponent-form steady fails (9.5e-1 = 0.95 < 1.8)" \
-    "$T/k_edge.json" "$T/e_lane_exp.json"
-
-ensemble_artifact "$T/e_lane_part.json" full true 1.0 1.0 lanes 2
-check 0 "lane floor: not armed under a full 4-lane batch" \
-    "$T/k_edge.json" "$T/e_lane_part.json"
-
-ensemble_artifact "$T/e_lane_chunk.json" full true 1.0 1.0 chunked 4
-check 0 "lane floor: not armed on the chunked path" \
-    "$T/k_edge.json" "$T/e_lane_chunk.json"
 
 # --------------------------------------------------------------------------
 if [[ "$fails" -ne 0 ]]; then

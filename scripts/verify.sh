@@ -73,7 +73,7 @@ done
 
 # Tracer-chunk group: the cache-resident tracer stage (DESIGN.md §5.12).
 # The slot-major DSS gather is pinned bitwise to the scatter walk for 1, 3
-# and 4 fields, f64 and member lanes, 1 to 650 levels and a source stride
+# and 4 fields, 1 to 650 levels and a source stride
 # deeper than the window, and keeps NaN / ±inf / -0.0 bits; the chunked
 # blocked tracer stage (ragged last chunks included) is pinned to the
 # scalar oracle at every default worker count; and the remap verdict names
@@ -151,20 +151,17 @@ cargo test -q -p homme --lib hypervis
 cargo test -q -p homme --test hypervis_parity
 cargo test -q -p swcam-core --test ensemble_parity ensemble_dycore_measures_the_standalone_lambda_max
 
-# Ensemble group: the member-batched batch driver (DESIGN.md §5.9) — the
+# Ensemble group: the ensemble engine (DESIGN.md §5.9–§5.10) — the
 # scenario registry units, the checked physics coupling, the driver's own
-# queue/collect units, the member-vs-standalone bitwise pins (admission,
-# retirement, rollback isolation included), the member-lane kernel family
-# (DESIGN.md §5.10: lane kernel units + the N × nlev lane parity sweep
-# with ragged tails and rollback under the lane path), the
-# zero-allocation gates for steady ensemble stepping, and the Katrina
-# registry adapter.
+# queue/collect/batch-error units, the member-vs-standalone bitwise pins
+# (admission, retirement, rollback isolation included), the N × nlev
+# parity sweep, the zero-allocation gates for steady ensemble stepping,
+# and the Katrina registry adapter.
 echo "== ensemble test group"
 cargo test -q -p swcam-core --lib config
 cargo test -q -p swcam-core --lib coupling
 cargo test -q -p swcam-core --lib ensemble
 cargo test -q -p swcam-core --test ensemble_parity
-cargo test -q -p homme --lib member_lanes
 cargo test -q -p swcam-core --test ensemble_lane_parity
 cargo test -q -p swcam-core --test ensemble_alloc
 cargo test -q -p katrina --lib scenario
