@@ -2,20 +2,28 @@
 //! kernel layer.
 //!
 //! Times one full sweep over every element of an ne8 / 26-level / 4-tracer
-//! grid for each hot kernel, in both implementations:
+//! grid for each hot kernel, in both implementations. The scalar side of
+//! every step kernel is the scalar twin the stage loop itself calls under
+//! `KernelPath::Scalar`, not a copy written for the bench:
 //!
 //! * the column scans (pressure forward scan, geopotential reverse scan),
 //! * the fused RK RHS tendency + apply (`element_rhs_apply_blocked` vs
-//!   `element_rhs_raw` + the driver's apply loop),
+//!   its twin `rhs::element_rhs_apply`),
 //! * one fused SSP Euler tracer stage (flux divergence + update + stage
-//!   combination, mass fluxes hoisted across the tracer loop),
-//! * the hyperviscosity Laplacians (scalar and vector),
+//!   combination, mass fluxes hoisted across the tracer loop; twin
+//!   `euler::euler_stage_element`),
+//! * the hyperviscosity Laplacians, scalar and vector
+//!   (`laplace_levels_blocked` / `vlaplace_levels_blocked` vs
+//!   `hypervis::laplace_levels_element` in its scalar-only and vector-only
+//!   shapes),
 //! * the planned biharmonic pass (`biharmonic_planned`: the fused 4-wide
 //!   (u, v, T, dp3d) del^4 element sweep — both Laplacian passes sharing
-//!   one coefficient walk per pass — against the per-field scalar walks),
+//!   one coefficient walk per pass — against the twin
+//!   `laplace_levels_element`, copy then in place, as the step runs it),
 //! * the full planned hyperviscosity application (`hypervis_fullpass`:
 //!   `Dycore::apply_hypervis` end to end — plan build, sponge, subcycled
-//!   del^4, DSS-fused applies — Blocked vs Scalar kernel path),
+//!   del^4, DSS-fused applies — the one stage loop run with each kernel
+//!   set),
 //! * the planned vertical remap (`vertical_remap` times the production
 //!   path — plan build + coefficient apply — while `vertical_remap_planned`
 //!   times the apply pass alone over prebuilt plans, isolating the
@@ -32,7 +40,8 @@ use std::time::Instant;
 
 use cubesphere::consts::P0;
 use cubesphere::{CubedSphere, NPTS};
-use homme::euler::tracer_flux_divergence;
+use homme::euler::euler_stage_element;
+use homme::hypervis::laplace_levels_element;
 use homme::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, euler_stage_element_blocked,
     hypervis_pass_element_blocked, hypervis_pass_levels_blocked, laplace_levels_blocked,
@@ -40,7 +49,7 @@ use homme::kernels::blocked::{
 };
 use homme::remap::{remap_element_scalar, ElemRemapPlan, RemapApplyScratch, RemapScratch};
 use homme::rhs::{
-    element_rhs_raw, geopotential_scan, geopotential_scan_blocked, pressure_scan,
+    element_rhs_apply, geopotential_scan, geopotential_scan_blocked, pressure_scan,
     pressure_scan_blocked, RhsScratch,
 };
 use homme::{build_ops, Dims, Dycore, DycoreConfig, KernelPath, StageCombine, VertCoord};
@@ -235,10 +244,6 @@ fn main() {
     // --- RK RHS tendency + apply --------------------------------------
     {
         let mut scratch = RhsScratch::new(NLEV);
-        let mut tend_u = vec![0.0; fl];
-        let mut tend_v = vec![0.0; fl];
-        let mut tend_t = vec![0.0; fl];
-        let mut tend_dp = vec![0.0; fl];
         let mut out_s = [
             vec![0.0; nelem * fl],
             vec![0.0; nelem * fl],
@@ -247,15 +252,11 @@ fn main() {
         ];
         let mut out_b = out_s.clone();
         let a = &arenas;
-        let scalar = |out: &mut [Vec<f64>; 4],
-                          scratch: &mut RhsScratch,
-                          tu: &mut [f64],
-                          tv: &mut [f64],
-                          tt: &mut [f64],
-                          tdp: &mut [f64]| {
+        let scalar = |out: &mut [Vec<f64>; 4], scratch: &mut RhsScratch| {
+            let [ou, ov, ot, odp] = out;
             for e in 0..nelem {
                 let r = e * fl..(e + 1) * fl;
-                element_rhs_raw(
+                element_rhs_apply(
                     &ops[e],
                     NLEV,
                     PTOP,
@@ -264,20 +265,17 @@ fn main() {
                     &a.t[r.clone()],
                     &a.dp3d[r.clone()],
                     &a.phis[e * NPTS..(e + 1) * NPTS],
-                    tu,
-                    tv,
-                    tt,
-                    tdp,
+                    &a.u[r.clone()],
+                    &a.v[r.clone()],
+                    &a.t[r.clone()],
+                    &a.dp3d[r.clone()],
+                    C_DT,
+                    &mut ou[r.clone()],
+                    &mut ov[r.clone()],
+                    &mut ot[r.clone()],
+                    &mut odp[r.clone()],
                     scratch,
                 );
-                // The driver's apply loop: out = base + c*dt * tend.
-                let [ou, ov, ot, odp] = out;
-                for (i, g) in r.enumerate() {
-                    ou[g] = a.u[g] + C_DT * tu[i];
-                    ov[g] = a.v[g] + C_DT * tv[i];
-                    ot[g] = a.t[g] + C_DT * tt[i];
-                    odp[g] = a.dp3d[g] + C_DT * tdp[i];
-                }
             }
         };
         let blocked = |out: &mut [Vec<f64>; 4], scratch: &mut RhsScratch| {
@@ -306,14 +304,12 @@ fn main() {
                 );
             }
         };
-        scalar(&mut out_s, &mut scratch, &mut tend_u, &mut tend_v, &mut tend_t, &mut tend_dp);
+        scalar(&mut out_s, &mut scratch);
         blocked(&mut out_b, &mut scratch);
         for (i, name) in ["u", "v", "t", "dp3d"].iter().enumerate() {
             assert_bitwise(&out_s[i], &out_b[i], &format!("rhs tendency {name}"));
         }
-        let s = time_sweeps(warmup, measure, || {
-            scalar(&mut out_s, &mut scratch, &mut tend_u, &mut tend_v, &mut tend_t, &mut tend_dp)
-        });
+        let s = time_sweeps(warmup, measure, || scalar(&mut out_s, &mut scratch));
         let b = time_sweeps(warmup, measure, || blocked(&mut out_b, &mut scratch));
         push(&mut rows, "rhs_tendency", s, b);
     }
@@ -321,36 +317,25 @@ fn main() {
     // --- Euler tracer stage (SSP stage 2: 3/4 q0 + 1/4 (q + dt L q)) ---
     {
         let a = &arenas;
-        let mut qtmp = vec![0.0; nelem * tl];
         let mut qout_s = vec![0.0; nelem * tl];
         let mut qout_b = vec![0.0; nelem * tl];
-        let scalar = |qtmp: &mut [f64], qout: &mut [f64]| {
-            // The scalar driver's shape: a flux-divergence substep into a
-            // temporary, then a separate arena-wide combination pass.
+        let scalar = |qout: &mut [f64]| {
             for e in 0..nelem {
-                let r0 = e * fl;
-                let q0 = e * tl;
-                for q in 0..QSIZE {
-                    for k in 0..NLEV {
-                        let r = r0 + k * NPTS..r0 + (k + 1) * NPTS;
-                        let rq = q0 + (q * NLEV + k) * NPTS..q0 + (q * NLEV + k + 1) * NPTS;
-                        let mut tend = [0.0; NPTS];
-                        tracer_flux_divergence(
-                            &ops[e],
-                            &a.u[r.clone()],
-                            &a.v[r.clone()],
-                            &a.dp3d[r.clone()],
-                            &a.qdp[rq.clone()],
-                            &mut tend,
-                        );
-                        for (p, g) in rq.enumerate() {
-                            qtmp[g] = a.qdp[g] + C_DT * tend[p];
-                        }
-                    }
-                }
-            }
-            for (o, (q0, t)) in qout.iter_mut().zip(a.qdp.iter().zip(qtmp.iter())) {
-                *o = 0.75 * q0 + 0.25 * t;
+                let r = e * fl..(e + 1) * fl;
+                let rq = e * tl..(e + 1) * tl;
+                euler_stage_element(
+                    &ops[e],
+                    NLEV,
+                    QSIZE,
+                    &a.u[r.clone()],
+                    &a.v[r.clone()],
+                    &a.dp3d[r],
+                    &a.qdp[rq.clone()],
+                    &a.qdp[rq.clone()],
+                    C_DT,
+                    StageCombine::Ssp2,
+                    &mut qout[rq],
+                );
             }
         };
         let blocked = |qout: &mut [f64]| {
@@ -372,10 +357,10 @@ fn main() {
                 );
             }
         };
-        scalar(&mut qtmp, &mut qout_s);
+        scalar(&mut qout_s);
         blocked(&mut qout_b);
         assert_bitwise(&qout_s, &qout_b, "euler stage");
-        let s = time_sweeps(warmup, measure, || scalar(&mut qtmp, &mut qout_s));
+        let s = time_sweeps(warmup, measure, || scalar(&mut qout_s));
         let b = time_sweeps(warmup, measure, || blocked(&mut qout_b));
         push(&mut rows, "euler_stage", s, b);
     }
@@ -388,13 +373,7 @@ fn main() {
         let scalar = |work: &mut Vec<f64>| {
             work.copy_from_slice(&a.t);
             for e in 0..nelem {
-                let f = &mut work[e * fl..(e + 1) * fl];
-                for k in 0..NLEV {
-                    let r = k * NPTS..(k + 1) * NPTS;
-                    let mut lap = [0.0; NPTS];
-                    ops[e].laplace_sphere_wk(&f[r.clone()], &mut lap);
-                    f[r].copy_from_slice(&lap);
-                }
+                laplace_levels_element(&ops[e], NLEV, None, [&mut work[e * fl..(e + 1) * fl]]);
             }
         };
         let blocked = |work: &mut Vec<f64>| {
@@ -419,15 +398,8 @@ fn main() {
             v.copy_from_slice(&a.v);
             for e in 0..nelem {
                 let r = e * fl..(e + 1) * fl;
-                let (ue, ve) = (&mut u[r.clone()], &mut v[r]);
-                for k in 0..NLEV {
-                    let r = k * NPTS..(k + 1) * NPTS;
-                    let mut lu = [0.0; NPTS];
-                    let mut lv = [0.0; NPTS];
-                    ops[e].vlaplace_sphere(&ue[r.clone()], &ve[r.clone()], &mut lu, &mut lv);
-                    ue[r.clone()].copy_from_slice(&lu);
-                    ve[r].copy_from_slice(&lv);
-                }
+                let uv = [&mut u[r.clone()], &mut v[r]];
+                laplace_levels_element::<0>(&ops[e], NLEV, Some(uv), []);
             }
         };
         let blocked = |u: &mut Vec<f64>, v: &mut Vec<f64>| {
@@ -452,8 +424,9 @@ fn main() {
     // The hypervis plan's per-element compute: del^4 of the full
     // (u, v, T, dp3d) batch as two passes, each a single coefficient walk
     // shared by the vector Laplacian and both scalar Laplacians. The
-    // scalar side is the per-field shape the old driver ran: three
-    // independent walks per pass per level.
+    // scalar side is the twin the stage loop calls: the first pass copies
+    // the state into the output and runs in place, the second runs in
+    // place, three independent walks per pass per level.
     {
         let a = &arenas;
         let mut out_s = [
@@ -466,33 +439,17 @@ fn main() {
         let scalar = |out: &mut [Vec<f64>; 4]| {
             let [ou, ov, ot, odp] = out;
             for e in 0..nelem {
-                let r0 = e * fl;
-                let mut lu = [0.0; NPTS];
-                let mut lv = [0.0; NPTS];
-                let mut lt = [0.0; NPTS];
-                let mut ldp = [0.0; NPTS];
-                // Pass 1: state -> Laplacian, out of place.
-                for k in 0..NLEV {
-                    let r = r0 + k * NPTS..r0 + (k + 1) * NPTS;
-                    ops[e].vlaplace_sphere(&a.u[r.clone()], &a.v[r.clone()], &mut lu, &mut lv);
-                    ops[e].laplace_sphere_wk(&a.t[r.clone()], &mut lt);
-                    ops[e].laplace_sphere_wk(&a.dp3d[r.clone()], &mut ldp);
-                    ou[r.clone()].copy_from_slice(&lu);
-                    ov[r.clone()].copy_from_slice(&lv);
-                    ot[r.clone()].copy_from_slice(&lt);
-                    odp[r].copy_from_slice(&ldp);
-                }
+                let r = e * fl..(e + 1) * fl;
+                let (u, v) = (&mut ou[r.clone()], &mut ov[r.clone()]);
+                let (t, dp) = (&mut ot[r.clone()], &mut odp[r.clone()]);
+                // Pass 1: state -> Laplacian, copied then in place.
+                u.copy_from_slice(&a.u[r.clone()]);
+                v.copy_from_slice(&a.v[r.clone()]);
+                t.copy_from_slice(&a.t[r.clone()]);
+                dp.copy_from_slice(&a.dp3d[r]);
+                laplace_levels_element(&ops[e], NLEV, Some([&mut *u, &mut *v]), [&mut *t, &mut *dp]);
                 // Pass 2: Laplacian of the Laplacian, in place.
-                for k in 0..NLEV {
-                    let r = r0 + k * NPTS..r0 + (k + 1) * NPTS;
-                    ops[e].vlaplace_sphere(&ou[r.clone()], &ov[r.clone()], &mut lu, &mut lv);
-                    ops[e].laplace_sphere_wk(&ot[r.clone()], &mut lt);
-                    ops[e].laplace_sphere_wk(&odp[r.clone()], &mut ldp);
-                    ou[r.clone()].copy_from_slice(&lu);
-                    ov[r.clone()].copy_from_slice(&lv);
-                    ot[r.clone()].copy_from_slice(&lt);
-                    odp[r].copy_from_slice(&ldp);
-                }
+                laplace_levels_element(&ops[e], NLEV, Some([u, v]), [t, dp]);
             }
         };
         let blocked = |out: &mut [Vec<f64>; 4]| {
@@ -535,9 +492,10 @@ fn main() {
     //
     // `Dycore::apply_hypervis` end to end on one worker: plan build,
     // top-of-model sponge, subcycled del^4 with DSS between and after the
-    // Laplacian passes, and the DSS-fused forward-Euler applies. Scalar
-    // vs Blocked kernel path; both trajectories advance in lockstep from
-    // the same start, so every sweep stays bitwise comparable.
+    // Laplacian passes, and the DSS-fused forward-Euler applies: the one
+    // stage loop, run with each kernel set. Both trajectories advance in
+    // lockstep from the same start, so every sweep stays bitwise
+    // comparable.
     {
         let dims = Dims { nlev: NLEV, qsize: QSIZE };
         let mut dy = Dycore::new(NE, dims, PTOP, DycoreConfig::for_ne(NE));

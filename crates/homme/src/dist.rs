@@ -251,7 +251,7 @@ mod tests {
     use super::*;
     use crate::health::HealthConfig;
     use crate::hypervis::HypervisConfig;
-    use crate::kernels::blocked::QCHUNK;
+    use crate::kernels::blocked::{KernelPath, QCHUNK};
     use crate::prim::{Dycore, DycoreConfig};
     use crate::state::State;
     use cubesphere::consts::P0;
@@ -583,6 +583,43 @@ mod tests {
                 for i in 0..dims.tracer_len() {
                     assert_eq!(ps.qdp[i].to_bits(), cs.qdp[i].to_bits(), "elem {e} qdp[{i}]");
                 }
+            }
+        }
+    }
+
+    /// The scalar kernel set picks element kernels inside the one stage
+    /// loop, so it runs behind a halo like the blocked set: 2 and 5 mailbox
+    /// ranks stepping with `KernelPath::Scalar` (hyperviscosity, sponge,
+    /// tracers, the limiter and a mid-run remap on) commit the serial
+    /// blocked `Dycore`'s bits.
+    #[test]
+    fn scalar_kernel_set_on_ranks_matches_serial_blocked() {
+        let ne = 3;
+        let (dims, cfg) = full_cfg();
+        let mut serial = Dycore::new(ne, dims, 2000.0, cfg);
+        assert_eq!(serial.kernels, KernelPath::Blocked);
+        let mut st = initial_state(&serial);
+        seed_tracers(&serial, &mut st);
+        let init = st.clone();
+        for _ in 0..3 {
+            serial.step(&mut st);
+        }
+        let grid = CubedSphere::new(ne);
+        for nranks in [2usize, 5] {
+            let part = Partition::new(&grid, nranks);
+            let results = run_ranks(nranks, |ctx| {
+                let mode = ExchangeMode::Redesigned;
+                let mut dist = DistDycore::new(&grid, &part, ctx.rank(), dims, 2000.0, cfg, mode);
+                dist.core.kernels = KernelPath::Scalar;
+                let mut local = dist.local_state(&init);
+                for _ in 0..3 {
+                    dist.step(ctx, &mut local).expect("step");
+                }
+                assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
+                (dist.plan.owned.clone(), local)
+            });
+            for (owned, local) in results {
+                assert_states_bitwise(&owned, &local, &st, dims);
             }
         }
     }

@@ -3,11 +3,15 @@
 //! Spectral elements duplicate the GLL points on shared edges and corners;
 //! after computing element-local operators, the duplicated values must be
 //! made continuous by mass-weighted averaging over every element sharing
-//! the point. The serial scatter walk over a flat arena
-//! ([`Dss::apply_flat`]) is the scalar oracle's; every other DSS — serial,
+//! the point. Every DSS of the step, with either kernel set — serial,
 //! threaded or on a rank of a distributed run, whose off-rank sharers come
 //! from [`crate::bndry`]'s messages — is the canonical-order gather
-//! ([`DssGather`]), bitwise equal to it.
+//! ([`DssGather`]). The serial scatter walk over a flat arena
+//! ([`Dss::apply_flat`]) defines that order and is bitwise equal to it; no
+//! step calls it. It stays as the gather tests' reference, the DSS of the
+//! one-off `lambda_max` power iteration and of the raw assembled operators
+//! the tests probe ([`crate::hypervis::laplace_flat`]), and the frozen
+//! `benchmark/` crate's `dss.apply4_ms` probe ([`Dss::apply_flat4`]).
 
 use cubesphere::{CubedSphere, NPTS};
 

@@ -8,7 +8,7 @@
 //! whose communication cost Section 7.6 attacks.
 
 use crate::deriv::ElemOps;
-use crate::kernels::blocked::{euler_stage_element_blocked, BlockedOps, StageCombine};
+use crate::kernels::blocked::{euler_stage_element_blocked, BlockedOps, KernelPath, StageCombine};
 use crate::sched::{Arena, ElemScheduler};
 use crate::state::Dims;
 use cubesphere::NPTS;
@@ -38,72 +38,66 @@ pub fn tracer_flux_divergence(
     }
 }
 
-/// One forward-Euler sub-step of all tracers of all elements:
-/// `qdp_out = qdp_in + dt * RHS(qdp_in)` (no DSS; the caller assembles).
-/// `u`/`v`/`dp` are `[nelem][nlev][NPTS]` arenas, `qdp_in`/`qdp_out` are
-/// `[nelem][qsize][nlev][NPTS]` arenas (the state-arena layout). Elements
-/// run across the scheduler's workers; the call is allocation-free.
+/// The scalar twin of [`euler_stage_element_blocked`], with the same
+/// arguments: per (tracer, level) [`tracer_flux_divergence`], the
+/// forward-Euler update `qdp_in + dt * tend`, and the `combine` weights
+/// with `q0`. Bitwise the blocked kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn euler_substep_flat(
-    ops: &[ElemOps],
-    dims: Dims,
-    sched: &ElemScheduler,
+pub fn euler_stage_element(
+    op: &ElemOps,
+    nlev: usize,
+    qsize: usize,
     u: &[f64],
     v: &[f64],
     dp: &[f64],
     qdp_in: &[f64],
+    q0: &[f64],
     dt: f64,
+    combine: StageCombine,
     qdp_out: &mut [f64],
 ) {
-    let fl = dims.field_len();
-    let tl = dims.tracer_len();
-    sched.run_windows(0..ops.len(), Arena::new(qdp_out, tl, tl), |e, qout| {
-        let op = &ops[e];
-        let ue = &u[e * fl..(e + 1) * fl];
-        let ve = &v[e * fl..(e + 1) * fl];
-        let dpe = &dp[e * fl..(e + 1) * fl];
-        let qin = &qdp_in[e * tl..(e + 1) * tl];
-        for q in 0..dims.qsize {
-            for k in 0..dims.nlev {
-                let r = dims.at(k, 0)..dims.at(k, 0) + NPTS;
-                let rq = dims.atq(q, k, 0)..dims.atq(q, k, 0) + NPTS;
-                let mut tend = [0.0; NPTS];
-                tracer_flux_divergence(
-                    op,
-                    &ue[r.clone()],
-                    &ve[r.clone()],
-                    &dpe[r.clone()],
-                    &qin[rq.clone()],
-                    &mut tend,
-                );
-                for p in 0..NPTS {
-                    qout[rq.start + p] = qin[rq.start + p] + dt * tend[p];
-                }
+    for q in 0..qsize {
+        for k in 0..nlev {
+            let r = k * NPTS..(k + 1) * NPTS;
+            let qo = (q * nlev + k) * NPTS;
+            let mut tend = [0.0; NPTS];
+            let qin = &qdp_in[qo..qo + NPTS];
+            tracer_flux_divergence(op, &u[r.clone()], &v[r.clone()], &dp[r], qin, &mut tend);
+            for p in 0..NPTS {
+                let i = qo + p;
+                let stage = qdp_in[i] + dt * tend[p];
+                qdp_out[i] = match combine {
+                    StageCombine::Replace => stage,
+                    StageCombine::Ssp2 => 0.75 * q0[i] + 0.25 * stage,
+                    StageCombine::Ssp3 => q0[i] / 3.0 + 2.0 / 3.0 * stage,
+                };
             }
         }
-    });
+    }
 }
 
-/// One blocked Euler stage of the tracer chunk `qs` over the elements
-/// `elems`:
-/// flux divergence, forward-Euler update and SSP stage combination fused
-/// per element, with mass fluxes hoisted across the tracer loop (see
-/// [`euler_stage_element_blocked`]). Element `e`'s stage input for the
-/// chunk starts at `e * istride` of `qdp_in` (so a full tracer arena is
-/// passed from the chunk's first tracer on, with stride `tracer_len`, and
-/// a one-chunk buffer whole, with its own stride); `q0` is a full tracer
+/// One Euler stage of the tracer chunk `qs` over the elements `elems`:
+/// flux divergence, forward-Euler update and SSP stage combination per
+/// element, by the `kernels` set's element kernel
+/// ([`euler_stage_element_blocked`], which hoists the mass fluxes across
+/// the tracer loop, or its scalar twin [`euler_stage_element`]). Element
+/// `e`'s stage input for the chunk starts at `e * istride` of `qdp_in` (so
+/// a full tracer arena is passed from the chunk's first tracer on, with
+/// stride `tracer_len`, and a one-chunk buffer whole, with its own
+/// stride); `q0` is a full tracer
 /// arena (`[nelem][qsize][nlev][NPTS]`) read at the chunk's tracers.
 /// Element `e`'s raw output for the chunk lands at the start of its
 /// `ostride`-wide window of `qdp_out`. Elements run across the
-/// scheduler's workers; the call is allocation-free and bitwise identical
-/// to [`euler_substep_flat`] followed by the driver's combination loop,
-/// restricted to the chunk.
+/// scheduler's workers; the call is allocation-free, and both kernel sets
+/// give the same bits.
 ///
 /// # Panics
 /// If the chunk does not fit in an `istride`- or `ostride`-wide window or
 /// past the arenas' tracers, or `qdp_out` ends inside `elems`' windows.
 #[allow(clippy::too_many_arguments)]
 pub fn euler_stage_flat_blocked(
+    kernels: KernelPath,
+    ops: &[ElemOps],
     bops: &[BlockedOps],
     dims: Dims,
     sched: &ElemScheduler,
@@ -129,20 +123,19 @@ pub fn euler_stage_flat_blocked(
         "euler_stage_flat_blocked: chunk {qs:?}"
     );
     sched.run_windows(elems, Arena::new(qdp_out, ostride, len), |e, qout| {
-        let chunk = e * tl + off..e * tl + off + len;
-        euler_stage_element_blocked(
-            &bops[e],
-            dims.nlev,
-            qs.len(),
-            &u[e * fl..(e + 1) * fl],
-            &v[e * fl..(e + 1) * fl],
-            &dp[e * fl..(e + 1) * fl],
-            &qdp_in[e * istride..e * istride + len],
-            &q0[chunk],
-            dt,
-            combine,
-            qout,
-        );
+        let r = e * fl..(e + 1) * fl;
+        let (ue, ve, dpe) = (&u[r.clone()], &v[r.clone()], &dp[r]);
+        let qin = &qdp_in[e * istride..e * istride + len];
+        let q0 = &q0[e * tl + off..e * tl + off + len];
+        let (nlev, nq) = (dims.nlev, qs.len());
+        match kernels {
+            KernelPath::Blocked => euler_stage_element_blocked(
+                &bops[e], nlev, nq, ue, ve, dpe, qin, q0, dt, combine, qout,
+            ),
+            KernelPath::Scalar => {
+                euler_stage_element(&ops[e], nlev, nq, ue, ve, dpe, qin, q0, dt, combine, qout)
+            }
+        }
     });
 }
 
@@ -205,16 +198,6 @@ pub fn limit_tracer_element(op: &ElemOps, qe: &mut [f64]) {
     }
 }
 
-/// [`limit_tracer_element`] over every element of a flat tracer arena
-/// (`[nelem][qsize][nlev][NPTS]`): the scalar oracle's limiter, bitwise
-/// the blocked step's per-element epilogue.
-pub fn limit_tracer_arena(ops: &[ElemOps], dims: Dims, qdp: &mut [f64]) {
-    let tl = dims.tracer_len();
-    for (op, qe) in ops.iter().zip(qdp.chunks_exact_mut(tl.max(1))) {
-        limit_tracer_element(op, &mut qe[..tl]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,45 +232,6 @@ mod tests {
                     tend_q[p],
                     -2.0 * div[p]
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn flat_substep_matches_per_element_substep() {
-        let grid = CubedSphere::new(2);
-        let ops = build_ops(&grid);
-        let dims = Dims { nlev: 3, qsize: 2 };
-        let nelem = grid.nelem();
-        let fl = dims.field_len();
-        let tl = dims.tracer_len();
-        let mk = |s: usize, len: usize| -> Vec<f64> {
-            (0..nelem * len)
-                .map(|i| 800.0 + ((i / len * 31 + i % len * 7 + s) % 23) as f64)
-                .collect()
-        };
-        let u = mk(0, fl);
-        let v = mk(1, fl);
-        let dp = mk(2, fl);
-        let qdp = mk(3, tl);
-        let sched = ElemScheduler::new(3);
-        let mut out_flat = vec![0.0; nelem * tl];
-        euler_substep_flat(&ops, dims, &sched, &u, &v, &dp, &qdp, 7.0, &mut out_flat);
-
-        for (e, op) in ops.iter().enumerate() {
-            for q in 0..dims.qsize {
-                for k in 0..dims.nlev {
-                    let r = e * fl + dims.at(k, 0)..e * fl + dims.at(k, 0) + NPTS;
-                    let rq = e * tl + dims.atq(q, k, 0);
-                    let mut tend = [0.0; NPTS];
-                    let (ue, ve, dpe) = (&u[r.clone()], &v[r.clone()], &dp[r]);
-                    tracer_flux_divergence(op, ue, ve, dpe, &qdp[rq..rq + NPTS], &mut tend);
-                    for p in 0..NPTS {
-                        let want = qdp[rq + p] + 7.0 * tend[p];
-                        let got = out_flat[rq + p];
-                        assert_eq!(got.to_bits(), want.to_bits(), "e {e} q {q} k {k} p {p}");
-                    }
-                }
             }
         }
     }

@@ -380,13 +380,49 @@ impl ElemHypervisPlan {
     }
 }
 
+/// In-place Laplacians of one element over its first `levels` levels:
+/// per level the vector Laplacian ([`ElemOps::vlaplace_sphere`]) of
+/// `uv`, when given, and the weak-form scalar Laplacian
+/// ([`ElemOps::laplace_sphere_wk`]) of each of the `NS` fields of `s`.
+///
+/// This is the scalar kernel set's twin of the blocked hyperviscosity
+/// passes, and gives their bits: the sponge pass is `NS = 1` over the
+/// sponge levels, both biharmonic passes `NS = 2`. An out-of-place pass
+/// copies its source windows into the destination windows first.
+pub fn laplace_levels_element<const NS: usize>(
+    op: &ElemOps,
+    levels: usize,
+    mut uv: Option<[&mut [f64]; 2]>,
+    mut s: [&mut [f64]; NS],
+) {
+    for k in 0..levels {
+        let r = k * NPTS..(k + 1) * NPTS;
+        if let Some([u, v]) = uv.as_mut() {
+            let mut lu = [0.0; NPTS];
+            let mut lv = [0.0; NPTS];
+            op.vlaplace_sphere(&u[r.clone()], &v[r.clone()], &mut lu, &mut lv);
+            u[r.clone()].copy_from_slice(&lu);
+            v[r.clone()].copy_from_slice(&lv);
+        }
+        for f in s.iter_mut() {
+            let mut lap = [0.0; NPTS];
+            op.laplace_sphere_wk(&f[r.clone()], &mut lap);
+            f[r.clone()].copy_from_slice(&lap);
+        }
+    }
+}
+
 /// In-place `lap(f)` per element level with DSS, using the weak-form
 /// (Galerkin) Laplacian [`ElemOps::laplace_sphere_wk`]: conservative to
 /// round-off, which is what makes the subcycled `dp3d` dissipation
 /// mass-conserving. `field` is one `[nelem][nlev][NPTS]` buffer (the
 /// state-arena layout). Element Laplacians run across the scheduler's
-/// workers, then the serial scatter DSS (this is the scalar oracle's form;
-/// the blocked step assembles element-parallel instead). Allocation-free.
+/// workers, then the serial scatter DSS [`Dss::apply_flat`].
+/// Allocation-free.
+///
+/// No step calls this: the step assembles with element-parallel gathers.
+/// It stays as the raw assembled operator that the `hypervis_parity`,
+/// `convergence` and property tests and this module's tests probe.
 pub fn laplace_flat(
     ops: &[ElemOps],
     dss: &mut Dss,
@@ -396,18 +432,14 @@ pub fn laplace_flat(
 ) {
     let fl = nlev * NPTS;
     sched.run_windows(0..ops.len(), Arena::new(field, fl, fl), |e, f| {
-        for k in 0..nlev {
-            let r = k * NPTS..(k + 1) * NPTS;
-            let mut lap = [0.0; NPTS];
-            ops[e].laplace_sphere_wk(&f[r.clone()], &mut lap);
-            f[r].copy_from_slice(&lap);
-        }
+        laplace_levels_element(&ops[e], nlev, None, [f]);
     });
     dss.apply_flat(field, nlev);
 }
 
 /// In-place weak biharmonic `lap(lap(f))` with DSS after each Laplacian —
-/// the paper's `biharmonic_dp3d` kernel when applied to `dp3d`.
+/// the paper's `biharmonic_dp3d` kernel when applied to `dp3d`. Like
+/// [`laplace_flat`], a test probe with no step caller.
 pub fn biharmonic_flat(
     ops: &[ElemOps],
     dss: &mut Dss,
@@ -419,7 +451,8 @@ pub fn biharmonic_flat(
     laplace_flat(ops, dss, sched, nlev, field);
 }
 
-/// In-place vector Laplacian with DSS for `(u, v)` per level.
+/// In-place vector Laplacian with DSS for `(u, v)` per level. Like
+/// [`laplace_flat`], a test probe with no step caller.
 pub fn vlaplace_flat(
     ops: &[ElemOps],
     dss: &mut Dss,
@@ -430,15 +463,8 @@ pub fn vlaplace_flat(
 ) {
     let fl = nlev * NPTS;
     let uv = [Arena::new(&mut *u, fl, fl), Arena::new(&mut *v, fl, fl)];
-    sched.run_windows(0..ops.len(), uv, |e, [ue, ve]| {
-        for k in 0..nlev {
-            let r = k * NPTS..(k + 1) * NPTS;
-            let mut lu = [0.0; NPTS];
-            let mut lv = [0.0; NPTS];
-            ops[e].vlaplace_sphere(&ue[r.clone()], &ve[r.clone()], &mut lu, &mut lv);
-            ue[r.clone()].copy_from_slice(&lu);
-            ve[r].copy_from_slice(&lv);
-        }
+    sched.run_windows(0..ops.len(), uv, |e, uv| {
+        laplace_levels_element::<0>(&ops[e], nlev, Some(uv), []);
     });
     dss.apply_flat(u, nlev);
     dss.apply_flat(v, nlev);

@@ -9,8 +9,10 @@
 //! never mixes with its neighbours except through the same reduction order
 //! the scalar operators use, every kernel here is **bitwise identical** to
 //! its scalar reference in [`crate::deriv::ElemOps`] / [`crate::rhs`] — the
-//! scalar path stays in the tree as the parity oracle, and the proptest
-//! suite pins the equivalence across shapes.
+//! scalar element kernels stay in the tree as the parity oracle, each step
+//! kernel here with a scalar twin of the same arguments that the stage loop
+//! calls under [`KernelPath::Scalar`], and the proptest suite pins the
+//! equivalence across shapes.
 //!
 //! On top of the lane mapping, the layer fuses the way the paper fuses:
 //!
@@ -35,10 +37,18 @@ use cubesphere::consts::{CP, RD};
 use cubesphere::{pidx, NP, NPTS};
 use sw26010::{transpose4x4, V4F64};
 
-/// Which kernel implementation a dycore driver dispatches to.
+/// Which element kernels the one stage loop of
+/// [`crate::prim::Dycore`] calls. It selects element kernels only: each
+/// sweep's per-element job calls the blocked kernel or its scalar twin with
+/// the same arguments ([`crate::rhs::element_rhs_apply`],
+/// [`crate::hypervis::laplace_levels_element`],
+/// [`crate::euler::euler_stage_element`],
+/// [`crate::remap::remap_element_scalar`]); the buffers, DSS gathers,
+/// exchanges, limiter and stage order are the same either way, so the
+/// scalar set also runs on a rank of a distributed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
-    /// Scalar reference kernels — retained as the bitwise parity oracle.
+    /// Scalar element kernels — retained as the bitwise parity oracle.
     Scalar,
     /// 4-wide blocked kernels (bitwise identical to `Scalar`).
     #[default]
@@ -997,8 +1007,9 @@ pub fn remap_field_planned(
 mod tests {
     use super::*;
     use crate::deriv::build_ops;
-    use crate::euler::tracer_flux_divergence;
-    use crate::rhs::element_rhs_raw;
+    use crate::euler::{euler_stage_element, tracer_flux_divergence};
+    use crate::hypervis::laplace_levels_element;
+    use crate::rhs::{element_rhs_apply, element_rhs_raw};
     use cubesphere::CubedSphere;
 
     /// Deterministic pseudo-random field values in a physical-ish range.
@@ -1130,12 +1141,28 @@ mod tests {
             assert_eq!(bits(&ev), bits(&ov), "nlev={nlev} v");
             assert_eq!(bits(&et), bits(&ot), "nlev={nlev} t");
             assert_eq!(bits(&edp), bits(&odp), "nlev={nlev} dp3d");
+
+            // The scalar twin the stage loop calls under `KernelPath::Scalar`.
+            let mut su = vec![0.0; n];
+            let mut sv = vec![0.0; n];
+            let mut st = vec![0.0; n];
+            let mut sdp = vec![0.0; n];
+            element_rhs_apply(
+                op, nlev, ptop, &u, &v, &t, &dp, &phis, &base_u, &base_v, &base_t, &base_dp,
+                c_dt, &mut su, &mut sv, &mut st, &mut sdp, &mut scratch,
+            );
+            assert_eq!(bits(&eu), bits(&su), "scalar twin nlev={nlev} u");
+            assert_eq!(bits(&ev), bits(&sv), "scalar twin nlev={nlev} v");
+            assert_eq!(bits(&et), bits(&st), "scalar twin nlev={nlev} t");
+            assert_eq!(bits(&edp), bits(&sdp), "scalar twin nlev={nlev} dp3d");
         }
     }
 
     /// The fused 4-field hypervis pass and the 3-field sponge pass are
     /// bitwise identical to the standalone blocked Laplacians they replace
-    /// (which are themselves pinned against the scalar oracle above).
+    /// (which are themselves pinned against the scalar oracle above), and
+    /// so is the scalar twin `laplace_levels_element` in every shape the
+    /// stage loop and the flat operators call it in.
     #[test]
     fn fused_hypervis_pass_matches_unfused_blocked_bitwise() {
         let ops = test_ops();
@@ -1190,7 +1217,31 @@ mod tests {
                 assert_eq!(bits(&eu[..ks * NPTS]), bits(&su), "sponge nlev={nlev} ks={ks} u");
                 assert_eq!(bits(&ev[..ks * NPTS]), bits(&sv), "sponge nlev={nlev} ks={ks} v");
                 assert_eq!(bits(&et[..ks * NPTS]), bits(&stf), "sponge nlev={nlev} ks={ks} t");
+
+                // Scalar twin of the sponge pass: copy, then in place.
+                let (mut su, mut sv, mut stf) =
+                    (u[..ks * NPTS].to_vec(), v[..ks * NPTS].to_vec(), t[..ks * NPTS].to_vec());
+                laplace_levels_element(op, ks, Some([&mut su, &mut sv]), [&mut stf]);
+                assert_eq!(bits(&eu[..ks * NPTS]), bits(&su), "scalar sponge nlev={nlev} ks={ks} u");
+                assert_eq!(bits(&ev[..ks * NPTS]), bits(&sv), "scalar sponge nlev={nlev} ks={ks} v");
+                assert_eq!(bits(&et[..ks * NPTS]), bits(&stf), "scalar sponge nlev={nlev} ks={ks} t");
             }
+
+            // Scalar twin of both biharmonic passes (NS = 2), and the
+            // scalar-only and vector-only shapes of the flat operators.
+            let (mut su, mut sv, mut st, mut sdp) = (u.clone(), v.clone(), t.clone(), dp.clone());
+            laplace_levels_element(op, nlev, Some([&mut su, &mut sv]), [&mut st, &mut sdp]);
+            assert_eq!(bits(&eu), bits(&su), "scalar twin nlev={nlev} u");
+            assert_eq!(bits(&ev), bits(&sv), "scalar twin nlev={nlev} v");
+            assert_eq!(bits(&et), bits(&st), "scalar twin nlev={nlev} t");
+            assert_eq!(bits(&edp), bits(&sdp), "scalar twin nlev={nlev} dp3d");
+            let mut st = t.clone();
+            laplace_levels_element(op, nlev, None, [&mut st]);
+            assert_eq!(bits(&et), bits(&st), "scalar laplace only nlev={nlev}");
+            let (mut su, mut sv) = (u.clone(), v.clone());
+            laplace_levels_element::<0>(op, nlev, Some([&mut su, &mut sv]), []);
+            assert_eq!(bits(&eu), bits(&su), "scalar vlaplace only nlev={nlev} u");
+            assert_eq!(bits(&ev), bits(&sv), "scalar vlaplace only nlev={nlev} v");
         }
     }
 
@@ -1249,6 +1300,15 @@ mod tests {
                     combined.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "nlev={nlev} qsize={qsize} {combine:?}"
+                );
+                // The scalar twin the stage loop calls under
+                // `KernelPath::Scalar`.
+                let mut twin = vec![0.0; tn];
+                euler_stage_element(op, nlev, qsize, &u, &v, &dp, &qdp_in, &q0, dt, combine, &mut twin);
+                assert_eq!(
+                    combined.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    twin.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "scalar twin nlev={nlev} qsize={qsize} {combine:?}"
                 );
             }
         }

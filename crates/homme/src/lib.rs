@@ -17,10 +17,11 @@
 //!   subcycled hyperviscosity, tracer advection, vertical remap. All state
 //!   lives in the flat SoA arena of [`state`], all temporaries in the
 //!   persistent [`workspace`], and per-element loops run across host
-//!   cores on the [`sched`] worker pool. Its scalar kernel set
-//!   ([`KernelPath::Scalar`]) is the step's one equivalence oracle: the
-//!   default blocked step must match it bitwise, and both must hit the
-//!   seed driver's trajectory hashes pinned in `tests/state_arena.rs`.
+//!   cores on the [`sched`] worker pool. There is one stage loop; the
+//!   kernel set ([`KernelPath`]) only picks each sweep's element kernels.
+//!   The scalar set is the step's one equivalence oracle: the default
+//!   blocked kernels must match it bitwise, and both must hit the seed
+//!   driver's trajectory hashes pinned in `tests/state_arena.rs`.
 //! * [`kernels`] — the four implementation variants of every Table-1
 //!   kernel: Reference ("Intel"), MPE, OpenACC, and the Athread redesign
 //!   with register-communication scans and shuffle transposition

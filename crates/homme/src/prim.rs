@@ -15,25 +15,26 @@
 //! the dycore — `step` allocates nothing on the heap (see the
 //! `alloc_regression` test).
 //!
-//! [`KernelPath::Scalar`] is the step's one equivalence oracle: per-field
-//! scalar element kernels and the serial [`Dss`] scatter walks, which the
-//! default blocked step matches bitwise. Both hit the trajectory hashes
-//! recorded from the original per-element-`Vec` seed driver and pinned in
-//! `tests/state_arena.rs`.
+//! There is one stage loop. The kernel set ([`KernelPath`]) is a seam
+//! inside it: each sweep's element job calls the blocked kernel or its
+//! scalar twin, built from the per-field scalar operators, and nothing
+//! else differs — the same buffers, gathers, exchanges and limiter run
+//! either way, on one rank or many. The scalar set is the equivalence
+//! oracle for the blocked kernels: both sets give the same bits, and both
+//! hit the trajectory hashes recorded from the original per-element-`Vec`
+//! seed driver and pinned in `tests/state_arena.rs`. What the pins and
+//! the parity suites catch in the loop itself is tabled in DESIGN §5.1.
 
 use crate::bndry::Halo;
 use crate::deriv::{build_ops, ElemOps};
 use crate::dist::DistError;
 use crate::dss::{no_ghosts, Dss, DssGather};
-use crate::euler::{
-    euler_stage_flat_blocked, euler_substep_flat, limit_tracer_arena, limit_tracer_element,
-};
+use crate::euler::{euler_stage_flat_blocked, limit_tracer_element};
 use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
 use crate::hypervis::{
-    biharmonic_flat, laplace_flat, laplacian_lambda_max, min_gll_gap, vlaplace_flat,
-    HypervisConfig, HypervisStability,
+    laplace_levels_element, laplacian_lambda_max, min_gll_gap, HypervisConfig, HypervisStability,
 };
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, hypervis_pass_element_blocked,
@@ -42,7 +43,7 @@ use crate::kernels::blocked::{
 };
 use crate::kernels::blocked::{remap_element_planned, QCHUNK};
 use crate::remap::{remap_element_scalar, RemapError};
-use crate::rhs::{element_rhs_raw, Rhs};
+use crate::rhs::{element_rhs_apply, Rhs};
 use crate::sched::{Arena, ElemScheduler, PerWorker};
 use crate::state::{Dims, State};
 use crate::vert::VertCoord;
@@ -94,8 +95,12 @@ pub struct Dycore {
     pub grid: CubedSphere,
     /// Per-element operator tables.
     pub ops: Vec<ElemOps>,
-    /// The scalar oracle's serial scatter DSS (of the patch alone on a
-    /// rank's core, which never runs the scalar oracle).
+    /// The serial scatter DSS of the grid (of the patch alone on a rank's
+    /// core). No step uses it: every DSS of the step is a [`DssGather`]
+    /// sweep. It stays for the `benchmark/` crate's `dss.apply4_ms` probe
+    /// and for the tests that apply the raw assembled operators
+    /// ([`crate::hypervis::laplace_flat`]); ROADMAP items 6(b) and 10
+    /// retire it.
     pub dss: Dss,
     /// RHS evaluator (owns the vertical coordinate).
     pub rhs: Rhs,
@@ -109,8 +114,8 @@ pub struct Dycore {
     pub health: HealthConfig,
     /// What a CFL breach does to the following steps.
     pub degrade: DegradePolicy,
-    /// Which kernel implementation the step pipeline dispatches to
-    /// (blocked by default; the scalar path is the parity oracle).
+    /// Which element kernels the stage loop's sweeps call (blocked by
+    /// default; the scalar twins are the parity oracle).
     pub kernels: KernelPath,
     /// The member path of [`Dycore::apply_hypervis_members`] and
     /// [`Dycore::dynamics_step_members`]. It has one value and changes
@@ -184,9 +189,7 @@ impl Dycore {
         };
         let dss = Dss::new(&patch);
         let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max(grid));
-        let mut core = Self::assemble(patch, dss, gather, dims, ptop, cfg, 1, global);
-        core.ws.drop_oracle_buffers();
-        core
+        Self::assemble(patch, dss, gather, dims, ptop, cfg, 1, global)
     }
 
     /// `(char_dx, lambda_max)` are the whole grid's CFL spacing (the
@@ -246,15 +249,14 @@ impl Dycore {
 
     /// Advance the dynamics (u, v, T, dp3d) by one dt with the 5-stage RK.
     ///
-    /// Stage `i` is `u_i = u_0 + c_i dt RHS(u_{i-1})`, then DSS. Both kernel
-    /// paths read `u_0` from the state, which no stage writes before the
-    /// last. The blocked path takes no copy of the state: each stage is an
-    /// RHS sweep from `u_{i-1}` (the state for `i = 1`, else
-    /// `StepWorkspace::stage`) into the raw arenas `hyp`, then a gather
-    /// sweep that reads only `hyp` and so can write `stage` in place — or,
-    /// for `i = 5`, the state's dynamics fields. Two dynamics arenas are
-    /// touched besides the state. The scalar oracle keeps its
-    /// `stage` / `next` ping-pong and copies `u_5` into the state.
+    /// Stage `i` is `u_i = u_0 + c_i dt RHS(u_{i-1})`, then DSS. `u_0` is
+    /// read from the state, which no stage writes before the last, so the
+    /// step takes no copy of it: each stage is an RHS sweep from `u_{i-1}`
+    /// (the state for `i = 1`, else `StepWorkspace::stage`) into the raw
+    /// arenas `hyp`, then a gather sweep that reads only `hyp` and so can
+    /// write `stage` in place — or, for `i = 5`, the state's dynamics
+    /// fields. Two dynamics arenas are touched besides the state. The
+    /// kernel set picks the RHS sweep's element kernel, nothing else.
     pub fn dynamics_step(&mut self, state: &mut State) {
         serial(self.dynamics_step_guarded(&mut Halo::Serial, state, None))
             .expect("an unguarded RK stage cannot fail");
@@ -290,19 +292,16 @@ impl Dycore {
     /// [`HealthError::Hypervis`]) with the state untouched, like a corrupt
     /// element.
     ///
-    /// Both kernel paths vet the grid and hoist the subcycle/sponge
-    /// coefficient products through
-    /// [`ElemHypervisPlan`](crate::hypervis::ElemHypervisPlan) once per
-    /// step, so a corrupt element is rejected identically either way. The
-    /// blocked path then runs each subcycle as three element-parallel
-    /// sweeps with no serial code between them: the fused first Laplacian
-    /// of all four fields (state → `hyp`), the DSS gather of `hyp` with the second
+    /// The grid is vetted and the subcycle/sponge coefficient products are
+    /// hoisted through [`ElemHypervisPlan`](crate::hypervis::ElemHypervisPlan)
+    /// once per step. Each subcycle is then three element-parallel sweeps
+    /// with no serial code between them: the first Laplacian of all four
+    /// fields (state → `hyp`), the DSS gather of `hyp` with the second
     /// Laplacian on the assembled window (→ `stage`, idle outside RK), and
     /// the DSS gather of `stage` with the forward-Euler damping folded in
-    /// (→ state) — see [`DssGather::gather_elem`]. The scalar path keeps
-    /// the seed's copy +
-    /// per-field Laplacian + serial scatter DSS + separate apply structure
-    /// as the bitwise oracle.
+    /// (→ state) — see [`DssGather::gather_elem`]. The kernel set picks the
+    /// Laplacian element kernels: the blocked fused passes or their scalar
+    /// twin [`laplace_levels_element`].
     pub fn apply_hypervis_n(
         &mut self,
         state: &mut State,
@@ -325,162 +324,119 @@ impl Dycore {
             return Ok(());
         }
         let lambda_max = self.lambda_max;
-        let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
+        let Dycore { ops, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
         let kernels = *kernels;
         let nlev = dims.nlev;
         let fl = dims.field_len();
         ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops).map_err(HealthError::from)?;
-        if let KernelPath::Blocked = kernels {
-            let StepWorkspace { hv_plan: plan, hyp, stage, sponge_u, sponge_v, sponge_t, .. } = ws;
-            let nelem = ops.len();
-            // Top-of-model sponge: ordinary Laplacian damping on the top
-            // layers (sign +nu_top lap, i.e. diffusion). The fused element
-            // pass reads the state directly (no staging copy) and the
-            // damping increment rides the DSS gather of all three fields.
-            let (bnd, int) = halo.split(nelem);
-            if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
-                let ks = plan.ks;
-                let sl = ks * NPTS;
-                let (su, sv, st): (&[f64], &[f64], &[f64]) = (&state.u, &state.v, &state.t);
-                let pass = |out: [&mut [f64]; 3], elems: Range<usize>| {
-                    let out = out.map(|o| Arena::new(o, sl, sl));
-                    sched.run_windows(elems, out, |e, [ou, ov, ot]| {
-                        sponge_pass_element_blocked(
-                            &bops[e],
-                            ks,
-                            &su[e * fl..e * fl + sl],
-                            &sv[e * fl..e * fl + sl],
-                            &st[e * fl..e * fl + sl],
-                            ou,
-                            ov,
-                            ot,
-                        );
-                    });
-                };
-                pass([sponge_u, sponge_v, sponge_t], bnd.clone());
-                halo.send([&sponge_u[..], &sponge_v[..], &sponge_t[..]], ks, sl);
-                pass([sponge_u, sponge_v, sponge_t], int.clone());
-                halo_sweep(
-                    halo,
-                    sched,
-                    gather,
-                    ks,
-                    [&sponge_u[..], &sponge_v[..], &sponge_t[..]],
-                    sl,
-                    Some([&plan.sponge[..]; 3]),
-                    [&mut state.u[..], &mut state.v[..], &mut state.t[..]],
-                    fl,
-                    |_, _| {},
-                )?;
-            }
-            for _ in 0..subcycles {
-                // First Laplacian of (u, v, T, dp3d): one fused coefficient
-                // walk per element, straight from the state into the hyp
-                // arenas (the per-subcycle state copy is gone).
-                let [su, sv, st, sdp] = state.dyn_fields();
-                let pass = |hyp: &mut DynFields, elems: Range<usize>| {
-                    let out = hyp.fields_mut().map(|o| Arena::new(o, fl, fl));
-                    sched.run_windows(elems, out, |e, [ou, ov, ot, odp]| {
-                        let r = e * fl..(e + 1) * fl;
-                        hypervis_pass_element_blocked(
-                            &bops[e],
-                            nlev,
-                            &su[r.clone()],
-                            &sv[r.clone()],
-                            &st[r.clone()],
-                            &sdp[r],
-                            ou,
-                            ov,
-                            ot,
-                            odp,
-                        );
-                    });
-                };
-                pass(hyp, bnd.clone());
-                halo.send(hyp.fields(), nlev, fl);
-                pass(hyp, int.clone());
-                // DSS of the first Laplacians, gathered per element into
-                // the (idle outside RK) `stage` arenas, with the second
-                // Laplacian (del^4 = lap(lap)) run on the element's freshly
-                // assembled window in the same job.
-                halo_sweep(
-                    halo,
-                    sched,
-                    gather,
-                    nlev,
-                    hyp.fields(),
-                    fl,
-                    None,
-                    stage.fields_mut(),
-                    fl,
-                    |e, [u, v, t, dp]| hypervis_pass_levels_blocked(&bops[e], nlev, u, v, t, dp),
-                )?;
-                // Final DSS fused with the forward-Euler apply: the plan's
-                // negated `dt_sub * nu` coefficients turn `x -= c * lap`
-                // into the gather's `x += (-c) * lap` bitwise-identically,
-                // and all four fields ride one walk of the gather plan.
-                halo.send(stage.fields(), nlev, fl);
-                halo_sweep(
-                    halo,
-                    sched,
-                    gather,
-                    nlev,
-                    stage.fields(),
-                    fl,
-                    Some(plan.damp()),
-                    state.dyn_fields_mut(),
-                    fl,
-                    |_, _| {},
-                )?;
-            }
-            return Ok(());
-        }
-        assert!(halo.is_serial(), "the scalar oracle runs on one rank only");
+        let StepWorkspace { hv_plan: plan, hyp, stage, sponge_u, sponge_v, sponge_t, .. } = ws;
+        let (bnd, int) = halo.split(ops.len());
         // Top-of-model sponge: ordinary Laplacian damping on the top
-        // layers (sign +nu_top lap, i.e. diffusion).
+        // layers (sign +nu_top lap, i.e. diffusion). The element pass reads
+        // the state directly (no staging copy) and the damping increment
+        // rides the DSS gather of all three fields.
         if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
-            let ks = hv.sponge_layers.min(nlev);
+            let ks = plan.ks;
             let sl = ks * NPTS;
-            for e in 0..ops.len() {
-                ws.sponge_u[e * sl..(e + 1) * sl].copy_from_slice(&state.u[e * fl..e * fl + sl]);
-                ws.sponge_v[e * sl..(e + 1) * sl].copy_from_slice(&state.v[e * fl..e * fl + sl]);
-                ws.sponge_t[e * sl..(e + 1) * sl].copy_from_slice(&state.t[e * fl..e * fl + sl]);
-            }
-            vlaplace_flat(ops, dss, sched, ks, &mut ws.sponge_u, &mut ws.sponge_v);
-            laplace_flat(ops, dss, sched, ks, &mut ws.sponge_t);
-            for e in 0..ops.len() {
-                for (k_rel, damp) in (0..ks).map(|k| (k, 1.0 / (1 << k) as f64)) {
-                    for p in 0..NPTS {
-                        let i = k_rel * NPTS + p;
-                        let si = e * sl + i;
-                        let gi = e * fl + i;
-                        state.u[gi] += cfg.dt * hv.nu_top * damp * ws.sponge_u[si];
-                        state.v[gi] += cfg.dt * hv.nu_top * damp * ws.sponge_v[si];
-                        state.t[gi] += cfg.dt * hv.nu_top * damp * ws.sponge_t[si];
+            let (su, sv, st): (&[f64], &[f64], &[f64]) = (&state.u, &state.v, &state.t);
+            let pass = |out: [&mut [f64]; 3], elems: Range<usize>| {
+                let out = out.map(|o| Arena::new(o, sl, sl));
+                sched.run_windows(elems, out, |e, [ou, ov, ot]| {
+                    let src = [su, sv, st].map(|f| &f[e * fl..e * fl + sl]);
+                    match kernels {
+                        KernelPath::Blocked => {
+                            let [su, sv, st] = src;
+                            sponge_pass_element_blocked(&bops[e], ks, su, sv, st, ou, ov, ot)
+                        }
+                        KernelPath::Scalar => {
+                            copy_windows([&mut *ou, &mut *ov, &mut *ot], src);
+                            laplace_levels_element(&ops[e], ks, Some([ou, ov]), [ot]);
+                        }
                     }
-                }
-            }
+                });
+            };
+            pass([sponge_u, sponge_v, sponge_t], bnd.clone());
+            halo.send([&sponge_u[..], &sponge_v[..], &sponge_t[..]], ks, sl);
+            pass([sponge_u, sponge_v, sponge_t], int.clone());
+            halo_sweep(
+                halo,
+                sched,
+                gather,
+                ks,
+                [&sponge_u[..], &sponge_v[..], &sponge_t[..]],
+                sl,
+                Some([&plan.sponge[..]; 3]),
+                [&mut state.u[..], &mut state.v[..], &mut state.t[..]],
+                fl,
+                |_, _| {},
+            )?;
         }
-        let dt_sub = cfg.dt / subcycles as f64;
         for _ in 0..subcycles {
-            ws.hyp.copy_from_state(state);
-            // del^4 via two Laplacians with DSS (vector Laplacian for wind).
-            vlaplace_flat(ops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
-            vlaplace_flat(ops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
-            biharmonic_flat(ops, dss, sched, nlev, &mut ws.hyp.t);
-            biharmonic_flat(ops, dss, sched, nlev, &mut ws.hyp.dp3d);
-            for (x, l) in state.u.iter_mut().zip(&ws.hyp.u) {
-                *x -= dt_sub * hv.nu * l;
-            }
-            for (x, l) in state.v.iter_mut().zip(&ws.hyp.v) {
-                *x -= dt_sub * hv.nu * l;
-            }
-            for (x, l) in state.t.iter_mut().zip(&ws.hyp.t) {
-                *x -= dt_sub * hv.nu * l;
-            }
-            for (x, l) in state.dp3d.iter_mut().zip(&ws.hyp.dp3d) {
-                *x -= dt_sub * hv.nu_p * l;
-            }
+            // First Laplacian of (u, v, T, dp3d), straight from the state
+            // into the hyp arenas (the blocked set fuses all four fields
+            // into one coefficient walk per element).
+            let fields = state.dyn_fields();
+            let pass = |hyp: &mut DynFields, elems: Range<usize>| {
+                let out = hyp.fields_mut().map(|o| Arena::new(o, fl, fl));
+                sched.run_windows(elems, out, |e, [ou, ov, ot, odp]| {
+                    let src = fields.map(|f| &f[e * fl..(e + 1) * fl]);
+                    match kernels {
+                        KernelPath::Blocked => {
+                            let [su, sv, st, sdp] = src;
+                            hypervis_pass_element_blocked(
+                                &bops[e], nlev, su, sv, st, sdp, ou, ov, ot, odp,
+                            )
+                        }
+                        KernelPath::Scalar => {
+                            copy_windows([&mut *ou, &mut *ov, &mut *ot, &mut *odp], src);
+                            laplace_levels_element(&ops[e], nlev, Some([ou, ov]), [ot, odp]);
+                        }
+                    }
+                });
+            };
+            pass(hyp, bnd.clone());
+            halo.send(hyp.fields(), nlev, fl);
+            pass(hyp, int.clone());
+            // DSS of the first Laplacians, gathered per element into
+            // the (idle outside RK) `stage` arenas, with the second
+            // Laplacian (del^4 = lap(lap)) run on the element's freshly
+            // assembled window in the same job.
+            halo_sweep(
+                halo,
+                sched,
+                gather,
+                nlev,
+                hyp.fields(),
+                fl,
+                None,
+                stage.fields_mut(),
+                fl,
+                |e, [u, v, t, dp]| match kernels {
+                    KernelPath::Blocked => {
+                        hypervis_pass_levels_blocked(&bops[e], nlev, u, v, t, dp)
+                    }
+                    KernelPath::Scalar => {
+                        laplace_levels_element(&ops[e], nlev, Some([u, v]), [t, dp])
+                    }
+                },
+            )?;
+            // Final DSS fused with the forward-Euler apply: the plan's
+            // negated `dt_sub * nu` coefficients turn `x -= c * lap`
+            // into the gather's `x += (-c) * lap` bitwise-identically,
+            // and all four fields ride one walk of the gather plan.
+            halo.send(stage.fields(), nlev, fl);
+            halo_sweep(
+                halo,
+                sched,
+                gather,
+                nlev,
+                stage.fields(),
+                fl,
+                Some(plan.damp()),
+                state.dyn_fields_mut(),
+                fl,
+                |_, _| {},
+            )?;
         }
         Ok(())
     }
@@ -529,13 +485,14 @@ impl Dycore {
 
     /// Advance tracers by one dt with 3-stage SSP-RK2 (`euler_step`).
     ///
-    /// Both kernel paths read the step-input `q0` straight from
-    /// `state.qdp`: nothing writes a tracer's `q0` before its last stage's
-    /// output lands there, so no copy of it is taken.
+    /// The step-input `q0` is read straight from `state.qdp`: nothing writes
+    /// a tracer's `q0` before its last stage's output lands there, so no
+    /// copy of it is taken.
     ///
-    /// The blocked path runs all three stages of one [`QCHUNK`]-tracer chunk
-    /// before it starts the next chunk, two element-parallel sweeps per
-    /// stage: the fused stage kernel writes the chunk's raw (pre-DSS) output
+    /// The step runs all three stages of one [`QCHUNK`]-tracer chunk before
+    /// it starts the next chunk, two element-parallel sweeps per stage: the
+    /// stage kernel (the kernel set's, in [`euler_stage_flat_blocked`])
+    /// writes the chunk's raw (pre-DSS) output
     /// into the one-chunk-wide `qchunk`, and one DSS gather sweep assembles
     /// it into the stage's destination, with the limiter as the sweep's
     /// epilogue on the freshly assembled element window. For chunk `qs`,
@@ -547,10 +504,7 @@ impl Dycore {
     /// the kernel, gather and limiter each work per (tracer, level), every
     /// value gets the same operations in the same order as stage-major
     /// order would give it. One full tracer arena (the state's) and two
-    /// chunk-wide buffers are touched, none of them serially. The scalar
-    /// path keeps the seed's serial
-    /// scatter DSS + arena-wide limiter as the bitwise oracle; it writes
-    /// stages 1 and 2 into `q2` and substeps through `qtmp`.
+    /// chunk-wide buffers are touched, none of them serially.
     pub fn euler_step_tracers(&mut self, state: &mut State) {
         serial(self.euler_step_tracers_on(&mut Halo::Serial, state))
             .expect("a one-rank tracer step cannot fail");
@@ -567,81 +521,58 @@ impl Dycore {
             return Ok(());
         }
         let dt = self.cfg.dt;
-        let Dycore { ops, dss, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
-        let dims = *dims;
-        let limiter = cfg.limiter;
-        let StepWorkspace { qchunk, qstage, q2, qtmp, .. } = ws;
-
-        match kernels {
-            KernelPath::Blocked => {
-                let State { u, v, dp3d, qdp, .. } = state;
-                let tl = dims.tracer_len();
-                let lw = dims.nlev * NPTS;
-                let cw = qchunk_width(dims) * lw;
-                let limit = |e: usize, [w]: [&mut [f64]; 1]| {
-                    if limiter {
-                        limit_tracer_element(&ops[e], w);
-                    }
-                };
-                let (bnd, int) = halo.split(ops.len());
-                for q in (0..dims.qsize).step_by(QCHUNK) {
-                    let qs = q..(q + QCHUNK).min(dims.qsize);
-                    let levels = qs.len() * dims.nlev;
-                    // Stage 1: q0 + dt L(q0); stage 2: 3/4 q0 + 1/4 (q1 +
-                    // dt L(q1)); stage 3: 1/3 q0 + 2/3 (q2 + dt L(q2)).
-                    for combine in [StageCombine::Replace, StageCombine::Ssp2, StageCombine::Ssp3] {
-                        let (qin, istride) = match combine {
-                            StageCombine::Replace => (&qdp[q * lw..], tl),
-                            _ => (&qstage[..], cw),
-                        };
-                        let stage = |qchunk: &mut [f64], elems: Range<usize>| {
-                            euler_stage_flat_blocked(
-                                bops,
-                                dims,
-                                sched,
-                                u,
-                                v,
-                                dp3d,
-                                qin,
-                                istride,
-                                qdp,
-                                dt,
-                                combine,
-                                qs.clone(),
-                                qchunk,
-                                cw,
-                                elems,
-                            )
-                        };
-                        stage(qchunk, bnd.clone());
-                        halo.send([&qchunk[..]], levels, cw);
-                        stage(qchunk, int.clone());
-                        let (dst, ds) = match combine {
-                            StageCombine::Ssp3 => (&mut qdp[q * lw..], tl),
-                            _ => (&mut qstage[..], cw),
-                        };
-                        halo_sweep(halo, sched, gather, levels, [qchunk], cw, None, [dst], ds, limit)?;
-                    }
-                }
+        let Dycore { ops, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
+        let (dims, kernels, limiter) = (*dims, *kernels, cfg.limiter);
+        let StepWorkspace { qchunk, qstage, .. } = ws;
+        let State { u, v, dp3d, qdp, .. } = state;
+        let tl = dims.tracer_len();
+        let lw = dims.nlev * NPTS;
+        let cw = qchunk_width(dims) * lw;
+        let limit = |e: usize, [w]: [&mut [f64]; 1]| {
+            if limiter {
+                limit_tracer_element(&ops[e], w);
             }
-            KernelPath::Scalar => {
-                assert!(halo.is_serial(), "the scalar oracle runs on one rank only");
-                let (u, v, dp3d) = (&state.u[..], &state.v[..], &state.dp3d[..]);
-                // Stage 1: q2 = q0 + dt L(q0)
-                euler_substep_flat(ops, dims, sched, u, v, dp3d, &state.qdp, dt, q2);
-                finish_tracer_stage(ops, dss, dims, limiter, q2);
-                // Stage 2: q2 = 3/4 q0 + 1/4 (q2 + dt L(q2))
-                euler_substep_flat(ops, dims, sched, u, v, dp3d, q2, dt, qtmp);
-                for (q2, (q0, t)) in q2.iter_mut().zip(state.qdp.iter().zip(qtmp.iter())) {
-                    *q2 = 0.75 * q0 + 0.25 * t;
-                }
-                finish_tracer_stage(ops, dss, dims, limiter, q2);
-                // Stage 3: q^{n+1} = 1/3 q0 + 2/3 (q2 + dt L(q2))
-                euler_substep_flat(ops, dims, sched, u, v, dp3d, q2, dt, qtmp);
-                for (qf, t) in state.qdp.iter_mut().zip(qtmp.iter()) {
-                    *qf = *qf / 3.0 + 2.0 / 3.0 * t;
-                }
-                finish_tracer_stage(ops, dss, dims, limiter, &mut state.qdp);
+        };
+        let (bnd, int) = halo.split(ops.len());
+        for q in (0..dims.qsize).step_by(QCHUNK) {
+            let qs = q..(q + QCHUNK).min(dims.qsize);
+            let levels = qs.len() * dims.nlev;
+            // Stage 1: q0 + dt L(q0); stage 2: 3/4 q0 + 1/4 (q1 + dt L(q1));
+            // stage 3: 1/3 q0 + 2/3 (q2 + dt L(q2)).
+            for combine in [StageCombine::Replace, StageCombine::Ssp2, StageCombine::Ssp3] {
+                let (qin, istride) = match combine {
+                    StageCombine::Replace => (&qdp[q * lw..], tl),
+                    _ => (&qstage[..], cw),
+                };
+                let stage = |qchunk: &mut [f64], elems: Range<usize>| {
+                    euler_stage_flat_blocked(
+                        kernels,
+                        ops,
+                        bops,
+                        dims,
+                        sched,
+                        u,
+                        v,
+                        dp3d,
+                        qin,
+                        istride,
+                        qdp,
+                        dt,
+                        combine,
+                        qs.clone(),
+                        qchunk,
+                        cw,
+                        elems,
+                    )
+                };
+                stage(qchunk, bnd.clone());
+                halo.send([&qchunk[..]], levels, cw);
+                stage(qchunk, int.clone());
+                let (dst, ds) = match combine {
+                    StageCombine::Ssp3 => (&mut qdp[q * lw..], tl),
+                    _ => (&mut qstage[..], cw),
+                };
+                halo_sweep(halo, sched, gather, levels, [qchunk], cw, None, [dst], ds, limit)?;
             }
         }
         Ok(())
@@ -828,48 +759,23 @@ impl Dycore {
     ) -> Result<(), DistError> {
         let dt = self.cfg.dt;
         let hcfg = self.health;
-        let Dycore { ops, dss, rhs, dims, sched, ws, kernels, bops, gather, .. } = self;
-        let StepWorkspace { stage, next, hyp, workers, .. } = ws;
-        let (nlev, fl) = (dims.nlev, dims.field_len());
+        let Dycore { ops, rhs, dims, sched, ws, kernels, bops, gather, .. } = self;
+        let StepWorkspace { stage, hyp, workers, .. } = ws;
+        let (kernels, nlev, fl) = (*kernels, dims.nlev, dims.field_len());
         let last = KG5_COEFFS.len() - 1;
+        let (bnd, int) = halo.split(ops.len());
         for (i, &c) in KG5_COEFFS.iter().enumerate() {
             let eval = if i == 0 { state.dyn_fields() } else { stage.fields() };
-            match kernels {
-                KernelPath::Blocked => {
-                    let (bnd, int) = halo.split(bops.len());
-                    let base = state.dyn_fields();
-                    let mut rk = |hyp: &mut DynFields, elems: Range<usize>| {
-                        rk_rhs_sweep(bops, rhs, nlev, sched, workers, base, eval, &state.phis, c * dt, hyp, elems)
-                    };
-                    rk(hyp, bnd);
-                    halo.send(hyp.fields(), nlev, fl);
-                    rk(hyp, int);
-                    let dst = if i == last { state.dyn_fields_mut() } else { stage.fields_mut() };
-                    halo_sweep(halo, sched, gather, nlev, hyp.fields(), fl, None, dst, fl, |_, _| {})?;
-                }
-                KernelPath::Scalar => {
-                    assert!(halo.is_serial(), "the scalar oracle runs on one rank only");
-                    rk_substep_scalar(
-                        ops,
-                        dss,
-                        rhs,
-                        *dims,
-                        sched,
-                        workers,
-                        state.dyn_fields(),
-                        eval,
-                        &state.phis,
-                        c * dt,
-                        next,
-                    );
-                    std::mem::swap(stage, next);
-                    if i == last {
-                        for (to, from) in state.dyn_fields_mut().into_iter().zip(stage.fields()) {
-                            to.copy_from_slice(from);
-                        }
-                    }
-                }
-            }
+            let (base, phis) = (state.dyn_fields(), &state.phis[..]);
+            let mut rk = |hyp: &mut DynFields, elems: Range<usize>| {
+                let c_dt = c * dt;
+                rk_rhs_sweep(kernels, ops, bops, rhs, sched, workers, base, eval, phis, c_dt, hyp, elems)
+            };
+            rk(hyp, bnd.clone());
+            halo.send(hyp.fields(), nlev, fl);
+            rk(hyp, int.clone());
+            let dst = if i == last { state.dyn_fields_mut() } else { stage.fields_mut() };
+            halo_sweep(halo, sched, gather, nlev, hyp.fields(), fl, None, dst, fl, |_, _| {})?;
             if let Some(health) = health.as_deref_mut() {
                 let [u, v, t, dp3d] = if i == last { state.dyn_fields() } else { stage.fields() };
                 commit_scan(health, &hcfg, i, scan_stage(u, v, t, dp3d, &[]))?;
@@ -1023,15 +929,17 @@ fn sweep_elems<const F: usize>(
     });
 }
 
-/// The RHS sweep of one blocked RK stage over the elements `elems`:
-/// `raw = base + c dt RHS(eval)` per element, pre-DSS, with the fused
-/// blocked kernel on the scheduler and per-worker scratch. The caller
-/// assembles `raw` with a gather sweep.
+/// The RHS sweep of one RK stage over the elements `elems`:
+/// `raw = base + c dt RHS(eval)` per element, pre-DSS, by the kernel set's
+/// element kernel ([`element_rhs_apply_blocked`] or its scalar twin
+/// [`element_rhs_apply`]) on the scheduler with per-worker scratch. The
+/// caller assembles `raw` with a gather sweep.
 #[allow(clippy::too_many_arguments)]
 fn rk_rhs_sweep(
+    kernels: KernelPath,
+    ops: &[ElemOps],
     bops: &[BlockedOps],
     rhs: &Rhs,
-    nlev: usize,
     sched: &ElemScheduler,
     workers: &mut PerWorker<WorkerScratch>,
     base: [&[f64]; 4],
@@ -1041,96 +949,33 @@ fn rk_rhs_sweep(
     raw: &mut DynFields,
     elems: Range<usize>,
 ) {
+    let nlev = rhs.dims.nlev;
     let fl = nlev * NPTS;
     let ptop = rhs.vert.ptop();
-    let [bu, bv, bt, bdp] = base;
-    let [eu, ev, et, edp] = eval;
     let out = raw.fields_mut().map(|o| Arena::new(o, fl, fl));
     sched.run_windows(elems, (workers, out), |e, (scratch, [ou, ov, ot, odp])| {
         let r = e * fl..(e + 1) * fl;
-        element_rhs_apply_blocked(
-            &bops[e],
-            nlev,
-            ptop,
-            &eu[r.clone()],
-            &ev[r.clone()],
-            &et[r.clone()],
-            &edp[r.clone()],
-            &phis[e * NPTS..(e + 1) * NPTS],
-            &bu[r.clone()],
-            &bv[r.clone()],
-            &bt[r.clone()],
-            &bdp[r],
-            c_dt,
-            ou,
-            ov,
-            ot,
-            odp,
-            &mut scratch.rhs,
-        );
-    });
-}
-
-/// One explicit sub-step of the scalar oracle across all elements:
-/// `out = base + c dt RHS(eval)` from the raw tendency + apply pair on the
-/// scheduler, then the in-place serial scatter DSS of the four fields.
-/// Bitwise [`rk_rhs_sweep`] followed by its gather sweep.
-#[allow(clippy::too_many_arguments)]
-fn rk_substep_scalar(
-    ops: &[ElemOps],
-    dss: &mut Dss,
-    rhs: &Rhs,
-    dims: Dims,
-    sched: &ElemScheduler,
-    workers: &mut PerWorker<WorkerScratch>,
-    base: [&[f64]; 4],
-    eval: [&[f64]; 4],
-    phis: &[f64],
-    c_dt: f64,
-    out: &mut DynFields,
-) {
-    let nlev = dims.nlev;
-    let fl = dims.field_len();
-    let ptop = rhs.vert.ptop();
-    let [bu, bv, bt, bdp] = base;
-    let [eu, ev, et, edp] = eval;
-    let arenas = (workers, out.fields_mut().map(|o| Arena::new(o, fl, fl)));
-    sched.run_windows(0..ops.len(), arenas, |e, (scratch, [ou, ov, ot, odp])| {
-        let WorkerScratch { tend, rhs: rhs_scratch, .. } = scratch;
-        let r = e * fl..(e + 1) * fl;
-        element_rhs_raw(
-            &ops[e],
-            nlev,
-            ptop,
-            &eu[r.clone()],
-            &ev[r.clone()],
-            &et[r.clone()],
-            &edp[r.clone()],
-            &phis[e * NPTS..(e + 1) * NPTS],
-            &mut tend.u,
-            &mut tend.v,
-            &mut tend.t,
-            &mut tend.dp3d,
-            rhs_scratch,
-        );
-        for i in 0..fl {
-            ou[i] = bu[r.start + i] + c_dt * tend.u[i];
-            ov[i] = bv[r.start + i] + c_dt * tend.v[i];
-            ot[i] = bt[r.start + i] + c_dt * tend.t[i];
-            odp[i] = bdp[r.start + i] + c_dt * tend.dp3d[i];
+        let [eu, ev, et, edp] = eval.map(|f| &f[r.clone()]);
+        let [bu, bv, bt, bdp] = base.map(|f| &f[r.clone()]);
+        let ph = &phis[e * NPTS..(e + 1) * NPTS];
+        let s = &mut scratch.rhs;
+        match kernels {
+            KernelPath::Blocked => element_rhs_apply_blocked(
+                &bops[e], nlev, ptop, eu, ev, et, edp, ph, bu, bv, bt, bdp, c_dt, ou, ov, ot, odp, s,
+            ),
+            KernelPath::Scalar => element_rhs_apply(
+                &ops[e], nlev, ptop, eu, ev, et, edp, ph, bu, bv, bt, bdp, c_dt, ou, ov, ot, odp, s,
+            ),
         }
     });
-    for f in out.fields_mut() {
-        dss.apply_flat(f, nlev);
-    }
 }
 
-/// The scalar oracle's end of a tracer stage on a flat tracer arena: the
-/// serial scatter DSS, then the optional limiter.
-fn finish_tracer_stage(ops: &[ElemOps], dss: &mut Dss, dims: Dims, limiter: bool, qdp: &mut [f64]) {
-    dss.apply_flat(qdp, dims.qsize * dims.nlev);
-    if limiter {
-        limit_tracer_arena(ops, dims, qdp);
+/// Copy each source window into its destination window: the staging of a
+/// scalar kernel that runs in place where its blocked twin runs out of
+/// place.
+fn copy_windows<const F: usize>(dst: [&mut [f64]; F], src: [&[f64]; F]) {
+    for (d, s) in dst.into_iter().zip(src) {
+        d.copy_from_slice(s);
     }
 }
 

@@ -333,6 +333,43 @@ pub fn element_rhs_raw(
     }
 }
 
+/// The scalar twin of
+/// [`element_rhs_apply_blocked`](crate::kernels::blocked::element_rhs_apply_blocked),
+/// with the same arguments: [`element_rhs_raw`] of `eval` into `out`, then
+/// `out = base + c_dt * out` in place. Bitwise the blocked kernel.
+#[allow(clippy::too_many_arguments)]
+pub fn element_rhs_apply(
+    op: &ElemOps,
+    nlev: usize,
+    ptop: f64,
+    eval_u: &[f64],
+    eval_v: &[f64],
+    eval_t: &[f64],
+    eval_dp3d: &[f64],
+    phis: &[f64],
+    base_u: &[f64],
+    base_v: &[f64],
+    base_t: &[f64],
+    base_dp3d: &[f64],
+    c_dt: f64,
+    out_u: &mut [f64],
+    out_v: &mut [f64],
+    out_t: &mut [f64],
+    out_dp3d: &mut [f64],
+    scratch: &mut RhsScratch,
+) {
+    element_rhs_raw(
+        op, nlev, ptop, eval_u, eval_v, eval_t, eval_dp3d, phis, out_u, out_v, out_t, out_dp3d,
+        scratch,
+    );
+    let outs = [out_u, out_v, out_t, out_dp3d];
+    for (out, base) in outs.into_iter().zip([base_u, base_v, base_t, base_dp3d]) {
+        for (o, b) in out[..nlev * NPTS].iter_mut().zip(base) {
+            *o = b + c_dt * *o;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

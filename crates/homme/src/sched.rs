@@ -23,14 +23,14 @@
 //!
 //! Determinism: every item is executed exactly once and jobs write only
 //! item-indexed (disjoint) outputs, so results are bitwise independent of
-//! thread count and chunk interleaving. Every DSS of the blocked step runs
-//! here too — RK stages, hyperviscosity and tracer stages alike: each
+//! thread count and chunk interleaving. Every DSS of the step runs here
+//! too, with either kernel set — RK stages, hyperviscosity and tracer
+//! stages alike: each
 //! element *gathers* its points' sharers from a read-only arena in the
 //! plan's canonical order ([`crate::dss::DssGather`]), so the sum a point
 //! receives does not depend on which worker forms it. The end of each
-//! `run` is the only synchronization point between phases; the serial
-//! scatter walks of [`crate::dss::Dss`] remain only for the scalar oracle
-//! path.
+//! `run` is the only synchronization point between phases; no step runs
+//! the serial scatter walks of [`crate::dss::Dss`].
 //!
 //! # Element windows: the one disjointness argument
 //!

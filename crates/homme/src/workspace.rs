@@ -17,9 +17,9 @@
 use crate::hypervis::ElemHypervisPlan;
 use crate::kernels::blocked::QCHUNK;
 use crate::remap::{ElemRemapPlan, RemapApplyScratch, RemapScratch};
-use crate::rhs::{ElemTend, RhsScratch};
+use crate::rhs::RhsScratch;
 use crate::sched::PerWorker;
-use crate::state::{Dims, State};
+use crate::state::Dims;
 use cubesphere::NPTS;
 
 /// Tracers per chunk of the blocked tracer stage: [`QCHUNK`], or all of
@@ -48,14 +48,6 @@ impl DynFields {
         DynFields { u: vec![0.0; len], v: vec![0.0; len], t: vec![0.0; len], dp3d: vec![0.0; len] }
     }
 
-    /// Overwrite from the state arena's dynamics fields.
-    pub fn copy_from_state(&mut self, st: &State) {
-        self.u.copy_from_slice(&st.u);
-        self.v.copy_from_slice(&st.v);
-        self.t.copy_from_slice(&st.t);
-        self.dp3d.copy_from_slice(&st.dp3d);
-    }
-
     /// The four arenas as `[u, v, t, dp3d]` (the DSS sweeps' field order).
     pub fn fields(&self) -> [&[f64]; 4] {
         [&self.u, &self.v, &self.t, &self.dp3d]
@@ -67,13 +59,11 @@ impl DynFields {
     }
 }
 
-/// Private scratch of one scheduler worker: tendency buffers, RHS column
-/// temporaries and remap columns. All fields are fully overwritten per
+/// Private scratch of one scheduler worker: RHS column temporaries and
+/// remap columns. All fields are fully overwritten per
 /// element, so a slot can serve any element of any step.
 #[derive(Debug, Clone)]
 pub struct WorkerScratch {
-    /// Per-element tendency of the RK substep.
-    pub tend: ElemTend,
     /// Column temporaries of `element_rhs_raw`.
     pub rhs: RhsScratch,
     /// PPM reconstruction buffers.
@@ -97,7 +87,6 @@ impl WorkerScratch {
     /// Scratch sized for `dims`.
     pub fn new(dims: Dims) -> Self {
         WorkerScratch {
-            tend: ElemTend::zeros(dims),
             rhs: RhsScratch::new(dims.nlev),
             remap: RemapScratch::new(dims.nlev),
             col_src: vec![0.0; dims.nlev],
@@ -112,22 +101,17 @@ impl WorkerScratch {
 
 /// All step-persistent buffers of the dycore pipeline.
 ///
-/// The default (blocked) step touches only `stage`, `hyp`, the sponge
-/// buffers, `qchunk` and `qstage` besides the state; `next`, `q2` and
-/// `qtmp` serve the scalar oracle alone, so the default path never writes
-/// them (a rank's core drops them: [`StepWorkspace::drop_oracle_buffers`]).
+/// The step touches only `stage`, `hyp`, the sponge buffers, `qchunk` and
+/// `qstage` besides the state, whichever kernel set runs: the kernel set
+/// chooses element kernels inside the one stage loop, not buffers.
 #[derive(Debug)]
 pub struct StepWorkspace {
-    /// RK stage `u_i` (blocked: each stage's gather overwrites it in place;
-    /// stage 5 lands in the state). Also hyperviscosity's second-Laplacian
-    /// output, since it is idle outside RK. The RK base `u_0` is the state
-    /// itself on every path.
+    /// RK stage `u_i` (each stage's gather overwrites it in place; stage 5
+    /// lands in the state). Also hyperviscosity's second-Laplacian output,
+    /// since it is idle outside RK. The RK base `u_0` is the state itself.
     pub stage: DynFields,
-    /// RK stage being produced by the scalar oracle (which ping-pongs it
-    /// with `stage`).
-    pub next: DynFields,
-    /// Raw (pre-DSS) RK stage of the blocked step, and the hyperviscosity
-    /// first-Laplacian output (full depth).
+    /// Raw (pre-DSS) RK stage, and the hyperviscosity first-Laplacian
+    /// output (full depth).
     pub hyp: DynFields,
     /// Sponge-layer `u` temporary, `[nelem][sponge_layers][NPTS]`.
     pub sponge_u: Vec<f64>,
@@ -135,22 +119,16 @@ pub struct StepWorkspace {
     pub sponge_v: Vec<f64>,
     /// Sponge-layer `T` temporary.
     pub sponge_t: Vec<f64>,
-    /// Raw (pre-DSS) tracer stage output of one tracer chunk on the blocked
-    /// path, `[nelem][qchunk_width(dims)][nlev][NPTS]`: a chunk is gathered
+    /// Raw (pre-DSS) tracer stage output of one tracer chunk,
+    /// `[nelem][qchunk_width(dims)][nlev][NPTS]`: a chunk is gathered
     /// and limited before the next one is computed, so the stage never
     /// streams a full raw tracer arena.
     pub qchunk: Vec<f64>,
-    /// Assembled SSP stages 1 and 2 of one tracer chunk on the blocked
-    /// path, same shape as `qchunk`: the blocked step runs all three stages
-    /// of a chunk before it starts the next one, so no stage result is
-    /// ever a full tracer arena.
+    /// Assembled SSP stages 1 and 2 of one tracer chunk, same shape as
+    /// `qchunk`: the step runs all three stages of a chunk before it starts
+    /// the next one, so no stage result is ever a full tracer arena. The
+    /// stage input `q_0` is read from the state itself.
     pub qstage: Vec<f64>,
-    /// Tracer stage buffer, `[nelem][qsize][nlev][NPTS]`: stages 1 and 2 of
-    /// the scalar oracle. Every path reads the stage input `q_0` from the
-    /// state itself.
-    pub q2: Vec<f64>,
-    /// Full-arena substep output of the scalar oracle.
-    pub qtmp: Vec<f64>,
     /// One private scratch per scheduler worker.
     pub workers: PerWorker<WorkerScratch>,
     /// Hyperviscosity step plan (hoisted subcycle/sponge coefficients),
@@ -159,34 +137,20 @@ pub struct StepWorkspace {
 }
 
 impl StepWorkspace {
-    /// Drop the buffers only the scalar oracle reads (`next`, `q2`,
-    /// `qtmp`). A rank's core never runs it; without this their zero-filled
-    /// pages can still become resident, when the allocator serves them from
-    /// recycled heap memory it must clear.
-    pub(crate) fn drop_oracle_buffers(&mut self) {
-        self.next = DynFields::zeros(0);
-        self.q2 = Vec::new();
-        self.qtmp = Vec::new();
-    }
-
     /// Buffers sized for `nelem` elements, `dims`, a sponge of
     /// `sponge_layers` levels and `nworkers` scheduler workers.
     pub fn new(dims: Dims, nelem: usize, sponge_layers: usize, nworkers: usize) -> Self {
         let fl = nelem * dims.field_len();
-        let tl = nelem * dims.tracer_len();
         let sl = nelem * sponge_layers.min(dims.nlev) * NPTS;
         let cl = nelem * qchunk_width(dims) * dims.nlev * NPTS;
         StepWorkspace {
             stage: DynFields::zeros(fl),
-            next: DynFields::zeros(fl),
             hyp: DynFields::zeros(fl),
             sponge_u: vec![0.0; sl],
             sponge_v: vec![0.0; sl],
             sponge_t: vec![0.0; sl],
             qchunk: vec![0.0; cl],
             qstage: vec![0.0; cl],
-            q2: vec![0.0; tl],
-            qtmp: vec![0.0; tl],
             workers: PerWorker::new(nworkers, || WorkerScratch::new(dims)),
             hv_plan: ElemHypervisPlan::new(dims.nlev, sponge_layers),
         }
@@ -250,8 +214,6 @@ mod tests {
         let ws = StepWorkspace::new(dims, 6, 3, 1);
         assert_eq!(ws.qchunk.len(), 6 * QCHUNK * 4 * NPTS);
         assert_eq!(ws.qstage.len(), 6 * QCHUNK * 4 * NPTS);
-        assert_eq!(ws.q2.len(), 6 * 9 * 4 * NPTS);
-        assert_eq!(ws.qtmp.len(), 6 * 9 * 4 * NPTS);
         // Sponge deeper than the column clamps to nlev.
         let ws2 = StepWorkspace::new(dims, 2, 9, 1);
         assert_eq!(ws2.sponge_u.len(), 2 * 4 * NPTS);

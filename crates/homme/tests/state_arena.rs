@@ -3,9 +3,12 @@
 //! [`Dycore::step`] must reproduce the seed per-element-`Vec` driver
 //! bitwise. That driver's trajectories are pinned here as FNV-1a hashes
 //! of the bits of `u v t dp3d qdp`, recorded from it before it was
-//! retired; the default blocked step and the scalar oracle
-//! ([`KernelPath::Scalar`]) must both hit them at every worker count, so
-//! no tolerance is needed.
+//! retired, beside one multi-chunk tracer trajectory recorded from the
+//! stage-major scalar loop before that was retired. Both kernel sets run
+//! the one stage loop, so these pins, not a comparison between the sets,
+//! are what checks the loop itself: the default blocked kernels and the
+//! scalar oracle ([`KernelPath::Scalar`]) must both hit them at every
+//! worker count, so no tolerance is needed.
 
 use cubesphere::consts::P0;
 use cubesphere::NPTS;
@@ -88,6 +91,13 @@ const CADENCE_HASHES: [u64; 7] = [
     0xe8df_aa47_c441_1e6c,
 ];
 
+/// Per-step hashes of [`chunked_tracers_match_stage_major_reference`]'s
+/// three steps, recorded from the stage-major scalar tracer loop (every
+/// SSP stage over the full tracer arena, serial scatter DSS, arena-wide
+/// limiter) before it was deleted.
+const CHUNKED_TRACER_HASHES: [u64; 3] =
+    [0xbf60_7242_f533_63c5, 0xdf39_b1d4_e17d_8b32, 0x1d08_f96d_ce74_f2cd];
+
 /// A dycore with `kernels` on `workers` workers.
 fn dycore(ne: usize, dims: Dims, cfg: DycoreConfig, workers: usize, kernels: KernelPath) -> Dycore {
     let mut dy = Dycore::new(ne, dims, 200.0, cfg);
@@ -133,6 +143,53 @@ fn remap_cadence_matches_seed_reference() {
             let mut dy = dycore(2, dims, cfg, workers, kernels);
             let mut flat = initial_state(&dy, 1.0, 2);
             for (step, want) in (1..).zip(CADENCE_HASHES) {
+                dy.step(&mut flat);
+                assert_eq!(
+                    state_hash(&flat),
+                    want,
+                    "step {step}: {kernels:?} at {workers} workers"
+                );
+            }
+        }
+    }
+}
+
+/// Step-function tracers (zero beside `0.01 dp`) on [`initial_state`]'s
+/// flow: advection undershoots at every edge, so the limiter acts.
+fn step_tracers(dy: &Dycore, st: &mut State) {
+    let dims = dy.dims;
+    let elems: Vec<_> = dy.grid.elements.clone();
+    for (es, el) in st.elems_mut().zip(&elems) {
+        for p in 0..NPTS {
+            let (lat, lon) = (el.metric[p].lat, el.metric[p].lon);
+            for q in 0..dims.qsize {
+                let on = ((q + 1) as f64 * lon).cos() * lat.cos() > 0.3;
+                for k in 0..dims.nlev {
+                    let iq = (q * dims.nlev + k) * NPTS + p;
+                    es.qdp[iq] = if on { 0.01 * es.dp3d[k * NPTS + p] } else { 0.0 };
+                }
+            }
+        }
+    }
+}
+
+/// More tracers than one chunk: with `qsize = 6` the tracer step runs a
+/// full chunk and a ragged one, each through all three SSP stages before
+/// the next, with the limiter clipping every step. The pins come from the
+/// stage-major loop, so a chunk reading or writing another chunk's
+/// tracers, or a stage combining with the wrong operand, fails here even
+/// though both kernel sets run the same loop.
+#[test]
+fn chunked_tracers_match_stage_major_reference() {
+    let dims = Dims { nlev: 6, qsize: 6 };
+    let cfg = DycoreConfig { dt: 600.0, hypervis: test_hypervis(), limiter: true, rsplit: 2 };
+
+    for kernels in KERNELS {
+        for workers in WORKERS {
+            let mut dy = dycore(2, dims, cfg, workers, kernels);
+            let mut flat = initial_state(&dy, 2.0, 3);
+            step_tracers(&dy, &mut flat);
+            for (step, want) in (1..).zip(CHUNKED_TRACER_HASHES) {
                 dy.step(&mut flat);
                 assert_eq!(
                     state_hash(&flat),

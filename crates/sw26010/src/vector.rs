@@ -91,15 +91,6 @@ impl V4F64 {
         V4F64([self.0[0].ln(), self.0[1].ln(), self.0[2].ln(), self.0[3].ln()])
     }
 
-    /// Broadcast lane `lane` to all four lanes.
-    ///
-    /// # Panics
-    /// Panics if `lane >= 4`.
-    #[inline]
-    pub fn splat_lane(self, lane: usize) -> Self {
-        Self::splat(self.0[lane])
-    }
-
     /// The SW26010 `Shuffle(a, b, mask)` instruction.
     ///
     /// The result takes two lanes from `a` and two lanes from `b`:
@@ -399,14 +390,6 @@ mod tests {
         transpose_blocked(&src, rows, cols, &mut once);
         transpose_blocked(&once, cols, rows, &mut twice);
         assert_eq!(src, twice);
-    }
-
-    #[test]
-    fn splat_lane_broadcasts() {
-        let a = V4F64([1.0, -2.5, 3.25, 4.0]);
-        for lane in 0..4 {
-            assert_eq!(a.splat_lane(lane).0, [a[lane]; 4]);
-        }
     }
 
     #[test]
