@@ -23,14 +23,15 @@ pub struct Dss {
     /// Per element: global ids and spheremp, flattened.
     gids: Vec<usize>,
     spheremp: Vec<f64>,
-    /// Scratch accumulator.
+    /// Scratch accumulator, `[nglobal]`, sized by the first walk.
     accum: Vec<f64>,
-    /// Four-lane scratch accumulator for the fused four-field walks.
+    /// Four-lane accumulator of the fused four-field walks, sized likewise.
     accum4: Vec<f64>,
 }
 
 impl Dss {
-    /// Build from the grid's assembly map.
+    /// Build from the grid's assembly map. The accumulators stay empty
+    /// until a walk needs them: a rank's patch `Dss` is never walked.
     pub fn new(grid: &CubedSphere) -> Self {
         let mut gids = Vec::with_capacity(grid.nelem() * NPTS);
         let mut spheremp = Vec::with_capacity(grid.nelem() * NPTS);
@@ -43,8 +44,8 @@ impl Dss {
             inv_mass: grid.inv_mass.clone(),
             gids,
             spheremp,
-            accum: vec![0.0; grid.nglobal],
-            accum4: vec![0.0; 4 * grid.nglobal],
+            accum: Vec::new(),
+            accum4: Vec::new(),
         }
     }
 
@@ -54,7 +55,7 @@ impl Dss {
     /// accumulates element-ascending, point-ascending into a global-point
     /// accumulator, then every copy of a point reads back the same
     /// mass-weighted average. This walk's order is the canonical one
-    /// [`DssGather`] reproduces bitwise. Allocation-free.
+    /// [`DssGather`] reproduces bitwise. Allocation-free after the first call.
     ///
     /// # Panics
     /// If `field` is not `nelem * levels * NPTS` long: a wrong `levels`
@@ -67,6 +68,7 @@ impl Dss {
             nelem * estride,
             "Dss::apply_flat: arena is not {nelem} elements x {levels} levels x {NPTS} points"
         );
+        self.accum.resize(self.nglobal, 0.0);
         for k in 0..levels {
             for a in &mut self.accum {
                 *a = 0.0;
@@ -95,7 +97,7 @@ impl Dss {
     /// per field. Each field accumulates in its own lane in the exact
     /// element-ascending, point-ascending order of the single-field walk,
     /// so the result is bitwise identical to four `apply_flat` calls.
-    /// Allocation-free.
+    /// Allocation-free after the first call.
     ///
     /// # Panics
     /// If any field is not `nelem * levels * NPTS` long.
@@ -108,6 +110,7 @@ impl Dss {
             [&f0, &f1, &f2, &f3].iter().all(|f| f.len() == nelem * estride),
             "Dss::apply_flat4: an arena is not {nelem} elements x {levels} levels x {NPTS} points"
         );
+        self.accum4.resize(4 * n, 0.0);
         for k in 0..levels {
             for a in &mut self.accum4 {
                 *a = 0.0;
@@ -609,6 +612,37 @@ mod tests {
         }
         for (i, (g, w)) in got.iter().zip(&flat).enumerate() {
             assert!(g.to_bits() == w.to_bits(), "slot {i}: {g:e} vs {w:e}");
+        }
+    }
+
+    /// A fresh `Dss` holds no global scratch (a rank's patch `Dss` is never
+    /// walked); each walk sizes its own accumulator on first use and still
+    /// equals the gather bitwise, single- and four-field.
+    #[test]
+    fn fresh_dss_holds_no_scratch_and_first_walk_matches_gather() {
+        let grid = CubedSphere::new(3);
+        let mut dss = Dss::new(&grid);
+        assert_eq!((dss.accum.capacity(), dss.accum4.capacity()), (0, 0));
+        let plan = DssGather::new(&dss);
+        let (nlev, estride) = (2, 2 * NPTS);
+        let raw: [Vec<f64>; 4] = std::array::from_fn(|f| synth(f, grid.nelem() * estride));
+        let mut gathered: [Vec<f64>; 4] = std::array::from_fn(|_| vec![f64::NAN; raw[0].len()]);
+        for e in 0..grid.nelem() {
+            let mut it = gathered.iter_mut();
+            let mut win: [&mut [f64]; 4] =
+                std::array::from_fn(|_| &mut it.next().unwrap()[e * estride..(e + 1) * estride]);
+            plan.gather_elem(e, nlev, estride, |f, i| raw[f][i], no_ghosts, None, &mut win);
+        }
+        let mut one = raw[0].clone();
+        dss.apply_flat(&mut one, nlev);
+        assert_eq!((dss.accum.len(), dss.accum4.capacity()), (grid.nglobal, 0));
+        assert_eq!(bits(&one), bits(&gathered[0]), "first apply_flat");
+        let mut four = raw.clone();
+        let [f0, f1, f2, f3] = &mut four;
+        dss.apply_flat4([f0, f1, f2, f3], nlev);
+        assert_eq!(dss.accum4.len(), 4 * grid.nglobal);
+        for f in 0..4 {
+            assert_eq!(bits(&four[f]), bits(&gathered[f]), "first apply_flat4, field {f}");
         }
     }
 

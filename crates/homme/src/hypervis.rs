@@ -418,7 +418,7 @@ pub fn laplace_levels_element<const NS: usize>(
 /// mass-conserving. `field` is one `[nelem][nlev][NPTS]` buffer (the
 /// state-arena layout). Element Laplacians run across the scheduler's
 /// workers, then the serial scatter DSS [`Dss::apply_flat`].
-/// Allocation-free.
+/// Allocation-free once `dss` has walked once.
 ///
 /// No step calls this: the step assembles with element-parallel gathers.
 /// It stays as the raw assembled operator that the `hypervis_parity`,

@@ -100,7 +100,7 @@ pub struct Dycore {
     /// sweep. It stays for the `benchmark/` crate's `dss.apply4_ms` probe
     /// and for the tests that apply the raw assembled operators
     /// ([`crate::hypervis::laplace_flat`]); ROADMAP items 6(b) and 10
-    /// retire it.
+    /// retire it. Its accumulators are allocated by its first walk only.
     pub dss: Dss,
     /// RHS evaluator (owns the vertical coordinate).
     pub rhs: Rhs,
@@ -253,10 +253,10 @@ impl Dycore {
     /// read from the state, which no stage writes before the last, so the
     /// step takes no copy of it: each stage is an RHS sweep from `u_{i-1}`
     /// (the state for `i = 1`, else `StepWorkspace::stage`) into the raw
-    /// arenas `hyp`, then a gather sweep that reads only `hyp` and so can
+    /// arenas `raw`, then a gather sweep that reads only `raw` and so can
     /// write `stage` in place — or, for `i = 5`, the state's dynamics
-    /// fields. Two dynamics arenas are touched besides the state. The
-    /// kernel set picks the RHS sweep's element kernel, nothing else.
+    /// fields. The kernel set picks the RHS sweep's element kernel, nothing
+    /// else. Both arenas are dead when the step returns.
     pub fn dynamics_step(&mut self, state: &mut State) {
         serial(self.dynamics_step_guarded(&mut Halo::Serial, state, None))
             .expect("an unguarded RK stage cannot fail");
@@ -296,12 +296,14 @@ impl Dycore {
     /// hoisted through [`ElemHypervisPlan`](crate::hypervis::ElemHypervisPlan)
     /// once per step. Each subcycle is then three element-parallel sweeps
     /// with no serial code between them: the first Laplacian of all four
-    /// fields (state → `hyp`), the DSS gather of `hyp` with the second
-    /// Laplacian on the assembled window (→ `stage`, idle outside RK), and
-    /// the DSS gather of `stage` with the forward-Euler damping folded in
-    /// (→ state) — see [`DssGather::gather_elem`]. The kernel set picks the
-    /// Laplacian element kernels: the blocked fused passes or their scalar
-    /// twin [`laplace_levels_element`].
+    /// fields (state → `raw`), the DSS gather of `raw` with the second
+    /// Laplacian on the assembled window (→ `stage`), and the DSS gather of
+    /// `stage` with the forward-Euler damping folded in (→ state) — see
+    /// [`DssGather::gather_elem`]. The sponge's Laplacians run first, into
+    /// `ks`-deep prefixes of `raw`'s `u`/`v`/`t` views, gathered into the
+    /// state. Both arenas are dead when the call returns. The kernel
+    /// set picks the Laplacian element kernels: the blocked fused passes or
+    /// their scalar twin [`laplace_levels_element`].
     pub fn apply_hypervis_n(
         &mut self,
         state: &mut State,
@@ -329,7 +331,7 @@ impl Dycore {
         let nlev = dims.nlev;
         let fl = dims.field_len();
         ws.hv_plan.build(&hv, cfg.dt, subcycles, lambda_max, nlev, ops).map_err(HealthError::from)?;
-        let StepWorkspace { hv_plan: plan, hyp, stage, sponge_u, sponge_v, sponge_t, .. } = ws;
+        let StepWorkspace { hv_plan: plan, raw, stage, .. } = ws;
         let (bnd, int) = halo.split(ops.len());
         // Top-of-model sponge: ordinary Laplacian damping on the top
         // layers (sign +nu_top lap, i.e. diffusion). The element pass reads
@@ -338,9 +340,12 @@ impl Dycore {
         if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
             let ks = plan.ks;
             let sl = ks * NPTS;
+            let [ru, rv, rt, _] = raw.fields_mut();
+            let n = ops.len() * sl;
+            let mut sponge = [&mut ru[..n], &mut rv[..n], &mut rt[..n]];
             let (su, sv, st): (&[f64], &[f64], &[f64]) = (&state.u, &state.v, &state.t);
-            let pass = |out: [&mut [f64]; 3], elems: Range<usize>| {
-                let out = out.map(|o| Arena::new(o, sl, sl));
+            let pass = |out: &mut [&mut [f64]; 3], elems: Range<usize>| {
+                let out = out.each_mut().map(|o| Arena::new(o, sl, sl));
                 sched.run_windows(elems, out, |e, [ou, ov, ot]| {
                     let src = [su, sv, st].map(|f| &f[e * fl..e * fl + sl]);
                     match kernels {
@@ -355,15 +360,15 @@ impl Dycore {
                     }
                 });
             };
-            pass([sponge_u, sponge_v, sponge_t], bnd.clone());
-            halo.send([&sponge_u[..], &sponge_v[..], &sponge_t[..]], ks, sl);
-            pass([sponge_u, sponge_v, sponge_t], int.clone());
+            pass(&mut sponge, bnd.clone());
+            halo.send(sponge.each_ref().map(|s| &s[..]), ks, sl);
+            pass(&mut sponge, int.clone());
             halo_sweep(
                 halo,
                 sched,
                 gather,
                 ks,
-                [&sponge_u[..], &sponge_v[..], &sponge_t[..]],
+                sponge.each_ref().map(|s| &s[..]),
                 sl,
                 Some([&plan.sponge[..]; 3]),
                 [&mut state.u[..], &mut state.v[..], &mut state.t[..]],
@@ -373,11 +378,11 @@ impl Dycore {
         }
         for _ in 0..subcycles {
             // First Laplacian of (u, v, T, dp3d), straight from the state
-            // into the hyp arenas (the blocked set fuses all four fields
+            // into the raw arenas (the blocked set fuses all four fields
             // into one coefficient walk per element).
             let fields = state.dyn_fields();
-            let pass = |hyp: &mut DynFields, elems: Range<usize>| {
-                let out = hyp.fields_mut().map(|o| Arena::new(o, fl, fl));
+            let pass = |raw: &mut DynFields, elems: Range<usize>| {
+                let out = raw.fields_mut().map(|o| Arena::new(o, fl, fl));
                 sched.run_windows(elems, out, |e, [ou, ov, ot, odp]| {
                     let src = fields.map(|f| &f[e * fl..(e + 1) * fl]);
                     match kernels {
@@ -394,19 +399,18 @@ impl Dycore {
                     }
                 });
             };
-            pass(hyp, bnd.clone());
-            halo.send(hyp.fields(), nlev, fl);
-            pass(hyp, int.clone());
-            // DSS of the first Laplacians, gathered per element into
-            // the (idle outside RK) `stage` arenas, with the second
-            // Laplacian (del^4 = lap(lap)) run on the element's freshly
-            // assembled window in the same job.
+            pass(raw, bnd.clone());
+            halo.send(raw.fields(), nlev, fl);
+            pass(raw, int.clone());
+            // DSS of the first Laplacians, gathered per element into the
+            // `stage` arenas, with the second Laplacian (del^4 = lap(lap))
+            // run on the element's freshly assembled window in the same job.
             halo_sweep(
                 halo,
                 sched,
                 gather,
                 nlev,
-                hyp.fields(),
+                raw.fields(),
                 fl,
                 None,
                 stage.fields_mut(),
@@ -492,19 +496,21 @@ impl Dycore {
     /// The step runs all three stages of one [`QCHUNK`]-tracer chunk before
     /// it starts the next chunk, two element-parallel sweeps per stage: the
     /// stage kernel (the kernel set's, in [`euler_stage_flat_blocked`])
-    /// writes the chunk's raw (pre-DSS) output
-    /// into the one-chunk-wide `qchunk`, and one DSS gather sweep assembles
-    /// it into the stage's destination, with the limiter as the sweep's
-    /// epilogue on the freshly assembled element window. For chunk `qs`,
-    /// stage 1 goes `state.qdp[qs] → qchunk ⇒ qstage`, stage 2 `qstage →
-    /// qchunk ⇒ qstage` in place, stage 3 `qstage → qchunk ⇒ state.qdp[qs]`.
+    /// writes the chunk's raw (pre-DSS) output into `qchunk`, and one DSS
+    /// gather sweep assembles it into the stage's destination, with the
+    /// limiter as the sweep's epilogue on the freshly assembled element
+    /// window. `qchunk` and `qstage` are one-chunk-wide prefixes of the
+    /// dynamics arenas `raw` and `stage`, idle outside RK and
+    /// hyperviscosity. For chunk `qs`, stage 1 goes `state.qdp[qs] → qchunk
+    /// ⇒ qstage`, stage 2 `qstage → qchunk ⇒ qstage` in place, stage 3
+    /// `qstage → qchunk ⇒ state.qdp[qs]`.
     /// Stage 3's gather writes that window only after the chunk's kernel
     /// sweep has finished, and later chunks read only their own tracers.
     /// Since `u`, `v` and `dp3d` are fixed for the whole tracer step and
     /// the kernel, gather and limiter each work per (tracer, level), every
     /// value gets the same operations in the same order as stage-major
     /// order would give it. One full tracer arena (the state's) and two
-    /// chunk-wide buffers are touched, none of them serially.
+    /// chunk-wide prefixes are touched, none of them serially.
     pub fn euler_step_tracers(&mut self, state: &mut State) {
         serial(self.euler_step_tracers_on(&mut Halo::Serial, state))
             .expect("a one-rank tracer step cannot fail");
@@ -523,11 +529,12 @@ impl Dycore {
         let dt = self.cfg.dt;
         let Dycore { ops, dims, cfg, sched, ws, kernels, bops, gather, .. } = self;
         let (dims, kernels, limiter) = (*dims, *kernels, cfg.limiter);
-        let StepWorkspace { qchunk, qstage, .. } = ws;
         let State { u, v, dp3d, qdp, .. } = state;
         let tl = dims.tracer_len();
         let lw = dims.nlev * NPTS;
         let cw = qchunk_width(dims) * lw;
+        let n = ops.len() * cw;
+        let (qchunk, qstage) = (&mut ws.raw.whole_mut()[..n], &mut ws.stage.whole_mut()[..n]);
         let limit = |e: usize, [w]: [&mut [f64]; 1]| {
             if limiter {
                 limit_tracer_element(&ops[e], w);
@@ -544,7 +551,7 @@ impl Dycore {
                     StageCombine::Replace => (&qdp[q * lw..], tl),
                     _ => (&qstage[..], cw),
                 };
-                let stage = |qchunk: &mut [f64], elems: Range<usize>| {
+                let sweep = |qchunk: &mut [f64], elems: Range<usize>| {
                     euler_stage_flat_blocked(
                         kernels,
                         ops,
@@ -565,14 +572,14 @@ impl Dycore {
                         elems,
                     )
                 };
-                stage(qchunk, bnd.clone());
+                sweep(qchunk, bnd.clone());
                 halo.send([&qchunk[..]], levels, cw);
-                stage(qchunk, int.clone());
+                sweep(qchunk, int.clone());
                 let (dst, ds) = match combine {
                     StageCombine::Ssp3 => (&mut qdp[q * lw..], tl),
                     _ => (&mut qstage[..], cw),
                 };
-                halo_sweep(halo, sched, gather, levels, [qchunk], cw, None, [dst], ds, limit)?;
+                halo_sweep(halo, sched, gather, levels, [&*qchunk], cw, None, [dst], ds, limit)?;
             }
         }
         Ok(())
@@ -760,22 +767,22 @@ impl Dycore {
         let dt = self.cfg.dt;
         let hcfg = self.health;
         let Dycore { ops, rhs, dims, sched, ws, kernels, bops, gather, .. } = self;
-        let StepWorkspace { stage, hyp, workers, .. } = ws;
+        let StepWorkspace { stage, raw, workers, .. } = ws;
         let (kernels, nlev, fl) = (*kernels, dims.nlev, dims.field_len());
         let last = KG5_COEFFS.len() - 1;
         let (bnd, int) = halo.split(ops.len());
         for (i, &c) in KG5_COEFFS.iter().enumerate() {
             let eval = if i == 0 { state.dyn_fields() } else { stage.fields() };
             let (base, phis) = (state.dyn_fields(), &state.phis[..]);
-            let mut rk = |hyp: &mut DynFields, elems: Range<usize>| {
+            let mut rk = |raw: &mut DynFields, elems: Range<usize>| {
                 let c_dt = c * dt;
-                rk_rhs_sweep(kernels, ops, bops, rhs, sched, workers, base, eval, phis, c_dt, hyp, elems)
+                rk_rhs_sweep(kernels, ops, bops, rhs, sched, workers, base, eval, phis, c_dt, raw, elems)
             };
-            rk(hyp, bnd.clone());
-            halo.send(hyp.fields(), nlev, fl);
-            rk(hyp, int.clone());
+            rk(raw, bnd.clone());
+            halo.send(raw.fields(), nlev, fl);
+            rk(raw, int.clone());
             let dst = if i == last { state.dyn_fields_mut() } else { stage.fields_mut() };
-            halo_sweep(halo, sched, gather, nlev, hyp.fields(), fl, None, dst, fl, |_, _| {})?;
+            halo_sweep(halo, sched, gather, nlev, raw.fields(), fl, None, dst, fl, |_, _| {})?;
             if let Some(health) = health.as_deref_mut() {
                 let [u, v, t, dp3d] = if i == last { state.dyn_fields() } else { stage.fields() };
                 commit_scan(health, &hcfg, i, scan_stage(u, v, t, dp3d, &[]))?;
@@ -1369,6 +1376,64 @@ mod tests {
         assert_eq!(dy.degrade_pending(), dy.degrade.halve_dt_steps);
         let h1 = dy.step_checked(&mut st).expect("degraded step");
         assert!(h1.degraded, "next step should run under the degradation policy");
+    }
+
+    /// No phase reads a workspace arena it did not write in that phase:
+    /// filling both `raw` and `stage` with NaN before every phase leaves
+    /// three full steps bitwise unchanged — with the sponge,
+    /// hyperviscosity, the limiter and a full plus a ragged tracer chunk,
+    /// for both kernel sets at 1 and 3 workers.
+    #[test]
+    fn poisoned_arenas_at_phase_boundaries_change_no_bit() {
+        let dims = Dims { nlev: 5, qsize: 6 };
+        let mut cfg = DycoreConfig::for_ne(3);
+        cfg.hypervis.sponge_layers = 2;
+        cfg.hypervis.nu_top = 2.5e5;
+        assert!(cfg.hypervis.nu > 0.0 && cfg.limiter && cfg.rsplit == 1);
+        let bits = |st: &State| -> Vec<u64> {
+            [&st.u, &st.v, &st.t, &st.dp3d, &st.qdp].iter().flat_map(|f| f.iter().map(|x| x.to_bits())).collect()
+        };
+        for kernels in [KernelPath::Blocked, KernelPath::Scalar] {
+            for threads in [1usize, 3] {
+                let run = |poison: bool| -> State {
+                    let mut dy = Dycore::new(3, dims, 200.0, cfg);
+                    dy.kernels = kernels;
+                    dy.set_threads(threads);
+                    let mut st = resting_state(&dy);
+                    for (i, t) in st.t.iter_mut().enumerate() {
+                        *t += ((i % 7) as f64 - 3.0) * 0.5;
+                    }
+                    // Signed tracer noise, so the limiter has work to do.
+                    for (i, q) in st.qdp.iter_mut().enumerate() {
+                        *q *= ((i * 37) % 11) as f64 / 5.0 - 0.3;
+                    }
+                    let poisoned = |dy: &mut Dycore| {
+                        if poison {
+                            dy.ws.raw.whole_mut().fill(f64::NAN);
+                            dy.ws.stage.whole_mut().fill(f64::NAN);
+                        }
+                    };
+                    for _ in 0..3 {
+                        if poison {
+                            poisoned(&mut dy);
+                            dy.dynamics_step(&mut st);
+                            poisoned(&mut dy);
+                            dy.apply_hypervis(&mut st).expect("plan accepted");
+                            poisoned(&mut dy);
+                            dy.euler_step_tracers(&mut st);
+                            poisoned(&mut dy);
+                            dy.vertical_remap(&mut st).expect("columns intact");
+                        } else {
+                            dy.step(&mut st);
+                        }
+                    }
+                    st
+                };
+                let (clean, poisoned) = (run(false), run(true));
+                assert!(clean.qdp.iter().any(|&q| q > 0.0), "tracers did nothing");
+                assert!(bits(&clean) == bits(&poisoned), "{kernels:?} threads={threads}: a phase read a stale arena");
+            }
+        }
     }
 
     /// Full `step()`s — RK, sponge, subcycled hyperviscosity (every DSS of

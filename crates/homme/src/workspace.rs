@@ -2,17 +2,16 @@
 //! grid's, or one rank's patch's as the core of a
 //! [`crate::dist::DistDycore`].
 //!
-//! Every buffer the step pipeline needs — RK stage fields, RHS column
-//! temporaries, hyperviscosity and sponge temporaries, tracer stage
-//! double-buffers, remap columns — is allocated once here and reused, so
-//! `Dycore::step` performs no heap allocation after construction (enforced
-//! by the `alloc_regression` integration test).
+//! Every buffer the step pipeline needs is allocated once here and reused,
+//! so `Dycore::step` performs no heap allocation after construction
+//! (enforced by the `alloc_regression` integration test). RK stages,
+//! hyperviscosity, sponge and tracer chunks all borrow their scratch from
+//! the same two step-sized arenas, [`StepWorkspace::raw`] and `stage`.
 //!
-//! Reuse contract: no buffer carries information between steps. Each one
-//! is either fully overwritten before it is read (`copy_from` /
-//! full-range writes) or is write-only scratch whose every slot is
-//! written before use. The `state_arena` proptest drives this by checking
-//! that a dirtied workspace reproduces a fresh one bitwise.
+//! Reuse contract: no phase reads a workspace buffer it did not write in
+//! that phase. The `state_arena` proptest checks that a dirtied workspace
+//! reproduces a fresh one bitwise; `prim`'s poison test fills both arenas
+//! with NaN before every phase.
 
 use crate::hypervis::ElemHypervisPlan;
 use crate::kernels::blocked::QCHUNK;
@@ -20,7 +19,6 @@ use crate::remap::{ElemRemapPlan, RemapApplyScratch, RemapScratch};
 use crate::rhs::RhsScratch;
 use crate::sched::PerWorker;
 use crate::state::Dims;
-use cubesphere::NPTS;
 
 /// Tracers per chunk of the blocked tracer stage: [`QCHUNK`], or all of
 /// them when there are fewer.
@@ -29,33 +27,39 @@ pub(crate) fn qchunk_width(dims: Dims) -> usize {
 }
 
 /// The four dynamics prognostics as flat arenas (`[nelem][nlev][NPTS]`
-/// each) — an RK stage buffer without the tracer/surface fields.
+/// each) — an RK stage buffer without the tracer/surface fields — in one
+/// allocation of `4 * len` values, `u | v | t | dp3d` back to back. A phase
+/// that needs scratch of another shape borrows a prefix of the whole
+/// buffer ([`DynFields::whole_mut`]) or of one field's view.
 #[derive(Debug, Clone)]
 pub struct DynFields {
-    /// Eastward wind arena.
-    pub u: Vec<f64>,
-    /// Northward wind arena.
-    pub v: Vec<f64>,
-    /// Temperature arena.
-    pub t: Vec<f64>,
-    /// Layer thickness arena.
-    pub dp3d: Vec<f64>,
+    buf: Vec<f64>,
 }
 
 impl DynFields {
     /// Zeroed buffers of `len` values per field.
     pub fn zeros(len: usize) -> Self {
-        DynFields { u: vec![0.0; len], v: vec![0.0; len], t: vec![0.0; len], dp3d: vec![0.0; len] }
+        DynFields { buf: vec![0.0; 4 * len] }
     }
 
     /// The four arenas as `[u, v, t, dp3d]` (the DSS sweeps' field order).
     pub fn fields(&self) -> [&[f64]; 4] {
-        [&self.u, &self.v, &self.t, &self.dp3d]
+        let (uv, tdp) = self.buf.split_at(self.buf.len() / 2);
+        let ((u, v), (t, dp3d)) = (uv.split_at(uv.len() / 2), tdp.split_at(tdp.len() / 2));
+        [u, v, t, dp3d]
     }
 
     /// Mutable [`DynFields::fields`].
     pub fn fields_mut(&mut self) -> [&mut [f64]; 4] {
-        [&mut self.u, &mut self.v, &mut self.t, &mut self.dp3d]
+        let half = self.buf.len() / 2;
+        let (uv, tdp) = self.buf.split_at_mut(half);
+        let ((u, v), (t, dp3d)) = (uv.split_at_mut(uv.len() / 2), tdp.split_at_mut(tdp.len() / 2));
+        [u, v, t, dp3d]
+    }
+
+    /// The whole buffer, all `4 * len` values.
+    pub fn whole_mut(&mut self) -> &mut [f64] {
+        &mut self.buf
     }
 }
 
@@ -101,34 +105,22 @@ impl WorkerScratch {
 
 /// All step-persistent buffers of the dycore pipeline.
 ///
-/// The step touches only `stage`, `hyp`, the sponge buffers, `qchunk` and
-/// `qstage` besides the state, whichever kernel set runs: the kernel set
-/// chooses element kernels inside the one stage loop, not buffers.
+/// Besides the state, the step touches only the arenas `raw` and `stage`,
+/// whichever kernel set runs. Every phase ends with a gather that reads one
+/// of them and writes only the state, so both are dead between phases and
+/// each phase borrows whatever shape of scratch it needs from them.
 #[derive(Debug)]
 pub struct StepWorkspace {
-    /// RK stage `u_i` (each stage's gather overwrites it in place; stage 5
-    /// lands in the state). Also hyperviscosity's second-Laplacian output,
-    /// since it is idle outside RK. The RK base `u_0` is the state itself.
+    /// The pre-DSS arena of every phase: the raw RK stage, the first
+    /// hyperviscosity Laplacian, the sponge Laplacians (`[nelem][ks][NPTS]`
+    /// prefixes of the `u`, `v`, `t` views) and one tracer chunk's raw stage
+    /// (`[nelem][qchunk_width(dims)][nlev][NPTS]`, a prefix of the whole).
+    pub raw: DynFields,
+    /// The assembled arena: RK stage `u_i` (stage 5 lands in the state, and
+    /// the base `u_0` is the state itself), the second hyperviscosity
+    /// Laplacian, and a tracer chunk's SSP stages 1 and 2 (the raw stage's
+    /// prefix shape; the stage input `q_0` is the state itself).
     pub stage: DynFields,
-    /// Raw (pre-DSS) RK stage, and the hyperviscosity first-Laplacian
-    /// output (full depth).
-    pub hyp: DynFields,
-    /// Sponge-layer `u` temporary, `[nelem][sponge_layers][NPTS]`.
-    pub sponge_u: Vec<f64>,
-    /// Sponge-layer `v` temporary.
-    pub sponge_v: Vec<f64>,
-    /// Sponge-layer `T` temporary.
-    pub sponge_t: Vec<f64>,
-    /// Raw (pre-DSS) tracer stage output of one tracer chunk,
-    /// `[nelem][qchunk_width(dims)][nlev][NPTS]`: a chunk is gathered
-    /// and limited before the next one is computed, so the stage never
-    /// streams a full raw tracer arena.
-    pub qchunk: Vec<f64>,
-    /// Assembled SSP stages 1 and 2 of one tracer chunk, same shape as
-    /// `qchunk`: the step runs all three stages of a chunk before it starts
-    /// the next one, so no stage result is ever a full tracer arena. The
-    /// stage input `q_0` is read from the state itself.
-    pub qstage: Vec<f64>,
     /// One private scratch per scheduler worker.
     pub workers: PerWorker<WorkerScratch>,
     /// Hyperviscosity step plan (hoisted subcycle/sponge coefficients),
@@ -136,21 +128,18 @@ pub struct StepWorkspace {
     pub hv_plan: ElemHypervisPlan,
 }
 
+/// A tracer chunk is never wider than the four dynamics fields, so it is
+/// a prefix of `raw` and of `stage`.
+const _: () = assert!(QCHUNK <= 4);
+
 impl StepWorkspace {
     /// Buffers sized for `nelem` elements, `dims`, a sponge of
     /// `sponge_layers` levels and `nworkers` scheduler workers.
     pub fn new(dims: Dims, nelem: usize, sponge_layers: usize, nworkers: usize) -> Self {
         let fl = nelem * dims.field_len();
-        let sl = nelem * sponge_layers.min(dims.nlev) * NPTS;
-        let cl = nelem * qchunk_width(dims) * dims.nlev * NPTS;
         StepWorkspace {
+            raw: DynFields::zeros(fl),
             stage: DynFields::zeros(fl),
-            hyp: DynFields::zeros(fl),
-            sponge_u: vec![0.0; sl],
-            sponge_v: vec![0.0; sl],
-            sponge_t: vec![0.0; sl],
-            qchunk: vec![0.0; cl],
-            qstage: vec![0.0; cl],
             workers: PerWorker::new(nworkers, || WorkerScratch::new(dims)),
             hv_plan: ElemHypervisPlan::new(dims.nlev, sponge_layers),
         }
@@ -196,26 +185,36 @@ impl EnsembleWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cubesphere::NPTS;
 
     #[test]
     fn workspace_buffers_are_sized_for_the_problem() {
-        let dims = Dims { nlev: 4, qsize: 2 };
-        let ws = StepWorkspace::new(dims, 6, 3, 5);
-        assert_eq!(ws.stage.u.len(), 6 * 4 * NPTS);
-        assert_eq!(ws.hyp.dp3d.len(), 6 * 4 * NPTS);
-        assert_eq!(ws.sponge_t.len(), 6 * 3 * NPTS);
-        assert_eq!(ws.workers.len(), 5);
-        // Fewer tracers than a chunk: both chunk buffers are one tracer arena.
-        assert_eq!(ws.qchunk.len(), 6 * 2 * 4 * NPTS);
-        assert_eq!(ws.qstage.len(), 6 * 2 * 4 * NPTS);
-        // More tracers than a chunk: the raw and stage buffers stay one
-        // chunk wide.
-        let dims = Dims { nlev: 4, qsize: 9 };
-        let ws = StepWorkspace::new(dims, 6, 3, 1);
-        assert_eq!(ws.qchunk.len(), 6 * QCHUNK * 4 * NPTS);
-        assert_eq!(ws.qstage.len(), 6 * QCHUNK * 4 * NPTS);
-        // Sponge deeper than the column clamps to nlev.
-        let ws2 = StepWorkspace::new(dims, 2, 9, 1);
-        assert_eq!(ws2.sponge_u.len(), 2 * 4 * NPTS);
+        for (qsize, sponge_layers) in [(2, 3), (9, 3), (9, 9), (0, 0)] {
+            let (nelem, nlev) = (6, 4);
+            let dims = Dims { nlev, qsize };
+            let mut ws = StepWorkspace::new(dims, nelem, sponge_layers, 5);
+            let fl = nelem * nlev * NPTS;
+            assert_eq!(ws.workers.len(), 5);
+            // Two arenas of four full-depth dynamics fields, one allocation
+            // each, split back to back.
+            for arena in [&mut ws.raw, &mut ws.stage] {
+                assert_eq!(arena.whole_mut().len(), 4 * fl);
+                let base = arena.whole_mut().as_ptr();
+                for (f, view) in arena.fields().into_iter().enumerate() {
+                    assert_eq!(view.len(), fl);
+                    assert_eq!(view.as_ptr(), base.wrapping_add(f * fl));
+                }
+            }
+            // A tracer chunk (at most QCHUNK tracers, fewer when qsize is
+            // smaller) fits in a whole arena.
+            let chunk = nelem * qchunk_width(dims) * nlev * NPTS;
+            assert_eq!(qchunk_width(dims), qsize.min(QCHUNK));
+            assert!(chunk <= ws.raw.whole_mut().len() && chunk <= ws.stage.whole_mut().len());
+            // The sponge's `ks` levels (clamped to nlev, as the hypervis
+            // plan clamps them) fit in one field view of `raw`.
+            let ks = ws.hv_plan.ks;
+            assert_eq!(ks, sponge_layers.min(nlev));
+            assert!(ws.raw.fields().iter().all(|f| nelem * ks * NPTS <= f.len()));
+        }
     }
 }

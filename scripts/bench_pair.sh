@@ -10,15 +10,17 @@
 # tree's own benchmark/run.sh build and run its own benchmark binary, and
 # alternates <pairs> (default 10) untraced runs of <seconds> (default:
 # run_seconds in BENCHMARK.json) each, swapping which side goes first every
-# pair. Both sides of pair i use seed i. Prints step_ms_p50 and sypd per pair,
-# then for every end-to-end metric both medians, how many pairs the working
-# tree won, and the ref's quartile distance (Q3 - Q1 of its own runs) — a
-# difference of medians inside it is the host, not the change.
+# pair. Both sides of pair i use seed i. Prints every end-to-end metric
+# (step_ms_p50, sypd, setup_s, peak_rss_mb) of both sides per pair, so a
+# bimodal metric shows run by run, then for every metric both medians, how
+# many pairs the working tree won, and the ref's quartile distance (Q3 - Q1
+# of its own runs) — a difference of medians inside it is the host, not the
+# change.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 if (($# < 2)); then
-    sed -n '2,16p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,18p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 ref="$1"
@@ -59,12 +61,17 @@ one() {
 }
 
 echo "pairs of $workload, ${seconds}s a run: ref ${sha:0:7} vs working tree"
-printf '%4s  %14s %14s  %10s %10s\n' pair ref.step_ms change.step_ms ref.sypd change.sypd
+printf '%4s  %11s %11s  %9s %9s  %9s %9s  %9s %9s\n' pair ref.step_ms chg.step_ms \
+    ref.sypd chg.sypd ref.setup chg.setup ref.rss_mb chg.rss_mb
+# last <side> <metric>: the value of the latest run
+last() { tail -n 1 "$out/$1.$2"; }
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then one ref "$i"; one change "$i"; else one change "$i"; one ref "$i"; fi
-    printf '%4d  %14.1f %14.1f  %10.2f %10.2f\n' "$i" \
-        "$(tail -n 1 "$out/ref.step_ms_p50")" "$(tail -n 1 "$out/change.step_ms_p50")" \
-        "$(tail -n 1 "$out/ref.sypd")" "$(tail -n 1 "$out/change.sypd")"
+    printf '%4d  %11.1f %11.1f  %9.2f %9.2f  %9.4f %9.4f  %9.2f %9.2f\n' "$i" \
+        "$(last ref step_ms_p50)" "$(last change step_ms_p50)" \
+        "$(last ref sypd)" "$(last change sypd)" \
+        "$(last ref setup_s)" "$(last change setup_s)" \
+        "$(last ref peak_rss_mb)" "$(last change peak_rss_mb)"
 done
 
 # quantile <file> <q>: linear interpolation between order statistics

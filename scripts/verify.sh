@@ -93,8 +93,8 @@ done
 # rejection leaves the state untouched (stage 5 leaves u_5), the limiter's
 # fast path keeps NaN / ±0.0 / +inf bits and still clips an underflowing
 # negative, the chunk-major tracer step is pinned to the scalar oracle, and
-# the workspace sizes pin the one-chunk stage buffer. The zero-allocation
-# gates ride along under each default worker count.
+# the workspace sizes pin the two dynamics arenas every phase borrows from.
+# The zero-allocation gates ride along under each default worker count.
 echo "== step-arenas test group (SWCAM_THREADS 1, 2, 3)"
 cargo test -q -p homme --test step_arenas
 cargo test -q -p homme --lib euler::tests::limiter
