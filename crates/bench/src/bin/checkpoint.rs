@@ -95,7 +95,7 @@ fn main() {
     let dy = Dycore::new(NE, dims, 200.0, config());
     let init = initial_state(&dy);
 
-    let meta = CheckpointMeta { step: 42, remap_phase: 0, rank: 0, epoch: 0, time: 42.0 * 300.0 };
+    let meta = CheckpointMeta { step: 42, remap_phase: 0, degrade_pending: 0, rank: 0, epoch: 0, time: 42.0 * 300.0 };
     let mut buf = Vec::new();
     checkpoint::encode_into(&init, &meta, &mut buf); // size + warm the buffer
     let bytes = buf.len();

@@ -3,8 +3,8 @@
 //! At peta-scale the mean time between node failures is shorter than a
 //! long climate integration, so the production answer is periodic
 //! snapshots plus rollback. The format here is deliberately dumb and
-//! exact: a fixed header (dims, step, remap phase, rank, rollback epoch,
-//! simulated time), the six state arenas as raw little-endian `f64`, and
+//! exact: a fixed header (dims, step, remap phase, degradation countdown,
+//! rank, rollback epoch, simulated time), the six state arenas as raw little-endian `f64`, and
 //! a trailing CRC32. Restoring a snapshot reproduces the run **bitwise**
 //! (enforced by the `fault_injection` integration tests): no text
 //! round-tripping, no compression, no float formatting.
@@ -20,7 +20,7 @@ use std::path::Path;
 use swmpi::wire::{crc32, put_f64s_le};
 
 /// Magic + version prefix of every checkpoint record.
-pub const MAGIC: &[u8; 8] = b"SWCKPT01";
+pub const MAGIC: &[u8; 8] = b"SWCKPT02";
 
 /// Everything a restart needs besides the prognostic arenas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,6 +31,10 @@ pub struct CheckpointMeta {
     /// ([`homme::Dycore::remap_phase`]) — restoring it keeps the remap
     /// cadence bitwise-identical across a restart.
     pub remap_phase: u32,
+    /// Steps still owed to the degradation policy
+    /// ([`homme::Dycore::degrade_pending`]) — restoring it makes a replay
+    /// take the same `dt` path as the run it replays.
+    pub degrade_pending: u32,
     /// Owning rank (0 for the serial driver).
     pub rank: u32,
     /// Rollback epoch the rank was in.
@@ -93,6 +97,7 @@ pub fn encode_into(state: &State, meta: &CheckpointMeta, out: &mut Vec<u8>) {
     out.extend_from_slice(&(state.nelem() as u64).to_le_bytes());
     out.extend_from_slice(&meta.step.to_le_bytes());
     out.extend_from_slice(&meta.remap_phase.to_le_bytes());
+    out.extend_from_slice(&meta.degrade_pending.to_le_bytes());
     out.extend_from_slice(&meta.rank.to_le_bytes());
     out.extend_from_slice(&meta.epoch.to_le_bytes());
     out.extend_from_slice(&meta.time.to_le_bytes());
@@ -173,6 +178,7 @@ pub fn decode(bytes: &[u8], state: &mut State) -> Result<CheckpointMeta, Checkpo
     let meta = CheckpointMeta {
         step: r.u64()?,
         remap_phase: r.u32()?,
+        degrade_pending: r.u32()?,
         rank: r.u32()?,
         epoch: r.u64()?,
         time: r.f64()?,
@@ -247,7 +253,7 @@ mod tests {
     fn roundtrip_is_bitwise() {
         let st = sample_state();
         let meta =
-            CheckpointMeta { step: 42, remap_phase: 2, rank: 3, epoch: 1, time: 12_600.5 };
+            CheckpointMeta { step: 42, remap_phase: 2, degrade_pending: 1, rank: 3, epoch: 1, time: 12_600.5 };
         let bytes = encode(&st, &meta);
         let mut restored = State::zeros(st.dims, st.nelem());
         let got = decode(&bytes, &mut restored).expect("decode");
@@ -260,7 +266,7 @@ mod tests {
     #[test]
     fn corruption_is_detected() {
         let st = sample_state();
-        let meta = CheckpointMeta { step: 1, remap_phase: 0, rank: 0, epoch: 0, time: 0.0 };
+        let meta = CheckpointMeta { step: 1, remap_phase: 0, degrade_pending: 0, rank: 0, epoch: 0, time: 0.0 };
         let mut bytes = encode(&st, &meta);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -271,7 +277,7 @@ mod tests {
     #[test]
     fn wrong_dims_and_truncation_are_rejected() {
         let st = sample_state();
-        let meta = CheckpointMeta { step: 1, remap_phase: 0, rank: 0, epoch: 0, time: 0.0 };
+        let meta = CheckpointMeta { step: 1, remap_phase: 0, degrade_pending: 0, rank: 0, epoch: 0, time: 0.0 };
         let bytes = encode(&st, &meta);
 
         let mut small = State::zeros(st.dims, 2);
@@ -299,7 +305,7 @@ mod tests {
     fn file_roundtrip() {
         let st = sample_state();
         let meta =
-            CheckpointMeta { step: 7, remap_phase: 1, rank: 0, epoch: 2, time: 3600.0 };
+            CheckpointMeta { step: 7, remap_phase: 1, degrade_pending: 2, rank: 0, epoch: 2, time: 3600.0 };
         let dir = std::env::temp_dir().join("swckpt_test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("roundtrip.swckpt");
@@ -314,7 +320,7 @@ mod tests {
     #[test]
     fn encode_into_reuses_capacity() {
         let st = sample_state();
-        let meta = CheckpointMeta { step: 0, remap_phase: 0, rank: 0, epoch: 0, time: 0.0 };
+        let meta = CheckpointMeta { step: 0, remap_phase: 0, degrade_pending: 0, rank: 0, epoch: 0, time: 0.0 };
         let mut buf = Vec::new();
         encode_into(&st, &meta, &mut buf);
         let cap = buf.capacity();

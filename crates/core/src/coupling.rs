@@ -5,6 +5,7 @@
 //! Tracer convention: tracer 0 = water vapour `qv`, 1 = cloud water `qc`,
 //! 2 = rain water `qr` (all stored as mass `q * dp3d`).
 
+use crate::config::ModelConfig;
 use cubesphere::NPTS;
 use homme::sched::Arena;
 use homme::{Dims, Dycore, ElemMut, ElemRef, HealthError, PhysicsFault, State};
@@ -163,6 +164,41 @@ pub fn apply_physics_checked(
         Some((_, err)) => Err(err),
         None => Ok(()),
     }
+}
+
+/// One coupled step of a model or an ensemble member: the dycore's checked
+/// step ([`Dycore::step_checked`]), then — when `step`, the 1-based number
+/// of the step being taken, is a multiple of `config.nsplit` — the physics
+/// over the accumulated interval, with its precipitation added to `precip`.
+///
+/// On a reduced-radius planet the physics interval is multiplied by the
+/// reduction factor ("diabatic scaling", standard DCMIP small-planet
+/// practice): advective timescales contract by `X` while physical rate
+/// constants (evaporation, condensation relaxation) do not, so the diabatic
+/// forcing must be accelerated by `X` to preserve the dynamics-to-physics
+/// balance of the full-size planet.
+///
+/// # Errors
+/// The dycore's or the physics' typed rejection. The state may then hold a
+/// partially stepped mix and the caller must roll back or give up.
+pub(crate) fn coupled_step(
+    dycore: &mut Dycore,
+    state: &mut State,
+    suite: &PhysicsSuite,
+    config: &ModelConfig,
+    step: usize,
+    diags: &mut [PhysicsDiag],
+    precip: &mut [f64],
+) -> Result<(), HealthError> {
+    dycore.step_checked(state)?;
+    if step.is_multiple_of(config.nsplit) {
+        let phys_dt = dycore.cfg.dt * config.nsplit as f64 * config.planet.reduction();
+        apply_physics_checked(dycore, state, suite, phys_dt, config.sst, diags)?;
+        for (acc, d) in precip.iter_mut().zip(diags.iter()) {
+            *acc += d.precip;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

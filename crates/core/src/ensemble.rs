@@ -8,10 +8,11 @@
 //! every running member through it, one after another:
 //!
 //! * geometry, DSS plans, blocked operators and scratch are built once and
-//!   shared; each member's step is the standalone calls in turn
-//!   ([`homme::Dycore::dynamics_step`], [`homme::Dycore::apply_hypervis_n`],
-//!   tracers, remap and the physics column sweep), each an element-parallel
-//!   sweep on the shared dycore's scheduler;
+//!   shared; members step member-major, each through the one coupled step
+//!   [`Swcam::step`](crate::Swcam::step) also takes (the dycore's checked
+//!   step at the member's own remap phase, then the physics at its
+//!   `nsplit` cadence), whose phases are element-parallel sweeps on the
+//!   shared dycore's scheduler;
 //! * members are admitted from a request queue into free lanes between
 //!   steps and retired as they reach their step targets, like a batch
 //!   inference server;
@@ -22,7 +23,7 @@
 //! Bitwise contract: member *m* of an N-member batch is bit-for-bit equal
 //! to a standalone [`Swcam`]-equivalent run of the same
 //! [`ScenarioSpec`] and seed. That holds by construction: a member runs the
-//! standalone calls, and no workspace buffer carries anything from one call
+//! standalone step, and no workspace buffer carries anything from one call
 //! to the next. Members are not batched through shared kernels: with SIMD
 //! lanes as members that measured 0.99–1.02× end to end on a host whose
 //! spatial kernels are already 4-wide SIMD (DESIGN.md §5.10).
@@ -31,7 +32,7 @@
 //! included); only [`Ensemble::submit`] and [`Ensemble::collect`] allocate.
 
 use crate::config::ScenarioSpec;
-use crate::coupling::apply_physics_checked;
+use crate::coupling::coupled_step;
 use crate::model::{build_dycore, build_suite};
 use cubesphere::NPTS;
 use homme::{Dycore, HealthError, MemberKernelPath, State};
@@ -311,61 +312,34 @@ impl Ensemble {
             hook(slots[s].id, &mut states[s]);
         }
 
-        // Dynamics and hyperviscosity, member after member. A hypervis error
-        // is member-independent (grid/configuration), hence batch-wide: put
-        // every running member back as it was before the step, then report.
-        let subcycles = dycore.hypervis_subcycles();
+        // Member after member, the coupled step through the shared dycore
+        // at the member's own remap phase. A hypervis error is
+        // member-independent (grid/configuration), hence batch-wide — it
+        // fails the first member, before any member has stepped: put every
+        // running member back as it was before the step, then report.
         for &s in idx.iter() {
-            dycore.dynamics_step(&mut states[s]);
-            if let Err(e) = dycore.apply_hypervis_n(&mut states[s], subcycles) {
-                for &s in idx.iter() {
-                    states[s].copy_from(&snaps[s]);
-                    slots[s].meta = saved[s];
-                }
-                return Err(e);
-            }
-        }
-
-        // Per-member tail: tracers, remap cadence, physics cadence. Any
-        // failure rolls this member back to its pre-step snapshot.
-        let nsplit = spec.config.nsplit;
-        let phys_dt = dycore.cfg.dt * nsplit as f64 * spec.config.planet.reduction();
-        for &s in idx.iter() {
-            dycore.euler_step_tracers(&mut states[s]);
             let slot = &mut slots[s];
-            slot.meta.steps_since_remap += 1;
-            let mut verdict = Ok(());
-            if slot.meta.steps_since_remap >= dycore.cfg.rsplit {
-                verdict = dycore.vertical_remap(&mut states[s]);
-                if verdict.is_ok() {
-                    slot.meta.steps_since_remap = 0;
-                }
-            }
-            if verdict.is_ok() {
-                slot.meta.steps_done += 1;
-                slot.meta.time += dycore.cfg.dt;
-                if slot.meta.steps_done.is_multiple_of(nsplit) {
-                    verdict = apply_physics_checked(
-                        dycore,
-                        &mut states[s],
-                        suite,
-                        phys_dt,
-                        spec.config.sst,
-                        diags,
-                    );
-                    if verdict.is_ok() {
-                        for (acc, d) in precip[s].iter_mut().zip(diags.iter()) {
-                            *acc += d.precip;
-                        }
-                    }
-                }
-            }
-            match verdict {
+            let step = slot.meta.steps_done + 1;
+            dycore.set_remap_phase(slot.meta.steps_since_remap);
+            let state = &mut states[s];
+            match coupled_step(dycore, state, suite, &spec.config, step, diags, &mut precip[s]) {
                 Ok(()) => {
+                    slot.meta = SlotMeta {
+                        steps_done: step,
+                        steps_since_remap: dycore.remap_phase(),
+                        time: slot.meta.time + dycore.cfg.dt,
+                    };
                     slot.consecutive = 0;
-                    if slot.meta.steps_done >= slot.target {
+                    if step >= slot.target {
                         slot.status = MemberStatus::Finished;
                     }
+                }
+                Err(e @ HealthError::Hypervis(_)) => {
+                    for &s in idx.iter() {
+                        states[s].copy_from(&snaps[s]);
+                        slots[s].meta = saved[s];
+                    }
+                    return Err(e);
                 }
                 Err(e) => {
                     // Member-only rollback: restore the pre-step snapshot

@@ -4,7 +4,7 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta};
 use crate::config::{ModelConfig, SuiteChoice};
-use crate::coupling::apply_physics_checked;
+use crate::coupling::coupled_step;
 use cubesphere::{CubedSphere, NPTS};
 use homme::{Dims, Dycore, State};
 use std::path::{Path, PathBuf};
@@ -93,41 +93,21 @@ impl Swcam {
         }
     }
 
-    /// Advance one coupled step (dynamics + physics). Physics runs every
-    /// `nsplit` dynamics steps with the accumulated interval.
+    /// Advance one coupled step (`coupling::coupled_step`: dynamics, then
+    /// physics every `nsplit` dynamics steps with the accumulated interval).
     ///
-    /// On a reduced-radius planet the physics interval is multiplied by the
-    /// reduction factor ("diabatic scaling", standard DCMIP small-planet
-    /// practice): advective timescales contract by `X` while physical rate
-    /// constants (evaporation, condensation relaxation) do not, so the
-    /// diabatic forcing must be accelerated by `X` to preserve the
-    /// dynamics-to-physics balance of the full-size planet.
+    /// # Panics
+    /// When a health guard (enabled on `dycore.health`; free when disabled,
+    /// the default) or the physics rejects the step: `Swcam` keeps no
+    /// rollback snapshot.
     pub fn step(&mut self) {
-        // Guarded step: free when `dycore.health` is disabled (the
-        // default), fail-fast with a typed diagnostic when enabled.
-        if let Err(e) = self.dycore.step_checked(&mut self.state) {
-            panic!("step {} aborted by health guard: {e}", self.steps + 1);
+        let step = self.steps + 1;
+        let Swcam { config, dycore, suite, state, precip_accum, phys_diags, .. } = self;
+        if let Err(e) = coupled_step(dycore, state, suite, config, step, phys_diags, precip_accum) {
+            panic!("step {step} aborted: {e}");
         }
-        self.steps += 1;
+        self.steps = step;
         self.time += self.dycore.cfg.dt;
-        if self.steps.is_multiple_of(self.config.nsplit) {
-            let phys_dt = self.dycore.cfg.dt
-                * self.config.nsplit as f64
-                * self.config.planet.reduction();
-            if let Err(e) = apply_physics_checked(
-                &self.dycore,
-                &mut self.state,
-                &self.suite,
-                phys_dt,
-                self.config.sst,
-                &mut self.phys_diags,
-            ) {
-                panic!("step {} aborted by physics guard: {e}", self.steps);
-            }
-            for (acc, d) in self.precip_accum.iter_mut().zip(&self.phys_diags) {
-                *acc += d.precip;
-            }
-        }
         if let Some((interval, dir)) = &self.checkpointing {
             if self.steps.is_multiple_of(*interval) {
                 let path = dir.join(format!("ckpt_{:08}.swckpt", self.steps));
@@ -153,12 +133,14 @@ impl Swcam {
             if interval > 0 { Some((interval, dir.into())) } else { None };
     }
 
-    /// Snapshot the prognostic state + step/time/remap-phase metadata to
-    /// `path` ([`checkpoint`] codec; restoring is bitwise-exact).
+    /// Snapshot the prognostic state + step/time/remap-phase/degradation
+    /// metadata to `path` ([`checkpoint`] codec; restoring is
+    /// bitwise-exact).
     pub fn write_checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
         let meta = CheckpointMeta {
             step: self.steps as u64,
             remap_phase: self.dycore.remap_phase() as u32,
+            degrade_pending: self.dycore.degrade_pending() as u32,
             rank: 0,
             epoch: 0,
             time: self.time,
@@ -166,17 +148,18 @@ impl Swcam {
         checkpoint::write_file(path, &self.state, &meta)
     }
 
-    /// Restore state, step count, simulated time and remap phase from a
-    /// checkpoint written by [`Swcam::write_checkpoint`]. The model must
-    /// have been built with the same configuration; continuing from here
-    /// reproduces the original run bitwise (physics cadence included:
-    /// `nsplit` divides into the restored step count exactly as it did in
-    /// the writing run).
+    /// Restore state, step count, simulated time, remap phase and
+    /// degradation countdown from a checkpoint written by
+    /// [`Swcam::write_checkpoint`]. The model must have been built with the
+    /// same configuration; continuing from here reproduces the original run
+    /// bitwise (physics cadence included: `nsplit` divides into the
+    /// restored step count exactly as it did in the writing run).
     pub fn restore_checkpoint(&mut self, path: &Path) -> Result<(), CheckpointError> {
         let meta = checkpoint::read_file(path, &mut self.state)?;
         self.steps = meta.step as usize;
         self.time = meta.time;
         self.dycore.set_remap_phase(meta.remap_phase as usize);
+        self.dycore.set_degrade_pending(meta.degrade_pending as usize);
         Ok(())
     }
 

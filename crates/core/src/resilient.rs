@@ -4,35 +4,41 @@
 //! [`run_resilient`] wraps [`DistDycore::step_checked`] in the protocol a
 //! peta-scale run needs to survive a flaky interconnect or a dying node:
 //!
-//! 1. every rank keeps an **in-memory snapshot** of its local state
-//!    (re-taken every [`ResilienceConfig::checkpoint_interval`] committed
-//!    steps, [`checkpoint`](crate::checkpoint) codec, bitwise-exact);
-//! 2. each step attempt ends in exactly ONE global verdict reduction,
-//!    executed by **every** rank — including ranks whose step aborted on a
+//! 1. every rank keeps a **snapshot** of its local state (re-taken every
+//!    [`ResilienceConfig::checkpoint_interval`] committed steps,
+//!    [`checkpoint`] codec, bitwise-exact, with the remap phase and the
+//!    degradation countdown);
+//! 2. each step attempt ends in exactly ONE global verdict reduction
+//!    ([`StepHealth::reduce_global`]), executed by **every** rank —
+//!    including ranks whose step aborted on a
 //!    [`CommError`](swmpi::CommError) timeout or a tripped health guard.
 //!    The verdict merges the failure flag with the worst-case
 //!    [`StepHealth`] so all ranks reach the same decision;
-//! 3. on failure, ranks flush any withheld sends, meet at a barrier (after
-//!    which no stale-epoch message can still be deposited), bump the
-//!    rollback epoch ([`DistDycore::set_epoch`] — the epoch lives in the
-//!    high tag bits), purge every sub-floor message
-//!    ([`swmpi::Comm::purge_below`]), restore the snapshot, and re-run
-//!    from the checkpointed step;
+//! 3. on failure, ranks flush any withheld sends, meet at the rollback
+//!    rendezvous (after which no stale-epoch message can still be
+//!    deposited), enter the next rollback epoch ([`DistDycore::set_epoch`]
+//!    — the epoch lives in the high tag bits), purge every sub-floor
+//!    message ([`swmpi::Comm::purge_below`]), restore the snapshot, and
+//!    re-run from the checkpointed step;
 //! 4. on success, a CFL breach in the *global* verdict arms the
 //!    degradation policy on every rank in lockstep
-//!    ([`DistDycore::arm_degradation`]).
+//!    ([`homme::Dycore::arm_degradation`]).
+//!
+//! [`run_resilient`] and [`run_resilient_elastic`] run the same commit
+//! loop; they differ only in where the snapshot lives (memory or a file)
+//! and in the rendezvous (a barrier or the hub's re-admission round).
 //!
 //! Because the snapshot restore is bitwise and every rank takes identical
 //! decisions, a run that survives injected faults (message drops,
 //! duplicates, delays, a crashed rank) commits the **same bits** as an
 //! undisturbed run — the property the `fault_injection` tests pin down.
 
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::checkpoint::{self, CheckpointMeta};
 use homme::{DistDycore, State, StepHealth};
-use swmpi::{RankCtx, ReduceOp};
+use swmpi::{ElasticLink, RankCtx};
 
 /// Knobs for [`run_resilient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,35 +98,67 @@ impl std::fmt::Display for ResilienceExhausted {
 
 impl std::error::Error for ResilienceExhausted {}
 
-/// Width of the per-attempt verdict reduction: failure flag + the six
-/// [`StepHealth`] fields.
-const VERDICT_LEN: usize = 7;
+/// Where a rank keeps its rollback snapshot, and how the ranks meet before
+/// restoring it.
+enum Snapshot {
+    /// In-process world: `SWCKPT02` bytes in memory; the rendezvous is a
+    /// barrier, and the next epoch is the current one plus one.
+    Memory(Vec<u8>),
+    /// Elastic multi-process world: an atomically written `SWCKPT02` file
+    /// (it must outlive the process); the rendezvous is the hub's
+    /// re-admission round, which also returns the world-agreed epoch.
+    File(Arc<ElasticLink>, PathBuf),
+}
 
-fn verdict(
-    ctx: &RankCtx,
-    failed: bool,
-    local: &StepHealth,
-) -> (bool, StepHealth) {
-    let contrib = [
-        failed as u64 as f64,
-        local.checked as u64 as f64,
-        local.nonfinite as f64,
-        -local.min_dp3d,
-        local.max_wind,
-        local.cfl,
-        local.degraded as u64 as f64,
-    ];
-    let mut out = [0.0; VERDICT_LEN];
-    ctx.coll.allreduce_into(&contrib, ReduceOp::Max, &mut out);
-    let global = StepHealth {
-        checked: out[1] > 0.0,
-        nonfinite: out[2] as u64,
-        min_dp3d: -out[3],
-        max_wind: out[4],
-        cfl: out[5],
-        degraded: out[6] > 0.0,
-    };
-    (out[0] > 0.0, global)
+impl Snapshot {
+    /// Snapshot `state` and the driver's cadences as committed after `step`.
+    fn save(&mut self, dist: &DistDycore, state: &State, step: u64, rank: u32) {
+        let meta = CheckpointMeta {
+            step,
+            remap_phase: dist.remap_phase() as u32,
+            degrade_pending: dist.degrade_pending() as u32,
+            rank,
+            epoch: dist.epoch(),
+            time: step as f64 * dist.cfg.dt,
+        };
+        match self {
+            Snapshot::Memory(buf) => checkpoint::encode_into(state, &meta, buf),
+            Snapshot::File(_, path) => checkpoint::write_file(path, state, &meta)
+                .unwrap_or_else(|e| panic!("rank {rank}: checkpoint write failed: {e:?}")),
+        }
+    }
+
+    /// Flush withheld sends, meet every rank, enter the agreed epoch, purge
+    /// the aborted attempt's messages and restore the snapshot. Returns the
+    /// step to replay from.
+    fn roll_back(&self, ctx: &mut RankCtx, dist: &mut DistDycore, state: &mut State) -> u64 {
+        // Deposit any withheld (fault-delayed) sends, then make sure every
+        // rank has done so before anyone purges: after the rendezvous no
+        // stale-epoch message can still appear.
+        ctx.comm.flush_delayed();
+        let epoch = match self {
+            Snapshot::Memory(_) => {
+                ctx.coll.barrier();
+                dist.epoch() + 1
+            }
+            // The admit round completes only when all n ranks are in, so a
+            // killed rank's replacement is already meshed and admitted
+            // when this returns.
+            Snapshot::File(link, _) => link.readmit().expect("rollback re-admission"),
+        };
+        dist.set_epoch(epoch);
+        ctx.comm.purge_below(dist.tag_floor());
+        let meta = match self {
+            Snapshot::Memory(buf) => {
+                checkpoint::decode(buf, state).expect("in-memory checkpoint cannot be corrupt")
+            }
+            Snapshot::File(_, path) => checkpoint::read_file(path, state)
+                .unwrap_or_else(|e| panic!("rank {}: restore failed: {e:?}", ctx.rank())),
+        };
+        dist.set_remap_phase(meta.remap_phase as usize);
+        dist.set_degrade_pending(meta.degrade_pending as usize);
+        meta.step
+    }
 }
 
 /// Advance `state` by `nsteps` committed steps, surviving message faults,
@@ -150,130 +188,16 @@ pub fn run_resilient_with(
     state: &mut State,
     nsteps: u64,
     cfg: &ResilienceConfig,
-    mut before_attempt: impl FnMut(&mut DistDycore, &mut State, u64),
+    before_attempt: impl FnMut(&mut DistDycore, &mut State, u64),
 ) -> Result<ResilientReport, ResilienceExhausted> {
-    assert!(cfg.checkpoint_interval > 0, "checkpoint interval must be positive");
-    let rank = ctx.rank() as u32;
-    let mut report = ResilientReport::default();
-    let mut snapshot = Vec::new();
-    let take_snapshot = |dist: &DistDycore, state: &State, step: u64, buf: &mut Vec<u8>| {
-        let meta = CheckpointMeta {
-            step,
-            remap_phase: dist.remap_phase() as u32,
-            rank,
-            epoch: dist.epoch(),
-            time: step as f64 * dist.cfg.dt,
-        };
-        checkpoint::encode_into(state, &meta, buf);
-    };
-    take_snapshot(dist, state, 0, &mut snapshot);
-
-    let mut step = 0u64;
-    let mut consecutive_rollbacks = 0u32;
-    while step < nsteps {
-        let crashed = ctx.begin_step(step);
-        let mut failed = crashed;
-        let mut local = StepHealth::unchecked();
-        if !crashed {
-            before_attempt(dist, state, step);
-            match dist.step_checked(ctx, state) {
-                Ok(h) => local = h,
-                Err(_) => failed = true,
-            }
-        }
-        // The one global decision point per attempt: every rank arrives
-        // here no matter how its step went, so generations never mix.
-        let (any_failed, global) = verdict(ctx, failed, &local);
-        if any_failed {
-            consecutive_rollbacks += 1;
-            report.rollbacks += 1;
-            if consecutive_rollbacks > cfg.max_rollbacks_per_step {
-                return Err(ResilienceExhausted {
-                    rank: rank as usize,
-                    step,
-                    rollbacks: consecutive_rollbacks,
-                });
-            }
-            // Deposit any withheld (fault-delayed) sends, then make sure
-            // every rank has done so before anyone purges: after this
-            // barrier no stale-epoch message can still appear.
-            ctx.comm.flush_delayed();
-            ctx.coll.barrier();
-            dist.set_epoch(dist.epoch() + 1);
-            ctx.comm.purge_below(dist.tag_floor());
-            let meta = checkpoint::decode(&snapshot, state)
-                .expect("in-memory checkpoint cannot be corrupt");
-            dist.set_remap_phase(meta.remap_phase as usize);
-            step = meta.step;
-            continue;
-        }
-        consecutive_rollbacks = 0;
-        step += 1;
-        report.steps += 1;
-        if global.degraded {
-            report.degraded_steps += 1;
-        }
-        if global.cfl > report.worst_cfl {
-            report.worst_cfl = global.cfl;
-        }
-        // Degradation is armed from the GLOBAL verdict so every rank
-        // halves dt for the same steps.
-        if global.checked && global.cfl > dist.health.cfl_limit {
-            dist.arm_degradation();
-        }
-        if step.is_multiple_of(cfg.checkpoint_interval) {
-            take_snapshot(dist, state, step, &mut snapshot);
-        }
-    }
-    report.final_epoch = dist.epoch();
-    Ok(report)
-}
-
-fn verdict_elastic(ctx: &RankCtx, failed: bool, local: &StepHealth) -> (bool, StepHealth) {
-    let contrib = [
-        failed as u64 as f64,
-        local.checked as u64 as f64,
-        local.nonfinite as f64,
-        -local.min_dp3d,
-        local.max_wind,
-        local.cfl,
-        local.degraded as u64 as f64,
-    ];
-    let mut out = [0.0; VERDICT_LEN];
-    // A hub failure is unrecoverable for a child process: panic and let
-    // the supervisor account for this rank.
-    let absent = ctx
-        .coll
-        .allreduce_checked(&contrib, ReduceOp::Max, &mut out)
-        .expect("hub verdict reduction");
-    let global = StepHealth {
-        checked: out[1] > 0.0,
-        nonfinite: out[2] as u64,
-        min_dp3d: -out[3],
-        max_wind: out[4],
-        cfl: out[5],
-        degraded: out[6] > 0.0,
-    };
-    // An absent rank means the round completed without a dead peer's
-    // contribution — the step cannot commit, exactly like a local failure.
-    (out[0] > 0.0 || absent > 0, global)
-}
-
-fn write_elastic_checkpoint(path: &Path, dist: &DistDycore, state: &State, step: u64, rank: u32) {
-    let meta = CheckpointMeta {
-        step,
-        remap_phase: dist.remap_phase() as u32,
-        rank,
-        epoch: dist.epoch(),
-        time: step as f64 * dist.cfg.dt,
-    };
-    checkpoint::write_file(path, state, &meta)
-        .unwrap_or_else(|e| panic!("rank {rank}: checkpoint write failed: {e:?}"));
+    let mut snapshot = Snapshot::Memory(Vec::new());
+    snapshot.save(dist, state, 0, ctx.rank() as u32);
+    commit_loop(ctx, dist, state, nsteps, cfg, &mut snapshot, 0, before_attempt)
 }
 
 /// [`run_resilient`] for the **elastic multi-process world**
 /// ([`swmpi::process_world`]): ranks are real child processes, checkpoints
-/// live in `SWCKPT01` *files* (they must outlive the process), and rank
+/// live in `SWCKPT02` *files* (they must outlive the process), and rank
 /// death is survivable — not just message faults.
 ///
 /// Differences from the in-process protocol:
@@ -309,44 +233,58 @@ pub fn run_resilient_elastic(
     nsteps: u64,
     cfg: &ResilienceConfig,
 ) -> Result<ResilientReport, ResilienceExhausted> {
-    assert!(cfg.checkpoint_interval > 0, "checkpoint interval must be positive");
     let link = Arc::clone(
         ctx.elastic()
             .expect("run_resilient_elastic requires a process_world rank (elastic link)"),
     );
     let path = link.checkpoint_path();
-    let rank = ctx.rank() as u32;
-    let mut report = ResilientReport::default();
-    let mut step = 0u64;
-    if link.is_respawned() {
+    let respawned = link.is_respawned();
+    let mut snapshot = Snapshot::File(link, path);
+    let step = if respawned {
         // This process replaces a dead incarnation: rejoin the world at
         // the agreed epoch, then resume from the checkpoint the previous
         // incarnation committed.
-        let world_epoch = link.readmit().expect("respawn re-admission");
-        dist.set_epoch(world_epoch);
-        ctx.comm.purge_below(dist.tag_floor());
-        let meta = checkpoint::read_file(&path, state)
-            .unwrap_or_else(|e| panic!("rank {rank}: respawn restore failed: {e:?}"));
-        dist.set_remap_phase(meta.remap_phase as usize);
-        step = meta.step;
+        snapshot.roll_back(ctx, dist, state)
     } else {
-        write_elastic_checkpoint(&path, dist, state, 0, rank);
-    }
+        snapshot.save(dist, state, 0, ctx.rank() as u32);
+        0
+    };
+    commit_loop(ctx, dist, state, nsteps, cfg, &mut snapshot, step, |_, _, _| {})
+}
 
+/// The one commit loop: attempt, verdict, then either roll back or commit,
+/// degrade and snapshot.
+#[allow(clippy::too_many_arguments)]
+fn commit_loop(
+    ctx: &mut RankCtx,
+    dist: &mut DistDycore,
+    state: &mut State,
+    nsteps: u64,
+    cfg: &ResilienceConfig,
+    snapshot: &mut Snapshot,
+    mut step: u64,
+    mut before_attempt: impl FnMut(&mut DistDycore, &mut State, u64),
+) -> Result<ResilientReport, ResilienceExhausted> {
+    assert!(cfg.checkpoint_interval > 0, "checkpoint interval must be positive");
+    let rank = ctx.rank() as u32;
+    let mut report = ResilientReport::default();
     let mut consecutive_rollbacks = 0u32;
     while step < nsteps {
-        // In a first-incarnation child a scheduled kill_process fires
-        // here and never returns (SIGKILL).
+        // In a first-incarnation child of the elastic world a scheduled
+        // kill_process fires here and never returns (SIGKILL).
         let crashed = ctx.begin_step(step);
         let mut failed = crashed;
         let mut local = StepHealth::unchecked();
         if !crashed {
+            before_attempt(dist, state, step);
             match dist.step_checked(ctx, state) {
                 Ok(h) => local = h,
                 Err(_) => failed = true,
             }
         }
-        let (any_failed, global) = verdict_elastic(ctx, failed, &local);
+        // The one global decision point per attempt: every rank arrives
+        // here no matter how its step went, so generations never mix.
+        let (any_failed, global) = local.reduce_global(failed, &ctx.coll);
         if any_failed {
             consecutive_rollbacks += 1;
             report.rollbacks += 1;
@@ -357,18 +295,7 @@ pub fn run_resilient_elastic(
                     rollbacks: consecutive_rollbacks,
                 });
             }
-            ctx.comm.flush_delayed();
-            // The admit round doubles as the rollback barrier AND the
-            // respawn rendezvous: it completes only when all n ranks are
-            // in, so a killed rank's replacement is already meshed and
-            // admitted when this returns.
-            let world_epoch = link.readmit().expect("rollback re-admission");
-            dist.set_epoch(world_epoch);
-            ctx.comm.purge_below(dist.tag_floor());
-            let meta = checkpoint::read_file(&path, state)
-                .unwrap_or_else(|e| panic!("rank {rank}: rollback restore failed: {e:?}"));
-            dist.set_remap_phase(meta.remap_phase as usize);
-            step = meta.step;
+            step = snapshot.roll_back(ctx, dist, state);
             continue;
         }
         consecutive_rollbacks = 0;
@@ -380,11 +307,13 @@ pub fn run_resilient_elastic(
         if global.cfl > report.worst_cfl {
             report.worst_cfl = global.cfl;
         }
+        // Degradation is armed from the GLOBAL verdict so every rank
+        // halves dt for the same steps.
         if global.checked && global.cfl > dist.health.cfl_limit {
             dist.arm_degradation();
         }
         if step.is_multiple_of(cfg.checkpoint_interval) {
-            write_elastic_checkpoint(&path, dist, state, step, rank);
+            snapshot.save(dist, state, step, rank);
         }
     }
     report.final_epoch = dist.epoch();

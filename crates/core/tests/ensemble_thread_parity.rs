@@ -14,7 +14,7 @@ fn state_bits(st: &swcam_core::homme::State) -> Vec<u64> {
 }
 
 #[test]
-fn lane_group_is_bitwise_independent_of_worker_count() {
+fn sequential_members_are_bitwise_independent_of_worker_count() {
     let mut spec = ScenarioRegistry::builtin().get("held-suarez").expect("builtin").clone();
     spec.config.ne = 3;
     spec.config.nlev = 6;

@@ -206,22 +206,24 @@ impl DistDycore {
     /// vertical remap.
     pub fn step(&mut self, ctx: &mut RankCtx, state: &mut State) -> Result<(), DistError> {
         let (core, mut halo) = self.on(ctx);
-        core.step_on(&mut halo, state)
+        core.step_on(&mut halo, state, false).map(drop)
     }
 
     /// [`DistDycore::step`] with in-step health guards and the degradation
     /// policy, mirroring [`Dycore::step_checked`] decision-for-decision. The
     /// returned report is **rank-local**: the driver must merge it (one
-    /// [`StepHealth::reduce_global`] per step attempt, executed by every
-    /// rank) before acting on it, and a CFL breach arms nothing here — the
-    /// driver calls [`Dycore::arm_degradation`] on every rank after the
-    /// global verdict, so all ranks take identical degradation decisions.
+    /// [`StepHealth::reduce_global`] verdict per step attempt, executed by
+    /// every rank, failed or not) before acting on it, and a CFL breach
+    /// arms nothing here — the driver calls [`Dycore::arm_degradation`] on
+    /// every rank after the global verdict, so all ranks take identical
+    /// degradation decisions.
     ///
     /// On `Err` the state may hold a partially advanced step; restore a
     /// checkpoint before continuing.
     pub fn step_checked(&mut self, ctx: &mut RankCtx, state: &mut State) -> Result<StepHealth, DistError> {
         let (core, mut halo) = self.on(ctx);
-        core.step_checked_on(&mut halo, state)
+        let guarded = core.health.enabled;
+        core.step_on(&mut halo, state, guarded)
     }
 
     /// Current rollback epoch (high bits of every message tag).

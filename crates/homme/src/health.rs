@@ -98,12 +98,21 @@ impl StepHealth {
         StepHealth { checked: true, min_dp3d: f64::INFINITY, ..StepHealth::default() }
     }
 
-    /// Merge this rank's report into the global per-step verdict: every
-    /// field reduces with Max (min_dp3d negated), so all ranks see one
-    /// consistent worst case and take identical degradation decisions.
-    /// Allocation-free (fixed-width `allreduce_into`).
-    pub fn reduce_global(&self, coll: &Collectives) -> StepHealth {
+    /// The one global step verdict, executed by every rank once per step
+    /// attempt: this rank's `failed` flag and report reduce with Max
+    /// (`min_dp3d` negated) in one round, so all ranks see one consistent
+    /// worst case and take identical rollback and degradation decisions.
+    /// Returns `(any rank failed, merged report)`. A round that completed
+    /// without some rank's contribution ([`Collectives::allreduce_checked`]
+    /// reports it absent; never on the shared-memory backend) fails the
+    /// step like a local failure. Allocation-free at steady state.
+    ///
+    /// # Panics
+    /// If the reduction fabric itself fails: a rank that cannot reach the
+    /// verdict cannot take part in any recovery either.
+    pub fn reduce_global(&self, failed: bool, coll: &Collectives) -> (bool, StepHealth) {
         let contrib = [
+            failed as u64 as f64,
             self.checked as u64 as f64,
             self.nonfinite as f64,
             -self.min_dp3d,
@@ -111,16 +120,19 @@ impl StepHealth {
             self.cfl,
             self.degraded as u64 as f64,
         ];
-        let mut out = [0.0; 6];
-        coll.allreduce_into(&contrib, ReduceOp::Max, &mut out);
-        StepHealth {
-            checked: out[0] > 0.0,
-            nonfinite: out[1] as u64,
-            min_dp3d: -out[2],
-            max_wind: out[3],
-            cfl: out[4],
-            degraded: out[5] > 0.0,
-        }
+        let mut out = [0.0; 7];
+        let absent = coll
+            .allreduce_checked(&contrib, ReduceOp::Max, &mut out)
+            .expect("step verdict reduction");
+        let merged = StepHealth {
+            checked: out[1] > 0.0,
+            nonfinite: out[2] as u64,
+            min_dp3d: -out[3],
+            max_wind: out[4],
+            cfl: out[5],
+            degraded: out[6] > 0.0,
+        };
+        (out[0] > 0.0 || absent > 0, merged)
     }
 }
 
@@ -371,7 +383,7 @@ mod tests {
                 cfl: 0.1 * (ctx.rank() + 1) as f64,
                 degraded: ctx.rank() == 1,
             };
-            local.reduce_global(&ctx.coll)
+            local.reduce_global(false, &ctx.coll).1
         });
         for g in verdicts {
             assert!(g.checked);
@@ -380,5 +392,60 @@ mod tests {
             assert!((g.cfl - 0.3).abs() < 1e-12);
             assert!(g.degraded);
         }
+    }
+
+    /// One rank fails and the worst case of each field comes from a
+    /// different rank: every rank still reaches the same verdict.
+    #[test]
+    fn one_failed_rank_fails_the_step_on_every_rank() {
+        use swmpi::run_ranks;
+        let verdicts = run_ranks(3, |ctx| {
+            let r = ctx.rank();
+            let local = StepHealth {
+                checked: r != 2,
+                nonfinite: if r == 2 { 3 } else { 0 },
+                min_dp3d: [50.0, 20.0, 60.0][r],
+                max_wind: [70.0, 10.0, 30.0][r],
+                cfl: [0.2, 0.1, 0.9][r],
+                degraded: r == 1,
+            };
+            local.reduce_global(r == 1, &ctx.coll)
+        });
+        let expected = StepHealth {
+            checked: true,
+            nonfinite: 3,
+            min_dp3d: 20.0,
+            max_wind: 70.0,
+            cfl: 0.9,
+            degraded: true,
+        };
+        for (rank, v) in verdicts.into_iter().enumerate() {
+            assert_eq!(v, (true, expected), "rank {rank} reached a different verdict");
+        }
+        // And with nobody failing, nobody fails.
+        let clean = run_ranks(3, |ctx| StepHealth::begin().reduce_global(false, &ctx.coll).0);
+        assert_eq!(clean, vec![false; 3]);
+    }
+
+    /// A reduction round that completed without a dead rank's contribution
+    /// fails the step even though every present rank succeeded.
+    #[test]
+    fn an_absent_rank_fails_the_step() {
+        use std::sync::Arc;
+        use swmpi::{CommError, ReduceLink};
+
+        struct OneAbsent;
+        impl ReduceLink for OneAbsent {
+            // The one present rank's contribution is the whole result.
+            fn reduce(&self, _: ReduceOp, contrib: &[f64], out: &mut [f64]) -> Result<u32, CommError> {
+                out.copy_from_slice(contrib);
+                Ok(1)
+            }
+        }
+        let coll = Collectives::over_link(2, Arc::new(OneAbsent));
+        let local = StepHealth { max_wind: 5.0, ..StepHealth::begin() };
+        let (failed, merged) = local.reduce_global(false, &coll);
+        assert!(failed, "an absent rank must fail the step");
+        assert_eq!(merged, local);
     }
 }

@@ -78,9 +78,15 @@ const LAMBDA_MAX_ITERS: usize = 200;
 /// (`LAMBDA_TOL`; 20-35 iterations at ne4..ne30) and the result carries a
 /// 0.2% margin (`LAMBDA_MARGIN`) for the remaining approach.
 pub fn laplacian_lambda_max(grid: &CubedSphere) -> f64 {
+    laplacian_lambda_max_of(grid, &build_ops(grid))
+}
+
+/// [`laplacian_lambda_max`] on the grid's already built operator tables
+/// (`ops[e]` for `grid.elements[e]`). The DSS is its own, so a dycore's
+/// lazily sized accumulators stay unallocated.
+pub(crate) fn laplacian_lambda_max_of(grid: &CubedSphere, ops: &[ElemOps]) -> f64 {
     /// Components of the iterate: T, u, v.
     const F: usize = 3;
-    let ops = build_ops(grid);
     let mut dss = Dss::new(grid);
     // xorshift noise has a component along every mode; the DSS makes it
     // continuous. Layout `[nelem][F][NPTS]`: the components ride the DSS

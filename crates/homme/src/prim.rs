@@ -34,7 +34,8 @@ use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
 use crate::hypervis::{
-    laplace_levels_element, laplacian_lambda_max, min_gll_gap, HypervisConfig, HypervisStability,
+    laplace_levels_element, laplacian_lambda_max, laplacian_lambda_max_of, min_gll_gap,
+    HypervisConfig, HypervisStability,
 };
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, hypervis_pass_element_blocked,
@@ -157,8 +158,9 @@ impl Dycore {
     pub fn from_grid(grid: CubedSphere, dims: Dims, ptop: f64, cfg: DycoreConfig) -> Self {
         let dss = Dss::new(&grid);
         let gather = DssGather::new(&dss);
-        let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max(&grid));
-        Self::assemble(grid, dss, gather, dims, ptop, cfg, default_threads(), global)
+        let ops = build_ops(&grid);
+        let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max_of(&grid, &ops));
+        Self::assemble(grid, ops, dss, gather, dims, ptop, cfg, default_threads(), global)
     }
 
     /// The core of one rank's distributed driver: a dycore over the patch
@@ -188,16 +190,21 @@ impl Dycore {
             all_neighbors: owned.iter().map(|&e| grid.all_neighbors[e].clone()).collect(),
         };
         let dss = Dss::new(&patch);
+        // The whole grid's operator tables live only inside the λ
+        // iteration: built and freed before the patch's own tables, they
+        // do not raise the rank's peak footprint.
         let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max(grid));
-        Self::assemble(patch, dss, gather, dims, ptop, cfg, 1, global)
+        let ops = build_ops(&patch);
+        Self::assemble(patch, ops, dss, gather, dims, ptop, cfg, 1, global)
     }
 
-    /// `(char_dx, lambda_max)` are the whole grid's CFL spacing (the
-    /// smallest GLL gap on a representative element) and assembled
-    /// Laplacian eigenvalue bound.
+    /// `ops` are `grid`'s operator tables; `(char_dx, lambda_max)` are the
+    /// whole grid's CFL spacing (the smallest GLL gap on a representative
+    /// element) and assembled Laplacian eigenvalue bound.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         grid: CubedSphere,
+        ops: Vec<ElemOps>,
         dss: Dss,
         gather: DssGather,
         dims: Dims,
@@ -206,7 +213,6 @@ impl Dycore {
         threads: usize,
         (char_dx, lambda_max): (f64, f64),
     ) -> Self {
-        let ops = build_ops(&grid);
         let bops = build_blocked_ops(&ops);
         let vert = VertCoord::standard(dims.nlev, ptop);
         let rhs = Rhs::new(vert, dims);
@@ -648,24 +654,9 @@ impl Dycore {
         // The unguarded driver has no rollback path to route a verdict
         // into: a grid the hyperviscosity plan rejects or a broken column
         // is fatal here.
-        if let Err(e) = serial(self.step_on(&mut Halo::Serial, state)) {
+        if let Err(e) = serial(self.step_on(&mut Halo::Serial, state, false)) {
             panic!("serial step failed: {e}");
         }
-    }
-
-    /// [`Dycore::step`] with its DSS gathers' off-rank sharers behind
-    /// `halo`, errors returned instead of fatal.
-    pub(crate) fn step_on(&mut self, halo: &mut Halo, state: &mut State) -> Result<(), DistError> {
-        self.dynamics_step_guarded(halo, state, None)?;
-        let subcycles = self.hypervis_subcycles();
-        self.apply_hypervis_on(halo, state, subcycles)?;
-        self.euler_step_tracers_on(halo, state)?;
-        self.steps_since_remap += 1;
-        if self.steps_since_remap >= self.cfg.rsplit {
-            self.vertical_remap(state)?;
-            self.steps_since_remap = 0;
-        }
-        Ok(())
     }
 
     /// [`Dycore::step`] with in-step health guards: every RK stage is
@@ -680,40 +671,44 @@ impl Dycore {
     /// at stages 1–4 leaves the state as the step found it; one rejected
     /// at stage 5 leaves the rejected `u_5` in it.)
     pub fn step_checked(&mut self, state: &mut State) -> Result<StepHealth, HealthError> {
-        serial(self.step_checked_on(&mut Halo::Serial, state))
+        let guarded = self.health.enabled;
+        serial(self.step_on(&mut Halo::Serial, state, guarded))
     }
 
-    /// [`Dycore::step_checked`] with its DSS gathers' off-rank sharers
-    /// behind `halo`. On a rank the report is rank-local, so a CFL breach
-    /// does not arm the degradation policy here: ranks would diverge (each
-    /// sees its own winds). The distributed driver reduces the verdict and
-    /// calls [`Dycore::arm_degradation`] on every rank in lockstep.
-    pub(crate) fn step_checked_on(
+    /// The one step body of every driver, its DSS gathers' off-rank sharers
+    /// behind `halo`. Unguarded (`guarded = false`), it runs no stage scan,
+    /// leaves the degradation countdown alone and reports
+    /// [`StepHealth::unchecked`]. Guarded, it is [`Dycore::step_checked`]'s
+    /// step; on a rank the report is rank-local, so a CFL breach does not
+    /// arm the degradation policy here: ranks would diverge (each sees its
+    /// own winds). The distributed driver reduces the verdict and calls
+    /// [`Dycore::arm_degradation`] on every rank in lockstep.
+    pub(crate) fn step_on(
         &mut self,
         halo: &mut Halo,
         state: &mut State,
+        guarded: bool,
     ) -> Result<StepHealth, DistError> {
-        if !self.health.enabled {
-            self.step_on(halo, state)?;
-            return Ok(StepHealth::unchecked());
-        }
         let full_dt = self.cfg.dt;
-        let (splits, extra) = if self.degrade_pending > 0 {
+        let (splits, extra) = if guarded && self.degrade_pending > 0 {
             self.degrade_pending -= 1;
             (2usize, self.degrade.extra_subcycles)
         } else {
             (1usize, 0)
         };
-        let mut health = StepHealth::begin();
+        let mut health = if guarded { StepHealth::begin() } else { StepHealth::unchecked() };
         health.degraded = splits > 1;
         self.cfg.dt = full_dt / splits as f64;
         for _ in 0..splits {
             let subcycles = self.hypervis_subcycles() + extra;
             let split = self
-                .dynamics_step_guarded(halo, state, Some(&mut health))
+                .dynamics_step_guarded(halo, state, guarded.then_some(&mut health))
                 .and_then(|()| self.apply_hypervis_on(halo, state, subcycles))
                 .and_then(|()| self.euler_step_tracers_on(halo, state))
                 .and_then(|()| {
+                    if !guarded {
+                        return Ok(());
+                    }
                     // Post-advection scan covers the tracer arenas, which
                     // the RK stage scans never see.
                     let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
@@ -730,11 +725,14 @@ impl Dycore {
             self.vertical_remap(state)?;
             self.steps_since_remap = 0;
         }
-        // CFL is judged against the nominal dt: while winds stay too fast
-        // for the full step, degraded (halved-dt) stepping keeps re-arming.
-        health.cfl = health.max_wind * full_dt / self.char_dx;
-        if halo.is_serial() && health.cfl > self.health.cfl_limit {
-            self.arm_degradation();
+        if guarded {
+            // CFL is judged against the nominal dt: while winds stay too
+            // fast for the full step, degraded (halved-dt) stepping keeps
+            // re-arming.
+            health.cfl = health.max_wind * full_dt / self.char_dx;
+            if halo.is_serial() && health.cfl > self.health.cfl_limit {
+                self.arm_degradation();
+            }
         }
         Ok(health)
     }
@@ -804,8 +802,14 @@ impl Dycore {
     }
 
     /// Steps still owed to the degradation policy (0 = healthy cadence).
+    /// Checkpoints record this so a replay takes the run's `dt` path.
     pub fn degrade_pending(&self) -> usize {
         self.degrade_pending
+    }
+
+    /// Restore the degradation countdown (checkpoint restart, rollback).
+    pub fn set_degrade_pending(&mut self, steps: usize) {
+        self.degrade_pending = steps;
     }
 
     /// Global dry-air mass (`integral of sum_k dp3d dA`), Pa m^2.

@@ -124,8 +124,8 @@ fn distributed_step_allocates_nothing(dims: Dims) {
         // buffer pool, and may lazily touch thread-local libstd caches.
         // Two reductions so both of the collectives' swap buffers reach
         // verdict width.
-        let _ = dist.step_checked(ctx, &mut local).expect("warm-up step").reduce_global(&ctx.coll);
-        let _ = dist.step_checked(ctx, &mut local).expect("warm-up step").reduce_global(&ctx.coll);
+        let _ = dist.step_checked(ctx, &mut local).expect("warm-up step").reduce_global(false, &ctx.coll).1;
+        let _ = dist.step_checked(ctx, &mut local).expect("warm-up step").reduce_global(false, &ctx.coll).1;
 
         // All ranks step together inside the armed window (the barrier
         // itself is allocation-free: an empty allreduce).
@@ -135,8 +135,8 @@ fn distributed_step_allocates_nothing(dims: Dims) {
             ARMED.store(true, Ordering::SeqCst);
         }
         ctx.coll.barrier();
-        let h1 = dist.step_checked(ctx, &mut local).expect("armed step").reduce_global(&ctx.coll);
-        let h2 = dist.step_checked(ctx, &mut local).expect("armed step").reduce_global(&ctx.coll);
+        let h1 = dist.step_checked(ctx, &mut local).expect("armed step").reduce_global(false, &ctx.coll).1;
+        let h2 = dist.step_checked(ctx, &mut local).expect("armed step").reduce_global(false, &ctx.coll).1;
         assert!(h1.checked && h2.checked);
         ctx.coll.barrier();
         if ctx.rank() == 0 {

@@ -43,7 +43,7 @@
 //! same checkpoint directory. The respawned process re-runs the body from
 //! scratch; the elastic resilient driver (swcam-core's
 //! `run_resilient_elastic`) notices `is_respawned()`, re-admits itself,
-//! and restores from the last `SWCKPT01` checkpoint file instead of the
+//! and restores from the last `SWCKPT02` checkpoint file instead of the
 //! initial state. Survivors observe the death as a failed verdict (absent
 //! rank or a `ConnectionLost` step error), roll back to *their* last
 //! checkpoint — written at the same committed steps — and meet the

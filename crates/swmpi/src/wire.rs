@@ -1,5 +1,5 @@
 //! Byte-level helpers shared by every binary codec in the workspace: the
-//! `SWFR` frame codec ([`crate::tcp`]) and the `SWCKPT01` checkpoint codec
+//! `SWFR` frame codec ([`crate::tcp`]) and the `SWCKPT02` checkpoint codec
 //! in `swcam-core`. One checksum, one way to lay `f64`s out as bytes.
 
 /// Slicing-by-8 tables for the reflected IEEE polynomial: `T[0]` is the

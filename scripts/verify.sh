@@ -44,7 +44,7 @@ echo "== gather-DSS test group (SWCAM_THREADS 1, 2, 3)"
 cargo test -q -p homme --lib dss
 for threads in 1 2 3; do
     SWCAM_THREADS=$threads cargo test -q -p homme --test blocked_parity
-    SWCAM_THREADS=$threads cargo test -q -p swcam-core --test ensemble_lane_parity
+    SWCAM_THREADS=$threads cargo test -q -p swcam-core --test ensemble_sequential_parity
 done
 cargo test -q -p swcam-core --test ensemble_thread_parity
 
@@ -162,7 +162,7 @@ cargo test -q -p swcam-core --lib config
 cargo test -q -p swcam-core --lib coupling
 cargo test -q -p swcam-core --lib ensemble
 cargo test -q -p swcam-core --test ensemble_parity
-cargo test -q -p swcam-core --test ensemble_lane_parity
+cargo test -q -p swcam-core --test ensemble_sequential_parity
 cargo test -q -p swcam-core --test ensemble_alloc
 cargo test -q -p katrina --lib scenario
 

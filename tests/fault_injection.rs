@@ -288,18 +288,20 @@ fn crashed_rank_rolls_back_and_recovers() {
 }
 
 /// Run `NSTEPS` committed steps through the resilient driver with a
-/// per-attempt state-corruption hook and a shared health config. The hook
-/// receives `(rank, dist, state, step)` and is expected to key off
-/// `dist.epoch()` so the injection is one-shot.
+/// per-attempt state-corruption hook, a shared health config and a
+/// snapshot every `interval` committed steps. The hook receives `(rank,
+/// dist, state, step)` and is expected to key off `dist.epoch()` so the
+/// injection is one-shot.
 fn run_resilient_steps_with(
     grid: &CubedSphere,
     part: &Partition,
     init: &State,
     health: HealthConfig,
+    interval: u64,
     hook: impl Fn(usize, &mut homme::DistDycore, &mut State, u64) + Send + Sync,
 ) -> (RankStates, swcam_core::ResilientReport) {
     let cfg = config();
-    let rcfg = ResilienceConfig { checkpoint_interval: 2, max_rollbacks_per_step: 3 };
+    let rcfg = ResilienceConfig { checkpoint_interval: interval, max_rollbacks_per_step: 3 };
     let hook = &hook;
     let mut out = run_ranks_with(NRANKS, WorldOptions::default(), |ctx| {
         let mut dist =
@@ -333,7 +335,7 @@ fn injected_tracer_nan_rolls_back_and_recovers() {
 
     let no_inject = |_: usize, _: &mut homme::DistDycore, _: &mut State, _: u64| {};
     let (clean, clean_report) =
-        run_resilient_steps_with(&grid, &part, &init, HealthConfig::on(), no_inject);
+        run_resilient_steps_with(&grid, &part, &init, HealthConfig::on(), 2, no_inject);
     assert_eq!(clean_report.rollbacks, 0);
 
     let (poisoned, report) = run_resilient_steps_with(
@@ -341,6 +343,7 @@ fn injected_tracer_nan_rolls_back_and_recovers() {
         &part,
         &init,
         HealthConfig::on(),
+        2,
         |rank, dist, state, step| {
             // One-shot: only in the original epoch; the replay is clean.
             if rank == 0 && step == 3 && dist.epoch() == 0 {
@@ -352,6 +355,41 @@ fn injected_tracer_nan_rolls_back_and_recovers() {
     assert!(report.steps > NSTEPS as u64, "replayed commits must show in the report");
     assert!(report.final_epoch >= 1, "recovery must bump the rollback epoch");
     assert_bitwise(&clean, &poisoned, "tracer-NaN injection vs clean");
+}
+
+/// A rollback restores the degradation countdown with the state: with
+/// every step breaching the CFL limit, the only snapshot taken at step 0
+/// and a one-shot tracer NaN at step 3, the failed attempt has already
+/// counted the countdown down; the replay of step 0 must still run at full
+/// `dt` as the clean step 0 did, and the run must commit the clean bits.
+/// Every rank is poisoned, so every rank trips the guard in the first
+/// `dt/2` substep and none waits out a receive timeout in the second.
+#[test]
+fn rollback_restores_the_degradation_countdown() {
+    let grid = CubedSphere::new(NE);
+    let part = Partition::new(&grid, NRANKS);
+    let serial = Dycore::new(NE, dims(), 2000.0, config());
+    let init = initial_state(&serial);
+
+    // No reachable CFL number is at or below zero: every step breaches.
+    let health = HealthConfig { cfl_limit: 0.0, ..HealthConfig::on() };
+    let interval = 10 * NSTEPS as u64;
+
+    let no_inject = |_: usize, _: &mut homme::DistDycore, _: &mut State, _: u64| {};
+    let (clean, clean_report) =
+        run_resilient_steps_with(&grid, &part, &init, health, interval, no_inject);
+    assert_eq!(clean_report.rollbacks, 0);
+    assert_eq!(clean_report.degraded_steps, NSTEPS as u64 - 1, "every step after the first runs degraded");
+
+    let (poisoned, report) =
+        run_resilient_steps_with(&grid, &part, &init, health, interval, |_, dist, state, step| {
+            if step == 3 && dist.epoch() == 0 {
+                state.qdp[0] = f64::NAN;
+            }
+        });
+    assert_eq!(report.rollbacks, 1, "the tracer NaN must force one rollback");
+    assert_eq!(report.steps, NSTEPS as u64 + 3, "steps 0..3 are committed twice");
+    assert_bitwise(&clean, &poisoned, "degraded replay vs clean");
 }
 
 /// A collapsed (negative) Lagrangian layer that slips past the relaxed
@@ -370,11 +408,11 @@ fn injected_remap_failure_rolls_back_instead_of_panicking() {
     let health = HealthConfig { min_dp3d: f64::NEG_INFINITY, ..HealthConfig::on() };
 
     let no_inject = |_: usize, _: &mut homme::DistDycore, _: &mut State, _: u64| {};
-    let (clean, clean_report) = run_resilient_steps_with(&grid, &part, &init, health, no_inject);
+    let (clean, clean_report) = run_resilient_steps_with(&grid, &part, &init, health, 2, no_inject);
     assert_eq!(clean_report.rollbacks, 0);
 
     let (poisoned, report) =
-        run_resilient_steps_with(&grid, &part, &init, health, |rank, dist, state, step| {
+        run_resilient_steps_with(&grid, &part, &init, health, 2, |rank, dist, state, step| {
             if rank == 0 && step == 3 && dist.epoch() == 0 {
                 // Collapse one whole element level: interior GLL points are
                 // untouched by DSS and the in-element tendency is O(1) Pa,

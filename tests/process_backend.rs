@@ -8,7 +8,7 @@
 //!    bitwise the same state again;
 //! 3. **elastic resilience** — the multi-process world running the
 //!    elastic resilient driver ([`swcam_core::run_resilient_elastic`],
-//!    `SWCKPT01` checkpoint files) matches the in-process resilient
+//!    `SWCKPT02` checkpoint files) matches the in-process resilient
 //!    driver bitwise; and when [`swmpi::FaultPlan::kill_process`]
 //!    SIGKILLs one rank mid-step, the supervisor respawns it from its
 //!    checkpoint, the world re-admits it at the agreed epoch, and the run
