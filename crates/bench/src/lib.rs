@@ -15,8 +15,6 @@
 //! | `fig9` | Figure 9 — hurricane Katrina track + intensity |
 //! | `ablation_transfer` | §7.3 — Algorithm 1 vs 2 data-transfer volume |
 //! | `ablation_overlap` | §7.6 — original vs redesigned bndry_exchangev |
-//!
-//! Criterion benches live under `benches/`.
 
 use homme::kernels::{verify, KernelData, KernelId, Variant};
 

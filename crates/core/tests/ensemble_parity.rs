@@ -55,7 +55,7 @@ fn pin_batch(spec: &ScenarioSpec, n: usize, steps: usize) {
     }
 }
 
-/// The engine's shared dycore measures the same `lambda_max` — to the bit —
+/// The engine's shared dycore holds the same `lambda_max` bound — to the bit —
 /// as a standalone model and as the bare grid function, so a member runs
 /// the subcycle count its standalone twin runs.
 #[test]

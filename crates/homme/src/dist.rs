@@ -220,6 +220,9 @@ impl DistDycore {
     ///
     /// On `Err` the state may hold a partially advanced step; restore a
     /// checkpoint before continuing.
+    /// A guard tripped on some ranks only stalls the others a full
+    /// `CommConfig::recv_timeout` (60 s by default) before the verdict:
+    /// the failing rank skips the step's remaining exchanges (DESIGN §5.3).
     pub fn step_checked(&mut self, ctx: &mut RankCtx, state: &mut State) -> Result<StepHealth, DistError> {
         let (core, mut halo) = self.on(ctx);
         let guarded = core.health.enabled;

@@ -9,9 +9,9 @@
 //! ([`DssGather`]). The serial scatter walk over a flat arena
 //! ([`Dss::apply_flat`]) defines that order and is bitwise equal to it; no
 //! step calls it. It stays as the gather tests' reference, the DSS of the
-//! one-off `lambda_max` power iteration and of the raw assembled operators
-//! the tests probe ([`crate::hypervis::laplace_flat`]), and the frozen
-//! `benchmark/` crate's `dss.apply4_ms` probe ([`Dss::apply_flat4`]).
+//! raw assembled operators the tests probe
+//! ([`crate::hypervis::laplace_flat`]), and the frozen `benchmark/` crate's
+//! `dss.apply4_ms` probe ([`Dss::apply_flat4`]).
 
 use cubesphere::{CubedSphere, NPTS};
 

@@ -14,8 +14,8 @@
 //!
 //! Failures are typed ([`HealthError`]) so a resilient driver can abort
 //! the step and restore a checkpoint; warnings feed a [`StepHealth`]
-//! report and a degradation policy (halve `dt`, extra hyperviscosity
-//! subcycles) instead of producing silent garbage.
+//! report and a degradation policy (halve `dt`) instead of producing
+//! silent garbage.
 
 use crate::hypervis::HypervisError;
 use crate::remap::RemapError;
@@ -55,15 +55,15 @@ impl HealthConfig {
 /// What to do when the CFL guard trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradePolicy {
-    /// How many subsequent steps run as two `dt/2` substeps.
+    /// How many subsequent steps run as two `dt/2` substeps. Each substep
+    /// derives its hyperviscosity subcycle count at `dt/2`
+    /// ([`crate::hypervis::HypervisConfig::subcycles_for`]), already stable.
     pub halve_dt_steps: usize,
-    /// Extra hyperviscosity subcycles applied while degraded.
-    pub extra_subcycles: usize,
 }
 
 impl Default for DegradePolicy {
     fn default() -> Self {
-        DegradePolicy { halve_dt_steps: 2, extra_subcycles: 1 }
+        DegradePolicy { halve_dt_steps: 2 }
     }
 }
 

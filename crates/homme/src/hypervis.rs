@@ -9,7 +9,7 @@
 //! Laplacian viscosity (`hypervis_dp1` in the paper's kernel table) is also
 //! provided.
 
-use crate::deriv::{build_ops, ElemOps};
+use crate::deriv::ElemOps;
 use crate::dss::Dss;
 use crate::sched::{Arena, ElemScheduler};
 use cubesphere::{CubedSphere, Element, NPTS};
@@ -46,96 +46,99 @@ pub const EULER_LIMIT: f64 = 2.0;
 /// [`EULER_LIMIT`]. The one safety constant of the count.
 pub const SUBCYCLE_TARGET: f64 = 1.0;
 
-/// Successive-estimate relative change at which the power iteration of
-/// [`laplacian_lambda_max`] stops.
-const LAMBDA_TOL: f64 = 1.0e-4;
-
-/// Margin on the stopped estimate. Power iteration approaches `lambda_max`
-/// from below; at the [`LAMBDA_TOL`] stop it measured 0.03% short of the
-/// 3000-iteration value at ne 4 / 8 / 16 / 30, and the rigorous
-/// element-local ceiling sits 0.5-1.2% above that (DESIGN.md §5.7), so
-/// 0.2% covers the approach without leaving the bracket.
-const LAMBDA_MARGIN: f64 = 1.002;
-
-/// Iteration cap: a NaN metric never satisfies the stop criterion.
-const LAMBDA_MAX_ITERS: usize = 200;
-
-/// Largest eigenvalue magnitude, in m^-2, of the assembled one-level
-/// Laplacian the hyperviscosity step applies to `(T, u, v)`: the scalar
-/// weak Laplacian ([`ElemOps::laplace_sphere_wk`] + DSS, on T and dp3d)
-/// beside the vector Laplacian ([`ElemOps::vlaplace_sphere`] + DSS, on the
-/// wind). The biharmonic operator is that applied twice, so its stiffest
-/// mode decays at `nu * lambda_max^2`.
+/// Upper bound, in m^-2, on the largest eigenvalue magnitude of the
+/// assembled one-level Laplacians the hyperviscosity step applies: the
+/// scalar weak Laplacian on T and dp3d and the vector Laplacian on the
+/// wind, each followed by the DSS. The biharmonic operator is that applied
+/// twice, so its stiffest mode decays at `nu * lambda_max^2`.
 ///
-/// One power iteration on the three-component field — it converges to
-/// whichever block holds the larger eigenvalue (the scalar one on every
-/// cubed sphere measured; the vector block's is ~0.33 of it) — over the
-/// **global** grid in the mass (`spheremp`) norm, from a fixed
-/// pseudo-random start: serial, deterministic and free of communication,
-/// so the serial driver and every rank of every partition compute the
-/// identical bits. The estimate `|A x| / |x|` approaches `lambda_max` from
-/// below; the iteration stops when it moves by less than 1e-4 relative
-/// (`LAMBDA_TOL`; 20-35 iterations at ne4..ne30) and the result carries a
-/// 0.2% margin (`LAMBDA_MARGIN`) for the remaining approach.
+/// The DSS is the projection onto continuous fields that is orthogonal in
+/// the unassembled `spheremp` mass norm, so no assembled eigenvalue exceeds
+/// the largest element norm [`laplacian_norms`] (0.5-1.2% above it at ne
+/// 4..30, DESIGN.md §5.7). The maximum runs over the cube's symmetry wedge
+/// (face 0, `ei <= ej < ceil(ne/2)`), which holds every distinct element:
+/// the serial driver, every rank and the ensemble get the same bits from
+/// 10 elements at ne8, with no message and no whole-grid tables.
 pub fn laplacian_lambda_max(grid: &CubedSphere) -> f64 {
-    laplacian_lambda_max_of(grid, &build_ops(grid))
+    let half = grid.ne.div_ceil(2);
+    grid.elements
+        .iter()
+        .filter(|el| el.face == 0 && el.ei <= el.ej && el.ej < half)
+        .flat_map(|el| laplacian_norms(&ElemOps::new(el, &grid.basis)))
+        .fold(0.0, f64::max)
 }
 
-/// [`laplacian_lambda_max`] on the grid's already built operator tables
-/// (`ops[e]` for `grid.elements[e]`). The DSS is its own, so a dycore's
-/// lazily sized accumulators stay unallocated.
-pub(crate) fn laplacian_lambda_max_of(grid: &CubedSphere, ops: &[ElemOps]) -> f64 {
-    /// Components of the iterate: T, u, v.
-    const F: usize = 3;
-    let mut dss = Dss::new(grid);
-    // xorshift noise has a component along every mode; the DSS makes it
-    // continuous. Layout `[nelem][F][NPTS]`: the components ride the DSS
-    // as levels.
-    let mut seed = 0x9E37_79B9_7F4A_7C15_u64;
-    let mut x: Vec<f64> = (0..ops.len() * F * NPTS)
-        .map(|_| {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+/// `[scalar, vector]`: the norms `|M^(1/2) A M^(-1/2)|_2` of one element's
+/// scalar weak Laplacian (16x16, symmetric: its top eigenvalue magnitude)
+/// and vector Laplacian (32x32 on `(u, v)`: its top singular value), with
+/// `M` the element's `spheremp`.
+pub fn laplacian_norms(op: &ElemOps) -> [f64; 2] {
+    let w = op.spheremp.map(f64::sqrt);
+    let scalar: [[f64; NPTS]; NPTS] = core::array::from_fn(|j| {
+        let mut x = [0.0; NPTS];
+        x[j] = 1.0 / w[j];
+        let mut lap = [0.0; NPTS];
+        op.laplace_sphere_wk(&x, &mut lap);
+        core::array::from_fn(|i| w[i] * lap[i])
+    });
+    let vector: [[f64; 2 * NPTS]; 2 * NPTS] = core::array::from_fn(|j| {
+        let mut x = [[0.0; NPTS]; 2];
+        x[j / NPTS][j % NPTS] = 1.0 / w[j % NPTS];
+        let mut lap = [[0.0; NPTS]; 2];
+        let [lu, lv] = &mut lap;
+        op.vlaplace_sphere(&x[0], &x[1], lu, lv);
+        core::array::from_fn(|i| w[i % NPTS] * lap[i / NPTS][i % NPTS])
+    });
+    [spectral_norm(&scalar), spectral_norm(&vector)]
+}
+
+/// Largest singular value of the matrix with columns `cols`: the square
+/// root of the top eigenvalue of the Gram matrix `B^T B`, diagonalized by
+/// cyclic Jacobi rotations in a fixed order. The largest diagonal brackets
+/// that eigenvalue from below and the farthest reach of a Gershgorin disc
+/// from above; the sweeps stop once the two agree to `1e-12` (after 5-9
+/// sweeps on the Laplacians; at most 30, which a NaN metric reaches), and
+/// the result is the reach, an upper bound.
+fn spectral_norm<const N: usize>(cols: &[[f64; N]; N]) -> f64 {
+    let dot = |a: &[f64; N], b: &[f64; N]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+    let mut g: [[f64; N]; N] =
+        core::array::from_fn(|i| core::array::from_fn(|j| dot(&cols[i], &cols[j])));
+    // The largest diagonal is a Rayleigh quotient, so at most the top
+    // eigenvalue; the farthest reach of a Gershgorin disc is at least it.
+    let bracket = |g: &[[f64; N]; N]| {
+        (0..N).fold((f64::NEG_INFINITY, f64::NEG_INFINITY), |(diag, reach), i| {
+            let radius: f64 = (0..N).filter(|&j| j != i).map(|j| g[i][j].abs()).sum();
+            (diag.max(g[i][i]), reach.max(g[i][i] + radius))
         })
-        .collect();
-    dss.apply_flat(&mut x, F);
-    let norm = |x: &[f64]| -> f64 {
-        let mut sum = 0.0;
-        for (op, xe) in ops.iter().zip(x.chunks_exact(F * NPTS)) {
-            for xf in xe.chunks_exact(NPTS) {
-                for (w, v) in op.spheremp.iter().zip(xf) {
-                    sum += w * v * v;
+    };
+    for _ in 0..30 {
+        let (diag, reach) = bracket(&g);
+        if reach - diag <= 1e-12 * reach {
+            break;
+        }
+        for p in 0..N {
+            for q in p + 1..N {
+                if g[p][q] == 0.0 {
+                    continue;
+                }
+                // Rotation zeroing g[p][q]: t = tan(angle), the root of
+                // t^2 + 2 theta t - 1 = 0 of smaller magnitude.
+                let theta = (g[q][q] - g[p][p]) / (2.0 * g[p][q]);
+                let t = theta.signum() / (theta.abs() + theta.hypot(1.0));
+                let c = 1.0 / t.hypot(1.0);
+                let s = t * c;
+                for k in 0..N {
+                    let (a, b) = (g[k][p], g[k][q]);
+                    (g[k][p], g[k][q]) = (c * a - s * b, s * a + c * b);
+                }
+                for k in 0..N {
+                    let (a, b) = (g[p][k], g[q][k]);
+                    (g[p][k], g[q][k]) = (c * a - s * b, s * a + c * b);
                 }
             }
         }
-        sum.sqrt()
-    };
-    // `size` is |x|; each pass stores A x / |x|, whose norm is both the
-    // estimate and the next pass's |x|.
-    let mut size = norm(&x);
-    let mut lambda = 0.0;
-    for _ in 0..LAMBDA_MAX_ITERS {
-        let scale = 1.0 / size;
-        for (op, xe) in ops.iter().zip(x.chunks_exact_mut(F * NPTS)) {
-            let mut out = [[0.0; NPTS]; F];
-            let [lt, lu, lv] = &mut out;
-            op.laplace_sphere_wk(&xe[..NPTS], lt);
-            op.vlaplace_sphere(&xe[NPTS..2 * NPTS], &xe[2 * NPTS..], lu, lv);
-            for (v, o) in xe.iter_mut().zip(out.as_flattened()) {
-                *v = o * scale;
-            }
-        }
-        dss.apply_flat(&mut x, F);
-        size = norm(&x);
-        let converged = (size - lambda).abs() <= LAMBDA_TOL * size;
-        lambda = size;
-        if converged {
-            break;
-        }
     }
-    lambda * LAMBDA_MARGIN
+    bracket(&g).1.sqrt()
 }
 
 /// Hyperviscosity configuration.
@@ -160,8 +163,8 @@ pub struct HypervisConfig {
 impl HypervisConfig {
     /// CAM's resolution scaling: `nu = 1e15 (30/ne)^3.2` m^4/s, with
     /// HOMME's production floor of 3 subcycles — which is also what the
-    /// measured operator asks for at `DycoreConfig::for_ne`'s time step at
-    /// every resolution (`nu lambda_max^2 dt` is 2.3 / 1.9 / 1.7 / 1.4 at
+    /// bounded operator asks for at `DycoreConfig::for_ne`'s time step at
+    /// every resolution (`nu lambda_max^2 dt` is 2.3 / 1.9 / 1.7 / 1.5 at
     /// ne 4 / 8 / 16 / 30).
     pub fn for_ne(ne: usize) -> Self {
         let nu = 1.0e15 * (30.0 / ne as f64).powf(3.2);
@@ -207,8 +210,8 @@ impl HypervisConfig {
 /// ([`crate::prim::Dycore::hypervis_stability`] and the distributed twin).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HypervisStability {
-    /// Largest eigenvalue of the grid's assembled Laplacian, m^-2
-    /// ([`laplacian_lambda_max`]).
+    /// Upper bound on the top eigenvalue magnitude of the grid's assembled
+    /// Laplacian, m^-2 ([`laplacian_lambda_max`]).
     pub lambda_max: f64,
     /// `max(nu, nu_p) * lambda_max^2 * dt`: the forward-Euler damping
     /// number of the stiffest mode over one un-subcycled step.
@@ -258,7 +261,7 @@ impl std::fmt::Display for HypervisError {
             HypervisError::UnstableSubcycles { requested, needed } => write!(
                 f,
                 "hyperviscosity plan rejected {requested} subcycles: past the forward-Euler \
-                 limit of the measured operator, which needs {needed}"
+                 limit of the bounded operator, which needs {needed}"
             ),
         }
     }
@@ -426,9 +429,9 @@ pub fn laplace_levels_element<const NS: usize>(
 /// workers, then the serial scatter DSS [`Dss::apply_flat`].
 /// Allocation-free once `dss` has walked once.
 ///
-/// No step calls this: the step assembles with element-parallel gathers.
-/// It stays as the raw assembled operator that the `hypervis_parity`,
-/// `convergence` and property tests and this module's tests probe.
+/// Only tests call this: the step assembles with element-parallel gathers.
+/// It stays as the raw assembled operator that the `hypervis_parity` (the
+/// `lambda_max` bound's check), `convergence` and property tests probe.
 pub fn laplace_flat(
     ops: &[ElemOps],
     dss: &mut Dss,
@@ -479,6 +482,7 @@ pub fn vlaplace_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deriv::build_ops;
 
     /// One level of `f(lat, lon)` in the flat `[nelem][NPTS]` layout.
     fn field_of(grid: &CubedSphere, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
@@ -580,6 +584,29 @@ mod tests {
         );
         assert_eq!(plan.build(&hv, dt, 4, lambda, 4, &ops), Ok(()));
         assert_eq!(plan.subcycles, 4);
+    }
+
+    /// The second-difference matrix `tridiag(-1, 2, -1)` of order `N` has
+    /// eigenvalues `2 - 2 cos(k pi / (N + 1))`, so its spectral norm is
+    /// `2 + 2 cos(pi / (N + 1))`: the Jacobi bound meets it from above to
+    /// the stop tolerance, at both orders the Laplacian blocks use.
+    #[test]
+    fn spectral_norm_bounds_a_known_spectrum_from_above() {
+        fn check<const N: usize>() {
+            let cols: [[f64; N]; N] = core::array::from_fn(|j| {
+                core::array::from_fn(|i| match i.abs_diff(j) {
+                    0 => 2.0,
+                    1 => -1.0,
+                    _ => 0.0,
+                })
+            });
+            let exact = 2.0 + 2.0 * (std::f64::consts::PI / (N + 1) as f64).cos();
+            let got = spectral_norm(&cols);
+            let (low, high) = (exact * (1.0 - 1e-15), exact * (1.0 + 1e-12));
+            assert!(low <= got && got <= high, "N={N}: {got} vs {exact}");
+        }
+        check::<NPTS>();
+        check::<{ 2 * NPTS }>();
     }
 
     #[test]

@@ -34,8 +34,7 @@ use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
 use crate::hypervis::{
-    laplace_levels_element, laplacian_lambda_max, laplacian_lambda_max_of, min_gll_gap,
-    HypervisConfig, HypervisStability,
+    laplace_levels_element, laplacian_lambda_max, min_gll_gap, HypervisConfig, HypervisStability,
 };
 use crate::kernels::blocked::{
     build_blocked_ops, element_rhs_apply_blocked, hypervis_pass_element_blocked,
@@ -128,8 +127,8 @@ pub struct Dycore {
     steps_since_remap: usize,
     degrade_pending: usize,
     char_dx: f64,
-    /// Largest eigenvalue of the grid's assembled Laplacian, measured once
-    /// at construction ([`laplacian_lambda_max`]).
+    /// Upper bound on the largest eigenvalue of the grid's assembled
+    /// Laplacian, evaluated once at construction ([`laplacian_lambda_max`]).
     lambda_max: f64,
 }
 
@@ -159,7 +158,7 @@ impl Dycore {
         let dss = Dss::new(&grid);
         let gather = DssGather::new(&dss);
         let ops = build_ops(&grid);
-        let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max_of(&grid, &ops));
+        let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max(&grid));
         Self::assemble(grid, ops, dss, gather, dims, ptop, cfg, default_threads(), global)
     }
 
@@ -167,10 +166,11 @@ impl Dycore {
     /// of `grid` made of the `owned` elements (in that local order), whose
     /// DSS is `gather` (with ghost sharers into the peers' messages). It
     /// runs one worker unless [`Dycore::set_threads`] says otherwise. The
-    /// CFL spacing and `lambda_max` come from the whole grid, exactly as
-    /// the serial driver computes them, so every rank judges stability and
-    /// runs the subcycle count (it is the exchange schedule) identically
-    /// with no message exchanged to agree on it.
+    /// CFL spacing and `lambda_max` come from global element 0 and the
+    /// grid's symmetry wedge ([`laplacian_lambda_max`]), the elements the
+    /// serial driver reads, so every rank judges stability and runs the
+    /// subcycle count (it is the exchange schedule) identically with no
+    /// message exchanged to agree on it and no whole-grid operator tables.
     pub(crate) fn for_patch(
         grid: &CubedSphere,
         owned: &[usize],
@@ -190,9 +190,6 @@ impl Dycore {
             all_neighbors: owned.iter().map(|&e| grid.all_neighbors[e].clone()).collect(),
         };
         let dss = Dss::new(&patch);
-        // The whole grid's operator tables live only inside the λ
-        // iteration: built and freed before the patch's own tables, they
-        // do not raise the rank's peak footprint.
         let global = (min_gll_gap(&grid.elements[0]), laplacian_lambda_max(grid));
         let ops = build_ops(&patch);
         Self::assemble(patch, ops, dss, gather, dims, ptop, cfg, 1, global)
@@ -269,12 +266,12 @@ impl Dycore {
     }
 
     /// Hyperviscosity subcycles a step of the current `cfg.dt` runs:
-    /// [`HypervisConfig::subcycles_for`] the grid's measured `lambda_max`.
+    /// [`HypervisConfig::subcycles_for`] the grid's `lambda_max` bound.
     pub fn hypervis_subcycles(&self) -> usize {
         self.cfg.hypervis.subcycles_for(self.lambda_max, self.cfg.dt)
     }
 
-    /// The measured `lambda_max`, the damping number and the count they
+    /// The `lambda_max` bound, the damping number and the count they
     /// give — what a run prints once so the count explains itself.
     pub fn hypervis_stability(&self) -> HypervisStability {
         self.cfg.hypervis.stability(self.lambda_max, self.cfg.dt)
@@ -291,8 +288,7 @@ impl Dycore {
         self.apply_hypervis_n(state, subcycles)
     }
 
-    /// [`Dycore::apply_hypervis`] with an explicit subcycle count (the
-    /// degradation policy adds extra subcycles on top of the derived count).
+    /// [`Dycore::apply_hypervis`] with an explicit subcycle count.
     /// A count that leaves the grid's stiffest mode past the forward-Euler
     /// limit is rejected as `HypervisError::UnstableSubcycles` (inside
     /// [`HealthError::Hypervis`]) with the state untouched, like a corrupt
@@ -663,8 +659,8 @@ impl Dycore {
     /// scanned for non-finite values and collapsed layers, and the step's
     /// advective CFL number is estimated afterwards. A CFL breach arms the
     /// degradation policy, so the next [`DegradePolicy::halve_dt_steps`]
-    /// steps run as two `dt/2` substeps with extra hyperviscosity
-    /// subcycles. With guards disabled this is exactly [`Dycore::step`].
+    /// steps run as two `dt/2` substeps, each with the subcycle count of
+    /// its own `dt/2`. With guards disabled this is exactly [`Dycore::step`].
     ///
     /// On `Err` the state may hold a partially advanced step and must be
     /// restored from a checkpoint before continuing. (An RK stage rejected
@@ -690,20 +686,16 @@ impl Dycore {
         guarded: bool,
     ) -> Result<StepHealth, DistError> {
         let full_dt = self.cfg.dt;
-        let (splits, extra) = if guarded && self.degrade_pending > 0 {
-            self.degrade_pending -= 1;
-            (2usize, self.degrade.extra_subcycles)
-        } else {
-            (1usize, 0)
-        };
+        let degraded = guarded && self.degrade_pending > 0;
+        self.degrade_pending -= usize::from(degraded);
+        let splits = if degraded { 2 } else { 1 };
         let mut health = if guarded { StepHealth::begin() } else { StepHealth::unchecked() };
-        health.degraded = splits > 1;
+        health.degraded = degraded;
         self.cfg.dt = full_dt / splits as f64;
         for _ in 0..splits {
-            let subcycles = self.hypervis_subcycles() + extra;
             let split = self
                 .dynamics_step_guarded(halo, state, guarded.then_some(&mut health))
-                .and_then(|()| self.apply_hypervis_on(halo, state, subcycles))
+                .and_then(|()| self.apply_hypervis_on(halo, state, self.hypervis_subcycles()))
                 .and_then(|()| self.euler_step_tracers_on(halo, state))
                 .and_then(|()| {
                     if !guarded {

@@ -2,18 +2,20 @@
 //! (DESIGN.md §5.7): the fused Blocked path is a bitwise re-expression of
 //! the scalar oracle across level counts and sponge depths, the subcycled
 //! del^4 damping conserves dp3d mass, the subcycle count is derived from
-//! the assembled Laplacian's measured `lambda_max` (tight against the true
-//! stability edge from both sides, bracketed by the element-local ceiling,
-//! bit-identical on every rank), and a corrupt element or an unstable
+//! the element-local bound on the assembled Laplacian's `lambda_max`
+//! (tight against the true stability edge from both sides, within 2% above
+//! the converged assembled value, bit-identical on every rank), and a
+//! corrupt element or an unstable
 //! explicit count is rejected by the plan build as a typed error before
 //! any state is touched.
 
 use cubesphere::consts::{EARTH_RADIUS, OMEGA, P0, RD};
 use cubesphere::{CubedSphere, Partition, NPTS};
-use homme::hypervis::{biharmonic_flat, laplace_flat};
+use homme::hypervis::{biharmonic_flat, laplace_flat, laplacian_norms, vlaplace_flat};
 use homme::{
-    build_ops, laplacian_lambda_max, Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode,
-    HealthConfig, HealthError, HypervisConfig, HypervisError, KernelPath, State,
+    build_ops, laplacian_lambda_max, Dims, DistDycore, Dss, Dycore, DycoreConfig, ElemOps,
+    ElemScheduler, ExchangeMode, HealthConfig, HealthError, HypervisConfig, HypervisError,
+    KernelPath, State,
 };
 use swmpi::run_ranks;
 
@@ -179,12 +181,12 @@ fn shallow_level_sponge_clamps_serial_and_distributed() {
 /// The subcycle count, derived. One forward-Euler subcycle multiplies the
 /// mode with Laplacian eigenvalue `lambda` by `1 - nu lambda^2 dt / n`;
 /// it grows past `nu lambda^2 dt / n = 2` and decays monotonically below 1.
-/// `laplacian_lambda_max` measures the stiffest `lambda` of the assembled
-/// operator (3.995e-11 / 1.575e-10 / 6.258e-10 / 2.194e-9 m^-2 at ne 4 /
-/// 8 / 16 / 30, i.e. `lambda_max (R dab/2)^2 ~ 61.7` at every resolution),
+/// `laplacian_lambda_max` bounds the stiffest `lambda` of the assembled
+/// operator (4.015e-11 / 1.582e-10 / 6.305e-10 / 2.220e-9 m^-2 at ne 4 /
+/// 8 / 16 / 30, i.e. `lambda_max (R dab/2)^2 ~ 62` at every resolution),
 /// and `DycoreConfig::for_ne` couples `nu ~ ne^-3.2`, `dt ~ ne^-1` against
-/// `lambda_max^2 ~ ne^4`, so `nu lambda_max^2 dt` = 2.27 / 1.92 / 1.65 /
-/// 1.44 shrinks slowly with refinement. `subcycles_for` targets 1 per
+/// `lambda_max^2 ~ ne^4`, so `nu lambda_max^2 dt` = 2.29 / 1.94 / 1.67 /
+/// 1.48 shrinks slowly with refinement. `subcycles_for` targets 1 per
 /// subcycle: the operator alone asks for ceil of those — 3 / 2 / 2 / 2 —
 /// and HOMME's production floor of 3 decides every default configuration.
 #[test]
@@ -198,40 +200,82 @@ fn subcycle_counts_derived_from_the_measured_operator() {
     }
 }
 
-/// The measured `lambda_max` is bracketed. Power iteration converges from
-/// below, so it needs an independent ceiling: an assembled operator's
-/// largest generalized eigenvalue cannot exceed the largest element one
-/// (Irons-Treharne), and `laplace_sphere_wk` on one element alone *is*
-/// `M_e^-1 K_e`. The global value must sit under that ceiling and within
-/// 2% of it, and `lambda_max (R dab/2)^2` must be the same number at every
-/// resolution.
+/// Top eigenvalue magnitude of one assembled one-level operator: `apply`
+/// runs the element kernels and the DSS on the `x.len()` fields, and the
+/// iteration runs in the mass (`spheremp`) norm. Every estimate
+/// `|P A x| / |x|` is at most `|A|_M`, converged or not.
+fn assembled_lambda(ops: &[ElemOps], mut x: Vec<Vec<f64>>, mut apply: impl FnMut(&mut [Vec<f64>])) -> f64 {
+    let norm = |x: &[Vec<f64>]| -> f64 {
+        let weighted = |f: &Vec<f64>| -> f64 {
+            let per_elem = f.chunks_exact(NPTS).zip(ops);
+            per_elem.map(|(fe, op)| fe.iter().zip(&op.spheremp).map(|(v, w)| w * v * v).sum::<f64>()).sum()
+        };
+        x.iter().map(weighted).sum::<f64>().sqrt()
+    };
+    let mut lambda = 0.0;
+    for _ in 0..400 {
+        let size = norm(&x);
+        x.iter_mut().flatten().for_each(|v| *v /= size);
+        apply(&mut x);
+        lambda = norm(&x);
+    }
+    lambda
+}
+
+/// The `lambda_max` bound is rigorous and tight. It is `max_e |A_e|_M`
+/// over the cube's symmetry wedge (face 0, `ei <= ej < ceil(ne/2)`); the
+/// DSS is the mass-orthogonal projection, so it cannot be below the
+/// assembled operator's top eigenvalue, here converged by power iteration
+/// on the scalar weak Laplacian and on the vector Laplacian. It sits
+/// within 2% of that value, the wedge holds the all-element maximum of
+/// both blocks, the vector block never decides, and
+/// `lambda_max (R dab/2)^2` is the same number at every resolution.
 #[test]
-fn lambda_max_sits_just_under_the_element_local_ceiling() {
+fn lambda_max_bound_sits_just_above_the_assembled_operator() {
     for ne in [4usize, 8, 16] {
         let grid = CubedSphere::new(ne);
-        let global = laplacian_lambda_max(&grid);
-        let mut ceiling: f64 = 0.0;
-        for op in &build_ops(&grid) {
-            let norm = |y: &[f64; NPTS]| -> f64 {
-                y.iter().zip(&op.spheremp).map(|(v, w)| w * v * v).sum::<f64>().sqrt()
-            };
-            let mut y: [f64; NPTS] = core::array::from_fn(|p| ((p * 37 % 11) as f64) - 5.0);
-            let mut lambda = 0.0;
-            for _ in 0..400 {
-                let size = norm(&y);
-                let mut out = [0.0; NPTS];
-                op.laplace_sphere_wk(&y, &mut out);
-                y = out.map(|v| v / size);
-                lambda = norm(&y);
-            }
-            ceiling = ceiling.max(lambda);
-        }
+        let bound = laplacian_lambda_max(&grid);
+        let ops = build_ops(&grid);
+        let mut dss = Dss::new(&grid);
+        let sched = ElemScheduler::new(1);
+        let noise = |salt: usize| -> Vec<f64> {
+            (0..ops.len() * NPTS).map(|i| (((i + salt) * 7919 % 1013) as f64) / 1013.0 - 0.5).collect()
+        };
+        let scalar = assembled_lambda(&ops, vec![noise(0)], |x| {
+            laplace_flat(&ops, &mut dss, &sched, 1, &mut x[0]);
+        });
+        let vector = assembled_lambda(&ops, vec![noise(1), noise(2)], |x| {
+            let [u, v] = x else { unreachable!() };
+            vlaplace_flat(&ops, &mut dss, &sched, 1, u, v);
+        });
+        let assembled = scalar.max(vector);
         assert!(
-            global <= ceiling && ceiling <= 1.02 * global,
-            "ne{ne}: global {global:e} vs element-local ceiling {ceiling:e}"
+            assembled <= bound && bound <= 1.02 * assembled,
+            "ne{ne}: bound {bound:e} vs assembled {assembled:e}"
         );
+
+        let half = ne.div_ceil(2);
+        let mut all = [0.0_f64; 2];
+        let mut wedge = [0.0_f64; 2];
+        for (el, op) in grid.elements.iter().zip(&ops) {
+            let norms = laplacian_norms(op);
+            let in_wedge = el.face == 0 && el.ei <= el.ej && el.ej < half;
+            for b in 0..2 {
+                all[b] = all[b].max(norms[b]);
+                if in_wedge {
+                    wedge[b] = wedge[b].max(norms[b]);
+                }
+            }
+        }
+        for (b, block) in ["scalar", "vector"].iter().enumerate() {
+            let rel = (all[b] - wedge[b]).abs() / all[b];
+            assert!(rel <= 1e-12, "ne{ne} {block}: wedge {:e} vs all elements {:e}", wedge[b], all[b]);
+        }
+        assert_eq!(bound.to_bits(), wedge[0].max(wedge[1]).to_bits(), "ne{ne}: the bound is the wedge max");
+        assert!(wedge[1] < wedge[0], "ne{ne}: vector bound {:e} >= scalar {:e}", wedge[1], wedge[0]);
+
         let half_width = EARTH_RADIUS * grid.elements[0].dab / 2.0;
-        let scaled = global * half_width * half_width;
+        let scaled = bound * half_width * half_width;
         assert!((scaled / 61.7 - 1.0).abs() < 0.03, "ne{ne}: lambda_max (R dab/2)^2 = {scaled}");
     }
 }
@@ -241,8 +285,8 @@ fn lambda_max_sits_just_under_the_element_local_ceiling() {
 /// forward-Euler limit 2: just inside, 20 applications shrink the mode;
 /// just outside, `apply_hypervis_n` rejects the count with the state
 /// bitwise untouched *and* 20 raw forward-Euler applications of the weak
-/// biharmonic at the same coefficient grow it. So the measured value is
-/// within 5% of the true stability edge from both sides.
+/// biharmonic at the same coefficient grow it. So the bound is within 5%
+/// of the true stability edge from both sides.
 #[test]
 fn measured_lambda_max_is_within_5_percent_of_the_stability_edge() {
     let dims = Dims { nlev: 1, qsize: 0 };
@@ -351,7 +395,7 @@ fn three_subcycles_track_thirty_six() {
     assert!(drift3.abs() < 1e-12 && drift36.abs() < 1e-12, "dry mass drift {drift3:e} / {drift36:e}");
 }
 
-/// Serial and distributed drivers agree on the measured `lambda_max` to
+/// Serial and distributed drivers agree on the `lambda_max` bound to
 /// the bit, and so on the subcycle count, on every rank of every partition
 /// — the count is part of the exchange schedule, so a disagreement would
 /// deadlock the fused hyperviscosity exchanges, and no message is spent

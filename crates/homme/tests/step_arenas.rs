@@ -92,7 +92,7 @@ fn rk_stage_rejection_leaves_the_state_as_documented() {
         dy.health = HealthConfig { min_dp3d: f64::NEG_INFINITY, ..HealthConfig::on() };
         // Every probe is one full-dt step: a CFL breach must not split the
         // next probe into two half steps, the first of which would commit.
-        dy.degrade = DegradePolicy { halve_dt_steps: 0, extra_subcycles: 0 };
+        dy.degrade = DegradePolicy { halve_dt_steps: 0 };
         let start = nggps_like_state(&dy);
         let mut seen = [false; 5];
         for amp in amps.clone() {

@@ -141,11 +141,12 @@ cargo test -q -p swcam-bench --test process_backend
 # plan build/validation units, the fused-sweep bitwise parity across
 # level/sponge shapes, mass conservation, shallow-column sponge clamps
 # (serial + distributed), the typed-rejection rollback routing, and the
-# subcycle count derived from the measured lambda_max: the count rule and
-# the unstable-count rejection (units), lambda_max bracketed by the
-# element-local ceiling, tight against the stability edge from both
-# sides, its bits equal on every rank and in the ensemble's dycore, and
-# the 3-vs-36-subcycle agreement run.
+# subcycle count derived from the element-local lambda_max bound: the count
+# rule and the unstable-count rejection (units), the bound at most 2% above
+# a converged assembled power iteration and never below it, its symmetry
+# wedge equal to the all-element maximum for both blocks, tight against the
+# stability edge from both sides, its bits equal on every rank and in the
+# ensemble's dycore, and the 3-vs-36-subcycle agreement run.
 echo "== hypervis test group"
 cargo test -q -p homme --lib hypervis
 cargo test -q -p homme --test hypervis_parity
