@@ -6,7 +6,7 @@ use cubesphere::{CubedSphere, Partition, NPTS};
 use homme::bndry::{CopyStats, ExchangeMode, ExchangePlan};
 use homme::kernels::Variant;
 use perfmodel::report::table;
-use perfmodel::stepmodel::{CommMode, RankWork, StepModel};
+use perfmodel::stepmodel::{RankWork, StepModel};
 use perfmodel::Machine;
 use swmpi::run_ranks;
 
@@ -66,9 +66,9 @@ fn main() {
     {
         let w = RankWork { elems, nlev: 128, qsize: 25 };
         let t_orig =
-            StepModel::new(&m, Variant::Athread, CommMode::Original).step_seconds(w, nranks);
+            StepModel::new(&m, Variant::Athread, ExchangeMode::Original).step_seconds(w, nranks);
         let t_new =
-            StepModel::new(&m, Variant::Athread, CommMode::Redesigned).step_seconds(w, nranks);
+            StepModel::new(&m, Variant::Athread, ExchangeMode::Redesigned).step_seconds(w, nranks);
         rows.push(vec![
             format!("{label} ({elems} elem @ {nranks})"),
             format!("{:.4} s", t_orig),

@@ -256,7 +256,7 @@ mod tests {
     use super::*;
     use crate::health::HealthConfig;
     use crate::hypervis::HypervisConfig;
-    use crate::kernels::blocked::{KernelPath, QCHUNK};
+    use crate::kernels::blocked::KernelPath;
     use crate::prim::{Dycore, DycoreConfig};
     use crate::state::State;
     use cubesphere::consts::P0;
@@ -454,58 +454,78 @@ mod tests {
         }
     }
 
-    /// Message accounting across the whole step: the redesigned schedule
-    /// aggregates every exchange (RK substeps, sponge, hyperviscosity
-    /// Laplacians, each tracer chunk's stages) into exactly one message per
-    /// peer, sends each peer one raw value per shared (element, point) per
-    /// field-level, and stages zero bytes. One tracer fits one chunk; six
-    /// take two.
+    /// One step on 4 mailbox ranks of an ne3 grid for every qsize in
+    /// {0, 1, 4, 6, 25} (no chunk, one, one full, a full and a ragged, seven)
+    /// under five hyperviscosity configurations: sponge off and on at
+    /// derived subcycle counts 1 and 3 (a floor of 1; the larger `nu` puts
+    /// the damping number near 2.4), and hyperviscosity off with
+    /// `nu_top > 0` (no sponge runs). Every rank's messages and bytes, as
+    /// the exchange layer and the communicator count them, equal
+    /// [`Dycore::step_plan`]'s exchanges and field-levels: one message per
+    /// peer per exchange (`Redesigned`) or per field-level (`Original`), and
+    /// one raw value per shared (element, point) per field-level.
+    fn assert_step_traffic_matches_plan(mode: ExchangeMode) {
+        let ne = 3;
+        let nranks = 4;
+        let grid = CubedSphere::new(ne);
+        let part = Partition::new(&grid, nranks);
+        let mut hvs = Vec::new();
+        for (nu, derived) in [(1.0e13, 1), (1.5e19, 3)] {
+            for (nu_top, sponge_layers) in [(0.0, 0), (2.5e5, 2)] {
+                let hv = HypervisConfig { nu, nu_p: nu, subcycles: 1, nu_top, sponge_layers };
+                hvs.push((hv, derived));
+            }
+        }
+        let off = HypervisConfig { nu_top: 2.5e5, sponge_layers: 2, ..HypervisConfig::off() };
+        hvs.push((off, 1));
+        for qsize in [0, 1, 4, 6, 25] {
+            for &(hv, subcycles) in &hvs {
+                let dims = Dims { nlev: 4, qsize };
+                let cfg = DycoreConfig { dt: 300.0, hypervis: hv, limiter: true, rsplit: 1 };
+                let serial = Dycore::new(ne, dims, 2000.0, cfg);
+                let mut init = initial_state(&serial);
+                seed_tracers(&serial, &mut init);
+                run_ranks(nranks, |ctx| {
+                    let mut dist =
+                        DistDycore::new(&grid, &part, ctx.rank(), dims, 2000.0, cfg, mode);
+                    assert_eq!(dist.hypervis_subcycles(), subcycles, "{hv:?}");
+                    let mut local = dist.local_state(&init);
+                    dist.step(ctx, &mut local).expect("step");
+                    let plan = dist.step_plan();
+                    let npeers = dist.plan.links.len() as u64;
+                    let field_levels = plan.field_levels() as u64;
+                    let msgs = match mode {
+                        ExchangeMode::Redesigned => plan.exchanges() as u64 * npeers,
+                        ExchangeMode::Original => field_levels * npeers,
+                    };
+                    let what = format!("qsize {qsize}, {hv:?}, rank {}", ctx.rank());
+                    assert_eq!(dist.stats.msgs_sent, msgs, "{what}");
+                    assert_eq!(ctx.comm.stats().sends, msgs, "{what}");
+                    let raw = dist.plan.sends.iter().map(Vec::len).sum::<usize>() as u64;
+                    assert_eq!(dist.stats.sent_bytes, raw * field_levels * 8, "{what}");
+                    assert_eq!(ctx.comm.stats().bytes_sent, dist.stats.sent_bytes, "{what}");
+                    if mode == ExchangeMode::Redesigned {
+                        assert_eq!(dist.stats.staged_bytes, 0);
+                    }
+                    assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages: {what}");
+                });
+            }
+        }
+    }
+
+    /// The redesigned schedule aggregates every exchange of the step (RK
+    /// stages, sponge, hyperviscosity Laplacians, each tracer chunk's
+    /// stages) into exactly one message per peer and stages zero bytes.
     #[test]
     fn redesigned_step_sends_one_message_per_peer_per_exchange() {
-        for qsize in [1, 6] {
-            let ne = 3;
-            let dims = Dims { nlev: 4, qsize };
-            let nu = 1.0e15;
-            let hv = HypervisConfig { nu, nu_p: nu, subcycles: 2, nu_top: 2.5e5, sponge_layers: 2 };
-            let cfg = DycoreConfig { dt: 300.0, hypervis: hv, limiter: true, rsplit: 1 };
-            let grid = CubedSphere::new(ne);
-            let nranks = 4;
-            let part = Partition::new(&grid, nranks);
-            let serial = Dycore::new(ne, dims, 2000.0, cfg);
-            let mut init = initial_state(&serial);
-            seed_tracers(&serial, &mut init);
-            run_ranks(nranks, |ctx| {
-                let mut dist = DistDycore::new(
-                    &grid,
-                    &part,
-                    ctx.rank(),
-                    dims,
-                    2000.0,
-                    cfg,
-                    ExchangeMode::Redesigned,
-                );
-                let mut local = dist.local_state(&init);
-                dist.step(ctx, &mut local).expect("step");
-                // Exchanges per step: 5 RK substeps + 1 sponge + 2 Laplacian
-                // applications per hypervis subcycle + 3 stages per tracer
-                // chunk.
-                let subcycles = dist.hypervis_subcycles();
-                let chunks = qsize.div_ceil(QCHUNK);
-                let n_exchanges = (5 + 1 + 2 * subcycles + 3 * chunks) as u64;
-                let npeers = dist.plan.links.len() as u64;
-                assert_eq!(dist.stats.msgs_sent, n_exchanges * npeers);
-                assert_eq!(ctx.comm.stats().sends, n_exchanges * npeers);
-                // Field-levels per step: 4 x nlev per RK stage and per
-                // Laplacian, 3 x the sponge depth, qsize x nlev per stage.
-                let nlev = dims.nlev;
-                let field_levels =
-                    5 * 4 * nlev + 3 * 2 + 2 * subcycles * 4 * nlev + 3 * qsize * nlev;
-                let raw: usize = dist.plan.sends.iter().map(Vec::len).sum();
-                assert_eq!(dist.stats.sent_bytes, (raw * field_levels * 8) as u64);
-                assert_eq!(dist.stats.staged_bytes, 0);
-                assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
-            });
-        }
+        assert_step_traffic_matches_plan(ExchangeMode::Redesigned);
+    }
+
+    /// The original schedule sends the same bytes in one message per peer
+    /// per field-level of every exchange.
+    #[test]
+    fn original_step_sends_one_message_per_peer_per_field_level() {
+        assert_step_traffic_matches_plan(ExchangeMode::Original);
     }
 
     /// Limiter, sponge, `nu_p != nu`, tracers and a mid-run remap
@@ -558,10 +578,9 @@ mod tests {
                 }
             }
             assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
-            // One message per peer per pipeline stage, nothing staged.
-            let n_exchanges = (5 + 1 + 2 * dist.hypervis_subcycles() + 3) as u64;
+            // One message per peer per exchange of the plan, nothing staged.
             let npeers = dist.plan.links.len() as u64;
-            assert_eq!(dist.stats.msgs_sent, 3 * n_exchanges * npeers);
+            assert_eq!(dist.stats.msgs_sent, 3 * dist.step_plan().exchanges() as u64 * npeers);
             assert_eq!(dist.stats.staged_bytes, 0);
             (dist.plan.owned.clone(), local)
         })

@@ -91,7 +91,7 @@ pub fn compute_and_apply_rhs(cluster: &CpeCluster, data: &mut KernelData) -> Ker
     let nelem = data.nelem;
     let ops = &data.ops;
     let ptop = data.ptop;
-    let counts = op_count(KernelId::ComputeAndApplyRhs, data);
+    let counts = op_count(KernelId::ComputeAndApplyRhs, data.shape());
     let flops_per_cpe = counts.flops / 64;
 
     let u = SharedSlice::new(&data.u);
@@ -272,7 +272,7 @@ pub fn euler_step(cluster: &CpeCluster, data: &mut KernelData, dt: f64) -> Kerne
     let nelem = data.nelem;
     let qsize = data.qsize;
     let ops = &data.ops;
-    let counts = op_count(KernelId::EulerStep, data);
+    let counts = op_count(KernelId::EulerStep, data.shape());
     let sweeps = (nelem as u64).div_ceil(8);
 
     let u = SharedSlice::new(&data.u);
@@ -347,7 +347,7 @@ pub fn vertical_remap(cluster: &CpeCluster, data: &mut KernelData) -> KernelRepo
     let lpc = nlev / CPE_ROWS; // levels per CPE row (multiple of 4)
     let nelem = data.nelem;
     let qsize = data.qsize;
-    let counts = op_count(KernelId::VerticalRemap, data);
+    let counts = op_count(KernelId::VerticalRemap, data.shape());
     let flops_per_cpe = counts.flops / 64;
 
     let u = SharedSlice::new(&data.u);
@@ -618,7 +618,7 @@ pub fn hypervis_dp1(cluster: &CpeCluster, data: &mut KernelData) -> KernelReport
     let ops = data.ops.clone();
     let nelem = data.nelem;
     let nlev = data.nlev;
-    let counts = op_count(KernelId::HypervisDp1, data);
+    let counts = op_count(KernelId::HypervisDp1, data.shape());
     let flops_per_level = counts.flops / (nelem * nlev) as u64;
     let inputs = vec![
         SharedSlice::new(&data.u),
@@ -647,7 +647,7 @@ pub fn hypervis_dp2(cluster: &CpeCluster, data: &mut KernelData) -> KernelReport
     let ops = data.ops.clone();
     let nelem = data.nelem;
     let nlev = data.nlev;
-    let counts = op_count(KernelId::HypervisDp2, data);
+    let counts = op_count(KernelId::HypervisDp2, data.shape());
     let flops_per_level = counts.flops / (nelem * nlev) as u64;
     let inputs = vec![
         SharedSlice::new(&data.u),
@@ -681,7 +681,7 @@ pub fn biharmonic_dp3d(cluster: &CpeCluster, data: &mut KernelData) -> KernelRep
     let ops = data.ops.clone();
     let nelem = data.nelem;
     let nlev = data.nlev;
-    let counts = op_count(KernelId::BiharmonicDp3d, data);
+    let counts = op_count(KernelId::BiharmonicDp3d, data.shape());
     let flops_per_level = counts.flops / (nelem * nlev) as u64;
     let inputs = vec![SharedSlice::new(&data.dp3d)];
     let outputs = vec![SharedSliceMut::new(&mut data.tend_dp)];

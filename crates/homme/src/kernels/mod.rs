@@ -159,6 +159,11 @@ impl KernelData {
         }
     }
 
+    /// Its element, level and tracer counts.
+    pub fn shape(&self) -> KernelShape {
+        KernelShape { nelem: self.nelem, nlev: self.nlev, qsize: self.qsize }
+    }
+
     /// Flat index of `(e, k, p)`.
     #[inline]
     pub fn at(&self, e: usize, k: usize, p: usize) -> usize {
@@ -199,11 +204,28 @@ pub struct OpCount {
     pub bytes: u64,
 }
 
-/// Flops and streamed bytes of one invocation of `kernel` on `data`.
-pub fn op_count(kernel: KernelId, data: &KernelData) -> OpCount {
-    let e = data.nelem as u64;
-    let k = data.nlev as u64;
-    let q = data.qsize as u64;
+/// The sizes an [`op_count`] reads: elements, levels and tracers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelShape {
+    pub nelem: usize,
+    pub nlev: usize,
+    pub qsize: usize,
+}
+
+impl From<&KernelData> for KernelShape {
+    fn from(d: &KernelData) -> Self {
+        d.shape()
+    }
+}
+
+/// Flops and streamed bytes of one invocation of `kernel` on `shape`: the
+/// one per-point op table of the Table-1 kernels. A model of a grid too
+/// large to build passes the counts; `&KernelData` converts.
+pub fn op_count(kernel: KernelId, shape: impl Into<KernelShape>) -> OpCount {
+    let KernelShape { nelem, nlev, qsize } = shape.into();
+    let e = nelem as u64;
+    let k = nlev as u64;
+    let q = qsize as u64;
     let pts = NPTS as u64;
     let field = e * k * pts; // points per 3-D field
     match kernel {

@@ -206,7 +206,7 @@ pub fn compute_and_apply_rhs(cluster: &CpeCluster, data: &mut KernelData) -> Ker
     let nlev = data.nlev;
     let ptop = data.ptop;
     let ops = &data.ops;
-    let flops = super::op_count(KernelId::ComputeAndApplyRhs, data).flops;
+    let flops = super::op_count(KernelId::ComputeAndApplyRhs, data.shape()).flops;
     let u = SharedSlice::new(&data.u);
     let v = SharedSlice::new(&data.v);
     let t = SharedSlice::new(&data.t);

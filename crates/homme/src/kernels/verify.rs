@@ -44,7 +44,7 @@ pub fn run(kernel: KernelId, variant: Variant, data: &mut KernelData, env: &Kern
     match variant {
         Variant::Reference => {
             run_functional(kernel, data);
-            let oc = op_count(kernel, data);
+            let oc = op_count(kernel, data.shape());
             RunResult {
                 seconds: env.cpu.seconds(oc.flops, oc.bytes),
                 counters: Counters { sflops: oc.flops, gld_bytes: oc.bytes, ..Default::default() },
@@ -52,7 +52,7 @@ pub fn run(kernel: KernelId, variant: Variant, data: &mut KernelData, env: &Kern
         }
         Variant::Mpe => {
             run_functional(kernel, data);
-            let oc = op_count(kernel, data);
+            let oc = op_count(kernel, data.shape());
             let mut mpe = Mpe::new();
             mpe.charge_flops(oc.flops);
             mpe.charge_mem(oc.bytes);

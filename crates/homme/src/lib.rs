@@ -13,6 +13,8 @@
 //!   distributed; the distributed path implements both HOMME's original
 //!   pack/unpack `bndry_exchangev` and the paper's redesigned overlapped,
 //!   copy-free version (Section 7.6).
+//! * [`plan`] — [`StepPlan`], the step's sweeps and exchanges as the stage
+//!   loop runs them, which the performance model prices.
 //! * [`prim`] — the `prim_run` driver: 5-stage Kinnmark–Gray RK dynamics,
 //!   subcycled hyperviscosity, tracer advection, vertical remap. All state
 //!   lives in the flat SoA arena of [`state`], all temporaries in the
@@ -43,6 +45,7 @@ pub mod euler;
 pub mod health;
 pub mod hypervis;
 pub mod kernels;
+pub mod plan;
 pub mod prim;
 pub mod remap;
 pub mod rhs;
@@ -63,6 +66,7 @@ pub use hypervis::{
     MIN_GLL_GAP_METERS,
 };
 pub use kernels::blocked::{BlockedOps, KernelPath, StageCombine};
+pub use plan::{Phase, StepPlan, Sweep};
 pub use prim::{Dycore, DycoreConfig, KG5_COEFFS};
 pub use remap::{ElemRemapPlan, RemapApplyScratch, RemapError};
 pub use rhs::{ElemTend, Rhs, RhsScratch};

@@ -42,6 +42,7 @@ use crate::kernels::blocked::{
     StageCombine,
 };
 use crate::kernels::blocked::{remap_element_planned, QCHUNK};
+use crate::plan::StepPlan;
 use crate::remap::{remap_element_scalar, RemapError};
 use crate::rhs::{element_rhs_apply, Rhs};
 use crate::sched::{Arena, ElemScheduler, PerWorker};
@@ -269,6 +270,12 @@ impl Dycore {
     /// [`HypervisConfig::subcycles_for`] the grid's `lambda_max` bound.
     pub fn hypervis_subcycles(&self) -> usize {
         self.cfg.hypervis.subcycles_for(self.lambda_max, self.cfg.dt)
+    }
+
+    /// The sweeps and exchanges of one step at the current `cfg`, with the
+    /// derived subcycle count ([`StepPlan`]).
+    pub fn step_plan(&self) -> StepPlan {
+        StepPlan::new(self.dims, &self.cfg.hypervis, self.cfg.rsplit, self.hypervis_subcycles())
     }
 
     /// The `lambda_max` bound, the damping number and the count they

@@ -1,6 +1,7 @@
 use homme::kernels::{KernelId, Variant};
+use homme::ExchangeMode;
 use perfmodel::*;
-use perfmodel::stepmodel::{CommMode, RankWork, StepModel};
+use perfmodel::stepmodel::{RankWork, StepModel};
 
 fn main() {
     let m = Machine::taihulight();
@@ -16,9 +17,9 @@ fn main() {
     for (e, n) in [(96usize, 4096usize), (3, 131072), (768, 8192), (48, 131072), (650, 155000), (1, 5400)] {
         let w = RankWork { elems: e, nlev: 128, qsize: 10 };
         for v in [Variant::Athread, Variant::OpenAcc, Variant::Mpe] {
-            let sm = StepModel::new(&m, v, CommMode::Redesigned);
+            let sm = StepModel::new(&m, v, ExchangeMode::Redesigned);
             println!("E={e:4} n={n:7} {v:?}: compute={:.4e} comm={:.4e} sync={:.4e} step={:.4e}",
-                sm.compute_seconds(w), sm.comm_seconds(w, n), sm.sync_seconds(n), sm.step_seconds(w, n));
+                sm.compute_seconds(w), sm.comm_seconds(w, n), sm.sync_seconds(w, n), sm.step_seconds(w, n));
         }
     }
     // SYPD

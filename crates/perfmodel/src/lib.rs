@@ -22,5 +22,5 @@ pub mod sypd;
 pub use machine::{Calibration, Machine};
 pub use nggps::{homme_runtime, NggpsCase, CASES, NGGPS_QSIZE};
 pub use scaling::{figure_model, strong_scaling, weak_scaling, HommeWorkload, ScalePoint};
-pub use stepmodel::{CommMode, RankWork, StepModel};
+pub use stepmodel::{RankWork, StepModel};
 pub use sypd::{cam_step_seconds, sypd, CamRun, AMDAHL_SERIAL, CAM_WORK_FACTOR, DAYS_PER_YEAR};

@@ -6,8 +6,9 @@
 //! same fixed published numbers; our row is the modeled HOMME time.
 
 use crate::machine::Machine;
-use crate::stepmodel::{CommMode, RankWork, StepModel};
+use crate::stepmodel::{RankWork, StepModel};
 use homme::kernels::Variant;
+use homme::ExchangeMode;
 
 /// One NGGPS benchmark case.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +60,7 @@ pub const NGGPS_QSIZE: usize = 10;
 
 /// Modeled runtime of our redesigned HOMME on one case.
 pub fn homme_runtime(machine: &Machine, case: &NggpsCase) -> f64 {
-    let model = StepModel::new(machine, Variant::Athread, CommMode::Redesigned);
+    let model = StepModel::new(machine, Variant::Athread, ExchangeMode::Redesigned);
     let dt = 300.0 * 30.0 / case.ne as f64; // dynamics dt at this resolution
     let steps = (case.forecast_seconds / dt).ceil();
     let elems = (6 * case.ne * case.ne) as f64 / case.our_ranks as f64;

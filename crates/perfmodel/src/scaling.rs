@@ -1,7 +1,8 @@
 //! Strong and weak scaling projections (the paper's Figures 7 and 8).
 
-use crate::stepmodel::{CommMode, RankWork, StepModel};
+use crate::stepmodel::{RankWork, StepModel};
 use homme::kernels::Variant;
+use homme::ExchangeMode;
 
 /// One point of a scaling curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +115,7 @@ pub fn weak_scaling(
 
 /// Convenience: the default Athread/redesigned model used by the figures.
 pub fn figure_model(machine: &crate::machine::Machine) -> StepModel<'_> {
-    StepModel::new(machine, Variant::Athread, CommMode::Redesigned)
+    StepModel::new(machine, Variant::Athread, ExchangeMode::Redesigned)
 }
 
 #[cfg(test)]

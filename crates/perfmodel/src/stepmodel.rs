@@ -1,20 +1,21 @@
 //! Per-rank time model of one model step, composed from calibrated kernel
 //! unit costs plus the network model.
 //!
-//! One dynamics step runs the Table-1 kernel pipeline:
-//! 5 x `compute_and_apply_rhs` (RK stages), 3 x `hypervis_dp2` +
-//! 3 x `biharmonic_dp3d` (subcycled dissipation), 3 x `euler_step`
-//! (tracer RK stages) and 1 x `vertical_remap`; each stage ends in a halo
-//! exchange. The skeleton kernels implement the *structure* of the full
-//! Fortran model but a fraction of its arithmetic (CAM-SE carries many more
-//! terms, limiters and diagnostics); the documented
+//! The model prices the step the stage loop runs, as [`StepPlan`] writes it
+//! down: each sweep's Table-1 kernel at its calibrated cost (one launch per
+//! RK stage, sponge, hyperviscosity Laplacian, tracer chunk stage and
+//! remap), each exchange as one halo round of its field-levels, and each
+//! round's barrier jitter. The skeleton kernels implement the *structure* of
+//! the full Fortran model but a fraction of its arithmetic (CAM-SE carries
+//! many more terms, limiters and diagnostics); the documented
 //! [`StepModel::work_factor`] scales skeleton work to full-model work and
 //! is calibrated once against the paper's ne30 SYPD anchor. All *shapes*
 //! (scaling curves, variant ratios, efficiency trends) come from the model,
 //! not the anchor.
 
 use crate::machine::Machine;
-use homme::kernels::{KernelId, Variant};
+use homme::kernels::{op_count, KernelId, Variant};
+use homme::{Dims, ExchangeMode, HypervisConfig, StepPlan};
 
 /// Workload of one rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,34 +28,17 @@ pub struct RankWork {
     pub qsize: usize,
 }
 
-/// Communication schedule options (paper Section 7.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommMode {
-    /// Original `bndry_exchangev`: packing copies, no overlap.
-    Original,
-    /// Redesigned: direct unpack + overlap with interior computation.
-    Redesigned,
-}
-
 /// The per-step time model.
 pub struct StepModel<'m> {
     /// Calibrated machine.
     pub machine: &'m Machine,
     /// Kernel implementation generation.
     pub variant: Variant,
-    /// Communication schedule.
-    pub comm_mode: CommMode,
+    /// Exchange schedule (paper Section 7.6).
+    pub comm_mode: ExchangeMode,
     /// Skeleton-to-full-CAM work multiplier (see module docs).
     pub work_factor: f64,
 }
-
-/// Exchange rounds per dynamics step: 5 RK stages + 6 dissipation
-/// sub-stages + 3 tracer stages.
-pub const EXCHANGE_ROUNDS_DYN: f64 = 5.0;
-/// Dissipation rounds.
-pub const EXCHANGE_ROUNDS_HV: f64 = 6.0;
-/// Tracer rounds.
-pub const EXCHANGE_ROUNDS_TRACER: f64 = 3.0;
 
 impl<'m> StepModel<'m> {
     /// Model for a *dynamical-core-only* run (the HOMME benchmarks of
@@ -62,7 +46,7 @@ impl<'m> StepModel<'m> {
     /// kernels to the full Fortran HOMME (which carries limiters,
     /// diagnostics and additional terms); calibrated once against the
     /// paper's ne256 step-time anchor.
-    pub fn new(machine: &'m Machine, variant: Variant, comm_mode: CommMode) -> Self {
+    pub fn new(machine: &'m Machine, variant: Variant, comm_mode: ExchangeMode) -> Self {
         StepModel { machine, variant, comm_mode, work_factor: 4.0 }
     }
 
@@ -71,6 +55,15 @@ impl<'m> StepModel<'m> {
     pub fn with_work_factor(mut self, f: f64) -> Self {
         self.work_factor = f;
         self
+    }
+
+    /// The step the model prices: production hyperviscosity
+    /// ([`HypervisConfig::for_ne`]: a 3-layer sponge and 3 subcycles at
+    /// every resolution; only `nu` varies, and the plan reads it only as
+    /// on or off) and a remap every step.
+    pub fn plan(&self, w: RankWork) -> StepPlan {
+        let hv = HypervisConfig::for_ne(30);
+        StepPlan::new(Dims { nlev: w.nlev, qsize: w.qsize }, &hv, 1, hv.subcycles)
     }
 
     /// Pure-compute seconds of one dynamics step on one rank.
@@ -83,34 +76,39 @@ impl<'m> StepModel<'m> {
     /// decreased number of elements").
     pub fn compute_seconds(&self, w: RankWork) -> f64 {
         let cal = &self.machine.cal;
-        // Only the column-chain kernels (register-communication scans and
-        // the transposed remap) are locked to 8-element batches; the
-        // level-parallel kernels redistribute freely.
-        let starved = if self.variant == Variant::Athread {
-            w.elems.div_ceil(8) * 8
-        } else {
-            w.elems
-        };
-        let k = |kernel: KernelId, mult: f64, elems: usize| {
-            mult * cal.kernel_seconds(kernel, self.variant, elems, w.nlev, w.qsize)
-        };
-        let t = k(KernelId::ComputeAndApplyRhs, 5.0, starved)
-            + k(KernelId::HypervisDp2, 3.0, w.elems)
-            + k(KernelId::BiharmonicDp3d, 3.0, w.elems)
-            + k(KernelId::EulerStep, 3.0, w.elems)
-            + k(KernelId::VerticalRemap, 1.0, starved);
+        let t: f64 = self
+            .plan(w)
+            .sweeps()
+            .iter()
+            .map(|s| {
+                // Only the column-chain kernels (register-communication scans
+                // and the transposed remap) are locked to 8-element batches;
+                // the level-parallel kernels redistribute freely.
+                let chained =
+                    matches!(s.kernel, KernelId::ComputeAndApplyRhs | KernelId::VerticalRemap);
+                let elems = if chained && self.variant == Variant::Athread {
+                    w.elems.div_ceil(8) * 8
+                } else {
+                    w.elems
+                };
+                let sh = s.shape(elems);
+                let t = cal.kernel_seconds(s.kernel, self.variant, sh.nelem, sh.nlev, sh.qsize);
+                t / s.every as f64
+            })
+            .sum();
         t * self.work_factor
     }
 
     /// Per-step synchronization/imbalance overhead: stage barriers and
     /// collective completion grow logarithmically with the job, and OS /
-    /// network jitter makes every stage wait for the slowest rank. The
-    /// coefficient is calibrated against the paper's Figure 7 endpoints.
-    pub fn sync_seconds(&self, nranks: usize) -> f64 {
+    /// network jitter makes every exchange round wait for the slowest
+    /// rank. The coefficient is calibrated against the paper's Figure 7
+    /// endpoints.
+    pub fn sync_seconds(&self, w: RankWork, nranks: usize) -> f64 {
         if nranks <= 1 {
             return 0.0;
         }
-        let rounds = EXCHANGE_ROUNDS_DYN + EXCHANGE_ROUNDS_HV + EXCHANGE_ROUNDS_TRACER;
+        let rounds = self.plan(w).exchanges() as f64;
         rounds * self.machine.jitter_per_round * (nranks as f64).log2()
     }
 
@@ -120,17 +118,14 @@ impl<'m> StepModel<'m> {
             return 0.0;
         }
         let net = &self.machine.net;
+        let plan = self.plan(w);
         // Compact SFC patch: perimeter ~ 4 sqrt(E) element edges, ~8 peers.
         let cut_edges = 4.0 * (w.elems as f64).sqrt() + 4.0;
         let peers = 8.0_f64.min(nranks as f64 - 1.0);
-        // Bytes per exchanged element edge per 3-D field: 4 GLL points x
-        // nlev x 8 B.
-        let edge_bytes = 4.0 * w.nlev as f64 * 8.0;
-        let fields_per_round = EXCHANGE_ROUNDS_DYN * 4.0
-            + EXCHANGE_ROUNDS_HV * 4.0
-            + EXCHANGE_ROUNDS_TRACER * w.qsize as f64;
-        let total_bytes = cut_edges * edge_bytes * fields_per_round;
-        let rounds = EXCHANGE_ROUNDS_DYN + EXCHANGE_ROUNDS_HV + EXCHANGE_ROUNDS_TRACER;
+        // Bytes per exchanged element edge per field-level: 4 GLL points x
+        // 8 B.
+        let total_bytes = cut_edges * 4.0 * 8.0 * plan.field_levels() as f64;
+        let rounds = plan.exchanges() as f64;
         // Fraction of traffic crossing supernodes grows with job size.
         let remote_frac = if nranks <= net.ranks_per_supernode() {
             0.1
@@ -145,7 +140,7 @@ impl<'m> StepModel<'m> {
         // MPE memcpy bandwidth (Section 7.6: removing these copies plus
         // overlap cut exchange cost roughly in half).
         let memcpy_bw = 4.0e9;
-        if self.comm_mode == CommMode::Original {
+        if self.comm_mode == ExchangeMode::Original {
             comm += 3.0 * total_bytes / memcpy_bw;
         }
         comm
@@ -157,10 +152,10 @@ impl<'m> StepModel<'m> {
     pub fn step_seconds(&self, w: RankWork, nranks: usize) -> f64 {
         let compute = self.compute_seconds(w);
         let comm = self.comm_seconds(w, nranks);
-        let sync = self.sync_seconds(nranks);
+        let sync = self.sync_seconds(w, nranks);
         match self.comm_mode {
-            CommMode::Original => compute + comm + sync,
-            CommMode::Redesigned => {
+            ExchangeMode::Original => compute + comm + sync,
+            ExchangeMode::Redesigned => {
                 // Interior elements (non-boundary) can hide communication.
                 let boundary = (4.0 * (w.elems as f64).sqrt() + 4.0).min(w.elems as f64);
                 let interior_frac = 1.0 - boundary / w.elems.max(1) as f64;
@@ -171,15 +166,16 @@ impl<'m> StepModel<'m> {
     }
 
     /// Double-precision flops retired by one rank in one dynamics step
-    /// (for PFlops reporting; uses the same analytic op counts as the
-    /// roofline pricing, scaled by the work factor).
+    /// (for PFlops reporting): `kernels::op_count` summed over the plan's
+    /// sweeps, scaled by the work factor.
     pub fn step_flops(&self, w: RankWork) -> f64 {
-        let field = (w.elems * w.nlev * 16) as f64;
-        let per_step = field
-            * (5.0 * 165.0 + 3.0 * 244.0 + 3.0 * 94.0
-                + 3.0 * 28.0 * w.qsize as f64
-                + 40.0 * (3 + w.qsize) as f64);
-        per_step * self.work_factor
+        let flops: f64 = self
+            .plan(w)
+            .sweeps()
+            .iter()
+            .map(|s| op_count(s.kernel, s.shape(w.elems)).flops as f64 / s.every as f64)
+            .sum();
+        flops * self.work_factor
     }
 }
 
@@ -194,7 +190,7 @@ mod tests {
     #[test]
     fn compute_scales_linearly_with_elements() {
         let m = machine();
-        let sm = StepModel::new(&m, Variant::Athread, CommMode::Redesigned);
+        let sm = StepModel::new(&m, Variant::Athread, ExchangeMode::Redesigned);
         // Multiples of the 8-element batch so starvation rounding is inert.
         let t1 = sm.compute_seconds(RankWork { elems: 16, nlev: 32, qsize: 4 });
         let t2 = sm.compute_seconds(RankWork { elems: 32, nlev: 32, qsize: 4 });
@@ -206,8 +202,8 @@ mod tests {
     fn redesigned_exchange_is_faster() {
         let m = machine();
         let w = RankWork { elems: 64, nlev: 128, qsize: 25 };
-        let orig = StepModel::new(&m, Variant::Athread, CommMode::Original);
-        let redesigned = StepModel::new(&m, Variant::Athread, CommMode::Redesigned);
+        let orig = StepModel::new(&m, Variant::Athread, ExchangeMode::Original);
+        let redesigned = StepModel::new(&m, Variant::Athread, ExchangeMode::Redesigned);
         let t_o = orig.step_seconds(w, 6144);
         let t_r = redesigned.step_seconds(w, 6144);
         assert!(t_r < t_o, "{t_r} vs {t_o}");
@@ -224,7 +220,7 @@ mod tests {
     fn variant_ordering_carries_into_step_times() {
         let m = machine();
         let w = RankWork { elems: 64, nlev: 128, qsize: 25 };
-        let t = |v: Variant| StepModel::new(&m, v, CommMode::Original).compute_seconds(w);
+        let t = |v: Variant| StepModel::new(&m, v, ExchangeMode::Original).compute_seconds(w);
         assert!(t(Variant::Mpe) > t(Variant::Reference));
         assert!(t(Variant::Athread) < t(Variant::OpenAcc));
         assert!(t(Variant::Athread) < t(Variant::Reference));
@@ -233,7 +229,7 @@ mod tests {
     #[test]
     fn flops_are_positive_and_scale() {
         let m = machine();
-        let sm = StepModel::new(&m, Variant::Athread, CommMode::Redesigned);
+        let sm = StepModel::new(&m, Variant::Athread, ExchangeMode::Redesigned);
         let f1 = sm.step_flops(RankWork { elems: 48, nlev: 128, qsize: 10 });
         let f2 = sm.step_flops(RankWork { elems: 96, nlev: 128, qsize: 10 });
         assert!(f1 > 0.0);

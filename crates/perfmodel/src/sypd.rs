@@ -9,8 +9,9 @@
 //! factor; the serial fraction is the paper-visible knob.
 
 use crate::machine::Machine;
-use crate::stepmodel::{CommMode, RankWork, StepModel};
+use crate::stepmodel::{RankWork, StepModel};
 use homme::kernels::Variant;
+use homme::ExchangeMode;
 
 /// Amdahl serial fraction of the whole CAM step: the share of the model
 /// (hundreds of small routines, bookkeeping, I/O staging, MPE-resident
@@ -78,14 +79,14 @@ pub fn cam_step_seconds(
 ) -> f64 {
     let elems = (run.nelem() as f64 / nranks as f64).ceil() as usize;
     let w = RankWork { elems: elems.max(1), nlev: run.nlev, qsize: run.qsize };
-    let mpe_model =
-        StepModel::new(machine, Variant::Mpe, CommMode::Original).with_work_factor(CAM_WORK_FACTOR);
+    let mpe_model = StepModel::new(machine, Variant::Mpe, ExchangeMode::Original)
+        .with_work_factor(CAM_WORK_FACTOR);
     let t_ori = mpe_model.step_seconds(w, nranks);
     if variant == Variant::Mpe {
         return t_ori;
     }
     let comm_mode =
-        if variant == Variant::Athread { CommMode::Redesigned } else { CommMode::Original };
+        if variant == Variant::Athread { ExchangeMode::Redesigned } else { ExchangeMode::Original };
     let model = StepModel::new(machine, variant, comm_mode).with_work_factor(CAM_WORK_FACTOR);
     let kernel_speedup = (mpe_model.compute_seconds(w) / model.compute_seconds(w)).max(1.0);
     let whole_model_speedup = 1.0 / (AMDAHL_SERIAL + (1.0 - AMDAHL_SERIAL) / kernel_speedup);

@@ -3,8 +3,9 @@
 //! demands it, and stable under recalibration.
 
 use homme::kernels::Variant;
+use homme::ExchangeMode;
 use perfmodel::scaling::{figure_model, strong_scaling, weak_scaling, HommeWorkload};
-use perfmodel::stepmodel::{CommMode, RankWork, StepModel};
+use perfmodel::stepmodel::{RankWork, StepModel};
 use perfmodel::{sypd, CamRun, Machine};
 use std::sync::OnceLock;
 
@@ -63,7 +64,7 @@ fn sypd_is_monotone_in_ranks_for_every_variant() {
 #[test]
 fn more_tracers_cost_more_time() {
     let m = machine();
-    let model = StepModel::new(m, Variant::Athread, CommMode::Redesigned);
+    let model = StepModel::new(m, Variant::Athread, ExchangeMode::Redesigned);
     let t10 = model.compute_seconds(RankWork { elems: 64, nlev: 128, qsize: 10 });
     let t25 = model.compute_seconds(RankWork { elems: 64, nlev: 128, qsize: 25 });
     assert!(t25 > t10 * 1.3, "{t10} vs {t25}");
@@ -72,11 +73,12 @@ fn more_tracers_cost_more_time() {
 #[test]
 fn sync_overhead_grows_logarithmically() {
     let m = machine();
-    let model = StepModel::new(m, Variant::Athread, CommMode::Redesigned);
-    let s1 = model.sync_seconds(1024);
-    let s2 = model.sync_seconds(1024 * 1024);
+    let model = StepModel::new(m, Variant::Athread, ExchangeMode::Redesigned);
+    let w = RankWork { elems: 64, nlev: 128, qsize: 10 };
+    let s1 = model.sync_seconds(w, 1024);
+    let s2 = model.sync_seconds(w, 1024 * 1024);
     assert!((s2 / s1 - 2.0).abs() < 1e-9, "log2 scaling: {s1} vs {s2}");
-    assert_eq!(model.sync_seconds(1), 0.0);
+    assert_eq!(model.sync_seconds(w, 1), 0.0);
 }
 
 #[test]

@@ -25,6 +25,20 @@ cargo test -q -p homme --test rank_invariance
 cargo test -q -p homme --test dist_alloc
 cargo test -q -p swcam-bench --test distributed_step
 
+# Step-plan / performance-model group: `homme::StepPlan` is the one written
+# shape of a step outside the stage loop. Its units pin literal exchange and
+# field-level counts (sponge clamp, hyperviscosity off, 0 / 6 / 25 tracers);
+# the distributed message-accounting tests pin it to the loop's real traffic
+# (messages and bytes as CopyStats and CommStats count them, qsize
+# {0,1,4,6,25} x sponge x derived subcycle counts, both schedules); and the
+# performance model that prices it must keep every paper-claim band.
+echo "== step-plan / performance-model test group"
+cargo test -q -p homme --lib plan::tests
+cargo test -q -p homme --lib dist::tests::redesigned_step_sends_one_message_per_peer_per_exchange
+cargo test -q -p homme --lib dist::tests::original_step_sends_one_message_per_peer_per_field_level
+cargo test -q -p perfmodel
+cargo test -q --test paper_claims
+
 # Fault-injection group: the seeded fault plan and reliable-mode machinery
 # in swmpi, the checkpoint codec, the health guards, and the end-to-end
 # recovery suite (message faults, checkpoint restart, rank crash + rollback).

@@ -135,11 +135,12 @@ fn claim_transfer_reduction() {
 /// time by double-digit percent (paper: "23% in the best cases").
 #[test]
 fn claim_overlap_gain() {
-    use perfmodel::stepmodel::{CommMode, RankWork, StepModel};
+    use homme::ExchangeMode;
+    use perfmodel::stepmodel::{RankWork, StepModel};
     let m = machine();
     let w = RankWork { elems: 4, nlev: 128, qsize: 25 };
-    let t_orig = StepModel::new(m, Variant::Athread, CommMode::Original).step_seconds(w, 131_072);
-    let t_new = StepModel::new(m, Variant::Athread, CommMode::Redesigned).step_seconds(w, 131_072);
+    let t_orig = StepModel::new(m, Variant::Athread, ExchangeMode::Original).step_seconds(w, 131_072);
+    let t_new = StepModel::new(m, Variant::Athread, ExchangeMode::Redesigned).step_seconds(w, 131_072);
     let gain = 1.0 - t_new / t_orig;
     assert!(gain > 0.10 && gain < 0.5, "overlap gain {gain} (paper up to 0.23)");
 }
